@@ -15,16 +15,28 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
 
+import jsonschema
+
 from . import conformal as conf
 from . import corpus as corpus_mod
 from . import sasaki as sas
-from .errors import GeometryError
+from .errors import BadParams, GeometryError
 from .modelspec import load_model_spec
-from .verify import VerifyConfig, report_to_json, run_all
+from .structure import worst
+from .verify import (
+    VerifyConfig,
+    report_to_json,
+    run_all,
+    set_fd_step,
+    tolerance_for,
+    transformed_residuals,
+    within,
+)
 
 
 def _default_seed() -> int:
@@ -55,26 +67,21 @@ def _resolve_models(args, fd_step):
     params = _parse_params(getattr(args, "params", None))
     if not names:
         return corpus_mod.default_corpus(fd_step=fd_step)
-    relevant = {
-        "example1": ("n",),
-        "example1_chart": ("n",),
-        "flat_parallel": ("n",),
-        "example2": ("lam", "mu"),
-        "example2_chart": ("lam", "mu"),
-        "example3_hsphere_ext": ("n", "a", "b"),
-    }
     models = []
     for name in names:
         if name.endswith(".json") or "/" in name:
             models.append(load_model_spec(Path(name)))
         else:
-            keep = relevant.get(name)
-            kwargs = {k: v for k, v in params.items() if keep is None or k in keep}
+            kwargs = corpus_mod.builtin_params(name, {**params, "fd_step": fd_step})
             models.append(corpus_mod.builtin(name, **kwargs))
     return models
 
 
 def _config_from(args) -> VerifyConfig:
+    if args.points < 1:
+        raise BadParams(f"--points must be at least 1, got {args.points}")
+    if not (math.isfinite(args.fd_step) and args.fd_step > 0):
+        raise BadParams(f"--fd-step must be a positive finite number, got {args.fd_step}")
     return VerifyConfig(
         points=args.points,
         seed=args.seed,
@@ -84,10 +91,15 @@ def _config_from(args) -> VerifyConfig:
     )
 
 
-def _emit(report, args) -> int:
+def _write_json(report, args) -> str:
     text = report_to_json(report)
     if args.json:
         Path(args.json).write_text(text)
+    return text
+
+
+def _emit(report, args) -> int:
+    _write_json(report, args)
     for model in report["models"]:
         print(f"== {model['name']} {model['params']}")
         if "error" in model:
@@ -100,7 +112,8 @@ def _emit(report, args) -> int:
                   f"residual={row['max_residual']:.3e} tol={tol_s}")
     summary = report["summary"]
     print(f"summary: {summary['pass']} pass, {summary['fail']} fail, "
-          f"{summary['xfail']} xfail, {summary['xpass']} xpass, {summary['info']} info")
+          f"{summary['xfail']} xfail, {summary['xpass']} xpass, {summary['info']} info, "
+          f"{summary['error']} error")
     return 0 if summary["ok"] else 1
 
 
@@ -133,40 +146,30 @@ def _named_family(value):
 def cmd_transform(args) -> int:
     cfg = _config_from(args)
     params = _parse_params(args.params)
-    u = _named_family(params.get("u", 0.0))
-    v = _named_family(params.get("v", 0.0))
-    w = _named_family(params.get("w", 0.0))
-    models = _resolve_models(argparse.Namespace(model=args.model, params=None), cfg.fd_step)
-    t = conf.TransformParams(u=u, v=v, w=w)
     shown = {k: params.get(k, 0.0) for k in ("u", "v", "w")}
+    t = conf.TransformParams(**{k: _named_family(v) for k, v in shown.items()})
+    models = _resolve_models(argparse.Namespace(model=args.model, params=None), cfg.fd_step)
     out = {"schema_version": "1", "transform": shown, "models": []}
     ok = True
     for cm in models:
-        cm.model.fd_step = cfg.fd_step
+        set_fd_step(cm, cfg.fd_step)
         pts = cm.model.sample_points(cfg.points, cfg.seed)
         entry = {"name": cm.name, "params": dict(cm.params)}
         try:
-            entry["preservation"] = conf.preservation_residuals(cm.structure, t, pts)
+            res = transformed_residuals(cm.structure, t, pts)
+            entry["preservation"] = res["preservation"]
             if t.is_constant:
-                _, conn_law = conf.homothetic_connection(cm.structure, t, pts[0])
-                entry["connection_formula_residual"] = conn_law
+                entry["connection_formula_residual"] = conf.homothetic_connection(
+                    cm.structure, t, pts[0])[1]
                 entry["laws"] = conf.homothetic_curvature_and_ricci(cm.structure, t, pts[0])
-            ts = conf.apply_cct(cm.structure, t)
-            defining = {
-                k: max(sas.check_defining_conditions(ts, p)[k] for p in pts)
-                for k in sas.check_defining_conditions(ts, pts[0])
-            }
-            entry["transformed_defining"] = defining
-            tol = cfg.tol_override or (1e-9 if cm.exact else 1e-6)
-            entry["sasaki_preserved"] = bool(max(defining.values()) < tol)
+            entry["transformed_defining"] = res["defining"]
+            tol = tolerance_for("conformal.preserve.transformed_defining", cm, cfg)
+            entry["sasaki_preserved"] = within(worst(res["defining"].values()), tol)
         except GeometryError as exc:
             entry["error"] = str(exc)
             ok = False
         out["models"].append(entry)
-    text = report_to_json(out)
-    if args.json:
-        Path(args.json).write_text(text)
-    print(text, end="")
+    print(_write_json(out, args), end="")
     return 0 if ok else 1
 
 
@@ -176,29 +179,15 @@ def cmd_cone(args) -> int:
     out = {"schema_version": "1", "models": []}
     ok = True
     for cm in models:
-        cm.model.fd_step = cfg.fd_step
+        set_fd_step(cm, cfg.fd_step)
         check = sas.cone_holomorphic_residual(cm.structure, count=min(cfg.points, 8),
                                               seed=cfg.seed)
-        tol = cfg.tol_override or 1e-6
-        passed = check.residual < tol
-        expected = cm.sasaki_expected
-        entry = {
-            "name": cm.name,
-            "params": dict(cm.params),
-            "residual": check.residual,
-            "per_point": check.per_point,
-            "connection_lines": check.connection_lines,
-            "dj_xi_line": check.dj_xi_line,
-            "holomorphic": passed,
-            "expected_holomorphic": expected,
-        }
-        if passed != expected:
-            ok = False
-        out["models"].append(entry)
-    text = report_to_json(out)
-    if args.json:
-        Path(args.json).write_text(text)
-    print(text, end="")
+        passed = within(check.residual, tolerance_for("cone.holomorphic", cm, cfg))
+        ok = ok and passed == cm.sasaki_expected
+        out["models"].append({"name": cm.name, "params": dict(cm.params), **vars(check),
+                              "holomorphic": passed,
+                              "expected_holomorphic": cm.sasaki_expected})
+    print(_write_json(out, args), end="")
     return 0 if ok else 1
 
 
@@ -251,6 +240,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (GeometryError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except jsonschema.ValidationError as exc:
+        print(f"error: invalid model spec: {exc.message}", file=sys.stderr)
         return 2
 
 

@@ -25,13 +25,14 @@ from .connection import levi_civita
 from .errors import NonConstantParams
 from .models import ManifoldModel
 from .sasaki import require_sasaki_like
-from .structure import AccrStructure, PointFields
+from .structure import AccrStructure, PointFields, max_over_points
 
 __all__ = [
     "TransformParams",
     "TransformedStructure",
     "apply_cct",
     "preservation_residuals",
+    "preservation_at",
     "homothetic_connection",
     "homothetic_curvature_and_ricci",
     "EinsteinFit",
@@ -107,9 +108,6 @@ class TransformedStructure(AccrStructure):
     original: AccrStructure = None
     params: TransformParams = None
 
-    def gbar_at(self, p):
-        return self.model.metric_at(p)
-
 
 def apply_cct(s: AccrStructure, t: TransformParams) -> TransformedStructure:
     """Apply the contact conformal transformation to an accR structure.
@@ -150,45 +148,52 @@ def preservation_residuals(s: AccrStructure, t: TransformParams, points,
     """
     require_sasaki_like(s, points[0], tol=sasaki_tol)
     ts = apply_cct(s, t)
-    out: dict = {}
-    for p in points:
-        f = PointFields(s, p)
-        u, v, w = t.at(p)
-        du, dv, dw = t.differentials_at(s.model, p)
-        phi, eta = f.phi, f.eta
-        cond1 = dw @ phi
-        cond2 = du - dv @ phi
-        cond3 = du @ phi + dv - (1.0 - math.exp(w)) * eta
-        c2v, s2v = math.cos(2 * v), math.sin(2 * v)
-        ew1 = math.exp(w) - 1.0
-        a_form = c2v * (ew1 * eta + du @ phi + dv) + s2v * (du - dv @ phi)
-        b_form = s2v * (ew1 * eta + du @ phi + dv) - c2v * (du - dv @ phi)
-
-        fb = PointFields(ts, p)
-        gpp = np.einsum("ai,bj,ab->ij", phi, phi, f.g)
-        gp = f.g @ phi
-        target = math.exp(w + 2 * u) * (
-            c2v * (np.einsum("ij,k->ijk", gpp, eta) + np.einsum("ik,j->ijk", gpp, eta))
-            - s2v * (np.einsum("ij,k->ijk", gp, eta) + np.einsum("ik,j->ijk", gp, eta))
-        )
-        vals = {
-            "dw_phi": float(np.max(np.abs(cond1))),
-            "du_minus_dv_phi": float(np.max(np.abs(cond2))),
-            "du_phi_plus_dv": float(np.max(np.abs(cond3))),
-            "du_xi": float(abs(du @ f.xi)),
-            "dv_xi": float(abs(dv @ f.xi - (1.0 - math.exp(w)))),
-            "one_form_a": float(np.max(np.abs(a_form))),
-            "one_form_b": float(np.max(np.abs(b_form))),
-            "f_bar_direct": float(np.max(np.abs(fb.F - target))),
-        }
-        for k, x in vals.items():
-            out[k] = max(out.get(k, 0.0), x)
-    return out
+    return max_over_points(points, lambda p: preservation_at(s, t, p, PointFields(ts, p)))
 
 
-def _require_constant(t: TransformParams):
+def preservation_at(s: AccrStructure, t: TransformParams, p, fields_bar: PointFields) -> dict:
+    """The residuals of preservation_residuals at one point; ``fields_bar``
+    holds the transformed structure apply_cct(s, t) at p, so a caller that
+    also checks that structure solves its connection once."""
+    f = PointFields(s, p)
+    u, v, w = t.at(p)
+    du, dv, dw = t.differentials_at(s.model, p)
+    phi, eta = f.phi, f.eta
+    cond1 = dw @ phi
+    cond2 = du - dv @ phi
+    cond3 = du @ phi + dv - (1.0 - math.exp(w)) * eta
+    c2v, s2v = math.cos(2 * v), math.sin(2 * v)
+    ew1 = math.exp(w) - 1.0
+    a_form = c2v * (ew1 * eta + du @ phi + dv) + s2v * (du - dv @ phi)
+    b_form = s2v * (ew1 * eta + du @ phi + dv) - c2v * (du - dv @ phi)
+
+    gpp = np.einsum("ai,bj,ab->ij", phi, phi, f.g)
+    gp = f.g @ phi
+    target = math.exp(w + 2 * u) * (
+        c2v * (np.einsum("ij,k->ijk", gpp, eta) + np.einsum("ik,j->ijk", gpp, eta))
+        - s2v * (np.einsum("ij,k->ijk", gp, eta) + np.einsum("ik,j->ijk", gp, eta))
+    )
+    return {
+        "dw_phi": np.max(np.abs(cond1)),
+        "du_minus_dv_phi": np.max(np.abs(cond2)),
+        "du_phi_plus_dv": np.max(np.abs(cond3)),
+        "du_xi": abs(du @ f.xi),
+        "dv_xi": abs(dv @ f.xi - (1.0 - math.exp(w))),
+        "one_form_a": np.max(np.abs(a_form)),
+        "one_form_b": np.max(np.abs(b_form)),
+        "f_bar_direct": np.max(np.abs(fields_bar.F - target)),
+    }
+
+
+def _homothetic_shift(s, t, p):
+    """(fields, g(phi., phi.), g(., phi.), e^{2(u-w)} sin 2v, 1 - e^{2(u-w)} cos 2v)."""
     if not t.is_constant:
         raise NonConstantParams("closed-form transformation laws need constant (u, v, w)")
+    u, v, w = t.at(p)
+    f = PointFields(s, p)
+    gpp = np.einsum("ai,bj,ab->ij", f.phi, f.phi, f.g)
+    return (f, gpp, f.g @ f.phi, math.exp(2 * (u - w)) * math.sin(2 * v),
+            1.0 - math.exp(2 * (u - w)) * math.cos(2 * v))
 
 
 def homothetic_connection(s: AccrStructure, t: TransformParams, p):
@@ -206,13 +211,7 @@ def homothetic_connection(s: AccrStructure, t: TransformParams, p):
     layout as the connection coefficients and residual compares the formula
     against the Koszul solution for g_bar.
     """
-    _require_constant(t)
-    u, v, w = t.at(p)
-    f = PointFields(s, p)
-    gpp = np.einsum("ai,bj,ab->ij", f.phi, f.phi, f.g)
-    gp = f.g @ f.phi
-    coef_a = math.exp(2 * (u - w)) * math.sin(2 * v)
-    coef_b = 1.0 - math.exp(2 * (u - w)) * math.cos(2 * v)
+    f, gpp, gp, coef_a, coef_b = _homothetic_shift(s, t, p)
     delta = np.einsum("ij,k->ijk", coef_a * gpp - coef_b * gp, f.xi)
     ts = apply_cct(s, t)
     direct = levi_civita(ts.model, p).gamma
@@ -235,19 +234,13 @@ def homothetic_curvature_and_ricci(s: AccrStructure, t: TransformParams, p) -> d
           e_bar_i = e^{-u} (cos v e_i - sin v phi e_i)
         for g_bar and the trace of Ric in that basis.
     """
-    _require_constant(t)
+    f, gpp, gp, coef_a, coef_b = _homothetic_shift(s, t, p)
     u, v, w = t.at(p)
-    f = PointFields(s, p)
     ts = apply_cct(s, t)
     bundle = f.curvature
-    fb = PointFields(ts, p)
-    bundle_bar = fb.curvature
+    bundle_bar = PointFields(ts, p).curvature
 
-    phi, eta, xi, g = f.phi, f.eta, f.xi, f.g
-    gpp = np.einsum("ai,bj,ab->ij", phi, phi, g)
-    gp = g @ phi
-    coef_a = math.exp(2 * (u - w)) * math.sin(2 * v)
-    coef_b = 1.0 - math.exp(2 * (u - w)) * math.cos(2 * v)
+    phi, eta, xi = f.phi, f.eta, f.xi
     term_a = (
         np.einsum("jk,i,l->ijkl", gp, eta, xi)
         - np.einsum("jk,li->ijkl", gpp, phi)
@@ -371,12 +364,8 @@ def eta_complex_einstein_check(s: AccrStructure, points, tol=1e-8,
         cd2 = c * c + d * d
         to_einstein = {"u": -0.25 * math.log(cd2), "v": -0.5 * math.atan2(d, c), "w": 0.0}
         ts = apply_cct(s, TransformParams(**to_einstein))
-        worst = 0.0
-        for p in points:
-            fb = PointFields(ts, p)
-            f = PointFields(s, p)
-            worst = max(worst, float(np.max(np.abs(f.curvature.ric - 2.0 * n * fb.g))))
-        einstein_residual = worst
+        einstein_residual = max_over_points(points, lambda p: {"ric": np.max(np.abs(
+            PointFields(s, p).curvature.ric - 2.0 * n * ts.model.metric_at(p)))})["ric"]
 
     return EinsteinFit(alpha=alpha, beta=beta, residual=residual, c=c, d=d,
                        classification=cls, to_einstein=to_einstein,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetric, DegenerateParameters
-from .frame_algebra import FrameTensor, as_components, kulkarni_nomizu
+from .frame_algebra import FrameTensor, as_components, kulkarni_nomizu, project_all
 
 __all__ = [
     "ConnectionCoefficients",
@@ -142,15 +142,6 @@ def holomorphy_residual(base, p) -> float:
     return float(np.max(np.abs(nj)))
 
 
-def _project_all(t, proj):
-    """Contract the horizontal projector into every slot of a (0,k) array."""
-    t = np.asarray(t)
-    for axis in range(t.ndim):
-        t = np.tensordot(proj, t, axes=(0, axis))
-        t = np.moveaxis(t, 0, axis)
-    return t
-
-
 def gauss_residual(structure, p, base_r=None, bundle=None) -> float:
     """Hypersurface comparison on horizontal arguments:
 
@@ -171,7 +162,7 @@ def gauss_residual(structure, p, base_r=None, bundle=None) -> float:
     gphi = g @ phi
     rhs = np.einsum("ik,jl->ijkl", gphi, gphi) - np.einsum("jk,il->ijkl", gphi, gphi)
     rh = np.zeros_like(bundle.r) if base_r is None else np.asarray(base_r)
-    resid = _project_all(bundle.r - rh - rhs, proj)
+    resid = project_all(bundle.r - rh - rhs, proj)
     return float(np.max(np.abs(resid)))
 
 
@@ -185,7 +176,7 @@ def second_fundamental_form_residual(structure, p, gamma=None) -> float:
     nxi = dxi + np.einsum("imk,m->ik", gamma, xi)
     gt = structure.gtilde_at(p)
     proj = structure.projector_at(p)
-    resid = _project_all(np.einsum("ik,kj->ij", nxi, g) + gt, proj)
+    resid = project_all(np.einsum("ik,kj->ij", nxi, g) + gt, proj)
     return float(np.max(np.abs(resid)))
 
 

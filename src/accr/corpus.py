@@ -17,6 +17,7 @@ Six constructions:
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,6 +25,7 @@ import numpy as np
 from .connection import (
     hsphere_curvature,
     hsphere_extension_horizontal_curvature,
+    standard_norden_pair,
 )
 from .errors import BadParams, ParamMismatch, UnknownBuiltin
 from .frame_algebra import MetricMatrix, Signature
@@ -34,7 +36,7 @@ from .models import (
     product_extension,
 )
 from .sasaki import check_defining_conditions
-from .structure import AccrStructure, standard_structure
+from .structure import AccrStructure, max_over_points, standard_structure, worst
 
 
 @dataclass
@@ -82,35 +84,45 @@ def _example2_constants(lam, mu):
     return c
 
 
+def _flat_leaf(d) -> dict:
+    """Leaf curvature of the Sasaki-like examples: the horizontal leaf is flat."""
+    zero_ric = np.zeros((d, d))
+    return {"base_ric_at": lambda p: zero_ric, "base_r_at": lambda p: np.zeros((d,) * 4)}
+
+
+def _group(name, n, constants, params, sasaki_expected=True, **extra) -> CorpusModel:
+    """Left-invariant model with the standard metric and adapted structure."""
+    eps = Signature.standard(n).as_array()
+    model = lie_group_model(n, constants, MetricMatrix(np.diag(eps)))
+    leaf = _flat_leaf(model.dim) if sasaki_expected else {}
+    return CorpusModel(name=name, model=model, structure=standard_structure(model, n),
+                       params=params, exact=True, sasaki_expected=sasaki_expected,
+                       **leaf, **extra)
+
+
+def _chart(name, n, coframe, coord_metric, params, fd_step) -> CorpusModel:
+    """Chart realization of a group model: constant metric in a moving coframe."""
+    d = 2 * n + 1
+    eps = np.diag(Signature.standard(n).as_array())
+    kwargs = {} if fd_step is None else {"fd_step": fd_step}
+    model = chart_model(d, lambda x: eps, frame=coframe, ranges=[(-0.9, 0.9)] * d,
+                        metric_derivs=lambda x: np.zeros((d, d, d)), **kwargs)
+    return CorpusModel(name=f"{name}_chart", model=model,
+                       structure=standard_structure(model, n), params=params,
+                       exact=False, sasaki_expected=True, **_flat_leaf(d),
+                       coframe_fn=coframe, coord_metric_fn=coord_metric, lie_partner=name)
+
+
 def example1(n=1) -> CorpusModel:
     n = int(n)
     if n < 1:
         raise BadParams("example1 requires n >= 1")
-    eps = Signature.standard(n).as_array()
-    model = lie_group_model(n, _example1_constants(n), MetricMatrix(np.diag(eps)))
-    s = standard_structure(model, n)
-    zero_ric = np.zeros((model.dim, model.dim))
-    return CorpusModel(
-        name="example1", model=model, structure=s, params={"n": n},
-        exact=True, sasaki_expected=True,
-        base_ric_at=lambda p: zero_ric,
-        base_r_at=lambda p: np.zeros((model.dim,) * 4),
-        lie_partner=None,
-    )
+    return _group("example1", n, _example1_constants(n), {"n": n})
 
 
 def example2(lam=1.0, mu=0.0) -> CorpusModel:
     lam, mu = float(lam), float(mu)
-    metric = MetricMatrix(np.diag([1.0, 1.0, 1.0, -1.0, -1.0]))
-    model = lie_group_model(2, _example2_constants(lam, mu), metric)
-    s = standard_structure(model, 2)
-    zero_ric = np.zeros((5, 5))
-    return CorpusModel(
-        name="example2", model=model, structure=s, params={"lam": lam, "mu": mu},
-        exact=True, sasaki_expected=True,
-        base_ric_at=lambda p: zero_ric,
-        base_r_at=lambda p: np.zeros((5, 5, 5, 5)),
-    )
+    return _group("example2", 2, _example2_constants(lam, mu), {"lam": lam, "mu": mu})
 
 
 def example2_connection_table(lam, mu):
@@ -131,15 +143,9 @@ def example2_connection_table(lam, mu):
 
 def flat_parallel(n=1) -> CorpusModel:
     n = int(n)
-    eps = Signature.standard(n).as_array()
     d = 2 * n + 1
-    model = lie_group_model(n, np.zeros((d, d, d)), MetricMatrix(np.diag(eps)))
-    s = standard_structure(model, n)
-    return CorpusModel(
-        name="flat_parallel", model=model, structure=s, params={"n": n},
-        exact=True, sasaki_expected=False,
-        notes=["parallel structure: F = 0, fails Sasaki-like checks by design"],
-    )
+    return _group("flat_parallel", n, np.zeros((d, d, d)), {"n": n}, sasaki_expected=False,
+                  notes=["parallel structure: F = 0, fails Sasaki-like checks by design"])
 
 
 def _example1_coframe(n):
@@ -181,23 +187,8 @@ def _example1_coord_metric(n):
 
 def example1_chart(n=1, fd_step=None) -> CorpusModel:
     n = int(n)
-    d = 2 * n + 1
-    eps = np.diag(Signature.standard(n).as_array())
-    coframe = _example1_coframe(n)
-    kwargs = {} if fd_step is None else {"fd_step": fd_step}
-    model = chart_model(d, lambda x: eps, frame=coframe,
-                        ranges=[(-0.9, 0.9)] * d,
-                        metric_derivs=lambda x: np.zeros((d, d, d)), **kwargs)
-    s = standard_structure(model, n)
-    zero_ric = np.zeros((d, d))
-    return CorpusModel(
-        name="example1_chart", model=model, structure=s, params={"n": n},
-        exact=False, sasaki_expected=True,
-        base_ric_at=lambda p: zero_ric,
-        base_r_at=lambda p: np.zeros((d,) * 4),
-        coframe_fn=coframe, coord_metric_fn=_example1_coord_metric(n),
-        lie_partner="example1",
-    )
+    return _chart("example1", n, _example1_coframe(n), _example1_coord_metric(n),
+                  {"n": n}, fd_step)
 
 
 def _example2_coframe(lam):
@@ -237,23 +228,8 @@ def example2_chart(lam=1.0, mu=0.0, fd_step=None) -> CorpusModel:
         raise BadParams("the coordinate realization exists only for mu = 0")
     if lam == 0.0:
         raise BadParams("the coordinate realization requires lambda != 0")
-    eps = np.diag([1.0, 1.0, 1.0, -1.0, -1.0])
-    coframe = _example2_coframe(lam)
-    kwargs = {} if fd_step is None else {"fd_step": fd_step}
-    model = chart_model(5, lambda x: eps, frame=coframe,
-                        ranges=[(-0.9, 0.9)] * 5,
-                        metric_derivs=lambda x: np.zeros((5, 5, 5)), **kwargs)
-    s = standard_structure(model, 2)
-    zero_ric = np.zeros((5, 5))
-    return CorpusModel(
-        name="example2_chart", model=model, structure=s,
-        params={"lam": lam, "mu": 0.0},
-        exact=False, sasaki_expected=True,
-        base_ric_at=lambda p: zero_ric,
-        base_r_at=lambda p: np.zeros((5, 5, 5, 5)),
-        coframe_fn=coframe, coord_metric_fn=_example2_coord_metric(),
-        lie_partner="example2",
-    )
+    return _chart("example2", 2, _example2_coframe(lam), _example2_coord_metric(),
+                  {"lam": lam, "mu": 0.0}, fd_step)
 
 
 def hsphere_base(n, a, b, box=0.22, fd_step=None) -> HolomorphicBase:
@@ -294,25 +270,20 @@ def hsphere_base(n, a, b, box=0.22, fd_step=None) -> HolomorphicBase:
             out[n + m] = real_block(1j * dm)
         return out
 
-    j = np.zeros((2 * n, 2 * n))
-    j[n:, :n] = np.eye(n)
-    j[:n, n:] = -np.eye(n)
     kwargs = {} if fd_step is None else {"fd_step": fd_step}
     model = chart_model(2 * n, metric_fn, ranges=[(-box, box)] * (2 * n),
                         metric_derivs=metric_derivs_fn, **kwargs)
-    return HolomorphicBase(model=model, j=j)
+    h, htilde = standard_norden_pair(n)
+    return HolomorphicBase(model=model, j=h @ htilde)   # J = h^{-1} htilde
 
 
 def flat_norden_base(n, fd_step=None) -> HolomorphicBase:
     """Flat R^{2n} with the constant standard pair (h, J)."""
-    h = np.diag([1.0] * n + [-1.0] * n)
-    j = np.zeros((2 * n, 2 * n))
-    j[n:, :n] = np.eye(n)
-    j[:n, n:] = -np.eye(n)
+    h, htilde = standard_norden_pair(n)
     kwargs = {} if fd_step is None else {"fd_step": fd_step}
     model = chart_model(2 * n, lambda x: h, ranges=[(-1.0, 1.0)] * (2 * n),
                         metric_derivs=lambda x: np.zeros((2 * n,) * 3), **kwargs)
-    return HolomorphicBase(model=model, j=j)
+    return HolomorphicBase(model=model, j=h @ htilde)
 
 
 def example3_hsphere_ext(n=3, a=1.0, b=0.0, fd_step=None) -> CorpusModel:
@@ -326,27 +297,23 @@ def example3_hsphere_ext(n=3, a=1.0, b=0.0, fd_step=None) -> CorpusModel:
     model, s = product_extension(base)
     d = model.dim
 
-    def embed2(m):
-        out = np.zeros((d, d))
-        out[1:, 1:] = m
-        return out
-
-    def embed4(m):
-        out = np.zeros((d, d, d, d))
-        out[1:, 1:, 1:, 1:] = m
+    def embed(m):
+        """A leaf tensor as a tensor of the extension, zero along d/dt."""
+        out = np.zeros((d,) * m.ndim)
+        out[(slice(1, None),) * m.ndim] = m
         return out
 
     def base_ric_at(p):
         bp = p[1:]
         h = base.h_at(bp)
         ht = base.htilde_at(bp)
-        return embed2(hsphere_curvature(n, a, b, h=h, htilde=ht).ric)
+        return embed(hsphere_curvature(n, a, b, h=h, htilde=ht).ric)
 
     def base_r_at(p):
         t, bp = p[0], p[1:]
         h = base.h_at(bp)
         ht = base.htilde_at(bp)
-        return embed4(hsphere_extension_horizontal_curvature(t, n, a, b, h, ht))
+        return embed(hsphere_extension_horizontal_curvature(t, n, a, b, h, ht))
 
     notes = []
     if n <= 2:
@@ -370,12 +337,22 @@ BUILTINS = {
 }
 
 
+def _constructor(name):
+    if name not in BUILTINS:
+        raise UnknownBuiltin(f"unknown builtin {name!r}; try: {', '.join(sorted(BUILTINS))}")
+    return BUILTINS[name][0]
+
+
+def builtin_params(name, params) -> dict:
+    """The entries of ``params`` that the named builtin's constructor takes."""
+    accepted = inspect.signature(_constructor(name)).parameters
+    return {k: v for k, v in params.items() if k in accepted}
+
+
 def builtin(name, **params) -> CorpusModel:
     """Construct a named corpus model.  Unknown names or bad parameter
     combinations raise UnknownBuiltin / BadParams."""
-    if name not in BUILTINS:
-        raise UnknownBuiltin(f"unknown builtin {name!r}; try: {', '.join(sorted(BUILTINS))}")
-    fn, _ = BUILTINS[name]
+    fn = _constructor(name)
     try:
         return fn(**params)
     except TypeError as exc:
@@ -415,24 +392,21 @@ def cross_representation_check(lie: CorpusModel, chart: CorpusModel,
     eps = Signature.standard(lie.structure.n).as_array()
     pts = chart.model.sample_points(count, seed)
 
-    worst_struct = 0.0
-    worst_metric = 0.0
-    for p in pts:
-        c_chart = chart.model.commutators_at(p)
-        worst_struct = max(worst_struct, float(np.max(np.abs(c_chart - c_lie))))
+    def at(p):
         th = np.asarray(chart.coframe_fn(p), dtype=float)
         assembled = np.einsum("k,km,kn->mn", eps, th, th)
-        worst_metric = max(worst_metric, float(np.max(np.abs(assembled - chart.coord_metric_fn(p)))))
+        return {
+            "structure_equations": np.max(np.abs(chart.model.commutators_at(p) - c_lie)),
+            "metric_assembly": np.max(np.abs(assembled - chart.coord_metric_fn(p))),
+        }
 
-    tol_lie, tol_chart = 1e-9, 1e-6
-    v_lie = max(check_defining_conditions(lie.structure, np.zeros(0)).values()) < tol_lie
-    v_chart = all(
-        max(check_defining_conditions(chart.structure, p).values()) < tol_chart
-        for p in pts[: min(len(pts), 5)]
-    )
+    out = max_over_points(pts, at)
+    defining = lambda cm, points: worst(max_over_points(
+        points, lambda p: check_defining_conditions(cm.structure, p)).values())
+    v_lie = defining(lie, [np.zeros(0)]) < 1e-9
+    v_chart = defining(chart, pts[:5]) < 1e-6
     return {
-        "structure_equations": worst_struct,
-        "metric_assembly": worst_metric,
+        **out,
         "verdict_agreement": 0.0 if v_lie == v_chart else 1.0,
         "sasaki_lie": v_lie,
         "sasaki_chart": v_chart,

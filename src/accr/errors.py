@@ -50,7 +50,7 @@ class UnknownBuiltin(GeometryError):
 
 
 class BadParams(GeometryError):
-    """Builtin model received invalid parameters."""
+    """A model, a model spec or a command received invalid parameters."""
 
 
 class ParamMismatch(GeometryError):

@@ -25,6 +25,15 @@ def as_components(t) -> np.ndarray:
     return np.asarray(getattr(t, "components", t), dtype=float)
 
 
+def project_all(t, proj) -> np.ndarray:
+    """Contract a projector (such as the horizontal P = Id - eta (x) xi)
+    into every slot of a component array."""
+    t = np.asarray(t)
+    for axis in range(t.ndim):
+        t = np.moveaxis(np.tensordot(proj, t, axes=(0, axis)), 0, axis)
+    return t
+
+
 @dataclass(frozen=True)
 class Signature:
     """Frame signature epsilon_i = g(e_i, e_i) for an orthonormal frame.
@@ -125,11 +134,12 @@ class MetricMatrix:
 def metric_inverse(m: MetricMatrix) -> MetricMatrix:
     """Inverse metric g^{ij} with g^{ik} g_{kj} = delta^i_j.
 
-    Raises DegenerateMetric when |det| <= 1e-12.
+    Raises DegenerateMetric when |det| <= 1e-12.  The inverse is
+    symmetrised: LU leaves roundoff asymmetry on ill-conditioned input.
     """
     if not isinstance(m, MetricMatrix):
         m = MetricMatrix(m)
-    return MetricMatrix(m.inverse)
+    return MetricMatrix(0.5 * (m.inverse + m.inverse.T))
 
 
 def kulkarni_nomizu(a, b) -> FrameTensor:

@@ -95,10 +95,6 @@ class ManifoldModel:
         """D[i,j,k] = e_i(g_jk); overridden where closed forms exist."""
         return self.frame_derivative(p, self.metric_at)
 
-    def derive_scalar(self, p, i, f) -> float:
-        """Directional derivative of the scalar field f along e_i at p."""
-        return float(self.frame_derivative(p, f)[i])
-
     def sample_points(self, count, seed):
         raise NotImplementedError
 
@@ -314,17 +310,14 @@ def product_extension(base: HolomorphicBase, t_range=(-1.2, 1.2),
     Raises BaseNotHolomorphic when nabla^h J fails to vanish on samples.
     """
     from .connection import holomorphy_residual  # deferred: avoids import cycle
-    from .structure import AccrStructure
+    from .structure import AccrStructure, worst
 
     if check:
         pts = base.model.sample_points(check_points, seed=7)
         for q in pts:
-            res = max(
-                base.norden_residual(q),
-                base.htilde_symmetry_residual(q),
-                holomorphy_residual(base, q),
-            )
-            if res > check_tol:
+            res = worst((base.norden_residual(q), base.htilde_symmetry_residual(q),
+                         holomorphy_residual(base, q)))
+            if not res <= check_tol:
                 raise BaseNotHolomorphic(f"nabla J residual {res:.3e} at {q}")
 
     model = ProductExtensionModel(base, t_range)

@@ -18,7 +18,7 @@ from .corpus import CorpusModel, builtin
 from .errors import BadParams
 from .frame_algebra import MetricMatrix, Signature
 from .models import lie_group_model
-from .structure import AccrStructure
+from .structure import AccrStructure, standard_structure
 
 _SAMPLE_POINTS = {
     "type": "object",
@@ -85,15 +85,6 @@ MODELSPEC_SCHEMA = {
 }
 
 
-def _standard_phi(n):
-    d = 2 * n + 1
-    phi = np.zeros((d, d))
-    for i in range(1, n + 1):
-        phi[n + i, i] = 1.0
-        phi[i, n + i] = -1.0
-    return phi
-
-
 def model_from_spec(spec: dict) -> CorpusModel:
     jsonschema.validate(spec, MODELSPEC_SCHEMA)
     if spec["kind"] == "builtin":
@@ -115,9 +106,13 @@ def model_from_spec(spec: dict) -> CorpusModel:
         metric = MetricMatrix(np.diag(Signature.standard(n).as_array()))
     else:
         metric = MetricMatrix(np.asarray(metric_spec, dtype=float))
-    phi_spec = spec.get("phi", "standard")
-    phi = _standard_phi(n) if phi_spec == "standard" else np.asarray(phi_spec, dtype=float)
     model = lie_group_model(n, c, metric)
+    jacobi = model.jacobi_residual()
+    if jacobi > 1e-9:
+        raise BadParams(f"structure constants break the Jacobi identity (residual {jacobi:.3e})")
+    phi_spec = spec.get("phi", "standard")
+    phi = (standard_structure(model, n).phi if phi_spec == "standard"
+           else np.asarray(phi_spec, dtype=float))
     xi = np.zeros(d)
     xi[spec.get("xi_index", 0)] = 1.0
     eta = metric.components @ xi

@@ -20,8 +20,9 @@ import numpy as np
 
 from .connection import levi_civita
 from .errors import NotSasakiLike
+from .frame_algebra import project_all
 from .models import cone_model
-from .structure import AccrStructure, PointFields
+from .structure import AccrStructure, PointFields, max_over_points, worst
 
 __all__ = [
     "check_defining_conditions",
@@ -39,27 +40,20 @@ __all__ = [
 ]
 
 
-def _proj_all(t, proj):
-    t = np.asarray(t)
-    for axis in range(t.ndim):
-        t = np.moveaxis(np.tensordot(proj, t, axes=(0, axis)), 0, axis)
-    return t
-
-
 def check_defining_conditions(s: AccrStructure, p, fields=None) -> dict:
     """Residuals of the four defining conditions on projected arguments."""
     f = fields or PointFields(s, p)
     F, xi, proj, g = f.F, f.xi, f.proj, f.g
-    fhhh = _proj_all(F, proj)
+    fhhh = project_all(F, proj)
     f_xi_first = np.einsum("a,ajk->jk", xi, F)
     f_xi_xi = np.einsum("a,b,abk->k", xi, xi, F)
     gp = proj.T @ g @ proj
     fh = np.einsum("ija,a->ij", F, xi)
     return {
         "f_horizontal": float(np.max(np.abs(fhhh))),
-        "f_xi_first_slot": float(np.max(np.abs(_proj_all(f_xi_first, proj)))),
+        "f_xi_first_slot": float(np.max(np.abs(project_all(f_xi_first, proj)))),
         "f_xi_xi": float(np.max(np.abs(f_xi_xi @ proj))),
-        "f_equals_minus_g": float(np.max(np.abs(_proj_all(fh, proj) + gp))),
+        "f_equals_minus_g": float(np.max(np.abs(project_all(fh, proj) + gp))),
     }
 
 
@@ -169,23 +163,21 @@ def curvature_identity_residuals(s: AccrStructure, p, fields=None, base_ric=None
     }
     if base_ric is not None:
         out["horizontal_ricci"] = float(
-            np.max(np.abs(_proj_all(ric - np.asarray(base_ric), proj)))
+            np.max(np.abs(project_all(ric - np.asarray(base_ric), proj)))
         )
     return out
 
 
 def require_sasaki_like(s: AccrStructure, p, tol=1e-4, fields=None):
     res = check_defining_conditions(s, p, fields=fields)
-    worst = max(res.values())
-    if worst > tol:
-        raise NotSasakiLike(f"defining residual {worst:.3e} exceeds {tol}")
+    worst_res = worst(res.values())
+    if not worst_res <= tol:
+        raise NotSasakiLike(f"defining residual {worst_res:.3e} exceeds {tol}")
 
 
 def is_sasaki_like(s: AccrStructure, points, tol=1e-6) -> bool:
-    for p in points:
-        if max(check_defining_conditions(s, p).values()) > tol:
-            return False
-    return True
+    res = max_over_points(points, lambda p: check_defining_conditions(s, p))
+    return all(v <= tol for v in res.values())
 
 
 def check_curvature_identities(s: AccrStructure, p, fields=None, base_ric=None, tol=1e-4) -> dict:
@@ -216,46 +208,31 @@ class SasakiReport:
 def sasaki_report(s: AccrStructure, points, tol=1e-9, with_curvature=True,
                   with_cone=False, base_ric_at=None) -> SasakiReport:
     """Run every Sasaki-like check over the sample points and aggregate."""
-    agg_def: dict = {}
-    agg_nij: dict = {}
-    agg_cor: dict = {}
-    agg_cur: dict = {}
-    nphi = 0.0
-    for p in points:
-        f = PointFields(s, p)
-        for k, v in check_defining_conditions(s, p, fields=f).items():
-            agg_def[k] = max(agg_def.get(k, 0.0), v)
-        nphi = max(nphi, check_nabla_phi(s, p, fields=f))
-        for k, v in check_nijenhuis_form(s, p, fields=f).items():
-            agg_nij[k] = max(agg_nij.get(k, 0.0), v)
-        for k, v in check_corollary(s, p, fields=f).items():
-            agg_cor[k] = max(agg_cor.get(k, 0.0), v)
-        if with_curvature:
-            base_ric = base_ric_at(p) if base_ric_at is not None else None
-            for k, v in curvature_identity_residuals(s, p, fields=f, base_ric=base_ric).items():
-                agg_cur[k] = max(agg_cur.get(k, 0.0), v)
+    from .verify import family_residuals  # deferred: verify builds on this module
 
-    cone_res = None
-    if with_cone:
-        cone_res = cone_holomorphic_residual(s).residual
-
+    names = ["defining", "nabla_phi", "nijenhuis", "corollary"]
+    names += ["curvature"] if with_curvature else []
+    cone = ["cone"] if with_cone else []
+    res = family_residuals(s, [f"sasaki.{k}" for k in names] + cone, points, base_ric_at)
+    agg = {k: res[f"sasaki.{k}"] for k in names}
+    cone_res = res["cone"]["holomorphic"] if with_cone else None
     verdicts = {
-        "defining": max(agg_def.values()) < tol,
-        "nabla_phi": nphi < tol,
-        "nijenhuis_form": max(agg_nij.values()) < tol,
-        "corollary": max(agg_cor.values()) < tol,
+        "defining": worst(agg["defining"].values()) < tol,
+        "nabla_phi": agg["nabla_phi"] < tol,
+        "nijenhuis_form": worst(agg["nijenhuis"].values()) < tol,
+        "corollary": worst(agg["corollary"].values()) < tol,
     }
-    if agg_cur:
-        verdicts["curvature"] = max(agg_cur.values()) < max(tol, 1e-6)
-    if cone_res is not None:
+    if with_curvature:
+        verdicts["curvature"] = worst(agg["curvature"].values()) < max(tol, 1e-6)
+    if with_cone:
         verdicts["cone"] = cone_res < max(tol, 1e-6)
     equiv = [verdicts["defining"], verdicts["nabla_phi"], verdicts["nijenhuis_form"]]
     return SasakiReport(
-        residual_defining=agg_def,
-        residual_nabla_phi=nphi,
-        residual_nijenhuis=agg_nij,
-        residual_corollary=agg_cor,
-        residual_curvature=agg_cur or None,
+        residual_defining=agg["defining"],
+        residual_nabla_phi=agg["nabla_phi"],
+        residual_nijenhuis=agg["nijenhuis"],
+        residual_corollary=agg["corollary"],
+        residual_curvature=agg.get("curvature"),
         residual_cone=cone_res,
         tolerance=tol,
         verdicts=verdicts,
@@ -279,14 +256,10 @@ def cone_holomorphic_residual(s: AccrStructure, count=6, seed=42, r_range=(-2.0,
     = r g(X, Z) on horizontal arguments, against the Koszul solution.
     """
     cone, jfield = cone_model(s, r_range=r_range)
-    pts = cone.sample_points(count, seed)
     d = s.dim
-    worst = 0.0
     per_point = []
-    lines_worst: dict = {}
-    dj_line: dict = {}
 
-    for p in pts:
+    def at(p):
         bp, rv = cone.split(p)
         gamma = levi_civita(cone, p).gamma
         G = cone.metric_at(p)
@@ -295,7 +268,6 @@ def cone_holomorphic_residual(s: AccrStructure, count=6, seed=42, r_range=(-2.0,
         nj = dJ + np.einsum("ica,cb->iab", gamma, J) - np.einsum("ac,ibc->iab", J, gamma)
         low = np.einsum("iab,al->ibl", nj, G)
         res = float(np.max(np.abs(low)))
-        worst = max(worst, res)
         per_point.append({"r": rv, "residual": res})
 
         # displayed connection components (horizontal projections)
@@ -310,25 +282,16 @@ def cone_holomorphic_residual(s: AccrStructure, count=6, seed=42, r_range=(-2.0,
         gp = proj.T @ g_base @ proj
         r2 = rv * rv
 
-        hor3 = _proj_all(nab[:d, :d, :d], proj) - r2 * _proj_all(nab_b, proj)
-        l2 = _proj_all(nab[:d, :d, d], proj) + rv * gp
-        l7 = _proj_all(nab[:d, d, :d][:, :], proj) - rv * gp
-        l8 = _proj_all(nab[d, :d, :d], proj) - rv * gp
-        l3 = _proj_all(np.einsum("abl,l->ab", nab[:d, :d, :], xic)
-                       - r2 * np.einsum("abk,k->ab", nab_b, f.xi)
-                       - 0.5 * (r2 - 1.0) * f.d_eta, proj)
+        hor3 = project_all(nab[:d, :d, :d], proj) - r2 * project_all(nab_b, proj)
+        l2 = project_all(nab[:d, :d, d], proj) + rv * gp
+        l7 = project_all(nab[:d, d, :d][:, :], proj) - rv * gp
+        l8 = project_all(nab[d, :d, :d], proj) - rv * gp
+        l3 = project_all(np.einsum("abl,l->ab", nab[:d, :d, :], xic)
+                         - r2 * np.einsum("abk,k->ab", nab_b, f.xi)
+                         - 0.5 * (r2 - 1.0) * f.d_eta, proj)
         nxz_cone = np.einsum("abm,b,mk->ak", gamma[:d, :d, :], f.xi, G)[:, :d]
         nxz_base = np.einsum("abm,b,mk->ak", gamma_b, f.xi, g_base)
-        l4 = _proj_all(nxz_cone - r2 * nxz_base + 0.5 * (r2 - 1.0) * f.d_eta, proj)
-        for key, val in {
-            "horizontal_block": float(np.max(np.abs(hor3))),
-            "radial_second_slot": float(np.max(np.abs(l2))),
-            "radial_argument": float(np.max(np.abs(l7))),
-            "radial_direction": float(np.max(np.abs(l8))),
-            "xi_second_slot": float(np.max(np.abs(l3))),
-            "xi_argument": float(np.max(np.abs(l4))),
-        }.items():
-            lines_worst[key] = max(lines_worst.get(key, 0.0), val)
+        l4 = project_all(nxz_cone - r2 * nxz_base + 0.5 * (r2 - 1.0) * f.d_eta, proj)
 
         # covariant derivative of J applied to xi, result paired with Z:
         # direct value vs the closed form -r^2 { g(nabla_X xi, phi Z)
@@ -339,12 +302,22 @@ def cone_holomorphic_residual(s: AccrStructure, count=6, seed=42, r_range=(-2.0,
         nxi_low = np.einsum("ik,kj->ij", f.nabla_xi, g_base)
         closed = -r2 * (np.einsum("ia,ak->ik", nxi_low, f.phi) - g_base) \
             + 0.5 * (r2 - 1.0) * np.einsum("ia,ak->ik", f.d_eta, f.phi)
-        closed = _proj_all(closed, proj)
-        gap = float(np.max(np.abs(direct - closed)))
-        dj_line["direct_vs_symmetric_reading"] = max(
-            dj_line.get("direct_vs_symmetric_reading", 0.0), gap)
-        dj_line["direct_max"] = max(dj_line.get("direct_max", 0.0),
-                                    float(np.max(np.abs(direct))))
+        closed = project_all(closed, proj)
+        return {
+            "residual": res,
+            "connection_lines": {
+                "horizontal_block": np.max(np.abs(hor3)),
+                "radial_second_slot": np.max(np.abs(l2)),
+                "radial_argument": np.max(np.abs(l7)),
+                "radial_direction": np.max(np.abs(l8)),
+                "xi_second_slot": np.max(np.abs(l3)),
+                "xi_argument": np.max(np.abs(l4)),
+            },
+            "dj_xi_line": {
+                "direct_vs_symmetric_reading": np.max(np.abs(direct - closed)),
+                "direct_max": np.max(np.abs(direct)),
+            },
+        }
 
-    return ConeCheck(residual=worst, per_point=per_point,
-                     connection_lines=lines_worst, dj_xi_line=dj_line)
+    worst_of = max_over_points(cone.sample_points(count, seed), at)
+    return ConeCheck(per_point=per_point, **worst_of)

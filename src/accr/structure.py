@@ -16,7 +16,7 @@ versus closed-form expressions in F).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -34,7 +34,37 @@ __all__ = [
     "nijenhuis",
     "theorem_3_4_residual",
     "structure_property_residuals",
+    "max_over_points",
+    "worst",
 ]
+
+
+def _larger(a, b):
+    return a if (a >= b or a != a) else b    # a NaN on either side wins
+
+
+def worst(values) -> float:
+    """Largest of the values; NaN if any of them is NaN."""
+    return reduce(_larger, map(float, values))
+
+
+def max_over_points(points, residuals_at) -> dict:
+    """{key: max over the points of residuals_at(p)[key]}, aggregating a
+    dict of residuals key by key.  The one aggregation over sample points in
+    the package: NaN and inf propagate, so a residual that could not be
+    computed never reads as small."""
+    out: dict = {}
+
+    def merge(into, new):
+        for key, val in new.items():
+            if isinstance(val, dict):
+                merge(into.setdefault(key, {}), val)
+            else:
+                into[key] = float(val) if key not in into else _larger(into[key], float(val))
+
+    for p in points:
+        merge(out, residuals_at(p))
+    return out
 
 
 def _as_field(value):
@@ -297,9 +327,9 @@ class NijenhuisTensors:
     route_gap_nhat: float
 
 
-def validate_structure(s: AccrStructure, p) -> dict:
+def validate_structure(s: AccrStructure, p, fields: PointFields | None = None) -> dict:
     """Residuals of every structure axiom at p.  Reports, never raises."""
-    f = PointFields(s, p)
+    f = fields or PointFields(s, p)
     phi, xi, eta, g = f.phi, f.xi, f.eta, f.g
     phi2 = phi @ phi
     compat = np.einsum("ai,bj,ab->ij", phi, phi, g) + g - np.outer(eta, eta)

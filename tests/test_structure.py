@@ -7,11 +7,13 @@ from accr.structure import (
     AccrStructure,
     PointFields,
     fundamental_F,
+    max_over_points,
     nijenhuis,
     standard_structure,
     structure_property_residuals,
     theorem_3_4_residual,
     validate_structure,
+    worst,
 )
 from tests.conftest import ORIGIN
 
@@ -182,3 +184,18 @@ class TestReconstruction:
         for cm in (ex1_chart, ex3):
             for p in cm.model.sample_points(3, 7):
                 assert theorem_3_4_residual(cm.structure, p) < 1e-6
+
+
+class TestMaxOverPoints:
+    def test_maxima_per_key_and_nested(self):
+        vals = {0: {"a": 1.0, "sub": {"b": 3.0}}, 1: {"a": 2.0, "sub": {"b": 0.5}}}
+        assert max_over_points([0, 1], vals.get) == {"a": 2.0, "sub": {"b": 3.0}}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_propagates_from_any_point(self, bad):
+        for where in range(3):
+            vals = [1.0, 2.0, 0.5]
+            vals[where] = bad
+            got = max_over_points(range(3), lambda p: {"r": vals[p]})["r"]
+            np.testing.assert_equal(got, bad)       # NaN compares equal to NaN here
+            np.testing.assert_equal(worst(vals), bad)

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from accr.cli import main
@@ -57,6 +58,32 @@ class TestRunAll:
         row = rows["crossrep.structure_equations"]
         assert row["fd_error_estimate"] >= 0.0
         assert row["verdict"] == "pass"
+
+    def test_non_finite_residual_is_error(self):
+        # a zero finite-difference step makes every derivative NaN
+        from accr.corpus import example1_chart
+
+        cfg = VerifyConfig(points=3, fd_step=0.0, with_error_estimate=False,
+                           only="sasaki.defining")
+        with np.errstate(all="ignore"):
+            rep = run_model_checks(example1_chart(1), cfg)
+            report = run_all([example1_chart(1)], cfg)
+        assert rep["checks"]
+        assert {r["verdict"] for r in rep["checks"]} == {"error"}
+        assert report["summary"]["error"] == len(rep["checks"])
+        assert not report["summary"]["ok"]
+        schema = json.loads((DOCS / "report.schema.json").read_text())
+        jsonschema.validate(json.loads(report_to_json(report)), schema)
+
+    def test_only_prunes_computation(self, monkeypatch):
+        import accr.sasaki as sas
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the cone family ran under --only sasaki.defining")
+
+        monkeypatch.setattr(sas, "cone_holomorphic_residual", boom)
+        rep = run_model_checks(example1(n=1), small_cfg(only="sasaki.defining"))
+        assert len(rep["checks"]) == 4
 
     def test_broken_model_captured_not_raised(self):
         # a degenerate metric aborts that model's checks but not the batch
@@ -181,6 +208,45 @@ class TestCli:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["models"][0]["sasaki_preserved"] is False
+
+    @pytest.mark.parametrize("argv, code", [
+        (["verify", "-m", "example1_chart", "--points", "0"], 2),
+        (["verify", "-m", "example1", "--points", "-3"], 2),
+        (["verify", "-m", "example1", "--fd-step", "0"], 2),
+        (["verify", "-m", "example1", "--fd-step=-1e-3"], 2),
+        (["verify", "-m", "example1", "--fd-step", "nan"], 2),
+        (["transform", "-m", "example1", "--fd-step", "inf"], 2),
+        (["cone", "-m", "example1", "--points", "0"], 2),
+        (["verify", "-m", "SPEC:schema_invalid"], 2),
+        (["verify", "-m", "SPEC:not_jacobi"], 2),
+        # --tol 0 is a tolerance, not "no override": the ~1e-15 residual fails it
+        (["cone", "-m", "example1", "--tol", "0"], 1),
+        (["cone", "-m", "example1"], 0),
+    ])
+    def test_bad_input(self, argv, code, tmp_path, capsys):
+        specs = {
+            "schema_invalid": {"kind": "lie_group", "n": 1},
+            # [e0, e1] = e2 and [e1, e2] = e1 break the Jacobi identity
+            "not_jacobi": {"kind": "lie_group", "n": 1, "structure_constants": [
+                {"i": 0, "j": 1, "k": 2, "value": 1.0},
+                {"i": 1, "j": 2, "k": 1, "value": 1.0}]},
+        }
+        for name, spec in specs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+        argv = [str(tmp_path / f"{a[5:]}.json") if a.startswith("SPEC:") else a for a in argv]
+        assert main(argv) == code
+        if code == 2:
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_transform_honours_tol_zero(self, tmp_path, capsys):
+        out = tmp_path / "tr.json"
+        args = ["transform", "-m", "example2", "--params", "u=0.3,v=0.2,w=0",
+                "--points", "3", "--json", str(out)]
+        assert main(args) == 0
+        assert json.loads(out.read_text())["models"][0]["sasaki_preserved"] is True
+        assert main(args + ["--tol", "0"]) == 0
+        assert json.loads(out.read_text())["models"][0]["sasaki_preserved"] is False
 
     def test_seed_env_override(self, monkeypatch, capsys):
         monkeypatch.setenv("ACCR_SEED", "123")
