@@ -29,6 +29,7 @@ from .errors import BadParams, GeometryError
 from .modelspec import load_model_spec
 from .structure import worst
 from .verify import (
+    CHECKS,
     VerifyConfig,
     report_to_json,
     run_all,
@@ -82,12 +83,15 @@ def _config_from(args) -> VerifyConfig:
         raise BadParams(f"--points must be at least 1, got {args.points}")
     if not (math.isfinite(args.fd_step) and args.fd_step > 0):
         raise BadParams(f"--fd-step must be a positive finite number, got {args.fd_step}")
+    only = getattr(args, "only", None)
+    if only and not any(check_id.startswith(only) for check_id in CHECKS):
+        raise BadParams(f"--only {only!r} matches no check id")
     return VerifyConfig(
         points=args.points,
         seed=args.seed,
         fd_step=args.fd_step,
         tol_override=args.tol,
-        only=getattr(args, "only", None),
+        only=only,
     )
 
 

@@ -142,18 +142,19 @@ def holomorphy_residual(base, p) -> float:
     return float(np.max(np.abs(nj)))
 
 
-def gauss_residual(structure, p, base_r=None, bundle=None) -> float:
+def gauss_residual(structure, p, base_r=None, bundle=None, fields=None) -> float:
     """Hypersurface comparison on horizontal arguments:
 
         R(X,Y,Z,U) = R_base(X,Y,Z,U) + g(phi X, Z) g(phi Y, U)
                                      - g(phi Y, Z) g(phi X, U)
 
     ``base_r`` supplies the (0,4) curvature of the horizontal leaf at p
-    (zeros when omitted, i.e. a flat leaf).
+    (zeros when omitted, i.e. a flat leaf); ``fields``, the structure's
+    PointFields at p, spares the Sasaki-like precondition a second solve.
     """
     from .sasaki import require_sasaki_like  # deferred: cycle with this module
 
-    require_sasaki_like(structure, p)
+    require_sasaki_like(structure, p, fields=fields)
     if bundle is None:
         bundle = riemann(structure.model, p, phi=structure.phi_at(p))
     g = structure.model.metric_at(p)

@@ -244,30 +244,33 @@ def hsphere_base(n, a, b, box=0.22, fd_step=None) -> HolomorphicBase:
     if a == 0 and b == 0:
         raise BadParams("(a, b) = (0, 0) is excluded")
     cplx = complex(a, -b)
+    eye = np.eye(n, dtype=complex)
+    idx = np.arange(n)
 
     def real_block(m):
-        return np.block([[m.real, -m.imag], [-m.imag, -m.real]])
-
-    def hC(w):
-        denom = cplx - np.sum(w * w)
-        return np.eye(n, dtype=complex) + np.outer(w, w) / denom
+        """[[Re m, -Im m], [-Im m, -Re m]] over any leading axes of m."""
+        out = np.empty(m.shape[:-2] + (2 * n, 2 * n))
+        out[..., :n, :n] = m.real
+        out[..., :n, n:] = -m.imag
+        out[..., n:, :n] = -m.imag
+        out[..., n:, n:] = -m.real
+        return out
 
     def metric_fn(x):
         w = x[:n] + 1j * x[n:]
-        return real_block(hC(w))
+        return real_block(eye + np.outer(w, w) / (cplx - np.sum(w * w)))
 
     def metric_derivs_fn(x):
         w = x[:n] + 1j * x[n:]
         denom = cplx - np.sum(w * w)
-        ww = np.outer(w, w)
-        out = np.zeros((2 * n, 2 * n, 2 * n))
-        for m in range(n):
-            dm = np.zeros((n, n), dtype=complex)
-            dm[m, :] += w
-            dm[:, m] += w
-            dm = dm / denom + 2.0 * w[m] * ww / (denom * denom)
-            out[m] = real_block(dm)
-            out[n + m] = real_block(1j * dm)
+        # dm[m] = d hC / d w^m, then d/du^m = dm[m] and d/dv^m = i dm[m]
+        dm = np.zeros((n, n, n), dtype=complex)
+        dm[idx, idx, :] += w
+        dm[idx, :, idx] += w
+        dm = dm / denom + (2.0 * w)[:, None, None] * np.outer(w, w) / (denom * denom)
+        out = np.empty((2 * n, 2 * n, 2 * n))
+        out[:n] = real_block(dm)
+        out[n:] = real_block(1j * dm)
         return out
 
     kwargs = {} if fd_step is None else {"fd_step": fd_step}
@@ -304,16 +307,12 @@ def example3_hsphere_ext(n=3, a=1.0, b=0.0, fd_step=None) -> CorpusModel:
         return out
 
     def base_ric_at(p):
-        bp = p[1:]
-        h = base.h_at(bp)
-        ht = base.htilde_at(bp)
-        return embed(hsphere_curvature(n, a, b, h=h, htilde=ht).ric)
+        h = base.h_at(p[1:])
+        return embed(hsphere_curvature(n, a, b, h=h, htilde=h @ base.j).ric)
 
     def base_r_at(p):
-        t, bp = p[0], p[1:]
-        h = base.h_at(bp)
-        ht = base.htilde_at(bp)
-        return embed(hsphere_extension_horizontal_curvature(t, n, a, b, h, ht))
+        h = base.h_at(p[1:])
+        return embed(hsphere_extension_horizontal_curvature(p[0], n, a, b, h, h @ base.j))
 
     notes = []
     if n <= 2:

@@ -14,10 +14,10 @@ over a holomorphic complex Riemannian base, and the complex cone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import (
     BadSignature,
@@ -41,37 +41,67 @@ _STENCIL_WEIGHTS = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
 def coordinate_derivatives(fn, x, step=DEFAULT_FD_STEP):
     """Partial derivatives of an array-valued fn along each coordinate of x.
 
-    Returns an array of shape (len(x), *fn(x).shape).
+    Returns an array of shape (len(x), *fn(x).shape).  The 4 * len(x)
+    stencil points are built as one array and fn's values stacked into one
+    array; the weighted sum runs in stencil order, then divides by step.
     """
     x = np.asarray(x, dtype=float)
-    out = None
-    for mu in range(len(x)):
-        acc = None
-        for off, wt in zip(_STENCIL_OFFSETS, _STENCIL_WEIGHTS):
-            xs = x.copy()
-            xs[mu] += off * step
-            val = wt * np.asarray(fn(xs), dtype=float)
-            acc = val if acc is None else acc + val
-        acc /= step
-        if out is None:
-            out = np.zeros((len(x),) + acc.shape)
-        out[mu] = acc
-    if out is None:
+    dim = len(x)
+    if dim == 0:
         # zero-dimensional point set (homogeneous model)
         probe = np.asarray(fn(x), dtype=float)
-        out = np.zeros((0,) + probe.shape)
-    return out
+        return np.zeros((0,) + probe.shape)
+    pts = np.empty((4, dim, dim))       # pts[k, mu]: x moved by offset k along x^mu
+    pts[...] = x
+    mus = np.arange(dim)
+    pts[:, mus, mus] += np.array(_STENCIL_OFFSETS)[:, None] * step
+    vals = np.array([np.asarray(fn(q), dtype=float) for q in pts.reshape(4 * dim, dim)])
+    vals = vals.reshape((4, dim) + vals.shape[1:])
+    w = _STENCIL_WEIGHTS
+    acc = w[0] * vals[0] + w[1] * vals[1]
+    acc = acc + w[2] * vals[2]
+    acc = acc + w[3] * vals[3]
+    acc /= step
+    return acc
+
+
+def _primes(count):
+    """The first count primes."""
+    primes = []
+    k = 2
+    while len(primes) < count:
+        if all(k % q for q in primes):
+            primes.append(k)
+        k += 1
+    return primes
 
 
 def halton_points(ranges, count, seed):
-    """Deterministic low-discrepancy sample of a coordinate box."""
+    """Deterministic low-discrepancy sample of a coordinate box.
+
+    Scrambled Halton sequence (Owen 2017): the radical inverse in the k-th
+    prime base with the digits of each place mapped through a random
+    permutation, one per place while base**-place > 2**-54, all drawn from
+    one ``np.random.default_rng(seed)``.  The same points as
+    ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed).random(count)``.
+    """
     if count <= 0:
         return []
     lo = np.array([r[0] for r in ranges], dtype=float)
     hi = np.array([r[1] for r in ranges], dtype=float)
-    sampler = qmc.Halton(d=len(ranges), scramble=True, seed=seed)
-    u = sampler.random(count)
-    return [lo + ui * (hi - lo) for ui in u]
+    rng = np.random.default_rng(seed)
+    u = np.zeros((len(ranges), count))
+    for row, base in zip(u, _primes(len(ranges))):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        quotient = np.arange(count)
+        scale = 1.0 / base
+        for perm in perms:
+            row += perm[quotient % base] * scale
+            quotient //= base
+            scale /= base
+    return [lo + ui * (hi - lo) for ui in u.T]
 
 
 class ManifoldModel:
@@ -250,9 +280,6 @@ class HolomorphicBase:
         h = self.model.metric_at(p)
         return h @ self.j
 
-    def htilde_derivs_at(self, p):
-        return np.einsum("ijm,mk->ijk", self.model.metric_derivs_at(p), self.j)
-
     def norden_residual(self, p) -> float:
         """h(JX, JY) + h(X, Y) componentwise."""
         h = self.h_at(p)
@@ -282,7 +309,7 @@ class ProductExtensionModel(ChartModel):
     def _metric(self, p):
         t, bp = p[0], p[1:]
         h = self.base.h_at(bp)
-        ht = self.base.htilde_at(bp)
+        ht = h @ self.base.j
         g = np.zeros((self.dim, self.dim))
         g[0, 0] = 1.0
         g[1:, 1:] = np.cos(2 * t) * h - np.sin(2 * t) * ht
@@ -293,10 +320,10 @@ class ProductExtensionModel(ChartModel):
         d = self.dim
         D = np.zeros((d, d, d))
         h = self.base.h_at(bp)
-        ht = self.base.htilde_at(bp)
+        ht = h @ self.base.j
         D[0, 1:, 1:] = -2 * np.sin(2 * t) * h - 2 * np.cos(2 * t) * ht
         dh = self.base.model.metric_derivs_at(bp)
-        dht = self.base.htilde_derivs_at(bp)
+        dht = np.einsum("ijm,mk->ijk", dh, self.base.j)
         D[1:, 1:, 1:] = np.cos(2 * t) * dh - np.sin(2 * t) * dht
         return D
 

@@ -259,7 +259,8 @@ FAMILIES = (
     Family("sasaki.curvature", lambda cm, f: sas.curvature_identity_residuals(
         f.s, f.p, fields=f, base_ric=cm.base_ric_at(f.p) if cm.base_ric_at else None)),
     Family("gauss.residual",
-           lambda cm, f: gauss_residual(f.s, f.p, base_r=cm.base_r_at(f.p), bundle=f.curvature),
+           lambda cm, f: gauss_residual(f.s, f.p, base_r=cm.base_r_at(f.p),
+                                        bundle=f.curvature, fields=f),
            applies=lambda cm, cfg: cm.sasaki_expected and cm.base_r_at is not None),
     Family("gauss.second_fundamental_form",
            lambda cm, f: second_fundamental_form_residual(f.s, f.p, gamma=f.gamma)),

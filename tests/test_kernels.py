@@ -1,0 +1,179 @@
+"""The vectorised chart kernels against the loop code they replaced.
+
+The stacked stencil, the slice-assigned h-sphere chart and the single base
+evaluation of the product extension do the same floating-point operations
+on each element as the loops kept here as references, so the results must
+be equal bit for bit, not merely close.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import accr
+from accr.connection import levi_civita
+from accr.corpus import hsphere_base
+from accr.models import (
+    _STENCIL_OFFSETS,
+    _STENCIL_WEIGHTS,
+    coordinate_derivatives,
+    halton_points,
+    product_extension,
+)
+
+
+def loop_coordinate_derivatives(fn, x, step):
+    """One coordinate and one stencil offset at a time."""
+    x = np.asarray(x, dtype=float)
+    out = None
+    for mu in range(len(x)):
+        acc = None
+        for off, wt in zip(_STENCIL_OFFSETS, _STENCIL_WEIGHTS):
+            xs = x.copy()
+            xs[mu] += off * step
+            val = wt * np.asarray(fn(xs), dtype=float)
+            acc = val if acc is None else acc + val
+        acc /= step
+        if out is None:
+            out = np.zeros((len(x),) + acc.shape)
+        out[mu] = acc
+    if out is None:
+        probe = np.asarray(fn(x), dtype=float)
+        out = np.zeros((0,) + probe.shape)
+    return out
+
+
+def block_hsphere(n, a, b):
+    """The h-sphere chart metric and derivative by np.block, one w^m at a time."""
+    cplx = complex(a, -b)
+
+    def real_block(m):
+        return np.block([[m.real, -m.imag], [-m.imag, -m.real]])
+
+    def metric(x):
+        w = x[:n] + 1j * x[n:]
+        denom = cplx - np.sum(w * w)
+        return real_block(np.eye(n, dtype=complex) + np.outer(w, w) / denom)
+
+    def derivs(x):
+        w = x[:n] + 1j * x[n:]
+        denom = cplx - np.sum(w * w)
+        ww = np.outer(w, w)
+        out = np.zeros((2 * n, 2 * n, 2 * n))
+        for m in range(n):
+            dm = np.zeros((n, n), dtype=complex)
+            dm[m, :] += w
+            dm[:, m] += w
+            dm = dm / denom + 2.0 * w[m] * ww / (denom * denom)
+            out[m] = real_block(dm)
+            out[n + m] = real_block(1j * dm)
+        return out
+
+    return metric, derivs
+
+
+HSPHERES = [(1, 1.0, 0.0), (2, 3.0, 4.0), (3, 1.0, 0.0), (3, 0.0, -2.0), (4, -1.5, 0.7)]
+
+
+class TestStackedStencil:
+    @pytest.mark.parametrize("step", [1e-3, 5e-4, 1e-4])
+    def test_coframes(self, ex1_chart, ex2_chart, step):
+        for cm in (ex1_chart, ex2_chart):
+            for p in cm.model.sample_points(6, 3):
+                assert np.array_equal(coordinate_derivatives(cm.coframe_fn, p, step),
+                                      loop_coordinate_derivatives(cm.coframe_fn, p, step))
+
+    def test_hsphere_metric(self):
+        base = hsphere_base(3, 1.0, 0.5)
+        for p in base.model.sample_points(6, 11):
+            assert np.array_equal(coordinate_derivatives(base.model.metric_at, p, 1e-3),
+                                  loop_coordinate_derivatives(base.model.metric_at, p, 1e-3))
+
+    def test_connection_field(self, ex3):
+        p = ex3.model.sample_points(2, 4)[1]
+        gamma = lambda q: levi_civita(ex3.model, q).gamma
+        assert np.array_equal(coordinate_derivatives(gamma, p, 1e-3),
+                              loop_coordinate_derivatives(gamma, p, 1e-3))
+
+    def test_zero_dimensional_point(self):
+        fn = lambda q: np.arange(6.0).reshape(2, 3) + len(q)
+        got = coordinate_derivatives(fn, np.zeros(0), 1e-3)
+        assert got.shape == (0, 2, 3)
+        assert np.array_equal(got, loop_coordinate_derivatives(fn, np.zeros(0), 1e-3))
+
+    def test_one_dimensional_point(self):
+        fn = lambda q: np.array([np.sin(q[0]), q[0] ** 3])
+        x = np.array([0.37])
+        assert np.array_equal(coordinate_derivatives(fn, x, 1e-3),
+                              loop_coordinate_derivatives(fn, x, 1e-3))
+
+
+class TestHSphereChart:
+    @pytest.mark.parametrize("n, a, b", HSPHERES)
+    def test_metric_and_derivative(self, n, a, b):
+        model = hsphere_base(n, a, b).model
+        metric, derivs = block_hsphere(n, a, b)
+        for p in model.sample_points(8, 5):
+            assert np.array_equal(model.metric_fn(p), metric(p))
+            assert np.array_equal(model.metric_derivs_fn(p), derivs(p))
+
+
+class TestProductExtension:
+    @pytest.mark.parametrize("n, a, b", HSPHERES)
+    def test_one_base_evaluation(self, n, a, b):
+        base = hsphere_base(n, a, b)
+        model, _ = product_extension(base, check=False)
+        for p in model.sample_points(6, 9):
+            t, bp = p[0], p[1:]
+            h, ht = base.h_at(bp), base.htilde_at(bp)
+            g = np.zeros((model.dim,) * 2)
+            g[0, 0] = 1.0
+            g[1:, 1:] = np.cos(2 * t) * h - np.sin(2 * t) * ht
+            assert np.array_equal(model.metric_at(p), g)
+
+            D = np.zeros((model.dim,) * 3)
+            D[0, 1:, 1:] = -2 * np.sin(2 * t) * h - 2 * np.cos(2 * t) * ht
+            dh = base.model.metric_derivs_at(bp)
+            dht = np.einsum("ijm,mk->ijk", base.model.metric_derivs_at(bp), base.j)
+            D[1:, 1:, 1:] = np.cos(2 * t) * dh - np.sin(2 * t) * dht
+            assert np.array_equal(model.metric_derivs_at(p), D)
+
+
+class TestHalton:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7])
+    def test_matches_scipy(self, d):
+        qmc = pytest.importorskip("scipy.stats.qmc")
+        for seed in (0, 7, 42, 43, 2024):
+            for count in (1, 4, 19, 20):
+                ref = qmc.Halton(d=d, scramble=True, seed=seed).random(count)
+                assert np.array_equal(np.array(halton_points([(0.0, 1.0)] * d, count, seed)),
+                                      ref)
+
+    def test_box_and_empty(self):
+        pts = halton_points([(-0.9, 0.9), (2.0, 3.0)], 50, 1)
+        assert len(pts) == 50 and len({tuple(p) for p in pts}) == 50
+        assert all(-0.9 <= p[0] < 0.9 and 2.0 <= p[1] < 3.0 for p in pts)
+        assert halton_points([(0.0, 1.0)], 0, 1) == []
+
+
+class TestImportPath:
+    """Sampling is numpy-only: scipy is a test dependency, not a runtime one."""
+
+    def _run(self, code):
+        src = str(Path(accr.__file__).resolve().parents[1])
+        return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+
+    def test_cli_import_leaves_scipy_out(self):
+        proc = self._run("import accr.cli, sys; assert 'scipy' not in sys.modules")
+        assert proc.returncode == 0, proc.stderr
+
+    def test_list_runs_without_scipy(self):
+        proc = self._run("import sys; sys.modules['scipy'] = None\n"
+                         "from accr.cli import main; sys.exit(main(['list']))")
+        assert proc.returncode == 0, proc.stderr
+        assert "example3_hsphere_ext" in proc.stdout

@@ -85,6 +85,18 @@ class TestRunAll:
         rep = run_model_checks(example1(n=1), small_cfg(only="sasaki.defining"))
         assert len(rep["checks"]) == 4
 
+    @pytest.mark.parametrize("only", ["gauss.residual", "gauss.second_fundamental_form"])
+    def test_gauss_builds_one_point_fields_per_point(self, ex3, only, monkeypatch):
+        from accr.structure import PointFields
+
+        built = []
+        init = PointFields.__init__
+        monkeypatch.setattr(PointFields, "__init__",
+                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        cfg = VerifyConfig(points=20, with_error_estimate=False, only=only)
+        assert run_model_checks(ex3, cfg)["checks"]
+        assert len(built) == 20
+
     def test_broken_model_captured_not_raised(self):
         # a degenerate metric aborts that model's checks but not the batch
         import numpy as np
@@ -222,6 +234,7 @@ class TestCli:
         # --tol 0 is a tolerance, not "no override": the ~1e-15 residual fails it
         (["cone", "-m", "example1", "--tol", "0"], 1),
         (["cone", "-m", "example1"], 0),
+        (["verify", "-m", "example1", "--only", "bogus"], 2),
     ])
     def test_bad_input(self, argv, code, tmp_path, capsys):
         specs = {
