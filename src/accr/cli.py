@@ -33,7 +33,6 @@ from .verify import (
     VerifyConfig,
     report_to_json,
     run_all,
-    set_fd_step,
     tolerance_for,
     transformed_residuals,
     within,
@@ -63,19 +62,13 @@ def _parse_params(items) -> dict:
     return out
 
 
-def _resolve_models(args, fd_step):
-    names = args.model or []
-    params = _parse_params(getattr(args, "params", None))
+def _resolve_models(names, params):
+    """The default corpus, or each named spec file or builtin; every builtin
+    takes all of params, and a key it does not take is BadParams."""
     if not names:
-        return corpus_mod.default_corpus(fd_step=fd_step)
-    models = []
-    for name in names:
-        if name.endswith(".json") or "/" in name:
-            models.append(load_model_spec(Path(name)))
-        else:
-            kwargs = corpus_mod.builtin_params(name, {**params, "fd_step": fd_step})
-            models.append(corpus_mod.builtin(name, **kwargs))
-    return models
+        return corpus_mod.default_corpus()
+    return [load_model_spec(Path(name)) if name.endswith(".json") or "/" in name
+            else corpus_mod.builtin(name, **params) for name in names]
 
 
 def _config_from(args) -> VerifyConfig:
@@ -129,7 +122,7 @@ def cmd_list(args) -> int:
 
 def cmd_verify(args) -> int:
     cfg = _config_from(args)
-    models = _resolve_models(args, cfg.fd_step)
+    models = _resolve_models(args.model, _parse_params(args.params))
     report = run_all(models, cfg)
     return _emit(report, args)
 
@@ -150,13 +143,13 @@ def _named_family(value):
 def cmd_transform(args) -> int:
     cfg = _config_from(args)
     params = _parse_params(args.params)
-    shown = {k: params.get(k, 0.0) for k in ("u", "v", "w")}
+    shown = {k: params.pop(k, 0.0) for k in ("u", "v", "w")}
     t = conf.TransformParams(**{k: _named_family(v) for k, v in shown.items()})
-    models = _resolve_models(argparse.Namespace(model=args.model, params=None), cfg.fd_step)
+    models = _resolve_models(args.model, params)
     out = {"schema_version": "1", "transform": shown, "models": []}
     ok = True
     for cm in models:
-        set_fd_step(cm, cfg.fd_step)
+        cm.model.fd_step = cfg.fd_step
         pts = cm.model.sample_points(cfg.points, cfg.seed)
         entry = {"name": cm.name, "params": dict(cm.params)}
         try:
@@ -179,11 +172,11 @@ def cmd_transform(args) -> int:
 
 def cmd_cone(args) -> int:
     cfg = _config_from(args)
-    models = _resolve_models(args, cfg.fd_step)
+    models = _resolve_models(args.model, _parse_params(args.params))
     out = {"schema_version": "1", "models": []}
     ok = True
     for cm in models:
-        set_fd_step(cm, cfg.fd_step)
+        cm.model.fd_step = cfg.fd_step
         check = sas.cone_holomorphic_residual(cm.structure, count=min(cfg.points, 8),
                                               seed=cfg.seed)
         passed = within(check.residual, tolerance_for("cone.holomorphic", cm, cfg))

@@ -76,7 +76,6 @@ class TransformedModel(ManifoldModel):
         self.params = params
         self.dim = base_structure.dim
         self.kind = base_structure.model.kind
-        self.fd_step = base_structure.model.fd_step
 
     def metric_at(self, p):
         s = self.base

@@ -17,7 +17,6 @@ Six constructions:
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,13 +99,12 @@ def _group(name, n, constants, params, sasaki_expected=True, **extra) -> CorpusM
                        **leaf, **extra)
 
 
-def _chart(name, n, coframe, coord_metric, params, fd_step) -> CorpusModel:
+def _chart(name, n, coframe, coord_metric, params) -> CorpusModel:
     """Chart realization of a group model: constant metric in a moving coframe."""
     d = 2 * n + 1
     eps = np.diag(Signature.standard(n).as_array())
-    kwargs = {} if fd_step is None else {"fd_step": fd_step}
     model = chart_model(d, lambda x: eps, frame=coframe, ranges=[(-0.9, 0.9)] * d,
-                        metric_derivs=lambda x: np.zeros((d, d, d)), **kwargs)
+                        metric_derivs=lambda x: np.zeros((d, d, d)))
     return CorpusModel(name=f"{name}_chart", model=model,
                        structure=standard_structure(model, n), params=params,
                        exact=False, sasaki_expected=True, **_flat_leaf(d),
@@ -185,10 +183,9 @@ def _example1_coord_metric(n):
     return metric
 
 
-def example1_chart(n=1, fd_step=None) -> CorpusModel:
+def example1_chart(n=1) -> CorpusModel:
     n = int(n)
-    return _chart("example1", n, _example1_coframe(n), _example1_coord_metric(n),
-                  {"n": n}, fd_step)
+    return _chart("example1", n, _example1_coframe(n), _example1_coord_metric(n), {"n": n})
 
 
 def _example2_coframe(lam):
@@ -222,19 +219,20 @@ def _example2_coord_metric():
     return metric
 
 
-def example2_chart(lam=1.0, mu=0.0, fd_step=None) -> CorpusModel:
+def example2_chart(lam=1.0, mu=0.0) -> CorpusModel:
     lam, mu = float(lam), float(mu)
     if mu != 0.0:
         raise BadParams("the coordinate realization exists only for mu = 0")
     if lam == 0.0:
         raise BadParams("the coordinate realization requires lambda != 0")
     return _chart("example2", 2, _example2_coframe(lam), _example2_coord_metric(),
-                  {"lam": lam, "mu": 0.0}, fd_step)
+                  {"lam": lam, "mu": 0.0})
 
 
-def hsphere_base(n, a, b, box=0.22, fd_step=None) -> HolomorphicBase:
+def hsphere_base(n, a, b) -> HolomorphicBase:
     """Chart of the complex hypersurface sum_j (w^j)^2 = a - i b of C^{n+1}
-    near w = 0, in the n holomorphic coordinates (w^1 .. w^n).
+    on the box |u^j|, |v^j| <= 0.22 around w = 0, in the n holomorphic
+    coordinates (w^1 .. w^n).
 
     The induced holomorphic metric is hC_jk = delta_jk + w^j w^k / D with
     D = (a - i b) - sum (w^m)^2; its real part in the real coordinates
@@ -273,30 +271,28 @@ def hsphere_base(n, a, b, box=0.22, fd_step=None) -> HolomorphicBase:
         out[n:] = real_block(1j * dm)
         return out
 
-    kwargs = {} if fd_step is None else {"fd_step": fd_step}
-    model = chart_model(2 * n, metric_fn, ranges=[(-box, box)] * (2 * n),
-                        metric_derivs=metric_derivs_fn, **kwargs)
+    model = chart_model(2 * n, metric_fn, ranges=[(-0.22, 0.22)] * (2 * n),
+                        metric_derivs=metric_derivs_fn)
     h, htilde = standard_norden_pair(n)
     return HolomorphicBase(model=model, j=h @ htilde)   # J = h^{-1} htilde
 
 
-def flat_norden_base(n, fd_step=None) -> HolomorphicBase:
+def flat_norden_base(n) -> HolomorphicBase:
     """Flat R^{2n} with the constant standard pair (h, J)."""
     h, htilde = standard_norden_pair(n)
-    kwargs = {} if fd_step is None else {"fd_step": fd_step}
     model = chart_model(2 * n, lambda x: h, ranges=[(-1.0, 1.0)] * (2 * n),
-                        metric_derivs=lambda x: np.zeros((2 * n,) * 3), **kwargs)
+                        metric_derivs=lambda x: np.zeros((2 * n,) * 3))
     return HolomorphicBase(model=model, j=h @ htilde)
 
 
-def example3_hsphere_ext(n=3, a=1.0, b=0.0, fd_step=None) -> CorpusModel:
+def example3_hsphere_ext(n=3, a=1.0, b=0.0) -> CorpusModel:
     n = int(n)
     a, b = float(a), float(b)
     if n < 1:
         raise BadParams("n >= 1 required")
     if a == 0 and b == 0:
         raise BadParams("(a, b) = (0, 0) is excluded")
-    base = hsphere_base(n, a, b, fd_step=fd_step)
+    base = hsphere_base(n, a, b)
     model, s = product_extension(base)
     d = model.dim
 
@@ -342,12 +338,6 @@ def _constructor(name):
     return BUILTINS[name][0]
 
 
-def builtin_params(name, params) -> dict:
-    """The entries of ``params`` that the named builtin's constructor takes."""
-    accepted = inspect.signature(_constructor(name)).parameters
-    return {k: v for k, v in params.items() if k in accepted}
-
-
 def builtin(name, **params) -> CorpusModel:
     """Construct a named corpus model.  Unknown names or bad parameter
     combinations raise UnknownBuiltin / BadParams."""
@@ -358,15 +348,15 @@ def builtin(name, **params) -> CorpusModel:
         raise BadParams(str(exc)) from None
 
 
-def default_corpus(fd_step=None) -> list:
+def default_corpus() -> list:
     return [
         example1(n=1),
         example1(n=2),
         example2(lam=1.0, mu=0.0),
         example2(lam=3.0, mu=-2.0),
-        example1_chart(n=1, fd_step=fd_step),
-        example2_chart(lam=1.0, fd_step=fd_step),
-        example3_hsphere_ext(n=3, a=1.0, b=0.0, fd_step=fd_step),
+        example1_chart(n=1),
+        example2_chart(lam=1.0),
+        example3_hsphere_ext(n=3, a=1.0, b=0.0),
         flat_parallel(n=1),
     ]
 

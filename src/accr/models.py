@@ -193,14 +193,12 @@ class ChartModel(ManifoldModel):
 
     kind = "chart"
 
-    def __init__(self, dim, metric_fn, coframe_fn=None, ranges=None,
-                 metric_derivs_fn=None, fd_step=DEFAULT_FD_STEP):
+    def __init__(self, dim, metric_fn, coframe_fn=None, ranges=None, metric_derivs_fn=None):
         self.dim = dim
         self.metric_fn = metric_fn
         self.coframe_fn = coframe_fn
         self.metric_derivs_fn = metric_derivs_fn
         self.ranges = ranges if ranges is not None else [(-1.0, 1.0)] * dim
-        self.fd_step = fd_step
 
     def frame_matrix(self, p):
         """A[mu, i] with e_i = A[mu, i] d/dx^mu."""
@@ -241,11 +239,10 @@ class ChartModel(ManifoldModel):
         return halton_points(self.ranges, count, seed)
 
 
-def chart_model(dim, metric_fields, frame=None, ranges=None,
-                metric_derivs=None, fd_step=DEFAULT_FD_STEP) -> ChartModel:
+def chart_model(dim, metric_fields, frame=None, ranges=None, metric_derivs=None) -> ChartModel:
     """Chart model from a metric component function and optional coframe."""
     return ChartModel(dim, metric_fields, coframe_fn=frame, ranges=ranges,
-                      metric_derivs_fn=metric_derivs, fd_step=fd_step)
+                      metric_derivs_fn=metric_derivs)
 
 
 @dataclass
@@ -295,16 +292,24 @@ class ProductExtensionModel(ChartModel):
 
     Coordinates are (t, base coordinates); the working frame is the
     coordinate frame.  The t-derivatives of the metric are analytic, the
-    base derivatives delegate to the base model.
+    base derivatives delegate to the base model, and the finite-difference
+    step is the base chart's.
     """
 
     kind = "product_extension"
 
-    def __init__(self, base: HolomorphicBase, t_range=(-1.2, 1.2)):
+    def __init__(self, base: HolomorphicBase):
         self.base = base
-        d = base.model.dim + 1
-        ranges = [tuple(t_range)] + list(base.model.ranges)
-        super().__init__(d, self._metric, ranges=ranges, fd_step=base.model.fd_step)
+        ranges = [(-1.2, 1.2)] + list(base.model.ranges)
+        super().__init__(base.model.dim + 1, self._metric, ranges=ranges)
+
+    @property
+    def fd_step(self):
+        return self.base.model.fd_step
+
+    @fd_step.setter
+    def fd_step(self, step):
+        self.base.model.fd_step = step
 
     def _metric(self, p):
         t, bp = p[0], p[1:]
@@ -328,26 +333,23 @@ class ProductExtensionModel(ChartModel):
         return D
 
 
-def product_extension(base: HolomorphicBase, t_range=(-1.2, 1.2),
-                      check=True, check_tol=1e-6, check_points=4):
+def product_extension(base: HolomorphicBase):
     """Rank-one extension of a holomorphic complex Riemannian base.
 
     Returns (model, structure) where the structure carries eta = dt,
     xi = d/dt, phi restricted to the horizontal distribution equal to J.
-    Raises BaseNotHolomorphic when nabla^h J fails to vanish on samples.
+    Raises BaseNotHolomorphic when nabla^h J fails to vanish on 4 samples.
     """
     from .connection import holomorphy_residual  # deferred: avoids import cycle
     from .structure import AccrStructure, worst
 
-    if check:
-        pts = base.model.sample_points(check_points, seed=7)
-        for q in pts:
-            res = worst((base.norden_residual(q), base.htilde_symmetry_residual(q),
-                         holomorphy_residual(base, q)))
-            if not res <= check_tol:
-                raise BaseNotHolomorphic(f"nabla J residual {res:.3e} at {q}")
+    for q in base.model.sample_points(4, seed=7):
+        res = worst((base.norden_residual(q), base.htilde_symmetry_residual(q),
+                     holomorphy_residual(base, q)))
+        if not res <= 1e-6:
+            raise BaseNotHolomorphic(f"nabla J residual {res:.3e} at {q}")
 
-    model = ProductExtensionModel(base, t_range)
+    model = ProductExtensionModel(base)
     d = model.dim
     phi = np.zeros((d, d))
     phi[1:, 1:] = base.j
@@ -369,17 +371,15 @@ class ConeModel(ManifoldModel):
     the unique (up to a constant) choice compatible with the cone complex
     structure J X = phi X, J xi = r d/dr, J d/dr = -xi / r acting as an
     anti-isometry, and the one consistent with the extension construction.
-    The r-derivatives are analytic.
+    The r-derivatives are analytic; sample points take r in [-2, -0.5].
     """
 
     kind = "cone"
 
-    def __init__(self, base_model, base_structure, r_range=(-2.0, -0.5)):
+    def __init__(self, base_model, base_structure):
         self.base = base_model
         self.structure = base_structure
         self.dim = base_model.dim + 1
-        self.r_range = tuple(r_range)
-        self.fd_step = base_model.fd_step
 
     @staticmethod
     def split(p):
@@ -426,19 +426,18 @@ class ConeModel(ManifoldModel):
 
     def frame_derivative(self, p, fn):
         bp, r = self.split(p)
-        probe = np.asarray(fn(p), dtype=float)
-        out = np.zeros((self.dim,) + probe.shape)
+        radial = lambda rv: fn(np.concatenate([bp, rv]))
+        d_r = coordinate_derivatives(radial, np.array([r]), self.base.fd_step)[0]
+        out = np.zeros((self.dim,) + d_r.shape)
         if self.base.dim:
             lifted = lambda q: fn(np.concatenate([q, [r]]))
             out[: self.base.dim] = self.base.frame_derivative(bp, lifted)
-        radial = lambda rv: fn(np.concatenate([bp, rv]))
-        out[self.base.dim] = coordinate_derivatives(radial, np.array([r]), self.fd_step)[0]
+        out[self.base.dim] = d_r
         return out
 
     def sample_points(self, count, seed):
         base_pts = self.base.sample_points(count, seed)
-        rlo, rhi = self.r_range
-        rvals = [-1.0] + [float(x[0]) for x in halton_points([(rlo, rhi)], count - 1, seed + 1)]
+        rvals = [-1.0] + [float(x[0]) for x in halton_points([(-2.0, -0.5)], count - 1, seed + 1)]
         pts = []
         for k in range(count):
             bp = base_pts[k % len(base_pts)]
@@ -475,10 +474,10 @@ class ConeComplexStructure:
         return D
 
 
-def cone_model(structure, r_range=(-2.0, -0.5)):
+def cone_model(structure):
     """Build the complex cone over an accR structure.
 
     Returns (ConeModel, ConeComplexStructure).
     """
-    model = ConeModel(structure.model, structure, r_range=r_range)
+    model = ConeModel(structure.model, structure)
     return model, ConeComplexStructure(model)

@@ -32,6 +32,8 @@ _SAMPLE_POINTS = {
 MODELSPEC_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "ModelSpec",
+    "description": "Input model description: either a builtin corpus member with parameters, "
+                   "or a left-invariant model given by structure constants.",
     "type": "object",
     "oneOf": [
         {

@@ -248,14 +248,14 @@ class ConeCheck:
     dj_xi_line: dict
 
 
-def cone_holomorphic_residual(s: AccrStructure, count=6, seed=42, r_range=(-2.0, -0.5)) -> ConeCheck:
+def cone_holomorphic_residual(s: AccrStructure, count=6, seed=42) -> ConeCheck:
     """max |g_cone((nabla J) y, z)| over sampled (p, r) and frame triples.
 
     Also cross-checks the closed-form cone connection components, e.g.
     g_cone(nabla_X Y, d/dr) = -r g(X, Y) and g_cone(nabla_X d/dr, Z)
     = r g(X, Z) on horizontal arguments, against the Koszul solution.
     """
-    cone, jfield = cone_model(s, r_range=r_range)
+    cone, jfield = cone_model(s)
     d = s.dim
     per_point = []
 

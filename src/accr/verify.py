@@ -33,6 +33,8 @@ from .structure import (
 )
 
 SCHEMA_VERSION = "1"
+TOL_EXACT = 1e-9      # rows of models with exact derivatives
+TOL_FD = 1e-6         # rows of finite-difference models, unless the check sets fd_tol
 
 # expected outcome of a check (Check.expect)
 PASS = "pass"
@@ -162,11 +164,7 @@ class VerifyConfig:
     points: int = 20
     seed: int = 42
     fd_step: float = 1e-3
-    tol_exact: float = 1e-9
-    tol_fd: float = 1e-6
     tol_override: float | None = None
-    with_cone: bool = True
-    with_conformal: bool = True
     with_error_estimate: bool = True
     only: str | None = None
 
@@ -181,7 +179,7 @@ class Family:
     prefix: str
     residuals: object
     per_point: bool = True
-    applies: object = lambda cm, cfg: True
+    applies: object = lambda cm: True
 
 
 def transformed_residuals(s, t, points) -> dict:
@@ -232,15 +230,13 @@ def _cone(cm, pts, count, seed):
 
 
 def _crossrep(cm, pts, count, seed):
-    partner = corpus_mod.builtin(cm.lie_partner,
-                                 **corpus_mod.builtin_params(cm.lie_partner, cm.params))
+    partner = corpus_mod.builtin(cm.lie_partner, **cm.params)
     cross = corpus_mod.cross_representation_check(partner, cm, count=count, seed=seed)
     return {k: v for k, v in cross.items() if not k.startswith("sasaki_")}
 
 
 def _conformal(exact_only=False):
-    return lambda cm, cfg: (cfg.with_conformal and cm.sasaki_expected
-                            and (cm.exact or not exact_only))
+    return lambda cm: cm.sasaki_expected and (cm.exact or not exact_only)
 
 
 FAMILIES = (
@@ -261,12 +257,12 @@ FAMILIES = (
     Family("gauss.residual",
            lambda cm, f: gauss_residual(f.s, f.p, base_r=cm.base_r_at(f.p),
                                         bundle=f.curvature, fields=f),
-           applies=lambda cm, cfg: cm.sasaki_expected and cm.base_r_at is not None),
+           applies=lambda cm: cm.sasaki_expected and cm.base_r_at is not None),
     Family("gauss.second_fundamental_form",
            lambda cm, f: second_fundamental_form_residual(f.s, f.p, gamma=f.gamma)),
-    Family("cone", _cone, per_point=False, applies=lambda cm, cfg: cfg.with_cone),
+    Family("cone", _cone, per_point=False),
     Family("crossrep", _crossrep, per_point=False,
-           applies=lambda cm, cfg: cm.coframe_fn is not None and cm.lie_partner is not None),
+           applies=lambda cm: cm.coframe_fn is not None and cm.lie_partner is not None),
     Family("conformal.preserve", _preserve, per_point=False, applies=_conformal()),
     Family("conformal.break", _break, per_point=False, applies=_conformal()),
     Family("conformal.homothetic", _homothetic, per_point=False, applies=_conformal(True)),
@@ -309,7 +305,7 @@ def _gather_residuals(cm, cfg: VerifyConfig):
     count = override.get("count", cfg.points)
     seed = override.get("seed", cfg.seed)
     only = cfg.only or ""
-    families = [fam for fam in FAMILIES if fam.applies(cm, cfg)
+    families = [fam for fam in FAMILIES if fam.applies(cm)
                 and (fam.prefix.startswith(only) or only.startswith(fam.prefix))]
     res: dict = {}
     notes: dict = {}
@@ -327,14 +323,6 @@ def family_residuals(s, prefixes, points, base_ric_at=None) -> dict:
     return _run_families(cm, families, points, count=6, seed=42)
 
 
-def set_fd_step(cm, step):
-    """Set the finite-difference step of a model and of the chart it extends."""
-    cm.model.fd_step = step
-    base = getattr(cm.model, "base", None)
-    if base is not None:
-        getattr(base, "model", base).fd_step = step
-
-
 def tolerance_for(check_id, cm, cfg: VerifyConfig):
     """The tolerance of a judged row; None for info rows."""
     check = CHECKS[check_id]
@@ -343,8 +331,8 @@ def tolerance_for(check_id, cm, cfg: VerifyConfig):
     if cfg.tol_override is not None:
         return cfg.tol_override
     if cm.exact:
-        return cfg.tol_exact
-    return cfg.tol_fd if check.fd_tol is None else check.fd_tol
+        return TOL_EXACT
+    return TOL_FD if check.fd_tol is None else check.fd_tol
 
 
 def within(value, tol) -> bool:
@@ -369,14 +357,14 @@ def _model_header(cm) -> dict:
 
 def run_model_checks(cm, cfg: VerifyConfig) -> dict:
     """All checks for one corpus model, returned as a report dict."""
-    set_fd_step(cm, cfg.fd_step)
+    cm.model.fd_step = cfg.fd_step
     residuals, notes = _gather_residuals(cm, cfg)
 
     estimates = {}
     if cfg.with_error_estimate and not cm.exact:
-        set_fd_step(cm, cfg.fd_step / 2.0)
+        cm.model.fd_step = cfg.fd_step / 2.0
         second, _ = _gather_residuals(cm, cfg)
-        set_fd_step(cm, cfg.fd_step)
+        cm.model.fd_step = cfg.fd_step
         estimates = {k: abs(residuals[k] - second.get(k, 0.0)) for k in residuals}
 
     rows = []
@@ -423,8 +411,8 @@ def run_all(models, cfg: VerifyConfig | None = None) -> dict:
             "seed": cfg.seed,
             "points": cfg.points,
             "fd_step": cfg.fd_step,
-            "tolerance_exact": cfg.tol_exact,
-            "tolerance_fd": cfg.tol_fd,
+            "tolerance_exact": TOL_EXACT,
+            "tolerance_fd": TOL_FD,
         },
         "models": reports,
         "summary": {**counts, "ok": ok},

@@ -126,7 +126,7 @@ class TestProductExtension:
     @pytest.mark.parametrize("n, a, b", HSPHERES)
     def test_one_base_evaluation(self, n, a, b):
         base = hsphere_base(n, a, b)
-        model, _ = product_extension(base, check=False)
+        model, _ = product_extension(base)
         for p in model.sample_points(6, 9):
             t, bp = p[0], p[1:]
             h, ht = base.h_at(bp), base.htilde_at(bp)

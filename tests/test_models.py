@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from accr.corpus import flat_norden_base, hsphere_base
+from accr.connection import levi_civita
+from accr.corpus import (
+    builtin,
+    example1_chart,
+    example3_hsphere_ext,
+    flat_norden_base,
+    hsphere_base,
+)
 from accr.errors import (
     BadSignature,
     BaseNotHolomorphic,
@@ -133,6 +140,11 @@ class TestProductExtension:
         fd = coordinate_derivatives(ex3.model.metric_at, p, 1e-4)
         assert np.max(np.abs(dg - fd)) < 1e-9
 
+    def test_step_is_the_base_charts(self):
+        cm = example3_hsphere_ext()
+        cm.model.fd_step = 2e-3
+        assert cm.model.base.model.fd_step == 2e-3
+
     def test_rejects_non_holomorphic_base(self):
         # Norden pointwise but e^x is not the real part of a holomorphic
         # metric coefficient pair, so J fails to be parallel
@@ -191,6 +203,36 @@ class TestConeModel:
         pts = cone.sample_points(6, 42)
         assert any(abs(p[-1] + 1.0) < 1e-15 for p in pts)
         assert all(-2.0 <= p[-1] <= -0.5 for p in pts)
+
+    def test_reads_the_step_of_its_base(self):
+        # the step is set on the chart after the cone over it is built
+        cm = example1_chart(n=1)
+        cone, _ = cone_model(cm.structure)
+        p = cone.sample_points(2, 3)[1]
+        default = cone.frame_derivative(p, cone.metric_at)
+        cm.model.fd_step = 2e-3
+        late = cone.frame_derivative(p, cone.metric_at)
+
+        ref = example1_chart(n=1)
+        ref.model.fd_step = 2e-3
+        ref_cone, _ = cone_model(ref.structure)
+        assert np.array_equal(late, ref_cone.frame_derivative(p, ref_cone.metric_at))
+        assert not np.array_equal(late[-1], default[-1])
+
+    @pytest.mark.parametrize("name, calls", [("example1", 5), ("example1_chart", 16)])
+    def test_frame_derivative_field_calls(self, name, calls):
+        # the radial stencil's 4 calls, plus the group base's shape probe
+        # or the chart base's 12-point stencil
+        cone, _ = cone_model(builtin(name).structure)
+        p = cone.sample_points(2, 3)[1]
+        seen = []
+
+        def gamma(q):
+            seen.append(q)
+            return levi_civita(cone, q).gamma
+
+        cone.frame_derivative(p, gamma)
+        assert len(seen) == calls
 
 
 class TestHolomorphicBase:

@@ -209,7 +209,8 @@ class TestReportCoherence:
     def test_report_fails_closed_on_nan(self):
         from accr.corpus import example1_chart
 
-        cm = example1_chart(n=1, fd_step=0.0)   # NaN finite differences
+        cm = example1_chart(n=1)
+        cm.model.fd_step = 0.0   # NaN finite differences
         with np.errstate(all="ignore"):
             rep = sasaki_report(cm.structure, cm.model.sample_points(2, 3),
                                 with_curvature=False)

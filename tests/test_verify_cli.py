@@ -52,7 +52,7 @@ class TestRunAll:
     def test_fd_error_estimate_present(self):
         from accr.corpus import example1_chart
 
-        cfg = VerifyConfig(points=3, with_cone=False, with_conformal=False)
+        cfg = VerifyConfig(points=3, only="crossrep")
         rep = run_model_checks(example1_chart(n=1), cfg)
         rows = {r["check_id"]: r for r in rep["checks"]}
         row = rows["crossrep.structure_equations"]
@@ -149,7 +149,7 @@ class TestModelSpec:
 
     def test_shipped_schema_matches_embedded(self):
         shipped = json.loads((DOCS / "modelspec.schema.json").read_text())
-        assert shipped["oneOf"][1]["required"] == MODELSPEC_SCHEMA["oneOf"][1]["required"]
+        assert shipped == MODELSPEC_SCHEMA
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "model.json"
@@ -213,6 +213,12 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["models"][0]["sasaki_preserved"] is True
 
+    def test_transform_passes_model_params(self, tmp_path, capsys):
+        out = tmp_path / "tr.json"
+        assert main(["transform", "-m", "example1", "--params", "n=2,u=0.3,v=0.2,w=0",
+                     "--points", "3", "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["models"][0]["params"] == {"n": 2}
+
     def test_transform_w_breaks(self, tmp_path, capsys):
         out = tmp_path / "tr.json"
         code = main(["transform", "-m", "example1", "--params",
@@ -235,6 +241,10 @@ class TestCli:
         (["cone", "-m", "example1", "--tol", "0"], 1),
         (["cone", "-m", "example1"], 0),
         (["verify", "-m", "example1", "--only", "bogus"], 2),
+        (["verify", "-m", "example1", "--params", "m=2"], 2),
+        (["transform", "-m", "example1", "--params", "u=0.3,bogus=1"], 2),
+        # --params goes whole to every named builtin, and example2 takes no n
+        (["verify", "-m", "example1", "-m", "example2", "--params", "n=2"], 2),
     ])
     def test_bad_input(self, argv, code, tmp_path, capsys):
         specs = {
