@@ -17,14 +17,7 @@ from .connection import (
     riemann,
 )
 from .corpus import BUILTINS, builtin, cross_representation_check, default_corpus
-from .frame_algebra import (
-    FrameTensor,
-    MetricMatrix,
-    Signature,
-    kulkarni_nomizu,
-    metric_inverse,
-    trace_with_signature,
-)
+from .frame_algebra import MetricMatrix, kulkarni_nomizu, standard_signature
 from .models import (
     HolomorphicBase,
     chart_model,
@@ -34,17 +27,14 @@ from .models import (
 )
 from .sasaki import (
     check_corollary,
-    check_curvature_identities,
     check_defining_conditions,
     check_nabla_phi,
     check_nijenhuis_form,
     cone_holomorphic_residual,
-    sasaki_report,
 )
 from .structure import (
     AccrStructure,
-    fundamental_F,
-    nijenhuis,
+    PointFields,
     standard_structure,
     theorem_3_4_residual,
     validate_structure,

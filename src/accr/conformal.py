@@ -23,6 +23,7 @@ import numpy as np
 
 from .connection import levi_civita
 from .errors import NonConstantParams
+from .frame_algebra import standard_signature
 from .models import ManifoldModel
 from .sasaki import require_sasaki_like
 from .structure import AccrStructure, PointFields, max_over_points
@@ -272,7 +273,7 @@ def homothetic_curvature_and_ricci(s: AccrStructure, t: TransformParams, p) -> d
         basis[:, i] = bi
         basis[:, n + i] = phi @ bi
     gbar = ts.model.metric_at(p)
-    eps = np.array([1.0] * (n + 1) + [-1.0] * n)
+    eps = standard_signature(n)
     ortho = float(np.max(np.abs(basis.T @ gbar @ basis - np.diag(eps))))
     scal_basis = float(np.einsum("a,ia,ij,ja->", eps, basis, bundle_bar.ric, basis))
     phib = basis.copy()

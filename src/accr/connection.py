@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetric, DegenerateParameters
-from .frame_algebra import FrameTensor, as_components, kulkarni_nomizu, project_all
+from .frame_algebra import kulkarni_nomizu, project_all
 
 __all__ = [
     "ConnectionCoefficients",
@@ -29,7 +29,6 @@ __all__ = [
     "second_fundamental_form_residual",
     "HSphereCurvature",
     "hsphere_curvature",
-    "hsphere_extension_horizontal_curvature",
     "standard_norden_pair",
 ]
 
@@ -210,13 +209,9 @@ class HSphereCurvature:
     n: int
     a: float
     b: float
-    pi1: FrameTensor
-    pi2: FrameTensor
-    pi3: FrameTensor
-    r: FrameTensor
+    r: np.ndarray
     ric: np.ndarray
     scal: float
-    note: str | None = None
 
 
 def hsphere_curvature(n, a, b, h=None, htilde=None) -> HSphereCurvature:
@@ -226,32 +221,11 @@ def hsphere_curvature(n, a, b, h=None, htilde=None) -> HSphereCurvature:
         raise DegenerateParameters("(a, b) = (0, 0) is excluded")
     if h is None or htilde is None:
         h, htilde = standard_norden_pair(n)
-    h = as_components(h)
-    htilde = as_components(htilde)
-    dim = h.shape[0]
-    pi1 = 0.5 * kulkarni_nomizu(h, h).components
-    pi2 = 0.5 * kulkarni_nomizu(htilde, htilde).components
-    pi3 = -kulkarni_nomizu(h, htilde).components
+    pi1 = 0.5 * kulkarni_nomizu(h, h)
+    pi2 = 0.5 * kulkarni_nomizu(htilde, htilde)
+    pi3 = -kulkarni_nomizu(h, htilde)
     den = a * a + b * b
     r = (a * (pi1 - pi2) - b * pi3) / den
     ric = 2.0 * (n - 1) * (a * h + b * htilde) / den
     scal = 4.0 * n * (n - 1) * a / den
-    note = "parameter n <= 2 is outside the range stated for this family" if n <= 2 else None
-    mk = lambda t: FrameTensor(dim, ("cov",) * 4, t)
-    return HSphereCurvature(n=n, a=a, b=b, pi1=mk(pi1), pi2=mk(pi2), pi3=mk(pi3),
-                            r=mk(r), ric=ric, scal=scal, note=note)
-
-
-def hsphere_extension_horizontal_curvature(t, n, a, b, h, htilde) -> np.ndarray:
-    """Curvature of the horizontal leaf of the extension over an h-sphere:
-
-        R^h = [ (a cos 2t + b sin 2t)(pi1 - pi2)
-              - (b cos 2t - a sin 2t) pi3 ] / (a^2 + b^2)
-
-    with the pi blocks built from the base-point restricted metrics.
-    """
-    cf = hsphere_curvature(n, a, b, h=h, htilde=htilde)
-    den = a * a + b * b
-    ct, st = np.cos(2 * t), np.sin(2 * t)
-    return ((a * ct + b * st) * (cf.pi1.components - cf.pi2.components)
-            - (b * ct - a * st) * cf.pi3.components) / den
+    return HSphereCurvature(n=n, a=a, b=b, r=r, ric=ric, scal=scal)

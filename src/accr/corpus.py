@@ -17,20 +17,19 @@ Six constructions:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import (
-    hsphere_curvature,
-    hsphere_extension_horizontal_curvature,
-    standard_norden_pair,
-)
+from .connection import hsphere_curvature, standard_norden_pair
 from .errors import BadParams, ParamMismatch, UnknownBuiltin
-from .frame_algebra import MetricMatrix, Signature
+from .frame_algebra import MetricMatrix, standard_signature
 from .models import (
     HolomorphicBase,
     chart_model,
+    extension_leaf_curvature,
     lie_group_model,
     product_extension,
 )
@@ -48,8 +47,8 @@ class CorpusModel:
     params: dict
     exact: bool                      # derivatives exact (homogeneous) vs FD
     sasaki_expected: bool
-    base_ric_at: object = None       # closed-form leaf Ricci, embedded
-    base_r_at: object = None         # closed-form leaf curvature, embedded
+    base_ric_at: object = None       # leaf Ricci, embedded
+    base_r_at: object = None         # leaf curvature, embedded
     coframe_fn: object = None        # chart realizations only
     coord_metric_fn: object = None   # chart realizations only
     lie_partner: str | None = None
@@ -91,7 +90,7 @@ def _flat_leaf(d) -> dict:
 
 def _group(name, n, constants, params, sasaki_expected=True, **extra) -> CorpusModel:
     """Left-invariant model with the standard metric and adapted structure."""
-    eps = Signature.standard(n).as_array()
+    eps = standard_signature(n)
     model = lie_group_model(n, constants, MetricMatrix(np.diag(eps)))
     leaf = _flat_leaf(model.dim) if sasaki_expected else {}
     return CorpusModel(name=name, model=model, structure=standard_structure(model, n),
@@ -102,7 +101,7 @@ def _group(name, n, constants, params, sasaki_expected=True, **extra) -> CorpusM
 def _chart(name, n, coframe, coord_metric, params) -> CorpusModel:
     """Chart realization of a group model: constant metric in a moving coframe."""
     d = 2 * n + 1
-    eps = np.diag(Signature.standard(n).as_array())
+    eps = np.diag(standard_signature(n))
     model = chart_model(d, lambda x: eps, frame=coframe, ranges=[(-0.9, 0.9)] * d,
                         metric_derivs=lambda x: np.zeros((d, d, d)))
     return CorpusModel(name=f"{name}_chart", model=model,
@@ -166,7 +165,7 @@ def _example1_coframe(n):
 
 def _example1_coord_metric(n):
     d = 2 * n + 1
-    eps = Signature.standard(n).as_array()
+    eps = standard_signature(n)
 
     def metric(x):
         t = x[0]
@@ -308,7 +307,8 @@ def example3_hsphere_ext(n=3, a=1.0, b=0.0) -> CorpusModel:
 
     def base_r_at(p):
         h = base.h_at(p[1:])
-        return embed(hsphere_extension_horizontal_curvature(p[0], n, a, b, h, h @ base.j))
+        r_h = hsphere_curvature(n, a, b, h=h, htilde=h @ base.j).r
+        return embed(extension_leaf_curvature(p[0], r_h, base.j))
 
     notes = []
     if n <= 2:
@@ -339,9 +339,15 @@ def _constructor(name):
 
 
 def builtin(name, **params) -> CorpusModel:
-    """Construct a named corpus model.  Unknown names or bad parameter
-    combinations raise UnknownBuiltin / BadParams."""
+    """Construct a named corpus model.  Unknown names, parameters that are
+    not finite real numbers, an n that is not a whole number >= 1, or bad
+    parameter combinations raise UnknownBuiltin / BadParams."""
     fn = _constructor(name)
+    for key, val in params.items():
+        if isinstance(val, bool) or not isinstance(val, numbers.Real) or not math.isfinite(val):
+            raise BadParams(f"{name}: parameter {key}={val!r} is not a finite real number")
+    if "n" in params and not (float(params["n"]).is_integer() and params["n"] >= 1):
+        raise BadParams(f"{name}: n must be a whole number >= 1, got {params['n']!r}")
     try:
         return fn(**params)
     except TypeError as exc:
@@ -378,7 +384,7 @@ def cross_representation_check(lie: CorpusModel, chart: CorpusModel,
             raise ParamMismatch(f"parameter {key}: {lie.params[key]} != {chart.params[key]}")
 
     c_lie = lie.model.commutators_at(np.zeros(0))
-    eps = Signature.standard(lie.structure.n).as_array()
+    eps = standard_signature(lie.structure.n)
     pts = chart.model.sample_points(count, seed)
 
     def at(p):

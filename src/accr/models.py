@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    BadParams,
     BadSignature,
     BaseNotHolomorphic,
     NotAntisymmetric,
@@ -136,6 +137,8 @@ class LieGroupModel(ManifoldModel):
 
     def __init__(self, structure_constants, metric: MetricMatrix):
         c = np.asarray(structure_constants, dtype=float)
+        if not np.all(np.isfinite(c)):
+            raise BadParams("structure constants must be finite")
         if np.max(np.abs(c + np.swapaxes(c, 1, 2))) > 0:
             raise NotAntisymmetric("c^k_ij must satisfy c^k_ij = -c^k_ji")
         self.c = c
@@ -331,6 +334,19 @@ class ProductExtensionModel(ChartModel):
         dht = np.einsum("ijm,mk->ijk", dh, self.base.j)
         D[1:, 1:, 1:] = np.cos(2 * t) * dh - np.sin(2 * t) * dht
         return D
+
+
+def extension_leaf_curvature(t, r_h, j) -> np.ndarray:
+    """(0,4) curvature of the horizontal leaf at t of the extension, from the
+    base curvature r_h in the same frame:
+
+        R_t(X,Y,Z,U) = cos 2t R_h(X,Y,Z,U) - sin 2t R_h(X,Y,Z,JU),
+
+    because the leaf metric cos 2t h - sin 2t htilde is the real part of a
+    complex-constant multiple of the holomorphic metric, which keeps its
+    connection.
+    """
+    return np.cos(2 * t) * r_h - np.sin(2 * t) * np.einsum("ijkm,ml->ijkl", r_h, j)
 
 
 def product_extension(base: HolomorphicBase):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .corpus import CorpusModel, builtin
 from .errors import BadParams
-from .frame_algebra import MetricMatrix, Signature
+from .frame_algebra import MetricMatrix, standard_signature
 from .models import lie_group_model
 from .structure import AccrStructure, standard_structure
 
@@ -105,12 +105,12 @@ def model_from_spec(spec: dict) -> CorpusModel:
         c[k, j, i] -= v
     metric_spec = spec.get("metric", "standard")
     if metric_spec == "standard":
-        metric = MetricMatrix(np.diag(Signature.standard(n).as_array()))
+        metric = MetricMatrix(np.diag(standard_signature(n)))
     else:
         metric = MetricMatrix(np.asarray(metric_spec, dtype=float))
     model = lie_group_model(n, c, metric)
     jacobi = model.jacobi_residual()
-    if jacobi > 1e-9:
+    if not jacobi <= 1e-9:
         raise BadParams(f"structure constants break the Jacobi identity (residual {jacobi:.3e})")
     phi_spec = spec.get("phi", "standard")
     phi = (standard_structure(model, n).phi if phi_spec == "standard"

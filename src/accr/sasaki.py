@@ -14,7 +14,7 @@ follow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,12 +29,8 @@ __all__ = [
     "check_nabla_phi",
     "check_nijenhuis_form",
     "check_corollary",
-    "check_curvature_identities",
     "curvature_identity_residuals",
     "require_sasaki_like",
-    "is_sasaki_like",
-    "SasakiReport",
-    "sasaki_report",
     "cone_holomorphic_residual",
     "ConeCheck",
 ]
@@ -173,71 +169,6 @@ def require_sasaki_like(s: AccrStructure, p, tol=1e-4, fields=None):
     worst_res = worst(res.values())
     if not worst_res <= tol:
         raise NotSasakiLike(f"defining residual {worst_res:.3e} exceeds {tol}")
-
-
-def is_sasaki_like(s: AccrStructure, points, tol=1e-6) -> bool:
-    res = max_over_points(points, lambda p: check_defining_conditions(s, p))
-    return all(v <= tol for v in res.values())
-
-
-def check_curvature_identities(s: AccrStructure, p, fields=None, base_ric=None, tol=1e-4) -> dict:
-    """Raises NotSasakiLike when the defining conditions fail at p."""
-    f = fields or PointFields(s, p)
-    require_sasaki_like(s, p, tol=tol, fields=f)
-    return curvature_identity_residuals(s, p, fields=f, base_ric=base_ric)
-
-
-@dataclass
-class SasakiReport:
-    """Aggregated maxima over the sampled points, with verdicts."""
-
-    residual_defining: dict
-    residual_nabla_phi: float
-    residual_nijenhuis: dict
-    residual_corollary: dict
-    residual_curvature: dict | None
-    residual_cone: float | None
-    tolerance: float
-    verdicts: dict = field(default_factory=dict)
-    coherent: bool = True
-
-    def passed(self) -> bool:
-        return all(self.verdicts.values())
-
-
-def sasaki_report(s: AccrStructure, points, tol=1e-9, with_curvature=True,
-                  with_cone=False, base_ric_at=None) -> SasakiReport:
-    """Run every Sasaki-like check over the sample points and aggregate."""
-    from .verify import family_residuals  # deferred: verify builds on this module
-
-    names = ["defining", "nabla_phi", "nijenhuis", "corollary"]
-    names += ["curvature"] if with_curvature else []
-    cone = ["cone"] if with_cone else []
-    res = family_residuals(s, [f"sasaki.{k}" for k in names] + cone, points, base_ric_at)
-    agg = {k: res[f"sasaki.{k}"] for k in names}
-    cone_res = res["cone"]["holomorphic"] if with_cone else None
-    verdicts = {
-        "defining": worst(agg["defining"].values()) < tol,
-        "nabla_phi": agg["nabla_phi"] < tol,
-        "nijenhuis_form": worst(agg["nijenhuis"].values()) < tol,
-        "corollary": worst(agg["corollary"].values()) < tol,
-    }
-    if with_curvature:
-        verdicts["curvature"] = worst(agg["curvature"].values()) < max(tol, 1e-6)
-    if with_cone:
-        verdicts["cone"] = cone_res < max(tol, 1e-6)
-    equiv = [verdicts["defining"], verdicts["nabla_phi"], verdicts["nijenhuis_form"]]
-    return SasakiReport(
-        residual_defining=agg["defining"],
-        residual_nabla_phi=agg["nabla_phi"],
-        residual_nijenhuis=agg["nijenhuis"],
-        residual_corollary=agg["corollary"],
-        residual_curvature=agg.get("curvature"),
-        residual_cone=cone_res,
-        tolerance=tol,
-        verdicts=verdicts,
-        coherent=(len(set(equiv)) == 1),
-    )
 
 
 @dataclass

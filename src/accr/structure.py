@@ -21,17 +21,12 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .connection import CurvatureBundle, levi_civita, riemann
-from .frame_algebra import FrameTensor
 
 __all__ = [
     "AccrStructure",
     "standard_structure",
     "PointFields",
-    "FundamentalTensor",
-    "NijenhuisTensors",
     "validate_structure",
-    "fundamental_F",
-    "nijenhuis",
     "theorem_3_4_residual",
     "structure_property_residuals",
     "max_over_points",
@@ -307,26 +302,6 @@ class PointFields:
         return riemann(self.s.model, self.p, phi=self.phi, gamma=self.gamma)
 
 
-@dataclass
-class FundamentalTensor:
-    """F with its associated 1-forms and the covariant derivative of eta."""
-
-    F: FrameTensor
-    theta: np.ndarray
-    theta_star: np.ndarray
-    nabla_eta: np.ndarray
-
-
-@dataclass
-class NijenhuisTensors:
-    n_bracket: FrameTensor
-    nhat_bracket: FrameTensor
-    n_from_f: FrameTensor
-    nhat_from_f: FrameTensor
-    route_gap_n: float
-    route_gap_nhat: float
-
-
 def validate_structure(s: AccrStructure, p, fields: PointFields | None = None) -> dict:
     """Residuals of every structure axiom at p.  Reports, never raises."""
     f = fields or PointFields(s, p)
@@ -348,31 +323,6 @@ def validate_structure(s: AccrStructure, p, fields: PointFields | None = None) -
     out["signature_g"] = 0.0 if sig(ok_g) == want else 1.0
     out["signature_gtilde"] = 0.0 if sig(ok_gt) == want else 1.0
     return out
-
-
-def fundamental_F(s: AccrStructure, p, fields: PointFields | None = None) -> FundamentalTensor:
-    f = fields or PointFields(s, p)
-    return FundamentalTensor(
-        F=FrameTensor(s.dim, ("cov",) * 3, f.F),
-        theta=f.theta,
-        theta_star=f.theta_star,
-        nabla_eta=f.nabla_eta,
-    )
-
-
-def nijenhuis(s: AccrStructure, p, fields: PointFields | None = None) -> NijenhuisTensors:
-    f = fields or PointFields(s, p)
-    na, nha = f.nijenhuis_bracket
-    nb, nhb = f.nijenhuis_from_F
-    mk = lambda t: FrameTensor(s.dim, ("cov",) * 3, t)
-    return NijenhuisTensors(
-        n_bracket=mk(na),
-        nhat_bracket=mk(nha),
-        n_from_f=mk(nb),
-        nhat_from_f=mk(nhb),
-        route_gap_n=float(np.max(np.abs(na - nb))),
-        route_gap_nhat=float(np.max(np.abs(nha - nhb))),
-    )
 
 
 def theorem_3_4_residual(s: AccrStructure, p, fields: PointFields | None = None) -> float:
@@ -422,11 +372,11 @@ def structure_property_residuals(s: AccrStructure, p, fields: PointFields | None
     nabla_eta_vs_f = f.nabla_eta - np.einsum("iab,aj,b->ij", F, phi, xi)
     nabla_eta_vs_xi = f.nabla_eta - np.einsum("ik,kj->ij", f.nabla_xi, f.g)
 
-    _, nhat = f.nijenhuis_bracket
+    n_bracket, nhat = f.nijenhuis_bracket
+    n_from_f, nhat_from_f = f.nijenhuis_from_F
     fff = np.einsum("a,b,abk->k", xi, xi, F) \
         - 0.5 * np.einsum("a,b,abc,ck->k", xi, xi, nhat, phi)
 
-    nij = nijenhuis(s, p, fields=f)
     return {
         "f_last_two_symmetry": float(f_sym),
         "f_phi_phi_relation": float(np.max(np.abs(fprop))),
@@ -434,6 +384,6 @@ def structure_property_residuals(s: AccrStructure, p, fields: PointFields | None
         "nabla_eta_from_f": float(np.max(np.abs(nabla_eta_vs_f))),
         "nabla_eta_from_xi": float(np.max(np.abs(nabla_eta_vs_xi))),
         "f_xixi_vs_nhat": float(np.max(np.abs(fff))),
-        "nijenhuis_route_gap_n": nij.route_gap_n,
-        "nijenhuis_route_gap_nhat": nij.route_gap_nhat,
+        "nijenhuis_route_gap_n": float(np.max(np.abs(n_bracket - n_from_f))),
+        "nijenhuis_route_gap_nhat": float(np.max(np.abs(nhat - nhat_from_f))),
     }

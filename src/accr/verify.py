@@ -315,14 +315,6 @@ def _gather_residuals(cm, cfg: VerifyConfig):
     return res, notes
 
 
-def family_residuals(s, prefixes, points, base_ric_at=None) -> dict:
-    """{prefix: residuals} of the named families on a bare structure (sasaki_report)."""
-    cm = corpus_mod.CorpusModel(name="", model=s.model, structure=s, params={},
-                                exact=False, sasaki_expected=True, base_ric_at=base_ric_at)
-    families = [fam for fam in FAMILIES if fam.prefix in prefixes]
-    return _run_families(cm, families, points, count=6, seed=42)
-
-
 def tolerance_for(check_id, cm, cfg: VerifyConfig):
     """The tolerance of a judged row; None for info rows."""
     check = CHECKS[check_id]

@@ -33,7 +33,7 @@ from accr.sasaki import (
     cone_holomorphic_residual,
     curvature_identity_residuals,
 )
-from accr.structure import PointFields, fundamental_F, theorem_3_4_residual
+from accr.structure import PointFields, theorem_3_4_residual
 from accr.verify import VerifyConfig, report_to_json, run_all
 
 ORIGIN = np.zeros(0)
@@ -62,8 +62,8 @@ def test_criterion_1_example1_sasaki_all_n():
         cm = example1(n=n)
         trio = sasaki_residual_trio(cm.structure, [ORIGIN])
         worst = max(worst, *trio)
-        ft = fundamental_F(cm.structure, ORIGIN)
-        theta_defect = max(theta_defect, abs(ft.theta @ cm.structure.xi_at(ORIGIN) + 2.0 * n))
+        f = PointFields(cm.structure, ORIGIN)
+        theta_defect = max(theta_defect, abs(f.theta @ f.xi + 2.0 * n))
     ok = worst < 1e-9 and theta_defect < 1e-9
     report(1, ok, f"example1 n=1,2,3 sasaki residuals max {worst:.2e}, "
                   f"theta(xi)+2n defect {theta_defect:.2e} (tol 1e-9)")

@@ -1,18 +1,38 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from accr.connection import (
     gauss_residual,
     hsphere_curvature,
-    hsphere_extension_horizontal_curvature,
     levi_civita,
     riemann,
     second_fundamental_form_residual,
     standard_norden_pair,
 )
-from accr.corpus import example2, example2_connection_table
+from accr.corpus import example2, example2_connection_table, example3_hsphere_ext, hsphere_base
 from accr.errors import DegenerateParameters, NotSasakiLike
+from accr.frame_algebra import kulkarni_nomizu
+from accr.models import extension_leaf_curvature
 from tests.conftest import ORIGIN
+
+
+def hsphere_leaf_reference(t, n, a, b, h, htilde):
+    """The closed-form leaf curvature of the extension over an h-sphere,
+
+        R^h = [ (a cos 2t + b sin 2t)(pi1 - pi2)
+              - (b cos 2t - a sin 2t) pi3 ] / (a^2 + b^2),
+
+    with pi1 = h ^ h / 2, pi2 = htilde ^ htilde / 2, pi3 = -h ^ htilde built
+    from the base-point restricted metrics."""
+    pi1 = 0.5 * kulkarni_nomizu(h, h)
+    pi2 = 0.5 * kulkarni_nomizu(htilde, htilde)
+    pi3 = -kulkarni_nomizu(h, htilde)
+    ct, s2t = np.cos(2 * t), np.sin(2 * t)
+    return ((a * ct + b * s2t) * (pi1 - pi2) - (b * ct - a * s2t) * pi3) / (a * a + b * b)
 
 
 def koszul_reference(model, p):
@@ -139,8 +159,9 @@ class TestHSphereCurvature:
 
     def test_b_zero_gives_pi1_minus_pi2(self):
         cf = hsphere_curvature(2, 1.0, 0.0)
-        expected = cf.pi1.components - cf.pi2.components
-        assert np.max(np.abs(cf.r.components - expected)) < 1e-14
+        h, ht = standard_norden_pair(2)
+        expected = 0.5 * (kulkarni_nomizu(h, h) - kulkarni_nomizu(ht, ht))
+        assert np.max(np.abs(cf.r - expected)) < 1e-14
 
     def test_ric_trace_reproduces_scal(self):
         n, a, b = 2, 3.0, 4.0
@@ -153,7 +174,7 @@ class TestHSphereCurvature:
 
     def test_block_symmetries_exact(self):
         cf = hsphere_curvature(3, 2.0, -1.0)
-        r = cf.r.components
+        r = cf.r
         assert np.max(np.abs(r + np.einsum("jikl->ijkl", r))) < 1e-12
         assert np.max(np.abs(r - np.einsum("klij->ijkl", r))) < 1e-12
 
@@ -162,8 +183,8 @@ class TestHSphereCurvature:
             hsphere_curvature(2, 0.0, 0.0)
 
     def test_small_n_flagged(self):
-        assert hsphere_curvature(2, 1.0, 0.0).note is not None
-        assert hsphere_curvature(3, 1.0, 0.0).note is None
+        assert example3_hsphere_ext(n=2).notes
+        assert not example3_hsphere_ext(n=3).notes
 
 
 class TestGauss:
@@ -195,6 +216,29 @@ class TestGauss:
 class TestExtensionLeafCurvature:
     def test_rrr_at_t_zero_reduces_to_base(self):
         h, ht = standard_norden_pair(3)
-        rh = hsphere_extension_horizontal_curvature(0.0, 3, 1.0, 0.0, h, ht)
-        base = hsphere_curvature(3, 1.0, 0.0, h=h, htilde=ht).r.components
+        base = hsphere_curvature(3, 1.0, 0.0, h=h, htilde=ht).r
+        rh = extension_leaf_curvature(0.0, base, h @ ht)
         assert np.max(np.abs(rh - base)) < 1e-14
+
+    @pytest.mark.parametrize("n, a, b", [(1, -0.3, 1.2), (2, 0.7, 0.4), (3, 1.0, 0.0),
+                                         (4, 2.0, -1.5)])
+    def test_rule_matches_hsphere_closed_form(self, n, a, b):
+        base = hsphere_base(n, a, b)
+        h0, ht0 = standard_norden_pair(n)
+        frames = [(h0, ht0)] + [(h, h @ base.j) for h in
+                                map(base.h_at, base.model.sample_points(3, 5))]
+        for t in np.linspace(-1.2, 1.2, 13):
+            for h, ht in frames:
+                rule = extension_leaf_curvature(t, hsphere_curvature(n, a, b, h=h, htilde=ht).r,
+                                                base.j)
+                ref = hsphere_leaf_reference(t, n, a, b, h, ht)
+                assert np.max(np.abs(rule - ref)) < 1e-15
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from([2, 3]), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0),
+           st.integers(0, 1000))
+    def test_gauss_with_rule_on_random_hspheres(self, n, a, b, seed):
+        assume(math.hypot(a, b) >= 0.5)     # (a, b) = (0, 0) is excluded
+        cm = example3_hsphere_ext(n=n, a=a, b=b)
+        p = cm.model.sample_points(1, seed)[0]
+        assert gauss_residual(cm.structure, p, base_r=cm.base_r_at(p)) < 1e-6

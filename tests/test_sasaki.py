@@ -5,16 +5,31 @@ from accr.corpus import example2
 from accr.errors import NotSasakiLike
 from accr.sasaki import (
     check_corollary,
-    check_curvature_identities,
     check_defining_conditions,
     check_nabla_phi,
     check_nijenhuis_form,
     cone_holomorphic_residual,
     curvature_identity_residuals,
-    sasaki_report,
+    require_sasaki_like,
 )
 from accr.structure import PointFields
+from accr.verify import VerifyConfig, run_model_checks
 from tests.conftest import ORIGIN
+
+ROUTES = ("sasaki.defining", "sasaki.nabla_phi", "sasaki.nijenhuis")
+
+
+def rows(cm, only, **cfg):
+    """The verify rows of one model under the check-id prefix only."""
+    out = run_model_checks(cm, VerifyConfig(only=only, with_error_estimate=False, **cfg))["checks"]
+    assert out, only
+    return out
+
+
+def route_holds(cm, prefix, tol, points=4, seed=23):
+    """Every row under prefix has its residual within tol."""
+    return all(row["max_residual"] <= tol
+               for row in rows(cm, prefix, points=points, seed=seed, tol_override=tol))
 
 
 class TestDefiningConditions:
@@ -122,7 +137,7 @@ class TestCurvatureIdentities:
 
     def test_flat_raises(self, flat):
         with pytest.raises(NotSasakiLike):
-            check_curvature_identities(flat.structure, ORIGIN)
+            require_sasaki_like(flat.structure, ORIGIN)
 
     def test_horizontal_ricci_on_extension(self, ex3):
         for p in ex3.model.sample_points(3, 19):
@@ -184,34 +199,29 @@ class TestConeHolomorphicity:
 
 class TestReportCoherence:
     def test_equivalent_conditions_agree(self, ex1, ex2, ex1_chart, ex3, flat):
+        # the defining conditions, the nabla phi form and the Nijenhuis form
+        # give one verdict on each model, the expected one
         for cm, tol in ((ex1, 1e-9), (ex2, 1e-9), (ex1_chart, 1e-6),
                         (ex3, 1e-6), (flat, 1e-9)):
-            pts = cm.model.sample_points(4, 23)
-            rep = sasaki_report(cm.structure, pts, tol=tol, with_curvature=False)
-            assert rep.coherent, cm.name
-            assert rep.verdicts["defining"] == cm.sasaki_expected
+            assert {route_holds(cm, prefix, tol) for prefix in ROUTES} \
+                == {cm.sasaki_expected}, cm.name
 
     def test_full_report_with_cone_and_curvature(self, ex2):
-        pts = ex2.model.sample_points(2, 3)
-        rep = sasaki_report(ex2.structure, pts, tol=1e-9,
-                            with_curvature=True, with_cone=True,
-                            base_ric_at=ex2.base_ric_at)
-        assert rep.passed()
-        assert rep.residual_cone < 1e-9
-        assert rep.residual_curvature["horizontal_ricci"] < 1e-9
+        sasaki = {r["check_id"]: r for r in rows(ex2, "sasaki", points=2, seed=3)}
+        cone = {r["check_id"]: r for r in rows(ex2, "cone.holomorphic", points=2, seed=3)}
+        assert {r["verdict"] for r in [*sasaki.values(), *cone.values()]} == {"pass"}
+        assert cone["cone.holomorphic"]["max_residual"] < 1e-9
+        assert sasaki["sasaki.curvature.horizontal_ricci"]["max_residual"] < 1e-9
 
     def test_is_sasaki_like_helper(self, ex1, flat):
-        from accr.sasaki import is_sasaki_like
-
-        assert is_sasaki_like(ex1.structure, [ORIGIN])
-        assert not is_sasaki_like(flat.structure, [ORIGIN])
+        # the defining-condition verdict over the sample points, at 1e-6
+        assert route_holds(ex1, "sasaki.defining", 1e-6, points=1)
+        assert not route_holds(flat, "sasaki.defining", 1e-6, points=1)
 
     def test_report_fails_closed_on_nan(self):
         from accr.corpus import example1_chart
 
         cm = example1_chart(n=1)
-        cm.model.fd_step = 0.0   # NaN finite differences
-        with np.errstate(all="ignore"):
-            rep = sasaki_report(cm.structure, cm.model.sample_points(2, 3),
-                                with_curvature=False)
-        assert not any(rep.verdicts.values())
+        with np.errstate(all="ignore"):      # a zero step gives NaN finite differences
+            verdicts = {r["verdict"] for r in rows(cm, "sasaki", points=2, seed=3, fd_step=0.0)}
+        assert verdicts == {"error"}

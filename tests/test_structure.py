@@ -6,9 +6,7 @@ from accr.models import chart_model, product_extension
 from accr.structure import (
     AccrStructure,
     PointFields,
-    fundamental_F,
     max_over_points,
-    nijenhuis,
     standard_structure,
     structure_property_residuals,
     theorem_3_4_residual,
@@ -67,20 +65,19 @@ class TestValidateStructure:
 
 class TestFundamentalTensor:
     def test_flat_parallel_f_zero(self, flat):
-        ft = fundamental_F(flat.structure, ORIGIN)
-        assert np.max(np.abs(ft.F.components)) == 0.0
+        f = PointFields(flat.structure, ORIGIN)
+        assert np.max(np.abs(f.F)) == 0.0
 
     def test_example1_f_value(self, ex1):
-        ft = fundamental_F(ex1.structure, ORIGIN)
-        assert ft.F.components[1, 1, 0] == pytest.approx(-1.0)
+        f = PointFields(ex1.structure, ORIGIN)
+        assert f.F[1, 1, 0] == pytest.approx(-1.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_theta_values(self, n):
         cm = example1(n=n)
-        ft = fundamental_F(cm.structure, ORIGIN)
-        xi = cm.structure.xi_at(ORIGIN)
-        assert ft.theta @ xi == pytest.approx(-2.0 * n, abs=1e-12)
-        assert np.max(np.abs(ft.theta_star)) < 1e-12
+        f = PointFields(cm.structure, ORIGIN)
+        assert f.theta @ f.xi == pytest.approx(-2.0 * n, abs=1e-12)
+        assert np.max(np.abs(f.theta_star)) < 1e-12
 
     def test_general_identities_on_corpus(self, ex1, ex2_generic, ex3, flat):
         for cm in (ex1, ex2_generic, ex3, flat):
@@ -97,30 +94,32 @@ class TestFundamentalTensor:
 
 class TestNijenhuis:
     def test_flat_both_zero(self, flat):
-        nij = nijenhuis(flat.structure, ORIGIN)
-        assert np.max(np.abs(nij.n_bracket.components)) == 0.0
-        assert np.max(np.abs(nij.nhat_bracket.components)) == 0.0
-        assert nij.route_gap_n == 0.0 and nij.route_gap_nhat == 0.0
+        f = PointFields(flat.structure, ORIGIN)
+        n, nhat = f.nijenhuis_bracket
+        assert np.max(np.abs(n)) == 0.0
+        assert np.max(np.abs(nhat)) == 0.0
+        res = structure_property_residuals(flat.structure, ORIGIN, fields=f)
+        assert res["nijenhuis_route_gap_n"] == 0.0 and res["nijenhuis_route_gap_nhat"] == 0.0
 
     def test_example1_nhat_values(self, ex1):
-        nij = nijenhuis(ex1.structure, ORIGIN)
-        nhat = nij.nhat_bracket.components
+        n, nhat = PointFields(ex1.structure, ORIGIN).nijenhuis_bracket
         # Nhat = -4 (gtilde - eta x eta) (x) xi on this structure
         assert nhat[1, 1, 0] == pytest.approx(0.0, abs=1e-12)
         assert nhat[1, 2, 0] == pytest.approx(4.0, abs=1e-12)
-        assert np.max(np.abs(nij.n_bracket.components)) < 1e-12
+        assert np.max(np.abs(n)) < 1e-12
 
     def test_route_agreement_example2(self, ex2):
-        nij = nijenhuis(ex2.structure, ORIGIN)
-        assert nij.route_gap_n < 1e-8
-        assert nij.route_gap_nhat < 1e-8
+        res = structure_property_residuals(ex2.structure, ORIGIN)
+        assert res["nijenhuis_route_gap_n"] < 1e-8
+        assert res["nijenhuis_route_gap_nhat"] < 1e-8
 
     def test_route_agreement_with_varying_phi(self):
         s = coordinate_frame_realization()
         for p in s.model.sample_points(4, 6):
-            nij = nijenhuis(s, p)
-            assert nij.route_gap_n < 1e-8
-            assert nij.route_gap_nhat < 1e-8
+            f = PointFields(s, p)
+            (n_a, nhat_a), (n_b, nhat_b) = f.nijenhuis_bracket, f.nijenhuis_from_F
+            assert np.max(np.abs(n_a - n_b)) < 1e-8
+            assert np.max(np.abs(nhat_a - nhat_b)) < 1e-8
 
     def test_symmetric_bracket_expansion(self, ex2_generic):
         # g({x,y},z) = x g(y,z) + y g(x,z) - z g(x,y) - g([y,z],x) + g([z,x],y)

@@ -245,6 +245,12 @@ class TestCli:
         (["transform", "-m", "example1", "--params", "u=0.3,bogus=1"], 2),
         # --params goes whole to every named builtin, and example2 takes no n
         (["verify", "-m", "example1", "-m", "example2", "--params", "n=2"], 2),
+        # model parameters must be finite reals, and n a whole number
+        (["verify", "-m", "example1", "--params", "n=2.5"], 2),
+        (["verify", "-m", "example1", "--params", "n=abc"], 2),
+        (["verify", "-m", "example2", "--params", "lam=nan", "--only", "structure"], 2),
+        (["verify", "-m", "SPEC:nan_constant"], 2),
+        (["verify", "-m", "SPEC:asymmetric_metric"], 2),
     ])
     def test_bad_input(self, argv, code, tmp_path, capsys):
         specs = {
@@ -253,6 +259,10 @@ class TestCli:
             "not_jacobi": {"kind": "lie_group", "n": 1, "structure_constants": [
                 {"i": 0, "j": 1, "k": 2, "value": 1.0},
                 {"i": 1, "j": 2, "k": 1, "value": 1.0}]},
+            "nan_constant": {"kind": "lie_group", "n": 1, "structure_constants": [
+                {"i": 0, "j": 1, "k": 2, "value": float("nan")}]},
+            "asymmetric_metric": {"kind": "lie_group", "n": 1, "structure_constants": [],
+                                  "metric": [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]},
         }
         for name, spec in specs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(spec))
