@@ -6,16 +6,11 @@ from .conformal import (
     TransformParams,
     apply_cct,
     eta_complex_einstein_check,
-    homothetic_connection,
-    homothetic_curvature_and_ricci,
-    preservation_residuals,
+    field_pairs,
+    homothetic_laws,
+    transformed_residuals,
 )
-from .connection import (
-    gauss_residual,
-    hsphere_curvature,
-    levi_civita,
-    riemann,
-)
+from .connection import hsphere_curvature, levi_civita, riemann
 from .corpus import BUILTINS, builtin, cross_representation_check, default_corpus
 from .frame_algebra import MetricMatrix, kulkarni_nomizu, standard_signature
 from .models import (
@@ -31,6 +26,7 @@ from .sasaki import (
     check_nabla_phi,
     check_nijenhuis_form,
     cone_holomorphic_residual,
+    gauss_residual,
 )
 from .structure import (
     AccrStructure,

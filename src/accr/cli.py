@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 import jsonschema
@@ -34,7 +35,6 @@ from .verify import (
     report_to_json,
     run_all,
     tolerance_for,
-    transformed_residuals,
     within,
 )
 
@@ -153,12 +153,13 @@ def cmd_transform(args) -> int:
         pts = cm.model.sample_points(cfg.points, cfg.seed)
         entry = {"name": cm.name, "params": dict(cm.params)}
         try:
-            res = transformed_residuals(cm.structure, t, pts)
+            pairs = conf.field_pairs(cm.structure, t, pts)
+            first = next(pairs)
+            res = conf.transformed_residuals(t, chain([first], pairs))
             entry["preservation"] = res["preservation"]
             if t.is_constant:
-                entry["connection_formula_residual"] = conf.homothetic_connection(
-                    cm.structure, t, pts[0])[1]
-                entry["laws"] = conf.homothetic_curvature_and_ricci(cm.structure, t, pts[0])
+                entry["laws"] = conf.homothetic_laws(*first, t)
+                entry["connection_formula_residual"] = entry["laws"].pop("connection_formula")
             entry["transformed_defining"] = res["defining"]
             tol = tolerance_for("conformal.preserve.transformed_defining", cm, cfg)
             entry["sasaki_preserved"] = within(worst(res["defining"].values()), tol)

@@ -18,27 +18,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .connection import levi_civita
 from .errors import NonConstantParams
 from .frame_algebra import standard_signature
 from .models import ManifoldModel
-from .sasaki import require_sasaki_like
-from .structure import AccrStructure, PointFields, max_over_points
+from .sasaki import check_defining_conditions, require_sasaki_like
+from .structure import AccrStructure, PointFields, max_over_points, validate_structure
 
 __all__ = [
     "TransformParams",
     "TransformedStructure",
     "apply_cct",
-    "preservation_residuals",
+    "field_pairs",
+    "transformed_residuals",
     "preservation_at",
-    "homothetic_connection",
-    "homothetic_curvature_and_ricci",
+    "homothetic_laws",
     "EinsteinFit",
     "eta_complex_einstein_check",
-    "pointwise_einstein_residual",
 ]
 
 
@@ -129,9 +128,30 @@ def apply_cct(s: AccrStructure, t: TransformParams) -> TransformedStructure:
                                 eta=eta_bar, original=s, params=t)
 
 
-def preservation_residuals(s: AccrStructure, t: TransformParams, points,
-                           sasaki_tol=1e-4) -> dict:
-    """Residuals of the Sasaki-like preservation conditions
+def field_pairs(s: AccrStructure, t: TransformParams, points):
+    """(base, transformed) PointFields of s and apply_cct(s, t) at each point,
+    made as the caller reaches the point, so that no list of fields is kept.
+    The base must be Sasaki-like at the first point (else NotSasakiLike)."""
+    first = PointFields(s, points[0])
+    require_sasaki_like(first)
+    ts = apply_cct(s, t)
+    yield first, PointFields(ts, points[0])
+    for p in points[1:]:
+        yield PointFields(s, p), PointFields(ts, p)
+
+
+def transformed_residuals(t: TransformParams, pairs) -> dict:
+    """Max over the field_pairs of the preservation residuals of t
+    ("preservation") and of the defining conditions ("defining") and axioms
+    ("axioms") of the transformed structure."""
+    return max_over_points(pairs, lambda fs: {
+        "preservation": preservation_at(*fs, t),
+        "defining": check_defining_conditions(fs[1]),
+        "axioms": validate_structure(fs[1])})
+
+
+def preservation_at(f: PointFields, fb: PointFields, t: TransformParams) -> dict:
+    """Residuals at f.p of the Sasaki-like preservation conditions
 
         dw o phi = 0,
         du - dv o phi = 0,
@@ -139,25 +159,16 @@ def preservation_residuals(s: AccrStructure, t: TransformParams, points,
 
     their consequences du(xi) = 0 and dv(xi) = 1 - e^w, the auxiliary
     1-forms (zero exactly when the conditions hold), and a direct check:
-    the structure tensor of the transformed metric must equal
+    the structure tensor of the transformed metric (fb holds the transformed
+    structure, f the base) must equal
 
         F_bar(x,y,z) = e^{w+2u} { cos 2v [eta(z) g(phi x, phi y)
                                           + eta(y) g(phi x, phi z)]
                                 - sin 2v [eta(z) g(x, phi y)
                                           + eta(y) g(x, phi z)] }.
     """
-    require_sasaki_like(s, points[0], tol=sasaki_tol)
-    ts = apply_cct(s, t)
-    return max_over_points(points, lambda p: preservation_at(s, t, p, PointFields(ts, p)))
-
-
-def preservation_at(s: AccrStructure, t: TransformParams, p, fields_bar: PointFields) -> dict:
-    """The residuals of preservation_residuals at one point; ``fields_bar``
-    holds the transformed structure apply_cct(s, t) at p, so a caller that
-    also checks that structure solves its connection once."""
-    f = PointFields(s, p)
-    u, v, w = t.at(p)
-    du, dv, dw = t.differentials_at(s.model, p)
+    u, v, w = t.at(f.p)
+    du, dv, dw = t.differentials_at(f.s.model, f.p)
     phi, eta = f.phi, f.eta
     cond1 = dw @ phi
     cond2 = du - dv @ phi
@@ -181,48 +192,20 @@ def preservation_at(s: AccrStructure, t: TransformParams, p, fields_bar: PointFi
         "dv_xi": abs(dv @ f.xi - (1.0 - math.exp(w))),
         "one_form_a": np.max(np.abs(a_form)),
         "one_form_b": np.max(np.abs(b_form)),
-        "f_bar_direct": np.max(np.abs(fields_bar.F - target)),
+        "f_bar_direct": np.max(np.abs(fb.F - target)),
     }
 
 
-def _homothetic_shift(s, t, p):
-    """(fields, g(phi., phi.), g(., phi.), e^{2(u-w)} sin 2v, 1 - e^{2(u-w)} cos 2v)."""
-    if not t.is_constant:
-        raise NonConstantParams("closed-form transformation laws need constant (u, v, w)")
-    u, v, w = t.at(p)
-    f = PointFields(s, p)
-    gpp = np.einsum("ai,bj,ab->ij", f.phi, f.phi, f.g)
-    return (f, gpp, f.g @ f.phi, math.exp(2 * (u - w)) * math.sin(2 * v),
-            1.0 - math.exp(2 * (u - w)) * math.cos(2 * v))
-
-
-def homothetic_connection(s: AccrStructure, t: TransformParams, p):
-    """Connection shift under a homothetic transformation of a Sasaki-like
-    structure:
-
-        nabla_bar_x y = nabla_x y + e^{2(u-w)} sin 2v g(phi x, phi y) xi
-                        - (1 - e^{2(u-w)} cos 2v) g(x, phi y) xi
-
-    (the second coefficient is sometimes quoted as e^{-2w} - e^{2(u-w)}
-    cos 2v, which agrees only at w = 0; matching the Koszul solution for
-    g_bar on the group examples forces the constant term 1).
-
-    Returns (delta, residual) where delta[i, j, k] is the shift in the same
-    layout as the connection coefficients and residual compares the formula
-    against the Koszul solution for g_bar.
-    """
-    f, gpp, gp, coef_a, coef_b = _homothetic_shift(s, t, p)
-    delta = np.einsum("ij,k->ijk", coef_a * gpp - coef_b * gp, f.xi)
-    ts = apply_cct(s, t)
-    direct = levi_civita(ts.model, p).gamma
-    residual = float(np.max(np.abs(f.gamma + delta - direct)))
-    return delta, residual
-
-
-def homothetic_curvature_and_ricci(s: AccrStructure, t: TransformParams, p) -> dict:
-    """Curvature transformation laws under homothetic transformations.
-
-    Checks, against direct recomputation on g_bar:
+def homothetic_laws(f: PointFields, fb: PointFields, t: TransformParams) -> dict:
+    """Transformation laws of a homothetic transformation (constant u, v, w)
+    of a Sasaki-like structure at f.p, checked against g_bar, its connection
+    and its curvature as fb holds them:
+      * the connection shift ("connection_formula")
+          nabla_bar_x y = nabla_x y + e^{2(u-w)} sin 2v g(phi x, phi y) xi
+                          - (1 - e^{2(u-w)} cos 2v) g(x, phi y) xi
+        (the second coefficient is sometimes quoted as e^{-2w} - e^{2(u-w)}
+        cos 2v, which agrees only at w = 0; matching the Koszul solution for
+        g_bar on the group examples forces the constant term 1),
       * the closed-form (1,3) curvature shift,
       * Ricci invariance Ric_bar = Ric,
       * the scalar curvature laws
@@ -234,13 +217,17 @@ def homothetic_curvature_and_ricci(s: AccrStructure, t: TransformParams, p) -> d
           e_bar_i = e^{-u} (cos v e_i - sin v phi e_i)
         for g_bar and the trace of Ric in that basis.
     """
-    f, gpp, gp, coef_a, coef_b = _homothetic_shift(s, t, p)
-    u, v, w = t.at(p)
-    ts = apply_cct(s, t)
-    bundle = f.curvature
-    bundle_bar = PointFields(ts, p).curvature
-
+    if not t.is_constant:
+        raise NonConstantParams("closed-form transformation laws need constant (u, v, w)")
+    u, v, w = t.at(f.p)
     phi, eta, xi = f.phi, f.eta, f.xi
+    gpp = np.einsum("ai,bj,ab->ij", phi, phi, f.g)
+    gp = f.g @ phi
+    coef_a = math.exp(2 * (u - w)) * math.sin(2 * v)
+    coef_b = 1.0 - math.exp(2 * (u - w)) * math.cos(2 * v)
+    delta = np.einsum("ij,k->ijk", coef_a * gpp - coef_b * gp, xi)
+    bundle, bundle_bar = f.curvature, fb.curvature
+
     term_a = (
         np.einsum("jk,i,l->ijkl", gp, eta, xi)
         - np.einsum("jk,li->ijkl", gpp, phi)
@@ -263,7 +250,7 @@ def homothetic_curvature_and_ricci(s: AccrStructure, t: TransformParams, p) -> d
     scal_star_formula = e2u * s2v * bundle.scal + e2u * c2v * bundle.scal_star \
         - e2u * s2v * ric_xx
 
-    n, d = s.n, s.dim
+    n, d = f.s.n, f.dim
     basis = np.zeros((d, d))
     basis[:, 0] = math.exp(-w) * xi
     for i in range(1, n + 1):
@@ -272,9 +259,8 @@ def homothetic_curvature_and_ricci(s: AccrStructure, t: TransformParams, p) -> d
         bi = math.exp(-u) * (math.cos(v) * ei - math.sin(v) * (phi @ ei))
         basis[:, i] = bi
         basis[:, n + i] = phi @ bi
-    gbar = ts.model.metric_at(p)
     eps = standard_signature(n)
-    ortho = float(np.max(np.abs(basis.T @ gbar @ basis - np.diag(eps))))
+    ortho = float(np.max(np.abs(basis.T @ fb.g @ basis - np.diag(eps))))
     scal_basis = float(np.einsum("a,ia,ij,ja->", eps, basis, bundle_bar.ric, basis))
     phib = basis.copy()
     phib[:, 0] = 0.0
@@ -284,6 +270,7 @@ def homothetic_curvature_and_ricci(s: AccrStructure, t: TransformParams, p) -> d
     scal_star_basis = float(np.einsum("a,ia,ij,ja->", eps, basis, bundle_bar.ric, phib))
 
     return {
+        "connection_formula": float(np.max(np.abs(f.gamma + delta - fb.gamma))),
         "curvature_formula": float(np.max(np.abs(r_up_formula - bundle_bar.r_up))),
         "ricci_invariance": float(np.max(np.abs(bundle_bar.ric - bundle.ric))),
         "scal_formula": float(abs(scal_formula - bundle_bar.scal)),
@@ -315,27 +302,22 @@ class EinsteinFit:
     einstein_residual: float | None
 
 
-def pointwise_einstein_residual(s: AccrStructure, p) -> float:
-    f = PointFields(s, p)
-    return float(np.max(np.abs(f.curvature.ric - 2.0 * s.n * f.g)))
-
-
-def eta_complex_einstein_check(s: AccrStructure, points, tol=1e-8,
-                               sasaki_tol=1e-4) -> EinsteinFit:
+def eta_complex_einstein_check(s: AccrStructure, points, tol=1e-8) -> EinsteinFit:
     """Classify the Ricci tensor of a Sasaki-like structure.
 
     classification: "einstein" ((c,d) = (1,0)), "eta_einstein" (d = 0),
     "eta_complex_einstein", or "none" when no constants fit.
     """
-    require_sasaki_like(s, points[0], tol=sasaki_tol)
     n = s.n
-    rows = []
-    targets = []
-    for p in points:
-        f = PointFields(s, p)
+    rows, targets, rics = [], [], []
+    fields = (PointFields(s, p) for p in points)
+    first = next(fields)
+    require_sasaki_like(first)
+    for f in chain([first], fields):
         ee = np.outer(f.eta, f.eta)
         rows.append(np.stack([(f.g - ee).ravel(), (f.g @ f.phi).ravel()], axis=1))
-        targets.append((f.curvature.ric - 2.0 * n * ee).ravel())
+        rics.append(f.curvature.ric)
+        targets.append((rics[-1] - 2.0 * n * ee).ravel())
     design = np.vstack(rows)
     target = np.concatenate(targets)
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
@@ -364,8 +346,8 @@ def eta_complex_einstein_check(s: AccrStructure, points, tol=1e-8,
         cd2 = c * c + d * d
         to_einstein = {"u": -0.25 * math.log(cd2), "v": -0.5 * math.atan2(d, c), "w": 0.0}
         ts = apply_cct(s, TransformParams(**to_einstein))
-        einstein_residual = max_over_points(points, lambda p: {"ric": np.max(np.abs(
-            PointFields(s, p).curvature.ric - 2.0 * n * ts.model.metric_at(p)))})["ric"]
+        einstein_residual = max_over_points(zip(points, rics), lambda pr: {"ric": np.max(
+            np.abs(pr[1] - 2.0 * n * ts.model.metric_at(pr[0])))})["ric"]
 
     return EinsteinFit(alpha=alpha, beta=beta, residual=residual, c=c, d=d,
                        classification=cls, to_einstein=to_einstein,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetric, DegenerateParameters
-from .frame_algebra import kulkarni_nomizu, project_all
+from .frame_algebra import kulkarni_nomizu
 
 __all__ = [
     "ConnectionCoefficients",
@@ -25,8 +25,6 @@ __all__ = [
     "levi_civita",
     "riemann",
     "holomorphy_residual",
-    "gauss_residual",
-    "second_fundamental_form_residual",
     "HSphereCurvature",
     "hsphere_curvature",
     "standard_norden_pair",
@@ -139,45 +137,6 @@ def holomorphy_residual(base, p) -> float:
     dJ = base.model.frame_derivative(p, lambda q: J)
     nj = dJ + np.einsum("imk,mj->ikj", gamma, J) - np.einsum("km,ijm->ikj", J, gamma)
     return float(np.max(np.abs(nj)))
-
-
-def gauss_residual(structure, p, base_r=None, bundle=None, fields=None) -> float:
-    """Hypersurface comparison on horizontal arguments:
-
-        R(X,Y,Z,U) = R_base(X,Y,Z,U) + g(phi X, Z) g(phi Y, U)
-                                     - g(phi Y, Z) g(phi X, U)
-
-    ``base_r`` supplies the (0,4) curvature of the horizontal leaf at p
-    (zeros when omitted, i.e. a flat leaf); ``fields``, the structure's
-    PointFields at p, spares the Sasaki-like precondition a second solve.
-    """
-    from .sasaki import require_sasaki_like  # deferred: cycle with this module
-
-    require_sasaki_like(structure, p, fields=fields)
-    if bundle is None:
-        bundle = riemann(structure.model, p, phi=structure.phi_at(p))
-    g = structure.model.metric_at(p)
-    phi = structure.phi_at(p)
-    proj = structure.projector_at(p)
-    gphi = g @ phi
-    rhs = np.einsum("ik,jl->ijkl", gphi, gphi) - np.einsum("jk,il->ijkl", gphi, gphi)
-    rh = np.zeros_like(bundle.r) if base_r is None else np.asarray(base_r)
-    resid = project_all(bundle.r - rh - rhs, proj)
-    return float(np.max(np.abs(resid)))
-
-
-def second_fundamental_form_residual(structure, p, gamma=None) -> float:
-    """g(nabla_X xi, Y) + gtilde(X, Y) on horizontal X, Y."""
-    if gamma is None:
-        gamma = levi_civita(structure.model, p).gamma
-    g = structure.model.metric_at(p)
-    xi = structure.xi_at(p)
-    dxi = structure.xi_derivs_at(p)
-    nxi = dxi + np.einsum("imk,m->ik", gamma, xi)
-    gt = structure.gtilde_at(p)
-    proj = structure.projector_at(p)
-    resid = project_all(np.einsum("ik,kj->ij", nxi, g) + gt, proj)
-    return float(np.max(np.abs(resid)))
 
 
 def standard_norden_pair(n):

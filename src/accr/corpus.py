@@ -34,7 +34,7 @@ from .models import (
     product_extension,
 )
 from .sasaki import check_defining_conditions
-from .structure import AccrStructure, max_over_points, standard_structure, worst
+from .structure import AccrStructure, PointFields, max_over_points, standard_structure, worst
 
 
 @dataclass
@@ -397,7 +397,7 @@ def cross_representation_check(lie: CorpusModel, chart: CorpusModel,
 
     out = max_over_points(pts, at)
     defining = lambda cm, points: worst(max_over_points(
-        points, lambda p: check_defining_conditions(cm.structure, p)).values())
+        points, lambda p: check_defining_conditions(PointFields(cm.structure, p))).values())
     v_lie = defining(lie, [np.zeros(0)]) < 1e-9
     v_chart = defining(chart, pts[:5]) < 1e-6
     return {

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .connection import holomorphy_residual
 from .errors import (
     BadParams,
     BadSignature,
@@ -28,6 +29,7 @@ from .errors import (
     SingularCoframe,
 )
 from .frame_algebra import MetricMatrix
+from .structure import AccrStructure, worst
 
 DEFAULT_FD_STEP = 1e-3
 
@@ -356,9 +358,6 @@ def product_extension(base: HolomorphicBase):
     xi = d/dt, phi restricted to the horizontal distribution equal to J.
     Raises BaseNotHolomorphic when nabla^h J fails to vanish on 4 samples.
     """
-    from .connection import holomorphy_residual  # deferred: avoids import cycle
-    from .structure import AccrStructure, worst
-
     for q in base.model.sample_points(4, seed=7):
         res = worst((base.norden_residual(q), base.htilde_symmetry_residual(q),
                      holomorphy_residual(base, q)))

@@ -87,6 +87,17 @@ MODELSPEC_SCHEMA = {
 }
 
 
+def _square(value, what, d):
+    """value as a d x d float matrix; BadParams for any other shape."""
+    try:
+        m = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        m = None
+    if m is None or m.shape != (d, d):
+        raise BadParams(f"{what} must be a {d}x{d} matrix of numbers")
+    return m
+
+
 def model_from_spec(spec: dict) -> CorpusModel:
     jsonschema.validate(spec, MODELSPEC_SCHEMA)
     if spec["kind"] == "builtin":
@@ -107,16 +118,19 @@ def model_from_spec(spec: dict) -> CorpusModel:
     if metric_spec == "standard":
         metric = MetricMatrix(np.diag(standard_signature(n)))
     else:
-        metric = MetricMatrix(np.asarray(metric_spec, dtype=float))
+        metric = MetricMatrix(_square(metric_spec, "metric", d))
     model = lie_group_model(n, c, metric)
     jacobi = model.jacobi_residual()
     if not jacobi <= 1e-9:
         raise BadParams(f"structure constants break the Jacobi identity (residual {jacobi:.3e})")
     phi_spec = spec.get("phi", "standard")
     phi = (standard_structure(model, n).phi if phi_spec == "standard"
-           else np.asarray(phi_spec, dtype=float))
+           else _square(phi_spec, "phi", d))
+    xi_index = spec.get("xi_index", 0)
+    if xi_index >= d:
+        raise BadParams(f"xi_index {xi_index} out of range for dimension {d}")
     xi = np.zeros(d)
-    xi[spec.get("xi_index", 0)] = 1.0
+    xi[xi_index] = 1.0
     eta = metric.components @ xi
     structure = AccrStructure(model=model, n=n, phi=phi, xi=xi, eta=eta)
     return CorpusModel(

@@ -8,8 +8,9 @@ on horizontal arguments; equivalently (nabla_x phi) y = -g(x,y) xi
 - eta(y) x + 2 eta(x) eta(y) xi, equivalently N = 0 together with
 Nhat = -4 (gtilde - eta x eta) (x) xi.  A third, geometric route: the
 complex cone must carry a parallel complex structure.  All three are
-evaluated here as residuals, along with the curvature identities that
-follow.
+evaluated here as residuals, along with the curvature identities and the
+Gauss comparison that follow.  Every residual function reads the
+PointFields of its point.
 """
 
 from __future__ import annotations
@@ -31,14 +32,15 @@ __all__ = [
     "check_corollary",
     "curvature_identity_residuals",
     "require_sasaki_like",
+    "gauss_residual",
+    "second_fundamental_form_residual",
     "cone_holomorphic_residual",
     "ConeCheck",
 ]
 
 
-def check_defining_conditions(s: AccrStructure, p, fields=None) -> dict:
+def check_defining_conditions(f: PointFields) -> dict:
     """Residuals of the four defining conditions on projected arguments."""
-    f = fields or PointFields(s, p)
     F, xi, proj, g = f.F, f.xi, f.proj, f.g
     fhhh = project_all(F, proj)
     f_xi_first = np.einsum("a,ajk->jk", xi, F)
@@ -53,17 +55,15 @@ def check_defining_conditions(s: AccrStructure, p, fields=None) -> dict:
     }
 
 
-def check_nabla_phi(s: AccrStructure, p, fields=None) -> float:
+def check_nabla_phi(f: PointFields) -> float:
     """Residual of F(x,y,z) = g(phi x, phi y) eta(z) + g(phi x, phi z) eta(y)."""
-    f = fields or PointFields(s, p)
     gpp = np.einsum("ai,bj,ab->ij", f.phi, f.phi, f.g)
     rhs = np.einsum("ij,k->ijk", gpp, f.eta) + np.einsum("ik,j->ijk", gpp, f.eta)
     return float(np.max(np.abs(f.F - rhs)))
 
 
-def check_nijenhuis_form(s: AccrStructure, p, fields=None) -> dict:
+def check_nijenhuis_form(f: PointFields) -> dict:
     """N = 0 and Nhat = -4 (gtilde - eta x eta) (x) xi, bracket route."""
-    f = fields or PointFields(s, p)
     n, nhat = f.nijenhuis_bracket
     shape = np.einsum("ij,k->ijk", f.gtilde - np.outer(f.eta, f.eta), f.eta)
     return {
@@ -73,11 +73,10 @@ def check_nijenhuis_form(s: AccrStructure, p, fields=None) -> dict:
     }
 
 
-def check_corollary(s: AccrStructure, p, fields=None) -> dict:
+def check_corollary(f: PointFields) -> dict:
     """Consequences: eta closed, geodesic xi, theta = -2n eta, theta* = 0,
     [X, xi] horizontal, and nabla_xi X = -phi X - [X, xi]."""
-    f = fields or PointFields(s, p)
-    n = s.n
+    n = f.s.n
     nabla_xi_xi = np.einsum("i,ik->k", f.xi, f.nabla_xi)
 
     # brackets of projected frame fields with xi, including derivative terms
@@ -103,7 +102,7 @@ def check_corollary(s: AccrStructure, p, fields=None) -> dict:
     }
 
 
-def curvature_identity_residuals(s: AccrStructure, p, fields=None, base_ric=None) -> dict:
+def curvature_identity_residuals(f: PointFields, base_ric=None) -> dict:
     """Curvature identities of Sasaki-like structures.
 
     phi-commutation:
@@ -118,8 +117,7 @@ def curvature_identity_residuals(s: AccrStructure, p, fields=None, base_ric=None
     R(x,y,xi,z) = eta(y) g(x,z) - eta(x) g(y,z), and, when the leaf Ricci
     is supplied, Ric(Y,Z) = Ric_base(Y,Z) on horizontal arguments.
     """
-    f = fields or PointFields(s, p)
-    n = s.n
+    n = f.s.n
     cur = f.curvature
     r, r_up, ric = cur.r, cur.r_up, cur.ric
     g, phi, eta, xi, proj = f.g, f.phi, f.eta, f.xi, f.proj
@@ -136,7 +134,7 @@ def curvature_identity_residuals(s: AccrStructure, p, fields=None, base_ric=None
     curf = float(np.max(np.abs(lhs - rhs)))
 
     r_xy_xi = np.einsum("ijkl,k->ijl", r_up, xi)
-    expected = np.einsum("j,il->ijl", eta, np.eye(s.dim)) - np.einsum("i,jl->ijl", eta, np.eye(s.dim))
+    expected = np.einsum("j,il->ijl", eta, np.eye(f.dim)) - np.einsum("i,jl->ijl", eta, np.eye(f.dim))
     cur_xi = float(np.max(np.abs(r_xy_xi - expected)))
 
     t = np.einsum("i,k,ijkl->jl", xi, xi, r_up)
@@ -164,11 +162,35 @@ def curvature_identity_residuals(s: AccrStructure, p, fields=None, base_ric=None
     return out
 
 
-def require_sasaki_like(s: AccrStructure, p, tol=1e-4, fields=None):
-    res = check_defining_conditions(s, p, fields=fields)
-    worst_res = worst(res.values())
-    if not worst_res <= tol:
-        raise NotSasakiLike(f"defining residual {worst_res:.3e} exceeds {tol}")
+def require_sasaki_like(f: PointFields):
+    """Raise NotSasakiLike unless the defining conditions hold at f.p to 1e-4,
+    the precondition of the Gauss comparison and of the conformal laws."""
+    worst_res = worst(check_defining_conditions(f).values())
+    if not worst_res <= 1e-4:
+        raise NotSasakiLike(f"defining residual {worst_res:.3e} exceeds {1e-4}")
+
+
+def gauss_residual(f: PointFields, base_r=None) -> float:
+    """Hypersurface comparison on horizontal arguments:
+
+        R(X,Y,Z,U) = R_base(X,Y,Z,U) + g(phi X, Z) g(phi Y, U)
+                                     - g(phi Y, Z) g(phi X, U)
+
+    ``base_r`` supplies the (0,4) curvature of the horizontal leaf at f.p
+    (zeros when omitted, i.e. a flat leaf).
+    """
+    require_sasaki_like(f)
+    r = f.curvature.r
+    gphi = f.g @ f.phi
+    rhs = np.einsum("ik,jl->ijkl", gphi, gphi) - np.einsum("jk,il->ijkl", gphi, gphi)
+    rh = np.zeros_like(r) if base_r is None else np.asarray(base_r)
+    return float(np.max(np.abs(project_all(r - rh - rhs, f.proj))))
+
+
+def second_fundamental_form_residual(f: PointFields) -> float:
+    """g(nabla_X xi, Y) + gtilde(X, Y) on horizontal X, Y."""
+    resid = project_all(np.einsum("ik,kj->ij", f.nabla_xi, f.g) + f.gtilde, f.proj)
+    return float(np.max(np.abs(resid)))
 
 
 @dataclass

@@ -104,15 +104,6 @@ class AccrStructure:
     def eta_at(self, p):
         return self._eta_fn(p)
 
-    def gtilde_at(self, p):
-        g = self.g_at(p)
-        eta = self.eta_at(p)
-        return g @ self.phi_at(p) + np.outer(eta, eta)
-
-    def projector_at(self, p):
-        """Horizontal projector P = Id - eta (x) xi acting on vectors."""
-        return np.eye(self.dim) - np.outer(self.xi_at(p), self.eta_at(p))
-
     def _derivs(self, p, fn, const):
         if const:
             return np.zeros((self.dim,) + np.asarray(fn(p)).shape)
@@ -143,7 +134,8 @@ def standard_structure(model, n) -> AccrStructure:
 
 
 class PointFields:
-    """Lazy cache of everything the identity checks need at one point."""
+    """Lazy cache of everything the identity checks need at one point: the
+    one input of every residual function, so each tensor is computed once."""
 
     def __init__(self, structure: AccrStructure, p):
         self.s = structure
@@ -204,6 +196,7 @@ class PointFields:
 
     @cached_property
     def proj(self):
+        """Horizontal projector P = Id - eta (x) xi acting on vectors."""
         return np.eye(self.dim) - np.outer(self.xi, self.eta)
 
     @cached_property
@@ -302,15 +295,14 @@ class PointFields:
         return riemann(self.s.model, self.p, phi=self.phi, gamma=self.gamma)
 
 
-def validate_structure(s: AccrStructure, p, fields: PointFields | None = None) -> dict:
-    """Residuals of every structure axiom at p.  Reports, never raises."""
-    f = fields or PointFields(s, p)
+def validate_structure(f: PointFields) -> dict:
+    """Residuals of every structure axiom at f.p.  Reports, never raises."""
     phi, xi, eta, g = f.phi, f.xi, f.eta, f.g
     phi2 = phi @ phi
     compat = np.einsum("ai,bj,ab->ij", phi, phi, g) + g - np.outer(eta, eta)
     out = {
         "phi_xi": float(np.max(np.abs(phi @ xi))),
-        "phi_squared": float(np.max(np.abs(phi2 + np.eye(s.dim) - np.outer(xi, eta)))),
+        "phi_squared": float(np.max(np.abs(phi2 + np.eye(f.dim) - np.outer(xi, eta)))),
         "eta_phi": float(np.max(np.abs(eta @ phi))),
         "eta_xi": float(abs(eta @ xi - 1.0)),
         "metric_compat": float(np.max(np.abs(compat))),
@@ -318,14 +310,14 @@ def validate_structure(s: AccrStructure, p, fields: PointFields | None = None) -
     }
     ok_g = np.linalg.eigvalsh(g)
     ok_gt = np.linalg.eigvalsh(f.gtilde)
-    want = (s.n + 1, s.n)
+    want = (f.s.n + 1, f.s.n)
     sig = lambda ev: (int(np.sum(ev > 0)), int(np.sum(ev < 0)))
     out["signature_g"] = 0.0 if sig(ok_g) == want else 1.0
     out["signature_gtilde"] = 0.0 if sig(ok_gt) == want else 1.0
     return out
 
 
-def theorem_3_4_residual(s: AccrStructure, p, fields: PointFields | None = None) -> float:
+def theorem_3_4_residual(f: PointFields) -> float:
     """Reconstruction of F from the two Nijenhuis tensors:
 
     F(x,y,z) = -1/4 [N(phi x,y,z) + N(phi x,z,y)
@@ -336,7 +328,6 @@ def theorem_3_4_residual(s: AccrStructure, p, fields: PointFields | None = None)
     evaluated with the bracket-route tensors, so both sides are
     independent computations.
     """
-    f = fields or PointFields(s, p)
     n, nhat = f.nijenhuis_bracket
     phi, eta, xi = f.phi, f.eta, f.xi
     n_phi = np.einsum("ai,ajk->ijk", phi, n)
@@ -353,9 +344,8 @@ def theorem_3_4_residual(s: AccrStructure, p, fields: PointFields | None = None)
     return float(np.max(np.abs(f.F - rhs)))
 
 
-def structure_property_residuals(s: AccrStructure, p, fields: PointFields | None = None) -> dict:
+def structure_property_residuals(f: PointFields) -> dict:
     """General identities satisfied on every accR manifold."""
-    f = fields or PointFields(s, p)
     F, phi, eta, xi = f.F, f.phi, f.eta, f.xi
     phi2 = phi @ phi
 

@@ -21,7 +21,6 @@ import numpy as np
 from . import conformal as conf
 from . import corpus as corpus_mod
 from . import sasaki as sas
-from .connection import gauss_residual, second_fundamental_form_residual
 from .errors import GeometryError, NotSasakiLike
 from .structure import (
     PointFields,
@@ -182,40 +181,22 @@ class Family:
     applies: object = lambda cm: True
 
 
-def transformed_residuals(s, t, points) -> dict:
-    """Max over the points of the preservation residuals of t ("preservation")
-    and of the defining conditions ("defining") and axioms ("axioms") of the
-    transformed structure, read from one PointFields of it per point."""
-    sas.require_sasaki_like(s, points[0])
-    ts = conf.apply_cct(s, t)
-
-    def at(p):
-        fb = PointFields(ts, p)
-        return {"preservation": conf.preservation_at(s, t, p, fb),
-                "defining": sas.check_defining_conditions(ts, p, fields=fb),
-                "axioms": validate_structure(ts, p, fields=fb)}
-
-    return max_over_points(points, at)
-
-
 def _preserve(cm, pts, count, seed):
-    res = transformed_residuals(cm.structure, HOMOTHETY, pts)
+    res = conf.transformed_residuals(HOMOTHETY, conf.field_pairs(cm.structure, HOMOTHETY, pts))
     return {**res["preservation"],
             "transformed_defining": worst(res["defining"].values()),
             "transformed_axioms": worst(res["axioms"].values())}
 
 
 def _break(cm, pts, count, seed):
-    res = conf.preservation_residuals(cm.structure, BREAKING, pts)
-    return {k: res[k] for k in ("du_phi_plus_dv", "f_bar_direct")}
+    res = conf.transformed_residuals(BREAKING, conf.field_pairs(cm.structure, BREAKING, pts))
+    return {k: res["preservation"][k] for k in ("du_phi_plus_dv", "f_bar_direct")}
 
 
 def _homothetic(cm, pts, count, seed):
-    s, p = cm.structure, pts[0]
-    sas.require_sasaki_like(s, p)
-    laws = conf.homothetic_curvature_and_ricci(s, HOMOTHETY, p)
-    return {"connection_formula": conf.homothetic_connection(s, HOMOTHETY, p)[1],
-            **{k: v for k, v in laws.items() if not k.endswith("_bar")}}
+    f, fb = next(conf.field_pairs(cm.structure, HOMOTHETY, pts))
+    laws = conf.homothetic_laws(f, fb, HOMOTHETY)
+    return {k: v for k, v in laws.items() if not k.endswith("_bar")}
 
 
 def _eta_fit(cm, pts, count, seed):
@@ -240,26 +221,22 @@ def _conformal(exact_only=False):
 
 
 FAMILIES = (
-    Family("structure", lambda cm, f: validate_structure(f.s, f.p, fields=f)),
+    Family("structure", lambda cm, f: validate_structure(f)),
     Family("identity", lambda cm, f: {
-        **structure_property_residuals(f.s, f.p, fields=f),
-        "f_reconstruction": theorem_3_4_residual(f.s, f.p, fields=f)}),
+        **structure_property_residuals(f), "f_reconstruction": theorem_3_4_residual(f)}),
     Family("connection", lambda cm, f: {
         "torsion_free": f.conn.torsion_residual(f.c),
         "metric_compatibility": f.conn.metric_compat_residual(f.g, f.dg)}),
     Family("curvature", lambda cm, f: f.curvature.symmetry_residuals()),
-    Family("sasaki.defining", lambda cm, f: sas.check_defining_conditions(f.s, f.p, fields=f)),
-    Family("sasaki.nabla_phi", lambda cm, f: sas.check_nabla_phi(f.s, f.p, fields=f)),
-    Family("sasaki.nijenhuis", lambda cm, f: sas.check_nijenhuis_form(f.s, f.p, fields=f)),
-    Family("sasaki.corollary", lambda cm, f: sas.check_corollary(f.s, f.p, fields=f)),
+    Family("sasaki.defining", lambda cm, f: sas.check_defining_conditions(f)),
+    Family("sasaki.nabla_phi", lambda cm, f: sas.check_nabla_phi(f)),
+    Family("sasaki.nijenhuis", lambda cm, f: sas.check_nijenhuis_form(f)),
+    Family("sasaki.corollary", lambda cm, f: sas.check_corollary(f)),
     Family("sasaki.curvature", lambda cm, f: sas.curvature_identity_residuals(
-        f.s, f.p, fields=f, base_ric=cm.base_ric_at(f.p) if cm.base_ric_at else None)),
-    Family("gauss.residual",
-           lambda cm, f: gauss_residual(f.s, f.p, base_r=cm.base_r_at(f.p),
-                                        bundle=f.curvature, fields=f),
+        f, base_ric=cm.base_ric_at(f.p) if cm.base_ric_at else None)),
+    Family("gauss.residual", lambda cm, f: sas.gauss_residual(f, cm.base_r_at(f.p)),
            applies=lambda cm: cm.sasaki_expected and cm.base_r_at is not None),
-    Family("gauss.second_fundamental_form",
-           lambda cm, f: second_fundamental_form_residual(f.s, f.p, gamma=f.gamma)),
+    Family("gauss.second_fundamental_form", lambda cm, f: sas.second_fundamental_form_residual(f)),
     Family("cone", _cone, per_point=False),
     Family("crossrep", _crossrep, per_point=False,
            applies=lambda cm: cm.coframe_fn is not None and cm.lie_partner is not None),

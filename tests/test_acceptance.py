@@ -8,14 +8,8 @@ import math
 
 import numpy as np
 
-from accr.conformal import (
-    TransformParams,
-    apply_cct,
-    homothetic_connection,
-    homothetic_curvature_and_ricci,
-    preservation_residuals,
-)
-from accr.connection import gauss_residual, hsphere_curvature, levi_civita
+from accr.conformal import TransformParams, field_pairs, homothetic_laws, transformed_residuals
+from accr.connection import hsphere_curvature, levi_civita
 from accr.corpus import (
     cross_representation_check,
     example1,
@@ -32,6 +26,7 @@ from accr.sasaki import (
     check_nijenhuis_form,
     cone_holomorphic_residual,
     curvature_identity_residuals,
+    gauss_residual,
 )
 from accr.structure import PointFields, theorem_3_4_residual
 from accr.verify import VerifyConfig, report_to_json, run_all
@@ -49,9 +44,9 @@ def sasaki_residual_trio(structure, points):
     worst = [0.0, 0.0, 0.0]
     for p in points:
         f = PointFields(structure, p)
-        worst[0] = max(worst[0], max(check_defining_conditions(structure, p, fields=f).values()))
-        worst[1] = max(worst[1], check_nabla_phi(structure, p, fields=f))
-        worst[2] = max(worst[2], max(check_nijenhuis_form(structure, p, fields=f).values()))
+        worst[0] = max(worst[0], max(check_defining_conditions(f).values()))
+        worst[1] = max(worst[1], check_nabla_phi(f))
+        worst[2] = max(worst[2], max(check_nijenhuis_form(f).values()))
     return worst
 
 
@@ -87,11 +82,11 @@ def test_criterion_3_reconstruction_formula():
     worst_exact = 0.0
     for cm in (example1(1), example1(2), example1(3),
                example2(1.0, 0.0), example2(3.0, -2.0), flat_parallel(1)):
-        worst_exact = max(worst_exact, theorem_3_4_residual(cm.structure, ORIGIN))
+        worst_exact = max(worst_exact, theorem_3_4_residual(PointFields(cm.structure, ORIGIN)))
     worst_fd = 0.0
     for cm in (example1_chart(1), example2_chart(1.0), example3_hsphere_ext(3, 1.0, 0.0)):
         for p in cm.model.sample_points(6, 42):
-            worst_fd = max(worst_fd, theorem_3_4_residual(cm.structure, p))
+            worst_fd = max(worst_fd, theorem_3_4_residual(PointFields(cm.structure, p)))
     ok = worst_exact < 1e-9 and worst_fd < 1e-6
     report(3, ok, f"F reconstruction from N, Nhat: group models {worst_exact:.2e} "
                   f"(tol 1e-9), chart/extension {worst_fd:.2e} (tol 1e-6)")
@@ -106,7 +101,7 @@ def test_criterion_4_curvature_identities():
     worst_rxi = 0.0
     for cm in corpus:
         for p in cm.model.sample_points(4, 42):
-            res = curvature_identity_residuals(cm.structure, p)
+            res = curvature_identity_residuals(PointFields(cm.structure, p))
             worst_curf = max(worst_curf, res["phi_commutation"])
             worst_ric = max(worst_ric, res["ric_xi_xi"], res["ric_y_xi"])
             worst_rxi = max(worst_rxi, res["r_xi_x_xi"])
@@ -133,10 +128,8 @@ def test_criterion_6_gauss_equation():
         cm = example3_hsphere_ext(n=3, a=a, b=b)
         for p in cm.model.sample_points(5, 42):
             f = PointFields(cm.structure, p)
-            worst_gauss = max(worst_gauss, gauss_residual(
-                cm.structure, p, base_r=cm.base_r_at(p), bundle=f.curvature))
-            res = curvature_identity_residuals(
-                cm.structure, p, fields=f, base_ric=cm.base_ric_at(p))
+            worst_gauss = max(worst_gauss, gauss_residual(f, base_r=cm.base_r_at(p)))
+            res = curvature_identity_residuals(f, base_ric=cm.base_ric_at(p))
             worst_ric = max(worst_ric, res["horizontal_ricci"])
     scal = hsphere_curvature(2, 1.0, 0.0).scal
     ok = worst_gauss < 1e-5 and worst_ric < 1e-5 and scal == 8.0
@@ -152,13 +145,13 @@ def test_criterion_7_conformal_suite():
     worst_conn_law = 0.0
     for u, v in ((0.3, 0.2), (math.log(2.0), math.pi / 6)):
         t = TransformParams(u, v, 0.0)
-        ts = apply_cct(s, t)
-        worst_verdict = max(worst_verdict, max(check_defining_conditions(ts, ORIGIN).values()))
-        res = homothetic_curvature_and_ricci(s, t, ORIGIN)
+        f, fb = next(field_pairs(s, t, [ORIGIN]))
+        worst_verdict = max(worst_verdict, max(check_defining_conditions(fb).values()))
+        res = homothetic_laws(f, fb, t)
         worst_ric = max(worst_ric, res["ricci_invariance"])
-        _, conn_law = homothetic_connection(s, t, ORIGIN)
-        worst_conn_law = max(worst_conn_law, conn_law)
-    broken = preservation_residuals(s, TransformParams(0.0, 0.0, math.log(2.0)), [ORIGIN])
+        worst_conn_law = max(worst_conn_law, res["connection_formula"])
+    w_log2 = TransformParams(0.0, 0.0, math.log(2.0))
+    broken = transformed_residuals(w_log2, field_pairs(s, w_log2, [ORIGIN]))["preservation"]
     third = broken["du_phi_plus_dv"]
     ok = (worst_verdict < 1e-9 and worst_ric < 1e-8 and worst_conn_law < 1e-8
           and abs(third - 1.0) < 1e-12)

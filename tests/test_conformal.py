@@ -1,24 +1,38 @@
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import accr
+from accr.cli import main
 from accr.conformal import (
+    TransformedModel,
     TransformParams,
     apply_cct,
     eta_complex_einstein_check,
-    homothetic_connection,
-    homothetic_curvature_and_ricci,
-    pointwise_einstein_residual,
-    preservation_residuals,
+    field_pairs,
+    homothetic_laws,
+    transformed_residuals,
 )
+from accr.connection import levi_civita
 from accr.corpus import example3_hsphere_ext
 from accr.errors import NonConstantParams, NotSasakiLike
 from accr.sasaki import check_defining_conditions
-from accr.structure import validate_structure
+from accr.structure import PointFields, validate_structure
 from tests.conftest import ORIGIN
+
+
+def pair(s, t, p=ORIGIN):
+    """The (base, transformed) PointFields of s and apply_cct(s, t) at p."""
+    return next(field_pairs(s, t, [p]))
+
+
+def preservation(s, t, points):
+    return transformed_residuals(t, field_pairs(s, t, points))["preservation"]
 
 
 class TestApplyCct:
@@ -37,7 +51,7 @@ class TestApplyCct:
     def test_quarter_turn_recovers_gtilde(self, ex1):
         ts = apply_cct(ex1.structure, TransformParams(0.0, math.pi / 4, 0.0))
         gbar = ts.model.metric_at(ORIGIN)
-        assert np.max(np.abs(gbar - ex1.structure.gtilde_at(ORIGIN))) < 1e-12
+        assert np.max(np.abs(gbar - PointFields(ex1.structure, ORIGIN).gtilde)) < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-1.0, 1.0), st.floats(-1.5, 1.5), st.floats(-1.0, 1.0))
@@ -46,7 +60,7 @@ class TestApplyCct:
 
         s = example1(n=1).structure
         ts = apply_cct(s, TransformParams(u, v, w))
-        res = validate_structure(ts, ORIGIN)
+        res = validate_structure(PointFields(ts, ORIGIN))
         assert max(res.values()) < 1e-10
 
     def test_nonconstant_rejected_on_group(self, ex1):
@@ -57,12 +71,12 @@ class TestApplyCct:
 class TestPreservation:
     def test_constants_w_zero(self, ex1):
         pts = ex1.model.sample_points(3, 1)
-        res = preservation_residuals(ex1.structure, TransformParams(0.7, -0.4, 0.0), pts)
+        res = preservation(ex1.structure, TransformParams(0.7, -0.4, 0.0), pts)
         assert max(res.values()) < 1e-8
 
     def test_w_log2_breaks_exactly(self, ex1):
         pts = ex1.model.sample_points(3, 1)
-        res = preservation_residuals(
+        res = preservation(
             ex1.structure, TransformParams(0.0, 0.0, math.log(2.0)), pts)
         assert res["du_phi_plus_dv"] == pytest.approx(1.0, abs=1e-12)
         assert res["f_bar_direct"] > 0.1
@@ -70,66 +84,65 @@ class TestPreservation:
     def test_transformed_structure_stays_sasaki(self, ex2):
         pts = ex2.model.sample_points(3, 1)
         ts = apply_cct(ex2.structure, TransformParams(0.3, 0.2, 0.0))
-        assert max(check_defining_conditions(ts, pts[0]).values()) < 1e-9
+        assert max(check_defining_conditions(PointFields(ts, pts[0])).values()) < 1e-9
 
     def test_w_nonzero_breaks_sasaki_verdict(self, ex1):
         ts = apply_cct(ex1.structure, TransformParams(0.0, 0.0, math.log(2.0)))
-        assert max(check_defining_conditions(ts, ORIGIN).values()) > 0.1
+        assert max(check_defining_conditions(PointFields(ts, ORIGIN)).values()) > 0.1
 
     def test_callable_params_on_chart(self, ex1_chart):
         pts = ex1_chart.model.sample_points(4, 1)
         # constant-zero candidates supplied as genuine functions: the
         # differentials run through finite differences and must vanish
         t = TransformParams(u=lambda p: 0.0, v=lambda p: 0.0, w=0.0)
-        res = preservation_residuals(ex1_chart.structure, t, pts)
+        res = preservation(ex1_chart.structure, t, pts)
         assert max(res.values()) < 1e-6
 
     def test_callable_v_of_t_breaks(self, ex1_chart):
         pts = ex1_chart.model.sample_points(4, 1)
         t = TransformParams(u=0.0, v=lambda p: 0.1 * p[0], w=0.0)
-        res = preservation_residuals(ex1_chart.structure, t, pts)
+        res = preservation(ex1_chart.structure, t, pts)
         assert res["du_phi_plus_dv"] == pytest.approx(0.1, abs=1e-6)
 
     def test_requires_sasaki(self, flat):
         with pytest.raises(NotSasakiLike):
-            preservation_residuals(flat.structure, TransformParams(), [ORIGIN])
+            preservation(flat.structure, TransformParams(), [ORIGIN])
 
 
 class TestHomotheticConnection:
     def test_identity_params_no_shift(self, ex1):
-        delta, resid = homothetic_connection(ex1.structure, TransformParams(), ORIGIN)
-        assert np.max(np.abs(delta)) == 0.0
-        assert resid < 1e-14
+        t = TransformParams()
+        f, fb = pair(ex1.structure, t)
+        assert np.max(np.abs(fb.gamma - f.gamma)) == 0.0
+        assert homothetic_laws(f, fb, t)["connection_formula"] < 1e-14
 
     def test_sixth_turn_shift_value(self, ex1):
         t = TransformParams(0.0, math.pi / 6, 0.0)
-        delta, resid = homothetic_connection(ex1.structure, t, ORIGIN)
+        f, fb = pair(ex1.structure, t)
         # shift of nabla_{e1} e1 is sin(pi/3) g(phi e1, phi e1) xi = -sqrt(3)/2 xi
-        assert delta[1, 1, 0] == pytest.approx(-math.sqrt(3.0) / 2.0)
-        assert resid < 1e-12
+        assert (fb.gamma - f.gamma)[1, 1, 0] == pytest.approx(-math.sqrt(3.0) / 2.0)
+        assert homothetic_laws(f, fb, t)["connection_formula"] < 1e-12
 
     def test_w_log2_shift_matches_koszul(self, ex1):
         # pure w-rescaling: sin 2v = 0 but g_bar = g + (e^{2w}-1) eta x eta
         # is a genuinely different metric, so the connection does shift:
         # delta(x, y) = -(1 - e^{-2w}) g(x, phi y) xi
         t = TransformParams(0.0, 0.0, math.log(2.0))
-        delta, resid = homothetic_connection(ex1.structure, t, ORIGIN)
-        assert delta[1, 2, 0] == pytest.approx(0.75)  # g(e1, phi e2) = -1
-        assert resid < 1e-12
+        f, fb = pair(ex1.structure, t)
+        assert (fb.gamma - f.gamma)[1, 2, 0] == pytest.approx(0.75)  # g(e1, phi e2) = -1
+        assert homothetic_laws(f, fb, t)["connection_formula"] < 1e-12
 
     def test_nonconstant_rejected(self, ex1_chart):
+        t = TransformParams(u=lambda p: p[0], v=0.0, w=0.0)
+        f, fb = pair(ex1_chart.structure, t, np.zeros(3))
         with pytest.raises(NonConstantParams):
-            homothetic_connection(
-                ex1_chart.structure,
-                TransformParams(u=lambda p: p[0], v=0.0, w=0.0),
-                np.zeros(3),
-            )
+            homothetic_laws(f, fb, t)
 
 
 class TestHomotheticCurvature:
     def test_laws_on_example1(self, ex1):
-        res = homothetic_curvature_and_ricci(
-            ex1.structure, TransformParams(0.3, 0.2, 0.0), ORIGIN)
+        t = TransformParams(0.3, 0.2, 0.0)
+        res = homothetic_laws(*pair(ex1.structure, t), t)
         for key in ("curvature_formula", "ricci_invariance", "scal_formula",
                     "scal_star_formula", "rotated_basis_orthonormal",
                     "scal_from_basis", "scal_star_from_basis"):
@@ -139,8 +152,8 @@ class TestHomotheticCurvature:
         assert res["scal_star_bar"] == pytest.approx(0.0, abs=1e-12)
 
     def test_ricci_invariance_with_w(self, ex2):
-        res = homothetic_curvature_and_ricci(
-            ex2.structure, TransformParams(0.3, 0.2, 0.1), ORIGIN)
+        t = TransformParams(0.3, 0.2, 0.1)
+        res = homothetic_laws(*pair(ex2.structure, t), t)
         assert res["ricci_invariance"] < 1e-8
         assert res["curvature_formula"] < 1e-10
 
@@ -201,10 +214,49 @@ class TestEtaEinsteinFit:
             h_leaf = cm.model.metric_at(p)[1:, 1:]
             ric_leaf = cm.base_ric_at(p)[1:, 1:]
             leaf_einstein = np.max(np.abs(ric_leaf - 2 * n * h_leaf)) < 1e-8
-            whole = pointwise_einstein_residual(cm.structure, p) < 1e-8
+            ric = PointFields(cm.structure, p).curvature.ric
+            whole = np.max(np.abs(ric - 2 * n * cm.model.metric_at(p))) < 1e-8
             assert leaf_einstein == expect
             assert whole == expect
 
     def test_requires_sasaki(self, flat):
         with pytest.raises(NotSasakiLike):
             eta_complex_einstein_check(flat.structure, [ORIGIN])
+
+
+class TestSolveCounts:
+    """Each connection is solved once per point: Koszul solves of the base and
+    of the transformed metric, counted on every module that holds levi_civita."""
+
+    @staticmethod
+    def solves(monkeypatch, argv):
+        counts = [0, 0]
+        solve = levi_civita
+
+        def counted(model, p):
+            counts[isinstance(model, TransformedModel)] += 1
+            return solve(model, p)
+
+        modules = [accr] + [importlib.import_module(f"accr.{m.name}")
+                            for m in pkgutil.iter_modules(accr.__path__)]
+        for mod in modules:
+            if getattr(mod, "levi_civita", None) is solve:
+                monkeypatch.setattr(mod, "levi_civita", counted)
+        assert main(argv) == 0
+        return tuple(counts)
+
+    @pytest.mark.parametrize("argv, base, transformed", [
+        # one solve plus the group curvature's shape probe, on each metric
+        (["transform", "-m", "example1", "--params", "u=0.3,v=0.2,w=0", "--points", "1"], 2, 2),
+        # one solve plus the 12-point curvature stencil, on each metric
+        (["transform", "-m", "example1_chart", "--params", "u=0.3,v=0.2,w=0", "--points", "1"],
+         13, 13),
+        (["verify", "-m", "example1", "--only", "conformal.homothetic"], 2, 2),
+    ])
+    def test_first_pair_serves_every_law(self, argv, base, transformed, monkeypatch, capsys):
+        assert self.solves(monkeypatch, argv) == (base, transformed)
+
+    def test_conformal_families(self, monkeypatch, capsys):
+        base, transformed = self.solves(monkeypatch, ["verify", "-m", "example1", "--only",
+                                                      "conformal"])
+        assert base <= 6 and transformed <= 4

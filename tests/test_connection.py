@@ -5,18 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from accr.connection import (
-    gauss_residual,
-    hsphere_curvature,
-    levi_civita,
-    riemann,
-    second_fundamental_form_residual,
-    standard_norden_pair,
-)
+from accr.connection import hsphere_curvature, levi_civita, riemann, standard_norden_pair
 from accr.corpus import example2, example2_connection_table, example3_hsphere_ext, hsphere_base
 from accr.errors import DegenerateParameters, NotSasakiLike
 from accr.frame_algebra import kulkarni_nomizu
 from accr.models import extension_leaf_curvature
+from accr.sasaki import gauss_residual, second_fundamental_form_residual
+from accr.structure import PointFields
 from tests.conftest import ORIGIN
 
 
@@ -189,28 +184,28 @@ class TestHSphereCurvature:
 
 class TestGauss:
     def test_example1_flat_leaf(self, ex1):
-        assert gauss_residual(ex1.structure, ORIGIN) < 1e-8
+        assert gauss_residual(PointFields(ex1.structure, ORIGIN)) < 1e-8
 
     def test_example2_flat_leaf(self, ex2_generic):
-        assert gauss_residual(ex2_generic.structure, ORIGIN) < 1e-8
+        assert gauss_residual(PointFields(ex2_generic.structure, ORIGIN)) < 1e-8
 
     def test_extension_vs_closed_form(self, ex3):
         for p in ex3.model.sample_points(3, 13):
-            assert gauss_residual(ex3.structure, p, base_r=ex3.base_r_at(p)) < 1e-6
+            assert gauss_residual(PointFields(ex3.structure, p), base_r=ex3.base_r_at(p)) < 1e-6
 
     def test_closed_form_needed(self, ex3):
         # without the leaf curvature the comparison must fail at order one
         p = ex3.model.sample_points(3, 13)[0]
-        assert gauss_residual(ex3.structure, p) > 0.1
+        assert gauss_residual(PointFields(ex3.structure, p)) > 0.1
 
     def test_second_fundamental_form(self, ex1, ex2, ex3):
         for cm in (ex1, ex2, ex3):
             p = cm.model.sample_points(2, 3)[0]
-            assert second_fundamental_form_residual(cm.structure, p) < 1e-8
+            assert second_fundamental_form_residual(PointFields(cm.structure, p)) < 1e-8
 
     def test_requires_sasaki(self, flat):
         with pytest.raises(NotSasakiLike):
-            gauss_residual(flat.structure, ORIGIN)
+            gauss_residual(PointFields(flat.structure, ORIGIN))
 
 
 class TestExtensionLeafCurvature:
@@ -241,4 +236,4 @@ class TestExtensionLeafCurvature:
         assume(math.hypot(a, b) >= 0.5)     # (a, b) = (0, 0) is excluded
         cm = example3_hsphere_ext(n=n, a=a, b=b)
         p = cm.model.sample_points(1, seed)[0]
-        assert gauss_residual(cm.structure, p, base_r=cm.base_r_at(p)) < 1e-6
+        assert gauss_residual(PointFields(cm.structure, p), base_r=cm.base_r_at(p)) < 1e-6

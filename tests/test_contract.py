@@ -39,3 +39,23 @@ def test_tracer_installs_runs_and_restores(tmp_path, monkeypatch, capsys):
     assert verify._gather_residuals is gather
     used = {tracer.names[k] for k in np.frombuffer(spans, dtype=np.int64).reshape(-1, 4)[:, 0]}
     assert "corpus.base_curvature" in used
+
+
+def test_tracer_finds_its_name_keyed_metrics(tmp_path, monkeypatch, capsys):
+    """summarise finds these four by function or class name: a rename or a
+    move would read 0 without a word."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = main(["verify", "-m", "example1_chart", "--points", "2",
+                     "--json", str(tmp_path / "report.json")])
+    finally:
+        tracer.uninstall()
+    spans, counts = tracer.take()
+    assert code == 0
+    metrics = tracing.summarise(tracer.names, spans, counts, points_base=4)
+    for name in ("corpus.crossrep_s", "sasaki.cone_s", "verify.error_estimate_s",
+                 "conformal.koszul_solves"):
+        assert metrics[name][0] > 0, name

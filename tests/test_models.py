@@ -22,6 +22,7 @@ from accr.models import (
     lie_group_model,
     product_extension,
 )
+from accr.structure import PointFields
 from tests.conftest import ORIGIN
 
 
@@ -130,7 +131,7 @@ class TestProductExtension:
             t, bp = p[0], p[1:]
             h, ht = base.h_at(bp), base.htilde_at(bp)
             g = ex3.model.metric_at(p)[1:, 1:]
-            gt = ex3.structure.gtilde_at(p)[1:, 1:]
+            gt = PointFields(ex3.structure, p).gtilde[1:, 1:]
             assert np.max(np.abs(g - (np.cos(2 * t) * h - np.sin(2 * t) * ht))) < 1e-12
             assert np.max(np.abs(gt - (np.sin(2 * t) * h + np.cos(2 * t) * ht))) < 1e-12
 

@@ -38,6 +38,6 @@ def test_verdicts_match_the_recorded_table(corpus_rows):
 
 
 def test_statement_quotes_the_checked_connection_law():
-    # homothetic_connection checks the constant 1, not e^{-2w}
+    # homothetic_laws checks the constant 1, not e^{-2w}
     statement = CHECKS["conformal.homothetic.connection_formula"].statement
     assert "(1 - e^{2(u-w)} cos 2v)" in statement and "e^{-2w}" not in statement

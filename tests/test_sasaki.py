@@ -34,15 +34,15 @@ def route_holds(cm, prefix, tol, points=4, seed=23):
 
 class TestDefiningConditions:
     def test_example1_passes(self, ex1):
-        assert max(check_defining_conditions(ex1.structure, ORIGIN).values()) < 1e-10
+        assert max(check_defining_conditions(PointFields(ex1.structure, ORIGIN)).values()) < 1e-10
 
     @pytest.mark.parametrize("lam,mu", [(1.0, 0.0), (3.0, -2.0)])
     def test_example2_passes(self, lam, mu):
         s = example2(lam=lam, mu=mu).structure
-        assert max(check_defining_conditions(s, ORIGIN).values()) < 1e-10
+        assert max(check_defining_conditions(PointFields(s, ORIGIN)).values()) < 1e-10
 
     def test_flat_fails_exactly_where_it_should(self, flat):
-        res = check_defining_conditions(flat.structure, ORIGIN)
+        res = check_defining_conditions(PointFields(flat.structure, ORIGIN))
         assert res["f_horizontal"] == 0.0
         assert res["f_xi_first_slot"] == 0.0
         assert res["f_xi_xi"] == 0.0
@@ -52,7 +52,7 @@ class TestDefiningConditions:
 
 class TestNablaPhiForm:
     def test_example1(self, ex1):
-        assert check_nabla_phi(ex1.structure, ORIGIN) < 1e-10
+        assert check_nabla_phi(PointFields(ex1.structure, ORIGIN)) < 1e-10
 
     def test_xi_xi_slot_trivial(self, ex1):
         f = PointFields(ex1.structure, ORIGIN)
@@ -64,19 +64,19 @@ class TestNablaPhiForm:
 
     def test_extension_over_hsphere(self, ex3):
         for p in ex3.model.sample_points(4, 3):
-            assert check_nabla_phi(ex3.structure, p) < 1e-6
+            assert check_nabla_phi(PointFields(ex3.structure, p)) < 1e-6
 
     def test_flat_fails(self, flat):
-        assert check_nabla_phi(flat.structure, ORIGIN) == pytest.approx(1.0)
+        assert check_nabla_phi(PointFields(flat.structure, ORIGIN)) == pytest.approx(1.0)
 
 
 class TestNijenhuisForm:
     def test_example1(self, ex1):
-        res = check_nijenhuis_form(ex1.structure, ORIGIN)
+        res = check_nijenhuis_form(PointFields(ex1.structure, ORIGIN))
         assert max(res.values()) < 1e-8
 
     def test_flat_nhat_defect(self, flat):
-        res = check_nijenhuis_form(flat.structure, ORIGIN)
+        res = check_nijenhuis_form(PointFields(flat.structure, ORIGIN))
         assert res["n_zero"] == 0.0
         # Nhat = 0 but the target form is -4 (gtilde - eta x eta) (x) xi
         f = PointFields(flat.structure, ORIGIN)
@@ -87,18 +87,18 @@ class TestNijenhuisForm:
 
 class TestCorollary:
     def test_example1_theta(self, ex1):
-        res = check_corollary(ex1.structure, ORIGIN)
+        res = check_corollary(PointFields(ex1.structure, ORIGIN))
         assert res["theta_plus_2n_eta"] == 0.0
         assert max(res.values()) < 1e-10
 
     def test_example2_d_eta(self, ex2):
-        res = check_corollary(ex2.structure, ORIGIN)
+        res = check_corollary(PointFields(ex2.structure, ORIGIN))
         assert res["d_eta"] == 0.0
 
     def test_geodesic_xi_everywhere(self, ex1, ex2_generic, ex3):
         for cm in (ex1, ex2_generic, ex3):
             for p in cm.model.sample_points(3, 17):
-                res = check_corollary(cm.structure, p)
+                res = check_corollary(PointFields(cm.structure, p))
                 assert res["nabla_xi_xi"] < 1e-8
                 assert res["bracket_xi_horizontal"] < 1e-8
                 assert res["nabla_xi_transport"] < 1e-6
@@ -107,7 +107,7 @@ class TestCorollary:
 class TestCurvatureIdentities:
     def test_example1_values(self, ex1):
         f = PointFields(ex1.structure, ORIGIN)
-        res = curvature_identity_residuals(ex1.structure, ORIGIN, fields=f)
+        res = curvature_identity_residuals(f)
         assert max(res.values()) < 1e-8
         # R(xi, e1) xi = -e1 componentwise
         t = np.einsum("i,k,ijkl->jl", f.xi, f.xi, f.curvature.r_up)
@@ -137,19 +137,19 @@ class TestCurvatureIdentities:
 
     def test_flat_raises(self, flat):
         with pytest.raises(NotSasakiLike):
-            require_sasaki_like(flat.structure, ORIGIN)
+            require_sasaki_like(PointFields(flat.structure, ORIGIN))
 
     def test_horizontal_ricci_on_extension(self, ex3):
         for p in ex3.model.sample_points(3, 19):
             res = curvature_identity_residuals(
-                ex3.structure, p, base_ric=ex3.base_ric_at(p))
+                PointFields(ex3.structure, p), base_ric=ex3.base_ric_at(p))
             assert res["horizontal_ricci"] < 1e-5
             assert res["ric_xi_xi"] < 1e-8
 
     def test_curf_specializes_to_cur(self, ex2_generic):
         # setting z = xi in the phi-commutation identity reproduces
         # R(x,y) xi = eta(y) x - eta(x) y; both residuals must agree
-        res = curvature_identity_residuals(ex2_generic.structure, ORIGIN)
+        res = curvature_identity_residuals(PointFields(ex2_generic.structure, ORIGIN))
         assert abs(res["phi_commutation"] - res["r_xy_xi"]) < 1e-8 \
             or max(res["phi_commutation"], res["r_xy_xi"]) < 1e-8
 

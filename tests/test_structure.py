@@ -40,7 +40,7 @@ def coordinate_frame_realization(n=1):
 
 class TestValidateStructure:
     def test_example1_exact(self, ex1):
-        res = validate_structure(ex1.structure, ORIGIN)
+        res = validate_structure(PointFields(ex1.structure, ORIGIN))
         assert max(res.values()) == 0.0
 
     def test_perturbed_phi_detected(self, ex1):
@@ -49,18 +49,18 @@ class TestValidateStructure:
         broken = AccrStructure(model=ex1.model, n=1, phi=phi,
                                xi=ex1.structure.xi_at(ORIGIN),
                                eta=ex1.structure.eta_at(ORIGIN))
-        res = validate_structure(broken, ORIGIN)
+        res = validate_structure(PointFields(broken, ORIGIN))
         assert 1e-4 < res["phi_squared"] < 1e-2
 
     def test_extension_over_flat(self):
         _, s = product_extension(flat_norden_base(1))
         for p in s.model.sample_points(5, 21):
-            assert max(validate_structure(s, p).values()) < 1e-12
+            assert max(validate_structure(PointFields(s, p)).values()) < 1e-12
 
     def test_coordinate_frame_realization(self):
         s = coordinate_frame_realization()
         for p in s.model.sample_points(5, 2):
-            assert max(validate_structure(s, p).values()) < 1e-10
+            assert max(validate_structure(PointFields(s, p)).values()) < 1e-10
 
 
 class TestFundamentalTensor:
@@ -82,13 +82,13 @@ class TestFundamentalTensor:
     def test_general_identities_on_corpus(self, ex1, ex2_generic, ex3, flat):
         for cm in (ex1, ex2_generic, ex3, flat):
             for p in cm.model.sample_points(3, 4):
-                res = structure_property_residuals(cm.structure, p)
+                res = structure_property_residuals(PointFields(cm.structure, p))
                 assert max(res.values()) < 1e-8, (cm.name, res)
 
     def test_general_identities_with_varying_phi(self):
         s = coordinate_frame_realization()
         for p in s.model.sample_points(4, 5):
-            res = structure_property_residuals(s, p)
+            res = structure_property_residuals(PointFields(s, p))
             assert max(res.values()) < 1e-8, res
 
 
@@ -98,7 +98,7 @@ class TestNijenhuis:
         n, nhat = f.nijenhuis_bracket
         assert np.max(np.abs(n)) == 0.0
         assert np.max(np.abs(nhat)) == 0.0
-        res = structure_property_residuals(flat.structure, ORIGIN, fields=f)
+        res = structure_property_residuals(f)
         assert res["nijenhuis_route_gap_n"] == 0.0 and res["nijenhuis_route_gap_nhat"] == 0.0
 
     def test_example1_nhat_values(self, ex1):
@@ -109,7 +109,7 @@ class TestNijenhuis:
         assert np.max(np.abs(n)) < 1e-12
 
     def test_route_agreement_example2(self, ex2):
-        res = structure_property_residuals(ex2.structure, ORIGIN)
+        res = structure_property_residuals(PointFields(ex2.structure, ORIGIN))
         assert res["nijenhuis_route_gap_n"] < 1e-8
         assert res["nijenhuis_route_gap_nhat"] < 1e-8
 
@@ -140,13 +140,13 @@ class TestNijenhuis:
 
 class TestReconstruction:
     def test_flat_zero(self, flat):
-        assert theorem_3_4_residual(flat.structure, ORIGIN) == 0.0
+        assert theorem_3_4_residual(PointFields(flat.structure, ORIGIN)) == 0.0
 
     def test_example1(self, ex1):
-        assert theorem_3_4_residual(ex1.structure, ORIGIN) < 1e-10
+        assert theorem_3_4_residual(PointFields(ex1.structure, ORIGIN)) < 1e-10
 
     def test_example2_generic(self, ex2_generic):
-        assert theorem_3_4_residual(ex2_generic.structure, ORIGIN) < 1e-10
+        assert theorem_3_4_residual(PointFields(ex2_generic.structure, ORIGIN)) < 1e-10
 
     def test_brute_force_oracle_example1(self, ex1):
         """Both sides evaluated with explicit loops over all index triples."""
@@ -182,7 +182,7 @@ class TestReconstruction:
     def test_chart_and_extension(self, ex1_chart, ex3):
         for cm in (ex1_chart, ex3):
             for p in cm.model.sample_points(3, 7):
-                assert theorem_3_4_residual(cm.structure, p) < 1e-6
+                assert theorem_3_4_residual(PointFields(cm.structure, p)) < 1e-6
 
 
 class TestMaxOverPoints:

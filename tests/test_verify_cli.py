@@ -251,6 +251,10 @@ class TestCli:
         (["verify", "-m", "example2", "--params", "lam=nan", "--only", "structure"], 2),
         (["verify", "-m", "SPEC:nan_constant"], 2),
         (["verify", "-m", "SPEC:asymmetric_metric"], 2),
+        # xi_index and the shape of phi must fit d = 2n + 1
+        (["verify", "-m", "SPEC:xi_index_out_of_range"], 2),
+        (["verify", "-m", "SPEC:phi_wrong_shape"], 2),
+        (["verify", "-m", "SPEC:ragged_metric"], 2),
     ])
     def test_bad_input(self, argv, code, tmp_path, capsys):
         specs = {
@@ -263,6 +267,12 @@ class TestCli:
                 {"i": 0, "j": 1, "k": 2, "value": float("nan")}]},
             "asymmetric_metric": {"kind": "lie_group", "n": 1, "structure_constants": [],
                                   "metric": [[1.0, 0.5, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1.0]]},
+            "xi_index_out_of_range": {"kind": "lie_group", "n": 1, "structure_constants": [],
+                                      "xi_index": 5},
+            "phi_wrong_shape": {"kind": "lie_group", "n": 1, "structure_constants": [],
+                                "phi": [[0.0, -1.0], [1.0, 0.0]]},
+            "ragged_metric": {"kind": "lie_group", "n": 1, "structure_constants": [],
+                              "metric": [[1.0, 0.0], [0.0]]},
         }
         for name, spec in specs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(spec))
