@@ -8,7 +8,7 @@ from .conformal import (
     eta_complex_einstein_check,
     field_pairs,
     homothetic_laws,
-    transformed_residuals,
+    preservation_at,
 )
 from .connection import hsphere_curvature, levi_civita, riemann
 from .corpus import BUILTINS, builtin, cross_representation_check, default_corpus

@@ -28,7 +28,7 @@ from . import corpus as corpus_mod
 from . import sasaki as sas
 from .errors import BadParams, GeometryError
 from .modelspec import load_model_spec
-from .structure import worst
+from .structure import max_over_points, worst
 from .verify import (
     CHECKS,
     VerifyConfig,
@@ -155,7 +155,9 @@ def cmd_transform(args) -> int:
         try:
             pairs = conf.field_pairs(cm.structure, t, pts)
             first = next(pairs)
-            res = conf.transformed_residuals(t, chain([first], pairs))
+            res = max_over_points(chain([first], pairs), lambda fs: {
+                "preservation": conf.preservation_at(*fs, t),
+                "defining": sas.check_defining_conditions(fs[1])})
             entry["preservation"] = res["preservation"]
             if t.is_constant:
                 entry["laws"] = conf.homothetic_laws(*first, t)

@@ -25,15 +25,13 @@ import numpy as np
 from .errors import NonConstantParams
 from .frame_algebra import standard_signature
 from .models import ManifoldModel
-from .sasaki import check_defining_conditions, require_sasaki_like
-from .structure import AccrStructure, PointFields, max_over_points, validate_structure
+from .sasaki import require_sasaki_like
+from .structure import AccrStructure, PointFields, max_over_points
 
 __all__ = [
     "TransformParams",
-    "TransformedStructure",
     "apply_cct",
     "field_pairs",
-    "transformed_residuals",
     "preservation_at",
     "homothetic_laws",
     "EinsteinFit",
@@ -100,16 +98,9 @@ class TransformedModel(ManifoldModel):
         return self.base.model.sample_points(count, seed)
 
 
-@dataclass
-class TransformedStructure(AccrStructure):
-    """accR structure carrying g_bar together with its parent and params."""
-
-    original: AccrStructure = None
-    params: TransformParams = None
-
-
-def apply_cct(s: AccrStructure, t: TransformParams) -> TransformedStructure:
-    """Apply the contact conformal transformation to an accR structure.
+def apply_cct(s: AccrStructure, t: TransformParams) -> AccrStructure:
+    """Apply the contact conformal transformation to an accR structure: the
+    result's model is a TransformedModel, which holds s and t.
 
     Lie-group models only admit constant parameters (anything else would
     silently break left invariance).
@@ -124,8 +115,7 @@ def apply_cct(s: AccrStructure, t: TransformParams) -> TransformedStructure:
     else:
         xi_bar = lambda p: math.exp(-t.at(p)[2]) * s.xi_at(p)
         eta_bar = lambda p: math.exp(t.at(p)[2]) * s.eta_at(p)
-    return TransformedStructure(model=model, n=s.n, phi=s.phi, xi=xi_bar,
-                                eta=eta_bar, original=s, params=t)
+    return AccrStructure(model=model, n=s.n, phi=s.phi, xi=xi_bar, eta=eta_bar)
 
 
 def field_pairs(s: AccrStructure, t: TransformParams, points):
@@ -138,16 +128,6 @@ def field_pairs(s: AccrStructure, t: TransformParams, points):
     yield first, PointFields(ts, points[0])
     for p in points[1:]:
         yield PointFields(s, p), PointFields(ts, p)
-
-
-def transformed_residuals(t: TransformParams, pairs) -> dict:
-    """Max over the field_pairs of the preservation residuals of t
-    ("preservation") and of the defining conditions ("defining") and axioms
-    ("axioms") of the transformed structure."""
-    return max_over_points(pairs, lambda fs: {
-        "preservation": preservation_at(*fs, t),
-        "defining": check_defining_conditions(fs[1]),
-        "axioms": validate_structure(fs[1])})
 
 
 def preservation_at(f: PointFields, fb: PointFields, t: TransformParams) -> dict:

@@ -113,7 +113,9 @@ def riemann(model, p, phi=None, gamma=None) -> CurvatureBundle:
     g = model.metric_at(p)
     ginv = np.linalg.inv(g)
     c = model.commutators_at(p)
-    dgamma = model.frame_derivative(p, lambda q: levi_civita(model, q).gamma)
+    # asked at p itself (a group model's shape probe), give the gamma in hand
+    dgamma = model.frame_derivative(
+        p, lambda q: gamma if q is p else levi_civita(model, q).gamma)
     r_up = (
         dgamma
         - np.einsum("jikl->ijkl", dgamma)

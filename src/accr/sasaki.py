@@ -211,9 +211,14 @@ def cone_holomorphic_residual(s: AccrStructure, count=6, seed=42) -> ConeCheck:
     cone, jfield = cone_model(s)
     d = s.dim
     per_point = []
+    bases = {}     # one PointFields per distinct base point: cone points share them
 
     def at(p):
         bp, rv = cone.split(p)
+        key = bp.tobytes()
+        if key not in bases:
+            bases[key] = PointFields(s, bp)
+        f = bases[key]
         gamma = levi_civita(cone, p).gamma
         G = cone.metric_at(p)
         J = jfield.j_at(p)
@@ -224,7 +229,6 @@ def cone_holomorphic_residual(s: AccrStructure, count=6, seed=42) -> ConeCheck:
         per_point.append({"r": rv, "residual": res})
 
         # displayed connection components (horizontal projections)
-        f = PointFields(s, bp)
         proj = f.proj
         xic = np.zeros(d + 1)
         xic[:d] = f.xi

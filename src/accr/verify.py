@@ -5,9 +5,12 @@ finite-difference tolerance.  FAMILIES declares how the checks under each
 id prefix are computed and on which models.  Each check is reported as a
 row {check_id, statement, max_residual, fd_error_estimate, tolerance,
 expected, verdict}, the residual being its maximum over the model's
-deterministic sample points.  Designed failures (the parallel model for the
-Sasaki family, the w != 0 homothety for conformal preservation) are
-expected to fail, so a healthy run reports them as xfail and exits 0.
+deterministic sample points.  One walk over the points hands each point's
+PointFields to every per-point family; a family is per model only when its
+rows are not such a maximum (the cone, crossrep and the eta fit).  Designed
+failures (the parallel model for the Sasaki family, the w != 0 homothety
+for conformal preservation) are expected to fail, so a healthy run reports
+them as xfail and exits 0.
 """
 
 from __future__ import annotations
@@ -170,10 +173,11 @@ class VerifyConfig:
 
 @dataclass(frozen=True)
 class Family:
-    """The checks under one id prefix.  A per-point family maps (cm, PointFields)
-    to residuals at that point, any other (cm, points, count, seed) to residuals
-    of the model: a value (row "<prefix>"), a (value, note) pair, or a dict of
-    residuals (rows "<prefix>.<key>")."""
+    """The checks under one id prefix.  A per-point family maps (cm, f) to
+    residuals at f.p, reading the pass's PointFields f; a per-model family,
+    for rows that are not a maximum over the sample points, maps (cm, points,
+    count, seed) to residuals of the model.  Residuals are a value (row
+    "<prefix>"), a (value, note) pair, or a dict (rows "<prefix>.<key>")."""
 
     prefix: str
     residuals: object
@@ -181,21 +185,25 @@ class Family:
     applies: object = lambda cm: True
 
 
-def _preserve(cm, pts, count, seed):
-    res = conf.transformed_residuals(HOMOTHETY, conf.field_pairs(cm.structure, HOMOTHETY, pts))
-    return {**res["preservation"],
-            "transformed_defining": worst(res["defining"].values()),
-            "transformed_axioms": worst(res["axioms"].values())}
+def _bar(f, t):
+    """The PointFields of the transformed structure apply_cct(f.s, t) at f.p."""
+    return PointFields(conf.apply_cct(f.s, t), f.p)
 
 
-def _break(cm, pts, count, seed):
-    res = conf.transformed_residuals(BREAKING, conf.field_pairs(cm.structure, BREAKING, pts))
-    return {k: res["preservation"][k] for k in ("du_phi_plus_dv", "f_bar_direct")}
+def _preserve(cm, f):
+    fb = _bar(f, HOMOTHETY)
+    return {**conf.preservation_at(f, fb, HOMOTHETY),
+            "transformed_defining": worst(sas.check_defining_conditions(fb).values()),
+            "transformed_axioms": worst(validate_structure(fb).values())}
 
 
-def _homothetic(cm, pts, count, seed):
-    f, fb = next(conf.field_pairs(cm.structure, HOMOTHETY, pts))
-    laws = conf.homothetic_laws(f, fb, HOMOTHETY)
+def _break(cm, f):
+    res = conf.preservation_at(f, _bar(f, BREAKING), BREAKING)
+    return {k: res[k] for k in ("du_phi_plus_dv", "f_bar_direct")}
+
+
+def _homothetic(cm, f):
+    laws = conf.homothetic_laws(f, _bar(f, HOMOTHETY), HOMOTHETY)
     return {k: v for k, v in laws.items() if not k.endswith("_bar")}
 
 
@@ -240,9 +248,9 @@ FAMILIES = (
     Family("cone", _cone, per_point=False),
     Family("crossrep", _crossrep, per_point=False,
            applies=lambda cm: cm.coframe_fn is not None and cm.lie_partner is not None),
-    Family("conformal.preserve", _preserve, per_point=False, applies=_conformal()),
-    Family("conformal.break", _break, per_point=False, applies=_conformal()),
-    Family("conformal.homothetic", _homothetic, per_point=False, applies=_conformal(True)),
+    Family("conformal.preserve", _preserve, applies=_conformal()),
+    Family("conformal.break", _break, applies=_conformal()),
+    Family("conformal.homothetic", _homothetic, applies=_conformal(True)),
     Family("conformal.eta_fit", _eta_fit, per_point=False, applies=_conformal(True)),
 )
 
@@ -270,7 +278,7 @@ def _run_families(cm, families, pts, count, seed) -> dict:
             try:
                 by_family[fam.prefix] = fam.residuals(cm, pts, count, seed)
             except NotSasakiLike:
-                pass   # the conformal families need a Sasaki-like base
+                pass   # the eta fit needs a Sasaki-like base
     return by_family
 
 

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from accr.conformal import TransformParams, field_pairs, homothetic_laws, transformed_residuals
+from accr.conformal import TransformParams, field_pairs, homothetic_laws, preservation_at
 from accr.connection import hsphere_curvature, levi_civita
 from accr.corpus import (
     cross_representation_check,
@@ -151,7 +151,7 @@ def test_criterion_7_conformal_suite():
         worst_ric = max(worst_ric, res["ricci_invariance"])
         worst_conn_law = max(worst_conn_law, res["connection_formula"])
     w_log2 = TransformParams(0.0, 0.0, math.log(2.0))
-    broken = transformed_residuals(w_log2, field_pairs(s, w_log2, [ORIGIN]))["preservation"]
+    broken = preservation_at(*next(field_pairs(s, w_log2, [ORIGIN])), w_log2)
     third = broken["du_phi_plus_dv"]
     ok = (worst_verdict < 1e-9 and worst_ric < 1e-8 and worst_conn_law < 1e-8
           and abs(third - 1.0) < 1e-12)

@@ -16,13 +16,14 @@ from accr.conformal import (
     eta_complex_einstein_check,
     field_pairs,
     homothetic_laws,
-    transformed_residuals,
+    preservation_at,
 )
 from accr.connection import levi_civita
-from accr.corpus import example3_hsphere_ext
+from accr.corpus import default_corpus, example3_hsphere_ext
 from accr.errors import NonConstantParams, NotSasakiLike
 from accr.sasaki import check_defining_conditions
-from accr.structure import PointFields, validate_structure
+from accr.structure import PointFields, max_over_points, validate_structure
+from accr.verify import run_all
 from tests.conftest import ORIGIN
 
 
@@ -32,7 +33,7 @@ def pair(s, t, p=ORIGIN):
 
 
 def preservation(s, t, points):
-    return transformed_residuals(t, field_pairs(s, t, points))["preservation"]
+    return max_over_points(field_pairs(s, t, points), lambda fs: preservation_at(*fs, t))
 
 
 class TestApplyCct:
@@ -229,34 +230,62 @@ class TestSolveCounts:
     of the transformed metric, counted on every module that holds levi_civita."""
 
     @staticmethod
-    def solves(monkeypatch, argv):
-        counts = [0, 0]
-        solve = levi_civita
+    def counters(monkeypatch):
+        """[base solves, transformed solves, PointFields made] from here on."""
+        counts = [0, 0, 0]
+        solve, init = levi_civita, PointFields.__init__
 
         def counted(model, p):
             counts[isinstance(model, TransformedModel)] += 1
             return solve(model, p)
+
+        def made(self, *args):
+            counts[2] += 1
+            init(self, *args)
 
         modules = [accr] + [importlib.import_module(f"accr.{m.name}")
                             for m in pkgutil.iter_modules(accr.__path__)]
         for mod in modules:
             if getattr(mod, "levi_civita", None) is solve:
                 monkeypatch.setattr(mod, "levi_civita", counted)
+        monkeypatch.setattr(PointFields, "__init__", made)
+        return counts
+
+    def solves(self, monkeypatch, argv):
+        counts = self.counters(monkeypatch)
         assert main(argv) == 0
-        return tuple(counts)
+        return tuple(counts[:2])
 
     @pytest.mark.parametrize("argv, base, transformed", [
-        # one solve plus the group curvature's shape probe, on each metric
-        (["transform", "-m", "example1", "--params", "u=0.3,v=0.2,w=0", "--points", "1"], 2, 2),
+        # one solve on each metric: the group curvature reuses it
+        (["transform", "-m", "example1", "--params", "u=0.3,v=0.2,w=0", "--points", "1"], 1, 1),
         # one solve plus the 12-point curvature stencil, on each metric
         (["transform", "-m", "example1_chart", "--params", "u=0.3,v=0.2,w=0", "--points", "1"],
          13, 13),
-        (["verify", "-m", "example1", "--only", "conformal.homothetic"], 2, 2),
+        (["verify", "-m", "example1", "--only", "conformal.homothetic"], 1, 1),
     ])
     def test_first_pair_serves_every_law(self, argv, base, transformed, monkeypatch, capsys):
         assert self.solves(monkeypatch, argv) == (base, transformed)
 
     def test_conformal_families(self, monkeypatch, capsys):
+        # the pass's base solve and eta_fit's own; one transformed solve each
+        # for preserve, break and homothetic
         base, transformed = self.solves(monkeypatch, ["verify", "-m", "example1", "--only",
                                                       "conformal"])
-        assert base <= 6 and transformed <= 4
+        assert base <= 2 and transformed <= 3
+
+    @pytest.mark.parametrize("argv, cone_points", [
+        (["verify", "-m", "example1", "--only", "cone"], 6),
+        (["cone", "-m", "example1"], 8),
+    ])
+    def test_cone_solves_each_base_point_once(self, argv, cone_points, monkeypatch, capsys):
+        # one solve per cone point, and one for the group's single base point
+        assert self.solves(monkeypatch, argv) == (cone_points + 1, 0)
+
+    def test_default_corpus_budget(self, monkeypatch):
+        """The counts of one pass over the default corpus do not depend on the
+        machine: a check that solves a connection again, or makes PointFields
+        the pass already holds, goes over them."""
+        counts = self.counters(monkeypatch)
+        run_all(default_corpus())
+        assert counts[0] + counts[1] <= 2916 and counts[2] <= 446

@@ -194,6 +194,19 @@ class TestCli:
                      "--tol", "1e-18", "--only", "crossrep"])
         assert code == 1
 
+    def test_misdeclared_sasaki_fails_conformal(self, tmp_path, capsys):
+        """A flat group declared Sasaki-like: the conformal rows are computed
+        and fail, not dropped into an empty report that exits 0."""
+        spec = tmp_path / "flat.json"
+        spec.write_text(json.dumps({"kind": "lie_group", "n": 1, "structure_constants": [],
+                                    "sasaki_expected": True}))
+        out = tmp_path / "report.json"
+        assert main(["verify", "-m", str(spec), "--only", "conformal",
+                     "--json", str(out)]) == 1
+        rows = {row["check_id"]: row["verdict"]
+                for row in json.loads(out.read_text())["models"][0]["checks"]}
+        assert rows["conformal.preserve.f_bar_direct"] == "fail"
+
     def test_usage_error_exit_two(self, capsys):
         assert main(["verify", "--points", "notanint"]) == 2
         assert main(["bogus-subcommand"]) == 2
