@@ -1,0 +1,83 @@
+"""Compare the reports of a parent commit and a change, command by command.
+
+Run from the root of a checkout:
+
+    python3 scripts/report_diff.py --parent <sha> [--change <sha>]
+
+Both trees are unpacked with ``git archive`` (the change defaults to the
+checkout's working tree, used in place).  Each side runs the same fixed
+list of ``accr`` command lines with its own ``src`` on the path and its own
+tree as working directory: ``verify`` over the default corpus; for every
+builtin ``verify --points 6``, ``cone`` and ``transform`` with the
+benchmark's three parameter sets, all at ``--seed 7``; and ``verify -m`` on
+each model spec in ``docs/examples``.  A command differs when its JSON
+report, its stdout or its exit code differs.  Every differing command is
+printed; the exit code is 1 if any differs, else 0.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_record import ROOT, unpack
+
+BUILTINS = ("example1", "example1_chart", "example2", "example2_chart",
+            "example3_hsphere_ext", "flat_parallel")
+TRANSFORMS = ("u=0.3,v=0.2,w=0", "u=0,v=0,w=0.6931471805599453", "v=linear_t:0.1,w=0")
+
+
+def commands() -> list:
+    """The accr argument lists run on both sides."""
+    out = [["verify"]]
+    for name in BUILTINS:
+        seeded = ["-m", name, "--seed", "7"]
+        out.append(["verify", *seeded, "--points", "6"])
+        out.append(["cone", *seeded])
+        out.extend(["transform", *seeded, "--params", t] for t in TRANSFORMS)
+    out.extend(["verify", "-m", f"docs/examples/{spec.name}"]
+               for spec in sorted((ROOT / "docs" / "examples").glob("*.json")))
+    return out
+
+
+def run(tree: Path, argv, report: Path) -> tuple:
+    """(JSON report, stdout, exit code) of one accr command in tree."""
+    env = {k: v for k, v in os.environ.items() if k != "ACCR_SEED"}
+    env.update(PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "accr.cli", *argv, "--json", str(report)],
+                          cwd=tree, env=env, capture_output=True)
+    text = report.read_bytes() if report.exists() else None
+    return text, proc.stdout, proc.returncode
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="commit to compare against")
+    parser.add_argument("--change", help="commit compared (default: working tree)")
+    args = parser.parse_args(argv)
+
+    differ = 0
+    with tempfile.TemporaryDirectory(prefix="report_diff_") as tmp:
+        tmp = Path(tmp)
+        trees = {"parent": unpack(args.parent, tmp / "parent"),
+                 "change": unpack(args.change, tmp / "change") if args.change else ROOT}
+        cmds = commands()
+        for k, cmd in enumerate(cmds):
+            parent, change = (run(trees[side], cmd, tmp / f"{side}-{k}.json")
+                              for side in ("parent", "change"))
+            parts = [what for what, a, b in zip(("report", "stdout", "exit code"), parent, change)
+                     if a != b]
+            if parts:
+                differ += 1
+                print(f"differs ({', '.join(parts)}): accr {' '.join(cmd)}", flush=True)
+    print(f"{differ} of {len(cmds)} commands differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,9 +14,9 @@ from .connection import hsphere_curvature, levi_civita, riemann
 from .corpus import BUILTINS, builtin, cross_representation_check, default_corpus
 from .frame_algebra import MetricMatrix, kulkarni_nomizu, standard_signature
 from .models import (
+    ConeModel,
     HolomorphicBase,
     chart_model,
-    cone_model,
     lie_group_model,
     product_extension,
 )

@@ -24,6 +24,7 @@ __all__ = [
     "CurvatureBundle",
     "levi_civita",
     "riemann",
+    "covariant_derivative",
     "holomorphy_residual",
     "HSphereCurvature",
     "hsphere_curvature",
@@ -132,12 +133,18 @@ def riemann(model, p, phi=None, gamma=None) -> CurvatureBundle:
     return CurvatureBundle(r_up=r_up, r=r, ric=ric, scal=scal, scal_star=scal_star)
 
 
+def covariant_derivative(gamma, a, da) -> np.ndarray:
+    """nabla of a (1,1) field a at a point: n[i, k, j] is the e_k coefficient
+    of (nabla_i a) e_j, from a[k, j], its frame derivatives da[i, k, j] and
+    the connection gamma there."""
+    return da + np.einsum("imk,mj->ikj", gamma, a) - np.einsum("km,ijm->ikj", a, gamma)
+
+
 def holomorphy_residual(base, p) -> float:
     """max |(nabla^h J)| on a candidate holomorphic base at p."""
     gamma = levi_civita(base.model, p).gamma
     J = base.j
-    dJ = base.model.frame_derivative(p, lambda q: J)
-    nj = dJ + np.einsum("imk,mj->ikj", gamma, J) - np.einsum("km,ijm->ikj", J, gamma)
+    nj = covariant_derivative(gamma, J, base.model.frame_derivative(p, lambda q: J))
     return float(np.max(np.abs(nj)))
 
 

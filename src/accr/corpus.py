@@ -45,7 +45,6 @@ class CorpusModel:
     model: object
     structure: AccrStructure
     params: dict
-    exact: bool                      # derivatives exact (homogeneous) vs FD
     sasaki_expected: bool
     base_ric_at: object = None       # leaf Ricci, embedded
     base_r_at: object = None         # leaf curvature, embedded
@@ -54,6 +53,11 @@ class CorpusModel:
     lie_partner: str | None = None
     notes: list = field(default_factory=list)
     sample_override: dict | None = None   # {"count":..., "seed":...} from specs
+
+    @property
+    def exact(self) -> bool:
+        """Derivatives exact (homogeneous) vs finite differences."""
+        return self.model.exact
 
 
 def _example1_constants(n):
@@ -94,8 +98,7 @@ def _group(name, n, constants, params, sasaki_expected=True, **extra) -> CorpusM
     model = lie_group_model(n, constants, MetricMatrix(np.diag(eps)))
     leaf = _flat_leaf(model.dim) if sasaki_expected else {}
     return CorpusModel(name=name, model=model, structure=standard_structure(model, n),
-                       params=params, exact=True, sasaki_expected=sasaki_expected,
-                       **leaf, **extra)
+                       params=params, sasaki_expected=sasaki_expected, **leaf, **extra)
 
 
 def _chart(name, n, coframe, coord_metric, params) -> CorpusModel:
@@ -106,7 +109,7 @@ def _chart(name, n, coframe, coord_metric, params) -> CorpusModel:
                         metric_derivs=lambda x: np.zeros((d, d, d)))
     return CorpusModel(name=f"{name}_chart", model=model,
                        structure=standard_structure(model, n), params=params,
-                       exact=False, sasaki_expected=True, **_flat_leaf(d),
+                       sasaki_expected=True, **_flat_leaf(d),
                        coframe_fn=coframe, coord_metric_fn=coord_metric, lie_partner=name)
 
 
@@ -315,8 +318,7 @@ def example3_hsphere_ext(n=3, a=1.0, b=0.0) -> CorpusModel:
         notes.append("n <= 2 is outside the stated range for this family")
     return CorpusModel(
         name="example3_hsphere_ext", model=model, structure=s,
-        params={"n": n, "a": a, "b": b},
-        exact=False, sasaki_expected=True,
+        params={"n": n, "a": a, "b": b}, sasaki_expected=True,
         base_ric_at=base_ric_at, base_r_at=base_r_at, notes=notes,
     )
 

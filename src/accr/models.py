@@ -7,9 +7,12 @@ Every model answers three questions at a point p:
 * ``frame_derivative``    directional derivatives e_i(f) of any field
 
 Four concrete kinds are provided: homogeneous Lie-group models (constant
-data, exact zero derivatives), chart models (coordinate frame or a moving
-coframe, derivatives by finite differences), rank-one product extensions
-over a holomorphic complex Riemannian base, and the complex cone.
+data, exact zero derivatives, so ``exact`` is True), chart models
+(coordinate frame or a moving coframe, derivatives by finite differences),
+rank-one product extensions over a holomorphic complex Riemannian base, and
+the complex cone.  ``ConeModel(structure)`` is built from an accR structure
+alone and carries both cone tensors: its metric and, through ``j_at`` and
+``j_derivs_at``, its complex structure J.
 """
 
 from __future__ import annotations
@@ -113,6 +116,7 @@ class ManifoldModel:
     dim: int
     kind: str
     fd_step: float = DEFAULT_FD_STEP
+    exact = False      # every derivative exact, so no finite-difference error
 
     def metric_at(self, p) -> np.ndarray:
         raise NotImplementedError
@@ -136,6 +140,7 @@ class LieGroupModel(ManifoldModel):
     """Left-invariant data: constant metric and structure constants."""
 
     kind = "lie_group"
+    exact = True
 
     def __init__(self, structure_constants, metric: MetricMatrix):
         c = np.asarray(structure_constants, dtype=float)
@@ -283,13 +288,10 @@ class HolomorphicBase:
         return h @ self.j
 
     def norden_residual(self, p) -> float:
-        """h(JX, JY) + h(X, Y) componentwise."""
+        """h(JX, JY) + h(X, Y) componentwise.  As J^2 = -Id, it vanishes
+        exactly when htilde(X, Y) = h(JX, Y) is symmetric."""
         h = self.h_at(p)
         return float(np.max(np.abs(self.j.T @ h @ self.j + h)))
-
-    def htilde_symmetry_residual(self, p) -> float:
-        ht = self.htilde_at(p)
-        return float(np.max(np.abs(ht - ht.T)))
 
 
 class ProductExtensionModel(ChartModel):
@@ -359,8 +361,7 @@ def product_extension(base: HolomorphicBase):
     Raises BaseNotHolomorphic when nabla^h J fails to vanish on 4 samples.
     """
     for q in base.model.sample_points(4, seed=7):
-        res = worst((base.norden_residual(q), base.htilde_symmetry_residual(q),
-                     holomorphy_residual(base, q)))
+        res = worst((base.norden_residual(q), holomorphy_residual(base, q)))
         if not res <= 1e-6:
             raise BaseNotHolomorphic(f"nabla J residual {res:.3e} at {q}")
 
@@ -379,22 +380,24 @@ def product_extension(base: HolomorphicBase):
 class ConeModel(ManifoldModel):
     """Complex cone over an almost contact complex Riemannian manifold.
 
-    Points are (base point coordinates..., r) with r < 0.  The metric is
+    Built from the base structure alone, whose model is the base.  Points
+    are (base point coordinates..., r) with r < 0.  The metric is
 
         r^2 (g - eta x eta) + eta x eta - dr^2 / r^2,
 
     the unique (up to a constant) choice compatible with the cone complex
     structure J X = phi X, J xi = r d/dr, J d/dr = -xi / r acting as an
     anti-isometry, and the one consistent with the extension construction.
-    The r-derivatives are analytic; sample points take r in [-2, -0.5].
+    The r-derivatives of the metric and of J are analytic; sample points
+    take r in [-2, -0.5].
     """
 
     kind = "cone"
 
-    def __init__(self, base_model, base_structure):
-        self.base = base_model
-        self.structure = base_structure
-        self.dim = base_model.dim + 1
+    def __init__(self, structure: AccrStructure):
+        self.structure = structure
+        self.base = structure.model
+        self.dim = self.base.dim + 1
 
     @staticmethod
     def split(p):
@@ -439,6 +442,30 @@ class ConeModel(ManifoldModel):
         D[d, d, d] = 2.0 / r**3
         return D
 
+    def j_at(self, p):
+        """The cone complex structure J[k, j] at p."""
+        bp, r = self.split(p)
+        s = self.structure
+        d = self.base.dim
+        J = np.zeros((d + 1, d + 1))
+        J[:d, :d] = s.phi_at(bp)
+        J[d, :d] = r * s.eta_at(bp)
+        J[:d, d] = -s.xi_at(bp) / r
+        return J
+
+    def j_derivs_at(self, p):
+        """D[i, k, j] = e_i(J[k, j]), analytic in r."""
+        bp, r = self.split(p)
+        s = self.structure
+        d = self.base.dim
+        D = np.zeros((d + 1, d + 1, d + 1))
+        D[:d, :d, :d] = s.phi_derivs_at(bp)
+        D[:d, d, :d] = r * s.eta_derivs_at(bp)
+        D[:d, :d, d] = -s.xi_derivs_at(bp) / r
+        D[d, d, :d] = s.eta_at(bp)
+        D[d, :d, d] = s.xi_at(bp) / (r * r)
+        return D
+
     def frame_derivative(self, p, fn):
         bp, r = self.split(p)
         radial = lambda rv: fn(np.concatenate([bp, rv]))
@@ -458,41 +485,3 @@ class ConeModel(ManifoldModel):
             bp = base_pts[k % len(base_pts)]
             pts.append(np.concatenate([bp, [rvals[k % len(rvals)]]]))
         return pts
-
-
-@dataclass
-class ConeComplexStructure:
-    """The almost complex structure of the cone, with analytic r-derivatives."""
-
-    cone: ConeModel
-
-    def j_at(self, p):
-        bp, r = ConeModel.split(p)
-        s = self.cone.structure
-        d = self.cone.base.dim
-        J = np.zeros((d + 1, d + 1))
-        J[:d, :d] = s.phi_at(bp)
-        J[d, :d] = r * s.eta_at(bp)
-        J[:d, d] = -s.xi_at(bp) / r
-        return J
-
-    def j_derivs_at(self, p):
-        bp, r = ConeModel.split(p)
-        s = self.cone.structure
-        d = self.cone.base.dim
-        D = np.zeros((d + 1, d + 1, d + 1))
-        D[:d, :d, :d] = s.phi_derivs_at(bp)
-        D[:d, d, :d] = r * s.eta_derivs_at(bp)
-        D[:d, :d, d] = -s.xi_derivs_at(bp) / r
-        D[d, d, :d] = s.eta_at(bp)
-        D[d, :d, d] = s.xi_at(bp) / (r * r)
-        return D
-
-
-def cone_model(structure):
-    """Build the complex cone over an accR structure.
-
-    Returns (ConeModel, ConeComplexStructure).
-    """
-    model = ConeModel(structure.model, structure)
-    return model, ConeComplexStructure(model)

@@ -138,7 +138,6 @@ def model_from_spec(spec: dict) -> CorpusModel:
         model=model,
         structure=structure,
         params={"n": n},
-        exact=True,
         sasaki_expected=spec.get("sasaki_expected", True),
         sample_override=spec.get("sample_points"),
     )

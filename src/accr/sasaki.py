@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import levi_civita
+from .connection import covariant_derivative, levi_civita
 from .errors import NotSasakiLike
 from .frame_algebra import project_all
-from .models import cone_model
+from .models import ConeModel
 from .structure import AccrStructure, PointFields, max_over_points, worst
 
 __all__ = [
@@ -208,7 +208,7 @@ def cone_holomorphic_residual(s: AccrStructure, count=6, seed=42) -> ConeCheck:
     g_cone(nabla_X Y, d/dr) = -r g(X, Y) and g_cone(nabla_X d/dr, Z)
     = r g(X, Z) on horizontal arguments, against the Koszul solution.
     """
-    cone, jfield = cone_model(s)
+    cone = ConeModel(s)
     d = s.dim
     per_point = []
     bases = {}     # one PointFields per distinct base point: cone points share them
@@ -221,9 +221,7 @@ def cone_holomorphic_residual(s: AccrStructure, count=6, seed=42) -> ConeCheck:
         f = bases[key]
         gamma = levi_civita(cone, p).gamma
         G = cone.metric_at(p)
-        J = jfield.j_at(p)
-        dJ = jfield.j_derivs_at(p)
-        nj = dJ + np.einsum("ica,cb->iab", gamma, J) - np.einsum("ac,ibc->iab", J, gamma)
+        nj = covariant_derivative(gamma, cone.j_at(p), cone.j_derivs_at(p))
         low = np.einsum("iab,al->ibl", nj, G)
         res = float(np.max(np.abs(low)))
         per_point.append({"r": rv, "residual": res})

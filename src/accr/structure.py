@@ -20,7 +20,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .connection import CurvatureBundle, levi_civita, riemann
+from .connection import CurvatureBundle, covariant_derivative, levi_civita, riemann
 
 __all__ = [
     "AccrStructure",
@@ -202,11 +202,7 @@ class PointFields:
     @cached_property
     def nabla_phi(self):
         """nphi[i, k, j]: e_k coefficient of (nabla_i phi) e_j."""
-        return (
-            self.dphi
-            + np.einsum("imk,mj->ikj", self.gamma, self.phi)
-            - np.einsum("km,ijm->ikj", self.phi, self.gamma)
-        )
+        return covariant_derivative(self.gamma, self.phi, self.dphi)
 
     @cached_property
     def F(self):

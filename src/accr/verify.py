@@ -208,7 +208,10 @@ def _homothetic(cm, f):
 
 
 def _eta_fit(cm, pts, count, seed):
-    fit = conf.eta_complex_einstein_check(cm.structure, pts)
+    try:
+        fit = conf.eta_complex_einstein_check(cm.structure, pts)
+    except NotSasakiLike as exc:     # the fit needs a Sasaki-like base: the row reads error
+        return {"residual": (math.nan, f"not Sasaki-like: {exc}")}
     return {"residual": (fit.residual, f"classification: {fit.classification}")}
 
 
@@ -275,10 +278,7 @@ def _run_families(cm, families, pts, count, seed) -> dict:
     by_family = max_over_points(pts, at)
     for fam in families:
         if not fam.per_point:
-            try:
-                by_family[fam.prefix] = fam.residuals(cm, pts, count, seed)
-            except NotSasakiLike:
-                pass   # the eta fit needs a Sasaki-like base
+            by_family[fam.prefix] = fam.residuals(cm, pts, count, seed)
     return by_family
 
 

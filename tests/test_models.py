@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from accr.conformal import TransformParams, apply_cct
 from accr.connection import levi_civita
 from accr.corpus import (
     builtin,
@@ -17,7 +18,7 @@ from accr.errors import (
 )
 from accr.models import (
     chart_model,
-    cone_model,
+    ConeModel,
     coordinate_derivatives,
     lie_group_model,
     product_extension,
@@ -162,13 +163,13 @@ class TestProductExtension:
 
 class TestConeModel:
     def test_jcheck_squares_to_minus_id(self, ex1):
-        cone, jf = cone_model(ex1.structure)
+        cone = ConeModel(ex1.structure)
         for p in cone.sample_points(5, 2):
-            J = jf.j_at(p)
+            J = cone.j_at(p)
             assert np.max(np.abs(J @ J + np.eye(4))) < 1e-12
 
     def test_metric_values_at_minus_one(self, ex1):
-        cone, _ = cone_model(ex1.structure)
+        cone = ConeModel(ex1.structure)
         G = cone.metric_at(np.array([-1.0]))
         g = ex1.model.metric_at(ORIGIN)
         # horizontal block matches r^2 g = g, radial component is -1/r^2 = -1
@@ -179,19 +180,19 @@ class TestConeModel:
         assert G[0, 0] == pytest.approx(1.0)
 
     def test_anti_isometry(self, ex1):
-        cone, jf = cone_model(ex1.structure)
+        cone = ConeModel(ex1.structure)
         for p in cone.sample_points(4, 9):
             G = cone.metric_at(p)
-            J = jf.j_at(p)
+            J = cone.j_at(p)
             assert np.max(np.abs(J.T @ G @ J + G)) < 1e-12
 
     def test_rejects_nonnegative_r(self, ex1):
-        cone, _ = cone_model(ex1.structure)
+        cone = ConeModel(ex1.structure)
         with pytest.raises(RNotNegative):
             cone.metric_at(np.array([0.5]))
 
     def test_analytic_r_derivative(self, ex1):
-        cone, _ = cone_model(ex1.structure)
+        cone = ConeModel(ex1.structure)
         p = np.array([-1.3])
         dg = cone.metric_derivs_at(p)
         fd = coordinate_derivatives(cone.metric_at, p, 1e-4)
@@ -199,8 +200,25 @@ class TestConeModel:
         assert np.max(np.abs(dg[:3])) == 0.0
         assert np.max(np.abs(dg[3] - fd[0])) < 1e-9
 
+    @pytest.mark.parametrize("name", ["example1", "example1_chart", "example3_hsphere_ext"])
+    def test_analytic_j_derivatives(self, name):
+        cone = ConeModel(builtin(name).structure)
+        for p in cone.sample_points(4, 5):
+            fd = cone.frame_derivative(p, cone.j_at)
+            assert np.max(np.abs(cone.j_derivs_at(p) - fd)) < 1e-9
+
+    def test_analytic_j_derivatives_over_moving_structure(self):
+        # w depends on t, so eta and xi of the transformed structure move
+        # and the base rows of the J derivatives are not zero
+        t = TransformParams(w=lambda p: 0.2 * p[0])
+        cone = ConeModel(apply_cct(example1_chart(1).structure, t))
+        for p in cone.sample_points(4, 5):
+            dj = cone.j_derivs_at(p)
+            assert np.max(np.abs(dj[:-1])) > 0.1
+            assert np.max(np.abs(dj - cone.frame_derivative(p, cone.j_at))) < 1e-9
+
     def test_sample_includes_r_minus_one(self, ex1):
-        cone, _ = cone_model(ex1.structure)
+        cone = ConeModel(ex1.structure)
         pts = cone.sample_points(6, 42)
         assert any(abs(p[-1] + 1.0) < 1e-15 for p in pts)
         assert all(-2.0 <= p[-1] <= -0.5 for p in pts)
@@ -208,7 +226,7 @@ class TestConeModel:
     def test_reads_the_step_of_its_base(self):
         # the step is set on the chart after the cone over it is built
         cm = example1_chart(n=1)
-        cone, _ = cone_model(cm.structure)
+        cone = ConeModel(cm.structure)
         p = cone.sample_points(2, 3)[1]
         default = cone.frame_derivative(p, cone.metric_at)
         cm.model.fd_step = 2e-3
@@ -216,7 +234,7 @@ class TestConeModel:
 
         ref = example1_chart(n=1)
         ref.model.fd_step = 2e-3
-        ref_cone, _ = cone_model(ref.structure)
+        ref_cone = ConeModel(ref.structure)
         assert np.array_equal(late, ref_cone.frame_derivative(p, ref_cone.metric_at))
         assert not np.array_equal(late[-1], default[-1])
 
@@ -224,7 +242,7 @@ class TestConeModel:
     def test_frame_derivative_field_calls(self, name, calls):
         # the radial stencil's 4 calls, plus the group base's shape probe
         # or the chart base's 12-point stencil
-        cone, _ = cone_model(builtin(name).structure)
+        cone = ConeModel(builtin(name).structure)
         p = cone.sample_points(2, 3)[1]
         seen = []
 
@@ -241,7 +259,6 @@ class TestHolomorphicBase:
         base = hsphere_base(2, 3.0, 4.0)
         for p in base.model.sample_points(6, 4):
             assert base.norden_residual(p) < 1e-12
-            assert base.htilde_symmetry_residual(p) < 1e-12
 
     def test_hsphere_flat_at_center(self):
         base = hsphere_base(2, 1.0, 0.0)

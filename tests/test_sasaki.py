@@ -179,9 +179,9 @@ class TestConeHolomorphicity:
     def test_radial_line_at_specific_r(self, ex1):
         # g_cone(nabla_X d/dr, Z) = r g(X, Z) evaluated at r = -1.5
         from accr.connection import levi_civita
-        from accr.models import cone_model
+        from accr.models import ConeModel
 
-        cone, _ = cone_model(ex1.structure)
+        cone = ConeModel(ex1.structure)
         p = np.array([-1.5])
         gamma = levi_civita(cone, p).gamma
         G = cone.metric_at(p)

@@ -108,7 +108,7 @@ class TestRunAll:
         model = chart_model(3, lambda x: np.zeros((3, 3)), ranges=[(-1, 1)] * 3)
         broken = CorpusModel(name="degenerate", model=model,
                              structure=standard_structure(model, 1),
-                             params={}, exact=False, sasaki_expected=True)
+                             params={}, sasaki_expected=True)
         report = run_all([broken, example1(n=1)], small_cfg())
         assert report["models"][0]["error"]
         assert not report["summary"]["ok"]
@@ -206,6 +206,20 @@ class TestCli:
         rows = {row["check_id"]: row["verdict"]
                 for row in json.loads(out.read_text())["models"][0]["checks"]}
         assert rows["conformal.preserve.f_bar_direct"] == "fail"
+
+    def test_misdeclared_sasaki_eta_fit_reads_error(self, tmp_path, capsys):
+        """The eta fit of a flat group declared Sasaki-like is one error row
+        with its reason, not a vanished row in a report that exits 0."""
+        spec = tmp_path / "flat.json"
+        spec.write_text(json.dumps({"kind": "lie_group", "n": 1, "structure_constants": [],
+                                    "sasaki_expected": True}))
+        out = tmp_path / "report.json"
+        assert main(["verify", "-m", str(spec), "--only", "conformal.eta_fit",
+                     "--json", str(out)]) == 1
+        rows = json.loads(out.read_text())["models"][0]["checks"]
+        assert [(row["check_id"], row["verdict"]) for row in rows] == [
+            ("conformal.eta_fit.residual", "error")]
+        assert rows[0]["note"].startswith("not Sasaki-like: ")
 
     def test_usage_error_exit_two(self, capsys):
         assert main(["verify", "--points", "notanint"]) == 2
