@@ -9,8 +9,10 @@ checkout's working tree, used in place).  Each side runs the same fixed
 list of ``accr`` command lines with its own ``src`` on the path and its own
 tree as working directory: ``verify`` over the default corpus; for every
 builtin ``verify --points 6``, ``cone`` and ``transform`` with the
-benchmark's three parameter sets, all at ``--seed 7``; and ``verify -m`` on
-each model spec in ``docs/examples``.  A command differs when its JSON
+benchmark's three parameter sets, all at ``--seed 7``; ``verify --points 6``
+of the chart examples and the h-sphere extension at parameters other than
+their defaults (``PARAMS``), which rebuild their bases from other complex
+data; and ``verify -m`` on each model spec in ``docs/examples``.  A command differs when its JSON
 report, its stdout or its exit code differs.  Every differing command is
 printed; the exit code is 1 if any differs, else 0.
 """
@@ -29,6 +31,8 @@ from bench_record import ROOT, unpack
 BUILTINS = ("example1", "example1_chart", "example2", "example2_chart",
             "example3_hsphere_ext", "flat_parallel")
 TRANSFORMS = ("u=0.3,v=0.2,w=0", "u=0,v=0,w=0.6931471805599453", "v=linear_t:0.1,w=0")
+PARAMS = (("example1_chart", "n=2"), ("example2_chart", "lam=3"),
+          ("example3_hsphere_ext", "n=2,a=3,b=4"))
 
 
 def commands() -> list:
@@ -39,6 +43,8 @@ def commands() -> list:
         out.append(["verify", *seeded, "--points", "6"])
         out.append(["cone", *seeded])
         out.extend(["transform", *seeded, "--params", t] for t in TRANSFORMS)
+    out.extend(["verify", "-m", name, "--seed", "7", "--points", "6", "--params", params]
+               for name, params in PARAMS)
     out.extend(["verify", "-m", f"docs/examples/{spec.name}"]
                for spec in sorted((ROOT / "docs" / "examples").glob("*.json")))
     return out

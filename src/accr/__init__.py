@@ -17,6 +17,7 @@ from .models import (
     ConeModel,
     HolomorphicBase,
     chart_model,
+    holomorphic_base,
     lie_group_model,
     product_extension,
 )

@@ -13,6 +13,10 @@ Six constructions:
                           h'(z, z) = a, htilde'(z, z) = b of flat space
 * ``flat_parallel``       abelian model with F = 0 (designed to fail every
                           Sasaki-like check while passing the accR axioms)
+
+Every extension base comes from complex data hC(w) through
+``models.holomorphic_base``.  The chart examples' coordinate metrics are the
+S^1-solvable extensions over the flat bases hC0 = I_n and [[0, -2], [-2, 0]].
 """
 
 from __future__ import annotations
@@ -23,13 +27,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import hsphere_curvature, standard_norden_pair
+from .connection import hsphere_curvature
 from .errors import BadParams, ParamMismatch, UnknownBuiltin
 from .frame_algebra import MetricMatrix, standard_signature
 from .models import (
     HolomorphicBase,
+    ProductExtensionModel,
     chart_model,
     extension_leaf_curvature,
+    holomorphic_base,
     lie_group_model,
     product_extension,
 )
@@ -101,12 +107,14 @@ def _group(name, n, constants, params, sasaki_expected=True, **extra) -> CorpusM
                        params=params, sasaki_expected=sasaki_expected, **leaf, **extra)
 
 
-def _chart(name, n, coframe, coord_metric, params) -> CorpusModel:
-    """Chart realization of a group model: constant metric in a moving coframe."""
+def _chart(name, n, coframe, hc0, params) -> CorpusModel:
+    """Chart realization of a group model: constant metric in a moving coframe,
+    and the extension over the flat base hc0 as its coordinate metric."""
     d = 2 * n + 1
     eps = np.diag(standard_signature(n))
     model = chart_model(d, lambda x: eps, frame=coframe, ranges=[(-0.9, 0.9)] * d,
                         metric_derivs=lambda x: np.zeros((d, d, d)))
+    coord_metric = ProductExtensionModel(flat_norden_base(hc0)).metric_at
     return CorpusModel(name=f"{name}_chart", model=model,
                        structure=standard_structure(model, n), params=params,
                        sasaki_expected=True, **_flat_leaf(d),
@@ -166,28 +174,9 @@ def _example1_coframe(n):
     return coframe
 
 
-def _example1_coord_metric(n):
-    d = 2 * n + 1
-    eps = standard_signature(n)
-
-    def metric(x):
-        t = x[0]
-        G = np.zeros((d, d))
-        G[0, 0] = 1.0
-        c2, s2 = np.cos(2 * t), np.sin(2 * t)
-        for i in range(1, d):
-            G[i, i] = c2 * eps[i]
-        for i in range(1, n + 1):
-            G[i, n + i] = s2
-            G[n + i, i] = s2
-        return G
-
-    return metric
-
-
 def example1_chart(n=1) -> CorpusModel:
     n = int(n)
-    return _chart("example1", n, _example1_coframe(n), _example1_coord_metric(n), {"n": n})
+    return _chart("example1", n, _example1_coframe(n), np.eye(n), {"n": n})
 
 
 def _example2_coframe(lam):
@@ -206,28 +195,13 @@ def _example2_coframe(lam):
     return coframe
 
 
-def _example2_coord_metric():
-    def metric(x):
-        t = x[0]
-        c2, s2 = np.cos(2 * t), np.sin(2 * t)
-        G = np.zeros((5, 5))
-        G[0, 0] = 1.0
-        G[1, 2] = G[2, 1] = -2.0 * c2
-        G[3, 4] = G[4, 3] = 2.0 * c2
-        G[1, 4] = G[4, 1] = -2.0 * s2
-        G[2, 3] = G[3, 2] = -2.0 * s2
-        return G
-
-    return metric
-
-
 def example2_chart(lam=1.0, mu=0.0) -> CorpusModel:
     lam, mu = float(lam), float(mu)
     if mu != 0.0:
         raise BadParams("the coordinate realization exists only for mu = 0")
     if lam == 0.0:
         raise BadParams("the coordinate realization requires lambda != 0")
-    return _chart("example2", 2, _example2_coframe(lam), _example2_coord_metric(),
+    return _chart("example2", 2, _example2_coframe(lam), [[0.0, -2.0], [-2.0, 0.0]],
                   {"lam": lam, "mu": 0.0})
 
 
@@ -237,9 +211,7 @@ def hsphere_base(n, a, b) -> HolomorphicBase:
     coordinates (w^1 .. w^n).
 
     The induced holomorphic metric is hC_jk = delta_jk + w^j w^k / D with
-    D = (a - i b) - sum (w^m)^2; its real part in the real coordinates
-    (u, v), w = u + i v, gives the chart metric, with J the standard
-    multiplication by i.  Derivatives are analytic (holomorphic rules).
+    D = (a - i b) - sum (w^m)^2, and its derivative is analytic.
     """
     if a == 0 and b == 0:
         raise BadParams("(a, b) = (0, 0) is excluded")
@@ -247,44 +219,26 @@ def hsphere_base(n, a, b) -> HolomorphicBase:
     eye = np.eye(n, dtype=complex)
     idx = np.arange(n)
 
-    def real_block(m):
-        """[[Re m, -Im m], [-Im m, -Re m]] over any leading axes of m."""
-        out = np.empty(m.shape[:-2] + (2 * n, 2 * n))
-        out[..., :n, :n] = m.real
-        out[..., :n, n:] = -m.imag
-        out[..., n:, :n] = -m.imag
-        out[..., n:, n:] = -m.real
-        return out
+    def hc(w):
+        return eye + np.outer(w, w) / (cplx - np.sum(w * w))
 
-    def metric_fn(x):
-        w = x[:n] + 1j * x[n:]
-        return real_block(eye + np.outer(w, w) / (cplx - np.sum(w * w)))
-
-    def metric_derivs_fn(x):
-        w = x[:n] + 1j * x[n:]
+    def dhc(w):
         denom = cplx - np.sum(w * w)
-        # dm[m] = d hC / d w^m, then d/du^m = dm[m] and d/dv^m = i dm[m]
         dm = np.zeros((n, n, n), dtype=complex)
         dm[idx, idx, :] += w
         dm[idx, :, idx] += w
-        dm = dm / denom + (2.0 * w)[:, None, None] * np.outer(w, w) / (denom * denom)
-        out = np.empty((2 * n, 2 * n, 2 * n))
-        out[:n] = real_block(dm)
-        out[n:] = real_block(1j * dm)
-        return out
+        return dm / denom + (2.0 * w)[:, None, None] * np.outer(w, w) / (denom * denom)
 
-    model = chart_model(2 * n, metric_fn, ranges=[(-0.22, 0.22)] * (2 * n),
-                        metric_derivs=metric_derivs_fn)
-    h, htilde = standard_norden_pair(n)
-    return HolomorphicBase(model=model, j=h @ htilde)   # J = h^{-1} htilde
+    return holomorphic_base(n, hc, dhc, [(-0.22, 0.22)] * (2 * n))
 
 
-def flat_norden_base(n) -> HolomorphicBase:
-    """Flat R^{2n} with the constant standard pair (h, J)."""
-    h, htilde = standard_norden_pair(n)
-    model = chart_model(2 * n, lambda x: h, ranges=[(-1.0, 1.0)] * (2 * n),
-                        metric_derivs=lambda x: np.zeros((2 * n,) * 3))
-    return HolomorphicBase(model=model, j=h @ htilde)
+def flat_norden_base(hc0) -> HolomorphicBase:
+    """Flat R^{2n} with the constant complex symmetric metric hc0 (n x n) on
+    the box |u|, |v| <= 1; hc0 = I_n gives the standard pair (h, J)."""
+    hc0 = np.asarray(hc0, dtype=complex)
+    n = len(hc0)
+    zero = np.zeros((n, n, n), dtype=complex)
+    return holomorphic_base(n, lambda w: hc0, lambda w: zero, [(-1.0, 1.0)] * (2 * n))
 
 
 def example3_hsphere_ext(n=3, a=1.0, b=0.0) -> CorpusModel:
@@ -292,8 +246,6 @@ def example3_hsphere_ext(n=3, a=1.0, b=0.0) -> CorpusModel:
     a, b = float(a), float(b)
     if n < 1:
         raise BadParams("n >= 1 required")
-    if a == 0 and b == 0:
-        raise BadParams("(a, b) = (0, 0) is excluded")
     base = hsphere_base(n, a, b)
     model, s = product_extension(base)
     d = model.dim
@@ -334,6 +286,11 @@ BUILTINS = {
 }
 
 
+# Largest n accepted from outside: curvature arrays grow as (2n + 1)^4, and
+# example1 and example3_hsphere_ext at n = 16 verify two points in ~120 MB.
+MAX_N = 16
+
+
 def _constructor(name):
     if name not in BUILTINS:
         raise UnknownBuiltin(f"unknown builtin {name!r}; try: {', '.join(sorted(BUILTINS))}")
@@ -342,14 +299,14 @@ def _constructor(name):
 
 def builtin(name, **params) -> CorpusModel:
     """Construct a named corpus model.  Unknown names, parameters that are
-    not finite real numbers, an n that is not a whole number >= 1, or bad
-    parameter combinations raise UnknownBuiltin / BadParams."""
+    not finite real numbers, an n that is not a whole number in [1, MAX_N],
+    or bad parameter combinations raise UnknownBuiltin / BadParams."""
     fn = _constructor(name)
     for key, val in params.items():
         if isinstance(val, bool) or not isinstance(val, numbers.Real) or not math.isfinite(val):
             raise BadParams(f"{name}: parameter {key}={val!r} is not a finite real number")
-    if "n" in params and not (float(params["n"]).is_integer() and params["n"] >= 1):
-        raise BadParams(f"{name}: n must be a whole number >= 1, got {params['n']!r}")
+    if "n" in params and not (float(params["n"]).is_integer() and 1 <= params["n"] <= MAX_N):
+        raise BadParams(f"{name}: n must be a whole number in [1, {MAX_N}], got {params['n']!r}")
     try:
         return fn(**params)
     except TypeError as exc:

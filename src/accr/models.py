@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import holomorphy_residual
+from .connection import holomorphy_residual, standard_norden_pair
 from .errors import (
     BadParams,
     BadSignature,
@@ -294,6 +294,39 @@ class HolomorphicBase:
         return float(np.max(np.abs(self.j.T @ h @ self.j + h)))
 
 
+def _real_block(m):
+    """Re m in the real coordinates (u, v), w = u + i v: the blocks
+    [[Re m, -Im m], [-Im m, -Re m]] over any leading axes of m."""
+    n = m.shape[-1]
+    out = np.empty(m.shape[:-2] + (2 * n, 2 * n))
+    out[..., :n, :n] = m.real
+    out[..., :n, n:] = -m.imag
+    out[..., n:, :n] = -m.imag
+    out[..., n:, n:] = -m.real
+    return out
+
+
+def holomorphic_base(n, hc, dhc, ranges) -> HolomorphicBase:
+    """Base from a holomorphic symmetric hc(w) (n x n) with dhc(w)[m] = d hC / d w^m,
+    on the box ``ranges`` of the real coordinates (u, v), w = u + i v: h = Re hC,
+    J is multiplication by i, and dh follows from the Cauchy-Riemann rule
+    d/du^m = d/dw^m, d/dv^m = i d/dw^m."""
+
+    def metric_fn(x):
+        return _real_block(hc(x[:n] + 1j * x[n:]))
+
+    def metric_derivs_fn(x):
+        dm = dhc(x[:n] + 1j * x[n:])
+        out = np.empty((2 * n, 2 * n, 2 * n))
+        out[:n] = _real_block(dm)
+        out[n:] = _real_block(1j * dm)
+        return out
+
+    model = chart_model(2 * n, metric_fn, ranges=ranges, metric_derivs=metric_derivs_fn)
+    h, htilde = standard_norden_pair(n)
+    return HolomorphicBase(model=model, j=h @ htilde)   # J = h^{-1} htilde
+
+
 class ProductExtensionModel(ChartModel):
     """M = R_t x N with g = dt^2 + cos(2t) h - sin(2t) htilde.
 
@@ -358,12 +391,18 @@ def product_extension(base: HolomorphicBase):
 
     Returns (model, structure) where the structure carries eta = dt,
     xi = d/dt, phi restricted to the horizontal distribution equal to J.
-    Raises BaseNotHolomorphic when nabla^h J fails to vanish on 4 samples.
+    Raises BaseNotHolomorphic when, on 4 samples, h is not Norden, nabla^h J
+    fails to vanish, or dh differs from the finite differences of h relative
+    to max(1, |dh|): nabla^h J is solved from dh, so it misses a w-bar term.
     """
-    for q in base.model.sample_points(4, seed=7):
-        res = worst((base.norden_residual(q), holomorphy_residual(base, q)))
+    chart = base.model
+    for q in chart.sample_points(4, seed=7):
+        dh = chart.metric_derivs_at(q)
+        gap = np.max(np.abs(dh - coordinate_derivatives(chart.metric_at, q, chart.fd_step)))
+        res = worst((base.norden_residual(q), holomorphy_residual(base, q),
+                     gap / max(1.0, np.max(np.abs(dh)))))
         if not res <= 1e-6:
-            raise BaseNotHolomorphic(f"nabla J residual {res:.3e} at {q}")
+            raise BaseNotHolomorphic(f"holomorphy residual {res:.3e} at {q}")
 
     model = ProductExtensionModel(base)
     d = model.dim

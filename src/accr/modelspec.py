@@ -14,7 +14,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 
-from .corpus import CorpusModel, builtin
+from .corpus import MAX_N, CorpusModel, builtin
 from .errors import BadParams
 from .frame_algebra import MetricMatrix, standard_signature
 from .models import lie_group_model
@@ -55,7 +55,7 @@ MODELSPEC_SCHEMA = {
                 "schema_version": {"type": "string"},
                 "kind": {"const": "lie_group"},
                 "name": {"type": "string"},
-                "n": {"type": "integer", "minimum": 1},
+                "n": {"type": "integer", "minimum": 1, "maximum": MAX_N},
                 "structure_constants": {
                     "type": "array",
                     "items": {

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from accr.conformal import TransformParams, apply_cct
 from accr.connection import levi_civita
 from accr.corpus import (
+    CorpusModel,
     builtin,
     example1_chart,
     example3_hsphere_ext,
@@ -20,11 +23,45 @@ from accr.models import (
     chart_model,
     ConeModel,
     coordinate_derivatives,
+    holomorphic_base,
     lie_group_model,
     product_extension,
+    ProductExtensionModel,
 )
 from accr.structure import PointFields
+from accr.verify import VerifyConfig, run_model_checks
 from tests.conftest import ORIGIN
+
+# complex symmetric S_k with S_k[i, j] = LINEAR[k, i, j]: the coefficients of
+# a holomorphic metric I + sum_k w^k S_k on C^2
+LINEAR = np.array([[[0.4 + 0.1j, -0.2j], [-0.2j, 0.3]],
+                   [[-0.1, 0.25 + 0.3j], [0.25 + 0.3j, 0.2 - 0.1j]]])
+
+
+def linear_base(wbar=0.0, dhc_scale=1.0):
+    """Base with hC = I + sum w^k S_k + wbar sum conj(w^k) S_k on |u|, |v| <= 0.2,
+    given the derivative dhc_scale * S of its holomorphic part."""
+    hc = lambda w: np.eye(2) + np.einsum("k,kij->ij", w + wbar * w.conj(), LINEAR)
+    return holomorphic_base(2, hc, lambda w: dhc_scale * LINEAR, [(-0.2, 0.2)] * 4)
+
+
+def complex_matrices(count, n):
+    """count complex n x n matrices, real and imaginary parts in [-1, 1]."""
+    size = 2 * count * n * n
+    return st.lists(st.floats(-1.0, 1.0), min_size=size, max_size=size).map(
+        lambda v: (np.array(v[::2]) + 1j * np.array(v[1::2])).reshape(count, n, n))
+
+
+@st.composite
+def quadratic_metrics(draw):
+    """(n, S0, S, SS) of hC(w) = S0 + sum w^k S_k + sum w^k w^l S_kl with
+    S0 = I + 0.2 (Z + Z^T), S_k = 0.3 (A_k + A_k^T), S_kl = 0.2 (B_kl + B_kl^T)."""
+    n = draw(st.sampled_from([1, 2]))
+    sym = lambda a: a + np.swapaxes(a, -1, -2)
+    s0 = np.eye(n) + 0.2 * sym(draw(complex_matrices(1, n))[0])
+    s1 = 0.3 * sym(draw(complex_matrices(n, n)))
+    s2 = 0.2 * sym(draw(complex_matrices(n * n, n))).reshape(n, n, n, n)
+    return n, s0, s1, s2
 
 
 class TestLieGroupModel:
@@ -102,24 +139,28 @@ class TestChartModel:
 
 
 class TestProductExtension:
-    def test_flat_base_matches_chart_form(self, ex1_chart):
-        base = flat_norden_base(1)
-        model, s = product_extension(base)
-        p0 = np.zeros(3)
-        assert np.allclose(model.metric_at(p0), np.diag([1.0, 1.0, -1.0]), atol=1e-15)
-        for t in (0.3, -0.7, 1.1):
-            p = np.array([t, 0.4, -0.2])
-            assert np.max(np.abs(model.metric_at(p) - ex1_chart.coord_metric_fn(p))) < 1e-14
+    def test_flat_base_matches_chart_form(self, ex1_chart, ex2_chart):
+        # the chart examples' coordinate metrics at t = pi/4, where
+        # g = dt^2 - htilde: literal values, so a wrong flat base hC0 fails here
+        model, _ = product_extension(flat_norden_base(np.eye(1)))
+        assert np.allclose(model.metric_at(np.zeros(3)), np.diag([1.0, 1.0, -1.0]), atol=1e-15)
+        p = np.array([np.pi / 4, 0.4, -0.2])
+        expected = [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]]
+        assert np.allclose(ex1_chart.coord_metric_fn(p), expected, atol=1e-15)
+        g = ex2_chart.coord_metric_fn(np.array([np.pi / 4, 0.3, -0.1, 0.2, 0.5]))
+        assert g[1, 4] == g[2, 3] == -2.0
+        assert abs(g[1, 2]) < 1e-15 and abs(g[3, 4]) < 1e-15
+        assert np.array_equal(g, g.T)
 
     def test_metric_periodicity(self):
-        model, _ = product_extension(flat_norden_base(1))
+        model, _ = product_extension(flat_norden_base(np.eye(1)))
         p = np.array([0.37, 0.1, -0.5])
         q = p.copy()
         q[0] += np.pi
         assert np.max(np.abs(model.metric_at(p) - model.metric_at(q))) < 1e-12
 
     def test_structure_identities_exact(self):
-        _, s = product_extension(flat_norden_base(2))
+        _, s = product_extension(flat_norden_base(np.eye(2)))
         phi, xi, eta = s.phi_at(ORIGIN), s.xi_at(ORIGIN), s.eta_at(ORIGIN)
         assert eta @ xi == 1.0
         assert np.max(np.abs(phi @ xi)) == 0.0
@@ -159,6 +200,18 @@ class TestProductExtension:
         base = HolomorphicBase(model=bad, j=np.array([[0.0, -1.0], [1.0, 0.0]]))
         with pytest.raises(BaseNotHolomorphic):
             product_extension(base)
+
+    def test_accepts_holomorphic_linear_base(self):
+        model, _ = product_extension(linear_base())
+        assert model.dim == 5
+
+    @pytest.mark.parametrize("kwargs", [{"wbar": 0.3}, {"dhc_scale": 2.0}])
+    def test_rejects_dh_that_is_not_the_metric_derivative(self, kwargs):
+        # nabla^h J is solved from the given dh, so it vanishes here whatever
+        # the metric does; only the finite differences of h show the w-bar
+        # term or the doubled derivative
+        with pytest.raises(BaseNotHolomorphic):
+            product_extension(linear_base(**kwargs))
 
 
 class TestConeModel:
@@ -264,6 +317,26 @@ class TestHolomorphicBase:
         base = hsphere_base(2, 1.0, 0.0)
         h = base.h_at(np.zeros(4))
         assert np.allclose(h, np.diag([1.0, 1.0, -1.0, -1.0]), atol=1e-15)
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(quadratic_metrics())
+    def test_extension_of_any_holomorphic_base_is_sasaki_like(self, data):
+        # the paper's construction on bases nobody derived by hand: every
+        # judged row passes or is a designed failure
+        n, s0, s1, s2 = data
+        hc = lambda w: s0 + np.einsum("k,kij->ij", w, s1) + np.einsum("k,l,klij->ij", w, w, s2)
+        dhc = lambda w: s1 + np.einsum("l,mlij->mij", w, s2) + np.einsum("l,lmij->mij", w, s2)
+        base = holomorphic_base(n, hc, dhc, [(-0.2, 0.2)] * (2 * n))
+        cfg = VerifyConfig(points=6)
+        pts = ProductExtensionModel(base).sample_points(cfg.points, cfg.seed)
+        assume(min(abs(np.linalg.det(hc(p[1:n + 1] + 1j * p[n + 1:]))) for p in pts) >= 0.1)
+        model, s = product_extension(base)
+        cm = CorpusModel(name="polynomial_ext", model=model, structure=s,
+                         params={"n": n}, sasaki_expected=True)
+        rows = run_model_checks(cm, cfg)["checks"]
+        bad = [(r["check_id"], r["max_residual"]) for r in rows
+               if r["verdict"] not in ("pass", "xfail", "info")]
+        assert rows and not bad
 
     def test_hsphere_analytic_derivs(self):
         base = hsphere_base(2, 1.0, 0.5)

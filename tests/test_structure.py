@@ -19,11 +19,11 @@ from tests.conftest import ORIGIN
 def coordinate_frame_realization(n=1):
     """Example 1 in its coordinate frame: the metric varies with t and so
     does phi, which exercises the derivative terms of every formula."""
-    from accr.corpus import _example1_coframe, _example1_coord_metric
+    from accr.corpus import _example1_coframe, example1_chart
 
     d = 2 * n + 1
     coframe = _example1_coframe(n)
-    model = chart_model(d, _example1_coord_metric(n), ranges=[(-0.9, 0.9)] * d)
+    model = chart_model(d, example1_chart(n).coord_metric_fn, ranges=[(-0.9, 0.9)] * d)
     frame_structure = standard_structure(model, n)
     phi_f = frame_structure.phi_at(ORIGIN)
 
@@ -53,7 +53,7 @@ class TestValidateStructure:
         assert 1e-4 < res["phi_squared"] < 1e-2
 
     def test_extension_over_flat(self):
-        _, s = product_extension(flat_norden_base(1))
+        _, s = product_extension(flat_norden_base(np.eye(1)))
         for p in s.model.sample_points(5, 21):
             assert max(validate_structure(PointFields(s, p)).values()) < 1e-12
 

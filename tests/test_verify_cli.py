@@ -282,6 +282,9 @@ class TestCli:
         (["verify", "-m", "SPEC:xi_index_out_of_range"], 2),
         (["verify", "-m", "SPEC:phi_wrong_shape"], 2),
         (["verify", "-m", "SPEC:ragged_metric"], 2),
+        # n is bounded above, before anything of size n is built
+        (["verify", "-m", "example3_hsphere_ext", "--params", "n=17"], 2),
+        (["verify", "-m", "SPEC:n_too_large"], 2),
     ])
     def test_bad_input(self, argv, code, tmp_path, capsys):
         specs = {
@@ -300,6 +303,7 @@ class TestCli:
                                 "phi": [[0.0, -1.0], [1.0, 0.0]]},
             "ragged_metric": {"kind": "lie_group", "n": 1, "structure_constants": [],
                               "metric": [[1.0, 0.0], [0.0]]},
+            "n_too_large": {"kind": "lie_group", "n": 17, "structure_constants": []},
         }
         for name, spec in specs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(spec))
