@@ -14,12 +14,14 @@ of the chart examples and the h-sphere extension at parameters other than
 their defaults (``PARAMS``), which rebuild their bases from other complex
 data; and ``verify -m`` on each model spec in ``docs/examples``.  A command differs when its JSON
 report, its stdout or its exit code differs.  Every differing command is
-printed; the exit code is 1 if any differs, else 0.
+printed, and for a pair of verify reports also the sorted check ids whose
+rows differ and both summaries; the exit code is 1 if any differs, else 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -61,6 +63,19 @@ def run(tree: Path, argv, report: Path) -> tuple:
     return text, proc.stdout, proc.returncode
 
 
+def row_moves(parent: bytes, change: bytes) -> list:
+    """Lines naming what moved between two verify reports: the sorted check
+    ids whose rows differ or exist on one side only, and both summaries."""
+    reports = [json.loads(text) for text in (parent, change)]
+    rows = [{(k, r["check_id"]): r for k, m in enumerate(rep["models"]) for r in m["checks"]}
+            for rep in reports]
+    moved = sorted({key[1] for key in rows[0].keys() | rows[1].keys()
+                    if rows[0].get(key) != rows[1].get(key)})
+    return [f"    rows: {', '.join(moved) or '(none)'}",
+            *(f"    {side} summary: {json.dumps(rep['summary'], sort_keys=True)}"
+              for side, rep in zip(("parent", "change"), reports))]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
@@ -81,6 +96,8 @@ def main(argv=None) -> int:
             if parts:
                 differ += 1
                 print(f"differs ({', '.join(parts)}): accr {' '.join(cmd)}", flush=True)
+                if cmd[0] == "verify" and parent[0] and change[0]:
+                    print("\n".join(row_moves(parent[0], change[0])), flush=True)
     print(f"{differ} of {len(cmds)} commands differ")
     return 1 if differ else 0
 

@@ -8,7 +8,7 @@ Subcommands:
 
 Exit codes: 0 all checks pass (designed failures count as pass), 1 any
 unexpected failure, 2 usage or input errors.  The environment variable
-ACCR_SEED overrides the default sample seed.
+ACCR_SEED, a non-negative integer, overrides the default sample seed.
 """
 
 from __future__ import annotations
@@ -37,10 +37,6 @@ from .verify import (
     tolerance_for,
     within,
 )
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("ACCR_SEED", "42"))
 
 
 def _parse_params(items) -> dict:
@@ -74,8 +70,12 @@ def _resolve_models(names, params):
 def _config_from(args) -> VerifyConfig:
     if args.points < 1:
         raise BadParams(f"--points must be at least 1, got {args.points}")
+    if args.seed < 0:
+        raise BadParams(f"--seed must be non-negative, got {args.seed}")
     if not (math.isfinite(args.fd_step) and args.fd_step > 0):
         raise BadParams(f"--fd-step must be a positive finite number, got {args.fd_step}")
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0):
+        raise BadParams(f"--tol must be a non-negative finite number, got {args.tol}")
     only = getattr(args, "only", None)
     if only and not any(check_id.startswith(only) for check_id in CHECKS):
         raise BadParams(f"--only {only!r} matches no check id")
@@ -204,8 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--params", action="append",
                        help="comma separated key=value model/transform parameters")
         p.add_argument("--points", type=int, default=20, help="sample point count")
-        p.add_argument("--seed", type=int, default=_default_seed(),
-                       help="sample seed (env ACCR_SEED)")
+        p.add_argument("--seed", type=int, default=os.environ.get("ACCR_SEED", "42"),
+                       help="non-negative sample seed (env ACCR_SEED)")
         p.add_argument("--tol", type=float, default=None, help="override all tolerances")
         p.add_argument("--fd-step", type=float, default=1e-3, dest="fd_step",
                        help="finite difference step")

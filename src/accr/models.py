@@ -31,7 +31,7 @@ from .errors import (
     RNotNegative,
     SingularCoframe,
 )
-from .frame_algebra import MetricMatrix
+from .frame_algebra import SYM_TOL, MetricMatrix
 from .structure import AccrStructure, worst
 
 DEFAULT_FD_STEP = 1e-3
@@ -391,12 +391,17 @@ def product_extension(base: HolomorphicBase):
 
     Returns (model, structure) where the structure carries eta = dt,
     xi = d/dt, phi restricted to the horizontal distribution equal to J.
-    Raises BaseNotHolomorphic when, on 4 samples, h is not Norden, nabla^h J
-    fails to vanish, or dh differs from the finite differences of h relative
-    to max(1, |dh|): nabla^h J is solved from dh, so it misses a w-bar term.
+    Raises BaseNotHolomorphic when, on 4 samples, h is not symmetric (hC
+    must be), h is not Norden, nabla^h J fails to vanish, or dh differs
+    from the finite differences of h relative to max(1, |dh|): nabla^h J is
+    solved from dh, so it misses a w-bar term.
     """
     chart = base.model
     for q in chart.sample_points(4, seed=7):
+        h = chart.metric_at(q)
+        asym = np.max(np.abs(h - h.T))
+        if not asym <= SYM_TOL:
+            raise BaseNotHolomorphic(f"metric asymmetry {asym:.3e} at {q}")
         dh = chart.metric_derivs_at(q)
         gap = np.max(np.abs(dh - coordinate_derivatives(chart.metric_at, q, chart.fd_step)))
         res = worst((base.norden_residual(q), holomorphy_residual(base, q),

@@ -24,7 +24,7 @@ _SAMPLE_POINTS = {
     "type": "object",
     "properties": {
         "count": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", "minimum": 0},
     },
     "additionalProperties": False,
 }

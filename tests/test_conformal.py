@@ -262,17 +262,19 @@ class TestSolveCounts:
         # one solve plus the 12-point curvature stencil, on each metric
         (["transform", "-m", "example1_chart", "--params", "u=0.3,v=0.2,w=0", "--points", "1"],
          13, 13),
-        (["verify", "-m", "example1", "--only", "conformal.homothetic"], 1, 1),
+        # the laws read the pair that preservation made: one solve each for
+        # HOMOTHETY and BREAKING; the base solve of the pass and eta_fit's own
+        (["verify", "-m", "example1", "--only", "conformal"], 2, 2),
     ])
     def test_first_pair_serves_every_law(self, argv, base, transformed, monkeypatch, capsys):
         assert self.solves(monkeypatch, argv) == (base, transformed)
 
     def test_conformal_families(self, monkeypatch, capsys):
         # the pass's base solve and eta_fit's own; one transformed solve each
-        # for preserve, break and homothetic
+        # for HOMOTHETY and BREAKING
         base, transformed = self.solves(monkeypatch, ["verify", "-m", "example1", "--only",
                                                       "conformal"])
-        assert base <= 2 and transformed <= 3
+        assert base <= 2 and transformed <= 2
 
     @pytest.mark.parametrize("argv, cone_points", [
         (["verify", "-m", "example1", "--only", "cone"], 6),
@@ -288,4 +290,4 @@ class TestSolveCounts:
         the pass already holds, goes over them."""
         counts = self.counters(monkeypatch)
         run_all(default_corpus())
-        assert counts[0] + counts[1] <= 2916 and counts[2] <= 446
+        assert counts[0] + counts[1] <= 2912 and counts[2] <= 446

@@ -4,7 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from accr.conformal import TransformParams, apply_cct
-from accr.connection import levi_civita
+from accr.connection import holomorphy_residual, levi_civita
 from accr.corpus import (
     CorpusModel,
     builtin,
@@ -24,11 +24,12 @@ from accr.models import (
     ConeModel,
     coordinate_derivatives,
     holomorphic_base,
+    HolomorphicBase,
     lie_group_model,
     product_extension,
     ProductExtensionModel,
 )
-from accr.structure import PointFields
+from accr.structure import AccrStructure, PointFields
 from accr.verify import VerifyConfig, run_model_checks
 from tests.conftest import ORIGIN
 
@@ -195,8 +196,6 @@ class TestProductExtension:
             return np.diag([np.exp(x[0]), -np.exp(x[0])])
 
         bad = chart_model(2, metric, ranges=[(-0.5, 0.5)] * 2)
-        from accr.models import HolomorphicBase
-
         base = HolomorphicBase(model=bad, j=np.array([[0.0, -1.0], [1.0, 0.0]]))
         with pytest.raises(BaseNotHolomorphic):
             product_extension(base)
@@ -212,6 +211,13 @@ class TestProductExtension:
         # term or the doubled derivative
         with pytest.raises(BaseNotHolomorphic):
             product_extension(linear_base(**kwargs))
+
+    def test_rejects_asymmetric_hc(self):
+        # hC holomorphic but not symmetric: h = Re hC is not a metric
+        hc = lambda w: np.array([[1.0, 0.3 + 0.2j], [-0.1j, 1.0]])
+        base = holomorphic_base(2, hc, lambda w: np.zeros((2, 2, 2)), [(-0.2, 0.2)] * 4)
+        with pytest.raises(BaseNotHolomorphic, match="asymmetry"):
+            product_extension(base)
 
 
 class TestConeModel:
@@ -337,6 +343,34 @@ class TestHolomorphicBase:
         bad = [(r["check_id"], r["max_residual"]) for r in rows
                if r["verdict"] not in ("pass", "xfail", "info")]
         assert rows and not bad
+
+    @settings(max_examples=6, deadline=None, derandomize=True)
+    @given(quadratic_metrics())
+    def test_battery_catches_a_non_holomorphic_base(self, data):
+        # hC + 0.3 sum conj(w^k) S_k is not holomorphic; past the gate, built
+        # by hand with dh the finite differences of h, the extension over it
+        # must fail the Sasaki-like rows
+        n, s0, s1, s2 = data
+        hc = lambda w: (s0 + np.einsum("k,kij->ij", w + 0.3 * w.conj(), s1)
+                        + np.einsum("k,l,klij->ij", w, w, s2))
+        ranges = [(-0.2, 0.2)] * (2 * n)
+        real = holomorphic_base(n, hc, None, ranges)     # h = Re hC and J; no dh
+        j = real.j
+        base = HolomorphicBase(model=chart_model(2 * n, real.model.metric_at, ranges=ranges), j=j)
+        model = ProductExtensionModel(base)
+        cfg = VerifyConfig(points=4, with_error_estimate=False)
+        pts = model.sample_points(cfg.points, cfg.seed)
+        assume(max(holomorphy_residual(base, p[1:]) for p in pts) >= 1e-2)
+        d = model.dim
+        phi = np.zeros((d, d))
+        phi[1:, 1:] = j
+        e0 = np.eye(d)[0]
+        s = AccrStructure(model=model, n=n, phi=phi, xi=e0, eta=e0)
+        cm = CorpusModel(name="non_holomorphic_ext", model=model, structure=s,
+                         params={"n": n}, sasaki_expected=True)
+        verdicts = {r["check_id"]: r["verdict"] for r in run_model_checks(cm, cfg)["checks"]}
+        for check_id in ("cone.holomorphic", "sasaki.nabla_phi", "sasaki.defining.f_horizontal"):
+            assert verdicts[check_id] == "fail", check_id
 
     def test_hsphere_analytic_derivs(self):
         base = hsphere_base(2, 1.0, 0.5)

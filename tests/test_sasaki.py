@@ -3,6 +3,7 @@ import pytest
 
 from accr.corpus import example2
 from accr.errors import NotSasakiLike
+from accr.models import ConeModel
 from accr.sasaki import (
     check_corollary,
     check_defining_conditions,
@@ -179,7 +180,6 @@ class TestConeHolomorphicity:
     def test_radial_line_at_specific_r(self, ex1):
         # g_cone(nabla_X d/dr, Z) = r g(X, Z) evaluated at r = -1.5
         from accr.connection import levi_civita
-        from accr.models import ConeModel
 
         cone = ConeModel(ex1.structure)
         p = np.array([-1.5])
@@ -195,6 +195,22 @@ class TestConeHolomorphicity:
         for cm in (ex1, ex2):
             check = cone_holomorphic_residual(cm.structure)
             assert check.dj_xi_line["direct_vs_symmetric_reading"] < 1e-9
+
+    def test_cone_metric_defect_fails_the_lines(self, flat, monkeypatch):
+        """A 1 % error in the radial block of the cone's dg hides behind the
+        designed failure cone.holomorphic, but the judged lines fail."""
+        derivs = ConeModel.metric_derivs_at
+
+        def perturbed(self, p):
+            D = derivs(self, p)
+            d = self.base.dim
+            D[d, :d, :d] *= 1.01
+            return D
+
+        monkeypatch.setattr(ConeModel, "metric_derivs_at", perturbed)
+        verdicts = {r["check_id"]: r["verdict"] for r in rows(flat, "cone")}
+        assert verdicts["cone.holomorphic"] == "xfail"
+        assert verdicts["cone.line.radial_argument"] == "fail"
 
 
 class TestReportCoherence:

@@ -285,6 +285,14 @@ class TestCli:
         # n is bounded above, before anything of size n is built
         (["verify", "-m", "example3_hsphere_ext", "--params", "n=17"], 2),
         (["verify", "-m", "SPEC:n_too_large"], 2),
+        # seeds are non-negative, on the command line and in a spec
+        (["verify", "-m", "example1_chart", "--points", "2", "--seed", "-5"], 2),
+        (["cone", "-m", "example1", "--seed", "-1"], 2),
+        (["verify", "-m", "SPEC:negative_seed"], 2),
+        # a tolerance is a finite number >= 0
+        (["verify", "-m", "example1", "--tol", "nan"], 2),
+        (["verify", "-m", "example1", "--tol=-1"], 2),
+        (["transform", "-m", "example1", "--tol", "inf"], 2),
     ])
     def test_bad_input(self, argv, code, tmp_path, capsys):
         specs = {
@@ -304,6 +312,8 @@ class TestCli:
             "ragged_metric": {"kind": "lie_group", "n": 1, "structure_constants": [],
                               "metric": [[1.0, 0.0], [0.0]]},
             "n_too_large": {"kind": "lie_group", "n": 17, "structure_constants": []},
+            "negative_seed": {"kind": "lie_group", "n": 1, "structure_constants": [],
+                              "sample_points": {"count": 3, "seed": -2}},
         }
         for name, spec in specs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(spec))
@@ -328,3 +338,14 @@ class TestCli:
 
         args = build_parser().parse_args(["verify"])
         assert args.seed == 123
+
+    @pytest.mark.parametrize("env, argv, code", [
+        ("abc", ["verify", "-m", "example1"], 2),
+        ("-1", ["verify", "-m", "example1"], 2),
+        # list takes no seed, so the variable is not read
+        ("abc", ["list"], 0),
+    ])
+    def test_bad_seed_env(self, env, argv, code, monkeypatch, capsys):
+        monkeypatch.setenv("ACCR_SEED", env)
+        assert main(argv) == code
+        assert "Traceback" not in capsys.readouterr().err
