@@ -15,7 +15,8 @@ their defaults (``PARAMS``), which rebuild their bases from other complex
 data; and ``verify -m`` on each model spec in ``docs/examples``.  A command differs when its JSON
 report, its stdout or its exit code differs.  Every differing command is
 printed, and for a pair of verify reports also the sorted check ids whose
-rows differ and both summaries; the exit code is 1 if any differs, else 0.
+rows differ, each differing row's max_residual, tolerance and verdict on
+both sides, and both summaries; the exit code is 1 if any differs, else 0.
 """
 
 from __future__ import annotations
@@ -65,13 +66,24 @@ def run(tree: Path, argv, report: Path) -> tuple:
 
 def row_moves(parent: bytes, change: bytes) -> list:
     """Lines naming what moved between two verify reports: the sorted check
-    ids whose rows differ or exist on one side only, and both summaries."""
+    ids whose rows differ or exist on one side only, then one line per such
+    row with its model and, on each side, its max_residual, tolerance and
+    verdict, then both summaries."""
     reports = [json.loads(text) for text in (parent, change)]
-    rows = [{(k, r["check_id"]): r for k, m in enumerate(rep["models"]) for r in m["checks"]}
-            for rep in reports]
-    moved = sorted({key[1] for key in rows[0].keys() | rows[1].keys()
-                    if rows[0].get(key) != rows[1].get(key)})
+    rows = [{(k, m["name"], r["check_id"]): r for k, m in enumerate(rep["models"])
+             for r in m["checks"]} for rep in reports]
+    keys = sorted(key for key in rows[0].keys() | rows[1].keys()
+                  if rows[0].get(key) != rows[1].get(key))
+
+    def cells(row):
+        if row is None:
+            return "absent"
+        return f"{row['max_residual']!r} tol {row['tolerance']!r} {row['verdict']}"
+
+    moved = sorted({key[2] for key in keys})
     return [f"    rows: {', '.join(moved) or '(none)'}",
+            *(f"    {k} {name} {check_id}: {cells(rows[0].get((k, name, check_id)))}"
+              f" -> {cells(rows[1].get((k, name, check_id)))}" for k, name, check_id in keys),
             *(f"    {side} summary: {json.dumps(rep['summary'], sort_keys=True)}"
               for side, rep in zip(("parent", "change"), reports))]
 

@@ -4,7 +4,8 @@ Subcommands:
   list        show the builtin corpus
   verify      run the verification battery over models
   transform   apply a contact conformal / homothetic transformation, verify
-  cone        build the complex cone and check its holomorphicity
+  cone        build the complex cone, check its holomorphicity and its
+              closed-form connection lines
 
 Exit codes: 0 all checks pass (designed failures count as pass), 1 any
 unexpected failure, 2 usage or input errors.  The environment variable
@@ -183,7 +184,11 @@ def cmd_cone(args) -> int:
         check = sas.cone_holomorphic_residual(cm.structure, count=min(cfg.points, 8),
                                               seed=cfg.seed)
         passed = within(check.residual, tolerance_for("cone.holomorphic", cm, cfg))
-        ok = ok and passed == cm.sasaki_expected
+        # the closed-form lines hold on every model, Sasaki-like or not
+        lines = {**{f"cone.line.{k}": v for k, v in check.connection_lines.items()},
+                 **{f"cone.dj_xi.{k}": v for k, v in check.dj_xi_line.items()}}
+        ok = ok and passed == cm.sasaki_expected and all(
+            within(value, tolerance_for(check_id, cm, cfg)) for check_id, value in lines.items())
         out["models"].append({"name": cm.name, "params": dict(cm.params), **vars(check),
                               "holomorphic": passed,
                               "expected_holomorphic": cm.sasaki_expected})

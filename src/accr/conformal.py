@@ -16,6 +16,7 @@ recomputation on the transformed metric.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -33,6 +34,7 @@ __all__ = [
     "apply_cct",
     "field_pairs",
     "preservation_at",
+    "adapted_frame",
     "homothetic_laws",
     "EinsteinFit",
     "eta_complex_einstein_check",
@@ -67,29 +69,55 @@ class TransformParams:
 
 
 class TransformedModel(ManifoldModel):
-    """Same frame and brackets as the base model, metric replaced by g_bar."""
+    """Same frame and brackets as the base model, metric replaced by g_bar.
+
+    With constant (u, v, w), phi and eta, g_bar = a g + b g phi + c eta (x) eta
+    with constant a, b, c, so its frame derivatives are a dg + b dg phi and
+    a d^2 g + b d^2 g phi: the model is exact when the base model is.
+    Otherwise dg_bar is taken by finite differences of g_bar.
+    """
 
     def __init__(self, base_structure: AccrStructure, params: TransformParams):
         self.base = base_structure
         self.params = params
         self.dim = base_structure.dim
         self.kind = base_structure.model.kind
+        self.linear = (params.is_constant and not callable(base_structure.phi)
+                       and not callable(base_structure.eta))
+
+    @property
+    def exact(self):
+        return self.linear and self.base.model.exact
+
+    def _coefs(self, p):
+        u, v, w = self.params.at(p)
+        a = math.exp(2 * u) * math.cos(2 * v)
+        return a, math.exp(2 * u) * math.sin(2 * v), math.exp(2 * w) - a
 
     def metric_at(self, p):
         s = self.base
-        u, v, w = self.params.at(p)
+        a, b, c = self._coefs(p)
         g = s.g_at(p)
         eta = s.eta_at(p)
-        gphi = g @ s.phi_at(p)
-        e2u = math.exp(2 * u)
-        return (
-            e2u * math.cos(2 * v) * g
-            + e2u * math.sin(2 * v) * gphi
-            + (math.exp(2 * w) - e2u * math.cos(2 * v)) * np.outer(eta, eta)
-        )
+        return a * g + b * (g @ s.phi_at(p)) + c * np.outer(eta, eta)
+
+    def _combine(self, jet, p):
+        a, b, _ = self._coefs(p)
+        return a * jet + b * (jet @ self.base.phi_at(p))
+
+    def metric_derivs_at(self, p):
+        if not self.linear:
+            return super().metric_derivs_at(p)
+        return self._combine(self.base.model.metric_derivs_at(p), p)
+
+    def metric_derivs2_at(self, p):
+        return self._combine(self.base.model.metric_derivs2_at(p), p)
 
     def commutators_at(self, p):
         return self.base.model.commutators_at(p)
+
+    def commutator_derivs_at(self, p):
+        return self.base.model.commutator_derivs_at(p)
 
     def frame_derivative(self, p, fn):
         return self.base.model.frame_derivative(p, fn)
@@ -176,6 +204,25 @@ def preservation_at(f: PointFields, fb: PointFields, t: TransformParams) -> dict
     }
 
 
+def adapted_frame(f: PointFields) -> np.ndarray:
+    """Columns (xi, b_1..b_n, phi b_1..phi b_n): a g-orthonormal adapted
+    frame at f.p.  On ker eta, B(x, y) = g(x, y) + i g(x, phi y) is complex
+    bilinear for i acting as -phi, and complex Gram-Schmidt for B on the
+    horizontal parts of e_1..e_n gives B(b_i, b_j) = delta_ij, that is
+    g(b_i, b_j) = delta_ij and g(b_i, phi b_j) = 0.  On a frame that is
+    already adapted and orthonormal every step is exact: the identity."""
+    g, phi = f.g, f.phi
+    form = lambda x, y: complex(x @ g @ y, x @ g @ (phi @ y))
+    times = lambda z, x: z.real * x - z.imag * (phi @ x)
+    bs = []
+    for i in range(1, f.s.n + 1):
+        b = f.proj[:, i]
+        for c in bs:
+            b = b - times(form(b, c), c)
+        bs.append(times(1.0 / cmath.sqrt(form(b, b)), b))
+    return np.column_stack([f.xi, *bs, *(phi @ b for b in bs)])
+
+
 def homothetic_laws(f: PointFields, fb: PointFields, t: TransformParams) -> dict:
     """Transformation laws of a homothetic transformation (constant u, v, w)
     of a Sasaki-like structure at f.p, checked against g_bar, its connection
@@ -195,7 +242,8 @@ def homothetic_laws(f: PointFields, fb: PointFields, t: TransformParams) -> dict
                       - e^{-2u} sin 2v Ric(xi, xi)
       * orthonormality of the rotated basis
           e_bar_i = e^{-u} (cos v e_i - sin v phi e_i)
-        for g_bar and the trace of Ric in that basis.
+        for g_bar, (xi, e_i, phi e_i) the adapted_frame of g at f.p, and the
+        trace of Ric in that basis.
     """
     if not t.is_constant:
         raise NonConstantParams("closed-form transformation laws need constant (u, v, w)")
@@ -231,11 +279,11 @@ def homothetic_laws(f: PointFields, fb: PointFields, t: TransformParams) -> dict
         - e2u * s2v * ric_xx
 
     n, d = f.s.n, f.dim
+    frame = adapted_frame(f)
     basis = np.zeros((d, d))
     basis[:, 0] = math.exp(-w) * xi
     for i in range(1, n + 1):
-        ei = np.zeros(d)
-        ei[i] = 1.0
+        ei = frame[:, i]
         bi = math.exp(-u) * (math.cos(v) * ei - math.sin(v) * (phi @ ei))
         basis[:, i] = bi
         basis[:, n + i] = phi @ bi

@@ -50,6 +50,14 @@ class ConnectionCoefficients:
         return float(np.max(np.abs(r)))
 
 
+def _koszul_rhs(dg, cg):
+    """2 g(nabla_i e_j, e_k) from dg[i,j,k] = e_i(g_jk) and cg[i,j,k] =
+    g([e_i,e_j], e_k), over any leading axes: the formula is linear in both,
+    so the frame derivatives of the right-hand side come the same way."""
+    s = dg - cg
+    return dg + cg + np.einsum("...jki->...ijk", s) - np.einsum("...kij->...ijk", s)
+
+
 def levi_civita(model, p) -> ConnectionCoefficients:
     """Solve the Koszul formula for the connection coefficients at p."""
     g = model.metric_at(p)
@@ -59,15 +67,7 @@ def levi_civita(model, p) -> ConnectionCoefficients:
     if abs(det) <= 1e-12:
         raise DegenerateMetric(f"metric degenerate at {p}: |det| = {abs(det):.3e}")
     ginv = np.linalg.inv(g)
-    cg = np.einsum("mij,mk->ijk", c, g)
-    rhs = (
-        dg
-        + np.einsum("jki->ijk", dg)
-        - np.einsum("kij->ijk", dg)
-        + cg
-        - np.einsum("jki->ijk", cg)
-        + np.einsum("kij->ijk", cg)
-    )
+    rhs = _koszul_rhs(dg, np.einsum("mij,mk->ijk", c, g))
     gamma = 0.5 * np.einsum("lk,ijk->ijl", ginv, rhs)
     return ConnectionCoefficients(dim=model.dim, gamma=gamma)
 
@@ -105,18 +105,28 @@ class CurvatureBundle:
 def riemann(model, p, phi=None, gamma=None) -> CurvatureBundle:
     """Full curvature at p.
 
-    Coefficient derivatives e_a(Gamma) come from the model's frame
-    derivative hook: exactly zero on homogeneous models, finite differences
-    on charts, extensions and cones.
+    The frame derivatives of the connection, dgamma[a] = e_a(Gamma), are
+    closed-form on exact models: differentiating g Gamma = rhs / 2 along e_a
+    gives e_a(Gamma) = g^-1 (e_a(rhs) / 2 - (e_a g) Gamma), the same as
+    (e_a g^-1) rhs / 2 + g^-1 e_a(rhs) / 2 with e_a g^-1 = -g^-1 (e_a g) g^-1,
+    where e_a(rhs) is the Koszul right-hand side of the model's second jets.
+    Other models take them by finite differences of the Koszul solution.
     """
     if gamma is None:
         gamma = levi_civita(model, p).gamma
     g = model.metric_at(p)
     ginv = np.linalg.inv(g)
     c = model.commutators_at(p)
-    # asked at p itself (a group model's shape probe), give the gamma in hand
-    dgamma = model.frame_derivative(
-        p, lambda q: gamma if q is p else levi_civita(model, q).gamma)
+    if model.exact:
+        # contractions as matmuls over the last index, broadcast over the rest:
+        # e_a(c^m_ij g_mk), then g^-1 (e_a(rhs) / 2 - (e_a g) Gamma)
+        dg = model.metric_derivs_at(p)
+        dcg = (np.moveaxis(model.commutator_derivs_at(p), 1, -1) @ g
+               + np.moveaxis(c, 0, -1) @ dg[:, None])
+        drhs = _koszul_rhs(model.metric_derivs2_at(p), dcg)
+        dgamma = (0.5 * drhs - gamma @ dg[:, None]) @ ginv.T
+    else:
+        dgamma = model.frame_derivative(p, lambda q: levi_civita(model, q).gamma)
     r_up = (
         dgamma
         - np.einsum("jikl->ijkl", dgamma)

@@ -38,6 +38,7 @@ from .models import (
     holomorphic_base,
     lie_group_model,
     product_extension,
+    trig_jet,
 )
 from .sasaki import check_defining_conditions
 from .structure import AccrStructure, PointFields, max_over_points, standard_structure, worst
@@ -62,7 +63,8 @@ class CorpusModel:
 
     @property
     def exact(self) -> bool:
-        """Derivatives exact (homogeneous) vs finite differences."""
+        """Every derivative analytic (groups, and charts and extensions given
+        their jets) rather than taken by finite differences."""
         return self.model.exact
 
 
@@ -109,16 +111,36 @@ def _group(name, n, constants, params, sasaki_expected=True, **extra) -> CorpusM
 
 def _chart(name, n, coframe, hc0, params) -> CorpusModel:
     """Chart realization of a group model: constant metric in a moving coframe,
-    and the extension over the flat base hc0 as its coordinate metric."""
+    given as (theta, d theta, d^2 theta), and the extension over the flat base
+    hc0 as its coordinate metric."""
     d = 2 * n + 1
     eps = np.diag(standard_signature(n))
-    model = chart_model(d, lambda x: eps, frame=coframe, ranges=[(-0.9, 0.9)] * d,
-                        metric_derivs=lambda x: np.zeros((d, d, d)))
+    theta, dtheta, d2theta = coframe
+    model = chart_model(d, lambda x: eps, frame=theta, ranges=[(-0.9, 0.9)] * d,
+                        metric_derivs=lambda x: np.zeros((d,) * 3),
+                        metric_derivs2=lambda x: np.zeros((d,) * 4),
+                        coframe_derivs=dtheta, coframe_derivs2=d2theta)
     coord_metric = ProductExtensionModel(flat_norden_base(hc0)).metric_at
     return CorpusModel(name=f"{name}_chart", model=model,
                        structure=standard_structure(model, n), params=params,
                        sasaki_expected=True, **_flat_leaf(d),
-                       coframe_fn=coframe, coord_metric_fn=coord_metric, lie_partner=name)
+                       coframe_fn=theta, coord_metric_fn=coord_metric, lie_partner=name)
+
+
+def _t_coframe(block, d):
+    """(theta, d theta, d^2 theta) of a coframe that depends on the first
+    coordinate t alone, from block(t, k) = d^k theta / dt^k, in the layouts
+    of ChartModel's coframe jets."""
+
+    def jet(k):
+        def fn(x):
+            out = np.zeros((d,) * (k + 2))
+            out[(0,) * k] = block(x[0], k)
+            return out
+
+        return fn
+
+    return (lambda x: block(x[0], 0)), jet(1), jet(2)
 
 
 def example1(n=1) -> CorpusModel:
@@ -159,11 +181,10 @@ def flat_parallel(n=1) -> CorpusModel:
 def _example1_coframe(n):
     d = 2 * n + 1
 
-    def coframe(x):
-        t = x[0]
+    def block(t, k):
         th = np.zeros((d, d))
-        th[0, 0] = 1.0
-        ct, st = np.cos(t), np.sin(t)
+        th[0, 0] = 1.0 if k == 0 else 0.0
+        ct, st = trig_jet(1.0, t, k)
         for i in range(1, n + 1):
             th[i, i] = ct
             th[i, n + i] = st
@@ -171,7 +192,7 @@ def _example1_coframe(n):
             th[n + i, n + i] = ct
         return th
 
-    return coframe
+    return _t_coframe(block, d)
 
 
 def example1_chart(n=1) -> CorpusModel:
@@ -180,19 +201,18 @@ def example1_chart(n=1) -> CorpusModel:
 
 
 def _example2_coframe(lam):
-    def coframe(x):
-        t = x[0]
-        cm, cp = np.cos((1 - lam) * t), np.cos((1 + lam) * t)
-        sm, sp = np.sin((1 - lam) * t), np.sin((1 + lam) * t)
+    def block(t, k):
+        cm, sm = trig_jet(1 - lam, t, k)
+        cp, sp = trig_jet(1 + lam, t, k)
         return np.array([
-            [1.0, 0.0, 0.0, 0.0, 0.0],
+            [1.0 if k == 0 else 0.0, 0.0, 0.0, 0.0, 0.0],
             [0.0, cm, -cp, sm, -sp],
             [0.0, sm, sp, -cm, -cp],
             [0.0, -sm, sp, cm, -cp],
             [0.0, cm, cp, sm, sp],
         ])
 
-    return coframe
+    return _t_coframe(block, 5)
 
 
 def example2_chart(lam=1.0, mu=0.0) -> CorpusModel:
@@ -211,7 +231,8 @@ def hsphere_base(n, a, b) -> HolomorphicBase:
     coordinates (w^1 .. w^n).
 
     The induced holomorphic metric is hC_jk = delta_jk + w^j w^k / D with
-    D = (a - i b) - sum (w^m)^2, and its derivative is analytic.
+    D = (a - i b) - sum (w^m)^2; its first and second derivatives are
+    analytic (d_m D = -2 w^m).
     """
     if a == 0 and b == 0:
         raise BadParams("(a, b) = (0, 0) is excluded")
@@ -222,14 +243,29 @@ def hsphere_base(n, a, b) -> HolomorphicBase:
     def hc(w):
         return eye + np.outer(w, w) / (cplx - np.sum(w * w))
 
-    def dhc(w):
-        denom = cplx - np.sum(w * w)
+    def dww(w):
+        """d_m (w w^T)[i, j] = delta_im w_j + w_i delta_jm, at [m, i, j]."""
         dm = np.zeros((n, n, n), dtype=complex)
         dm[idx, idx, :] += w
         dm[idx, :, idx] += w
-        return dm / denom + (2.0 * w)[:, None, None] * np.outer(w, w) / (denom * denom)
+        return dm
 
-    return holomorphic_base(n, hc, dhc, [(-0.22, 0.22)] * (2 * n))
+    def dhc(w):
+        denom = cplx - np.sum(w * w)
+        return dww(w) / denom + (2.0 * w)[:, None, None] * np.outer(w, w) / (denom * denom)
+
+    def d2hc(w):
+        denom = cplx - np.sum(w * w)
+        ww, dm = np.outer(w, w), dww(w)
+        d2 = np.zeros((n, n, n, n), dtype=complex)    # d_l d_m (w w^T) at [m, l]
+        d2[idx, :, idx, :] += np.eye(n)
+        d2[idx, :, :, idx] += np.eye(n)
+        cross = np.einsum("mij,l->mlij", dm, w)
+        return (d2 / denom + 2.0 * (cross + np.swapaxes(cross, 0, 1)) / denom**2
+                + 2.0 * np.einsum("ml,ij->mlij", np.eye(n), ww) / denom**2
+                + 8.0 * np.einsum("m,l,ij->mlij", w, w, ww) / denom**3)
+
+    return holomorphic_base(n, hc, dhc, [(-0.22, 0.22)] * (2 * n), d2hc)
 
 
 def flat_norden_base(hc0) -> HolomorphicBase:
@@ -238,7 +274,9 @@ def flat_norden_base(hc0) -> HolomorphicBase:
     hc0 = np.asarray(hc0, dtype=complex)
     n = len(hc0)
     zero = np.zeros((n, n, n), dtype=complex)
-    return holomorphic_base(n, lambda w: hc0, lambda w: zero, [(-1.0, 1.0)] * (2 * n))
+    zero2 = np.zeros((n, n, n, n), dtype=complex)
+    return holomorphic_base(n, lambda w: hc0, lambda w: zero, [(-1.0, 1.0)] * (2 * n),
+                            lambda w: zero2)
 
 
 def example3_hsphere_ext(n=3, a=1.0, b=0.0) -> CorpusModel:
@@ -287,7 +325,7 @@ BUILTINS = {
 
 
 # Largest n accepted from outside: curvature arrays grow as (2n + 1)^4, and
-# example1 and example3_hsphere_ext at n = 16 verify two points in ~120 MB.
+# example1_chart and example3_hsphere_ext at n = 16 verify two points in ~155 MB.
 MAX_N = 16
 
 
@@ -330,8 +368,9 @@ def cross_representation_check(lie: CorpusModel, chart: CorpusModel,
                                count=20, seed=42) -> dict:
     """Compare a group model against its coordinate realization.
 
-    (i) the finite-difference structure equations of the chart coframe must
-    reproduce the group structure constants, (ii) the metric assembled as
+    (i) the brackets of the chart frame, from the derivatives of its coframe
+    (analytic when the chart has its jets), must reproduce the group
+    structure constants, (ii) the metric assembled as
     sum_k eps_k (e^k)^2 must match the closed-form coordinate metric, and
     (iii) the Sasaki-like verdicts must agree.
     """

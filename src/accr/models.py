@@ -6,13 +6,17 @@ Every model answers three questions at a point p:
 * ``commutators_at(p)``   coefficients c^k_ij with [e_i, e_j] = c^k_ij e_k
 * ``frame_derivative``    directional derivatives e_i(f) of any field
 
+and, when ``exact``, gives the jets curvature needs in closed form: the
+frame derivatives e_i(g_jk) (``metric_derivs_at``), e_a e_i(g_jk)
+(``metric_derivs2_at``) and e_a(c^k_ij) (``commutator_derivs_at``).
 Four concrete kinds are provided: homogeneous Lie-group models (constant
-data, exact zero derivatives, so ``exact`` is True), chart models
-(coordinate frame or a moving coframe, derivatives by finite differences),
-rank-one product extensions over a holomorphic complex Riemannian base, and
-the complex cone.  ``ConeModel(structure)`` is built from an accR structure
-alone and carries both cone tensors: its metric and, through ``j_at`` and
-``j_derivs_at``, its complex structure J.
+data, zero jets), chart models (coordinate frame or a moving coframe, exact
+when they are given the analytic jets of the metric and the coframe, finite
+differences otherwise), rank-one product extensions over a holomorphic
+complex Riemannian base (exact when the base is), and the complex cone.
+``ConeModel(structure)`` is built from an accR structure alone and carries
+both cone tensors: its metric and, through ``j_at`` and ``j_derivs_at``,
+its complex structure J.
 """
 
 from __future__ import annotations
@@ -37,9 +41,10 @@ from .structure import AccrStructure, worst
 DEFAULT_FD_STEP = 1e-3
 
 # 5-point central stencil, 4th order.  Chosen over the plain 3-point rule
-# because curvature needs derivatives of the connection field, and the
+# because on a chart without jets curvature differences the connection
+# field, whose brackets are themselves differenced from the coframe, and the
 # nested-difference noise of a 2nd-order rule breaches the 1e-8 residual
-# targets on chart models.
+# targets there.
 _STENCIL_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 _STENCIL_WEIGHTS = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
 
@@ -132,8 +137,23 @@ class ManifoldModel:
         """D[i,j,k] = e_i(g_jk); overridden where closed forms exist."""
         return self.frame_derivative(p, self.metric_at)
 
+    def metric_derivs2_at(self, p) -> np.ndarray:
+        """D2[a,i,j,k] = e_a(e_i(g_jk)), in closed form; exact models only."""
+        raise NotImplementedError
+
+    def commutator_derivs_at(self, p) -> np.ndarray:
+        """dc[a,k,i,j] = e_a(c^k_ij), in closed form; exact models only."""
+        raise NotImplementedError
+
     def sample_points(self, count, seed):
         raise NotImplementedError
+
+
+def trig_jet(omega, t, k):
+    """The k-th t-derivatives (k <= 2) of (cos omega t, sin omega t)."""
+    c, s = math.cos(omega * t), math.sin(omega * t)
+    scale = omega ** k
+    return tuple(scale * x for x in ((c, s), (-s, c), (-c, -s))[k])
 
 
 class LieGroupModel(ManifoldModel):
@@ -162,7 +182,13 @@ class LieGroupModel(ManifoldModel):
         return np.zeros((self.dim,) + np.asarray(fn(p)).shape)
 
     def metric_derivs_at(self, p):
-        return np.zeros((self.dim, self.dim, self.dim))
+        return np.zeros((self.dim,) * 3)
+
+    def metric_derivs2_at(self, p):
+        return np.zeros((self.dim,) * 4)
+
+    def commutator_derivs_at(self, p):
+        return np.zeros((self.dim,) * 4)
 
     def jacobi_residual(self) -> float:
         c = self.c
@@ -191,6 +217,14 @@ def lie_group_model(n, structure_constants, metric) -> LieGroupModel:
     return model
 
 
+def _brackets(dtheta, A):
+    """c^k_ij of the frame dual to a coframe, from its coordinate derivatives
+    dtheta[..., mu, k, nu] = d_mu theta[k, nu] over any leading axes:
+    d e^k (E_i, E_j) = (d_mu theta[k,nu] - d_nu theta[k,mu]) A[mu,i] A[nu,j] = -c^k_ij."""
+    ext = np.einsum("...mkn,mi,nj->...kij", dtheta, A, A)
+    return np.swapaxes(ext, -1, -2) - ext
+
+
 class ChartModel(ManifoldModel):
     """Coordinate patch model.
 
@@ -198,17 +232,36 @@ class ChartModel(ManifoldModel):
     commutators vanish, the metric field carries the geometry).  With a
     coframe theta (rows theta[k, mu] give e^k = theta[k,mu] dx^mu) the
     working frame is its dual and the commutators are recovered from
-    d e^k (E_i, E_j) = -c^k_ij by finite differences.
+    d e^k (E_i, E_j) = -c^k_ij.
+
+    The jets are optional: the frame derivatives of the metric,
+    metric_derivs_fn (D[i,j,k] = e_i(g_jk)) and metric_derivs2_fn
+    (D2[a,i,j,k] = e_a(e_i(g_jk))), and, with a coframe, its coordinate
+    derivatives coframe_derivs_fn (d_mu theta[k,nu] at [mu,k,nu]) and
+    coframe_derivs2_fn (d_s d_mu theta[k,nu] at [s,mu,k,nu]).  With every
+    jet the model is exact; without, dg, the brackets and the curvature are
+    taken by finite differences.
     """
 
     kind = "chart"
 
-    def __init__(self, dim, metric_fn, coframe_fn=None, ranges=None, metric_derivs_fn=None):
+    def __init__(self, dim, metric_fn, coframe_fn=None, ranges=None, metric_derivs_fn=None,
+                 metric_derivs2_fn=None, coframe_derivs_fn=None, coframe_derivs2_fn=None):
         self.dim = dim
         self.metric_fn = metric_fn
         self.coframe_fn = coframe_fn
         self.metric_derivs_fn = metric_derivs_fn
+        self.metric_derivs2_fn = metric_derivs2_fn
+        self.coframe_derivs_fn = coframe_derivs_fn
+        self.coframe_derivs2_fn = coframe_derivs2_fn
         self.ranges = ranges if ranges is not None else [(-1.0, 1.0)] * dim
+
+    @property
+    def exact(self):
+        jets = [self.metric_derivs_fn, self.metric_derivs2_fn]
+        if self.coframe_fn is not None:
+            jets += [self.coframe_derivs_fn, self.coframe_derivs2_fn]
+        return all(jet is not None for jet in jets)
 
     def frame_matrix(self, p):
         """A[mu, i] with e_i = A[mu, i] d/dx^mu."""
@@ -222,17 +275,33 @@ class ChartModel(ManifoldModel):
     def metric_at(self, p):
         return np.asarray(self.metric_fn(np.asarray(p, dtype=float)), dtype=float)
 
+    def _dtheta(self, p):
+        if self.coframe_derivs_fn is not None:
+            return np.asarray(self.coframe_derivs_fn(p), dtype=float)
+        return coordinate_derivatives(self.coframe_fn, p, self.fd_step)
+
     def commutators_at(self, p):
         d = self.dim
         if self.coframe_fn is None:
             return np.zeros((d, d, d))
         p = np.asarray(p, dtype=float)
+        return _brackets(self._dtheta(p), self.frame_matrix(p))
+
+    def commutator_derivs_at(self, p):
+        """e_a(c^k_ij) from the coframe jets.  With B_s = (d_s theta) A,
+        d_s A = -A B_s, so d_s c[k,i,j] = brackets(d_s dtheta)[k,i,j]
+        - c[k,m,j] B_s[m,i] - c[k,i,m] B_s[m,j], and e_a = A[s,a] d_s."""
+        d = self.dim
+        if self.coframe_fn is None:
+            return np.zeros((d,) * 4)
+        p = np.asarray(p, dtype=float)
         A = self.frame_matrix(p)
-        dtheta = coordinate_derivatives(self.coframe_fn, p, self.fd_step)
-        # d e^k (E_i, E_j) = (d_mu theta[k,nu] - d_nu theta[k,mu]) A[mu,i] A[nu,j]
-        ext = np.einsum("mkn,mi,nj->kij", dtheta, A, A)
-        ext = ext - np.swapaxes(ext, 1, 2)
-        return -ext
+        dtheta = self._dtheta(p)
+        c = _brackets(dtheta, A)
+        B = np.einsum("smn,ni->smi", dtheta, A)
+        ds_c = (_brackets(np.asarray(self.coframe_derivs2_fn(p), dtype=float), A)
+                - np.einsum("kmj,smi->skij", c, B) - np.einsum("kim,smj->skij", c, B))
+        return np.einsum("sa,skij->akij", A, ds_c)
 
     def frame_derivative(self, p, fn):
         p = np.asarray(p, dtype=float)
@@ -245,14 +314,37 @@ class ChartModel(ManifoldModel):
             return np.asarray(self.metric_derivs_fn(np.asarray(p, dtype=float)))
         return self.frame_derivative(p, self.metric_at)
 
+    def metric_derivs2_at(self, p):
+        return np.asarray(self.metric_derivs2_fn(np.asarray(p, dtype=float)))
+
+    def jet_residuals(self, p) -> dict:
+        """Each jet of an exact chart against the finite differences of the
+        next-lower order at fd_step, relative to max(1, |jet|): dg against g
+        and d^2 g against dg in the frame and, with a coframe, d theta against
+        theta and d^2 theta against d theta in the coordinates."""
+        p = np.asarray(p, dtype=float)
+        pairs = {"metric": (self.metric_derivs_at(p), self.frame_derivative(p, self.metric_at)),
+                 "metric2": (self.metric_derivs2_at(p),
+                             self.frame_derivative(p, self.metric_derivs_at))}
+        if self.coframe_fn is not None:
+            pairs["coframe"] = (self._dtheta(p),
+                                coordinate_derivatives(self.coframe_fn, p, self.fd_step))
+            pairs["coframe2"] = (self.coframe_derivs2_fn(p),
+                                 coordinate_derivatives(self._dtheta, p, self.fd_step))
+        return {key: np.max(np.abs(jet - fd)) / max(1.0, np.max(np.abs(jet)))
+                for key, (jet, fd) in pairs.items()}
+
     def sample_points(self, count, seed):
         return halton_points(self.ranges, count, seed)
 
 
-def chart_model(dim, metric_fields, frame=None, ranges=None, metric_derivs=None) -> ChartModel:
-    """Chart model from a metric component function and optional coframe."""
+def chart_model(dim, metric_fields, frame=None, ranges=None, metric_derivs=None,
+                metric_derivs2=None, coframe_derivs=None, coframe_derivs2=None) -> ChartModel:
+    """Chart model from a metric component function, an optional coframe and
+    optional analytic jets of both (see ChartModel)."""
     return ChartModel(dim, metric_fields, coframe_fn=frame, ranges=ranges,
-                      metric_derivs_fn=metric_derivs)
+                      metric_derivs_fn=metric_derivs, metric_derivs2_fn=metric_derivs2,
+                      coframe_derivs_fn=coframe_derivs, coframe_derivs2_fn=coframe_derivs2)
 
 
 @dataclass
@@ -306,23 +398,29 @@ def _real_block(m):
     return out
 
 
-def holomorphic_base(n, hc, dhc, ranges) -> HolomorphicBase:
-    """Base from a holomorphic symmetric hc(w) (n x n) with dhc(w)[m] = d hC / d w^m,
-    on the box ``ranges`` of the real coordinates (u, v), w = u + i v: h = Re hC,
-    J is multiplication by i, and dh follows from the Cauchy-Riemann rule
-    d/du^m = d/dw^m, d/dv^m = i d/dw^m."""
+def holomorphic_base(n, hc, dhc, ranges, d2hc=None) -> HolomorphicBase:
+    """Base from a holomorphic symmetric hc(w) (n x n) with dhc(w)[m] = d hC / d w^m
+    and optionally d2hc(w)[m, l] = d^2 hC / d w^m d w^l, on the box ``ranges``
+    of the real coordinates (u, v), w = u + i v: h = Re hC, J is
+    multiplication by i, and the jets of h follow from the Cauchy-Riemann rule
+    d/du^m = d/dw^m, d/dv^m = i d/dw^m.  The base chart is exact when both
+    derivatives are given."""
 
     def metric_fn(x):
         return _real_block(hc(x[:n] + 1j * x[n:]))
 
     def metric_derivs_fn(x):
         dm = dhc(x[:n] + 1j * x[n:])
-        out = np.empty((2 * n, 2 * n, 2 * n))
-        out[:n] = _real_block(dm)
-        out[n:] = _real_block(1j * dm)
-        return out
+        return _real_block(np.concatenate([dm, 1j * dm]))
 
-    model = chart_model(2 * n, metric_fn, ranges=ranges, metric_derivs=metric_derivs_fn)
+    def metric_derivs2_fn(x):
+        d2 = d2hc(x[:n] + 1j * x[n:])
+        du = np.concatenate([d2, 1j * d2], axis=1)       # d/du^m (d/du^l, d/dv^l)
+        return _real_block(np.concatenate([du, 1j * du]))
+
+    model = chart_model(2 * n, metric_fn, ranges=ranges,
+                        metric_derivs=None if dhc is None else metric_derivs_fn,
+                        metric_derivs2=None if d2hc is None else metric_derivs2_fn)
     h, htilde = standard_norden_pair(n)
     return HolomorphicBase(model=model, j=h @ htilde)   # J = h^{-1} htilde
 
@@ -332,8 +430,9 @@ class ProductExtensionModel(ChartModel):
 
     Coordinates are (t, base coordinates); the working frame is the
     coordinate frame.  The t-derivatives of the metric are analytic, the
-    base derivatives delegate to the base model, and the finite-difference
-    step is the base chart's.
+    base derivatives delegate to the base model, which makes the extension
+    exact when the base chart is, and the finite-difference step is the base
+    chart's.
     """
 
     kind = "product_extension"
@@ -344,6 +443,10 @@ class ProductExtensionModel(ChartModel):
         super().__init__(base.model.dim + 1, self._metric, ranges=ranges)
 
     @property
+    def exact(self):
+        return self.base.model.exact
+
+    @property
     def fd_step(self):
         return self.base.model.fd_step
 
@@ -351,26 +454,33 @@ class ProductExtensionModel(ChartModel):
     def fd_step(self, step):
         self.base.model.fd_step = step
 
+    def _leaf(self, t, k, hs):
+        """The k-th t-derivative of cos(2t) H - sin(2t) H J over the leading
+        axes of hs, the stacked H."""
+        c, s = trig_jet(2.0, t, k)
+        return c * hs - s * (hs @ self.base.j)
+
     def _metric(self, p):
-        t, bp = p[0], p[1:]
-        h = self.base.h_at(bp)
-        ht = h @ self.base.j
         g = np.zeros((self.dim, self.dim))
         g[0, 0] = 1.0
-        g[1:, 1:] = np.cos(2 * t) * h - np.sin(2 * t) * ht
+        g[1:, 1:] = self._leaf(p[0], 0, self.base.h_at(p[1:]))
         return g
 
     def metric_derivs_at(self, p):
         t, bp = p[0], p[1:]
-        d = self.dim
-        D = np.zeros((d, d, d))
-        h = self.base.h_at(bp)
-        ht = h @ self.base.j
-        D[0, 1:, 1:] = -2 * np.sin(2 * t) * h - 2 * np.cos(2 * t) * ht
-        dh = self.base.model.metric_derivs_at(bp)
-        dht = np.einsum("ijm,mk->ijk", dh, self.base.j)
-        D[1:, 1:, 1:] = np.cos(2 * t) * dh - np.sin(2 * t) * dht
+        D = np.zeros((self.dim,) * 3)
+        D[0, 1:, 1:] = self._leaf(t, 1, self.base.h_at(bp))
+        D[1:, 1:, 1:] = self._leaf(t, 0, self.base.model.metric_derivs_at(bp))
         return D
+
+    def metric_derivs2_at(self, p):
+        t, bp = p[0], p[1:]
+        D2 = np.zeros((self.dim,) * 4)
+        D2[0, 0, 1:, 1:] = self._leaf(t, 2, self.base.h_at(bp))
+        D2[0, 1:, 1:, 1:] = D2[1:, 0, 1:, 1:] = self._leaf(
+            t, 1, self.base.model.metric_derivs_at(bp))
+        D2[1:, 1:, 1:, 1:] = self._leaf(t, 0, self.base.model.metric_derivs2_at(bp))
+        return D2
 
 
 def extension_leaf_curvature(t, r_h, j) -> np.ndarray:

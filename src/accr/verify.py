@@ -9,7 +9,9 @@ deterministic sample points.  One walk over the points hands each point's
 PointFields to every per-point family; a family is per model only when its
 rows are not such a maximum (the cone, crossrep and the eta fit).  Every
 row is judged except the eta fit's (info), whose output is the
-classification in its note.  Designed failures (the parallel model for the
+classification in its note.  On exact models the derivatives family
+compares each analytic jet with finite differences of the next-lower
+order, as a gap relative to max(1, |jet|).  Designed failures (the parallel model for the
 Sasaki family, the w != 0 homothety for conformal preservation) are
 expected to fail, so a healthy run reports them as xfail and exits 0.
 """
@@ -26,6 +28,7 @@ from . import conformal as conf
 from . import corpus as corpus_mod
 from . import sasaki as sas
 from .errors import GeometryError, NotSasakiLike
+from .models import ChartModel
 from .structure import (
     PointFields,
     max_over_points,
@@ -122,7 +125,8 @@ CHECKS = {
     "cone.dj_xi.direct_vs_symmetric_reading": Check(
         "g_cone((nabla_X J) xi, Z) vs -r^2 {g(nabla_X xi, phi Z) - g(X,Z)} + ..."),
     "crossrep.structure_equations":
-        Check("finite-difference d e^k match the group brackets", fd_tol=1e-7),
+        Check("the brackets from d e^k of the chart coframe match the group brackets",
+              fd_tol=1e-7),
     "crossrep.metric_assembly": Check(
         "sum_k eps_k (e^k)^2 matches the closed-form coordinate metric", fd_tol=1e-10),
     "crossrep.verdict_agreement": Check("group and chart Sasaki verdicts agree"),
@@ -155,6 +159,12 @@ CHECKS = {
     "conformal.homothetic.scal_star_from_basis": Check("basis trace reproduces Scal*_bar"),
     "conformal.eta_fit.residual":
         Check("Ric = alpha g + beta g(., phi .) + (2n - alpha) eta (x) eta", INFO),
+    "derivatives.metric": Check("analytic dg matches finite differences of g, relative"),
+    "derivatives.metric2": Check("analytic d^2 g matches finite differences of dg, relative"),
+    "derivatives.coframe":
+        Check("analytic d theta matches finite differences of theta, relative"),
+    "derivatives.coframe2":
+        Check("analytic d^2 theta matches finite differences of d theta, relative"),
 }
 
 HOMOTHETY = conf.TransformParams(u=0.3, v=0.2, w=0.0)            # preserves Sasaki-like
@@ -250,7 +260,13 @@ FAMILIES = (
     Family("conformal", _conformal, applies=lambda cm: cm.sasaki_expected),
     Family("conformal.eta_fit", _eta_fit, per_point=False,
            applies=lambda cm: cm.sasaki_expected and cm.exact),
+    Family("derivatives", lambda cm, f: cm.model.jet_residuals(f.p),
+           applies=lambda cm: cm.exact and isinstance(cm.model, ChartModel)),
 )
+
+# the family that computes each check: the one with the longest prefix of its id
+_OWNER = {check_id: max((fam for fam in FAMILIES if check_id.startswith(fam.prefix)),
+                        key=lambda fam: len(fam.prefix)).prefix for check_id in CHECKS}
 
 
 def _flatten(check_id, out, res, notes):
@@ -285,8 +301,8 @@ def _gather_residuals(cm, cfg: VerifyConfig):
     count = override.get("count", cfg.points)
     seed = override.get("seed", cfg.seed)
     only = cfg.only or ""
-    families = [fam for fam in FAMILIES if fam.applies(cm)
-                and (fam.prefix.startswith(only) or only.startswith(fam.prefix))]
+    wanted = {_OWNER[check_id] for check_id in CHECKS if check_id.startswith(only)}
+    families = [fam for fam in FAMILIES if fam.prefix in wanted and fam.applies(cm)]
     res: dict = {}
     notes: dict = {}
     pts = cm.model.sample_points(count, seed)
@@ -296,15 +312,15 @@ def _gather_residuals(cm, cfg: VerifyConfig):
 
 
 def tolerance_for(check_id, cm, cfg: VerifyConfig):
-    """The tolerance of a judged row; None for info rows."""
+    """The tolerance of a judged row; None for info rows.  Exact models take
+    TOL_EXACT, or the row's fd_tol where that is tighter."""
     check = CHECKS[check_id]
     if check.expect == INFO:
         return None
     if cfg.tol_override is not None:
         return cfg.tol_override
-    if cm.exact:
-        return TOL_EXACT
-    return TOL_FD if check.fd_tol is None else check.fd_tol
+    tol = TOL_FD if check.fd_tol is None else check.fd_tol
+    return min(tol, TOL_EXACT) if cm.exact else tol
 
 
 def within(value, tol) -> bool:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from accr.corpus import (
     example3_hsphere_ext,
     flat_parallel,
 )
+from accr.models import chart_model
+from accr.structure import standard_structure
 
 ORIGIN = np.zeros(0)
 
@@ -51,3 +55,13 @@ def ex3():
 @pytest.fixture(scope="session")
 def flat():
     return flat_parallel(n=1)
+
+
+def jetless_example1_chart(n=1):
+    """example1_chart with its coframe given to chart_model without any
+    derivative: its brackets and curvature come by finite differences, so it
+    is not exact and its report carries the half-step error estimate."""
+    cm = example1_chart(n)
+    model = chart_model(cm.model.dim, cm.model.metric_fn, frame=cm.coframe_fn,
+                        ranges=cm.model.ranges)
+    return dataclasses.replace(cm, model=model, structure=standard_structure(model, n))

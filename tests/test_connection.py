@@ -6,7 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from accr.connection import hsphere_curvature, levi_civita, riemann, standard_norden_pair
-from accr.corpus import example2, example2_connection_table, example3_hsphere_ext, hsphere_base
+from accr.corpus import (
+    builtin,
+    example2,
+    example2_connection_table,
+    example3_hsphere_ext,
+    hsphere_base,
+)
 from accr.errors import DegenerateParameters, NotSasakiLike
 from accr.frame_algebra import kulkarni_nomizu
 from accr.models import extension_leaf_curvature
@@ -140,6 +146,17 @@ class TestRiemann:
             p = cm.model.sample_points(2, 7)[0]
             res = riemann(cm.model, p).symmetry_residuals()
             assert max(res.values()) < 1e-7
+
+    @pytest.mark.parametrize("name", ["example1_chart", "example2_chart", "example3_hsphere_ext"])
+    def test_jet_curvature_matches_the_stencil(self, name, monkeypatch):
+        # the closed-form e_a(Gamma) of an exact chart against the finite
+        # differences of the Koszul solution that a chart without jets takes
+        cm = builtin(name)
+        pts = cm.model.sample_points(5, 3)
+        jet = [riemann(cm.model, p).r_up for p in pts]
+        monkeypatch.setattr(type(cm.model), "exact", False)
+        for p, r_up in zip(pts, jet):
+            assert np.max(np.abs(r_up - riemann(cm.model, p).r_up)) < 1e-8
 
     def test_chart_matches_group_curvature(self, ex1, ex1_chart):
         ref = riemann(ex1.model, ORIGIN).r

@@ -132,6 +132,22 @@ class TestChartModel:
             c = ex1_chart.model.commutators_at(p)
             assert np.max(np.abs(c - c_lie)) < 1e-7
 
+    @pytest.mark.parametrize("jet, failing", [
+        ("coframe_derivs_fn", {"coframe", "coframe2"}),   # d^2 theta is checked against it too
+        ("coframe_derivs2_fn", {"coframe2"}),
+        ("metric_derivs2_fn", {"metric2"}),
+    ])
+    def test_derivatives_rows_catch_a_wrong_jet(self, jet, failing):
+        # a jet off by 1 % (plus 0.01, as the metric's is zero) fails its rows only
+        cm = example1_chart(n=1)
+        right = getattr(cm.model, jet)
+        setattr(cm.model, jet, lambda x: 1.01 * right(x) + 0.01)
+        rows = run_model_checks(cm, VerifyConfig(points=3, only="derivatives"))["checks"]
+        verdicts = {r["check_id"]: r["verdict"] for r in rows}
+        assert {k for k, v in verdicts.items() if v == "fail"} \
+            == {f"derivatives.{k}" for k in failing}
+        assert {v for v in verdicts.values() if v != "fail"} == {"pass"}
+
     def test_commutators_antisymmetric_everywhere(self, ex1_chart, ex2_chart, ex3):
         for cm in (ex1_chart, ex2_chart, ex3):
             for p in cm.model.sample_points(4, 2):
@@ -332,7 +348,9 @@ class TestHolomorphicBase:
         n, s0, s1, s2 = data
         hc = lambda w: s0 + np.einsum("k,kij->ij", w, s1) + np.einsum("k,l,klij->ij", w, w, s2)
         dhc = lambda w: s1 + np.einsum("l,mlij->mij", w, s2) + np.einsum("l,lmij->mij", w, s2)
-        base = holomorphic_base(n, hc, dhc, [(-0.2, 0.2)] * (2 * n))
+        d2hc = lambda w: s2 + np.swapaxes(s2, 0, 1)
+        base = holomorphic_base(n, hc, dhc, [(-0.2, 0.2)] * (2 * n), d2hc)
+        assert base.model.exact
         cfg = VerifyConfig(points=6)
         pts = ProductExtensionModel(base).sample_points(cfg.points, cfg.seed)
         assume(min(abs(np.linalg.det(hc(p[1:n + 1] + 1j * p[n + 1:]))) for p in pts) >= 0.1)

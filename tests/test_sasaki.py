@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from accr.cli import main
 from accr.corpus import example2
 from accr.errors import NotSasakiLike
 from accr.models import ConeModel
@@ -15,7 +16,7 @@ from accr.sasaki import (
 )
 from accr.structure import PointFields
 from accr.verify import VerifyConfig, run_model_checks
-from tests.conftest import ORIGIN
+from tests.conftest import ORIGIN, jetless_example1_chart
 
 ROUTES = ("sasaki.defining", "sasaki.nabla_phi", "sasaki.nijenhuis")
 
@@ -196,9 +197,11 @@ class TestConeHolomorphicity:
             check = cone_holomorphic_residual(cm.structure)
             assert check.dj_xi_line["direct_vs_symmetric_reading"] < 1e-9
 
-    def test_cone_metric_defect_fails_the_lines(self, flat, monkeypatch):
+    def test_cone_metric_defect_fails_the_lines(self, flat, monkeypatch, capsys):
         """A 1 % error in the radial block of the cone's dg hides behind the
-        designed failure cone.holomorphic, but the judged lines fail."""
+        designed failure cone.holomorphic, but the judged lines fail, in
+        verify and in accr cone."""
+        assert main(["cone", "-m", "flat_parallel"]) == 0
         derivs = ConeModel.metric_derivs_at
 
         def perturbed(self, p):
@@ -211,6 +214,7 @@ class TestConeHolomorphicity:
         verdicts = {r["check_id"]: r["verdict"] for r in rows(flat, "cone")}
         assert verdicts["cone.holomorphic"] == "xfail"
         assert verdicts["cone.line.radial_argument"] == "fail"
+        assert main(["cone", "-m", "flat_parallel"]) == 1
 
 
 class TestReportCoherence:
@@ -235,9 +239,7 @@ class TestReportCoherence:
         assert not route_holds(flat, "sasaki.defining", 1e-6, points=1)
 
     def test_report_fails_closed_on_nan(self):
-        from accr.corpus import example1_chart
-
-        cm = example1_chart(n=1)
+        cm = jetless_example1_chart(n=1)
         with np.errstate(all="ignore"):      # a zero step gives NaN finite differences
             verdicts = {r["verdict"] for r in rows(cm, "sasaki", points=2, seed=3, fd_step=0.0)}
         assert verdicts == {"error"}

@@ -19,10 +19,10 @@ from tests.conftest import ORIGIN
 def coordinate_frame_realization(n=1):
     """Example 1 in its coordinate frame: the metric varies with t and so
     does phi, which exercises the derivative terms of every formula."""
-    from accr.corpus import _example1_coframe, example1_chart
+    from accr.corpus import example1_chart
 
     d = 2 * n + 1
-    coframe = _example1_coframe(n)
+    coframe = example1_chart(n).coframe_fn
     model = chart_model(d, example1_chart(n).coord_metric_fn, ranges=[(-0.9, 0.9)] * d)
     frame_structure = standard_structure(model, n)
     phi_f = frame_structure.phi_at(ORIGIN)

@@ -9,6 +9,7 @@ from accr.cli import main
 from accr.corpus import example1, flat_parallel
 from accr.modelspec import MODELSPEC_SCHEMA, load_model_spec, model_from_spec
 from accr.verify import VerifyConfig, report_to_json, run_all, run_model_checks
+from tests.conftest import jetless_example1_chart
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 
@@ -50,10 +51,8 @@ class TestRunAll:
         assert all(r["check_id"].startswith("sasaki.defining") for r in rep["checks"])
 
     def test_fd_error_estimate_present(self):
-        from accr.corpus import example1_chart
-
         cfg = VerifyConfig(points=3, only="crossrep")
-        rep = run_model_checks(example1_chart(n=1), cfg)
+        rep = run_model_checks(jetless_example1_chart(n=1), cfg)
         rows = {r["check_id"]: r for r in rep["checks"]}
         row = rows["crossrep.structure_equations"]
         assert row["fd_error_estimate"] >= 0.0
@@ -61,13 +60,11 @@ class TestRunAll:
 
     def test_non_finite_residual_is_error(self):
         # a zero finite-difference step makes every derivative NaN
-        from accr.corpus import example1_chart
-
         cfg = VerifyConfig(points=3, fd_step=0.0, with_error_estimate=False,
                            only="sasaki.defining")
         with np.errstate(all="ignore"):
-            rep = run_model_checks(example1_chart(1), cfg)
-            report = run_all([example1_chart(1)], cfg)
+            rep = run_model_checks(jetless_example1_chart(1), cfg)
+            report = run_all([jetless_example1_chart(1)], cfg)
         assert rep["checks"]
         assert {r["verdict"] for r in rep["checks"]} == {"error"}
         assert report["summary"]["error"] == len(rep["checks"])
