@@ -15,7 +15,6 @@ from .corpus import BUILTINS, builtin, cross_representation_check, default_corpu
 from .frame_algebra import MetricMatrix, kulkarni_nomizu, standard_signature
 from .models import (
     ConeModel,
-    HolomorphicBase,
     chart_model,
     holomorphic_base,
     lie_group_model,

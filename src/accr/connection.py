@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetric, DegenerateParameters
-from .frame_algebra import kulkarni_nomizu
+from .frame_algebra import kulkarni_nomizu, standard_j
 
 __all__ = [
     "ConnectionCoefficients",
@@ -150,24 +150,20 @@ def covariant_derivative(gamma, a, da) -> np.ndarray:
     return da + np.einsum("imk,mj->ikj", gamma, a) - np.einsum("km,ijm->ikj", a, gamma)
 
 
-def holomorphy_residual(base, p) -> float:
-    """max |(nabla^h J)| on a candidate holomorphic base at p."""
-    gamma = levi_civita(base.model, p).gamma
-    J = base.j
-    nj = covariant_derivative(gamma, J, base.model.frame_derivative(p, lambda q: J))
+def holomorphy_residual(chart, p) -> float:
+    """max |(nabla^h J)| at p on a candidate holomorphic base: a coordinate
+    chart of dimension 2n with the standard J, whose frame derivatives vanish."""
+    d = chart.dim
+    J = standard_j(d // 2)
+    nj = covariant_derivative(levi_civita(chart, p).gamma, J, np.zeros((d, d, d)))
     return float(np.max(np.abs(nj)))
 
 
 def standard_norden_pair(n):
-    """The constant pair (h, htilde) on R^{2n} with the canonical J.
-
-    h = diag(1..1, -1..-1), htilde(X, Y) = h(JX, Y) with J e_i = e_{n+i}.
-    """
+    """The constant pair (h, htilde) on R^{2n} with the standard J:
+    h = diag(1..1, -1..-1) and htilde(X, Y) = h(JX, Y)."""
     h = np.diag([1.0] * n + [-1.0] * n)
-    j = np.zeros((2 * n, 2 * n))
-    j[n:, :n] = np.eye(n)
-    j[:n, n:] = -np.eye(n)
-    return h, h @ j
+    return h, h @ standard_j(n)
 
 
 @dataclass

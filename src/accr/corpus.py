@@ -29,9 +29,9 @@ import numpy as np
 
 from .connection import hsphere_curvature
 from .errors import BadParams, ParamMismatch, UnknownBuiltin
-from .frame_algebra import MetricMatrix, standard_signature
+from .frame_algebra import MetricMatrix, standard_j, standard_signature
 from .models import (
-    HolomorphicBase,
+    ChartModel,
     ProductExtensionModel,
     chart_model,
     extension_leaf_curvature,
@@ -225,7 +225,7 @@ def example2_chart(lam=1.0, mu=0.0) -> CorpusModel:
                   {"lam": lam, "mu": 0.0})
 
 
-def hsphere_base(n, a, b) -> HolomorphicBase:
+def hsphere_base(n, a, b) -> ChartModel:
     """Chart of the complex hypersurface sum_j (w^j)^2 = a - i b of C^{n+1}
     on the box |u^j|, |v^j| <= 0.22 around w = 0, in the n holomorphic
     coordinates (w^1 .. w^n).
@@ -268,9 +268,9 @@ def hsphere_base(n, a, b) -> HolomorphicBase:
     return holomorphic_base(n, hc, dhc, [(-0.22, 0.22)] * (2 * n), d2hc)
 
 
-def flat_norden_base(hc0) -> HolomorphicBase:
+def flat_norden_base(hc0) -> ChartModel:
     """Flat R^{2n} with the constant complex symmetric metric hc0 (n x n) on
-    the box |u|, |v| <= 1; hc0 = I_n gives the standard pair (h, J)."""
+    the box |u|, |v| <= 1; hc0 = I_n gives the standard pair (h, htilde)."""
     hc0 = np.asarray(hc0, dtype=complex)
     n = len(hc0)
     zero = np.zeros((n, n, n), dtype=complex)
@@ -294,14 +294,16 @@ def example3_hsphere_ext(n=3, a=1.0, b=0.0) -> CorpusModel:
         out[(slice(1, None),) * m.ndim] = m
         return out
 
+    j = standard_j(n)
+
     def base_ric_at(p):
-        h = base.h_at(p[1:])
-        return embed(hsphere_curvature(n, a, b, h=h, htilde=h @ base.j).ric)
+        h = base.metric_at(p[1:])
+        return embed(hsphere_curvature(n, a, b, h=h, htilde=h @ j).ric)
 
     def base_r_at(p):
-        h = base.h_at(p[1:])
-        r_h = hsphere_curvature(n, a, b, h=h, htilde=h @ base.j).r
-        return embed(extension_leaf_curvature(p[0], r_h, base.j))
+        h = base.metric_at(p[1:])
+        r_h = hsphere_curvature(n, a, b, h=h, htilde=h @ j).r
+        return embed(extension_leaf_curvature(p[0], r_h))
 
     notes = []
     if n <= 2:

@@ -2,11 +2,14 @@
 
 Everything in this package works with components taken in a frame
 (orthonormal or not), stored as plain numpy arrays.  This module holds the
-small building blocks: the standard signature, metric matrices with cached
-inverses, projection into every slot and the Kulkarni-Nomizu product.
+small building blocks: the standard signature and complex structure,
+metric matrices with cached inverses, projection into every slot and the
+Kulkarni-Nomizu product.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +24,20 @@ def standard_signature(n: int) -> np.ndarray:
     """epsilon_i = g(e_i, e_i) of the adapted orthonormal frames: +1 for
     i = 0..n and -1 for i = n+1..2n."""
     return np.array([1.0] * (n + 1) + [-1.0] * n)
+
+
+@lru_cache
+def standard_j(n: int) -> np.ndarray:
+    """The complex structure J = [[0, -I], [I, 0]] on R^{2n}, J e_i = e_{n+i}:
+    multiplication by i in the real coordinates (u, v) of w = u + i v, and
+    phi on the horizontal part of the adapted frames.  Built once per n and
+    read-only, as every extension metric evaluation reads it."""
+    j = np.zeros((2 * n, 2 * n))
+    idx = np.arange(n)
+    j[n + idx, idx] = 1.0
+    j[idx, n + idx] = -1.0
+    j.flags.writeable = False
+    return j
 
 
 def project_all(t, proj) -> np.ndarray:

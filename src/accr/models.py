@@ -14,6 +14,9 @@ data, zero jets), chart models (coordinate frame or a moving coframe, exact
 when they are given the analytic jets of the metric and the coframe, finite
 differences otherwise), rank-one product extensions over a holomorphic
 complex Riemannian base (exact when the base is), and the complex cone.
+An extension base is a coordinate chart of dimension 2n in holomorphic
+coordinates w = u + i v, so its complex structure is always multiplication
+by i, the standard J of ``frame_algebra.standard_j``.
 ``ConeModel(structure)`` is built from an accR structure alone and carries
 both cone tensors: its metric and, through ``j_at`` and ``j_derivs_at``,
 its complex structure J.
@@ -22,11 +25,10 @@ its complex structure J.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import holomorphy_residual, standard_norden_pair
+from .connection import holomorphy_residual
 from .errors import (
     BadParams,
     BadSignature,
@@ -35,8 +37,8 @@ from .errors import (
     RNotNegative,
     SingularCoframe,
 )
-from .frame_algebra import SYM_TOL, MetricMatrix
-from .structure import AccrStructure, worst
+from .frame_algebra import SYM_TOL, MetricMatrix, standard_j
+from .structure import AccrStructure, standard_structure, worst
 
 DEFAULT_FD_STEP = 1e-3
 
@@ -347,45 +349,6 @@ def chart_model(dim, metric_fields, frame=None, ranges=None, metric_derivs=None,
                       coframe_derivs_fn=coframe_derivs, coframe_derivs2_fn=coframe_derivs2)
 
 
-@dataclass
-class HolomorphicBase:
-    """Even-dimensional base (N, J, h) with J an anti-isometry of h.
-
-    ``model`` must be a coordinate-frame chart model of dimension 2n and
-    ``j`` a constant complex-structure matrix in that frame.  The associated
-    metric is htilde(X, Y) = h(JX, Y).
-    """
-
-    model: ChartModel
-    j: np.ndarray
-
-    def __post_init__(self):
-        self.j = np.asarray(self.j, dtype=float)
-        if self.model.dim % 2 != 0:
-            raise BaseNotHolomorphic("base dimension must be even")
-        if self.model.coframe_fn is not None:
-            raise BaseNotHolomorphic("base must use a coordinate frame")
-        if np.max(np.abs(self.j @ self.j + np.eye(self.model.dim))) > 1e-12:
-            raise BaseNotHolomorphic("J^2 != -Id")
-
-    @property
-    def n(self) -> int:
-        return self.model.dim // 2
-
-    def h_at(self, p):
-        return self.model.metric_at(p)
-
-    def htilde_at(self, p):
-        h = self.model.metric_at(p)
-        return h @ self.j
-
-    def norden_residual(self, p) -> float:
-        """h(JX, JY) + h(X, Y) componentwise.  As J^2 = -Id, it vanishes
-        exactly when htilde(X, Y) = h(JX, Y) is symmetric."""
-        h = self.h_at(p)
-        return float(np.max(np.abs(self.j.T @ h @ self.j + h)))
-
-
 def _real_block(m):
     """Re m in the real coordinates (u, v), w = u + i v: the blocks
     [[Re m, -Im m], [-Im m, -Re m]] over any leading axes of m."""
@@ -398,13 +361,13 @@ def _real_block(m):
     return out
 
 
-def holomorphic_base(n, hc, dhc, ranges, d2hc=None) -> HolomorphicBase:
+def holomorphic_base(n, hc, dhc, ranges, d2hc=None) -> ChartModel:
     """Base from a holomorphic symmetric hc(w) (n x n) with dhc(w)[m] = d hC / d w^m
     and optionally d2hc(w)[m, l] = d^2 hC / d w^m d w^l, on the box ``ranges``
-    of the real coordinates (u, v), w = u + i v: h = Re hC, J is
-    multiplication by i, and the jets of h follow from the Cauchy-Riemann rule
-    d/du^m = d/dw^m, d/dv^m = i d/dw^m.  The base chart is exact when both
-    derivatives are given."""
+    of the real coordinates (u, v), w = u + i v: the coordinate chart of
+    h = Re hC, whose complex structure is multiplication by i, the standard J.
+    The jets of h follow from the Cauchy-Riemann rule d/du^m = d/dw^m,
+    d/dv^m = i d/dw^m; the chart is exact when both derivatives are given."""
 
     def metric_fn(x):
         return _real_block(hc(x[:n] + 1j * x[n:]))
@@ -418,74 +381,72 @@ def holomorphic_base(n, hc, dhc, ranges, d2hc=None) -> HolomorphicBase:
         du = np.concatenate([d2, 1j * d2], axis=1)       # d/du^m (d/du^l, d/dv^l)
         return _real_block(np.concatenate([du, 1j * du]))
 
-    model = chart_model(2 * n, metric_fn, ranges=ranges,
-                        metric_derivs=None if dhc is None else metric_derivs_fn,
-                        metric_derivs2=None if d2hc is None else metric_derivs2_fn)
-    h, htilde = standard_norden_pair(n)
-    return HolomorphicBase(model=model, j=h @ htilde)   # J = h^{-1} htilde
+    return chart_model(2 * n, metric_fn, ranges=ranges,
+                       metric_derivs=None if dhc is None else metric_derivs_fn,
+                       metric_derivs2=None if d2hc is None else metric_derivs2_fn)
 
 
 class ProductExtensionModel(ChartModel):
-    """M = R_t x N with g = dt^2 + cos(2t) h - sin(2t) htilde.
+    """M = R_t x N with g = dt^2 + cos(2t) h - sin(2t) htilde, htilde = h J.
 
-    Coordinates are (t, base coordinates); the working frame is the
-    coordinate frame.  The t-derivatives of the metric are analytic, the
-    base derivatives delegate to the base model, which makes the extension
+    The base is a coordinate chart of dimension 2n carrying h, with the
+    standard J.  Coordinates are (t, base coordinates); the working frame is
+    the coordinate frame.  The t-derivatives of the metric are analytic, the
+    base derivatives delegate to the base chart, which makes the extension
     exact when the base chart is, and the finite-difference step is the base
     chart's.
     """
 
     kind = "product_extension"
 
-    def __init__(self, base: HolomorphicBase):
+    def __init__(self, base: ChartModel):
         self.base = base
-        ranges = [(-1.2, 1.2)] + list(base.model.ranges)
-        super().__init__(base.model.dim + 1, self._metric, ranges=ranges)
+        ranges = [(-1.2, 1.2)] + list(base.ranges)
+        super().__init__(base.dim + 1, self._metric, ranges=ranges)
 
     @property
     def exact(self):
-        return self.base.model.exact
+        return self.base.exact
 
     @property
     def fd_step(self):
-        return self.base.model.fd_step
+        return self.base.fd_step
 
     @fd_step.setter
     def fd_step(self, step):
-        self.base.model.fd_step = step
+        self.base.fd_step = step
 
     def _leaf(self, t, k, hs):
         """The k-th t-derivative of cos(2t) H - sin(2t) H J over the leading
         axes of hs, the stacked H."""
         c, s = trig_jet(2.0, t, k)
-        return c * hs - s * (hs @ self.base.j)
+        return c * hs - s * (hs @ standard_j(self.base.dim // 2))
 
     def _metric(self, p):
         g = np.zeros((self.dim, self.dim))
         g[0, 0] = 1.0
-        g[1:, 1:] = self._leaf(p[0], 0, self.base.h_at(p[1:]))
+        g[1:, 1:] = self._leaf(p[0], 0, self.base.metric_at(p[1:]))
         return g
 
     def metric_derivs_at(self, p):
         t, bp = p[0], p[1:]
         D = np.zeros((self.dim,) * 3)
-        D[0, 1:, 1:] = self._leaf(t, 1, self.base.h_at(bp))
-        D[1:, 1:, 1:] = self._leaf(t, 0, self.base.model.metric_derivs_at(bp))
+        D[0, 1:, 1:] = self._leaf(t, 1, self.base.metric_at(bp))
+        D[1:, 1:, 1:] = self._leaf(t, 0, self.base.metric_derivs_at(bp))
         return D
 
     def metric_derivs2_at(self, p):
         t, bp = p[0], p[1:]
         D2 = np.zeros((self.dim,) * 4)
-        D2[0, 0, 1:, 1:] = self._leaf(t, 2, self.base.h_at(bp))
-        D2[0, 1:, 1:, 1:] = D2[1:, 0, 1:, 1:] = self._leaf(
-            t, 1, self.base.model.metric_derivs_at(bp))
-        D2[1:, 1:, 1:, 1:] = self._leaf(t, 0, self.base.model.metric_derivs2_at(bp))
+        D2[0, 0, 1:, 1:] = self._leaf(t, 2, self.base.metric_at(bp))
+        D2[0, 1:, 1:, 1:] = D2[1:, 0, 1:, 1:] = self._leaf(t, 1, self.base.metric_derivs_at(bp))
+        D2[1:, 1:, 1:, 1:] = self._leaf(t, 0, self.base.metric_derivs2_at(bp))
         return D2
 
 
-def extension_leaf_curvature(t, r_h, j) -> np.ndarray:
+def extension_leaf_curvature(t, r_h) -> np.ndarray:
     """(0,4) curvature of the horizontal leaf at t of the extension, from the
-    base curvature r_h in the same frame:
+    base curvature r_h in the base's coordinate frame:
 
         R_t(X,Y,Z,U) = cos 2t R_h(X,Y,Z,U) - sin 2t R_h(X,Y,Z,JU),
 
@@ -493,42 +454,42 @@ def extension_leaf_curvature(t, r_h, j) -> np.ndarray:
     complex-constant multiple of the holomorphic metric, which keeps its
     connection.
     """
+    j = standard_j(r_h.shape[-1] // 2)
     return np.cos(2 * t) * r_h - np.sin(2 * t) * np.einsum("ijkm,ml->ijkl", r_h, j)
 
 
-def product_extension(base: HolomorphicBase):
-    """Rank-one extension of a holomorphic complex Riemannian base.
+def product_extension(base: ChartModel):
+    """Rank-one extension of a holomorphic complex Riemannian base, given as
+    a coordinate chart of dimension 2n whose complex structure is the
+    standard J (as ``holomorphic_base`` makes it).
 
-    Returns (model, structure) where the structure carries eta = dt,
+    Returns (model, structure) with the adapted structure: eta = dt,
     xi = d/dt, phi restricted to the horizontal distribution equal to J.
-    Raises BaseNotHolomorphic when, on 4 samples, h is not symmetric (hC
-    must be), h is not Norden, nabla^h J fails to vanish, or dh differs
-    from the finite differences of h relative to max(1, |dh|): nabla^h J is
-    solved from dh, so it misses a w-bar term.
+    Raises BaseNotHolomorphic when the chart is odd-dimensional or has a
+    coframe, or when, on 4 samples, h is not symmetric (hC must be), h is
+    not Norden, nabla^h J fails to vanish, or dh differs from the finite
+    differences of h relative to max(1, |dh|): nabla^h J is solved from dh,
+    so it misses a w-bar term.
     """
-    chart = base.model
-    for q in chart.sample_points(4, seed=7):
-        h = chart.metric_at(q)
+    if base.dim % 2 != 0:
+        raise BaseNotHolomorphic("base dimension must be even")
+    if base.coframe_fn is not None:
+        raise BaseNotHolomorphic("base must use a coordinate frame")
+    n = base.dim // 2
+    j = standard_j(n)
+    for q in base.sample_points(4, seed=7):
+        h = base.metric_at(q)
         asym = np.max(np.abs(h - h.T))
         if not asym <= SYM_TOL:
             raise BaseNotHolomorphic(f"metric asymmetry {asym:.3e} at {q}")
-        dh = chart.metric_derivs_at(q)
-        gap = np.max(np.abs(dh - coordinate_derivatives(chart.metric_at, q, chart.fd_step)))
-        res = worst((base.norden_residual(q), holomorphy_residual(base, q),
+        dh = base.metric_derivs_at(q)
+        gap = np.max(np.abs(dh - coordinate_derivatives(base.metric_at, q, base.fd_step)))
+        res = worst((np.max(np.abs(j.T @ h @ j + h)), holomorphy_residual(base, q),
                      gap / max(1.0, np.max(np.abs(dh)))))
         if not res <= 1e-6:
             raise BaseNotHolomorphic(f"holomorphy residual {res:.3e} at {q}")
-
     model = ProductExtensionModel(base)
-    d = model.dim
-    phi = np.zeros((d, d))
-    phi[1:, 1:] = base.j
-    xi = np.zeros(d)
-    xi[0] = 1.0
-    eta = np.zeros(d)
-    eta[0] = 1.0
-    structure = AccrStructure(model=model, n=base.n, phi=phi, xi=xi, eta=eta)
-    return model, structure
+    return model, standard_structure(model, n)
 
 
 class ConeModel(ManifoldModel):

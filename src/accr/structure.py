@@ -21,6 +21,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .connection import CurvatureBundle, covariant_derivative, levi_civita, riemann
+from .frame_algebra import standard_j
 
 __all__ = [
     "AccrStructure",
@@ -123,14 +124,9 @@ def standard_structure(model, n) -> AccrStructure:
     """The adapted structure in a frame (xi, e_1..e_n, phi e_1..phi e_n)."""
     d = 2 * n + 1
     phi = np.zeros((d, d))
-    for i in range(1, n + 1):
-        phi[n + i, i] = 1.0
-        phi[i, n + i] = -1.0
-    xi = np.zeros(d)
-    xi[0] = 1.0
-    eta = np.zeros(d)
-    eta[0] = 1.0
-    return AccrStructure(model=model, n=n, phi=phi, xi=xi, eta=eta)
+    phi[1:, 1:] = standard_j(n)
+    e0 = np.eye(d)[0]
+    return AccrStructure(model=model, n=n, phi=phi, xi=e0, eta=e0)
 
 
 class PointFields:

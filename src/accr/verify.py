@@ -177,7 +177,6 @@ class VerifyConfig:
     seed: int = 42
     fd_step: float = 1e-3
     tol_override: float | None = None
-    with_error_estimate: bool = True
     only: str | None = None
 
 
@@ -349,7 +348,7 @@ def run_model_checks(cm, cfg: VerifyConfig) -> dict:
     residuals, notes = _gather_residuals(cm, cfg)
 
     estimates = {}
-    if cfg.with_error_estimate and not cm.exact:
+    if not cm.exact:
         cm.model.fd_step = cfg.fd_step / 2.0
         second, _ = _gather_residuals(cm, cfg)
         cm.model.fd_step = cfg.fd_step

@@ -177,7 +177,7 @@ def test_criterion_8_cross_representation():
 
 
 def test_criterion_9_determinism():
-    cfg = VerifyConfig(points=5, seed=42, with_error_estimate=False)
+    cfg = VerifyConfig(points=5, seed=42)
     models_a = [example1(1), example1_chart(1), flat_parallel(1)]
     a = report_to_json(run_all(models_a, cfg))
     models_b = [example1(1), example1_chart(1), flat_parallel(1)]

@@ -200,7 +200,7 @@ class TestEtaEinsteinFit:
         the t = 0 leaf where the whole structure is pointwise Einstein."""
         a = (n - 1) / n
         cm = example3_hsphere_ext(n=n, a=a, b=0.0)
-        base_pts = cm.model.base.model.sample_points(4, 31)
+        base_pts = cm.model.base.sample_points(4, 31)
         pts = [np.concatenate([[0.0], bp]) for bp in base_pts]
         return cm, pts
 
@@ -234,7 +234,7 @@ class TestEtaEinsteinFit:
         n = 3
         cm, _ = self._einstein_slice(n)
         base = cm.model.base
-        bp = base.model.sample_points(1, 3)[0]
+        bp = base.sample_points(1, 3)[0]
         for t, expect in ((0.0, True), (0.7, False)):
             p = np.concatenate([[t], bp])
             h_leaf = cm.model.metric_at(p)[1:, 1:]

@@ -14,7 +14,7 @@ from accr.corpus import (
     hsphere_base,
 )
 from accr.errors import DegenerateParameters, NotSasakiLike
-from accr.frame_algebra import kulkarni_nomizu
+from accr.frame_algebra import kulkarni_nomizu, standard_j
 from accr.models import extension_leaf_curvature
 from accr.sasaki import gauss_residual, second_fundamental_form_residual
 from accr.structure import PointFields
@@ -229,7 +229,7 @@ class TestExtensionLeafCurvature:
     def test_rrr_at_t_zero_reduces_to_base(self):
         h, ht = standard_norden_pair(3)
         base = hsphere_curvature(3, 1.0, 0.0, h=h, htilde=ht).r
-        rh = extension_leaf_curvature(0.0, base, h @ ht)
+        rh = extension_leaf_curvature(0.0, base)
         assert np.max(np.abs(rh - base)) < 1e-14
 
     @pytest.mark.parametrize("n, a, b", [(1, -0.3, 1.2), (2, 0.7, 0.4), (3, 1.0, 0.0),
@@ -237,12 +237,11 @@ class TestExtensionLeafCurvature:
     def test_rule_matches_hsphere_closed_form(self, n, a, b):
         base = hsphere_base(n, a, b)
         h0, ht0 = standard_norden_pair(n)
-        frames = [(h0, ht0)] + [(h, h @ base.j) for h in
-                                map(base.h_at, base.model.sample_points(3, 5))]
+        frames = [(h0, ht0)] + [(h, h @ standard_j(n)) for h in
+                                map(base.metric_at, base.sample_points(3, 5))]
         for t in np.linspace(-1.2, 1.2, 13):
             for h, ht in frames:
-                rule = extension_leaf_curvature(t, hsphere_curvature(n, a, b, h=h, htilde=ht).r,
-                                                base.j)
+                rule = extension_leaf_curvature(t, hsphere_curvature(n, a, b, h=h, htilde=ht).r)
                 ref = hsphere_leaf_reference(t, n, a, b, h, ht)
                 assert np.max(np.abs(rule - ref)) < 1e-15
 

@@ -17,6 +17,7 @@ import pytest
 import accr
 from accr.connection import levi_civita
 from accr.corpus import hsphere_base
+from accr.frame_algebra import standard_j
 from accr.models import (
     _STENCIL_OFFSETS,
     _STENCIL_WEIGHTS,
@@ -89,9 +90,9 @@ class TestStackedStencil:
 
     def test_hsphere_metric(self):
         base = hsphere_base(3, 1.0, 0.5)
-        for p in base.model.sample_points(6, 11):
-            assert np.array_equal(coordinate_derivatives(base.model.metric_at, p, 1e-3),
-                                  loop_coordinate_derivatives(base.model.metric_at, p, 1e-3))
+        for p in base.sample_points(6, 11):
+            assert np.array_equal(coordinate_derivatives(base.metric_at, p, 1e-3),
+                                  loop_coordinate_derivatives(base.metric_at, p, 1e-3))
 
     def test_connection_field(self, ex3):
         p = ex3.model.sample_points(2, 4)[1]
@@ -115,7 +116,7 @@ class TestStackedStencil:
 class TestHSphereChart:
     @pytest.mark.parametrize("n, a, b", HSPHERES)
     def test_metric_and_derivative(self, n, a, b):
-        model = hsphere_base(n, a, b).model
+        model = hsphere_base(n, a, b)
         metric, derivs = block_hsphere(n, a, b)
         for p in model.sample_points(8, 5):
             assert np.array_equal(model.metric_fn(p), metric(p))
@@ -127,9 +128,11 @@ class TestProductExtension:
     def test_one_base_evaluation(self, n, a, b):
         base = hsphere_base(n, a, b)
         model, _ = product_extension(base)
+        j = standard_j(n)
         for p in model.sample_points(6, 9):
             t, bp = p[0], p[1:]
-            h, ht = base.h_at(bp), base.htilde_at(bp)
+            h = base.metric_at(bp)
+            ht = h @ j
             g = np.zeros((model.dim,) * 2)
             g[0, 0] = 1.0
             g[1:, 1:] = np.cos(2 * t) * h - np.sin(2 * t) * ht
@@ -137,8 +140,8 @@ class TestProductExtension:
 
             D = np.zeros((model.dim,) * 3)
             D[0, 1:, 1:] = -2 * np.sin(2 * t) * h - 2 * np.cos(2 * t) * ht
-            dh = base.model.metric_derivs_at(bp)
-            dht = np.einsum("ijm,mk->ijk", base.model.metric_derivs_at(bp), base.j)
+            dh = base.metric_derivs_at(bp)
+            dht = np.einsum("ijm,mk->ijk", base.metric_derivs_at(bp), j)
             D[1:, 1:, 1:] = np.cos(2 * t) * dh - np.sin(2 * t) * dht
             assert np.array_equal(model.metric_derivs_at(p), D)
 

@@ -19,12 +19,12 @@ from accr.errors import (
     NotAntisymmetric,
     RNotNegative,
 )
+from accr.frame_algebra import standard_j
 from accr.models import (
     chart_model,
     ConeModel,
     coordinate_derivatives,
     holomorphic_base,
-    HolomorphicBase,
     lie_group_model,
     product_extension,
     ProductExtensionModel,
@@ -188,7 +188,8 @@ class TestProductExtension:
         base = ex3.model.base
         for p in ex3.model.sample_points(5, 8):
             t, bp = p[0], p[1:]
-            h, ht = base.h_at(bp), base.htilde_at(bp)
+            h = base.metric_at(bp)
+            ht = h @ standard_j(base.dim // 2)
             g = ex3.model.metric_at(p)[1:, 1:]
             gt = PointFields(ex3.structure, p).gtilde[1:, 1:]
             assert np.max(np.abs(g - (np.cos(2 * t) * h - np.sin(2 * t) * ht))) < 1e-12
@@ -203,7 +204,7 @@ class TestProductExtension:
     def test_step_is_the_base_charts(self):
         cm = example3_hsphere_ext()
         cm.model.fd_step = 2e-3
-        assert cm.model.base.model.fd_step == 2e-3
+        assert cm.model.base.fd_step == 2e-3
 
     def test_rejects_non_holomorphic_base(self):
         # Norden pointwise but e^x is not the real part of a holomorphic
@@ -212,9 +213,8 @@ class TestProductExtension:
             return np.diag([np.exp(x[0]), -np.exp(x[0])])
 
         bad = chart_model(2, metric, ranges=[(-0.5, 0.5)] * 2)
-        base = HolomorphicBase(model=bad, j=np.array([[0.0, -1.0], [1.0, 0.0]]))
         with pytest.raises(BaseNotHolomorphic):
-            product_extension(base)
+            product_extension(bad)
 
     def test_accepts_holomorphic_linear_base(self):
         model, _ = product_extension(linear_base())
@@ -234,6 +234,18 @@ class TestProductExtension:
         base = holomorphic_base(2, hc, lambda w: np.zeros((2, 2, 2)), [(-0.2, 0.2)] * 4)
         with pytest.raises(BaseNotHolomorphic, match="asymmetry"):
             product_extension(base)
+
+    @pytest.mark.parametrize("dim, frame, match", [
+        (3, None, "even"),
+        # Norden and flat, but the standard J is a constant of the coordinate
+        # frame only
+        (2, lambda x: np.eye(2), "coordinate frame"),
+    ], ids=["odd_dimension", "coframe"])
+    def test_rejects_chart_that_is_not_a_coordinate_base(self, dim, frame, match):
+        chart = chart_model(dim, lambda x: np.diag([1.0, -1.0, 1.0][:dim]), frame=frame,
+                            ranges=[(-0.5, 0.5)] * dim)
+        with pytest.raises(BaseNotHolomorphic, match=match):
+            product_extension(chart)
 
 
 class TestConeModel:
@@ -332,12 +344,14 @@ class TestConeModel:
 class TestHolomorphicBase:
     def test_hsphere_invariants(self):
         base = hsphere_base(2, 3.0, 4.0)
-        for p in base.model.sample_points(6, 4):
-            assert base.norden_residual(p) < 1e-12
+        j = standard_j(2)
+        for p in base.sample_points(6, 4):
+            h = base.metric_at(p)
+            assert np.max(np.abs(j.T @ h @ j + h)) < 1e-12
 
     def test_hsphere_flat_at_center(self):
         base = hsphere_base(2, 1.0, 0.0)
-        h = base.h_at(np.zeros(4))
+        h = base.metric_at(np.zeros(4))
         assert np.allclose(h, np.diag([1.0, 1.0, -1.0, -1.0]), atol=1e-15)
 
     @settings(max_examples=10, deadline=None, derandomize=True)
@@ -350,7 +364,7 @@ class TestHolomorphicBase:
         dhc = lambda w: s1 + np.einsum("l,mlij->mij", w, s2) + np.einsum("l,lmij->mij", w, s2)
         d2hc = lambda w: s2 + np.swapaxes(s2, 0, 1)
         base = holomorphic_base(n, hc, dhc, [(-0.2, 0.2)] * (2 * n), d2hc)
-        assert base.model.exact
+        assert base.exact
         cfg = VerifyConfig(points=6)
         pts = ProductExtensionModel(base).sample_points(cfg.points, cfg.seed)
         assume(min(abs(np.linalg.det(hc(p[1:n + 1] + 1j * p[n + 1:]))) for p in pts) >= 0.1)
@@ -372,16 +386,14 @@ class TestHolomorphicBase:
         hc = lambda w: (s0 + np.einsum("k,kij->ij", w + 0.3 * w.conj(), s1)
                         + np.einsum("k,l,klij->ij", w, w, s2))
         ranges = [(-0.2, 0.2)] * (2 * n)
-        real = holomorphic_base(n, hc, None, ranges)     # h = Re hC and J; no dh
-        j = real.j
-        base = HolomorphicBase(model=chart_model(2 * n, real.model.metric_at, ranges=ranges), j=j)
+        base = holomorphic_base(n, hc, None, ranges)     # h = Re hC; no dh
         model = ProductExtensionModel(base)
-        cfg = VerifyConfig(points=4, with_error_estimate=False)
+        cfg = VerifyConfig(points=4)
         pts = model.sample_points(cfg.points, cfg.seed)
         assume(max(holomorphy_residual(base, p[1:]) for p in pts) >= 1e-2)
         d = model.dim
         phi = np.zeros((d, d))
-        phi[1:, 1:] = j
+        phi[1:, 1:] = standard_j(n)
         e0 = np.eye(d)[0]
         s = AccrStructure(model=model, n=n, phi=phi, xi=e0, eta=e0)
         cm = CorpusModel(name="non_holomorphic_ext", model=model, structure=s,
@@ -393,6 +405,6 @@ class TestHolomorphicBase:
     def test_hsphere_analytic_derivs(self):
         base = hsphere_base(2, 1.0, 0.5)
         p = np.array([0.1, -0.05, 0.15, 0.08])
-        dg = base.model.metric_derivs_at(p)
-        fd = coordinate_derivatives(base.model.metric_at, p, 1e-4)
+        dg = base.metric_derivs_at(p)
+        fd = coordinate_derivatives(base.metric_at, p, 1e-4)
         assert np.max(np.abs(dg - fd)) < 1e-9

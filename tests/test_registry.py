@@ -20,7 +20,7 @@ def label(model):
 
 @pytest.fixture(scope="module")
 def corpus_rows():
-    report = run_all(default_corpus(), VerifyConfig(points=4, with_error_estimate=False))
+    report = run_all(default_corpus(), VerifyConfig(points=4))
     return [[label(m), r["check_id"], r["expected"], r["tolerance"], r["verdict"]]
             for m in report["models"] for r in m["checks"]]
 

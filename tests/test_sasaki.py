@@ -23,7 +23,7 @@ ROUTES = ("sasaki.defining", "sasaki.nabla_phi", "sasaki.nijenhuis")
 
 def rows(cm, only, **cfg):
     """The verify rows of one model under the check-id prefix only."""
-    out = run_model_checks(cm, VerifyConfig(only=only, with_error_estimate=False, **cfg))["checks"]
+    out = run_model_checks(cm, VerifyConfig(only=only, **cfg))["checks"]
     assert out, only
     return out
 

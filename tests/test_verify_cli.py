@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from accr.cli import main
-from accr.corpus import example1, flat_parallel
+from accr.corpus import CorpusModel, example1, flat_parallel
+from accr.models import chart_model
 from accr.modelspec import MODELSPEC_SCHEMA, load_model_spec, model_from_spec
+from accr.structure import standard_structure
 from accr.verify import VerifyConfig, report_to_json, run_all, run_model_checks
 from tests.conftest import jetless_example1_chart
 
@@ -15,7 +17,14 @@ DOCS = Path(__file__).resolve().parents[1] / "docs"
 
 
 def small_cfg(**kw):
-    return VerifyConfig(points=4, with_error_estimate=False, **kw)
+    return VerifyConfig(points=4, **kw)
+
+
+def degenerate_chart():
+    """A chart whose metric is zero everywhere: every check of it aborts."""
+    model = chart_model(3, lambda x: np.zeros((3, 3)), ranges=[(-1, 1)] * 3)
+    return CorpusModel(name="degenerate", model=model, structure=standard_structure(model, 1),
+                       params={}, sasaki_expected=True)
 
 
 class TestRunAll:
@@ -60,8 +69,7 @@ class TestRunAll:
 
     def test_non_finite_residual_is_error(self):
         # a zero finite-difference step makes every derivative NaN
-        cfg = VerifyConfig(points=3, fd_step=0.0, with_error_estimate=False,
-                           only="sasaki.defining")
+        cfg = VerifyConfig(points=3, fd_step=0.0, only="sasaki.defining")
         with np.errstate(all="ignore"):
             rep = run_model_checks(jetless_example1_chart(1), cfg)
             report = run_all([jetless_example1_chart(1)], cfg)
@@ -90,23 +98,13 @@ class TestRunAll:
         init = PointFields.__init__
         monkeypatch.setattr(PointFields, "__init__",
                             lambda self, *a, **k: built.append(1) or init(self, *a, **k))
-        cfg = VerifyConfig(points=20, with_error_estimate=False, only=only)
+        cfg = VerifyConfig(points=20, only=only)
         assert run_model_checks(ex3, cfg)["checks"]
         assert len(built) == 20
 
     def test_broken_model_captured_not_raised(self):
         # a degenerate metric aborts that model's checks but not the batch
-        import numpy as np
-
-        from accr.corpus import CorpusModel
-        from accr.models import chart_model
-        from accr.structure import standard_structure
-
-        model = chart_model(3, lambda x: np.zeros((3, 3)), ranges=[(-1, 1)] * 3)
-        broken = CorpusModel(name="degenerate", model=model,
-                             structure=standard_structure(model, 1),
-                             params={}, sasaki_expected=True)
-        report = run_all([broken, example1(n=1)], small_cfg())
+        report = run_all([degenerate_chart(), example1(n=1)], small_cfg())
         assert report["models"][0]["error"]
         assert not report["summary"]["ok"]
         assert report["models"][1]["checks"]  # second model still ran
@@ -218,6 +216,15 @@ class TestCli:
             ("conformal.eta_fit.residual", "error")]
         assert rows[0]["note"].startswith("not Sasaki-like: ")
 
+    def test_model_error_line(self, capsys, monkeypatch):
+        # a model whose checks abort prints one ERROR line and fails the run
+        import accr.cli as cli
+
+        monkeypatch.setattr(cli, "_resolve_models", lambda names, params: [degenerate_chart()])
+        assert main(["verify"]) == 1
+        out = capsys.readouterr().out
+        assert "== degenerate {}\n   ERROR: " in out
+
     def test_usage_error_exit_two(self, capsys):
         assert main(["verify", "--points", "notanint"]) == 2
         assert main(["bogus-subcommand"]) == 2
@@ -229,10 +236,16 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["models"][0]["holomorphic"] is True
 
-    def test_transform_subcommand(self, tmp_path, capsys):
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["-m", "example1", "--params", "u=0.3,v=0.2,w=0", "--points", "3"],
+                     id="example1"),
+        # the named family "zero": a callable parameter field, constant 0
+        pytest.param(["-m", "example1_chart", "--params", "v=zero,w=0", "--points", "4"],
+                     id="example1_chart-zero"),
+    ])
+    def test_transform_subcommand(self, tmp_path, capsys, argv):
         out = tmp_path / "tr.json"
-        code = main(["transform", "-m", "example1", "--params",
-                     "u=0.3,v=0.2,w=0", "--points", "3", "--json", str(out)])
+        code = main(["transform", *argv, "--json", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["models"][0]["sasaki_preserved"] is True
