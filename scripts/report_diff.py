@@ -12,7 +12,9 @@ builtin ``verify --points 6``, ``cone`` and ``transform`` with the
 benchmark's three parameter sets, all at ``--seed 7``; ``verify --points 6``
 of the chart examples and the h-sphere extension at parameters other than
 their defaults (``PARAMS``), which rebuild their bases from other complex
-data; and ``verify -m`` on each model spec in ``docs/examples``.  A command differs when its JSON
+data; ``verify --points 6 --only`` of a per-model family on three models
+(``ONLY``), where no per-point family runs first; and ``verify -m`` on
+each model spec in ``docs/examples``.  A command differs when its JSON
 report, its stdout or its exit code differs.  Every differing command is
 printed, and for a pair of verify reports also the sorted check ids whose
 rows differ, each differing row's max_residual, tolerance and verdict on
@@ -36,6 +38,8 @@ BUILTINS = ("example1", "example1_chart", "example2", "example2_chart",
 TRANSFORMS = ("u=0.3,v=0.2,w=0", "u=0,v=0,w=0.6931471805599453", "v=linear_t:0.1,w=0")
 PARAMS = (("example1_chart", "n=2"), ("example2_chart", "lam=3"),
           ("example3_hsphere_ext", "n=2,a=3,b=4"))
+ONLY = (("example2_chart", "cone"), ("example1_chart", "crossrep"),
+        ("example3_hsphere_ext", "conformal.eta_fit"))
 
 
 def commands() -> list:
@@ -48,6 +52,8 @@ def commands() -> list:
         out.extend(["transform", *seeded, "--params", t] for t in TRANSFORMS)
     out.extend(["verify", "-m", name, "--seed", "7", "--points", "6", "--params", params]
                for name, params in PARAMS)
+    out.extend(["verify", "-m", name, "--seed", "7", "--points", "6", "--only", only]
+               for name, only in ONLY)
     out.extend(["verify", "-m", f"docs/examples/{spec.name}"]
                for spec in sorted((ROOT / "docs" / "examples").glob("*.json")))
     return out

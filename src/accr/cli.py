@@ -29,7 +29,7 @@ from . import corpus as corpus_mod
 from . import sasaki as sas
 from .errors import BadParams, GeometryError
 from .modelspec import load_model_spec
-from .structure import max_over_points, worst
+from .structure import PointFields, max_over_points, worst
 from .verify import (
     CHECKS,
     VerifyConfig,
@@ -128,24 +128,27 @@ def cmd_verify(args) -> int:
     return _emit(report, args)
 
 
-def _named_family(value):
-    """Scalar-field families for non-constant transform parameters:
-    "zero" and "linear_t:<coef>" (coef times the first coordinate)."""
-    if not isinstance(value, str):
-        return value
+def _named_family(key, value):
+    """Transform parameter key: a constant, or one of the scalar-field families
+    "zero" and "linear_t:<coef>" (coef times the first coordinate).  A
+    constant or coef that is not a finite number is BadParams."""
     if value == "zero":
         return lambda p: 0.0
-    if value.startswith("linear_t:"):
-        coef = float(value.split(":", 1)[1])
-        return lambda p: coef * p[0]
-    raise GeometryError(f"unknown parameter family {value!r}")
+    family, _, text = str(value).rpartition(":")
+    try:
+        coef = float(text) if family in ("", "linear_t") else math.nan
+    except ValueError:
+        coef = math.nan
+    if not math.isfinite(coef):
+        raise BadParams(f"transform parameter {key}={value!r} is not a finite number")
+    return (lambda p: coef * p[0]) if family else coef
 
 
 def cmd_transform(args) -> int:
     cfg = _config_from(args)
     params = _parse_params(args.params)
     shown = {k: params.pop(k, 0.0) for k in ("u", "v", "w")}
-    t = conf.TransformParams(**{k: _named_family(v) for k, v in shown.items()})
+    t = conf.TransformParams(**{k: _named_family(k, v) for k, v in shown.items()})
     models = _resolve_models(args.model, params)
     out = {"schema_version": "1", "transform": shown, "models": []}
     ok = True
@@ -166,7 +169,12 @@ def cmd_transform(args) -> int:
             entry["transformed_defining"] = res["defining"]
             tol = tolerance_for("conformal.preserve.transformed_defining", cm, cfg)
             entry["sasaki_preserved"] = within(worst(res["defining"].values()), tol)
-        except GeometryError as exc:
+            computed = chain(res["preservation"].values(), res["defining"].values(),
+                             entry.get("laws", {}).values(),
+                             [entry.get("connection_formula_residual", 0.0)])
+            if not all(map(math.isfinite, computed)):     # e.g. e^{2u} overflowed
+                raise GeometryError("a residual could not be computed (not finite)")
+        except (ArithmeticError, ValueError) as exc:   # GeometryError, or math.exp/cos overflow
             entry["error"] = str(exc)
             ok = False
         out["models"].append(entry)
@@ -179,10 +187,11 @@ def cmd_cone(args) -> int:
     models = _resolve_models(args.model, _parse_params(args.params))
     out = {"schema_version": "1", "models": []}
     ok = True
+    count = min(cfg.points, 8)
     for cm in models:
         cm.model.fd_step = cfg.fd_step
-        check = sas.cone_holomorphic_residual(cm.structure, count=min(cfg.points, 8),
-                                              seed=cfg.seed)
+        fields = [PointFields(cm.structure, p) for p in cm.model.sample_points(count, cfg.seed)]
+        check = sas.cone_holomorphic_residual(fields, count, cfg.seed)
         passed = within(check.residual, tolerance_for("cone.holomorphic", cm, cfg))
         # the closed-form lines hold on every model, Sasaki-like or not
         lines = {**{f"cone.line.{k}": v for k, v in check.connection_lines.items()},

@@ -19,7 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -330,24 +329,20 @@ class EinsteinFit:
     einstein_residual: float | None
 
 
-def eta_complex_einstein_check(s: AccrStructure, points, tol=1e-8) -> EinsteinFit:
-    """Classify the Ricci tensor of a Sasaki-like structure.
+def eta_complex_einstein_check(fields, tol=1e-8) -> EinsteinFit:
+    """Classify the Ricci tensor of a Sasaki-like structure from the
+    PointFields of its sample points.
 
     classification: "einstein" ((c,d) = (1,0)), "eta_einstein" (d = 0),
     "eta_complex_einstein", or "none" when no constants fit.
     """
-    n = s.n
-    rows, targets, rics = [], [], []
-    fields = (PointFields(s, p) for p in points)
-    first = next(fields)
-    require_sasaki_like(first)
-    for f in chain([first], fields):
-        ee = np.outer(f.eta, f.eta)
-        rows.append(np.stack([(f.g - ee).ravel(), (f.g @ f.phi).ravel()], axis=1))
-        rics.append(f.curvature.ric)
-        targets.append((rics[-1] - 2.0 * n * ee).ravel())
-    design = np.vstack(rows)
-    target = np.concatenate(targets)
+    s, n = fields[0].s, fields[0].s.n
+    require_sasaki_like(fields[0])
+    ees = [np.outer(f.eta, f.eta) for f in fields]
+    design = np.vstack([np.stack([(f.g - ee).ravel(), (f.g @ f.phi).ravel()], axis=1)
+                        for f, ee in zip(fields, ees)])
+    target = np.concatenate([(f.curvature.ric - 2.0 * n * ee).ravel()
+                             for f, ee in zip(fields, ees)])
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     alpha, beta = float(coef[0]), float(coef[1])
     residual = float(np.max(np.abs(design @ coef - target)))
@@ -374,8 +369,8 @@ def eta_complex_einstein_check(s: AccrStructure, points, tol=1e-8) -> EinsteinFi
         cd2 = c * c + d * d
         to_einstein = {"u": -0.25 * math.log(cd2), "v": -0.5 * math.atan2(d, c), "w": 0.0}
         ts = apply_cct(s, TransformParams(**to_einstein))
-        einstein_residual = max_over_points(zip(points, rics), lambda pr: {"ric": np.max(
-            np.abs(pr[1] - 2.0 * n * ts.model.metric_at(pr[0])))})["ric"]
+        einstein_residual = max_over_points(fields, lambda f: {"ric": np.max(
+            np.abs(f.curvature.ric - 2.0 * n * ts.model.metric_at(f.p)))})["ric"]
 
     return EinsteinFit(alpha=alpha, beta=beta, residual=residual, c=c, d=d,
                        classification=cls, to_einstein=to_einstein,

@@ -366,40 +366,38 @@ def default_corpus() -> list:
     ]
 
 
-def cross_representation_check(lie: CorpusModel, chart: CorpusModel,
-                               count=20, seed=42) -> dict:
-    """Compare a group model against its coordinate realization.
+def cross_representation_check(lie: CorpusModel, chart: CorpusModel, fields) -> dict:
+    """Compare a group model against its coordinate realization at the
+    chart's sample points, whose PointFields are fields.
 
     (i) the brackets of the chart frame, from the derivatives of its coframe
     (analytic when the chart has its jets), must reproduce the group
     structure constants, (ii) the metric assembled as
     sum_k eps_k (e^k)^2 must match the closed-form coordinate metric, and
-    (iii) the Sasaki-like verdicts must agree.
+    (iii) the Sasaki-like verdicts, the chart's at its first five points,
+    must agree.
     """
     if chart.lie_partner != lie.name:
         raise ParamMismatch(f"{chart.name} is not the chart form of {lie.name}")
-    shared = set(lie.params) & set(chart.params)
-    for key in shared:
+    for key in set(lie.params) & set(chart.params):
         if lie.params[key] != chart.params[key]:
             raise ParamMismatch(f"parameter {key}: {lie.params[key]} != {chart.params[key]}")
 
     c_lie = lie.model.commutators_at(np.zeros(0))
     eps = standard_signature(lie.structure.n)
-    pts = chart.model.sample_points(count, seed)
 
-    def at(p):
-        th = np.asarray(chart.coframe_fn(p), dtype=float)
+    def at(f):
+        th = np.asarray(chart.coframe_fn(f.p), dtype=float)
         assembled = np.einsum("k,km,kn->mn", eps, th, th)
         return {
-            "structure_equations": np.max(np.abs(chart.model.commutators_at(p) - c_lie)),
-            "metric_assembly": np.max(np.abs(assembled - chart.coord_metric_fn(p))),
+            "structure_equations": np.max(np.abs(f.c - c_lie)),
+            "metric_assembly": np.max(np.abs(assembled - chart.coord_metric_fn(f.p))),
         }
 
-    out = max_over_points(pts, at)
-    defining = lambda cm, points: worst(max_over_points(
-        points, lambda p: check_defining_conditions(PointFields(cm.structure, p))).values())
-    v_lie = defining(lie, [np.zeros(0)]) < 1e-9
-    v_chart = defining(chart, pts[:5]) < 1e-6
+    out = max_over_points(fields, at)
+    defining = lambda fs: worst(max_over_points(fs, check_defining_conditions).values())
+    v_lie = defining([PointFields(lie.structure, np.zeros(0))]) < 1e-9
+    v_chart = defining(fields[:5]) < 1e-6
     return {
         **out,
         "verdict_agreement": 0.0 if v_lie == v_chart else 1.0,

@@ -592,11 +592,13 @@ class ConeModel(ManifoldModel):
         out[self.base.dim] = d_r
         return out
 
+    @staticmethod
+    def radii(count, seed):
+        """r of the first count sample points: -1, then a Halton sample of [-2, -0.5]."""
+        rest = halton_points([(-2.0, -0.5)], count - 1, seed + 1)
+        return [-1.0, *(float(x[0]) for x in rest)][:count]
+
     def sample_points(self, count, seed):
         base_pts = self.base.sample_points(count, seed)
-        rvals = [-1.0] + [float(x[0]) for x in halton_points([(-2.0, -0.5)], count - 1, seed + 1)]
-        pts = []
-        for k in range(count):
-            bp = base_pts[k % len(base_pts)]
-            pts.append(np.concatenate([bp, [rvals[k % len(rvals)]]]))
-        return pts
+        return [np.concatenate([base_pts[k % len(base_pts)], [r]])
+                for k, r in enumerate(self.radii(count, seed))]

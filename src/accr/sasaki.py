@@ -23,7 +23,7 @@ from .connection import covariant_derivative, levi_civita
 from .errors import NotSasakiLike
 from .frame_algebra import project_all
 from .models import ConeModel
-from .structure import AccrStructure, PointFields, max_over_points, worst
+from .structure import PointFields, max_over_points, worst
 
 __all__ = [
     "check_defining_conditions",
@@ -201,24 +201,23 @@ class ConeCheck:
     dj_xi_line: dict
 
 
-def cone_holomorphic_residual(s: AccrStructure, count=6, seed=42) -> ConeCheck:
-    """max |g_cone((nabla J) y, z)| over sampled (p, r) and frame triples.
+def cone_holomorphic_residual(fields, count, seed) -> ConeCheck:
+    """max |g_cone((nabla J) y, z)| over count cone points and frame triples,
+    point k at radius ConeModel.radii(count, seed)[k] over the point of
+    fields[k % len(fields)], the PointFields of the structure's sample points.
 
     Also cross-checks the closed-form cone connection components, e.g.
     g_cone(nabla_X Y, d/dr) = -r g(X, Y) and g_cone(nabla_X d/dr, Z)
     = r g(X, Z) on horizontal arguments, against the Koszul solution.
     """
-    cone = ConeModel(s)
-    d = s.dim
+    cone = ConeModel(fields[0].s)
+    d = fields[0].dim
     per_point = []
-    bases = {}     # one PointFields per distinct base point: cone points share them
 
-    def at(p):
-        bp, rv = cone.split(p)
-        key = bp.tobytes()
-        if key not in bases:
-            bases[key] = PointFields(s, bp)
-        f = bases[key]
+    def at(k_rv):
+        k, rv = k_rv
+        f = fields[k % len(fields)]
+        p = np.concatenate([f.p, [rv]])
         gamma = levi_civita(cone, p).gamma
         G = cone.metric_at(p)
         nj = covariant_derivative(gamma, cone.j_at(p), cone.j_derivs_at(p))
@@ -268,5 +267,5 @@ def cone_holomorphic_residual(s: AccrStructure, count=6, seed=42) -> ConeCheck:
             "dj_xi_line": {"direct_vs_symmetric_reading": np.max(np.abs(direct - closed))},
         }
 
-    worst_of = max_over_points(cone.sample_points(count, seed), at)
+    worst_of = max_over_points(enumerate(cone.radii(count, seed)), at)
     return ConeCheck(per_point=per_point, **worst_of)

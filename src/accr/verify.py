@@ -5,9 +5,9 @@ finite-difference tolerance.  FAMILIES declares how the checks under each
 id prefix are computed and on which models.  Each check is reported as a
 row {check_id, statement, max_residual, fd_error_estimate, tolerance,
 expected, verdict}, the residual being its maximum over the model's
-deterministic sample points.  One walk over the points hands each point's
-PointFields to every per-point family; a family is per model only when its
-rows are not such a maximum (the cone, crossrep and the eta fit).  Every
+deterministic sample points.  Every family reads the pass's one list of
+PointFields: a per-point family each point's, and a per-model family, for
+rows that are not such a maximum (cone, crossrep, eta fit), the list.  Every
 row is judged except the eta fit's (info), whose output is the
 classification in its note.  On exact models the derivatives family
 compares each analytic jet with finite differences of the next-lower
@@ -184,9 +184,9 @@ class VerifyConfig:
 class Family:
     """The checks under one id prefix.  A per-point family maps (cm, f) to
     residuals at f.p, reading the pass's PointFields f; a per-model family,
-    for rows that are not a maximum over the sample points, maps (cm, points,
-    count, seed) to residuals of the model.  Residuals are a value (row
-    "<prefix>"), a (value, note) pair, or a dict (rows "<prefix>.<key>")."""
+    for rows that are not a maximum over the sample points, maps (cm, fields,
+    count, seed), fields the pass's list of them, to residuals of the model.
+    Residuals: a value (row "<prefix>"), a (value, note) pair or a dict (rows "<prefix>.<key>")."""
 
     prefix: str
     residuals: object
@@ -216,23 +216,23 @@ def _conformal(cm, f):
     return out
 
 
-def _eta_fit(cm, pts, count, seed):
+def _eta_fit(cm, fields, count, seed):
     try:
-        fit = conf.eta_complex_einstein_check(cm.structure, pts)
+        fit = conf.eta_complex_einstein_check(fields)
     except NotSasakiLike as exc:     # the fit needs a Sasaki-like base: the row reads error
         return {"residual": (math.nan, f"not Sasaki-like: {exc}")}
     return {"residual": (fit.residual, f"classification: {fit.classification}")}
 
 
-def _cone(cm, pts, count, seed):
-    check = sas.cone_holomorphic_residual(cm.structure, count=min(count, 6), seed=seed)
+def _cone(cm, fields, count, seed):
+    check = sas.cone_holomorphic_residual(fields, min(count, 6), seed)
     return {"holomorphic": check.residual, "line": check.connection_lines,
             "dj_xi": check.dj_xi_line}
 
 
-def _crossrep(cm, pts, count, seed):
+def _crossrep(cm, fields, count, seed):
     partner = corpus_mod.builtin(cm.lie_partner, **cm.params)
-    cross = corpus_mod.cross_representation_check(partner, cm, count=count, seed=seed)
+    cross = corpus_mod.cross_representation_check(partner, cm, fields)
     return {k: v for k, v in cross.items() if not k.startswith("sasaki_")}
 
 
@@ -278,17 +278,15 @@ def _flatten(check_id, out, res, notes):
         res[check_id] = float(out)
 
 
-def _run_families(cm, families, pts, count, seed) -> dict:
-    """{prefix: residuals} of the families on one model."""
-
-    def at(p):
-        f = PointFields(cm.structure, p)
-        return {fam.prefix: fam.residuals(cm, f) for fam in families if fam.per_point}
-
-    by_family = max_over_points(pts, at)
+def _run_families(cm, families, count, seed) -> dict:
+    """{prefix: residuals} of the families on one model, every family reading
+    the one list of PointFields at the model's count sample points."""
+    fields = [PointFields(cm.structure, p) for p in cm.model.sample_points(count, seed)]
+    by_family = max_over_points(fields, lambda f: {
+        fam.prefix: fam.residuals(cm, f) for fam in families if fam.per_point})
     for fam in families:
         if not fam.per_point:
-            by_family[fam.prefix] = fam.residuals(cm, pts, count, seed)
+            by_family[fam.prefix] = fam.residuals(cm, fields, count, seed)
     return by_family
 
 
@@ -302,10 +300,8 @@ def _gather_residuals(cm, cfg: VerifyConfig):
     only = cfg.only or ""
     wanted = {_OWNER[check_id] for check_id in CHECKS if check_id.startswith(only)}
     families = [fam for fam in FAMILIES if fam.prefix in wanted and fam.applies(cm)]
-    res: dict = {}
-    notes: dict = {}
-    pts = cm.model.sample_points(count, seed)
-    for prefix, out in _run_families(cm, families, pts, count, seed).items():
+    res, notes = {}, {}
+    for prefix, out in _run_families(cm, families, count, seed).items():
         _flatten(prefix, out, res, notes)
     return res, notes
 

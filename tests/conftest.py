@@ -12,7 +12,7 @@ from accr.corpus import (
     flat_parallel,
 )
 from accr.models import chart_model
-from accr.structure import standard_structure
+from accr.structure import PointFields, standard_structure
 
 ORIGIN = np.zeros(0)
 
@@ -55,6 +55,11 @@ def ex3():
 @pytest.fixture(scope="session")
 def flat():
     return flat_parallel(n=1)
+
+
+def sample_fields(cm, count, seed):
+    """The PointFields of cm's structure at its first count sample points."""
+    return [PointFields(cm.structure, p) for p in cm.model.sample_points(count, seed)]
 
 
 def jetless_example1_chart(n=1):

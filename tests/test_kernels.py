@@ -161,6 +161,11 @@ class TestHalton:
         assert len(pts) == 50 and len({tuple(p) for p in pts}) == 50
         assert all(-0.9 <= p[0] < 0.9 and 2.0 <= p[1] < 3.0 for p in pts)
         assert halton_points([(0.0, 1.0)], 0, 1) == []
+        # a sample of k points is the first k of a larger one with the same
+        # seed: the cone reads its base points from the pass's list
+        assert all(np.array_equal(a, b) for k in (1, 6, 49)
+                   for a, b in zip(halton_points([(-0.9, 0.9), (2.0, 3.0)], k, 1), pts[:k],
+                                   strict=True))
 
 
 class TestImportPath:

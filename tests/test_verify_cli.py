@@ -264,6 +264,23 @@ class TestCli:
         payload = json.loads(out.read_text())
         assert payload["models"][0]["sasaki_preserved"] is False
 
+    @pytest.mark.parametrize("params, error", [
+        # e^{2u} is inf without an exception: nulls that exited 0
+        ("u=1e308", "a residual could not be computed (not finite)"),
+        # math.exp and math.cos raise: tracebacks
+        ("u=400", "math range error"),
+        ("v=1e308", "math domain error"),
+    ])
+    def test_transform_overflow_is_error(self, params, error, tmp_path, capsys):
+        # finite parameters whose transformation cannot be computed give the
+        # model an error and exit 1
+        out = tmp_path / "tr.json"
+        with np.errstate(all="ignore"):
+            code = main(["transform", "-m", "example1", "--params", params, "--points", "1",
+                         "--json", str(out)])
+        assert code == 1
+        assert json.loads(out.read_text())["models"][0]["error"] == error
+
     @pytest.mark.parametrize("argv, code", [
         (["verify", "-m", "example1_chart", "--points", "0"], 2),
         (["verify", "-m", "example1", "--points", "-3"], 2),
@@ -303,6 +320,11 @@ class TestCli:
         (["verify", "-m", "example1", "--tol", "nan"], 2),
         (["verify", "-m", "example1", "--tol=-1"], 2),
         (["transform", "-m", "example1", "--tol", "inf"], 2),
+        # transform parameters, and the coefficient of linear_t, are finite numbers
+        (["transform", "-m", "example1_chart", "--params", "v=linear_t:abc"], 2),
+        (["transform", "-m", "example1_chart", "--params", "u=nan"], 2),
+        (["transform", "-m", "example1_chart", "--params", "w=inf"], 2),
+        (["transform", "-m", "example1_chart", "--params", "v=linear_t:nan"], 2),
     ])
     def test_bad_input(self, argv, code, tmp_path, capsys):
         specs = {
