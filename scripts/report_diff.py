@@ -13,8 +13,9 @@ benchmark's three parameter sets, all at ``--seed 7``; ``verify --points 6``
 of the chart examples and the h-sphere extension at parameters other than
 their defaults (``PARAMS``), which rebuild their bases from other complex
 data; ``verify --points 6 --only`` of a per-model family on three models
-(``ONLY``), where no per-point family runs first; and ``verify -m`` on
-each model spec in ``docs/examples``.  A command differs when its JSON
+(``ONLY``), where no per-point family runs first; and for each model spec
+in ``docs/examples``, at its own sample, ``verify``, ``cone`` and
+``transform`` with the three parameter sets.  A command differs when its JSON
 report, its stdout or its exit code differs.  Every differing command is
 printed, and for a pair of verify reports also the sorted check ids whose
 rows differ, each differing row's max_residual, tolerance and verdict on
@@ -54,8 +55,10 @@ def commands() -> list:
                for name, params in PARAMS)
     out.extend(["verify", "-m", name, "--seed", "7", "--points", "6", "--only", only]
                for name, only in ONLY)
-    out.extend(["verify", "-m", f"docs/examples/{spec.name}"]
-               for spec in sorted((ROOT / "docs" / "examples").glob("*.json")))
+    for spec in sorted((ROOT / "docs" / "examples").glob("*.json")):
+        ref = ["-m", f"docs/examples/{spec.name}"]
+        out.extend([["verify", *ref], ["cone", *ref]])
+        out.extend(["transform", *ref, "--params", t] for t in TRANSFORMS)
     return out
 
 

@@ -6,7 +6,6 @@ from .conformal import (
     TransformParams,
     apply_cct,
     eta_complex_einstein_check,
-    field_pairs,
     homothetic_laws,
     preservation_at,
 )

@@ -8,8 +8,9 @@ Subcommands:
               closed-form connection lines
 
 Exit codes: 0 all checks pass (designed failures count as pass), 1 any
-unexpected failure, 2 usage or input errors.  The environment variable
-ACCR_SEED, a non-negative integer, overrides the default sample seed.
+unexpected failure or model error, 2 usage or input errors.  The
+environment variable ACCR_SEED, a non-negative integer, overrides the
+default sample seed.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import math
 import os
 import sys
-from itertools import chain
 from pathlib import Path
 
 import jsonschema
@@ -32,11 +32,13 @@ from .modelspec import load_model_spec
 from .structure import PointFields, max_over_points, worst
 from .verify import (
     CHECKS,
+    FAILING,
+    MODEL_ERRORS,
     VerifyConfig,
+    judge,
     report_to_json,
     run_all,
-    tolerance_for,
-    within,
+    sample,
 )
 
 
@@ -144,37 +146,19 @@ def _named_family(key, value):
     return (lambda p: coef * p[0]) if family else coef
 
 
-def cmd_transform(args) -> int:
-    cfg = _config_from(args)
-    params = _parse_params(args.params)
-    shown = {k: params.pop(k, 0.0) for k in ("u", "v", "w")}
-    t = conf.TransformParams(**{k: _named_family(k, v) for k, v in shown.items()})
-    models = _resolve_models(args.model, params)
-    out = {"schema_version": "1", "transform": shown, "models": []}
+def _per_model(args, cfg, params, fill, **header) -> int:
+    """Print the report {"schema_version", **header, "models"}, one entry
+    {"name", "params", ...} per model that fill(cm, entry) completes.  A
+    model whose fill raises one of MODEL_ERRORS gets an "error"; that, or a
+    fill that returns False, makes the exit code 1."""
+    out = {"schema_version": "1", **header, "models": []}
     ok = True
-    for cm in models:
+    for cm in _resolve_models(args.model, params):
         cm.model.fd_step = cfg.fd_step
-        pts = cm.model.sample_points(cfg.points, cfg.seed)
         entry = {"name": cm.name, "params": dict(cm.params)}
         try:
-            pairs = conf.field_pairs(cm.structure, t, pts)
-            first = next(pairs)
-            res = max_over_points(chain([first], pairs), lambda fs: {
-                "preservation": conf.preservation_at(*fs, t),
-                "defining": sas.check_defining_conditions(fs[1])})
-            entry["preservation"] = res["preservation"]
-            if t.is_constant:
-                entry["laws"] = conf.homothetic_laws(*first, t)
-                entry["connection_formula_residual"] = entry["laws"].pop("connection_formula")
-            entry["transformed_defining"] = res["defining"]
-            tol = tolerance_for("conformal.preserve.transformed_defining", cm, cfg)
-            entry["sasaki_preserved"] = within(worst(res["defining"].values()), tol)
-            computed = chain(res["preservation"].values(), res["defining"].values(),
-                             entry.get("laws", {}).values(),
-                             [entry.get("connection_formula_residual", 0.0)])
-            if not all(map(math.isfinite, computed)):     # e.g. e^{2u} overflowed
-                raise GeometryError("a residual could not be computed (not finite)")
-        except (ArithmeticError, ValueError) as exc:   # GeometryError, or math.exp/cos overflow
+            ok = fill(cm, entry) and ok
+        except MODEL_ERRORS as exc:
             entry["error"] = str(exc)
             ok = False
         out["models"].append(entry)
@@ -182,27 +166,54 @@ def cmd_transform(args) -> int:
     return 0 if ok else 1
 
 
+def cmd_transform(args) -> int:
+    cfg = _config_from(args)
+    params = _parse_params(args.params)
+    shown = {k: params.pop(k, 0.0) for k in ("u", "v", "w")}
+    t = conf.TransformParams(**{k: _named_family(k, v) for k, v in shown.items()})
+
+    def fill(cm, entry):
+        fields = [PointFields(cm.structure, p) for p in sample(cm, cfg)[0]]
+        sas.require_sasaki_like(fields[0])
+        ts = conf.apply_cct(cm.structure, t)
+        pairs = [(f, PointFields(ts, f.p)) for f in fields]
+        entry.update(max_over_points(pairs, lambda fs: {
+            "preservation": conf.preservation_at(*fs, t),
+            "transformed_defining": sas.check_defining_conditions(fs[1])}))
+        computed = [*entry["preservation"].values(), *entry["transformed_defining"].values()]
+        if t.is_constant:
+            entry["laws"] = conf.homothetic_laws(*pairs[0], t)
+            entry["connection_formula_residual"] = entry["laws"].pop("connection_formula")
+            computed += [*entry["laws"].values(), entry["connection_formula_residual"]]
+        entry["sasaki_preserved"] = judge("conformal.preserve.transformed_defining",
+                                          worst(entry["transformed_defining"].values()),
+                                          cm, cfg)[2] == "pass"
+        if not all(map(math.isfinite, computed)):     # e.g. e^{2u} overflowed
+            raise GeometryError("a residual could not be computed (not finite)")
+        return True
+
+    return _per_model(args, cfg, params, fill, transform=shown)
+
+
 def cmd_cone(args) -> int:
     cfg = _config_from(args)
-    models = _resolve_models(args.model, _parse_params(args.params))
-    out = {"schema_version": "1", "models": []}
-    ok = True
-    count = min(cfg.points, 8)
-    for cm in models:
-        cm.model.fd_step = cfg.fd_step
-        fields = [PointFields(cm.structure, p) for p in cm.model.sample_points(count, cfg.seed)]
-        check = sas.cone_holomorphic_residual(fields, count, cfg.seed)
-        passed = within(check.residual, tolerance_for("cone.holomorphic", cm, cfg))
+
+    def fill(cm, entry):
+        points, count, seed = sample(cm, cfg)
+        count = min(count, 8)
+        check = sas.cone_holomorphic_residual(
+            [PointFields(cm.structure, p) for p in points[:count]], count, seed)
         # the closed-form lines hold on every model, Sasaki-like or not
-        lines = {**{f"cone.line.{k}": v for k, v in check.connection_lines.items()},
-                 **{f"cone.dj_xi.{k}": v for k, v in check.dj_xi_line.items()}}
-        ok = ok and passed == cm.sasaki_expected and all(
-            within(value, tolerance_for(check_id, cm, cfg)) for check_id, value in lines.items())
-        out["models"].append({"name": cm.name, "params": dict(cm.params), **vars(check),
-                              "holomorphic": passed,
-                              "expected_holomorphic": cm.sasaki_expected})
-    print(_write_json(out, args), end="")
-    return 0 if ok else 1
+        rows = {"cone.holomorphic": check.residual,
+                **{f"cone.line.{k}": v for k, v in check.connection_lines.items()},
+                **{f"cone.dj_xi.{k}": v for k, v in check.dj_xi_line.items()}}
+        verdicts = {check_id: judge(check_id, value, cm, cfg)[2]
+                    for check_id, value in rows.items()}
+        entry.update(vars(check), holomorphic=verdicts["cone.holomorphic"] in ("pass", "xpass"),
+                     expected_holomorphic=cm.sasaki_expected)
+        return not FAILING & set(verdicts.values())
+
+    return _per_model(args, cfg, _parse_params(args.params), fill)
 
 
 def build_parser() -> argparse.ArgumentParser:

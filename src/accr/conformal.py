@@ -11,7 +11,9 @@ the parameters are constant it is called contact homothetic.  This module
 applies the transformation, expresses the Sasaki-like preservation
 conditions as residuals, and verifies the closed-form transformation laws
 of the connection, curvature, Ricci and scalar curvatures against direct
-recomputation on the transformed metric.
+recomputation on the transformed metric.  The transformed structure at a
+point is PointFields(apply_cct(s, t), p): the functions here take it next
+to the base's PointFields at the same point.
 """
 
 from __future__ import annotations
@@ -26,12 +28,11 @@ from .errors import NonConstantParams
 from .frame_algebra import standard_signature
 from .models import ManifoldModel
 from .sasaki import require_sasaki_like
-from .structure import AccrStructure, PointFields, max_over_points
+from .structure import AccrStructure, PointFields, field_at, field_derivs_at, max_over_points
 
 __all__ = [
     "TransformParams",
     "apply_cct",
-    "field_pairs",
     "preservation_at",
     "adapted_frame",
     "homothetic_laws",
@@ -53,18 +54,11 @@ class TransformParams:
         return not (callable(self.u) or callable(self.v) or callable(self.w))
 
     def at(self, p):
-        val = lambda x: float(x(p)) if callable(x) else float(x)
-        return val(self.u), val(self.v), val(self.w)
+        return float(field_at(self.u, p)), float(field_at(self.v, p)), float(field_at(self.w, p))
 
     def differentials_at(self, model, p):
         """(du_i, dv_i, dw_i) frame components; exact zeros for constants."""
-        out = []
-        for x in (self.u, self.v, self.w):
-            if callable(x):
-                out.append(model.frame_derivative(p, lambda q: np.asarray(x(q), dtype=float)))
-            else:
-                out.append(np.zeros(model.dim))
-        return tuple(out)
+        return tuple(field_derivs_at(x, model, p) for x in (self.u, self.v, self.w))
 
 
 class TransformedModel(ManifoldModel):
@@ -143,18 +137,6 @@ def apply_cct(s: AccrStructure, t: TransformParams) -> AccrStructure:
         xi_bar = lambda p: math.exp(-t.at(p)[2]) * s.xi_at(p)
         eta_bar = lambda p: math.exp(t.at(p)[2]) * s.eta_at(p)
     return AccrStructure(model=model, n=s.n, phi=s.phi, xi=xi_bar, eta=eta_bar)
-
-
-def field_pairs(s: AccrStructure, t: TransformParams, points):
-    """(base, transformed) PointFields of s and apply_cct(s, t) at each point,
-    made as the caller reaches the point, so that no list of fields is kept.
-    The base must be Sasaki-like at the first point (else NotSasakiLike)."""
-    first = PointFields(s, points[0])
-    require_sasaki_like(first)
-    ts = apply_cct(s, t)
-    yield first, PointFields(ts, points[0])
-    for p in points[1:]:
-        yield PointFields(s, p), PointFields(ts, p)
 
 
 def preservation_at(f: PointFields, fb: PointFields, t: TransformParams) -> dict:

@@ -27,6 +27,8 @@ __all__ = [
     "AccrStructure",
     "standard_structure",
     "PointFields",
+    "field_at",
+    "field_derivs_at",
     "validate_structure",
     "theorem_3_4_residual",
     "structure_property_residuals",
@@ -63,19 +65,26 @@ def max_over_points(points, residuals_at) -> dict:
     return out
 
 
-def _as_field(value):
-    if callable(value):
-        return value, False
-    arr = np.asarray(value, dtype=float)
-    return (lambda p, _a=arr: _a), True
+def field_at(field, p):
+    """A field of the point, a constant or a callable of p, read at p."""
+    return field(p) if callable(field) else field
+
+
+def field_derivs_at(field, model, p):
+    """Frame derivatives e_i(field) at p, shape (dim, *shape); exact zeros
+    for a constant."""
+    if callable(field):
+        return model.frame_derivative(p, lambda q: np.asarray(field(q), dtype=float))
+    return np.zeros((model.dim,) + np.shape(field))
 
 
 @dataclass
 class AccrStructure:
     """(phi, xi, eta) attached to a model carrying g.
 
-    Fields may be constant arrays (the usual case: adapted frames make all
-    structure components constant) or callables of the point.
+    Fields may be constant float arrays (the usual case: adapted frames make
+    all structure components constant) or callables of the point returning
+    them, read through field_at and field_derivs_at.
     """
 
     model: object
@@ -83,11 +92,6 @@ class AccrStructure:
     phi: object
     xi: object
     eta: object
-
-    def __post_init__(self):
-        self._phi_fn, self._phi_const = _as_field(self.phi)
-        self._xi_fn, self._xi_const = _as_field(self.xi)
-        self._eta_fn, self._eta_const = _as_field(self.eta)
 
     @property
     def dim(self):
@@ -97,27 +101,22 @@ class AccrStructure:
         return self.model.metric_at(p)
 
     def phi_at(self, p):
-        return self._phi_fn(p)
+        return field_at(self.phi, p)
 
     def xi_at(self, p):
-        return self._xi_fn(p)
+        return field_at(self.xi, p)
 
     def eta_at(self, p):
-        return self._eta_fn(p)
-
-    def _derivs(self, p, fn, const):
-        if const:
-            return np.zeros((self.dim,) + np.asarray(fn(p)).shape)
-        return self.model.frame_derivative(p, fn)
+        return field_at(self.eta, p)
 
     def phi_derivs_at(self, p):
-        return self._derivs(p, self._phi_fn, self._phi_const)
+        return field_derivs_at(self.phi, self.model, p)
 
     def xi_derivs_at(self, p):
-        return self._derivs(p, self._xi_fn, self._xi_const)
+        return field_derivs_at(self.xi, self.model, p)
 
     def eta_derivs_at(self, p):
-        return self._derivs(p, self._eta_fn, self._eta_const)
+        return field_derivs_at(self.eta, self.model, p)
 
 
 def standard_structure(model, n) -> AccrStructure:

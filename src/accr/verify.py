@@ -14,6 +14,8 @@ compares each analytic jet with finite differences of the next-lower
 order, as a gap relative to max(1, |jet|).  Designed failures (the parallel model for the
 Sasaki family, the w != 0 homothety for conformal preservation) are
 expected to fail, so a healthy run reports them as xfail and exits 0.
+sample gives a model's sample points and judge a row's verdict, for this
+pass and for the transform and cone commands alike.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from . import conformal as conf
 from . import corpus as corpus_mod
 from . import sasaki as sas
-from .errors import GeometryError, NotSasakiLike
+from .errors import NotSasakiLike
 from .models import ChartModel
 from .structure import (
     PointFields,
@@ -47,6 +49,9 @@ PASS = "pass"
 SASAKI = "sasaki"     # passes exactly on Sasaki-like models: the parallel model fails it
 FAIL = "fail"         # fails by design on every model
 INFO = "info"         # reported, never judged
+
+FAILING = {"fail", "xpass", "error"}           # the verdicts that make a run exit 1
+MODEL_ERRORS = (ArithmeticError, ValueError)   # a GeometryError or a math overflow: an error entry
 
 
 @dataclass(frozen=True)
@@ -278,10 +283,18 @@ def _flatten(check_id, out, res, notes):
         res[check_id] = float(out)
 
 
-def _run_families(cm, families, count, seed) -> dict:
+def sample(cm, cfg: VerifyConfig):
+    """(points, count, seed) of the model's sample: cfg's count and seed,
+    unless the model's spec overrides them (its sample_points)."""
+    override = cm.sample_override or {}
+    count, seed = override.get("count", cfg.points), override.get("seed", cfg.seed)
+    return cm.model.sample_points(count, seed), count, seed
+
+
+def _run_families(cm, families, points, count, seed) -> dict:
     """{prefix: residuals} of the families on one model, every family reading
-    the one list of PointFields at the model's count sample points."""
-    fields = [PointFields(cm.structure, p) for p in cm.model.sample_points(count, seed)]
+    the one list of PointFields at the model's sample points."""
+    fields = [PointFields(cm.structure, p) for p in points]
     by_family = max_over_points(fields, lambda f: {
         fam.prefix: fam.residuals(cm, f) for fam in families if fam.per_point})
     for fam in families:
@@ -294,14 +307,11 @@ def _gather_residuals(cm, cfg: VerifyConfig):
     """One full pass over the sample points: ({check_id: residual}, notes).
     Families that do not apply to the model, or that cfg.only rules out,
     are not computed."""
-    override = cm.sample_override or {}
-    count = override.get("count", cfg.points)
-    seed = override.get("seed", cfg.seed)
     only = cfg.only or ""
     wanted = {_OWNER[check_id] for check_id in CHECKS if check_id.startswith(only)}
     families = [fam for fam in FAMILIES if fam.prefix in wanted and fam.applies(cm)]
     res, notes = {}, {}
-    for prefix, out in _run_families(cm, families, count, seed).items():
+    for prefix, out in _run_families(cm, families, *sample(cm, cfg)).items():
         _flatten(prefix, out, res, notes)
     return res, notes
 
@@ -318,19 +328,20 @@ def tolerance_for(check_id, cm, cfg: VerifyConfig):
     return min(tol, TOL_EXACT) if cm.exact else tol
 
 
-def within(value, tol) -> bool:
-    """value <= tol; False when the value is NaN."""
-    return bool(value <= tol)
-
-
-def _verdict(value, expected, tol):
+def judge(check_id, value, cm, cfg: VerifyConfig) -> tuple:
+    """(expected, tolerance, verdict) of the row check_id of model cm with
+    residual value: a residual that is not finite reads error."""
+    expected = CHECKS[check_id].expect
+    if expected == SASAKI:
+        expected = PASS if cm.sasaki_expected else FAIL
+    tol = tolerance_for(check_id, cm, cfg)
     if not math.isfinite(value):
-        return "error"
+        return expected, tol, "error"
     if expected == INFO:
-        return "info"
+        return expected, tol, "info"
     if expected == PASS:
-        return "pass" if within(value, tol) else "fail"
-    return "xpass" if within(value, tol) else "xfail"
+        return expected, tol, "pass" if value <= tol else "fail"
+    return expected, tol, "xpass" if value <= tol else "xfail"
 
 
 def _model_header(cm) -> dict:
@@ -354,19 +365,15 @@ def run_model_checks(cm, cfg: VerifyConfig) -> dict:
     for check_id in sorted(residuals):
         if cfg.only and not check_id.startswith(cfg.only):
             continue
-        check = CHECKS[check_id]
-        expected = check.expect
-        if expected == SASAKI:
-            expected = PASS if cm.sasaki_expected else FAIL
-        tol = tolerance_for(check_id, cm, cfg)
+        expected, tol, verdict = judge(check_id, residuals[check_id], cm, cfg)
         rows.append({
             "check_id": check_id,
-            "statement": check.statement,
+            "statement": CHECKS[check_id].statement,
             "max_residual": residuals[check_id],
             "fd_error_estimate": float(estimates.get(check_id, 0.0)),
             "tolerance": tol,
             "expected": expected,
-            "verdict": _verdict(residuals[check_id], expected, tol),
+            "verdict": verdict,
             "note": notes.get(check_id),
         })
     return {**_model_header(cm), "checks": rows}
@@ -379,15 +386,14 @@ def run_all(models, cfg: VerifyConfig | None = None) -> dict:
     for cm in models:
         try:
             reports.append(run_model_checks(cm, cfg))
-        except GeometryError as exc:
+        except MODEL_ERRORS as exc:
             reports.append({**_model_header(cm), "notes": [f"error: {exc}"],
                             "checks": [], "error": str(exc)})
     counts = {"pass": 0, "fail": 0, "xfail": 0, "xpass": 0, "info": 0, "error": 0}
     for rep in reports:
         for row in rep["checks"]:
             counts[row["verdict"]] += 1
-    ok = not (counts["fail"] or counts["xpass"] or counts["error"]
-              or any("error" in rep for rep in reports))
+    ok = not (any(counts[v] for v in FAILING) or any("error" in rep for rep in reports))
     return {
         "schema_version": SCHEMA_VERSION,
         "environment": {

@@ -15,26 +15,34 @@ from accr.conformal import (
     adapted_frame,
     apply_cct,
     eta_complex_einstein_check,
-    field_pairs,
     homothetic_laws,
     preservation_at,
 )
 from accr.connection import levi_civita, riemann
 from accr.corpus import default_corpus, example3_hsphere_ext
 from accr.errors import NonConstantParams, NotSasakiLike
-from accr.sasaki import check_defining_conditions
+from accr.sasaki import check_defining_conditions, require_sasaki_like
 from accr.structure import PointFields, max_over_points, validate_structure
 from accr.verify import HOMOTHETY, run_all
 from tests.conftest import ORIGIN, sample_fields
 
 
+def pairs(s, t, points):
+    """The (base, transformed) PointFields of s and apply_cct(s, t) at each
+    point; the base must be Sasaki-like at the first (else NotSasakiLike)."""
+    fields = [PointFields(s, p) for p in points]
+    require_sasaki_like(fields[0])
+    ts = apply_cct(s, t)
+    return [(f, PointFields(ts, f.p)) for f in fields]
+
+
 def pair(s, t, p=ORIGIN):
     """The (base, transformed) PointFields of s and apply_cct(s, t) at p."""
-    return next(field_pairs(s, t, [p]))
+    return pairs(s, t, [p])[0]
 
 
 def preservation(s, t, points):
-    return max_over_points(field_pairs(s, t, points), lambda fs: preservation_at(*fs, t))
+    return max_over_points(pairs(s, t, points), lambda fs: preservation_at(*fs, t))
 
 
 class TestApplyCct:
@@ -158,7 +166,7 @@ class TestHomotheticCurvature:
         # the extension's coordinate frame is not orthonormal: the basis is
         # rotated from the adapted frame that Gram-Schmidt builds at each point
         pts = ex3.model.sample_points(6, 7)
-        res = max_over_points(field_pairs(ex3.structure, t, pts),
+        res = max_over_points(pairs(ex3.structure, t, pts),
                               lambda fs: homothetic_laws(*fs, t))
         assert res["rotated_basis_orthonormal"] <= 1e-12
         assert res["scal_from_basis"] <= 1e-9

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -7,6 +9,7 @@ import pytest
 
 from accr.cli import main
 from accr.corpus import CorpusModel, example1, flat_parallel
+from accr.errors import DegenerateMetric
 from accr.models import chart_model
 from accr.modelspec import MODELSPEC_SCHEMA, load_model_spec, model_from_spec
 from accr.structure import standard_structure
@@ -280,6 +283,72 @@ class TestCli:
                          "--json", str(out)])
         assert code == 1
         assert json.loads(out.read_text())["models"][0]["error"] == error
+
+    def test_verify_overflow_is_error(self, tmp_path, capsys):
+        # a finite lam whose jets overflow in the math module: the model gets
+        # an error entry and the run exits 1, where it ended in a traceback
+        out = tmp_path / "report.json"
+        with np.errstate(all="ignore"):
+            code = main(["verify", "-m", "example2_chart", "--params", "lam=1e300",
+                         "--points", "2", "--json", str(out)])
+        assert code == 1
+        model = json.loads(out.read_text())["models"][0]
+        assert model["error"] == "(34, 'Numerical result out of range')"
+        assert model["checks"] == []
+
+    def test_cone_model_error_captured(self, tmp_path, capsys, monkeypatch):
+        # a GeometryError in the second model is its error entry; the other
+        # two models keep theirs and the run exits 1
+        import accr.sasaki as sas
+
+        calls, cone = [], sas.cone_holomorphic_residual
+
+        def second_degenerate(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise DegenerateMetric("degenerate cone metric")
+            return cone(*args)
+
+        monkeypatch.setattr(sas, "cone_holomorphic_residual", second_degenerate)
+        out = tmp_path / "cone.json"
+        assert main(["cone", "-m", "example1", "-m", "example2", "-m", "flat_parallel",
+                     "--json", str(out)]) == 1
+        models = json.loads(out.read_text())["models"]
+        assert models[1] == {"name": "example2", "params": {"lam": 1.0, "mu": 0.0},
+                             "error": "degenerate cone metric"}
+        assert [m["holomorphic"] for m in (models[0], models[2])] == [True, False]
+
+    @pytest.mark.parametrize("name", ["example1", "flat_parallel"])
+    def test_cone_nan_residual_is_error(self, name, tmp_path, capsys, monkeypatch):
+        # a cone residual that could not be computed fails the run, also on
+        # the model that fails the cone by design
+        import accr.sasaki as sas
+
+        cone = sas.cone_holomorphic_residual
+        monkeypatch.setattr(sas, "cone_holomorphic_residual",
+                            lambda *args: dataclasses.replace(cone(*args), residual=math.nan))
+        out = tmp_path / "cone.json"
+        assert main(["cone", "-m", name, "--json", str(out)]) == 1
+        model = json.loads(out.read_text())["models"][0]
+        assert model["residual"] is None and model["holomorphic"] is False
+
+    def test_spec_sample_points_rule_transform_and_cone(self, tmp_path, capsys, monkeypatch):
+        # the spec's sample (3 points) replaces --points and --seed, as in verify
+        from accr.structure import PointFields
+
+        spec = tmp_path / "ex1c.json"
+        spec.write_text(json.dumps({"kind": "builtin", "builtin": "example1_chart",
+                                    "params": {"n": 1},
+                                    "sample_points": {"count": 3, "seed": 5}}))
+        built = []
+        init = PointFields.__init__
+        monkeypatch.setattr(PointFields, "__init__",
+                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+        assert main(["transform", "-m", str(spec), "--params", "u=0.3,v=0.2,w=0"]) == 0
+        assert len(built) == 6     # a base and a transformed field per point
+        out = tmp_path / "cone.json"
+        assert main(["cone", "-m", str(spec), "--json", str(out)]) == 0
+        assert len(json.loads(out.read_text())["models"][0]["per_point"]) == 3
 
     @pytest.mark.parametrize("argv, code", [
         (["verify", "-m", "example1_chart", "--points", "0"], 2),
