@@ -35,6 +35,7 @@ from .verify import (
     FAILING,
     MODEL_ERRORS,
     VerifyConfig,
+    error_text,
     judge,
     report_to_json,
     run_all,
@@ -159,7 +160,7 @@ def _per_model(args, cfg, params, fill, **header) -> int:
         try:
             ok = fill(cm, entry) and ok
         except MODEL_ERRORS as exc:
-            entry["error"] = str(exc)
+            entry["error"] = error_text(exc)
             ok = False
         out["models"].append(entry)
     print(_write_json(out, args), end="")

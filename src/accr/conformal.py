@@ -66,8 +66,8 @@ class TransformedModel(ManifoldModel):
 
     With constant (u, v, w), phi and eta, g_bar = a g + b g phi + c eta (x) eta
     with constant a, b, c, so its frame derivatives are a dg + b dg phi and
-    a d^2 g + b d^2 g phi: the model is exact when the base model is.
-    Otherwise dg_bar is taken by finite differences of g_bar.
+    a d^2 g + b d^2 g phi.  Otherwise dg_bar is taken by finite differences
+    of g_bar, and d^2 g_bar, so curvature, is NonConstantParams.
     """
 
     def __init__(self, base_structure: AccrStructure, params: TransformParams):
@@ -77,10 +77,6 @@ class TransformedModel(ManifoldModel):
         self.kind = base_structure.model.kind
         self.linear = (params.is_constant and not callable(base_structure.phi)
                        and not callable(base_structure.eta))
-
-    @property
-    def exact(self):
-        return self.linear and self.base.model.exact
 
     def _coefs(self, p):
         u, v, w = self.params.at(p)
@@ -104,6 +100,9 @@ class TransformedModel(ManifoldModel):
         return self._combine(self.base.model.metric_derivs_at(p), p)
 
     def metric_derivs2_at(self, p):
+        if not self.linear:
+            raise NonConstantParams(
+                "curvature of a transformed model needs constant (u, v, w), phi and eta")
         return self._combine(self.base.model.metric_derivs2_at(p), p)
 
     def commutators_at(self, p):

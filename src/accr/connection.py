@@ -106,27 +106,24 @@ def riemann(model, p, phi=None, gamma=None) -> CurvatureBundle:
     """Full curvature at p.
 
     The frame derivatives of the connection, dgamma[a] = e_a(Gamma), are
-    closed-form on exact models: differentiating g Gamma = rhs / 2 along e_a
-    gives e_a(Gamma) = g^-1 (e_a(rhs) / 2 - (e_a g) Gamma), the same as
+    closed-form: differentiating g Gamma = rhs / 2 along e_a gives
+    e_a(Gamma) = g^-1 (e_a(rhs) / 2 - (e_a g) Gamma), the same as
     (e_a g^-1) rhs / 2 + g^-1 e_a(rhs) / 2 with e_a g^-1 = -g^-1 (e_a g) g^-1,
-    where e_a(rhs) is the Koszul right-hand side of the model's second jets.
-    Other models take them by finite differences of the Koszul solution.
+    where e_a(rhs) is the Koszul right-hand side of the model's second jets
+    (``metric_derivs2_at`` and ``commutator_derivs_at``).
     """
     if gamma is None:
         gamma = levi_civita(model, p).gamma
     g = model.metric_at(p)
     ginv = np.linalg.inv(g)
     c = model.commutators_at(p)
-    if model.exact:
-        # contractions as matmuls over the last index, broadcast over the rest:
-        # e_a(c^m_ij g_mk), then g^-1 (e_a(rhs) / 2 - (e_a g) Gamma)
-        dg = model.metric_derivs_at(p)
-        dcg = (np.moveaxis(model.commutator_derivs_at(p), 1, -1) @ g
-               + np.moveaxis(c, 0, -1) @ dg[:, None])
-        drhs = _koszul_rhs(model.metric_derivs2_at(p), dcg)
-        dgamma = (0.5 * drhs - gamma @ dg[:, None]) @ ginv.T
-    else:
-        dgamma = model.frame_derivative(p, lambda q: levi_civita(model, q).gamma)
+    # contractions as matmuls over the last index, broadcast over the rest:
+    # e_a(c^m_ij g_mk), then g^-1 (e_a(rhs) / 2 - (e_a g) Gamma)
+    dg = model.metric_derivs_at(p)
+    dcg = (np.moveaxis(model.commutator_derivs_at(p), 1, -1) @ g
+           + np.moveaxis(c, 0, -1) @ dg[:, None])
+    drhs = _koszul_rhs(model.metric_derivs2_at(p), dcg)
+    dgamma = (0.5 * drhs - gamma @ dg[:, None]) @ ginv.T
     r_up = (
         dgamma
         - np.einsum("jikl->ijkl", dgamma)

@@ -61,12 +61,6 @@ class CorpusModel:
     notes: list = field(default_factory=list)
     sample_override: dict | None = None   # {"count":..., "seed":...} from specs
 
-    @property
-    def exact(self) -> bool:
-        """Every derivative analytic (groups, and charts and extensions given
-        their jets) rather than taken by finite differences."""
-        return self.model.exact
-
 
 def _example1_constants(n):
     d = 2 * n + 1
@@ -370,12 +364,11 @@ def cross_representation_check(lie: CorpusModel, chart: CorpusModel, fields) -> 
     """Compare a group model against its coordinate realization at the
     chart's sample points, whose PointFields are fields.
 
-    (i) the brackets of the chart frame, from the derivatives of its coframe
-    (analytic when the chart has its jets), must reproduce the group
-    structure constants, (ii) the metric assembled as
-    sum_k eps_k (e^k)^2 must match the closed-form coordinate metric, and
-    (iii) the Sasaki-like verdicts, the chart's at its first five points,
-    must agree.
+    (i) the brackets of the chart frame, from the analytic derivatives of
+    its coframe, must reproduce the group structure constants, (ii) the
+    metric assembled as sum_k eps_k (e^k)^2 must match the closed-form
+    coordinate metric, and (iii) the Sasaki-like verdicts, the chart's at
+    its first five points, must agree.
     """
     if chart.lie_partner != lie.name:
         raise ParamMismatch(f"{chart.name} is not the chart form of {lie.name}")

@@ -6,14 +6,15 @@ Every model answers three questions at a point p:
 * ``commutators_at(p)``   coefficients c^k_ij with [e_i, e_j] = c^k_ij e_k
 * ``frame_derivative``    directional derivatives e_i(f) of any field
 
-and, when ``exact``, gives the jets curvature needs in closed form: the
-frame derivatives e_i(g_jk) (``metric_derivs_at``), e_a e_i(g_jk)
-(``metric_derivs2_at``) and e_a(c^k_ij) (``commutator_derivs_at``).
-Four concrete kinds are provided: homogeneous Lie-group models (constant
-data, zero jets), chart models (coordinate frame or a moving coframe, exact
-when they are given the analytic jets of the metric and the coframe, finite
-differences otherwise), rank-one product extensions over a holomorphic
-complex Riemannian base (exact when the base is), and the complex cone.
+and gives the jets curvature needs in closed form: the frame derivatives
+e_i(g_jk) (``metric_derivs_at``), e_a e_i(g_jk) (``metric_derivs2_at``) and
+e_a(c^k_ij) (``commutator_derivs_at``).  Four concrete kinds are provided:
+homogeneous Lie-group models (constant data, zero jets), chart models
+(coordinate frame or a moving coframe, built from the analytic jets of the
+metric and the coframe), rank-one product extensions over a holomorphic
+complex Riemannian base, and the complex cone, which gives first jets only.
+Finite differences only check the jets and differentiate fields given as
+callables of the point (structure fields, transformation parameters).
 An extension base is a coordinate chart of dimension 2n in holomorphic
 coordinates w = u + i v, so its complex structure is always multiplication
 by i, the standard J of ``frame_algebra.standard_j``.
@@ -42,11 +43,9 @@ from .structure import AccrStructure, standard_structure, worst
 
 DEFAULT_FD_STEP = 1e-3
 
-# 5-point central stencil, 4th order.  Chosen over the plain 3-point rule
-# because on a chart without jets curvature differences the connection
-# field, whose brackets are themselves differenced from the coframe, and the
-# nested-difference noise of a 2nd-order rule breaches the 1e-8 residual
-# targets there.
+# 5-point central stencil, 4th order, so that at the default step its
+# truncation error stays below the 1e-9 at which the derivatives rows compare
+# the analytic jets with it.
 _STENCIL_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 _STENCIL_WEIGHTS = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
 
@@ -123,7 +122,6 @@ class ManifoldModel:
     dim: int
     kind: str
     fd_step: float = DEFAULT_FD_STEP
-    exact = False      # every derivative exact, so no finite-difference error
 
     def metric_at(self, p) -> np.ndarray:
         raise NotImplementedError
@@ -140,11 +138,11 @@ class ManifoldModel:
         return self.frame_derivative(p, self.metric_at)
 
     def metric_derivs2_at(self, p) -> np.ndarray:
-        """D2[a,i,j,k] = e_a(e_i(g_jk)), in closed form; exact models only."""
+        """D2[a,i,j,k] = e_a(e_i(g_jk)), in closed form."""
         raise NotImplementedError
 
     def commutator_derivs_at(self, p) -> np.ndarray:
-        """dc[a,k,i,j] = e_a(c^k_ij), in closed form; exact models only."""
+        """dc[a,k,i,j] = e_a(c^k_ij), in closed form."""
         raise NotImplementedError
 
     def sample_points(self, count, seed):
@@ -162,7 +160,6 @@ class LieGroupModel(ManifoldModel):
     """Left-invariant data: constant metric and structure constants."""
 
     kind = "lie_group"
-    exact = True
 
     def __init__(self, structure_constants, metric: MetricMatrix):
         c = np.asarray(structure_constants, dtype=float)
@@ -236,19 +233,20 @@ class ChartModel(ManifoldModel):
     working frame is its dual and the commutators are recovered from
     d e^k (E_i, E_j) = -c^k_ij.
 
-    The jets are optional: the frame derivatives of the metric,
-    metric_derivs_fn (D[i,j,k] = e_i(g_jk)) and metric_derivs2_fn
-    (D2[a,i,j,k] = e_a(e_i(g_jk))), and, with a coframe, its coordinate
-    derivatives coframe_derivs_fn (d_mu theta[k,nu] at [mu,k,nu]) and
-    coframe_derivs2_fn (d_s d_mu theta[k,nu] at [s,mu,k,nu]).  With every
-    jet the model is exact; without, dg, the brackets and the curvature are
-    taken by finite differences.
+    The jets are required, so that curvature has one closed-form path: the
+    frame derivatives of the metric, metric_derivs_fn (D[i,j,k] = e_i(g_jk))
+    and metric_derivs2_fn (D2[a,i,j,k] = e_a(e_i(g_jk))), and, with a
+    coframe, its coordinate derivatives coframe_derivs_fn (d_mu theta[k,nu]
+    at [mu,k,nu]) and coframe_derivs2_fn (d_s d_mu theta[k,nu] at
+    [s,mu,k,nu]).  A coframe without both is BadParams.
     """
 
     kind = "chart"
 
-    def __init__(self, dim, metric_fn, coframe_fn=None, ranges=None, metric_derivs_fn=None,
-                 metric_derivs2_fn=None, coframe_derivs_fn=None, coframe_derivs2_fn=None):
+    def __init__(self, dim, metric_fn, coframe_fn=None, ranges=None, *, metric_derivs_fn,
+                 metric_derivs2_fn, coframe_derivs_fn=None, coframe_derivs2_fn=None):
+        if coframe_fn is not None and (coframe_derivs_fn is None or coframe_derivs2_fn is None):
+            raise BadParams("a chart with a coframe needs both coframe jets")
         self.dim = dim
         self.metric_fn = metric_fn
         self.coframe_fn = coframe_fn
@@ -257,13 +255,6 @@ class ChartModel(ManifoldModel):
         self.coframe_derivs_fn = coframe_derivs_fn
         self.coframe_derivs2_fn = coframe_derivs2_fn
         self.ranges = ranges if ranges is not None else [(-1.0, 1.0)] * dim
-
-    @property
-    def exact(self):
-        jets = [self.metric_derivs_fn, self.metric_derivs2_fn]
-        if self.coframe_fn is not None:
-            jets += [self.coframe_derivs_fn, self.coframe_derivs2_fn]
-        return all(jet is not None for jet in jets)
 
     def frame_matrix(self, p):
         """A[mu, i] with e_i = A[mu, i] d/dx^mu."""
@@ -278,9 +269,7 @@ class ChartModel(ManifoldModel):
         return np.asarray(self.metric_fn(np.asarray(p, dtype=float)), dtype=float)
 
     def _dtheta(self, p):
-        if self.coframe_derivs_fn is not None:
-            return np.asarray(self.coframe_derivs_fn(p), dtype=float)
-        return coordinate_derivatives(self.coframe_fn, p, self.fd_step)
+        return np.asarray(self.coframe_derivs_fn(p), dtype=float)
 
     def commutators_at(self, p):
         d = self.dim
@@ -312,15 +301,13 @@ class ChartModel(ManifoldModel):
         return np.einsum("mi,m...->i...", A, dcoord)
 
     def metric_derivs_at(self, p):
-        if self.metric_derivs_fn is not None:
-            return np.asarray(self.metric_derivs_fn(np.asarray(p, dtype=float)))
-        return self.frame_derivative(p, self.metric_at)
+        return np.asarray(self.metric_derivs_fn(np.asarray(p, dtype=float)))
 
     def metric_derivs2_at(self, p):
         return np.asarray(self.metric_derivs2_fn(np.asarray(p, dtype=float)))
 
     def jet_residuals(self, p) -> dict:
-        """Each jet of an exact chart against the finite differences of the
+        """Each jet of the chart against the finite differences of the
         next-lower order at fd_step, relative to max(1, |jet|): dg against g
         and d^2 g against dg in the frame and, with a coframe, d theta against
         theta and d^2 theta against d theta in the coordinates."""
@@ -340,10 +327,10 @@ class ChartModel(ManifoldModel):
         return halton_points(self.ranges, count, seed)
 
 
-def chart_model(dim, metric_fields, frame=None, ranges=None, metric_derivs=None,
-                metric_derivs2=None, coframe_derivs=None, coframe_derivs2=None) -> ChartModel:
+def chart_model(dim, metric_fields, frame=None, ranges=None, *, metric_derivs, metric_derivs2,
+                coframe_derivs=None, coframe_derivs2=None) -> ChartModel:
     """Chart model from a metric component function, an optional coframe and
-    optional analytic jets of both (see ChartModel)."""
+    the analytic jets of both (see ChartModel)."""
     return ChartModel(dim, metric_fields, coframe_fn=frame, ranges=ranges,
                       metric_derivs_fn=metric_derivs, metric_derivs2_fn=metric_derivs2,
                       coframe_derivs_fn=coframe_derivs, coframe_derivs2_fn=coframe_derivs2)
@@ -361,13 +348,12 @@ def _real_block(m):
     return out
 
 
-def holomorphic_base(n, hc, dhc, ranges, d2hc=None) -> ChartModel:
+def holomorphic_base(n, hc, dhc, ranges, d2hc) -> ChartModel:
     """Base from a holomorphic symmetric hc(w) (n x n) with dhc(w)[m] = d hC / d w^m
-    and optionally d2hc(w)[m, l] = d^2 hC / d w^m d w^l, on the box ``ranges``
-    of the real coordinates (u, v), w = u + i v: the coordinate chart of
-    h = Re hC, whose complex structure is multiplication by i, the standard J.
-    The jets of h follow from the Cauchy-Riemann rule d/du^m = d/dw^m,
-    d/dv^m = i d/dw^m; the chart is exact when both derivatives are given."""
+    and d2hc(w)[m, l] = d^2 hC / d w^m d w^l, on the box ``ranges`` of the
+    real coordinates (u, v), w = u + i v: the coordinate chart of h = Re hC,
+    whose complex structure is multiplication by i, the standard J.  The jets
+    of h follow from the Cauchy-Riemann rule d/du^m = d/dw^m, d/dv^m = i d/dw^m."""
 
     def metric_fn(x):
         return _real_block(hc(x[:n] + 1j * x[n:]))
@@ -381,9 +367,8 @@ def holomorphic_base(n, hc, dhc, ranges, d2hc=None) -> ChartModel:
         du = np.concatenate([d2, 1j * d2], axis=1)       # d/du^m (d/du^l, d/dv^l)
         return _real_block(np.concatenate([du, 1j * du]))
 
-    return chart_model(2 * n, metric_fn, ranges=ranges,
-                       metric_derivs=None if dhc is None else metric_derivs_fn,
-                       metric_derivs2=None if d2hc is None else metric_derivs2_fn)
+    return chart_model(2 * n, metric_fn, ranges=ranges, metric_derivs=metric_derivs_fn,
+                       metric_derivs2=metric_derivs2_fn)
 
 
 class ProductExtensionModel(ChartModel):
@@ -391,10 +376,8 @@ class ProductExtensionModel(ChartModel):
 
     The base is a coordinate chart of dimension 2n carrying h, with the
     standard J.  Coordinates are (t, base coordinates); the working frame is
-    the coordinate frame.  The t-derivatives of the metric are analytic, the
-    base derivatives delegate to the base chart, which makes the extension
-    exact when the base chart is, and the finite-difference step is the base
-    chart's.
+    the coordinate frame.  The jets of the metric are analytic in t and take
+    the base chart's jets along the base.
     """
 
     kind = "product_extension"
@@ -402,19 +385,9 @@ class ProductExtensionModel(ChartModel):
     def __init__(self, base: ChartModel):
         self.base = base
         ranges = [(-1.2, 1.2)] + list(base.ranges)
-        super().__init__(base.dim + 1, self._metric, ranges=ranges)
-
-    @property
-    def exact(self):
-        return self.base.exact
-
-    @property
-    def fd_step(self):
-        return self.base.fd_step
-
-    @fd_step.setter
-    def fd_step(self, step):
-        self.base.fd_step = step
+        super().__init__(base.dim + 1, self._metric, ranges=ranges,
+                         metric_derivs_fn=self._metric_derivs,
+                         metric_derivs2_fn=self._metric_derivs2)
 
     def _leaf(self, t, k, hs):
         """The k-th t-derivative of cos(2t) H - sin(2t) H J over the leading
@@ -428,14 +401,14 @@ class ProductExtensionModel(ChartModel):
         g[1:, 1:] = self._leaf(p[0], 0, self.base.metric_at(p[1:]))
         return g
 
-    def metric_derivs_at(self, p):
+    def _metric_derivs(self, p):
         t, bp = p[0], p[1:]
         D = np.zeros((self.dim,) * 3)
         D[0, 1:, 1:] = self._leaf(t, 1, self.base.metric_at(bp))
         D[1:, 1:, 1:] = self._leaf(t, 0, self.base.metric_derivs_at(bp))
         return D
 
-    def metric_derivs2_at(self, p):
+    def _metric_derivs2(self, p):
         t, bp = p[0], p[1:]
         D2 = np.zeros((self.dim,) * 4)
         D2[0, 0, 1:, 1:] = self._leaf(t, 2, self.base.metric_at(bp))

@@ -1,21 +1,23 @@
 """Verification driver: run every applicable check over every model.
 
 CHECKS declares each check id once: its statement, expected outcome and
-finite-difference tolerance.  FAMILIES declares how the checks under each
-id prefix are computed and on which models.  Each check is reported as a
-row {check_id, statement, max_residual, fd_error_estimate, tolerance,
-expected, verdict}, the residual being its maximum over the model's
-deterministic sample points.  Every family reads the pass's one list of
-PointFields: a per-point family each point's, and a per-model family, for
-rows that are not such a maximum (cone, crossrep, eta fit), the list.  Every
-row is judged except the eta fit's (info), whose output is the
-classification in its note.  On exact models the derivatives family
-compares each analytic jet with finite differences of the next-lower
-order, as a gap relative to max(1, |jet|).  Designed failures (the parallel model for the
+tolerance.  FAMILIES declares how the checks under each id prefix are
+computed and on which models.  Each check is reported as a row {check_id,
+statement, max_residual, fd_error_estimate, tolerance, expected, verdict},
+the residual being its maximum over the model's deterministic sample
+points.  Every family reads the pass's one list of PointFields: a per-point
+family each point's, and a per-model family, for rows that are not such a
+maximum (cone, crossrep, eta fit), the list.  Every row is judged except
+the eta fit's (info), whose output is the classification in its note.
+Every model gives its jets in closed form, so curvature has no
+finite-difference error; on chart models the derivatives family compares
+each analytic jet with finite differences of the next-lower order, as a gap
+relative to max(1, |jet|).  Designed failures (the parallel model for the
 Sasaki family, the w != 0 homothety for conformal preservation) are
 expected to fail, so a healthy run reports them as xfail and exits 0.
 sample gives a model's sample points and judge a row's verdict, for this
-pass and for the transform and cone commands alike.
+pass and for the transform and cone commands alike, and error_text a
+model's error entry.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from . import conformal as conf
 from . import corpus as corpus_mod
 from . import sasaki as sas
-from .errors import NotSasakiLike
+from .errors import GeometryError, NotSasakiLike
 from .models import ChartModel
 from .structure import (
     PointFields,
@@ -41,8 +43,7 @@ from .structure import (
 )
 
 SCHEMA_VERSION = "1"
-TOL_EXACT = 1e-9      # rows of models with exact derivatives
-TOL_FD = 1e-6         # rows of finite-difference models, unless the check sets fd_tol
+TOL_EXACT = 1e-9      # every judged row, unless its check sets a tighter tol
 
 # expected outcome of a check (Check.expect)
 PASS = "pass"
@@ -54,11 +55,18 @@ FAILING = {"fail", "xpass", "error"}           # the verdicts that make a run ex
 MODEL_ERRORS = (ArithmeticError, ValueError)   # a GeometryError or a math overflow: an error entry
 
 
+def error_text(exc) -> str:
+    """A model's error entry: a GeometryError's message, or the class and
+    message of any other of MODEL_ERRORS, whose message alone may not say
+    what failed (an OverflowError reads "(34, 'Numerical result out of range')")."""
+    return str(exc) if isinstance(exc, GeometryError) else f"{type(exc).__name__}: {exc}"
+
+
 @dataclass(frozen=True)
 class Check:
     statement: str
     expect: str = PASS
-    fd_tol: float | None = None     # tolerance on finite-difference models
+    tol: float = TOL_EXACT
 
 
 CHECKS = {
@@ -106,16 +114,14 @@ CHECKS = {
     "sasaki.curvature.phi_commutation": Check(
         "R(x,y,phi z,u) - R(x,y,z,phi u) = [g(y,z)-2 eta eta] g(x,phi u) + ...", SASAKI),
     "sasaki.curvature.r_xy_xi": Check("R(x,y) xi = eta(y) x - eta(x) y", SASAKI),
-    "sasaki.curvature.r_xi_x_xi": Check("R(xi,X) xi = -X", SASAKI, fd_tol=1e-8),
-    "sasaki.curvature.ric_xi_xi": Check("Ric(xi,xi) = 2n", SASAKI, fd_tol=1e-8),
-    "sasaki.curvature.ric_y_xi": Check("Ric(y,xi) = 2n eta(y)", SASAKI, fd_tol=1e-8),
+    "sasaki.curvature.r_xi_x_xi": Check("R(xi,X) xi = -X", SASAKI),
+    "sasaki.curvature.ric_xi_xi": Check("Ric(xi,xi) = 2n", SASAKI),
+    "sasaki.curvature.ric_y_xi": Check("Ric(y,xi) = 2n eta(y)", SASAKI),
     "sasaki.curvature.r_xi_third_slot":
         Check("R(x,y,xi,z) = eta(y) g(x,z) - eta(x) g(y,z)", SASAKI),
-    "sasaki.curvature.horizontal_ricci":
-        Check("Ric(Y,Z) = Ric_leaf(Y,Z) on horizontal Y,Z", fd_tol=1e-5),
+    "sasaki.curvature.horizontal_ricci": Check("Ric(Y,Z) = Ric_leaf(Y,Z) on horizontal Y,Z"),
     "gauss.residual": Check(
-        "R(X,Y,Z,U) = R_leaf(X,Y,Z,U) + g(phi X,Z) g(phi Y,U) - g(phi Y,Z) g(phi X,U)",
-        fd_tol=1e-5),
+        "R(X,Y,Z,U) = R_leaf(X,Y,Z,U) + g(phi X,Z) g(phi Y,U) - g(phi Y,Z) g(phi X,U)"),
     "gauss.second_fundamental_form":
         Check("g(nabla_X xi, Y) = -gtilde(X,Y) on horizontal X,Y", SASAKI),
     "cone.holomorphic": Check("nabla J = 0 on the complex cone", SASAKI),
@@ -130,10 +136,9 @@ CHECKS = {
     "cone.dj_xi.direct_vs_symmetric_reading": Check(
         "g_cone((nabla_X J) xi, Z) vs -r^2 {g(nabla_X xi, phi Z) - g(X,Z)} + ..."),
     "crossrep.structure_equations":
-        Check("the brackets from d e^k of the chart coframe match the group brackets",
-              fd_tol=1e-7),
+        Check("the brackets from d e^k of the chart coframe match the group brackets"),
     "crossrep.metric_assembly": Check(
-        "sum_k eps_k (e^k)^2 matches the closed-form coordinate metric", fd_tol=1e-10),
+        "sum_k eps_k (e^k)^2 matches the closed-form coordinate metric", tol=1e-10),
     "crossrep.verdict_agreement": Check("group and chart Sasaki verdicts agree"),
     "conformal.preserve.dw_phi": Check("dw o phi = 0"),
     "conformal.preserve.du_minus_dv_phi": Check("du - dv o phi = 0"),
@@ -205,20 +210,18 @@ def _bar(f, t):
 
 
 def _conformal(cm, f):
-    """Preservation under HOMOTHETY, its designed breaking under BREAKING and,
-    on exact models, the homothetic laws, read from preservation's fields."""
+    """Preservation under HOMOTHETY, its designed breaking under BREAKING and
+    the homothetic laws, read from preservation's fields."""
     fb = _bar(f, HOMOTHETY)
-    out = {
+    laws = conf.homothetic_laws(f, fb, HOMOTHETY)
+    return {
         "preserve": {**conf.preservation_at(f, fb, HOMOTHETY),
                      "transformed_defining": worst(sas.check_defining_conditions(fb).values()),
                      "transformed_axioms": worst(validate_structure(fb).values())},
         "break": {k: v for k, v in conf.preservation_at(f, _bar(f, BREAKING), BREAKING).items()
                   if k in ("du_phi_plus_dv", "f_bar_direct")},
+        "homothetic": {k: v for k, v in laws.items() if not k.endswith("_bar")},
     }
-    if cm.exact:
-        laws = conf.homothetic_laws(f, fb, HOMOTHETY)
-        out["homothetic"] = {k: v for k, v in laws.items() if not k.endswith("_bar")}
-    return out
 
 
 def _eta_fit(cm, fields, count, seed):
@@ -263,9 +266,9 @@ FAMILIES = (
            applies=lambda cm: cm.coframe_fn is not None and cm.lie_partner is not None),
     Family("conformal", _conformal, applies=lambda cm: cm.sasaki_expected),
     Family("conformal.eta_fit", _eta_fit, per_point=False,
-           applies=lambda cm: cm.sasaki_expected and cm.exact),
+           applies=lambda cm: cm.sasaki_expected),
     Family("derivatives", lambda cm, f: cm.model.jet_residuals(f.p),
-           applies=lambda cm: cm.exact and isinstance(cm.model, ChartModel)),
+           applies=lambda cm: isinstance(cm.model, ChartModel)),
 )
 
 # the family that computes each check: the one with the longest prefix of its id
@@ -316,51 +319,34 @@ def _gather_residuals(cm, cfg: VerifyConfig):
     return res, notes
 
 
-def tolerance_for(check_id, cm, cfg: VerifyConfig):
-    """The tolerance of a judged row; None for info rows.  Exact models take
-    TOL_EXACT, or the row's fd_tol where that is tighter."""
-    check = CHECKS[check_id]
-    if check.expect == INFO:
-        return None
-    if cfg.tol_override is not None:
-        return cfg.tol_override
-    tol = TOL_FD if check.fd_tol is None else check.fd_tol
-    return min(tol, TOL_EXACT) if cm.exact else tol
-
-
 def judge(check_id, value, cm, cfg: VerifyConfig) -> tuple:
     """(expected, tolerance, verdict) of the row check_id of model cm with
-    residual value: a residual that is not finite reads error."""
-    expected = CHECKS[check_id].expect
+    residual value: the tolerance is cfg's override or the check's, None on
+    an info row, and a residual that is not finite reads error."""
+    check = CHECKS[check_id]
+    expected = check.expect
     if expected == SASAKI:
         expected = PASS if cm.sasaki_expected else FAIL
-    tol = tolerance_for(check_id, cm, cfg)
+    if expected == INFO:
+        return expected, None, "info" if math.isfinite(value) else "error"
+    tol = check.tol if cfg.tol_override is None else cfg.tol_override
     if not math.isfinite(value):
         return expected, tol, "error"
-    if expected == INFO:
-        return expected, tol, "info"
     if expected == PASS:
         return expected, tol, "pass" if value <= tol else "fail"
     return expected, tol, "xpass" if value <= tol else "xfail"
 
 
 def _model_header(cm) -> dict:
+    # schema "1" keeps exact_derivatives: every model gives its jets in closed form
     return {"name": cm.name, "params": dict(cm.params), "kind": cm.model.kind,
-            "exact_derivatives": cm.exact, "notes": list(cm.notes)}
+            "exact_derivatives": True, "notes": list(cm.notes)}
 
 
 def run_model_checks(cm, cfg: VerifyConfig) -> dict:
     """All checks for one corpus model, returned as a report dict."""
     cm.model.fd_step = cfg.fd_step
     residuals, notes = _gather_residuals(cm, cfg)
-
-    estimates = {}
-    if not cm.exact:
-        cm.model.fd_step = cfg.fd_step / 2.0
-        second, _ = _gather_residuals(cm, cfg)
-        cm.model.fd_step = cfg.fd_step
-        estimates = {k: abs(residuals[k] - second.get(k, 0.0)) for k in residuals}
-
     rows = []
     for check_id in sorted(residuals):
         if cfg.only and not check_id.startswith(cfg.only):
@@ -370,7 +356,7 @@ def run_model_checks(cm, cfg: VerifyConfig) -> dict:
             "check_id": check_id,
             "statement": CHECKS[check_id].statement,
             "max_residual": residuals[check_id],
-            "fd_error_estimate": float(estimates.get(check_id, 0.0)),
+            "fd_error_estimate": 0.0,     # schema "1": no residual carries FD error
             "tolerance": tol,
             "expected": expected,
             "verdict": verdict,
@@ -387,8 +373,9 @@ def run_all(models, cfg: VerifyConfig | None = None) -> dict:
         try:
             reports.append(run_model_checks(cm, cfg))
         except MODEL_ERRORS as exc:
-            reports.append({**_model_header(cm), "notes": [f"error: {exc}"],
-                            "checks": [], "error": str(exc)})
+            text = error_text(exc)
+            reports.append({**_model_header(cm), "notes": [f"error: {text}"],
+                            "checks": [], "error": text})
     counts = {"pass": 0, "fail": 0, "xfail": 0, "xpass": 0, "info": 0, "error": 0}
     for rep in reports:
         for row in rep["checks"]:
@@ -401,7 +388,7 @@ def run_all(models, cfg: VerifyConfig | None = None) -> dict:
             "points": cfg.points,
             "fd_step": cfg.fd_step,
             "tolerance_exact": TOL_EXACT,
-            "tolerance_fd": TOL_FD,
+            "tolerance_fd": 1e-6,     # schema "1"; no row is judged at it
         },
         "models": reports,
         "summary": {**counts, "ok": ok},

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -11,8 +9,8 @@ from accr.corpus import (
     example3_hsphere_ext,
     flat_parallel,
 )
-from accr.models import chart_model
-from accr.structure import PointFields, standard_structure
+from accr.models import coordinate_derivatives
+from accr.structure import PointFields
 
 ORIGIN = np.zeros(0)
 
@@ -62,11 +60,13 @@ def sample_fields(cm, count, seed):
     return [PointFields(cm.structure, p) for p in cm.model.sample_points(count, seed)]
 
 
-def jetless_example1_chart(n=1):
-    """example1_chart with its coframe given to chart_model without any
-    derivative: its brackets and curvature come by finite differences, so it
-    is not exact and its report carries the half-step error estimate."""
+def stepped_example1_chart(n=1):
+    """example1_chart with its coframe jets the finite differences of its
+    coframe at the chart's own fd_step: a zero step makes its brackets, and
+    so every row that reads the connection, NaN."""
     cm = example1_chart(n)
-    model = chart_model(cm.model.dim, cm.model.metric_fn, frame=cm.coframe_fn,
-                        ranges=cm.model.ranges)
-    return dataclasses.replace(cm, model=model, structure=standard_structure(model, n))
+    chart = cm.model
+    diff = lambda fn: (lambda x: coordinate_derivatives(fn, x, chart.fd_step))
+    chart.coframe_derivs_fn = diff(cm.coframe_fn)
+    chart.coframe_derivs2_fn = diff(chart.coframe_derivs_fn)
+    return cm

@@ -148,6 +148,12 @@ class TestHomotheticConnection:
         with pytest.raises(NonConstantParams):
             homothetic_laws(f, fb, t)
 
+    def test_curvature_needs_constant_parameters(self, ex1_chart):
+        # the second jets of g_bar are closed-form for constants only
+        ts = apply_cct(ex1_chart.structure, TransformParams(v=lambda p: 0.1 * p[0]))
+        with pytest.raises(NonConstantParams):
+            riemann(ts.model, ex1_chart.model.sample_points(1, 3)[0])
+
 
 class TestHomotheticCurvature:
     def test_laws_on_example1(self, ex1):

@@ -10,7 +10,7 @@ import numpy as np
 import accr
 from accr import verify
 from accr.cli import main
-from tests.conftest import jetless_example1_chart
+from accr.corpus import example1_chart
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,13 +43,13 @@ def test_tracer_installs_runs_and_restores(tmp_path, monkeypatch, capsys):
 
 
 def test_tracer_finds_its_name_keyed_metrics(monkeypatch):
-    """summarise finds these four by function or class name: a rename or a
-    move would read 0 without a word.  The half-step pass runs only on a
-    model that is not exact, which no builtin is: the jet-less Example 1
-    chart goes in-process."""
+    """summarise finds these three by function or class name: a rename or a
+    move would read 0 without a word.  verify.error_estimate_s times a
+    half-step pass that verify does not run, so it reads 0 by construction
+    and is not listed."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     tracing = importlib.import_module("tracing")
-    cm = jetless_example1_chart()
+    cm = example1_chart()
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -59,6 +59,5 @@ def test_tracer_finds_its_name_keyed_metrics(monkeypatch):
     spans, counts = tracer.take()
     assert report["summary"]["ok"]
     metrics = tracing.summarise(tracer.names, spans, counts, points_base=4)
-    for name in ("corpus.crossrep_s", "sasaki.cone_s", "verify.error_estimate_s",
-                 "conformal.koszul_solves"):
+    for name in ("corpus.crossrep_s", "sasaki.cone_s", "conformal.koszul_solves"):
         assert metrics[name][0] > 0, name

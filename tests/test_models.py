@@ -9,11 +9,11 @@ from accr.corpus import (
     CorpusModel,
     builtin,
     example1_chart,
-    example3_hsphere_ext,
     flat_norden_base,
     hsphere_base,
 )
 from accr.errors import (
+    BadParams,
     BadSignature,
     BaseNotHolomorphic,
     NotAntisymmetric,
@@ -41,9 +41,24 @@ LINEAR = np.array([[[0.4 + 0.1j, -0.2j], [-0.2j, 0.3]],
 
 def linear_base(wbar=0.0, dhc_scale=1.0):
     """Base with hC = I + sum w^k S_k + wbar sum conj(w^k) S_k on |u|, |v| <= 0.2,
-    given the derivative dhc_scale * S of its holomorphic part."""
+    given the derivatives dhc_scale * S and 0 of its holomorphic part."""
     hc = lambda w: np.eye(2) + np.einsum("k,kij->ij", w + wbar * w.conj(), LINEAR)
-    return holomorphic_base(2, hc, lambda w: dhc_scale * LINEAR, [(-0.2, 0.2)] * 4)
+    return holomorphic_base(2, hc, lambda w: dhc_scale * LINEAR, [(-0.2, 0.2)] * 4,
+                            lambda w: np.zeros((2, 2, 2, 2)))
+
+
+def fd_chart(dim, metric, ranges=None):
+    """Coordinate chart whose jets are the finite differences of its metric:
+    for a metric that has no analytic jets."""
+    dg = lambda x: coordinate_derivatives(metric, x)
+    return chart_model(dim, metric, ranges=ranges, metric_derivs=dg,
+                       metric_derivs2=lambda x: coordinate_derivatives(dg, x))
+
+
+def zero_jets(dim, *names):
+    """Keyword arguments giving chart_model zero jets under names."""
+    shapes = {"metric_derivs": 3, "metric_derivs2": 4, "coframe_derivs": 3, "coframe_derivs2": 4}
+    return {name: (lambda x, k=shapes[name]: np.zeros((dim,) * k)) for name in names}
 
 
 def complex_matrices(count, n):
@@ -101,13 +116,13 @@ class TestLieGroupModel:
 
 class TestChartModel:
     def test_flat_chart(self):
-        m = chart_model(3, lambda x: np.diag([1.0, 1.0, -1.0]))
+        m = fd_chart(3, lambda x: np.diag([1.0, 1.0, -1.0]))
         p = np.array([0.3, -0.2, 0.5])
         assert np.max(np.abs(m.commutators_at(p))) == 0.0
         assert np.max(np.abs(m.metric_derivs_at(p))) < 1e-11
 
     def test_fd_on_quadratic(self):
-        m = chart_model(2, lambda x: np.eye(2))
+        m = fd_chart(2, lambda x: np.eye(2))
         f = lambda x: np.array(x[0] ** 2 + 3.0 * x[0] * x[1])
         p = np.array([0.7, -0.4])
         d = m.frame_derivative(p, f)
@@ -147,6 +162,16 @@ class TestChartModel:
         assert {k for k, v in verdicts.items() if v == "fail"} \
             == {f"derivatives.{k}" for k in failing}
         assert {v for v in verdicts.values() if v != "fail"} == {"pass"}
+
+    @pytest.mark.parametrize("given, error", [
+        (("metric_derivs",), TypeError),
+        (("metric_derivs", "metric_derivs2", "coframe_derivs"), BadParams),
+        (("metric_derivs", "metric_derivs2", "coframe_derivs2"), BadParams),
+    ], ids=["no_metric2", "no_coframe2", "no_coframe"])
+    def test_rejects_a_chart_without_its_jets(self, given, error):
+        # fails at construction, not at the first curvature
+        with pytest.raises(error):
+            chart_model(3, lambda x: np.eye(3), frame=lambda x: np.eye(3), **zero_jets(3, *given))
 
     def test_commutators_antisymmetric_everywhere(self, ex1_chart, ex2_chart, ex3):
         for cm in (ex1_chart, ex2_chart, ex3):
@@ -201,18 +226,13 @@ class TestProductExtension:
         fd = coordinate_derivatives(ex3.model.metric_at, p, 1e-4)
         assert np.max(np.abs(dg - fd)) < 1e-9
 
-    def test_step_is_the_base_charts(self):
-        cm = example3_hsphere_ext()
-        cm.model.fd_step = 2e-3
-        assert cm.model.base.fd_step == 2e-3
-
     def test_rejects_non_holomorphic_base(self):
         # Norden pointwise but e^x is not the real part of a holomorphic
         # metric coefficient pair, so J fails to be parallel
         def metric(x):
             return np.diag([np.exp(x[0]), -np.exp(x[0])])
 
-        bad = chart_model(2, metric, ranges=[(-0.5, 0.5)] * 2)
+        bad = fd_chart(2, metric, ranges=[(-0.5, 0.5)] * 2)
         with pytest.raises(BaseNotHolomorphic):
             product_extension(bad)
 
@@ -231,7 +251,8 @@ class TestProductExtension:
     def test_rejects_asymmetric_hc(self):
         # hC holomorphic but not symmetric: h = Re hC is not a metric
         hc = lambda w: np.array([[1.0, 0.3 + 0.2j], [-0.1j, 1.0]])
-        base = holomorphic_base(2, hc, lambda w: np.zeros((2, 2, 2)), [(-0.2, 0.2)] * 4)
+        base = holomorphic_base(2, hc, lambda w: np.zeros((2, 2, 2)), [(-0.2, 0.2)] * 4,
+                                lambda w: np.zeros((2, 2, 2, 2)))
         with pytest.raises(BaseNotHolomorphic, match="asymmetry"):
             product_extension(base)
 
@@ -242,8 +263,10 @@ class TestProductExtension:
         (2, lambda x: np.eye(2), "coordinate frame"),
     ], ids=["odd_dimension", "coframe"])
     def test_rejects_chart_that_is_not_a_coordinate_base(self, dim, frame, match):
+        coframe_jets = () if frame is None else ("coframe_derivs", "coframe_derivs2")
         chart = chart_model(dim, lambda x: np.diag([1.0, -1.0, 1.0][:dim]), frame=frame,
-                            ranges=[(-0.5, 0.5)] * dim)
+                            ranges=[(-0.5, 0.5)] * dim,
+                            **zero_jets(dim, "metric_derivs", "metric_derivs2", *coframe_jets))
         with pytest.raises(BaseNotHolomorphic, match=match):
             product_extension(chart)
 
@@ -364,7 +387,6 @@ class TestHolomorphicBase:
         dhc = lambda w: s1 + np.einsum("l,mlij->mij", w, s2) + np.einsum("l,lmij->mij", w, s2)
         d2hc = lambda w: s2 + np.swapaxes(s2, 0, 1)
         base = holomorphic_base(n, hc, dhc, [(-0.2, 0.2)] * (2 * n), d2hc)
-        assert base.exact
         cfg = VerifyConfig(points=6)
         pts = ProductExtensionModel(base).sample_points(cfg.points, cfg.seed)
         assume(min(abs(np.linalg.det(hc(p[1:n + 1] + 1j * p[n + 1:]))) for p in pts) >= 0.1)
@@ -380,13 +402,18 @@ class TestHolomorphicBase:
     @given(quadratic_metrics())
     def test_battery_catches_a_non_holomorphic_base(self, data):
         # hC + 0.3 sum conj(w^k) S_k is not holomorphic; past the gate, built
-        # by hand with dh the finite differences of h, the extension over it
-        # must fail the Sasaki-like rows
+        # by hand with the jets of h = Re hC its finite differences, the
+        # extension over it must fail the Sasaki-like rows
         n, s0, s1, s2 = data
         hc = lambda w: (s0 + np.einsum("k,kij->ij", w + 0.3 * w.conj(), s1)
                         + np.einsum("k,l,klij->ij", w, w, s2))
         ranges = [(-0.2, 0.2)] * (2 * n)
-        base = holomorphic_base(n, hc, None, ranges)     # h = Re hC; no dh
+
+        def h(x):
+            m = hc(x[:n] + 1j * x[n:])
+            return np.block([[m.real, -m.imag], [-m.imag, -m.real]])
+
+        base = fd_chart(2 * n, h, ranges)
         model = ProductExtensionModel(base)
         cfg = VerifyConfig(points=4)
         pts = model.sample_points(cfg.points, cfg.seed)

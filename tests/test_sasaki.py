@@ -16,7 +16,7 @@ from accr.sasaki import (
 )
 from accr.structure import PointFields
 from accr.verify import VerifyConfig, run_model_checks
-from tests.conftest import ORIGIN, jetless_example1_chart, sample_fields
+from tests.conftest import ORIGIN, stepped_example1_chart, sample_fields
 
 ROUTES = ("sasaki.defining", "sasaki.nabla_phi", "sasaki.nijenhuis")
 
@@ -244,7 +244,7 @@ class TestReportCoherence:
         assert not route_holds(flat, "sasaki.defining", 1e-6, points=1)
 
     def test_report_fails_closed_on_nan(self):
-        cm = jetless_example1_chart(n=1)
+        cm = stepped_example1_chart(n=1)
         with np.errstate(all="ignore"):      # a zero step gives NaN finite differences
             verdicts = {r["verdict"] for r in rows(cm, "sasaki", points=2, seed=3, fd_step=0.0)}
         assert verdicts == {"error"}

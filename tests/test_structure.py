@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from accr.corpus import example1, flat_norden_base
-from accr.models import chart_model, product_extension
+from accr.models import ProductExtensionModel, chart_model, product_extension
 from accr.structure import (
     AccrStructure,
     PointFields,
@@ -23,7 +23,9 @@ def coordinate_frame_realization(n=1):
 
     d = 2 * n + 1
     coframe = example1_chart(n).coframe_fn
-    model = chart_model(d, example1_chart(n).coord_metric_fn, ranges=[(-0.9, 0.9)] * d)
+    jets = ProductExtensionModel(flat_norden_base(np.eye(n)))   # the same metric's jets
+    model = chart_model(d, example1_chart(n).coord_metric_fn, ranges=[(-0.9, 0.9)] * d,
+                        metric_derivs=jets.metric_derivs_at, metric_derivs2=jets.metric_derivs2_at)
     frame_structure = standard_structure(model, n)
     phi_f = frame_structure.phi_at(ORIGIN)
 

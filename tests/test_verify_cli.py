@@ -8,13 +8,13 @@ import numpy as np
 import pytest
 
 from accr.cli import main
-from accr.corpus import CorpusModel, example1, flat_parallel
+from accr.corpus import CorpusModel, example1, example1_chart, example3_hsphere_ext, flat_parallel
 from accr.errors import DegenerateMetric
 from accr.models import chart_model
 from accr.modelspec import MODELSPEC_SCHEMA, load_model_spec, model_from_spec
 from accr.structure import standard_structure
 from accr.verify import VerifyConfig, report_to_json, run_all, run_model_checks
-from tests.conftest import jetless_example1_chart
+from tests.conftest import stepped_example1_chart
 
 DOCS = Path(__file__).resolve().parents[1] / "docs"
 
@@ -25,7 +25,9 @@ def small_cfg(**kw):
 
 def degenerate_chart():
     """A chart whose metric is zero everywhere: every check of it aborts."""
-    model = chart_model(3, lambda x: np.zeros((3, 3)), ranges=[(-1, 1)] * 3)
+    model = chart_model(3, lambda x: np.zeros((3, 3)), ranges=[(-1, 1)] * 3,
+                        metric_derivs=lambda x: np.zeros((3,) * 3),
+                        metric_derivs2=lambda x: np.zeros((3,) * 4))
     return CorpusModel(name="degenerate", model=model, structure=standard_structure(model, 1),
                        params={}, sasaki_expected=True)
 
@@ -64,18 +66,27 @@ class TestRunAll:
 
     def test_fd_error_estimate_present(self):
         cfg = VerifyConfig(points=3, only="crossrep")
-        rep = run_model_checks(jetless_example1_chart(n=1), cfg)
+        rep = run_model_checks(example1_chart(n=1), cfg)
         rows = {r["check_id"]: r for r in rep["checks"]}
         row = rows["crossrep.structure_equations"]
-        assert row["fd_error_estimate"] >= 0.0
+        assert row["fd_error_estimate"] == 0.0      # kept by report schema "1"
         assert row["verdict"] == "pass"
 
+    def test_fd_step_reaches_the_extension(self):
+        # the step moves the extension's derivatives rows and nothing else:
+        # every other row is analytic
+        rows = [{r["check_id"]: r["max_residual"] for r in
+                 run_model_checks(example3_hsphere_ext(), VerifyConfig(points=2, fd_step=step))
+                 ["checks"]} for step in (1e-3, 2e-3)]
+        moved = {k for k in rows[0] if rows[0][k] != rows[1][k]}
+        assert moved == {"derivatives.metric", "derivatives.metric2"}
+
     def test_non_finite_residual_is_error(self):
-        # a zero finite-difference step makes every derivative NaN
+        # a zero finite-difference step makes the chart's coframe jets NaN
         cfg = VerifyConfig(points=3, fd_step=0.0, only="sasaki.defining")
         with np.errstate(all="ignore"):
-            rep = run_model_checks(jetless_example1_chart(1), cfg)
-            report = run_all([jetless_example1_chart(1)], cfg)
+            rep = run_model_checks(stepped_example1_chart(1), cfg)
+            report = run_all([stepped_example1_chart(1)], cfg)
         assert rep["checks"]
         assert {r["verdict"] for r in rep["checks"]} == {"error"}
         assert report["summary"]["error"] == len(rep["checks"])
@@ -271,8 +282,8 @@ class TestCli:
         # e^{2u} is inf without an exception: nulls that exited 0
         ("u=1e308", "a residual could not be computed (not finite)"),
         # math.exp and math.cos raise: tracebacks
-        ("u=400", "math range error"),
-        ("v=1e308", "math domain error"),
+        pytest.param("u=400", "OverflowError: math range error", id="u=400-math range error"),
+        pytest.param("v=1e308", "ValueError: math domain error", id="v=1e308-math domain error"),
     ])
     def test_transform_overflow_is_error(self, params, error, tmp_path, capsys):
         # finite parameters whose transformation cannot be computed give the
@@ -293,7 +304,7 @@ class TestCli:
                          "--points", "2", "--json", str(out)])
         assert code == 1
         model = json.loads(out.read_text())["models"][0]
-        assert model["error"] == "(34, 'Numerical result out of range')"
+        assert model["error"] == "OverflowError: (34, 'Numerical result out of range')"
         assert model["checks"] == []
 
     def test_cone_model_error_captured(self, tmp_path, capsys, monkeypatch):
