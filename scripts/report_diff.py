@@ -13,7 +13,9 @@ benchmark's three parameter sets, all at ``--seed 7``; ``verify --points 6``
 of the chart examples and the h-sphere extension at parameters other than
 their defaults (``PARAMS``), which rebuild their bases from other complex
 data; ``verify --points 6 --only`` of a per-model family on three models
-(``ONLY``), where no per-point family runs first; ``verify --points 6`` and
+(``ONLY``), where no per-point family runs first; ``verify --points 2 --only
+derivatives`` of two charts (``SHORT``), samples shorter than the prefix on
+which the jets are checked; ``verify --points 6`` and
 the ``linear_t`` transform of a coframe chart and of the extension at
 ``--fd-step 2e-3`` (``STEPPED``), so that a change to where the step lives
 shows; and for each model spec
@@ -44,6 +46,7 @@ PARAMS = (("example1_chart", "n=2"), ("example2_chart", "lam=3"),
           ("example3_hsphere_ext", "n=2,a=3,b=4"))
 ONLY = (("example2_chart", "cone"), ("example1_chart", "crossrep"),
         ("example3_hsphere_ext", "conformal.eta_fit"))
+SHORT = ("example1_chart", "example3_hsphere_ext")
 STEPPED = ("example1_chart", "example3_hsphere_ext")
 
 
@@ -59,6 +62,8 @@ def commands() -> list:
                for name, params in PARAMS)
     out.extend(["verify", "-m", name, "--seed", "7", "--points", "6", "--only", only]
                for name, only in ONLY)
+    out.extend(["verify", "-m", name, "--seed", "7", "--points", "2", "--only", "derivatives"]
+               for name in SHORT)
     for name in STEPPED:
         stepped = ["-m", name, "--seed", "7", "--fd-step", "2e-3"]
         out.extend([["verify", *stepped, "--points", "6"],

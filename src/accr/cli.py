@@ -36,6 +36,7 @@ from .verify import (
     MODEL_ERRORS,
     VerifyConfig,
     error_text,
+    families_for,
     judge,
     report_to_json,
     run_all,
@@ -127,6 +128,8 @@ def cmd_list(args) -> int:
 def cmd_verify(args) -> int:
     cfg = _config_from(args)
     models = _resolve_models(args.model, _parse_params(args.params))
+    if cfg.only and not any(families_for(cm, cfg.only) for cm in models):
+        raise BadParams(f"--only {cfg.only!r} applies to none of the models")
     report = run_all(models, cfg)
     return _emit(report, args)
 

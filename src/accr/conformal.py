@@ -86,7 +86,7 @@ class TransformedModel(ManifoldModel):
     def metric_at(self, p):
         s = self.base
         a, b, c = self._coefs(p)
-        g = s.g_at(p)
+        g = s.model.metric_at(p)
         eta = s.eta_at(p)
         return a * g + b * (g @ s.phi_at(p)) + c * np.outer(eta, eta)
 

@@ -36,7 +36,6 @@ __all__ = [
 class ConnectionCoefficients:
     """gamma[i, j, k] is the e_k-coefficient of nabla_{e_i} e_j."""
 
-    dim: int
     gamma: np.ndarray
 
     def torsion_residual(self, c) -> float:
@@ -69,7 +68,7 @@ def levi_civita(model, p) -> ConnectionCoefficients:
     ginv = np.linalg.inv(g)
     rhs = _koszul_rhs(dg, np.einsum("mij,mk->ijk", c, g))
     gamma = 0.5 * np.einsum("lk,ijk->ijl", ginv, rhs)
-    return ConnectionCoefficients(dim=model.dim, gamma=gamma)
+    return ConnectionCoefficients(gamma=gamma)
 
 
 @dataclass
@@ -80,14 +79,14 @@ class CurvatureBundle:
     r[i,j,k,l]   = g(R(e_i,e_j) e_k, e_l)
     ric[j,k]     = g^{il} r[i,j,k,l]
     scal         = g^{jk} ric[j,k]
-    scal_star    = g^{ab} ric(e_a, phi e_b), only when phi is supplied
+    scal_star    = g^{ab} ric(e_a, phi e_b)
     """
 
     r_up: np.ndarray
     r: np.ndarray
     ric: np.ndarray
     scal: float
-    scal_star: float | None = None
+    scal_star: float
 
     def symmetry_residuals(self) -> dict:
         r = self.r
@@ -102,27 +101,21 @@ class CurvatureBundle:
         }
 
 
-def riemann(model, p, phi=None, gamma=None) -> CurvatureBundle:
-    """Full curvature at p.
+def riemann(g, ginv, dg, c, d2g, dc, gamma, phi) -> CurvatureBundle:
+    """Full curvature at a point, from its jets: the metric g, its inverse,
+    dg[i,j,k] = e_i(g_jk), the commutators c, d2g[a,i,j,k] = e_a(e_i(g_jk)),
+    dc[a,k,i,j] = e_a(c^k_ij), the connection gamma and phi there.
 
     The frame derivatives of the connection, dgamma[a] = e_a(Gamma), are
     closed-form: differentiating g Gamma = rhs / 2 along e_a gives
     e_a(Gamma) = g^-1 (e_a(rhs) / 2 - (e_a g) Gamma), the same as
     (e_a g^-1) rhs / 2 + g^-1 e_a(rhs) / 2 with e_a g^-1 = -g^-1 (e_a g) g^-1,
-    where e_a(rhs) is the Koszul right-hand side of the model's second jets
-    (``metric_derivs2_at`` and ``commutator_derivs_at``).
+    where e_a(rhs) is the Koszul right-hand side of the second jets.
     """
-    if gamma is None:
-        gamma = levi_civita(model, p).gamma
-    g = model.metric_at(p)
-    ginv = np.linalg.inv(g)
-    c = model.commutators_at(p)
     # contractions as matmuls over the last index, broadcast over the rest:
     # e_a(c^m_ij g_mk), then g^-1 (e_a(rhs) / 2 - (e_a g) Gamma)
-    dg = model.metric_derivs_at(p)
-    dcg = (np.moveaxis(model.commutator_derivs_at(p), 1, -1) @ g
-           + np.moveaxis(c, 0, -1) @ dg[:, None])
-    drhs = _koszul_rhs(model.metric_derivs2_at(p), dcg)
+    dcg = np.moveaxis(dc, 1, -1) @ g + np.moveaxis(c, 0, -1) @ dg[:, None]
+    drhs = _koszul_rhs(d2g, dcg)
     dgamma = (0.5 * drhs - gamma @ dg[:, None]) @ ginv.T
     r_up = (
         dgamma
@@ -134,9 +127,7 @@ def riemann(model, p, phi=None, gamma=None) -> CurvatureBundle:
     r = np.einsum("ijkm,ml->ijkl", r_up, g)
     ric = np.einsum("il,ijkl->jk", ginv, r)
     scal = float(np.einsum("jk,jk->", ginv, ric))
-    scal_star = None
-    if phi is not None:
-        scal_star = float(np.einsum("ab,ac,cb->", ginv, ric, np.asarray(phi)))
+    scal_star = float(np.einsum("ab,ac,cb->", ginv, ric, phi))
     return CurvatureBundle(r_up=r_up, r=r, ric=ric, scal=scal, scal_star=scal_star)
 
 

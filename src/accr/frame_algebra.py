@@ -43,9 +43,10 @@ def standard_j(n: int) -> np.ndarray:
 def project_all(t, proj) -> np.ndarray:
     """Contract a projector (such as the horizontal P = Id - eta (x) xi)
     into every slot of a component array."""
-    t = np.asarray(t)
-    for axis in range(t.ndim):
-        t = np.moveaxis(np.tensordot(proj, t, axes=(0, axis)), 0, axis)
+    # project the last slot and rotate it to the front, ndim times
+    last_first = (np.ndim(t) - 1, *range(np.ndim(t) - 1))
+    for _ in range(np.ndim(t)):
+        t = (t @ proj).transpose(last_first)
     return t
 
 

@@ -156,9 +156,7 @@ def curvature_identity_residuals(f: PointFields, base_ric=None) -> dict:
         "r_xi_third_slot": r_xyxiz,
     }
     if base_ric is not None:
-        out["horizontal_ricci"] = float(
-            np.max(np.abs(project_all(ric - np.asarray(base_ric), proj)))
-        )
+        out["horizontal_ricci"] = float(np.max(np.abs(project_all(ric - base_ric, proj))))
     return out
 
 

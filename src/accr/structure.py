@@ -97,9 +97,6 @@ class AccrStructure:
     def dim(self):
         return self.model.dim
 
-    def g_at(self, p):
-        return self.model.metric_at(p)
-
     def phi_at(self, p):
         return field_at(self.phi, p)
 
@@ -139,7 +136,7 @@ class PointFields:
 
     @cached_property
     def g(self):
-        return self.s.g_at(self.p)
+        return self.s.model.metric_at(self.p)
 
     @cached_property
     def ginv(self):
@@ -283,7 +280,10 @@ class PointFields:
 
     @cached_property
     def curvature(self) -> CurvatureBundle:
-        return riemann(self.s.model, self.p, phi=self.phi, gamma=self.gamma)
+        # the second jets are read for this call, not kept: a pass holds its fields
+        m, p = self.s.model, self.p
+        return riemann(self.g, self.ginv, self.dg, self.c, m.metric_derivs2_at(p),
+                       m.commutator_derivs_at(p), self.gamma, self.phi)
 
 
 def validate_structure(f: PointFields) -> dict:

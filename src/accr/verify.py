@@ -7,14 +7,17 @@ statement, max_residual, fd_error_estimate, tolerance, expected, verdict},
 the residual being its maximum over the model's deterministic sample
 points.  Every family reads the pass's one list of PointFields: a per-point
 family each point's, and a per-model family, for rows that are not such a
-maximum (cone, crossrep, eta fit), the list.  Every row is judged except
+maximum (cone, crossrep, eta fit, derivatives), the list.  Every row is judged except
 the eta fit's (info), whose output is the classification in its note.
-Every model gives its jets in closed form, so curvature has no
-finite-difference error; on chart models the derivatives family compares
-each analytic jet with finite differences of the next-lower order, as a gap
-relative to max(1, |jet|).  Designed failures (the parallel model for the
-Sasaki family, the w != 0 homothety for conformal preservation) are
-expected to fail, so a healthy run reports them as xfail and exits 0.
+Every model gives its jets in closed form and riemann takes a point's
+curvature from them, so curvature has no finite-difference error; on chart
+models the derivatives family compares each analytic jet with finite
+differences of the next-lower order, relative to max(1, |jet|), at the
+first JET_POINTS sample points only (a wrong jet is wrong at generic points,
+and these stencils are most of a chart's model evaluations).  Designed
+failures (the parallel model for the Sasaki family, the w != 0 homothety
+for conformal preservation) are expected to fail, so a healthy run reports
+them as xfail and exits 0.
 sample gives a model's sample points and judge a row's verdict, for this
 pass and for the transform and cone commands alike, and error_text a
 model's error entry.
@@ -44,6 +47,7 @@ from .structure import (
 
 SCHEMA_VERSION = "1"
 TOL_EXACT = 1e-9      # every judged row, unless its check sets a tighter tol
+JET_POINTS = 4        # the derivatives rows check the jets on this prefix of the sample
 
 # expected outcome of a check (Check.expect)
 PASS = "pass"
@@ -194,7 +198,7 @@ class VerifyConfig:
 class Family:
     """The checks under one id prefix.  A per-point family maps (cm, f) to
     residuals at f.p, reading the pass's PointFields f; a per-model family,
-    for rows that are not a maximum over the sample points, maps (cm, fields,
+    for rows that are not a maximum over all sample points, maps (cm, fields,
     count, seed), fields the pass's list of them, to residuals of the model.
     Residuals: a value (row "<prefix>"), a (value, note) pair or a dict (rows "<prefix>.<key>")."""
 
@@ -267,8 +271,9 @@ FAMILIES = (
     Family("conformal", _conformal, applies=lambda cm: cm.sasaki_expected),
     Family("conformal.eta_fit", _eta_fit, per_point=False,
            applies=lambda cm: cm.sasaki_expected),
-    Family("derivatives", lambda cm, f: cm.model.jet_residuals(f.p),
-           applies=lambda cm: isinstance(cm.model, ChartModel)),
+    Family("derivatives", lambda cm, fields, count, seed: max_over_points(
+               fields[:JET_POINTS], lambda f: cm.model.jet_residuals(f.p)),
+           per_point=False, applies=lambda cm: isinstance(cm.model, ChartModel)),
 )
 
 # the family that computes each check: the one with the longest prefix of its id
@@ -306,15 +311,17 @@ def _run_families(cm, families, points, count, seed) -> dict:
     return by_family
 
 
+def families_for(cm, only=None) -> list:
+    """The families that apply to the model and own a check id starting with only."""
+    wanted = {_OWNER[check_id] for check_id in CHECKS if check_id.startswith(only or "")}
+    return [fam for fam in FAMILIES if fam.prefix in wanted and fam.applies(cm)]
+
+
 def _gather_residuals(cm, cfg: VerifyConfig):
-    """One full pass over the sample points: ({check_id: residual}, notes).
-    Families that do not apply to the model, or that cfg.only rules out,
-    are not computed."""
-    only = cfg.only or ""
-    wanted = {_OWNER[check_id] for check_id in CHECKS if check_id.startswith(only)}
-    families = [fam for fam in FAMILIES if fam.prefix in wanted and fam.applies(cm)]
+    """One full pass over the sample points of families_for(cm, cfg.only):
+    ({check_id: residual}, notes)."""
     res, notes = {}, {}
-    for prefix, out in _run_families(cm, families, *sample(cm, cfg)).items():
+    for prefix, out in _run_families(cm, families_for(cm, cfg.only), *sample(cm, cfg)).items():
         _flatten(prefix, out, res, notes)
     return res, notes
 

@@ -152,7 +152,7 @@ class TestHomotheticConnection:
         # the second jets of g_bar are closed-form for constants only
         ts = apply_cct(ex1_chart.structure, TransformParams(v=lambda p: 0.1 * p[0]))
         with pytest.raises(NonConstantParams):
-            riemann(ts.model, ex1_chart.model.sample_points(1, 3)[0])
+            PointFields(ts, ex1_chart.model.sample_points(1, 3)[0]).curvature
 
 
 class TestHomotheticCurvature:

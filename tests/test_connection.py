@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from accr.connection import hsphere_curvature, levi_civita, riemann, standard_norden_pair
+from accr.connection import hsphere_curvature, levi_civita, standard_norden_pair
 from accr.corpus import (
     builtin,
     example2,
@@ -131,12 +131,12 @@ class TestLeviCivita:
 
 class TestRiemann:
     def test_flat_zero(self, flat):
-        bundle = riemann(flat.model, ORIGIN)
+        bundle = PointFields(flat.structure, ORIGIN).curvature
         assert np.max(np.abs(bundle.r)) == 0.0
         assert bundle.scal == 0.0
 
     def test_example1_sectional_value(self, ex1):
-        bundle = riemann(ex1.model, ORIGIN)
+        bundle = PointFields(ex1.structure, ORIGIN).curvature
         assert bundle.r[1, 2, 2, 1] == pytest.approx(1.0, abs=1e-14)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -144,19 +144,19 @@ class TestRiemann:
         from accr.corpus import example1
 
         cm = example1(n=n)
-        bundle = riemann(cm.model, ORIGIN)
+        bundle = PointFields(cm.structure, ORIGIN).curvature
         xi = cm.structure.xi_at(ORIGIN)
         assert xi @ bundle.ric @ xi == pytest.approx(2.0 * n, abs=1e-12)
 
     def test_matches_loop_reference(self, ex2_generic):
-        r_up = riemann(ex2_generic.model, ORIGIN).r_up
+        r_up = PointFields(ex2_generic.structure, ORIGIN).curvature.r_up
         ref = curvature_reference(ex2_generic.model, ORIGIN)
         assert np.max(np.abs(r_up - ref)) < 1e-13
 
     def test_symmetries(self, ex1, ex2_generic, ex3):
         for cm in (ex1, ex2_generic, ex3):
             p = cm.model.sample_points(2, 7)[0]
-            res = riemann(cm.model, p).symmetry_residuals()
+            res = PointFields(cm.structure, p).curvature.symmetry_residuals()
             assert max(res.values()) < 1e-7
 
     @pytest.mark.parametrize("name", ["example1_chart", "example2_chart", "example3_hsphere_ext"])
@@ -165,13 +165,13 @@ class TestRiemann:
         # differences of the Koszul solution
         cm = builtin(name)
         for p in cm.model.sample_points(5, 3):
-            r_up = riemann(cm.model, p).r_up
+            r_up = PointFields(cm.structure, p).curvature.r_up
             assert np.max(np.abs(r_up - stencil_curvature(cm.model, p))) < 1e-8
 
     def test_chart_matches_group_curvature(self, ex1, ex1_chart):
-        ref = riemann(ex1.model, ORIGIN).r
+        ref = PointFields(ex1.structure, ORIGIN).curvature.r
         for p in ex1_chart.model.sample_points(3, 9):
-            r = riemann(ex1_chart.model, p).r
+            r = PointFields(ex1_chart.structure, p).curvature.r
             assert np.max(np.abs(r - ref)) < 1e-8
 
 

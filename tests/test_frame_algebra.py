@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accr.errors import BadParams, DegenerateMetric, DimMismatch
-from accr.frame_algebra import MetricMatrix, kulkarni_nomizu, standard_signature
+from accr.frame_algebra import MetricMatrix, kulkarni_nomizu, project_all, standard_signature
 from accr.structure import PointFields
 from tests.conftest import ORIGIN
 
@@ -107,6 +107,41 @@ class TestKulkarniNomizu:
         assert np.max(np.abs(t - np.einsum("klij->ijkl", t))) < 1e-12
         bianchi = t + np.einsum("jkil->ijkl", t) + np.einsum("kijl->ijkl", t)
         assert np.max(np.abs(bianchi)) < 1e-12
+
+
+def project_reference(t, proj):
+    """proj contracted into every slot of t by one explicit einsum:
+    out[i, j, ..] = sum t[a, b, ..] proj[a, i] proj[b, j] .."""
+    slots, out = "abcd"[:t.ndim], "ijkl"[:t.ndim]
+    spec = ",".join([slots, *(a + i for a, i in zip(slots, out))]) + "->" + out
+    return np.einsum(spec, t, *[proj] * t.ndim, optimize=True)
+
+
+class TestProjectAll:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("dim", [3, 5, 7])
+    def test_matches_einsum(self, rank, dim):
+        # P = Id - xi (x) eta with eta(xi) = 1, xi and eta off the axes: not diagonal
+        rng = np.random.default_rng(10 * rank + dim)
+        for _ in range(3):
+            xi, eta = rng.uniform(-1.0, 1.0, (2, dim))
+            eta[0] += (1.0 - eta @ xi) / xi[0]
+            proj = np.eye(dim) - np.outer(xi, eta)
+            assert np.min(np.abs(proj)) > 0
+            t = rng.uniform(-1.0, 1.0, (dim,) * rank)
+            ref = project_reference(t, proj)
+            assert np.max(np.abs(project_all(t, proj) - ref)) <= 1e-14 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_in_a_removed_slot_is_not_small(self, rank, bad):
+        # the horizontal projector of the standard structure drops the xi
+        # slot, yet a residual that could not be computed there still shows
+        proj = np.diag([0.0, 1.0, 1.0])
+        t = np.zeros((3,) * rank)
+        t[(0,) * rank] = bad
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(np.max(np.abs(project_all(t, proj))))
 
 
 class TestSignatureTrace:

@@ -61,6 +61,16 @@ def zero_jets(dim, *names):
     return {name: (lambda x, k=shapes[name]: np.zeros((dim,) * k)) for name in names}
 
 
+# each chart example's parameters, away from its defaults (example2_chart
+# exists for mu = 0 only)
+OTHER_PARAMS = {
+    "example1_chart": st.fixed_dictionaries({"n": st.integers(2, 3)}),
+    "example2_chart": st.fixed_dictionaries({"lam": st.floats(1.5, 3.0) | st.floats(-3.0, -0.5)}),
+    "example3_hsphere_ext": st.fixed_dictionaries(
+        {"n": st.integers(1, 2), "a": st.floats(0.5, 3.0), "b": st.floats(-2.0, 2.0)}),
+}
+
+
 def complex_matrices(count, n):
     """count complex n x n matrices, real and imaginary parts in [-1, 1]."""
     size = 2 * count * n * n
@@ -162,6 +172,28 @@ class TestChartModel:
         assert {k for k, v in verdicts.items() if v == "fail"} \
             == {f"derivatives.{k}" for k in failing}
         assert {v for v in verdicts.values() if v != "fail"} == {"pass"}
+
+    @pytest.mark.parametrize("name", sorted(OTHER_PARAMS))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_jets_hold_anywhere_in_the_box(self, name, data):
+        # the derivatives rows check the jets on a prefix of the sample only;
+        # here at random points of the box, at other parameters
+        cm = builtin(name, **data.draw(OTHER_PARAMS[name]))
+        lo, hi = np.array(cm.model.ranges).T
+        u = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(lo), max_size=len(lo))))
+        assert max(cm.model.jet_residuals(lo + u * (hi - lo)).values()) <= 1e-9
+
+    @pytest.mark.parametrize("points", [2, 6])
+    def test_jets_are_checked_on_a_prefix(self, points, monkeypatch):
+        # two stencils (of g and of dg) per point, at the first 4 points only
+        cm = example1_chart(n=1)
+        calls = []
+        derive = cm.model.frame_derivative
+        monkeypatch.setattr(cm.model, "frame_derivative",
+                            lambda p, fn: calls.append(p) or derive(p, fn))
+        assert run_model_checks(cm, VerifyConfig(points=points, only="derivatives"))["checks"]
+        assert len(calls) == 2 * min(points, 4)
 
     @pytest.mark.parametrize("given, error", [
         (("metric_derivs",), TypeError),

@@ -104,6 +104,18 @@ class TestRunAll:
         rep = run_model_checks(example1(n=1), small_cfg(only="sasaki.defining"))
         assert len(rep["checks"]) == 4
 
+    def test_only_that_applies_nowhere_computes_nothing(self, monkeypatch, capsys):
+        # decided from the families' applies, before any residual
+        import accr.cli as cli
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the battery ran with no family to run")
+
+        monkeypatch.setattr(cli, "run_all", boom)
+        assert main(["verify", "-m", "example1", "--only", "derivatives"]) == 2
+        assert capsys.readouterr().err == \
+            "error: --only 'derivatives' applies to none of the models\n"
+
     @pytest.mark.parametrize("only", ["gauss.residual", "gauss.second_fundamental_form"])
     def test_gauss_builds_one_point_fields_per_point(self, ex3, only, monkeypatch):
         from accr.structure import PointFields
@@ -375,6 +387,11 @@ class TestCli:
         (["cone", "-m", "example1", "--tol", "0"], 1),
         (["cone", "-m", "example1"], 0),
         (["verify", "-m", "example1", "--only", "bogus"], 2),
+        # a prefix whose families apply to none of the models would check nothing
+        (["verify", "-m", "example1", "--only", "derivatives"], 2),
+        (["verify", "-m", "example1", "-m", "flat_parallel", "--only", "crossrep"], 2),
+        (["verify", "-m", "example1", "-m", "example1_chart", "--only", "derivatives",
+          "--points", "2"], 0),
         (["verify", "-m", "example1", "--params", "m=2"], 2),
         (["transform", "-m", "example1", "--params", "u=0.3,bogus=1"], 2),
         # --params goes whole to every named builtin, and example2 takes no n
