@@ -387,11 +387,6 @@ class TestCli:
         (["cone", "-m", "example1", "--tol", "0"], 1),
         (["cone", "-m", "example1"], 0),
         (["verify", "-m", "example1", "--only", "bogus"], 2),
-        # a prefix whose families apply to none of the models would check nothing
-        (["verify", "-m", "example1", "--only", "derivatives"], 2),
-        (["verify", "-m", "example1", "-m", "flat_parallel", "--only", "crossrep"], 2),
-        (["verify", "-m", "example1", "-m", "example1_chart", "--only", "derivatives",
-          "--points", "2"], 0),
         (["verify", "-m", "example1", "--params", "m=2"], 2),
         (["transform", "-m", "example1", "--params", "u=0.3,bogus=1"], 2),
         # --params goes whole to every named builtin, and example2 takes no n
@@ -422,6 +417,11 @@ class TestCli:
         (["transform", "-m", "example1_chart", "--params", "u=nan"], 2),
         (["transform", "-m", "example1_chart", "--params", "w=inf"], 2),
         (["transform", "-m", "example1_chart", "--params", "v=linear_t:nan"], 2),
+        # a prefix whose families apply to none of the models would check nothing
+        (["verify", "-m", "example1", "--only", "derivatives"], 2),
+        (["verify", "-m", "example1", "-m", "flat_parallel", "--only", "crossrep"], 2),
+        (["verify", "-m", "example1", "-m", "example1_chart", "--only", "derivatives",
+          "--points", "2"], 0),
     ])
     def test_bad_input(self, argv, code, tmp_path, capsys):
         specs = {
