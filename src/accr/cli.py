@@ -5,7 +5,8 @@ Subcommands:
   verify      run the verification battery over models
   transform   apply a contact conformal / homothetic transformation, verify
   cone        build the complex cone, check its holomorphicity and its
-              closed-form connection lines
+              closed-form connection lines, each row judged as verify
+              judges the cone rows
 
 Exit codes: 0 all checks pass (designed failures count as pass), 1 any
 unexpected failure or model error, 2 usage or input errors.  The
@@ -37,6 +38,7 @@ from .verify import (
     VerifyConfig,
     error_text,
     families_for,
+    flatten,
     judge,
     report_to_json,
     run_all,
@@ -205,15 +207,16 @@ def cmd_cone(args) -> int:
     def fill(cm, entry):
         points, count, seed = sample(cm, cfg)
         count = min(count, 8)
-        check = sas.cone_holomorphic_residual(
+        out = sas.cone_holomorphic_residual(
             [PointFields(cm.structure, p) for p in points[:count]], count, seed)
+        per_point, rows = out.pop("per_point"), {}
+        flatten("cone", out, rows, {})
         # the closed-form lines hold on every model, Sasaki-like or not
-        rows = {"cone.holomorphic": check.residual,
-                **{f"cone.line.{k}": v for k, v in check.connection_lines.items()},
-                **{f"cone.dj_xi.{k}": v for k, v in check.dj_xi_line.items()}}
         verdicts = {check_id: judge(check_id, value, cm, cfg)[2]
                     for check_id, value in rows.items()}
-        entry.update(vars(check), holomorphic=verdicts["cone.holomorphic"] in ("pass", "xpass"),
+        entry.update(residual=out["holomorphic"], per_point=per_point,
+                     connection_lines=out["line"], dj_xi_line=out["dj_xi"],
+                     holomorphic=verdicts["cone.holomorphic"] in ("pass", "xpass"),
                      expected_holomorphic=cm.sasaki_expected)
         return not FAILING & set(verdicts.values())
 

@@ -571,7 +571,11 @@ class ConeModel(ManifoldModel):
         rest = halton_points([(-2.0, -0.5)], count - 1, seed + 1)
         return [-1.0, *(float(x[0]) for x in rest)][:count]
 
+    @classmethod
+    def cone_points(cls, base, count, seed):
+        """(base[k % len(base)], r) of cone point k < count, r = radii(count, seed)[k]."""
+        return [(base[k % len(base)], r) for k, r in enumerate(cls.radii(count, seed))]
+
     def sample_points(self, count, seed):
-        base_pts = self.base.sample_points(count, seed)
-        return [np.concatenate([base_pts[k % len(base_pts)], [r]])
-                for k, r in enumerate(self.radii(count, seed))]
+        return [np.concatenate([q, [r]])
+                for q, r in self.cone_points(self.base.sample_points(count, seed), count, seed)]

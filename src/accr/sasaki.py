@@ -10,12 +10,12 @@ Nhat = -4 (gtilde - eta x eta) (x) xi.  A third, geometric route: the
 complex cone must carry a parallel complex structure.  All three are
 evaluated here as residuals, along with the curvature identities and the
 Gauss comparison that follow.  Every residual function reads the
-PointFields of its point.
+PointFields of its point; cone_residuals_at reads it at one cone point
+(f.p, r), and cone_holomorphic_residual maximises those over the cone
+points, as the cone rows of verify and the cone command report them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +34,8 @@ __all__ = [
     "require_sasaki_like",
     "gauss_residual",
     "second_fundamental_form_residual",
+    "cone_residuals_at",
     "cone_holomorphic_residual",
-    "ConeCheck",
 ]
 
 
@@ -191,79 +191,69 @@ def second_fundamental_form_residual(f: PointFields) -> float:
     return float(np.max(np.abs(resid)))
 
 
-@dataclass
-class ConeCheck:
-    residual: float
-    per_point: list
-    connection_lines: dict
-    dj_xi_line: dict
-
-
-def cone_holomorphic_residual(fields, count, seed) -> ConeCheck:
-    """max |g_cone((nabla J) y, z)| over count cone points and frame triples,
-    point k at radius ConeModel.radii(count, seed)[k] over the point of
-    fields[k % len(fields)], the PointFields of the structure's sample points.
-
-    Also cross-checks the closed-form cone connection components, e.g.
+def cone_residuals_at(f: PointFields, r) -> dict:
+    """Residuals of the complex cone at the cone point (f.p, r):
+    "holomorphic", max |g_cone((nabla J) y, z)| over frame triples, and the
+    closed-form cone connection components ("line", e.g.
     g_cone(nabla_X Y, d/dr) = -r g(X, Y) and g_cone(nabla_X d/dr, Z)
-    = r g(X, Z) on horizontal arguments, against the Koszul solution.
-    """
-    cone = ConeModel(fields[0].s)
-    d = fields[0].dim
-    per_point = []
+    = r g(X, Z) on horizontal arguments) and (nabla_X J) xi ("dj_xi"),
+    each against the Koszul solution on the cone."""
+    cone = ConeModel(f.s)
+    d = f.dim
+    p = np.concatenate([f.p, [r]])
+    gamma = levi_civita(cone, p).gamma
+    G = cone.metric_at(p)
+    nj = covariant_derivative(gamma, cone.j_at(p), cone.j_derivs_at(p))
+    low = np.einsum("iab,al->ibl", nj, G)
 
-    def at(k_rv):
-        k, rv = k_rv
-        f = fields[k % len(fields)]
-        p = np.concatenate([f.p, [rv]])
-        gamma = levi_civita(cone, p).gamma
-        G = cone.metric_at(p)
-        nj = covariant_derivative(gamma, cone.j_at(p), cone.j_derivs_at(p))
-        low = np.einsum("iab,al->ibl", nj, G)
-        res = float(np.max(np.abs(low)))
-        per_point.append({"r": rv, "residual": res})
+    # displayed connection components (horizontal projections)
+    proj = f.proj
+    xic = np.zeros(d + 1)
+    xic[:d] = f.xi
+    nab = np.einsum("abm,ml->abl", gamma, G)
+    nab_b = np.einsum("abm,mk->abk", f.gamma, f.g)
+    gp = proj.T @ f.g @ proj
+    r2 = r * r
 
-        # displayed connection components (horizontal projections)
-        proj = f.proj
-        xic = np.zeros(d + 1)
-        xic[:d] = f.xi
-        nab = np.einsum("abm,ml->abl", gamma, G)
-        nab_b = np.einsum("abm,mk->abk", f.gamma, f.g)
-        gp = proj.T @ f.g @ proj
-        r2 = rv * rv
+    hor3 = project_all(nab[:d, :d, :d], proj) - r2 * project_all(nab_b, proj)
+    l2 = project_all(nab[:d, :d, d], proj) + r * gp
+    l7 = project_all(nab[:d, d, :d], proj) - r * gp
+    l8 = project_all(nab[d, :d, :d], proj) - r * gp
+    l3 = project_all(np.einsum("abl,l->ab", nab[:d, :d, :], xic)
+                     - r2 * np.einsum("abk,k->ab", nab_b, f.xi)
+                     - 0.5 * (r2 - 1.0) * f.d_eta, proj)
+    nxz_cone = np.einsum("abm,b,mk->ak", gamma[:d, :d, :], f.xi, G)[:, :d]
+    nxz_base = np.einsum("abm,b,mk->ak", f.gamma, f.xi, f.g)
+    l4 = project_all(nxz_cone - r2 * nxz_base + 0.5 * (r2 - 1.0) * f.d_eta, proj)
 
-        hor3 = project_all(nab[:d, :d, :d], proj) - r2 * project_all(nab_b, proj)
-        l2 = project_all(nab[:d, :d, d], proj) + rv * gp
-        l7 = project_all(nab[:d, d, :d], proj) - rv * gp
-        l8 = project_all(nab[d, :d, :d], proj) - rv * gp
-        l3 = project_all(np.einsum("abl,l->ab", nab[:d, :d, :], xic)
-                         - r2 * np.einsum("abk,k->ab", nab_b, f.xi)
-                         - 0.5 * (r2 - 1.0) * f.d_eta, proj)
-        nxz_cone = np.einsum("abm,b,mk->ak", gamma[:d, :d, :], f.xi, G)[:, :d]
-        nxz_base = np.einsum("abm,b,mk->ak", f.gamma, f.xi, f.g)
-        l4 = project_all(nxz_cone - r2 * nxz_base + 0.5 * (r2 - 1.0) * f.d_eta, proj)
+    # on horizontal X, Z:
+    #   g_cone((nabla_X J) xi, Z) = -r^2 { g(nabla_X xi, phi Z) - g(X, Z) }
+    #                               + (r^2 - 1)/2 d eta(X, phi Z)
+    direct = np.einsum("di,b,dmb,mk->ik", proj, xic, nj[:d, :, :], G)[:, :d]
+    direct = np.einsum("ik,kj->ij", direct, proj)
+    nxi_low = np.einsum("ik,kj->ij", f.nabla_xi, f.g)
+    closed = -r2 * (np.einsum("ia,ak->ik", nxi_low, f.phi) - f.g) \
+        + 0.5 * (r2 - 1.0) * np.einsum("ia,ak->ik", f.d_eta, f.phi)
+    closed = project_all(closed, proj)
+    return {
+        "holomorphic": float(np.max(np.abs(low))),
+        "line": {
+            "horizontal_block": np.max(np.abs(hor3)),
+            "radial_second_slot": np.max(np.abs(l2)),
+            "radial_argument": np.max(np.abs(l7)),
+            "radial_direction": np.max(np.abs(l8)),
+            "xi_second_slot": np.max(np.abs(l3)),
+            "xi_argument": np.max(np.abs(l4)),
+        },
+        "dj_xi": {"direct_vs_symmetric_reading": np.max(np.abs(direct - closed))},
+    }
 
-        # on horizontal X, Z:
-        #   g_cone((nabla_X J) xi, Z) = -r^2 { g(nabla_X xi, phi Z) - g(X, Z) }
-        #                               + (r^2 - 1)/2 d eta(X, phi Z)
-        direct = np.einsum("di,b,dmb,mk->ik", proj, xic, nj[:d, :, :], G)[:, :d]
-        direct = np.einsum("ik,kj->ij", direct, proj)
-        nxi_low = np.einsum("ik,kj->ij", f.nabla_xi, f.g)
-        closed = -r2 * (np.einsum("ia,ak->ik", nxi_low, f.phi) - f.g) \
-            + 0.5 * (r2 - 1.0) * np.einsum("ia,ak->ik", f.d_eta, f.phi)
-        closed = project_all(closed, proj)
-        return {
-            "residual": res,
-            "connection_lines": {
-                "horizontal_block": np.max(np.abs(hor3)),
-                "radial_second_slot": np.max(np.abs(l2)),
-                "radial_argument": np.max(np.abs(l7)),
-                "radial_direction": np.max(np.abs(l8)),
-                "xi_second_slot": np.max(np.abs(l3)),
-                "xi_argument": np.max(np.abs(l4)),
-            },
-            "dj_xi_line": {"direct_vs_symmetric_reading": np.max(np.abs(direct - closed))},
-        }
 
-    worst_of = max_over_points(enumerate(cone.radii(count, seed)), at)
-    return ConeCheck(per_point=per_point, **worst_of)
+def cone_holomorphic_residual(fields, count, seed) -> dict:
+    """The max_over_points of cone_residuals_at over count cone points, point
+    k at radius ConeModel.radii(count, seed)[k] over fields[k % len(fields)],
+    the PointFields of the structure's sample points; and "per_point", the
+    list of each point's {"r", "residual"}, its "holomorphic" residual."""
+    at = [(r, cone_residuals_at(f, r)) for f, r in ConeModel.cone_points(fields, count, seed)]
+    return {**max_over_points([res for _, res in at], lambda res: res),
+            "per_point": [{"r": r, "residual": res["holomorphic"]} for r, res in at]}

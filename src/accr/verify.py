@@ -5,10 +5,13 @@ tolerance.  FAMILIES declares how the checks under each id prefix are
 computed and on which models.  Each check is reported as a row {check_id,
 statement, max_residual, fd_error_estimate, tolerance, expected, verdict},
 the residual being its maximum over the model's deterministic sample
-points.  Every family reads the pass's one list of PointFields: a per-point
-family each point's, and a per-model family, for rows that are not such a
-maximum (cone, crossrep, eta fit, derivatives), the list.  Every row is judged except
-the eta fit's (info), whose output is the classification in its note.
+points.  Every family is one function of the pass's one list of
+PointFields: most are each(fn), the max_over_points of a one-point residual
+function over the list; the cone maximises sasaki.cone_residuals_at over its
+cone points and the derivatives family the jets over a prefix of the list,
+while crossrep and the eta fit give rows of the model as a whole.  Every row
+is judged except the eta fit's (info), whose output is the classification in
+its note.
 Every model gives its jets in closed form and riemann takes a point's
 curvature from them, so curvature has no finite-difference error; on chart
 models the derivatives family compares each analytic jet with finite
@@ -18,9 +21,9 @@ and these stencils are most of a chart's model evaluations).  Designed
 failures (the parallel model for the Sasaki family, the w != 0 homothety
 for conformal preservation) are expected to fail, so a healthy run reports
 them as xfail and exits 0.
-sample gives a model's sample points and judge a row's verdict, for this
-pass and for the transform and cone commands alike, and error_text a
-model's error entry.
+sample gives a model's sample points, flatten a family's rows and judge a
+row's verdict, for this pass and for the transform and cone commands alike,
+and error_text a model's error entry.
 """
 
 from __future__ import annotations
@@ -196,16 +199,22 @@ class VerifyConfig:
 
 @dataclass(frozen=True)
 class Family:
-    """The checks under one id prefix.  A per-point family maps (cm, f) to
-    residuals at f.p, reading the pass's PointFields f; a per-model family,
-    for rows that are not a maximum over all sample points, maps (cm, fields,
-    count, seed), fields the pass's list of them, to residuals of the model.
-    Residuals: a value (row "<prefix>"), a (value, note) pair or a dict (rows "<prefix>.<key>")."""
+    """The checks under one id prefix: residuals maps (cm, fields, count,
+    seed), fields the pass's PointFields at the model's count sample points
+    of seed, to the model's residuals, most of them each(fn).  Residuals: a
+    value (row "<prefix>"), a (value, note) pair or a dict (rows "<prefix>.<key>")."""
 
     prefix: str
     residuals: object
-    per_point: bool = True
     applies: object = lambda cm: True
+
+
+def each(fn):
+    """The residuals of a per-point family: the max_over_points of the
+    one-point residual function fn(cm, f), a value or a dict, over the
+    pass's fields."""
+    return lambda cm, fields, count, seed: max_over_points(
+        fields, lambda f: {"out": fn(cm, f)})["out"]
 
 
 def _bar(f, t):
@@ -237,9 +246,9 @@ def _eta_fit(cm, fields, count, seed):
 
 
 def _cone(cm, fields, count, seed):
-    check = sas.cone_holomorphic_residual(fields, min(count, 6), seed)
-    return {"holomorphic": check.residual, "line": check.connection_lines,
-            "dj_xi": check.dj_xi_line}
+    out = sas.cone_holomorphic_residual(fields, min(count, 6), seed)
+    del out["per_point"]
+    return out
 
 
 def _crossrep(cm, fields, count, seed):
@@ -249,31 +258,31 @@ def _crossrep(cm, fields, count, seed):
 
 
 FAMILIES = (
-    Family("structure", lambda cm, f: validate_structure(f)),
-    Family("identity", lambda cm, f: {
-        **structure_property_residuals(f), "f_reconstruction": theorem_3_4_residual(f)}),
-    Family("connection", lambda cm, f: {
+    Family("structure", each(lambda cm, f: validate_structure(f))),
+    Family("identity", each(lambda cm, f: {
+        **structure_property_residuals(f), "f_reconstruction": theorem_3_4_residual(f)})),
+    Family("connection", each(lambda cm, f: {
         "torsion_free": f.conn.torsion_residual(f.c),
-        "metric_compatibility": f.conn.metric_compat_residual(f.g, f.dg)}),
-    Family("curvature", lambda cm, f: f.curvature.symmetry_residuals()),
-    Family("sasaki.defining", lambda cm, f: sas.check_defining_conditions(f)),
-    Family("sasaki.nabla_phi", lambda cm, f: sas.check_nabla_phi(f)),
-    Family("sasaki.nijenhuis", lambda cm, f: sas.check_nijenhuis_form(f)),
-    Family("sasaki.corollary", lambda cm, f: sas.check_corollary(f)),
-    Family("sasaki.curvature", lambda cm, f: sas.curvature_identity_residuals(
-        f, base_ric=cm.base_ric_at(f.p) if cm.base_ric_at else None)),
-    Family("gauss.residual", lambda cm, f: sas.gauss_residual(f, cm.base_r_at(f.p)),
+        "metric_compatibility": f.conn.metric_compat_residual(f.g, f.dg)})),
+    Family("curvature", each(lambda cm, f: f.curvature.symmetry_residuals())),
+    Family("sasaki.defining", each(lambda cm, f: sas.check_defining_conditions(f))),
+    Family("sasaki.nabla_phi", each(lambda cm, f: sas.check_nabla_phi(f))),
+    Family("sasaki.nijenhuis", each(lambda cm, f: sas.check_nijenhuis_form(f))),
+    Family("sasaki.corollary", each(lambda cm, f: sas.check_corollary(f))),
+    Family("sasaki.curvature", each(lambda cm, f: sas.curvature_identity_residuals(
+        f, base_ric=cm.base_ric_at(f.p) if cm.base_ric_at else None))),
+    Family("gauss.residual", each(lambda cm, f: sas.gauss_residual(f, cm.base_r_at(f.p))),
            applies=lambda cm: cm.sasaki_expected and cm.base_r_at is not None),
-    Family("gauss.second_fundamental_form", lambda cm, f: sas.second_fundamental_form_residual(f)),
-    Family("cone", _cone, per_point=False),
-    Family("crossrep", _crossrep, per_point=False,
+    Family("gauss.second_fundamental_form",
+           each(lambda cm, f: sas.second_fundamental_form_residual(f))),
+    Family("cone", _cone),
+    Family("crossrep", _crossrep,
            applies=lambda cm: cm.coframe_fn is not None and cm.lie_partner is not None),
-    Family("conformal", _conformal, applies=lambda cm: cm.sasaki_expected),
-    Family("conformal.eta_fit", _eta_fit, per_point=False,
-           applies=lambda cm: cm.sasaki_expected),
+    Family("conformal", each(_conformal), applies=lambda cm: cm.sasaki_expected),
+    Family("conformal.eta_fit", _eta_fit, applies=lambda cm: cm.sasaki_expected),
     Family("derivatives", lambda cm, fields, count, seed: max_over_points(
                fields[:JET_POINTS], lambda f: cm.model.jet_residuals(f.p)),
-           per_point=False, applies=lambda cm: isinstance(cm.model, ChartModel)),
+           applies=lambda cm: isinstance(cm.model, ChartModel)),
 )
 
 # the family that computes each check: the one with the longest prefix of its id
@@ -281,10 +290,12 @@ _OWNER = {check_id: max((fam for fam in FAMILIES if check_id.startswith(fam.pref
                         key=lambda fam: len(fam.prefix)).prefix for check_id in CHECKS}
 
 
-def _flatten(check_id, out, res, notes):
+def flatten(check_id, out, res, notes):
+    """Add the rows of a family's residuals out under check_id to res
+    ({check_id: residual}) and notes ({check_id: note})."""
     if isinstance(out, dict):
         for key, val in out.items():
-            _flatten(f"{check_id}.{key}", val, res, notes)
+            flatten(f"{check_id}.{key}", val, res, notes)
     elif isinstance(out, tuple):
         res[check_id], notes[check_id] = float(out[0]), out[1]
     else:
@@ -299,18 +310,6 @@ def sample(cm, cfg: VerifyConfig):
     return cm.model.sample_points(count, seed), count, seed
 
 
-def _run_families(cm, families, points, count, seed) -> dict:
-    """{prefix: residuals} of the families on one model, every family reading
-    the one list of PointFields at the model's sample points."""
-    fields = [PointFields(cm.structure, p) for p in points]
-    by_family = max_over_points(fields, lambda f: {
-        fam.prefix: fam.residuals(cm, f) for fam in families if fam.per_point})
-    for fam in families:
-        if not fam.per_point:
-            by_family[fam.prefix] = fam.residuals(cm, fields, count, seed)
-    return by_family
-
-
 def families_for(cm, only=None) -> list:
     """The families that apply to the model and own a check id starting with only."""
     wanted = {_OWNER[check_id] for check_id in CHECKS if check_id.startswith(only or "")}
@@ -318,11 +317,14 @@ def families_for(cm, only=None) -> list:
 
 
 def _gather_residuals(cm, cfg: VerifyConfig):
-    """One full pass over the sample points of families_for(cm, cfg.only):
-    ({check_id: residual}, notes)."""
+    """One full pass over the sample points of families_for(cm, cfg.only),
+    every family reading the one list of PointFields at the model's sample
+    points: ({check_id: residual}, notes)."""
+    points, count, seed = sample(cm, cfg)
+    fields = [PointFields(cm.structure, p) for p in points]
     res, notes = {}, {}
-    for prefix, out in _run_families(cm, families_for(cm, cfg.only), *sample(cm, cfg)).items():
-        _flatten(prefix, out, res, notes)
+    for fam in families_for(cm, cfg.only):
+        flatten(fam.prefix, fam.residuals(cm, fields, count, seed), res, notes)
     return res, notes
 
 

@@ -118,8 +118,8 @@ def sample_fields(cm, count=20, seed=42):
 def test_criterion_5_cone_holomorphicity():
     worst = 0.0
     for cm in (example1(1), example1(2), example2(1.0, 0.0), example2(3.0, -2.0)):
-        worst = max(worst, cone_holomorphic_residual(sample_fields(cm, 6), 6, 42).residual)
-    flat_res = cone_holomorphic_residual(sample_fields(flat_parallel(1), 6), 6, 42).residual
+        worst = max(worst, cone_holomorphic_residual(sample_fields(cm, 6), 6, 42)["holomorphic"])
+    flat_res = cone_holomorphic_residual(sample_fields(flat_parallel(1), 6), 6, 42)["holomorphic"]
     ok = worst < 1e-6 and flat_res > 0.1
     report(5, ok, f"cone nabla J residual {worst:.2e} on examples 1-2 (tol 1e-6); "
                   f"parallel model residual {flat_res:.2e} (> 0.1 required)")
