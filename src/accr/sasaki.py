@@ -222,15 +222,14 @@ def cone_residuals_at(f: PointFields, r) -> dict:
     l3 = project_all(np.einsum("abl,l->ab", nab[:d, :d, :], xic)
                      - r2 * np.einsum("abk,k->ab", nab_b, f.xi)
                      - 0.5 * (r2 - 1.0) * f.d_eta, proj)
-    nxz_cone = np.einsum("abm,b,mk->ak", gamma[:d, :d, :], f.xi, G)[:, :d]
-    nxz_base = np.einsum("abm,b,mk->ak", f.gamma, f.xi, f.g)
+    nxz_cone = (f.xi @ gamma[:d, :d] @ G)[:, :d]
+    nxz_base = f.xi @ f.gamma @ f.g
     l4 = project_all(nxz_cone - r2 * nxz_base + 0.5 * (r2 - 1.0) * f.d_eta, proj)
 
     # on horizontal X, Z:
     #   g_cone((nabla_X J) xi, Z) = -r^2 { g(nabla_X xi, phi Z) - g(X, Z) }
     #                               + (r^2 - 1)/2 d eta(X, phi Z)
-    direct = np.einsum("di,b,dmb,mk->ik", proj, xic, nj[:d, :, :], G)[:, :d]
-    direct = np.einsum("ik,kj->ij", direct, proj)
+    direct = (proj.T @ (nj[:d] @ xic) @ G)[:, :d] @ proj
     nxi_low = np.einsum("ik,kj->ij", f.nabla_xi, f.g)
     closed = -r2 * (np.einsum("ia,ak->ik", nxi_low, f.phi) - f.g) \
         + 0.5 * (r2 - 1.0) * np.einsum("ia,ak->ik", f.d_eta, f.phi)
@@ -238,14 +237,14 @@ def cone_residuals_at(f: PointFields, r) -> dict:
     return {
         "holomorphic": float(np.max(np.abs(low))),
         "line": {
-            "horizontal_block": np.max(np.abs(hor3)),
-            "radial_second_slot": np.max(np.abs(l2)),
-            "radial_argument": np.max(np.abs(l7)),
-            "radial_direction": np.max(np.abs(l8)),
-            "xi_second_slot": np.max(np.abs(l3)),
-            "xi_argument": np.max(np.abs(l4)),
+            "horizontal_block": float(np.max(np.abs(hor3))),
+            "radial_second_slot": float(np.max(np.abs(l2))),
+            "radial_argument": float(np.max(np.abs(l7))),
+            "radial_direction": float(np.max(np.abs(l8))),
+            "xi_second_slot": float(np.max(np.abs(l3))),
+            "xi_argument": float(np.max(np.abs(l4))),
         },
-        "dj_xi": {"direct_vs_symmetric_reading": np.max(np.abs(direct - closed))},
+        "dj_xi": {"direct_vs_symmetric_reading": float(np.max(np.abs(direct - closed)))},
     }
 
 
