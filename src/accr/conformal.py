@@ -123,15 +123,15 @@ def apply_cct(s: AccrStructure, t: TransformParams) -> AccrStructure:
     result's model is a TransformedModel, which holds s and t.
 
     Lie-group models only admit constant parameters (anything else would
-    silently break left invariance).
+    silently break left invariance).  xi_bar and eta_bar are constants
+    whenever w, xi and eta are, so their frame derivatives are exact zeros.
     """
     if s.model.kind == "lie_group" and not t.is_constant:
         raise NonConstantParams("homogeneous models require constant (u, v, w)")
     model = TransformedModel(s, t)
-    if t.is_constant and not callable(s.xi) and not callable(s.eta):
-        _, _, w = t.at(None)
-        xi_bar = math.exp(-w) * np.asarray(s.xi, dtype=float)
-        eta_bar = math.exp(w) * np.asarray(s.eta, dtype=float)
+    if not (callable(t.w) or callable(s.xi) or callable(s.eta)):
+        xi_bar = math.exp(-float(t.w)) * np.asarray(s.xi, dtype=float)
+        eta_bar = math.exp(float(t.w)) * np.asarray(s.eta, dtype=float)
     else:
         xi_bar = lambda p: math.exp(-t.at(p)[2]) * s.xi_at(p)
         eta_bar = lambda p: math.exp(t.at(p)[2]) * s.eta_at(p)

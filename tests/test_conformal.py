@@ -73,6 +73,17 @@ class TestApplyCct:
         res = validate_structure(PointFields(ts, ORIGIN))
         assert max(res.values()) < 1e-10
 
+    @pytest.mark.parametrize("name", ["ex1_chart", "ex3"])
+    def test_constant_w_keeps_xi_and_eta_constant(self, name, request):
+        # v = 0.1 t is not constant, w is: xi_bar and eta_bar stay constants,
+        # so their frame derivatives are exact zeros, not finite differences
+        cm = request.getfixturevalue(name)
+        ts = apply_cct(cm.structure, TransformParams(u=0.3, v=lambda p: 0.1 * p[0], w=0.0))
+        assert not (callable(ts.xi) or callable(ts.eta))
+        for f in sample_fields(cm, 3, 7):
+            fb = PointFields(ts, f.p)
+            assert np.max(np.abs(fb.deta)) == 0.0 and np.max(np.abs(fb.dxi)) == 0.0
+
     def test_nonconstant_rejected_on_group(self, ex1):
         with pytest.raises(NonConstantParams):
             apply_cct(ex1.structure, TransformParams(u=lambda p: p.sum(), v=0.0, w=0.0))
