@@ -12,15 +12,16 @@ builtin ``verify --points 6``, ``cone`` and ``transform`` with the
 benchmark's three parameter sets, all at ``--seed 7``; ``verify --points 6``
 of the chart examples and the h-sphere extension at parameters other than
 their defaults (``PARAMS``), which rebuild their bases from other complex
-data; ``verify --points 6 --only`` of a per-model family on three models
-(``ONLY``), where no per-point family runs first; ``verify --points 2 --only
-derivatives`` of two charts (``SHORT``), samples shorter than the prefix on
-which the jets are checked; ``verify --points 6`` and
-the ``linear_t`` transform of a coframe chart and of the extension at
+data, and ``cone`` of that extension; ``cone`` and ``verify --only cone`` of
+two group models at n = 4 (``WIDE``), cone dimension 10, the widest the
+benchmark's group sweep runs; ``verify --points 6 --only`` of a per-model
+family on three models (``ONLY``), where no per-point family runs;
+``verify --points 2 --only derivatives`` of two charts (``SHORT``), samples
+shorter than the prefix on which the jets are checked; ``verify --points 6``
+and the ``linear_t`` transform of a coframe chart and of the extension at
 ``--fd-step 2e-3`` (``STEPPED``), so that a change to where the step lives
-shows; and for each model spec
-in ``docs/examples``, at its own sample, ``verify``, ``cone`` and
-``transform`` with the three parameter sets.  A command differs when its JSON
+shows; and for each model spec in ``docs/examples``, at its own sample,
+``verify``, ``cone`` and ``transform`` with the three parameter sets.  A command differs when its JSON
 report, its stdout or its exit code differs.  Every differing command is
 printed, and for a pair of verify reports also the sorted check ids whose
 rows differ, each differing row's max_residual, tolerance and verdict on
@@ -48,6 +49,7 @@ ONLY = (("example2_chart", "cone"), ("example1_chart", "crossrep"),
         ("example3_hsphere_ext", "conformal.eta_fit"))
 SHORT = ("example1_chart", "example3_hsphere_ext")
 STEPPED = ("example1_chart", "example3_hsphere_ext")
+WIDE = (("example1", "n=4"), ("flat_parallel", "n=4"))
 
 
 def commands() -> list:
@@ -60,6 +62,10 @@ def commands() -> list:
         out.extend(["transform", *seeded, "--params", t] for t in TRANSFORMS)
     out.extend(["verify", "-m", name, "--seed", "7", "--points", "6", "--params", params]
                for name, params in PARAMS)
+    out.append(["cone", "-m", PARAMS[2][0], "--seed", "7", "--params", PARAMS[2][1]])
+    for name, params in WIDE:
+        wide = ["-m", name, "--seed", "7", "--params", params]
+        out.extend([["cone", *wide], ["verify", *wide, "--only", "cone"]])
     out.extend(["verify", "-m", name, "--seed", "7", "--points", "6", "--only", only]
                for name, only in ONLY)
     out.extend(["verify", "-m", name, "--seed", "7", "--points", "2", "--only", "derivatives"]
