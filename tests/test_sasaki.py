@@ -11,6 +11,7 @@ from accr.sasaki import (
     check_nabla_phi,
     check_nijenhuis_form,
     cone_holomorphic_residual,
+    cone_residuals_at,
     curvature_identity_residuals,
     require_sasaki_like,
 )
@@ -178,6 +179,22 @@ class TestConeHolomorphicity:
         check = cone_check(flat)
         # the defect is the Sasaki defect of F scaled by r^2 >= 0.25
         assert check["holomorphic"] > 0.1
+
+    @pytest.mark.parametrize("name", ["ex1", "ex1_chart", "flat"])
+    def test_residuals_at_each_cone_point(self, name, request):
+        # 6 cone points over at most 4 sample points (a group model has one):
+        # cone point k lies over sample point k % len(fields)
+        cm = request.getfixturevalue(name)
+        fields = sample_fields(cm, 4, 42)
+        check = cone_holomorphic_residual(fields, 6, 42)
+        radii = ConeModel.radii(6, 42)
+        at = [cone_residuals_at(fields[k % len(fields)], r) for k, r in enumerate(radii)]
+        assert check["holomorphic"] == max(res["holomorphic"] for res in at)
+        for group in ("line", "dj_xi"):
+            assert check[group] == {key: max(res[group][key] for res in at)
+                                    for key in at[0][group]}
+        assert check["per_point"] == [{"r": r, "residual": res["holomorphic"]}
+                                      for r, res in zip(radii, at)]
 
     def test_displayed_connection_lines(self, ex1):
         check = cone_check(ex1)

@@ -260,6 +260,11 @@ class TestCli:
         assert main(["cone", "-m", "example1", "--json", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert payload["models"][0]["holomorphic"] is True
+        # perfbench's cone check reads residual, per_point, holomorphic and
+        # expected_holomorphic
+        assert set(payload["models"][0]) == {
+            "name", "params", "residual", "per_point", "connection_lines", "dj_xi_line",
+            "holomorphic", "expected_holomorphic"}
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["-m", "example1", "--params", "u=0.3,v=0.2,w=0", "--points", "3"],
