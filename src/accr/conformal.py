@@ -87,12 +87,12 @@ class TransformedModel(ManifoldModel):
         s = self.base
         a, b, c = self._coefs(p)
         g = s.model.metric_at(p)
-        eta = s.eta_at(p)
-        return a * g + b * (g @ s.phi_at(p)) + c * np.outer(eta, eta)
+        eta = field_at(s.eta, p)
+        return a * g + b * (g @ field_at(s.phi, p)) + c * np.outer(eta, eta)
 
     def _combine(self, jet, p):
         a, b, _ = self._coefs(p)
-        return a * jet + b * (jet @ self.base.phi_at(p))
+        return a * jet + b * (jet @ field_at(self.base.phi, p))
 
     def metric_derivs_at(self, p):
         if not self.linear:
@@ -114,9 +114,6 @@ class TransformedModel(ManifoldModel):
     def frame_derivative(self, p, fn):
         return self.base.model.frame_derivative(p, fn)
 
-    def sample_points(self, count, seed):
-        return self.base.model.sample_points(count, seed)
-
 
 def apply_cct(s: AccrStructure, t: TransformParams) -> AccrStructure:
     """Apply the contact conformal transformation to an accR structure: the
@@ -133,8 +130,8 @@ def apply_cct(s: AccrStructure, t: TransformParams) -> AccrStructure:
         xi_bar = math.exp(-float(t.w)) * np.asarray(s.xi, dtype=float)
         eta_bar = math.exp(float(t.w)) * np.asarray(s.eta, dtype=float)
     else:
-        xi_bar = lambda p: math.exp(-t.at(p)[2]) * s.xi_at(p)
-        eta_bar = lambda p: math.exp(t.at(p)[2]) * s.eta_at(p)
+        xi_bar = lambda p: math.exp(-t.at(p)[2]) * field_at(s.xi, p)
+        eta_bar = lambda p: math.exp(t.at(p)[2]) * field_at(s.eta, p)
     return AccrStructure(model=model, n=s.n, phi=s.phi, xi=xi_bar, eta=eta_bar)
 
 

@@ -321,7 +321,8 @@ BUILTINS = {
 
 
 # Largest n accepted from outside: curvature arrays grow as (2n + 1)^4, and
-# example1_chart and example3_hsphere_ext at n = 16 verify two points in ~155 MB.
+# `verify --params n=16 --points 2` peaks at 185 MB (example1_chart) and
+# 168 MB (example3_hsphere_ext) of RSS in one process, one BLAS thread.
 MAX_N = 16
 
 
@@ -376,20 +377,20 @@ def cross_representation_check(lie: CorpusModel, chart: CorpusModel, fields) -> 
         if lie.params[key] != chart.params[key]:
             raise ParamMismatch(f"parameter {key}: {lie.params[key]} != {chart.params[key]}")
 
-    c_lie = lie.model.commutators_at(np.zeros(0))
+    lie_f = PointFields(lie.structure, np.zeros(0))
     eps = standard_signature(lie.structure.n)
 
     def at(f):
         th = np.asarray(chart.coframe_fn(f.p), dtype=float)
         assembled = np.einsum("k,km,kn->mn", eps, th, th)
         return {
-            "structure_equations": np.max(np.abs(f.c - c_lie)),
+            "structure_equations": np.max(np.abs(f.c - lie_f.c)),
             "metric_assembly": np.max(np.abs(assembled - chart.coord_metric_fn(f.p))),
         }
 
     out = max_over_points(fields, at)
     defining = lambda fs: worst(max_over_points(fs, check_defining_conditions).values())
-    v_lie = defining([PointFields(lie.structure, np.zeros(0))]) < 1e-9
+    v_lie = defining([lie_f]) < 1e-9
     v_chart = defining(fields[:5]) < 1e-6
     return {
         **out,

@@ -1,10 +1,9 @@
 """Pointwise manifold models.
 
-Every model answers three questions at a point p:
+Every model answers two questions at a point p:
 
 * ``metric_at(p)``        frame components g_ij
 * ``commutators_at(p)``   coefficients c^k_ij with [e_i, e_j] = c^k_ij e_k
-* ``frame_derivative``    directional derivatives e_i(f) of any field
 
 and gives the jets curvature needs in closed form: the frame derivatives
 e_i(g_jk) (``metric_derivs_at``), e_a e_i(g_jk) (``metric_derivs2_at``) and
@@ -13,14 +12,16 @@ homogeneous Lie-group models (constant data, zero jets), chart models
 (coordinate frame or a moving coframe, built from the analytic jets of the
 metric and the coframe), rank-one product extensions over a holomorphic
 complex Riemannian base, and the complex cone, which gives first jets only.
-Finite differences only check the jets and differentiate fields given as
-callables of the point (structure fields, transformation parameters).
+The group and chart models also give ``frame_derivative(p, fn)``, e_i of
+any field fn (zeros on a group, finite differences on a chart), which only
+checks the jets and differentiates fields given as callables of the point
+(structure fields, transformation parameters).
 An extension base is a coordinate chart of dimension 2n in holomorphic
 coordinates w = u + i v, so its complex structure is always multiplication
 by i, the standard J of ``frame_algebra.standard_j``.
-``ConeModel(structure)`` is built from an accR structure alone and carries
-both cone tensors: its metric and, through ``j_at`` and ``j_derivs_at``,
-its complex structure J.
+``ConeModel(f)``, the cone over the point of the base PointFields f,
+carries both cone tensors: its metric and, through ``j_at`` and
+``j_derivs_at``, its complex structure J.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
     SingularCoframe,
 )
 from .frame_algebra import SYM_TOL, MetricMatrix, standard_j
-from .structure import AccrStructure, standard_structure, worst
+from .structure import PointFields, standard_structure, worst
 
 DEFAULT_FD_STEP = 1e-3
 
@@ -466,104 +467,77 @@ def product_extension(base: ChartModel):
 
 
 class ConeModel(ManifoldModel):
-    """Complex cone over an almost contact complex Riemannian manifold.
+    """Complex cone over one point of an almost contact complex Riemannian
+    manifold, built from f, the PointFields of the base structure there.
 
-    Built from the base structure alone, whose model is the base.  Points
-    are (base point coordinates..., r) with r < 0.  The metric is
+    Like a group model it holds one base point: its points are (r,) with
+    r < 0, and its frame is (base frame, d/dr).  The metric is
 
         r^2 (g - eta x eta) + eta x eta - dr^2 / r^2,
 
     the unique (up to a constant) choice compatible with the cone complex
     structure J X = phi X, J xi = r d/dr, J d/dr = -xi / r acting as an
     anti-isometry, and the one consistent with the extension construction.
-    The r-derivatives of the metric and of J are analytic; sample points
-    take r in [-2, -0.5].
+    The base data and their frame derivatives are f's (g, dg, c, phi, xi,
+    eta, dphi, dxi, deta); only the r-dependence is computed, in closed form.
     """
 
     kind = "cone"
 
-    def __init__(self, structure: AccrStructure):
-        self.structure = structure
-        self.base = structure.model
-        self.dim = self.base.dim + 1
+    def __init__(self, f: PointFields):
+        self.f = f
+        self.dim = f.dim + 1
 
     @staticmethod
-    def split(p):
-        return np.asarray(p[:-1], dtype=float), float(p[-1])
-
-    def _check_r(self, r):
+    def _r(p):
+        r = float(p[0])
         if r >= 0:
             raise RNotNegative(f"cone requires r < 0, got {r}")
+        return r
 
     def metric_at(self, p):
-        bp, r = self.split(p)
-        self._check_r(r)
-        d = self.base.dim
-        g = self.base.metric_at(bp)
-        eta = self.structure.eta_at(bp)
+        r, f, d = self._r(p), self.f, self.f.dim
         G = np.zeros((d + 1, d + 1))
-        ee = np.outer(eta, eta)
-        G[:d, :d] = r * r * (g - ee) + ee
+        ee = np.outer(f.eta, f.eta)
+        G[:d, :d] = r * r * (f.g - ee) + ee
         G[d, d] = -1.0 / (r * r)
         return G
 
     def commutators_at(self, p):
-        bp, _ = self.split(p)
-        d = self.base.dim
+        d = self.f.dim
         c = np.zeros((d + 1,) * 3)
-        c[:d, :d, :d] = self.base.commutators_at(bp)
+        c[:d, :d, :d] = self.f.c
         return c
 
     def metric_derivs_at(self, p):
-        bp, r = self.split(p)
-        self._check_r(r)
-        d = self.base.dim
-        g = self.base.metric_at(bp)
-        eta = self.structure.eta_at(bp)
-        ee = np.outer(eta, eta)
-        dg = self.base.metric_derivs_at(bp)
-        deta = self.structure.eta_derivs_at(bp)
-        dee = np.einsum("ij,k->ijk", deta, eta) + np.einsum("j,ik->ijk", eta, deta)
+        r, f, d = self._r(p), self.f, self.f.dim
+        ee = np.outer(f.eta, f.eta)
+        dee = np.einsum("ij,k->ijk", f.deta, f.eta) + np.einsum("j,ik->ijk", f.eta, f.deta)
         D = np.zeros((d + 1, d + 1, d + 1))
-        D[:d, :d, :d] = r * r * (dg - dee) + dee
-        D[d, :d, :d] = 2 * r * (g - ee)
+        D[:d, :d, :d] = r * r * (f.dg - dee) + dee
+        D[d, :d, :d] = 2 * r * (f.g - ee)
         D[d, d, d] = 2.0 / r**3
         return D
 
     def j_at(self, p):
         """The cone complex structure J[k, j] at p."""
-        bp, r = self.split(p)
-        s = self.structure
-        d = self.base.dim
+        r, f, d = self._r(p), self.f, self.f.dim
         J = np.zeros((d + 1, d + 1))
-        J[:d, :d] = s.phi_at(bp)
-        J[d, :d] = r * s.eta_at(bp)
-        J[:d, d] = -s.xi_at(bp) / r
+        J[:d, :d] = f.phi
+        J[d, :d] = r * f.eta
+        J[:d, d] = -f.xi / r
         return J
 
     def j_derivs_at(self, p):
         """D[i, k, j] = e_i(J[k, j]), analytic in r."""
-        bp, r = self.split(p)
-        s = self.structure
-        d = self.base.dim
+        r, f, d = self._r(p), self.f, self.f.dim
         D = np.zeros((d + 1, d + 1, d + 1))
-        D[:d, :d, :d] = s.phi_derivs_at(bp)
-        D[:d, d, :d] = r * s.eta_derivs_at(bp)
-        D[:d, :d, d] = -s.xi_derivs_at(bp) / r
-        D[d, d, :d] = s.eta_at(bp)
-        D[d, :d, d] = s.xi_at(bp) / (r * r)
+        D[:d, :d, :d] = f.dphi
+        D[:d, d, :d] = r * f.deta
+        D[:d, :d, d] = -f.dxi / r
+        D[d, d, :d] = f.eta
+        D[d, :d, d] = f.xi / (r * r)
         return D
-
-    def frame_derivative(self, p, fn):
-        bp, r = self.split(p)
-        radial = lambda rv: fn(np.concatenate([bp, rv]))
-        d_r = coordinate_derivatives(radial, np.array([r]), self.base.fd_step)[0]
-        out = np.zeros((self.dim,) + d_r.shape)
-        if self.base.dim:
-            lifted = lambda q: fn(np.concatenate([q, [r]]))
-            out[: self.base.dim] = self.base.frame_derivative(bp, lifted)
-        out[self.base.dim] = d_r
-        return out
 
     @staticmethod
     def radii(count, seed):
@@ -575,7 +549,3 @@ class ConeModel(ManifoldModel):
     def cone_points(cls, base, count, seed):
         """(base[k % len(base)], r) of cone point k < count, r = radii(count, seed)[k]."""
         return [(base[k % len(base)], r) for k, r in enumerate(cls.radii(count, seed))]
-
-    def sample_points(self, count, seed):
-        return [np.concatenate([q, [r]])
-                for q, r in self.cone_points(self.base.sample_points(count, seed), count, seed)]

@@ -10,9 +10,10 @@ Nhat = -4 (gtilde - eta x eta) (x) xi.  A third, geometric route: the
 complex cone must carry a parallel complex structure.  All three are
 evaluated here as residuals, along with the curvature identities and the
 Gauss comparison that follow.  Every residual function reads the
-PointFields of its point; cone_residuals_at reads it at one cone point
-(f.p, r), and cone_holomorphic_residual maximises those over the cone
-points, as the cone rows of verify and the cone command report them.
+PointFields of its point; cone_residuals_at solves ConeModel(f), the cone
+over f.p, at its point (r,), and cone_holomorphic_residual maximises those
+over the cone points, as the cone rows of verify and the cone command
+report them.
 """
 
 from __future__ import annotations
@@ -192,15 +193,15 @@ def second_fundamental_form_residual(f: PointFields) -> float:
 
 
 def cone_residuals_at(f: PointFields, r) -> dict:
-    """Residuals of the complex cone at the cone point (f.p, r):
+    """Residuals of the complex cone over f.p, ConeModel(f), at its point (r,):
     "holomorphic", max |g_cone((nabla J) y, z)| over frame triples, and the
     closed-form cone connection components ("line", e.g.
     g_cone(nabla_X Y, d/dr) = -r g(X, Y) and g_cone(nabla_X d/dr, Z)
     = r g(X, Z) on horizontal arguments) and (nabla_X J) xi ("dj_xi"),
     each against the Koszul solution on the cone."""
-    cone = ConeModel(f.s)
+    cone = ConeModel(f)
     d = f.dim
-    p = np.concatenate([f.p, [r]])
+    p = np.array([r])
     gamma = levi_civita(cone, p).gamma
     G = cone.metric_at(p)
     nj = covariant_derivative(gamma, cone.j_at(p), cone.j_derivs_at(p))

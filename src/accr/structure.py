@@ -97,24 +97,6 @@ class AccrStructure:
     def dim(self):
         return self.model.dim
 
-    def phi_at(self, p):
-        return field_at(self.phi, p)
-
-    def xi_at(self, p):
-        return field_at(self.xi, p)
-
-    def eta_at(self, p):
-        return field_at(self.eta, p)
-
-    def phi_derivs_at(self, p):
-        return field_derivs_at(self.phi, self.model, p)
-
-    def xi_derivs_at(self, p):
-        return field_derivs_at(self.xi, self.model, p)
-
-    def eta_derivs_at(self, p):
-        return field_derivs_at(self.eta, self.model, p)
-
 
 def standard_structure(model, n) -> AccrStructure:
     """The adapted structure in a frame (xi, e_1..e_n, phi e_1..phi e_n)."""
@@ -160,27 +142,27 @@ class PointFields:
 
     @cached_property
     def phi(self):
-        return self.s.phi_at(self.p)
+        return field_at(self.s.phi, self.p)
 
     @cached_property
     def dphi(self):
-        return self.s.phi_derivs_at(self.p)
+        return field_derivs_at(self.s.phi, self.s.model, self.p)
 
     @cached_property
     def xi(self):
-        return self.s.xi_at(self.p)
+        return field_at(self.s.xi, self.p)
 
     @cached_property
     def dxi(self):
-        return self.s.xi_derivs_at(self.p)
+        return field_derivs_at(self.s.xi, self.s.model, self.p)
 
     @cached_property
     def eta(self):
-        return self.s.eta_at(self.p)
+        return field_at(self.s.eta, self.p)
 
     @cached_property
     def deta(self):
-        return self.s.eta_derivs_at(self.p)
+        return field_derivs_at(self.s.eta, self.s.model, self.p)
 
     @cached_property
     def gtilde(self):

@@ -21,6 +21,7 @@ from accr.conformal import (
 from accr.connection import levi_civita, riemann
 from accr.corpus import default_corpus, example3_hsphere_ext
 from accr.errors import NonConstantParams, NotSasakiLike
+from accr.models import LieGroupModel
 from accr.sasaki import check_defining_conditions, require_sasaki_like
 from accr.structure import PointFields, max_over_points, validate_structure
 from accr.verify import HOMOTHETY, run_all
@@ -49,8 +50,8 @@ class TestApplyCct:
     def test_identity(self, ex1):
         ts = apply_cct(ex1.structure, TransformParams(0.0, 0.0, 0.0))
         assert np.max(np.abs(ts.model.metric_at(ORIGIN) - ex1.model.metric_at(ORIGIN))) == 0.0
-        assert np.max(np.abs(ts.xi_at(ORIGIN) - ex1.structure.xi_at(ORIGIN))) == 0.0
-        assert np.max(np.abs(ts.eta_at(ORIGIN) - ex1.structure.eta_at(ORIGIN))) == 0.0
+        assert np.max(np.abs(ts.xi - ex1.structure.xi)) == 0.0
+        assert np.max(np.abs(ts.eta - ex1.structure.eta)) == 0.0
 
     def test_pure_scaling(self, ex1):
         ts = apply_cct(ex1.structure, TransformParams(math.log(2.0), 0.0, 0.0))
@@ -343,6 +344,23 @@ class TestSolveCounts:
     def test_cone_solves_each_base_point_once(self, argv, cone_points, monkeypatch, capsys):
         # one solve per cone point, and one for the group's single base point
         assert self.solves(monkeypatch, argv) == (cone_points + 1, 0)
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "-m", "example1", "--only", "cone"],
+        ["cone", "-m", "example1"],
+    ])
+    def test_cone_reads_its_base_point_once(self, argv, monkeypatch, capsys):
+        # every cone point reads g, dg and c from the base point's PointFields;
+        # the base point's own Koszul solve reads them once more
+        reads = dict.fromkeys(("metric_at", "metric_derivs_at", "commutators_at"), 0)
+        for name in reads:
+            def counted(model, p, name=name, method=getattr(LieGroupModel, name)):
+                reads[name] += 1
+                return method(model, p)
+
+            monkeypatch.setattr(LieGroupModel, name, counted)
+        assert main(argv) == 0
+        assert all(0 < calls <= 2 for calls in reads.values()), reads
 
     def test_default_corpus_budget(self, monkeypatch):
         """The counts of one pass over the default corpus do not depend on the

@@ -145,7 +145,7 @@ class TestRiemann:
 
         cm = example1(n=n)
         bundle = PointFields(cm.structure, ORIGIN).curvature
-        xi = cm.structure.xi_at(ORIGIN)
+        xi = cm.structure.xi
         assert xi @ bundle.ric @ xi == pytest.approx(2.0 * n, abs=1e-12)
 
     def test_matches_loop_reference(self, ex2_generic):

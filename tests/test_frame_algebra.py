@@ -49,8 +49,8 @@ class TestMetricInverse:
     def test_transformed_metric_of_example1(self, ex1):
         # g_bar = c g + d g(., phi .) + (1 - c) eta x eta with c = 2, d = 1
         g = ex1.model.metric_at(ORIGIN)
-        phi = ex1.structure.phi_at(ORIGIN)
-        eta = ex1.structure.eta_at(ORIGIN)
+        phi = ex1.structure.phi
+        eta = ex1.structure.eta
         gbar = 2.0 * g + g @ phi - np.outer(eta, eta)
         inv = MetricMatrix(gbar).inverse
         assert np.max(np.abs(inv @ gbar - np.eye(3))) < 1e-9

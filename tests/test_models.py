@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from accr.conformal import TransformParams, apply_cct
-from accr.connection import holomorphy_residual, levi_civita
+from accr.connection import holomorphy_residual
 from accr.corpus import (
     CorpusModel,
     builtin,
@@ -31,7 +33,7 @@ from accr.models import (
 )
 from accr.structure import AccrStructure, PointFields
 from accr.verify import VerifyConfig, run_model_checks
-from tests.conftest import ORIGIN
+from tests.conftest import ORIGIN, sample_fields
 
 # complex symmetric S_k with S_k[i, j] = LINEAR[k, i, j]: the coefficients of
 # a holomorphic metric I + sum_k w^k S_k on C^2
@@ -235,7 +237,7 @@ class TestProductExtension:
 
     def test_structure_identities_exact(self):
         _, s = product_extension(flat_norden_base(np.eye(2)))
-        phi, xi, eta = s.phi_at(ORIGIN), s.xi_at(ORIGIN), s.eta_at(ORIGIN)
+        phi, xi, eta = s.phi, s.xi, s.eta
         assert eta @ xi == 1.0
         assert np.max(np.abs(phi @ xi)) == 0.0
         assert np.max(np.abs(eta @ phi)) == 0.0
@@ -303,15 +305,31 @@ class TestProductExtension:
             product_extension(chart)
 
 
+def cones(cm, count, seed):
+    """(ConeModel(f), (r,)) at the count cone points of cm's sample, as the
+    cone family places them."""
+    fields = sample_fields(cm, count, seed)
+    return [(ConeModel(f), np.array([r])) for f, r in ConeModel.cone_points(fields, count, seed)]
+
+
+def cone_frame_derivative(cone, p, fn):
+    """e_i(fn(cone, p)) by finite differences at the base model's step: the
+    base model's frame_derivative of fn on the cones over neighbouring base
+    points, and coordinate_derivatives along r."""
+    s, bp = cone.f.s, cone.f.p
+    along_base = s.model.frame_derivative(bp, lambda q: fn(ConeModel(PointFields(s, q)), p))
+    along_r = coordinate_derivatives(lambda q: fn(cone, q), p, s.model.fd_step)
+    return np.concatenate([along_base, along_r])
+
+
 class TestConeModel:
     def test_jcheck_squares_to_minus_id(self, ex1):
-        cone = ConeModel(ex1.structure)
-        for p in cone.sample_points(5, 2):
+        for cone, p in cones(ex1, 5, 2):
             J = cone.j_at(p)
             assert np.max(np.abs(J @ J + np.eye(4))) < 1e-12
 
     def test_metric_values_at_minus_one(self, ex1):
-        cone = ConeModel(ex1.structure)
+        cone = ConeModel(PointFields(ex1.structure, ORIGIN))
         G = cone.metric_at(np.array([-1.0]))
         g = ex1.model.metric_at(ORIGIN)
         # horizontal block matches r^2 g = g, radial component is -1/r^2 = -1
@@ -322,19 +340,18 @@ class TestConeModel:
         assert G[0, 0] == pytest.approx(1.0)
 
     def test_anti_isometry(self, ex1):
-        cone = ConeModel(ex1.structure)
-        for p in cone.sample_points(4, 9):
+        for cone, p in cones(ex1, 4, 9):
             G = cone.metric_at(p)
             J = cone.j_at(p)
             assert np.max(np.abs(J.T @ G @ J + G)) < 1e-12
 
     def test_rejects_nonnegative_r(self, ex1):
-        cone = ConeModel(ex1.structure)
+        cone = ConeModel(PointFields(ex1.structure, ORIGIN))
         with pytest.raises(RNotNegative):
             cone.metric_at(np.array([0.5]))
 
     def test_analytic_r_derivative(self, ex1):
-        cone = ConeModel(ex1.structure)
+        cone = ConeModel(PointFields(ex1.structure, ORIGIN))
         p = np.array([-1.3])
         dg = cone.metric_derivs_at(p)
         fd = coordinate_derivatives(cone.metric_at, p, 1e-4)
@@ -344,56 +361,31 @@ class TestConeModel:
 
     @pytest.mark.parametrize("name", ["example1", "example1_chart", "example3_hsphere_ext"])
     def test_analytic_j_derivatives(self, name):
-        cone = ConeModel(builtin(name).structure)
-        for p in cone.sample_points(4, 5):
-            fd = cone.frame_derivative(p, cone.j_at)
+        for cone, p in cones(builtin(name), 4, 5):
+            fd = cone_frame_derivative(cone, p, ConeModel.j_at)
             assert np.max(np.abs(cone.j_derivs_at(p) - fd)) < 1e-9
+
+    @pytest.mark.parametrize("name", ["example1_chart", "example3_hsphere_ext"])
+    def test_analytic_metric_derivatives(self, name):
+        # the base rows come from the base point's dg and deta
+        for cone, p in cones(builtin(name), 4, 5):
+            fd = cone_frame_derivative(cone, p, ConeModel.metric_at)
+            assert np.max(np.abs(cone.metric_derivs_at(p) - fd)) < 1e-9
 
     def test_analytic_j_derivatives_over_moving_structure(self):
         # w depends on t, so eta and xi of the transformed structure move
         # and the base rows of the J derivatives are not zero
         t = TransformParams(w=lambda p: 0.2 * p[0])
-        cone = ConeModel(apply_cct(example1_chart(1).structure, t))
-        for p in cone.sample_points(4, 5):
+        chart = example1_chart(1)
+        for cone, p in cones(replace(chart, structure=apply_cct(chart.structure, t)), 4, 5):
             dj = cone.j_derivs_at(p)
             assert np.max(np.abs(dj[:-1])) > 0.1
-            assert np.max(np.abs(dj - cone.frame_derivative(p, cone.j_at))) < 1e-9
+            assert np.max(np.abs(dj - cone_frame_derivative(cone, p, ConeModel.j_at))) < 1e-9
 
     def test_sample_includes_r_minus_one(self, ex1):
-        cone = ConeModel(ex1.structure)
-        pts = cone.sample_points(6, 42)
+        pts = [p for _, p in cones(ex1, 6, 42)]
         assert any(abs(p[-1] + 1.0) < 1e-15 for p in pts)
         assert all(-2.0 <= p[-1] <= -0.5 for p in pts)
-
-    def test_reads_the_step_of_its_base(self):
-        # the step is set on the chart after the cone over it is built
-        cm = example1_chart(n=1)
-        cone = ConeModel(cm.structure)
-        p = cone.sample_points(2, 3)[1]
-        default = cone.frame_derivative(p, cone.metric_at)
-        cm.model.fd_step = 2e-3
-        late = cone.frame_derivative(p, cone.metric_at)
-
-        ref = example1_chart(n=1)
-        ref.model.fd_step = 2e-3
-        ref_cone = ConeModel(ref.structure)
-        assert np.array_equal(late, ref_cone.frame_derivative(p, ref_cone.metric_at))
-        assert not np.array_equal(late[-1], default[-1])
-
-    @pytest.mark.parametrize("name, calls", [("example1", 5), ("example1_chart", 16)])
-    def test_frame_derivative_field_calls(self, name, calls):
-        # the radial stencil's 4 calls, plus the group base's shape probe
-        # or the chart base's 12-point stencil
-        cone = ConeModel(builtin(name).structure)
-        p = cone.sample_points(2, 3)[1]
-        seen = []
-
-        def gamma(q):
-            seen.append(q)
-            return levi_civita(cone, q).gamma
-
-        cone.frame_derivative(p, gamma)
-        assert len(seen) == calls
 
 
 class TestHolomorphicBase:

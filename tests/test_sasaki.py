@@ -204,7 +204,7 @@ class TestConeHolomorphicity:
         # g_cone(nabla_X d/dr, Z) = r g(X, Z) evaluated at r = -1.5
         from accr.connection import levi_civita
 
-        cone = ConeModel(ex1.structure)
+        cone = ConeModel(PointFields(ex1.structure, ORIGIN))
         p = np.array([-1.5])
         gamma = levi_civita(cone, p).gamma
         G = cone.metric_at(p)
@@ -228,7 +228,7 @@ class TestConeHolomorphicity:
 
         def perturbed(self, p):
             D = derivs(self, p)
-            d = self.base.dim
+            d = self.dim - 1
             D[d, :d, :d] *= 1.01
             return D
 

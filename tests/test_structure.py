@@ -27,7 +27,7 @@ def coordinate_frame_realization(n=1):
     model = chart_model(d, example1_chart(n).coord_metric_fn, ranges=[(-0.9, 0.9)] * d,
                         metric_derivs=jets.metric_derivs_at, metric_derivs2=jets.metric_derivs2_at)
     frame_structure = standard_structure(model, n)
-    phi_f = frame_structure.phi_at(ORIGIN)
+    phi_f = frame_structure.phi
 
     def phi(x):
         th = coframe(x)
@@ -46,11 +46,10 @@ class TestValidateStructure:
         assert max(res.values()) == 0.0
 
     def test_perturbed_phi_detected(self, ex1):
-        phi = ex1.structure.phi_at(ORIGIN).copy()
+        phi = ex1.structure.phi.copy()
         phi[1, 1] += 1e-3
         broken = AccrStructure(model=ex1.model, n=1, phi=phi,
-                               xi=ex1.structure.xi_at(ORIGIN),
-                               eta=ex1.structure.eta_at(ORIGIN))
+                               xi=ex1.structure.xi, eta=ex1.structure.eta)
         res = validate_structure(PointFields(broken, ORIGIN))
         assert 1e-4 < res["phi_squared"] < 1e-2
 
