@@ -349,7 +349,7 @@ class TestSolveCounts:
         ["verify", "-m", "example1", "--only", "cone"],
         ["cone", "-m", "example1"],
     ])
-    def test_cone_reads_its_base_point_once(self, argv, monkeypatch, capsys):
+    def test_cone_reads_the_base_from_point_fields(self, argv, monkeypatch, capsys):
         # every cone point reads g, dg and c from the base point's PointFields;
         # the base point's own Koszul solve reads them once more
         reads = dict.fromkeys(("metric_at", "metric_derivs_at", "commutators_at"), 0)
