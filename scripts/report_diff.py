@@ -20,9 +20,12 @@ family on three models (``ONLY``), where no per-point family runs;
 shorter than the prefix on which the jets are checked; ``verify --points 6``
 and the ``linear_t`` transform of a coframe chart and of the extension at
 ``--fd-step 2e-3`` (``STEPPED``), so that a change to where the step lives
-shows; and for each model spec in ``docs/examples``, at its own sample,
-``verify``, ``cone`` and ``transform`` with the three parameter sets.  A command differs when its JSON
-report, its stdout or its exit code differs.  Every differing command is
+shows; ``transform --params w=linear_t:0.1`` of the same two (``MOVING``),
+the only commands whose xi_bar and eta_bar are callables of the point, so
+that the dw and d eta_bar terms show; and for each model spec in
+``docs/examples``, at its own sample, ``verify``, ``cone`` and ``transform``
+with the three parameter sets.  A command differs when its JSON report, its
+stdout or its exit code differs.  Every differing command is
 printed, and for a pair of verify reports also the sorted check ids whose
 rows differ, each differing row's max_residual, tolerance and verdict on
 both sides, and both summaries; the exit code is 1 if any differs, else 0.
@@ -49,6 +52,7 @@ ONLY = (("example2_chart", "cone"), ("example1_chart", "crossrep"),
         ("example3_hsphere_ext", "conformal.eta_fit"))
 SHORT = ("example1_chart", "example3_hsphere_ext")
 STEPPED = ("example1_chart", "example3_hsphere_ext")
+MOVING = ("example1_chart", "example3_hsphere_ext")
 WIDE = (("example1", "n=4"), ("flat_parallel", "n=4"))
 
 
@@ -74,6 +78,8 @@ def commands() -> list:
         stepped = ["-m", name, "--seed", "7", "--fd-step", "2e-3"]
         out.extend([["verify", *stepped, "--points", "6"],
                     ["transform", *stepped, "--params", TRANSFORMS[2]]])
+    out.extend(["transform", "-m", name, "--seed", "7", "--params", "w=linear_t:0.1"]
+               for name in MOVING)
     for spec in sorted((ROOT / "docs" / "examples").glob("*.json")):
         ref = ["-m", f"docs/examples/{spec.name}"]
         out.extend([["verify", *ref], ["cone", *ref]])

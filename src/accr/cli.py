@@ -181,8 +181,7 @@ def cmd_transform(args) -> int:
     def fill(cm, entry):
         fields = [PointFields(cm.structure, p) for p in sample(cm, cfg)[0]]
         sas.require_sasaki_like(fields[0])
-        ts = conf.apply_cct(cm.structure, t)
-        pairs = [(f, PointFields(ts, f.p)) for f in fields]
+        pairs = [(f, conf.apply_cct(f, t)) for f in fields]
         entry.update(max_over_points(pairs, lambda fs: {
             "preservation": conf.preservation_at(*fs, t),
             "transformed_defining": sas.check_defining_conditions(fs[1])}))

@@ -11,9 +11,9 @@ the parameters are constant it is called contact homothetic.  This module
 applies the transformation, expresses the Sasaki-like preservation
 conditions as residuals, and verifies the closed-form transformation laws
 of the connection, curvature, Ricci and scalar curvatures against direct
-recomputation on the transformed metric.  The transformed structure at a
-point is PointFields(apply_cct(s, t), p): the functions here take it next
-to the base's PointFields at the same point.
+recomputation on the transformed metric.  The transformed structure lives
+over one point: apply_cct(f, t) gives its PointFields at f.p from f, the
+base's PointFields there, and the functions here take the two side by side.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,77 +63,79 @@ class TransformParams:
 
 
 class TransformedModel(ManifoldModel):
-    """Same frame and brackets as the base model, metric replaced by g_bar.
-
-    With constant (u, v, w), phi and eta, g_bar = a g + b g phi + c eta (x) eta
-    with constant a, b, c, so its frame derivatives are a dg + b dg phi and
-    a d^2 g + b d^2 g phi.  Otherwise dg_bar is taken by finite differences
-    of g_bar, and d^2 g_bar, so curvature, is NonConstantParams.
+    """The base model over the one point of f, the base structure's
+    PointFields, with its metric replaced by g_bar = a g + b g phi + c eta (x)
+    eta, a = e^{2u} cos 2v, b = e^{2u} sin 2v and c = e^{2w} - a, from f's g,
+    phi and eta; its frame and brackets (f.c) are the base's.  Like ConeModel
+    it answers for f.p at any point.  dg_bar is the product rule over f's dg,
+    dphi and deta and the differentials of (u, v, w), taken once.  d^2 g_bar
+    = a d^2 g + b d^2 g phi reads the base model's at f.p for that call only,
+    and needs constant (u, v, w), phi and eta (else NonConstantParams).
     """
 
-    def __init__(self, base_structure: AccrStructure, params: TransformParams):
-        self.base = base_structure
-        self.params = params
-        self.dim = base_structure.dim
-        self.kind = base_structure.model.kind
-        self.linear = (params.is_constant and not callable(base_structure.phi)
-                       and not callable(base_structure.eta))
+    def __init__(self, f: PointFields, params: TransformParams):
+        self.f, self.params, self.dim, self.kind = f, params, f.dim, f.s.model.kind
 
-    def _coefs(self, p):
-        u, v, w = self.params.at(p)
-        a = math.exp(2 * u) * math.cos(2 * v)
-        return a, math.exp(2 * u) * math.sin(2 * v), math.exp(2 * w) - a
+    @cached_property
+    def _coefs(self):
+        """((a, b, c), (da, db, dc)) at f.p."""
+        f = self.f
+        u, v, w = self.params.at(f.p)
+        du, dv, dw = self.params.differentials_at(f.s.model, f.p)
+        e2u, e2w = math.exp(2 * u), math.exp(2 * w)
+        a, b = e2u * math.cos(2 * v), e2u * math.sin(2 * v)
+        da = 2 * (a * du - b * dv)
+        return (a, b, e2w - a), (da, 2 * (b * du + a * dv), 2 * e2w * dw - da)
 
     def metric_at(self, p):
-        s = self.base
-        a, b, c = self._coefs(p)
-        g = s.model.metric_at(p)
-        eta = field_at(s.eta, p)
-        return a * g + b * (g @ field_at(s.phi, p)) + c * np.outer(eta, eta)
-
-    def _combine(self, jet, p):
-        a, b, _ = self._coefs(p)
-        return a * jet + b * (jet @ field_at(self.base.phi, p))
+        f, (a, b, c) = self.f, self._coefs[0]
+        return a * f.g + b * (f.g @ f.phi) + c * np.outer(f.eta, f.eta)
 
     def metric_derivs_at(self, p):
-        if not self.linear:
-            return super().metric_derivs_at(p)
-        return self._combine(self.base.model.metric_derivs_at(p), p)
+        f, ((a, b, c), (da, db, dc)) = self.f, self._coefs
+        dee = np.einsum("ij,k->ijk", f.deta, f.eta)
+        return (a * f.dg + b * (f.dg @ f.phi + f.g @ f.dphi) + c * (dee + dee.swapaxes(1, 2))
+                + np.multiply.outer(da, f.g) + np.multiply.outer(db, f.g @ f.phi)
+                + np.multiply.outer(dc, np.outer(f.eta, f.eta)))
 
     def metric_derivs2_at(self, p):
-        if not self.linear:
+        s, (a, b, _) = self.f.s, self._coefs[0]
+        if not self.params.is_constant or callable(s.phi) or callable(s.eta):
             raise NonConstantParams(
                 "curvature of a transformed model needs constant (u, v, w), phi and eta")
-        return self._combine(self.base.model.metric_derivs2_at(p), p)
+        jet = s.model.metric_derivs2_at(self.f.p)
+        return a * jet + b * (jet @ self.f.phi)
 
     def commutators_at(self, p):
-        return self.base.model.commutators_at(p)
+        return self.f.c
 
     def commutator_derivs_at(self, p):
-        return self.base.model.commutator_derivs_at(p)
+        return self.f.s.model.commutator_derivs_at(self.f.p)
 
     def frame_derivative(self, p, fn):
-        return self.base.model.frame_derivative(p, fn)
+        return self.f.s.model.frame_derivative(p, fn)
 
 
-def apply_cct(s: AccrStructure, t: TransformParams) -> AccrStructure:
-    """Apply the contact conformal transformation to an accR structure: the
-    result's model is a TransformedModel, which holds s and t.
+def apply_cct(f: PointFields, t: TransformParams) -> PointFields:
+    """The PointFields at f.p of the contact conformal transformation by t of
+    the structure f holds: its model is TransformedModel(f, t), phi is the
+    base's, xi_bar = e^{-w} xi and eta_bar = e^w eta.
 
     Lie-group models only admit constant parameters (anything else would
     silently break left invariance).  xi_bar and eta_bar are constants
     whenever w, xi and eta are, so their frame derivatives are exact zeros.
     """
+    s = f.s
     if s.model.kind == "lie_group" and not t.is_constant:
         raise NonConstantParams("homogeneous models require constant (u, v, w)")
-    model = TransformedModel(s, t)
     if not (callable(t.w) or callable(s.xi) or callable(s.eta)):
         xi_bar = math.exp(-float(t.w)) * np.asarray(s.xi, dtype=float)
         eta_bar = math.exp(float(t.w)) * np.asarray(s.eta, dtype=float)
     else:
         xi_bar = lambda p: math.exp(-t.at(p)[2]) * field_at(s.xi, p)
         eta_bar = lambda p: math.exp(t.at(p)[2]) * field_at(s.eta, p)
-    return AccrStructure(model=model, n=s.n, phi=s.phi, xi=xi_bar, eta=eta_bar)
+    return PointFields(AccrStructure(model=TransformedModel(f, t), n=s.n, phi=s.phi,
+                                     xi=xi_bar, eta=eta_bar), f.p)
 
 
 def preservation_at(f: PointFields, fb: PointFields, t: TransformParams) -> dict:
@@ -314,7 +317,7 @@ def eta_complex_einstein_check(fields, tol=1e-8) -> EinsteinFit:
     classification: "einstein" ((c,d) = (1,0)), "eta_einstein" (d = 0),
     "eta_complex_einstein", or "none" when no constants fit.
     """
-    s, n = fields[0].s, fields[0].s.n
+    n = fields[0].s.n
     require_sasaki_like(fields[0])
     ees = [np.outer(f.eta, f.eta) for f in fields]
     design = np.vstack([np.stack([(f.g - ee).ravel(), (f.g @ f.phi).ravel()], axis=1)
@@ -346,9 +349,9 @@ def eta_complex_einstein_check(fields, tol=1e-8) -> EinsteinFit:
     if cls != "none" and c is not None:
         cd2 = c * c + d * d
         to_einstein = {"u": -0.25 * math.log(cd2), "v": -0.5 * math.atan2(d, c), "w": 0.0}
-        ts = apply_cct(s, TransformParams(**to_einstein))
-        einstein_residual = max_over_points(fields, lambda f: {"ric": np.max(
-            np.abs(f.curvature.ric - 2.0 * n * ts.model.metric_at(f.p)))})["ric"]
+        t = TransformParams(**to_einstein)
+        einstein_residual = max_over_points(fields, lambda f: {"ric": np.max(np.abs(
+            f.curvature.ric - 2.0 * n * TransformedModel(f, t).metric_at(f.p)))})["ric"]
 
     return EinsteinFit(alpha=alpha, beta=beta, residual=residual, c=c, d=d,
                        classification=cls, to_einstein=to_einstein,

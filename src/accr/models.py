@@ -21,7 +21,8 @@ coordinates w = u + i v, so its complex structure is always multiplication
 by i, the standard J of ``frame_algebra.standard_j``.
 ``ConeModel(f)``, the cone over the point of the base PointFields f,
 carries both cone tensors: its metric and, through ``j_at`` and
-``j_derivs_at``, its complex structure J.
+``j_derivs_at``, its complex structure J; ``conformal.TransformedModel(f,
+t)``, the transformed metric over that point, is built the same way.
 """
 
 from __future__ import annotations
@@ -135,8 +136,8 @@ class ManifoldModel:
         raise NotImplementedError
 
     def metric_derivs_at(self, p) -> np.ndarray:
-        """D[i,j,k] = e_i(g_jk); overridden where closed forms exist."""
-        return self.frame_derivative(p, self.metric_at)
+        """D[i,j,k] = e_i(g_jk), in closed form."""
+        raise NotImplementedError
 
     def metric_derivs2_at(self, p) -> np.ndarray:
         """D2[a,i,j,k] = e_a(e_i(g_jk)), in closed form."""

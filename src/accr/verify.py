@@ -217,22 +217,17 @@ def each(fn):
         fields, lambda f: {"out": fn(cm, f)})["out"]
 
 
-def _bar(f, t):
-    """The PointFields of the transformed structure apply_cct(f.s, t) at f.p."""
-    return PointFields(conf.apply_cct(f.s, t), f.p)
-
-
 def _conformal(cm, f):
     """Preservation under HOMOTHETY, its designed breaking under BREAKING and
     the homothetic laws, read from preservation's fields."""
-    fb = _bar(f, HOMOTHETY)
+    fb = conf.apply_cct(f, HOMOTHETY)
     laws = conf.homothetic_laws(f, fb, HOMOTHETY)
+    broken = conf.preservation_at(f, conf.apply_cct(f, BREAKING), BREAKING)
     return {
         "preserve": {**conf.preservation_at(f, fb, HOMOTHETY),
                      "transformed_defining": worst(sas.check_defining_conditions(fb).values()),
                      "transformed_axioms": worst(validate_structure(fb).values())},
-        "break": {k: v for k, v in conf.preservation_at(f, _bar(f, BREAKING), BREAKING).items()
-                  if k in ("du_phi_plus_dv", "f_bar_direct")},
+        "break": {k: v for k, v in broken.items() if k in ("du_phi_plus_dv", "f_bar_direct")},
         "homothetic": {k: v for k, v in laws.items() if not k.endswith("_bar")},
     }
 

@@ -19,26 +19,25 @@ from accr.conformal import (
     preservation_at,
 )
 from accr.connection import levi_civita, riemann
-from accr.corpus import default_corpus, example3_hsphere_ext
+from accr.corpus import builtin, default_corpus, example3_hsphere_ext
 from accr.errors import NonConstantParams, NotSasakiLike
-from accr.models import LieGroupModel
+from accr.models import ChartModel, LieGroupModel
 from accr.sasaki import check_defining_conditions, require_sasaki_like
-from accr.structure import PointFields, max_over_points, validate_structure
-from accr.verify import HOMOTHETY, run_all
+from accr.structure import AccrStructure, PointFields, max_over_points, validate_structure
+from accr.verify import BREAKING, HOMOTHETY, run_all
 from tests.conftest import ORIGIN, sample_fields
 
 
 def pairs(s, t, points):
-    """The (base, transformed) PointFields of s and apply_cct(s, t) at each
+    """The (base, transformed) PointFields (f, apply_cct(f, t)) of s at each
     point; the base must be Sasaki-like at the first (else NotSasakiLike)."""
     fields = [PointFields(s, p) for p in points]
     require_sasaki_like(fields[0])
-    ts = apply_cct(s, t)
-    return [(f, PointFields(ts, f.p)) for f in fields]
+    return [(f, apply_cct(f, t)) for f in fields]
 
 
 def pair(s, t, p=ORIGIN):
-    """The (base, transformed) PointFields of s and apply_cct(s, t) at p."""
+    """The (base, transformed) PointFields of s at p."""
     return pairs(s, t, [p])[0]
 
 
@@ -48,21 +47,21 @@ def preservation(s, t, points):
 
 class TestApplyCct:
     def test_identity(self, ex1):
-        ts = apply_cct(ex1.structure, TransformParams(0.0, 0.0, 0.0))
-        assert np.max(np.abs(ts.model.metric_at(ORIGIN) - ex1.model.metric_at(ORIGIN))) == 0.0
-        assert np.max(np.abs(ts.xi - ex1.structure.xi)) == 0.0
-        assert np.max(np.abs(ts.eta - ex1.structure.eta)) == 0.0
+        fb = apply_cct(PointFields(ex1.structure, ORIGIN), TransformParams(0.0, 0.0, 0.0))
+        assert np.max(np.abs(fb.g - ex1.model.metric_at(ORIGIN))) == 0.0
+        assert np.max(np.abs(fb.xi - ex1.structure.xi)) == 0.0
+        assert np.max(np.abs(fb.eta - ex1.structure.eta)) == 0.0
 
     def test_pure_scaling(self, ex1):
-        ts = apply_cct(ex1.structure, TransformParams(math.log(2.0), 0.0, 0.0))
-        gbar = ts.model.metric_at(ORIGIN)
+        gbar = apply_cct(PointFields(ex1.structure, ORIGIN),
+                         TransformParams(math.log(2.0), 0.0, 0.0)).g
         assert gbar[1, 1] == pytest.approx(4.0)
         assert gbar[0, 0] == pytest.approx(1.0)
 
     def test_quarter_turn_recovers_gtilde(self, ex1):
-        ts = apply_cct(ex1.structure, TransformParams(0.0, math.pi / 4, 0.0))
-        gbar = ts.model.metric_at(ORIGIN)
-        assert np.max(np.abs(gbar - PointFields(ex1.structure, ORIGIN).gtilde)) < 1e-12
+        f = PointFields(ex1.structure, ORIGIN)
+        gbar = apply_cct(f, TransformParams(0.0, math.pi / 4, 0.0)).g
+        assert np.max(np.abs(gbar - f.gtilde)) < 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(st.floats(-1.0, 1.0), st.floats(-1.5, 1.5), st.floats(-1.0, 1.0))
@@ -70,8 +69,7 @@ class TestApplyCct:
         from accr.corpus import example1
 
         s = example1(n=1).structure
-        ts = apply_cct(s, TransformParams(u, v, w))
-        res = validate_structure(PointFields(ts, ORIGIN))
+        res = validate_structure(apply_cct(PointFields(s, ORIGIN), TransformParams(u, v, w)))
         assert max(res.values()) < 1e-10
 
     @pytest.mark.parametrize("name", ["ex1_chart", "ex3"])
@@ -79,15 +77,59 @@ class TestApplyCct:
         # v = 0.1 t is not constant, w is: xi_bar and eta_bar stay constants,
         # so their frame derivatives are exact zeros, not finite differences
         cm = request.getfixturevalue(name)
-        ts = apply_cct(cm.structure, TransformParams(u=0.3, v=lambda p: 0.1 * p[0], w=0.0))
-        assert not (callable(ts.xi) or callable(ts.eta))
+        t = TransformParams(u=0.3, v=lambda p: 0.1 * p[0], w=0.0)
         for f in sample_fields(cm, 3, 7):
-            fb = PointFields(ts, f.p)
+            fb = apply_cct(f, t)
+            assert not (callable(fb.s.xi) or callable(fb.s.eta))
             assert np.max(np.abs(fb.deta)) == 0.0 and np.max(np.abs(fb.dxi)) == 0.0
 
     def test_nonconstant_rejected_on_group(self, ex1):
         with pytest.raises(NonConstantParams):
-            apply_cct(ex1.structure, TransformParams(u=lambda p: p.sum(), v=0.0, w=0.0))
+            apply_cct(PointFields(ex1.structure, ORIGIN),
+                      TransformParams(u=lambda p: p.sum(), v=0.0, w=0.0))
+
+
+JET_CASES = [("example1_chart", {}), ("example2_chart", {"lam": 3.0}),
+             ("example3_hsphere_ext", {})]
+MIXED = TransformParams(u=lambda p: 0.2 * math.sin(p.sum()), v=lambda p: 0.1 * p[0] * p[-1],
+                        w=lambda p: 0.1 * math.cos(p[1]))
+
+
+def assert_jet_matches_stencil(s, t, points):
+    """dg_bar by the product rule against the finite differences it
+    replaced, at each point: the 4th-order stencil, at the base model's
+    step, of g_bar at the points around it, relative to max(1, |dg_bar|)."""
+    for p in points:
+        jet = apply_cct(PointFields(s, p), t).dg
+        fd = s.model.frame_derivative(p, lambda q: apply_cct(PointFields(s, q), t).g)
+        assert np.max(np.abs(jet - fd)) / max(1.0, np.max(np.abs(jet))) <= 1e-9
+
+
+class TestClosedFormJet:
+    @pytest.mark.parametrize("name, params", JET_CASES)
+    @pytest.mark.parametrize("t", [TransformParams(v=lambda p: 0.1 * p[0]),
+                                   TransformParams(w=lambda p: 0.1 * p[0]), MIXED],
+                             ids=["v", "w", "mixed"])
+    def test_matches_the_stencil(self, name, params, t):
+        cm = builtin(name, **params)
+        assert_jet_matches_stencil(cm.structure, t, cm.model.sample_points(6, 7))
+
+    @pytest.mark.parametrize("t", [HOMOTHETY, MIXED], ids=["homothety", "mixed"])
+    def test_moving_phi_and_eta(self, ex1_chart, t):
+        # the dphi and deta terms: phi and eta move with the point (g_bar and
+        # its jet need no accR structure)
+        phi, eta = ex1_chart.structure.phi, ex1_chart.structure.eta
+        s = AccrStructure(ex1_chart.model, 1, phi=lambda p: phi * (1.0 + 0.3 * math.sin(p[0])),
+                          xi=eta, eta=lambda p: eta + 0.2 * p[1] * p[2])
+        assert_jet_matches_stencil(s, t, ex1_chart.model.sample_points(6, 7))
+
+    @pytest.mark.parametrize("name, params", JET_CASES)
+    @pytest.mark.parametrize("t", [HOMOTHETY, BREAKING], ids=["homothety", "breaking"])
+    def test_constant_parameters_scale_the_base_jet(self, name, params, t):
+        for f in sample_fields(builtin(name, **params), 6, 7):
+            u, v, _ = t.at(f.p)
+            a, b = math.exp(2 * u) * math.cos(2 * v), math.exp(2 * u) * math.sin(2 * v)
+            assert np.array_equal(apply_cct(f, t).dg, a * f.dg + b * (f.dg @ f.phi))
 
 
 class TestPreservation:
@@ -105,12 +147,12 @@ class TestPreservation:
 
     def test_transformed_structure_stays_sasaki(self, ex2):
         pts = ex2.model.sample_points(3, 1)
-        ts = apply_cct(ex2.structure, TransformParams(0.3, 0.2, 0.0))
-        assert max(check_defining_conditions(PointFields(ts, pts[0])).values()) < 1e-9
+        fb = apply_cct(PointFields(ex2.structure, pts[0]), TransformParams(0.3, 0.2, 0.0))
+        assert max(check_defining_conditions(fb).values()) < 1e-9
 
     def test_w_nonzero_breaks_sasaki_verdict(self, ex1):
-        ts = apply_cct(ex1.structure, TransformParams(0.0, 0.0, math.log(2.0)))
-        assert max(check_defining_conditions(PointFields(ts, ORIGIN)).values()) > 0.1
+        fb = apply_cct(PointFields(ex1.structure, ORIGIN), TransformParams(0.0, 0.0, math.log(2.0)))
+        assert max(check_defining_conditions(fb).values()) > 0.1
 
     def test_callable_params_on_chart(self, ex1_chart):
         pts = ex1_chart.model.sample_points(4, 1)
@@ -162,9 +204,9 @@ class TestHomotheticConnection:
 
     def test_curvature_needs_constant_parameters(self, ex1_chart):
         # the second jets of g_bar are closed-form for constants only
-        ts = apply_cct(ex1_chart.structure, TransformParams(v=lambda p: 0.1 * p[0]))
+        f = PointFields(ex1_chart.structure, ex1_chart.model.sample_points(1, 3)[0])
         with pytest.raises(NonConstantParams):
-            PointFields(ts, ex1_chart.model.sample_points(1, 3)[0]).curvature
+            apply_cct(f, TransformParams(v=lambda p: 0.1 * p[0])).curvature
 
 
 class TestHomotheticCurvature:
@@ -244,8 +286,8 @@ class TestEtaEinsteinFit:
             v=0.5 * math.atan2(d0, c0),
             w=0.0,
         )
-        ts = apply_cct(cm.structure, params)
-        fit = eta_complex_einstein_check([PointFields(ts, p) for p in pts], tol=1e-6)
+        fit = eta_complex_einstein_check(
+            [apply_cct(PointFields(cm.structure, p), params) for p in pts], tol=1e-6)
         assert fit.classification == "eta_complex_einstein"
         assert fit.c == pytest.approx(c0, abs=1e-6)
         assert fit.d == pytest.approx(d0, abs=1e-6)
@@ -352,15 +394,35 @@ class TestSolveCounts:
     def test_cone_reads_the_base_from_point_fields(self, argv, monkeypatch, capsys):
         # every cone point reads g, dg and c from the base point's PointFields;
         # the base point's own Koszul solve reads them once more
+        reads = self.base_reads(monkeypatch, LieGroupModel, argv)
+        assert all(0 < calls <= 2 for calls in reads.values()), reads
+
+    @pytest.mark.parametrize("argv, cls", [
+        (["transform", "-m", "example1", "--params", "u=0.3,v=0.2,w=0", "--points", "1"],
+         LieGroupModel),
+        (["transform", "-m", "example1_chart", "--params", "v=linear_t:0.1,w=0", "--points",
+          "1"], ChartModel),
+        (["verify", "-m", "example1", "--only", "conformal"], LieGroupModel),
+    ])
+    def test_transform_reads_the_base_from_point_fields(self, argv, cls, monkeypatch, capsys):
+        # g_bar and its jet read g, dg and c from the base point's PointFields;
+        # the base point's own Koszul solve reads them once more
+        reads = self.base_reads(monkeypatch, cls, argv)
+        assert all(0 < calls <= 2 for calls in reads.values()), reads
+
+    @staticmethod
+    def base_reads(monkeypatch, cls, argv):
+        """{method: calls} of the base model class cls's metric_at,
+        metric_derivs_at and commutators_at in a run of argv, which exits 0."""
         reads = dict.fromkeys(("metric_at", "metric_derivs_at", "commutators_at"), 0)
         for name in reads:
-            def counted(model, p, name=name, method=getattr(LieGroupModel, name)):
+            def counted(model, p, name=name, method=getattr(cls, name)):
                 reads[name] += 1
                 return method(model, p)
 
-            monkeypatch.setattr(LieGroupModel, name, counted)
+            monkeypatch.setattr(cls, name, counted)
         assert main(argv) == 0
-        assert all(0 < calls <= 2 for calls in reads.values()), reads
+        return reads
 
     def test_default_corpus_budget(self, monkeypatch):
         """The counts of one pass over the default corpus do not depend on the

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -376,8 +374,9 @@ class TestConeModel:
         # w depends on t, so eta and xi of the transformed structure move
         # and the base rows of the J derivatives are not zero
         t = TransformParams(w=lambda p: 0.2 * p[0])
-        chart = example1_chart(1)
-        for cone, p in cones(replace(chart, structure=apply_cct(chart.structure, t)), 4, 5):
+        fields = [apply_cct(f, t) for f in sample_fields(example1_chart(1), 4, 5)]
+        for f, r in ConeModel.cone_points(fields, 4, 5):
+            cone, p = ConeModel(f), np.array([r])
             dj = cone.j_derivs_at(p)
             assert np.max(np.abs(dj[:-1])) > 0.1
             assert np.max(np.abs(dj - cone_frame_derivative(cone, p, ConeModel.j_at))) < 1e-9

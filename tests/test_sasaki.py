@@ -1,8 +1,13 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from accr.cli import main
-from accr.corpus import example2
+from accr.corpus import builtin, example2
 from accr.errors import NotSasakiLike
 from accr.models import ConeModel
 from accr.sasaki import (
@@ -16,6 +21,7 @@ from accr.sasaki import (
     require_sasaki_like,
 )
 from accr.structure import PointFields
+from accr.modelspec import model_from_spec
 from accr.verify import VerifyConfig, run_model_checks
 from tests.conftest import ORIGIN, stepped_example1_chart, sample_fields
 
@@ -265,3 +271,49 @@ class TestReportCoherence:
         with np.errstate(all="ignore"):      # a zero step gives NaN finite differences
             verdicts = {r["verdict"] for r in rows(cm, "sasaki", points=2, seed=3, fd_step=0.0)}
         assert verdicts == {"error"}
+
+
+FRAMED = (("example1", (("n", 1),)), ("example1", (("n", 2),)),
+          ("example2", (("lam", 3.0), ("mu", -2.0))))
+
+
+def framed_spec(name, params, P):
+    """The group builtin as a lie_group spec in the frame e'_a = P[b, a] e_b
+    (P[0] = e_0, so xi and eta keep index 0): metric P^T g P, phi P^-1 phi P
+    and brackets c'^l_ab = (P^-1)[l, k] c^k_ij P[i, a] P[j, b]."""
+    cm = builtin(name, **dict(params))
+    inv = np.linalg.inv(P)
+    g = P.T @ cm.model.metric.components @ P
+    c = np.einsum("lk,kij,ia,jb->lab", inv, cm.model.c, P, P)
+    d = len(P)
+    return {"kind": "lie_group", "n": cm.structure.n, "xi_index": 0,
+            "metric": ((g + g.T) / 2).tolist(), "phi": (inv @ cm.structure.phi @ P).tolist(),
+            "structure_constants": [{"i": i, "j": j, "k": k, "value": float(c[k, i, j])}
+                                    for k in range(d) for i in range(d) for j in range(i + 1, d)]}
+
+
+def framed_verdicts(name, params, P):
+    """{check_id: verdict} of the framed spec at VerifyConfig(points=4)."""
+    cm = model_from_spec(framed_spec(name, params, P))
+    return {row["check_id"]: row["verdict"]
+            for row in run_model_checks(cm, VerifyConfig(points=4))["checks"]}
+
+
+@lru_cache(maxsize=None)
+def standard_verdicts(name, params):
+    return framed_verdicts(name, params, np.eye(2 * dict(params).get("n", 2) + 1))
+
+
+class TestFrameCovariance:
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(FRAMED), st.data())
+    def test_verdicts_do_not_depend_on_the_frame(self, model, data):
+        # P = diag(1, I + 0.4 N): a frame of the same group with the same xi,
+        # in which no component of the metric or of phi is standard
+        name, params = model
+        m = 2 * dict(params).get("n", 2)
+        N = data.draw(arrays(np.float64, (m, m), elements=st.floats(-2.0, 2.0)))
+        P = np.eye(m + 1)
+        P[1:, 1:] += 0.4 * N
+        assume(np.linalg.cond(P) <= 25)
+        assert framed_verdicts(name, params, P) == standard_verdicts(name, params)
