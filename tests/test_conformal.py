@@ -151,7 +151,8 @@ class TestPreservation:
         assert max(check_defining_conditions(fb).values()) < 1e-9
 
     def test_w_nonzero_breaks_sasaki_verdict(self, ex1):
-        fb = apply_cct(PointFields(ex1.structure, ORIGIN), TransformParams(0.0, 0.0, math.log(2.0)))
+        fb = apply_cct(PointFields(ex1.structure, ORIGIN),
+                       TransformParams(0.0, 0.0, math.log(2.0)))
         assert max(check_defining_conditions(fb).values()) > 0.1
 
     def test_callable_params_on_chart(self, ex1_chart):
