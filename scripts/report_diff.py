@@ -22,7 +22,11 @@ and the ``linear_t`` transform of a coframe chart and of the extension at
 ``--fd-step 2e-3`` (``STEPPED``), so that a change to where the step lives
 shows; ``transform --params w=linear_t:0.1`` of the same two (``MOVING``),
 the only commands whose xi_bar and eta_bar are callables of the point, so
-that the dw and d eta_bar terms show; and for each model spec in
+that the dw and d eta_bar terms show; ``verify``, ``cone`` and the
+``linear_t`` transform of the extension at ``--points 13`` (``UNEVEN``),
+whose sample splits into blocks of 6, 6 and 1 points, and ``verify`` of
+``example1_chart`` at n = 8 (``WIDE_CHART``), dimension 17, whose blocks
+are single points, so that the block boundaries show; and for each model spec in
 ``docs/examples``, at its own sample, ``verify``, ``cone`` and ``transform``
 with the three parameter sets.  A command differs when its JSON report, its
 stdout or its exit code differs.  Every differing command is
@@ -54,6 +58,8 @@ SHORT = ("example1_chart", "example3_hsphere_ext")
 STEPPED = ("example1_chart", "example3_hsphere_ext")
 MOVING = ("example1_chart", "example3_hsphere_ext")
 WIDE = (("example1", "n=4"), ("flat_parallel", "n=4"))
+UNEVEN = ("example3_hsphere_ext", "13")
+WIDE_CHART = ("example1_chart", "3", "n=8")
 
 
 def commands() -> list:
@@ -80,6 +86,11 @@ def commands() -> list:
                     ["transform", *stepped, "--params", TRANSFORMS[2]]])
     out.extend(["transform", "-m", name, "--seed", "7", "--params", "w=linear_t:0.1"]
                for name in MOVING)
+    uneven = ["-m", UNEVEN[0], "--seed", "7", "--points", UNEVEN[1]]
+    out.extend([["verify", *uneven], ["cone", *uneven],
+                ["transform", *uneven, "--params", TRANSFORMS[2]]])
+    out.append(["verify", "-m", WIDE_CHART[0], "--seed", "7", "--points", WIDE_CHART[1],
+                "--params", WIDE_CHART[2]])
     for spec in sorted((ROOT / "docs" / "examples").glob("*.json")):
         ref = ["-m", f"docs/examples/{spec.name}"]
         out.extend([["verify", *ref], ["cone", *ref]])

@@ -24,13 +24,14 @@ import sys
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 
 from . import conformal as conf
 from . import corpus as corpus_mod
 from . import sasaki as sas
 from .errors import BadParams, GeometryError
 from .modelspec import load_model_spec
-from .structure import PointFields, max_over_points, worst
+from .structure import max_over_points, worst
 from .verify import (
     CHECKS,
     FAILING,
@@ -40,6 +41,7 @@ from .verify import (
     families_for,
     flatten,
     judge,
+    point_fields,
     report_to_json,
     run_all,
     sample,
@@ -141,7 +143,7 @@ def _named_family(key, value):
     "zero" and "linear_t:<coef>" (coef times the first coordinate).  A
     constant or coef that is not a finite number is BadParams."""
     if value == "zero":
-        return lambda p: 0.0
+        return lambda p: np.zeros(np.shape(p)[:-1])
     family, _, text = str(value).rpartition(":")
     try:
         coef = float(text) if family in ("", "linear_t") else math.nan
@@ -149,7 +151,7 @@ def _named_family(key, value):
         coef = math.nan
     if not math.isfinite(coef):
         raise BadParams(f"transform parameter {key}={value!r} is not a finite number")
-    return (lambda p: coef * p[0]) if family else coef
+    return (lambda p: coef * p[..., 0]) if family else coef
 
 
 def _per_model(args, cfg, params, fill, **header) -> int:
@@ -179,7 +181,9 @@ def cmd_transform(args) -> int:
     t = conf.TransformParams(**{k: _named_family(k, v) for k, v in shown.items()})
 
     def fill(cm, entry):
-        fields = [PointFields(cm.structure, p) for p in sample(cm, cfg)[0]]
+        # the first point alone, whose pair the laws read, then the rest in blocks
+        points = sample(cm, cfg)[0]
+        fields = point_fields(cm, points[:1]) + point_fields(cm, points[1:])
         sas.require_sasaki_like(fields[0])
         pairs = [(f, conf.apply_cct(f, t)) for f in fields]
         entry.update(max_over_points(pairs, lambda fs: {
@@ -187,7 +191,8 @@ def cmd_transform(args) -> int:
             "transformed_defining": sas.check_defining_conditions(fs[1])}))
         computed = [*entry["preservation"].values(), *entry["transformed_defining"].values()]
         if t.is_constant:
-            entry["laws"] = conf.homothetic_laws(*pairs[0], t)
+            laws = conf.homothetic_laws(*pairs[0], t)
+            entry["laws"] = {key: float(val[0]) for key, val in laws.items()}
             entry["connection_formula_residual"] = entry["laws"].pop("connection_formula")
             computed += [*entry["laws"].values(), entry["connection_formula_residual"]]
         entry["sasaki_preserved"] = judge("conformal.preserve.transformed_defining",
@@ -206,8 +211,7 @@ def cmd_cone(args) -> int:
     def fill(cm, entry):
         points, count, seed = sample(cm, cfg)
         count = min(count, 8)
-        out = sas.cone_holomorphic_residual(
-            [PointFields(cm.structure, p) for p in points[:count]], count, seed)
+        out = sas.cone_holomorphic_residual(point_fields(cm, points[:count]), count, seed)
         per_point, rows = out.pop("per_point"), {}
         flatten("cone", out, rows, {})
         # the closed-form lines hold on every model, Sasaki-like or not

@@ -12,13 +12,13 @@ applies the transformation, expresses the Sasaki-like preservation
 conditions as residuals, and verifies the closed-form transformation laws
 of the connection, curvature, Ricci and scalar curvatures against direct
 recomputation on the transformed metric.  The transformed structure lives
-over one point: apply_cct(f, t) gives its PointFields at f.p from f, the
-base's PointFields there, and the functions here take the two side by side.
+over a block of points: apply_cct(f, t) gives its PointFields at f.p from f,
+the base's PointFields there, and the functions here take the two side by
+side and give their values at each point.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -26,7 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonConstantParams
-from .frame_algebra import standard_signature
+from .frame_algebra import max_abs, standard_signature
 from .models import ManifoldModel
 from .sasaki import require_sasaki_like
 from .structure import AccrStructure, PointFields, field_at, field_derivs_at, max_over_points
@@ -42,9 +42,23 @@ __all__ = [
 ]
 
 
+def _elementwise(fn):
+    """The scalar math function fn at every entry of an array: its values,
+    and the OverflowError or ValueError it raises where it cannot give one."""
+    ufunc = np.frompyfunc(fn, 1, 1)
+    return lambda x: np.asarray(ufunc(x), dtype=float)
+
+
+_exp, _cos, _sin = map(_elementwise, (math.exp, math.cos, math.sin))
+_vec = lambda m, x: np.einsum("...ij,...j->...i", m, x)      # m x, over the points
+_covec = lambda x, m: np.einsum("...i,...ij->...j", x, m)    # x o m, over the points
+
+
 @dataclass
 class TransformParams:
-    """Conformal data (u, v, w): constants or scalar fields of the point."""
+    """Conformal data (u, v, w): constants or scalar fields of the point.  A
+    field takes points of shape (..., dim) and returns its values over their
+    leading axes, shape (...)."""
 
     u: object = 0.0
     v: object = 0.0
@@ -55,19 +69,23 @@ class TransformParams:
         return not (callable(self.u) or callable(self.v) or callable(self.w))
 
     def at(self, p):
-        return float(field_at(self.u, p)), float(field_at(self.v, p)), float(field_at(self.w, p))
+        """(u, v, w) at the points p, each an array over their leading axes."""
+        lead = np.shape(p)[:-1]
+        return tuple(np.broadcast_to(np.asarray(field_at(x, p), dtype=float), lead)
+                     for x in (self.u, self.v, self.w))
 
     def differentials_at(self, model, p):
-        """(du_i, dv_i, dw_i) frame components; exact zeros for constants."""
+        """(du_i, dv_i, dw_i) frame components at the points p, shape (...,
+        dim); exact zeros for constants."""
         return tuple(field_derivs_at(x, model, p) for x in (self.u, self.v, self.w))
 
 
 class TransformedModel(ManifoldModel):
-    """The base model over the one point of f, the base structure's
-    PointFields, with its metric replaced by g_bar = a g + b g phi + c eta (x)
-    eta, a = e^{2u} cos 2v, b = e^{2u} sin 2v and c = e^{2w} - a, from f's g,
-    phi and eta; its frame and brackets (f.c) are the base's.  Like ConeModel
-    it answers for f.p at any point.  dg_bar is the product rule over f's dg,
+    """The base model over the points of f, the base structure's PointFields,
+    with its metric replaced by g_bar = a g + b g phi + c eta (x) eta, a =
+    e^{2u} cos 2v, b = e^{2u} sin 2v and c = e^{2w} - a, from f's g, phi and
+    eta; its frame and brackets (f.c) are the base's.  Like ConeModel it
+    answers for f.p at any point.  dg_bar is the product rule over f's dg,
     dphi and deta and the differentials of (u, v, w), taken once.  d^2 g_bar
     = a d^2 g + b d^2 g phi reads the base model's at f.p for that call only,
     and needs constant (u, v, w), phi and eta (else NonConstantParams).
@@ -77,26 +95,37 @@ class TransformedModel(ManifoldModel):
         self.f, self.params, self.dim, self.kind = f, params, f.dim, f.s.model.kind
 
     @cached_property
+    def differentials(self):
+        """(du, dv, dw) at f.p, each of shape (..., dim)."""
+        return self.params.differentials_at(self.f.s.model, self.f.p)
+
+    @cached_property
     def _coefs(self):
-        """((a, b, c), (da, db, dc)) at f.p."""
-        f = self.f
-        u, v, w = self.params.at(f.p)
-        du, dv, dw = self.params.differentials_at(f.s.model, f.p)
-        e2u, e2w = math.exp(2 * u), math.exp(2 * w)
-        a, b = e2u * math.cos(2 * v), e2u * math.sin(2 * v)
-        da = 2 * (a * du - b * dv)
-        return (a, b, e2w - a), (da, 2 * (b * du + a * dv), 2 * e2w * dw - da)
+        """((a, b, c), (da, db, dc)) at f.p, a, b and c of shape (...)."""
+        u, v, w = self.params.at(self.f.p)
+        du, dv, dw = self.differentials
+        e2u, e2w = _exp(2 * u), _exp(2 * w)
+        a, b = e2u * _cos(2 * v), e2u * _sin(2 * v)
+        col = lambda x: x[..., None]
+        da = 2 * (col(a) * du - col(b) * dv)
+        return (a, b, e2w - a), (da, 2 * (col(b) * du + col(a) * dv), 2 * col(e2w) * dw - da)
 
     def metric_at(self, p):
         f, (a, b, c) = self.f, self._coefs[0]
-        return a * f.g + b * (f.g @ f.phi) + c * np.outer(f.eta, f.eta)
+        at = lambda x: x[..., None, None]
+        ee = f.eta[..., :, None] * f.eta[..., None, :]
+        return at(a) * f.g + at(b) * (f.g @ f.phi) + at(c) * ee
 
     def metric_derivs_at(self, p):
         f, ((a, b, c), (da, db, dc)) = self.f, self._coefs
-        dee = np.einsum("ij,k->ijk", f.deta, f.eta)
-        return (a * f.dg + b * (f.dg @ f.phi + f.g @ f.dphi) + c * (dee + dee.swapaxes(1, 2))
-                + np.multiply.outer(da, f.g) + np.multiply.outer(db, f.g @ f.phi)
-                + np.multiply.outer(dc, np.outer(f.eta, f.eta)))
+        at = lambda x: x[..., None, None, None]
+        outer = lambda x, m: x[..., :, None, None] * m[..., None, :, :]
+        dee = f.deta[..., None] * f.eta[..., None, None, :]
+        ee = f.eta[..., :, None] * f.eta[..., None, :]
+        return (at(a) * f.dg + at(b) * (f.dg @ f.phi[..., None, :, :]
+                                        + f.g[..., None, :, :] @ f.dphi)
+                + at(c) * (dee + np.swapaxes(dee, -1, -2))
+                + outer(da, f.g) + outer(db, f.g @ f.phi) + outer(dc, ee))
 
     def metric_derivs2_at(self, p):
         s, (a, b, _) = self.f.s, self._coefs[0]
@@ -104,7 +133,11 @@ class TransformedModel(ManifoldModel):
             raise NonConstantParams(
                 "curvature of a transformed model needs constant (u, v, w), phi and eta")
         jet = s.model.metric_derivs2_at(self.f.p)
-        return a * jet + b * (jet @ self.f.phi)
+        at = lambda x: x[..., None, None, None, None]
+        out = jet @ self.f.phi[..., None, None, :, :]
+        out *= at(b)
+        out += at(a) * jet
+        return out
 
     def commutators_at(self, p):
         return self.f.c
@@ -132,14 +165,15 @@ def apply_cct(f: PointFields, t: TransformParams) -> PointFields:
         xi_bar = math.exp(-float(t.w)) * np.asarray(s.xi, dtype=float)
         eta_bar = math.exp(float(t.w)) * np.asarray(s.eta, dtype=float)
     else:
-        xi_bar = lambda p: math.exp(-t.at(p)[2]) * field_at(s.xi, p)
-        eta_bar = lambda p: math.exp(t.at(p)[2]) * field_at(s.eta, p)
+        xi_bar = lambda p: _exp(-t.at(p)[2])[..., None] * field_at(s.xi, p)
+        eta_bar = lambda p: _exp(t.at(p)[2])[..., None] * field_at(s.eta, p)
     return PointFields(AccrStructure(model=TransformedModel(f, t), n=s.n, phi=s.phi,
                                      xi=xi_bar, eta=eta_bar), f.p)
 
 
 def preservation_at(f: PointFields, fb: PointFields, t: TransformParams) -> dict:
-    """Residuals at f.p of the Sasaki-like preservation conditions
+    """Residuals at each of f's points of the Sasaki-like preservation
+    conditions
 
         dw o phi = 0,
         du - dv o phi = 0,
@@ -154,59 +188,65 @@ def preservation_at(f: PointFields, fb: PointFields, t: TransformParams) -> dict
                                           + eta(y) g(phi x, phi z)]
                                 - sin 2v [eta(z) g(x, phi y)
                                           + eta(y) g(x, phi z)] }.
+
+    du, dv and dw are the differentials that fb's TransformedModel took.
     """
     u, v, w = t.at(f.p)
-    du, dv, dw = t.differentials_at(f.s.model, f.p)
+    du, dv, dw = fb.s.model.differentials
     phi, eta = f.phi, f.eta
-    cond1 = dw @ phi
-    cond2 = du - dv @ phi
-    cond3 = du @ phi + dv - (1.0 - math.exp(w)) * eta
-    c2v, s2v = math.cos(2 * v), math.sin(2 * v)
-    ew1 = math.exp(w) - 1.0
-    a_form = c2v * (ew1 * eta + du @ phi + dv) + s2v * (du - dv @ phi)
-    b_form = s2v * (ew1 * eta + du @ phi + dv) - c2v * (du - dv @ phi)
+    col = lambda x: x[..., None]
+    ew = _exp(w)
+    cond1 = _covec(dw, phi)
+    cond2 = du - _covec(dv, phi)
+    cond3 = _covec(du, phi) + dv - col(1.0 - ew) * eta
+    c2v, s2v = _cos(2 * v), _sin(2 * v)
+    ew1 = col(ew - 1.0)
+    a_form = col(c2v) * (ew1 * eta + _covec(du, phi) + dv) + col(s2v) * (du - _covec(dv, phi))
+    b_form = col(s2v) * (ew1 * eta + _covec(du, phi) + dv) - col(c2v) * (du - _covec(dv, phi))
 
-    gpp = np.einsum("ai,bj,ab->ij", phi, phi, f.g)
+    gpp = np.swapaxes(phi, -1, -2) @ f.g @ phi
     gp = f.g @ phi
-    target = math.exp(w + 2 * u) * (
-        c2v * (np.einsum("ij,k->ijk", gpp, eta) + np.einsum("ik,j->ijk", gpp, eta))
-        - s2v * (np.einsum("ij,k->ijk", gp, eta) + np.einsum("ik,j->ijk", gp, eta))
-    )
+    shaped = lambda m: m[..., None] * eta[..., None, None, :] \
+        + m[..., :, None, :] * eta[..., None, :, None]
+    at = lambda x: x[..., None, None, None]
+    target = at(_exp(w + 2 * u)) * (at(c2v) * shaped(gpp) - at(s2v) * shaped(gp))
     return {
-        "dw_phi": np.max(np.abs(cond1)),
-        "du_minus_dv_phi": np.max(np.abs(cond2)),
-        "du_phi_plus_dv": np.max(np.abs(cond3)),
-        "du_xi": abs(du @ f.xi),
-        "dv_xi": abs(dv @ f.xi - (1.0 - math.exp(w))),
-        "one_form_a": np.max(np.abs(a_form)),
-        "one_form_b": np.max(np.abs(b_form)),
-        "f_bar_direct": np.max(np.abs(fb.F - target)),
+        "dw_phi": max_abs(cond1, 1),
+        "du_minus_dv_phi": max_abs(cond2, 1),
+        "du_phi_plus_dv": max_abs(cond3, 1),
+        "du_xi": np.abs(np.einsum("...i,...i->...", du, f.xi)),
+        "dv_xi": np.abs(np.einsum("...i,...i->...", dv, f.xi) - (1.0 - ew)),
+        "one_form_a": max_abs(a_form, 1),
+        "one_form_b": max_abs(b_form, 1),
+        "f_bar_direct": max_abs(fb.F - target, 3),
     }
 
 
 def adapted_frame(f: PointFields) -> np.ndarray:
     """Columns (xi, b_1..b_n, phi b_1..phi b_n): a g-orthonormal adapted
-    frame at f.p.  On ker eta, B(x, y) = g(x, y) + i g(x, phi y) is complex
-    bilinear for i acting as -phi, and complex Gram-Schmidt for B on the
-    horizontal parts of e_1..e_n gives B(b_i, b_j) = delta_ij, that is
-    g(b_i, b_j) = delta_ij and g(b_i, phi b_j) = 0.  On a frame that is
-    already adapted and orthonormal every step is exact: the identity."""
+    frame at each of f's points.  On ker eta, B(x, y) = g(x, y) + i g(x,
+    phi y) is complex bilinear for i acting as -phi, and complex
+    Gram-Schmidt for B on the horizontal parts of e_1..e_n gives B(b_i, b_j)
+    = delta_ij, that is g(b_i, b_j) = delta_ij and g(b_i, phi b_j) = 0.  On a
+    frame that is already adapted and orthonormal every step is exact: the
+    identity."""
     g, phi = f.g, f.phi
-    form = lambda x, y: complex(x @ g @ y, x @ g @ (phi @ y))
-    times = lambda z, x: z.real * x - z.imag * (phi @ x)
+    dot = lambda x, y: np.einsum("...i,...i->...", x, y)
+    form = lambda x, y: dot(_covec(x, g), y) + 1j * dot(_covec(x, g), _vec(phi, y))
+    times = lambda z, x: z.real[..., None] * x - z.imag[..., None] * _vec(phi, x)
     bs = []
     for i in range(1, f.s.n + 1):
-        b = f.proj[:, i]
+        b = f.proj[..., :, i]
         for c in bs:
             b = b - times(form(b, c), c)
-        bs.append(times(1.0 / cmath.sqrt(form(b, b)), b))
-    return np.column_stack([f.xi, *bs, *(phi @ b for b in bs)])
+        bs.append(times(1.0 / np.sqrt(form(b, b)), b))
+    return np.stack([f.xi, *bs, *(_vec(phi, b) for b in bs)], axis=-1)
 
 
 def homothetic_laws(f: PointFields, fb: PointFields, t: TransformParams) -> dict:
     """Transformation laws of a homothetic transformation (constant u, v, w)
-    of a Sasaki-like structure at f.p, checked against g_bar, its connection
-    and its curvature as fb holds them:
+    of a Sasaki-like structure at each of f's points, checked against g_bar,
+    its connection and its curvature as fb holds them:
       * the connection shift ("connection_formula")
           nabla_bar_x y = nabla_x y + e^{2(u-w)} sin 2v g(phi x, phi y) xi
                           - (1 - e^{2(u-w)} cos 2v) g(x, phi y) xi
@@ -229,63 +269,53 @@ def homothetic_laws(f: PointFields, fb: PointFields, t: TransformParams) -> dict
         raise NonConstantParams("closed-form transformation laws need constant (u, v, w)")
     u, v, w = t.at(f.p)
     phi, eta, xi = f.phi, f.eta, f.xi
-    gpp = np.einsum("ai,bj,ab->ij", phi, phi, f.g)
+    gpp = np.swapaxes(phi, -1, -2) @ f.g @ phi
     gp = f.g @ phi
-    coef_a = math.exp(2 * (u - w)) * math.sin(2 * v)
-    coef_b = 1.0 - math.exp(2 * (u - w)) * math.cos(2 * v)
-    delta = np.einsum("ij,k->ijk", coef_a * gpp - coef_b * gp, xi)
+    at2, at4 = (lambda x: x[..., None, None]), (lambda x: x[..., None, None, None, None])
+    coef_a = _exp(2 * (u - w)) * _sin(2 * v)
+    coef_b = 1.0 - _exp(2 * (u - w)) * _cos(2 * v)
+    delta = (at2(coef_a) * gpp - at2(coef_b) * gp)[..., None] * xi[..., None, None, :]
     bundle, bundle_bar = f.curvature, fb.curvature
 
-    term_a = (
-        np.einsum("jk,i,l->ijkl", gp, eta, xi)
-        - np.einsum("jk,li->ijkl", gpp, phi)
-        - np.einsum("ik,j,l->ijkl", gp, eta, xi)
-        + np.einsum("ik,lj->ijkl", gpp, phi)
-    )
-    term_b = (
-        np.einsum("jk,i,l->ijkl", gpp, eta, xi)
-        + np.einsum("jk,li->ijkl", gp, phi)
-        - np.einsum("ik,j,l->ijkl", gpp, eta, xi)
-        - np.einsum("ik,lj->ijkl", gp, phi)
-    )
-    r_up_formula = bundle.r_up + coef_a * term_a + coef_b * term_b
+    # the four-index terms as broadcast products: m[j,k] eta[i] xi[l] and
+    # m[j,k] phi[l,i] at [i,j,k,l], each term s - s^T(ij)
+    on_eta_xi = lambda m: (eta[..., :, None, None, None] * m[..., None, :, :, None]
+                           * xi[..., None, None, None, :])
+    on_phi = lambda m: m[..., None, :, :, None] * np.swapaxes(phi, -1, -2)[..., :, None, None, :]
+    term = lambda s: s - np.swapaxes(s, -4, -3)
+    r_up_formula = bundle.r_up + at4(coef_a) * term(on_eta_xi(gp) - on_phi(gpp))
+    r_up_formula += at4(coef_b) * term(on_eta_xi(gpp) + on_phi(gp))
 
-    e2u = math.exp(-2 * u)
-    c2v, s2v = math.cos(2 * v), math.sin(2 * v)
-    ric_xx = float(np.einsum("a,b,ab->", xi, xi, bundle.ric))
+    e2u = _exp(-2 * u)
+    c2v, s2v = _cos(2 * v), _sin(2 * v)
+    ric_xx = np.einsum("...a,...b,...ab->...", xi, xi, bundle.ric)
     scal_formula = e2u * c2v * bundle.scal - e2u * s2v * bundle.scal_star \
-        + (math.exp(-2 * w) - e2u * c2v) * ric_xx
+        + (_exp(-2 * w) - e2u * c2v) * ric_xx
     scal_star_formula = e2u * s2v * bundle.scal + e2u * c2v * bundle.scal_star \
         - e2u * s2v * ric_xx
 
-    n, d = f.s.n, f.dim
+    n = f.s.n
     frame = adapted_frame(f)
-    basis = np.zeros((d, d))
-    basis[:, 0] = math.exp(-w) * xi
-    for i in range(1, n + 1):
-        ei = frame[:, i]
-        bi = math.exp(-u) * (math.cos(v) * ei - math.sin(v) * (phi @ ei))
-        basis[:, i] = bi
-        basis[:, n + i] = phi @ bi
+    col = lambda x: x[..., None]
+    rotated = [col(_exp(-u)) * (col(_cos(v)) * e - col(_sin(v)) * _vec(phi, e))
+               for e in (frame[..., :, i] for i in range(1, n + 1))]
+    basis = np.stack([col(_exp(-w)) * xi, *rotated, *(_vec(phi, b) for b in rotated)], axis=-1)
     eps = standard_signature(n)
-    ortho = float(np.max(np.abs(basis.T @ fb.g @ basis - np.diag(eps))))
-    scal_basis = float(np.einsum("a,ia,ij,ja->", eps, basis, bundle_bar.ric, basis))
-    phib = basis.copy()
-    phib[:, 0] = 0.0
-    for i in range(1, n + 1):
-        phib[:, i] = phi @ basis[:, i]
-        phib[:, n + i] = phi @ basis[:, n + i]
-    scal_star_basis = float(np.einsum("a,ia,ij,ja->", eps, basis, bundle_bar.ric, phib))
+    basis_t = np.swapaxes(basis, -1, -2)
+    ortho = max_abs(basis_t @ fb.g @ basis - np.diag(eps), 2)
+    trace = lambda m: np.einsum("a,...aa->...", eps, basis_t @ bundle_bar.ric @ m)
+    phib = phi @ basis
+    phib[..., :, 0] = 0.0
 
     return {
-        "connection_formula": float(np.max(np.abs(f.gamma + delta - fb.gamma))),
-        "curvature_formula": float(np.max(np.abs(r_up_formula - bundle_bar.r_up))),
-        "ricci_invariance": float(np.max(np.abs(bundle_bar.ric - bundle.ric))),
-        "scal_formula": float(abs(scal_formula - bundle_bar.scal)),
-        "scal_star_formula": float(abs(scal_star_formula - bundle_bar.scal_star)),
+        "connection_formula": max_abs(f.gamma + delta - fb.gamma, 3),
+        "curvature_formula": max_abs(r_up_formula - bundle_bar.r_up, 4),
+        "ricci_invariance": max_abs(bundle_bar.ric - bundle.ric, 2),
+        "scal_formula": np.abs(scal_formula - bundle_bar.scal),
+        "scal_star_formula": np.abs(scal_star_formula - bundle_bar.scal_star),
         "rotated_basis_orthonormal": ortho,
-        "scal_from_basis": float(abs(scal_basis - bundle_bar.scal)),
-        "scal_star_from_basis": float(abs(scal_star_basis - bundle_bar.scal_star)),
+        "scal_from_basis": np.abs(trace(basis) - bundle_bar.scal),
+        "scal_star_from_basis": np.abs(trace(phib) - bundle_bar.scal_star),
         "scal_bar": bundle_bar.scal,
         "scal_star_bar": bundle_bar.scal_star,
     }
@@ -312,14 +342,15 @@ class EinsteinFit:
 
 def eta_complex_einstein_check(fields, tol=1e-8) -> EinsteinFit:
     """Classify the Ricci tensor of a Sasaki-like structure from the
-    PointFields of its sample points.
+    PointFields of consecutive blocks of its sample points, whose rows the
+    fit stacks in point order; the first point must be Sasaki-like.
 
     classification: "einstein" ((c,d) = (1,0)), "eta_einstein" (d = 0),
     "eta_complex_einstein", or "none" when no constants fit.
     """
     n = fields[0].s.n
-    require_sasaki_like(fields[0])
-    ees = [np.outer(f.eta, f.eta) for f in fields]
+    require_sasaki_like(fields[0], points=1)
+    ees = [f.eta[..., :, None] * f.eta[..., None, :] for f in fields]
     design = np.vstack([np.stack([(f.g - ee).ravel(), (f.g @ f.phi).ravel()], axis=1)
                         for f, ee in zip(fields, ees)])
     target = np.concatenate([(f.curvature.ric - 2.0 * n * ee).ravel()
@@ -350,8 +381,8 @@ def eta_complex_einstein_check(fields, tol=1e-8) -> EinsteinFit:
         cd2 = c * c + d * d
         to_einstein = {"u": -0.25 * math.log(cd2), "v": -0.5 * math.atan2(d, c), "w": 0.0}
         t = TransformParams(**to_einstein)
-        einstein_residual = max_over_points(fields, lambda f: {"ric": np.max(np.abs(
-            f.curvature.ric - 2.0 * n * TransformedModel(f, t).metric_at(f.p)))})["ric"]
+        einstein_residual = max_over_points(fields, lambda f: {"ric": max_abs(
+            f.curvature.ric - 2.0 * n * TransformedModel(f, t).metric_at(f.p), 2)})["ric"]
 
     return EinsteinFit(alpha=alpha, beta=beta, residual=residual, c=c, d=d,
                        classification=cls, to_einstein=to_einstein,

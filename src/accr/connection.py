@@ -1,6 +1,7 @@
 """Levi-Civita connection, curvature, and closed-form curvature models.
 
-The connection is solved pointwise from the frame Koszul formula
+The connection is solved over a block of points, shape (..., dim), from the
+frame Koszul formula
 
     2 g(nabla_i e_j, e_k) = e_i(g_jk) + e_j(g_ki) - e_k(g_ij)
         + g([e_i,e_j], e_k) - g([e_j,e_k], e_i) + g([e_k,e_i], e_j)
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMetric, DegenerateParameters
-from .frame_algebra import kulkarni_nomizu, standard_j
+from .frame_algebra import kulkarni_nomizu, max_abs, standard_j
 
 __all__ = [
     "ConnectionCoefficients",
@@ -34,19 +35,23 @@ __all__ = [
 
 @dataclass
 class ConnectionCoefficients:
-    """gamma[i, j, k] is the e_k-coefficient of nabla_{e_i} e_j."""
+    """gamma[..., i, j, k] is the e_k-coefficient of nabla_{e_i} e_j, over
+    the leading point axes of the solve."""
 
     gamma: np.ndarray
 
-    def torsion_residual(self, c) -> float:
-        """nabla torsion-free: gamma[i,j,:] - gamma[j,i,:] = c^:_ij."""
-        t = self.gamma - np.swapaxes(self.gamma, 0, 1)
-        return float(np.max(np.abs(t - np.einsum("kij->ijk", np.asarray(c)))))
+    def torsion_residual(self, c):
+        """nabla torsion-free: gamma[i,j,:] - gamma[j,i,:] = c^:_ij, the max
+        at each point."""
+        t = self.gamma - np.swapaxes(self.gamma, -3, -2)
+        return max_abs(t - np.einsum("...kij->...ijk", np.asarray(c)), 3)
 
-    def metric_compat_residual(self, g, dg) -> float:
-        """e_i(g_jk) - g(nabla_i e_j, e_k) - g(e_j, nabla_i e_k)."""
-        r = dg - np.einsum("ijm,mk->ijk", self.gamma, g) - np.einsum("ikm,jm->ijk", self.gamma, g)
-        return float(np.max(np.abs(r)))
+    def metric_compat_residual(self, g, dg):
+        """e_i(g_jk) - g(nabla_i e_j, e_k) - g(e_j, nabla_i e_k), the max at
+        each point."""
+        low = self.gamma @ g[..., None, :, :]
+        low_t = self.gamma @ np.swapaxes(g, -1, -2)[..., None, :, :]
+        return max_abs(dg - low - np.swapaxes(low_t, -1, -2), 3)
 
 
 def _koszul_rhs(dg, cg):
@@ -54,26 +59,38 @@ def _koszul_rhs(dg, cg):
     g([e_i,e_j], e_k), over any leading axes: the formula is linear in both,
     so the frame derivatives of the right-hand side come the same way."""
     s = dg - cg
-    return dg + cg + np.einsum("...jki->...ijk", s) - np.einsum("...kij->...ijk", s)
+    out = dg + cg
+    out += np.einsum("...jki->...ijk", s)
+    out -= np.einsum("...kij->...ijk", s)
+    return out
+
+
+def _lowered(c, g):
+    """g([e_i, e_j], e_k) = c^m_ij g_mk at [..., i, j, k]."""
+    return np.moveaxis(c, -3, -1) @ g[..., None, :, :]
 
 
 def levi_civita(model, p) -> ConnectionCoefficients:
-    """Solve the Koszul formula for the connection coefficients at p."""
+    """Solve the Koszul formula for the connection coefficients at the
+    points p, shape (..., dim): one solve for all of them."""
     g = model.metric_at(p)
     dg = model.metric_derivs_at(p)
     c = model.commutators_at(p)
-    det = np.linalg.det(g)
-    if abs(det) <= 1e-12:
-        raise DegenerateMetric(f"metric degenerate at {p}: |det| = {abs(det):.3e}")
+    det = np.abs(np.linalg.det(g))
+    bad = det <= 1e-12
+    if np.any(bad):
+        k = np.argwhere(bad)[0]
+        raise DegenerateMetric(f"metric degenerate at {np.asarray(p)[tuple(k)]}: "
+                               f"|det| = {det[tuple(k)]:.3e}")
     ginv = np.linalg.inv(g)
-    rhs = _koszul_rhs(dg, np.einsum("mij,mk->ijk", c, g))
-    gamma = 0.5 * np.einsum("lk,ijk->ijl", ginv, rhs)
-    return ConnectionCoefficients(gamma=gamma)
+    rhs = _koszul_rhs(dg, _lowered(c, g))
+    return ConnectionCoefficients(
+        gamma=0.5 * (rhs @ np.swapaxes(ginv, -1, -2)[..., None, :, :]))
 
 
 @dataclass
 class CurvatureBundle:
-    """Curvature tensors at a point.
+    """Curvature tensors, over the leading point axes of its jets.
 
     r_up[i,j,k,l]: e_l coefficient of R(e_i, e_j) e_k
     r[i,j,k,l]   = g(R(e_i,e_j) e_k, e_l)
@@ -85,66 +102,77 @@ class CurvatureBundle:
     r_up: np.ndarray
     r: np.ndarray
     ric: np.ndarray
-    scal: float
-    scal_star: float
+    scal: np.ndarray
+    scal_star: np.ndarray
 
     def symmetry_residuals(self) -> dict:
+        """Each symmetry's max at each point."""
         r = self.r
         return {
-            "antisym_first_pair": float(np.max(np.abs(r + np.einsum("jikl->ijkl", r)))),
-            "antisym_last_pair": float(np.max(np.abs(r + np.einsum("ijlk->ijkl", r)))),
-            "pair_interchange": float(np.max(np.abs(r - np.einsum("klij->ijkl", r)))),
-            "first_bianchi": float(
-                np.max(np.abs(r + np.einsum("jkil->ijkl", r) + np.einsum("kijl->ijkl", r)))
-            ),
-            "ricci_symmetry": float(np.max(np.abs(self.ric - self.ric.T))),
+            "antisym_first_pair": max_abs(r + np.einsum("...jikl->...ijkl", r), 4),
+            "antisym_last_pair": max_abs(r + np.einsum("...ijlk->...ijkl", r), 4),
+            "pair_interchange": max_abs(r - np.einsum("...klij->...ijkl", r), 4),
+            "first_bianchi": max_abs(r + np.einsum("...jkil->...ijkl", r)
+                                  + np.einsum("...kijl->...ijkl", r), 4),
+            "ricci_symmetry": max_abs(self.ric - np.swapaxes(self.ric, -1, -2), 2),
         }
 
 
 def riemann(g, ginv, dg, c, d2g, dc, gamma, phi) -> CurvatureBundle:
-    """Full curvature at a point, from its jets: the metric g, its inverse,
-    dg[i,j,k] = e_i(g_jk), the commutators c, d2g[a,i,j,k] = e_a(e_i(g_jk)),
-    dc[a,k,i,j] = e_a(c^k_ij), the connection gamma and phi there.
+    """Full curvature at the points of the jets' leading axes: the metric g,
+    its inverse, dg[i,j,k] = e_i(g_jk), the commutators c, d2g[a,i,j,k] =
+    e_a(e_i(g_jk)), dc[a,k,i,j] = e_a(c^k_ij), the connection gamma and phi.
 
     The frame derivatives of the connection, dgamma[a] = e_a(Gamma), are
     closed-form: differentiating g Gamma = rhs / 2 along e_a gives
     e_a(Gamma) = g^-1 (e_a(rhs) / 2 - (e_a g) Gamma), the same as
     (e_a g^-1) rhs / 2 + g^-1 e_a(rhs) / 2 with e_a g^-1 = -g^-1 (e_a g) g^-1,
     where e_a(rhs) is the Koszul right-hand side of the second jets.
+    Every four-index contraction is a matmul with the point axes leading,
+    and the d^4 arrays are updated in place, so that few are held at once.
     """
-    # contractions as matmuls over the last index, broadcast over the rest:
+    d = g.shape[-1]
+    lead = g.shape[:-2]
+    as_a = lambda t: t[..., None, :, :, :]     # broadcast along the derivative axis a
+    dg_a = dg[..., None, :, :]                 # dg[a, None, m, k]
     # e_a(c^m_ij g_mk), then g^-1 (e_a(rhs) / 2 - (e_a g) Gamma)
-    dcg = np.moveaxis(dc, 1, -1) @ g + np.moveaxis(c, 0, -1) @ dg[:, None]
-    drhs = _koszul_rhs(d2g, dcg)
-    dgamma = (0.5 * drhs - gamma @ dg[:, None]) @ ginv.T
-    r_up = (
-        dgamma
-        - np.einsum("jikl->ijkl", dgamma)
-        + np.einsum("jkm,iml->ijkl", gamma, gamma)
-        - np.einsum("ikm,jml->ijkl", gamma, gamma)
-        - np.einsum("mij,mkl->ijkl", c, gamma)
-    )
-    r = np.einsum("ijkm,ml->ijkl", r_up, g)
-    ric = np.einsum("il,ijkl->jk", ginv, r)
-    scal = float(np.einsum("jk,jk->", ginv, ric))
-    scal_star = float(np.einsum("ab,ac,cb->", ginv, ric, phi))
+    dcg = np.moveaxis(dc, -3, -1) @ as_a(g[..., None, :, :])
+    dcg += as_a(np.moveaxis(c, -3, -1)) @ dg_a
+    half = _koszul_rhs(d2g, dcg)
+    del dcg
+    half *= 0.5
+    half -= as_a(gamma) @ dg_a
+    # s[i,j,k,l] = e_i(Gamma_jk^l) + Gamma_jk^m Gamma_im^l; R = s - s^T(ij) - c^m_ij Gamma_mk^l
+    s = half @ as_a(np.swapaxes(ginv, -1, -2)[..., None, :, :])
+    del half
+    s += as_a(gamma) @ gamma[..., None, :, :]
+    r_up = s - np.swapaxes(s, -4, -3)
+    del s
+    r_up -= (np.moveaxis(c, -3, -1).reshape(lead + (d * d, d))
+             @ gamma.reshape(lead + (d, d * d))).reshape(lead + (d,) * 4)
+    r = r_up @ as_a(g[..., None, :, :])
+    ric = (r @ ginv[..., :, None, :, None])[..., 0].sum(-3)       # g^{il} r[i, j, k, l]
+    scal = (ginv * ric).sum((-2, -1))
+    scal_star = (ginv * (ric @ phi)).sum((-2, -1))
     return CurvatureBundle(r_up=r_up, r=r, ric=ric, scal=scal, scal_star=scal_star)
 
 
 def covariant_derivative(gamma, a, da) -> np.ndarray:
-    """nabla of a (1,1) field a at a point: n[i, k, j] is the e_k coefficient
-    of (nabla_i a) e_j, from a[k, j], its frame derivatives da[i, k, j] and
-    the connection gamma there."""
-    return da + np.einsum("imk,mj->ikj", gamma, a) - np.einsum("km,ijm->ikj", a, gamma)
+    """nabla of a (1,1) field a: n[..., i, k, j] is the e_k coefficient of
+    (nabla_i a) e_j, from a[..., k, j], its frame derivatives da[..., i, k, j]
+    and the connection gamma, all over the same leading point axes."""
+    return da + np.swapaxes(gamma, -1, -2) @ a[..., None, :, :] \
+        - a[..., None, :, :] @ np.swapaxes(gamma, -1, -2)
 
 
-def holomorphy_residual(chart, p) -> float:
-    """max |(nabla^h J)| at p on a candidate holomorphic base: a coordinate
-    chart of dimension 2n with the standard J, whose frame derivatives vanish."""
+def holomorphy_residual(chart, p):
+    """max |(nabla^h J)| at each of the points p on a candidate holomorphic
+    base: a coordinate chart of dimension 2n with the standard J, whose
+    frame derivatives vanish."""
     d = chart.dim
     J = standard_j(d // 2)
     nj = covariant_derivative(levi_civita(chart, p).gamma, J, np.zeros((d, d, d)))
-    return float(np.max(np.abs(nj)))
+    return max_abs(nj, 3)
 
 
 def standard_norden_pair(n):

@@ -29,7 +29,7 @@ import numpy as np
 
 from .connection import hsphere_curvature
 from .errors import BadParams, ParamMismatch, UnknownBuiltin
-from .frame_algebra import MetricMatrix, standard_j, standard_signature
+from .frame_algebra import MetricMatrix, max_abs, standard_j, standard_signature
 from .models import (
     ChartModel,
     ProductExtensionModel,
@@ -123,18 +123,19 @@ def _chart(name, n, coframe, hc0, params) -> CorpusModel:
 
 def _t_coframe(block, d):
     """(theta, d theta, d^2 theta) of a coframe that depends on the first
-    coordinate t alone, from block(t, k) = d^k theta / dt^k, in the layouts
-    of ChartModel's coframe jets."""
+    coordinate t alone, from block(t, k) = d^k theta / dt^k at every entry of
+    an array t, shape (..., d, d), in the layouts of ChartModel's coframe
+    jets."""
 
     def jet(k):
         def fn(x):
-            out = np.zeros((d,) * (k + 2))
-            out[(0,) * k] = block(x[0], k)
+            out = np.zeros(x.shape[:-1] + (d,) * (k + 2))
+            out[(..., *(0,) * k, slice(None), slice(None))] = block(x[..., 0], k)
             return out
 
         return fn
 
-    return (lambda x: block(x[0], 0)), jet(1), jet(2)
+    return (lambda x: block(x[..., 0], 0)), jet(1), jet(2)
 
 
 def example1(n=1) -> CorpusModel:
@@ -176,14 +177,14 @@ def _example1_coframe(n):
     d = 2 * n + 1
 
     def block(t, k):
-        th = np.zeros((d, d))
-        th[0, 0] = 1.0 if k == 0 else 0.0
+        th = np.zeros(np.shape(t) + (d, d))
+        th[..., 0, 0] = 1.0 if k == 0 else 0.0
         ct, st = trig_jet(1.0, t, k)
         for i in range(1, n + 1):
-            th[i, i] = ct
-            th[i, n + i] = st
-            th[n + i, i] = -st
-            th[n + i, n + i] = ct
+            th[..., i, i] = ct
+            th[..., i, n + i] = st
+            th[..., n + i, i] = -st
+            th[..., n + i, n + i] = ct
         return th
 
     return _t_coframe(block, d)
@@ -198,13 +199,14 @@ def _example2_coframe(lam):
     def block(t, k):
         cm, sm = trig_jet(1 - lam, t, k)
         cp, sp = trig_jet(1 + lam, t, k)
-        return np.array([
-            [1.0 if k == 0 else 0.0, 0.0, 0.0, 0.0, 0.0],
-            [0.0, cm, -cp, sm, -sp],
-            [0.0, sm, sp, -cm, -cp],
-            [0.0, -sm, sp, cm, -cp],
-            [0.0, cm, cp, sm, sp],
-        ])
+        one, zero = np.full(np.shape(t), 1.0 if k == 0 else 0.0), np.zeros(np.shape(t))
+        return np.stack([
+            np.stack([one, zero, zero, zero, zero], axis=-1),
+            np.stack([zero, cm, -cp, sm, -sp], axis=-1),
+            np.stack([zero, sm, sp, -cm, -cp], axis=-1),
+            np.stack([zero, -sm, sp, cm, -cp], axis=-1),
+            np.stack([zero, cm, cp, sm, sp], axis=-1),
+        ], axis=-2)
 
     return _t_coframe(block, 5)
 
@@ -226,38 +228,43 @@ def hsphere_base(n, a, b) -> ChartModel:
 
     The induced holomorphic metric is hC_jk = delta_jk + w^j w^k / D with
     D = (a - i b) - sum (w^m)^2; its first and second derivatives are
-    analytic (d_m D = -2 w^m).
+    analytic (d_m D = -2 w^m).  Each is evaluated at every point of a block
+    w, shape (..., n).
     """
     if a == 0 and b == 0:
         raise BadParams("(a, b) = (0, 0) is excluded")
     cplx = complex(a, -b)
     eye = np.eye(n, dtype=complex)
-    idx = np.arange(n)
+    # d_l d_m (w w^T)[i, j] = delta_im delta_lj + delta_li delta_jm, at [m, l, i, j]
+    d2 = (eye[:, None, :, None] * eye[None, :, None, :]
+          + eye[None, :, :, None] * eye[:, None, None, :])
+    outer = lambda x, y: x[..., :, None] * y[..., None, :]
+
+    def denom(w, k):
+        """D at each point and D^2, rounded as a complex scalar product rounds
+        it (numpy's array product may fuse), shaped against rank-k tensors."""
+        den = (cplx - np.sum(w * w, axis=-1)).reshape(w.shape[:-1] + (1,) * k)
+        x, y = den.real, den.imag
+        return den, (x * x - y * y) + 1j * (x * y + y * x)
 
     def hc(w):
-        return eye + np.outer(w, w) / (cplx - np.sum(w * w))
+        return eye + outer(w, w) / denom(w, 2)[0]
 
     def dww(w):
         """d_m (w w^T)[i, j] = delta_im w_j + w_i delta_jm, at [m, i, j]."""
-        dm = np.zeros((n, n, n), dtype=complex)
-        dm[idx, idx, :] += w
-        dm[idx, :, idx] += w
-        return dm
+        return eye[:, :, None] * w[..., None, None, :] + w[..., None, :, None] * eye[:, None, :]
 
     def dhc(w):
-        denom = cplx - np.sum(w * w)
-        return dww(w) / denom + (2.0 * w)[:, None, None] * np.outer(w, w) / (denom * denom)
+        den, den2 = denom(w, 3)
+        return dww(w) / den + (2.0 * w)[..., :, None, None] * outer(w, w)[..., None, :, :] / den2
 
     def d2hc(w):
-        denom = cplx - np.sum(w * w)
-        ww, dm = np.outer(w, w), dww(w)
-        d2 = np.zeros((n, n, n, n), dtype=complex)    # d_l d_m (w w^T) at [m, l]
-        d2[idx, :, idx, :] += np.eye(n)
-        d2[idx, :, :, idx] += np.eye(n)
-        cross = np.einsum("mij,l->mlij", dm, w)
-        return (d2 / denom + 2.0 * (cross + np.swapaxes(cross, 0, 1)) / denom**2
-                + 2.0 * np.einsum("ml,ij->mlij", np.eye(n), ww) / denom**2
-                + 8.0 * np.einsum("m,l,ij->mlij", w, w, ww) / denom**3)
+        den, den2 = denom(w, 4)
+        ww, dm = outer(w, w)[..., None, None, :, :], dww(w)
+        cross = dm[..., :, None, :, :] * w[..., None, :, None, None]
+        return (d2 / den + 2.0 * (cross + np.swapaxes(cross, -4, -3)) / den2
+                + 2.0 * np.eye(n)[:, :, None, None] * ww / den2
+                + 8.0 * outer(w, w)[..., None, None] * ww / (den2 * den))
 
     return holomorphic_base(n, hc, dhc, [(-0.22, 0.22)] * (2 * n), d2hc)
 
@@ -282,22 +289,23 @@ def example3_hsphere_ext(n=3, a=1.0, b=0.0) -> CorpusModel:
     model, s = product_extension(base)
     d = model.dim
 
-    def embed(m):
-        """A leaf tensor as a tensor of the extension, zero along d/dt."""
-        out = np.zeros((d,) * m.ndim)
-        out[(slice(1, None),) * m.ndim] = m
+    def embed(m, rank):
+        """A leaf tensor of that rank, at each point, as a tensor of the
+        extension, zero along d/dt."""
+        out = np.zeros(m.shape[:m.ndim - rank] + (d,) * rank)
+        out[(..., *(slice(1, None),) * rank)] = m
         return out
 
     j = standard_j(n)
 
     def base_ric_at(p):
-        h = base.metric_at(p[1:])
-        return embed(hsphere_curvature(n, a, b, h=h, htilde=h @ j).ric)
+        h = base.metric_at(p[..., 1:])
+        return embed(hsphere_curvature(n, a, b, h=h, htilde=h @ j).ric, 2)
 
     def base_r_at(p):
-        h = base.metric_at(p[1:])
+        h = base.metric_at(p[..., 1:])
         r_h = hsphere_curvature(n, a, b, h=h, htilde=h @ j).r
-        return embed(extension_leaf_curvature(p[0], r_h))
+        return embed(extension_leaf_curvature(p[..., 0], r_h), 4)
 
     notes = []
     if n <= 2:
@@ -320,9 +328,12 @@ BUILTINS = {
 }
 
 
-# Largest n accepted from outside: curvature arrays grow as (2n + 1)^4, and
-# `verify --params n=16 --points 2` peaks at 185 MB (example1_chart) and
-# 168 MB (example3_hsphere_ext) of RSS in one process, one BLAS thread.
+# Largest n accepted from outside: curvature arrays grow as (2n + 1)^4.  At
+# n = 16 a block is a single point, and with one BLAS thread the RSS of one
+# process peaks at 141 MB for `verify --params n=16 --points 2` of
+# example1_chart, 142 MB for example3_hsphere_ext, and 275 MB for
+# `verify -m example1_chart --params n=16 --points 8`, whose pass holds the
+# fields of all 8 points.
 MAX_N = 16
 
 
@@ -363,7 +374,8 @@ def default_corpus() -> list:
 
 def cross_representation_check(lie: CorpusModel, chart: CorpusModel, fields) -> dict:
     """Compare a group model against its coordinate realization at the
-    chart's sample points, whose PointFields are fields.
+    chart's sample points, whose PointFields, in consecutive blocks, are
+    fields.
 
     (i) the brackets of the chart frame, from the analytic derivatives of
     its coframe, must reproduce the group structure constants, (ii) the
@@ -382,16 +394,16 @@ def cross_representation_check(lie: CorpusModel, chart: CorpusModel, fields) -> 
 
     def at(f):
         th = np.asarray(chart.coframe_fn(f.p), dtype=float)
-        assembled = np.einsum("k,km,kn->mn", eps, th, th)
+        assembled = np.swapaxes(th, -1, -2) @ (eps[:, None] * th)
         return {
-            "structure_equations": np.max(np.abs(f.c - lie_f.c)),
-            "metric_assembly": np.max(np.abs(assembled - chart.coord_metric_fn(f.p))),
+            "structure_equations": max_abs(f.c - lie_f.c, 3),
+            "metric_assembly": max_abs(assembled - chart.coord_metric_fn(f.p), 2),
         }
 
     out = max_over_points(fields, at)
-    defining = lambda fs: worst(max_over_points(fs, check_defining_conditions).values())
-    v_lie = defining([lie_f]) < 1e-9
-    v_chart = defining(fields[:5]) < 1e-6
+    defining = lambda f: np.ravel(worst(check_defining_conditions(f).values()))
+    v_lie = float(defining(lie_f)[0]) < 1e-9
+    v_chart = float(np.max(np.concatenate([defining(f) for f in fields])[:5])) < 1e-6
     return {
         **out,
         "verdict_agreement": 0.0 if v_lie == v_chart else 1.0,

@@ -1,7 +1,8 @@
 """Dense multilinear algebra over a fixed frame.
 
 Everything in this package works with components taken in a frame
-(orthonormal or not), stored as plain numpy arrays.  This module holds the
+(orthonormal or not), stored as plain numpy arrays, with any leading axes
+ranging over a block of points.  This module holds the
 small building blocks: the standard signature and complex structure,
 metric matrices with cached inverses, projection into every slot and the
 Kulkarni-Nomizu product.
@@ -40,13 +41,25 @@ def standard_j(n: int) -> np.ndarray:
     return j
 
 
+def max_abs(t, rank):
+    """max |t| over its last rank axes: the residual of a tensor of that rank
+    at each point of its leading axes.  NaN and inf propagate."""
+    t = np.abs(t)
+    return t.reshape(t.shape[:t.ndim - rank] + (-1,)).max(-1)
+
+
 def project_all(t, proj) -> np.ndarray:
     """Contract a projector (such as the horizontal P = Id - eta (x) xi)
-    into every slot of a component array."""
-    # project the last slot and rotate it to the front, ndim times
-    last_first = (np.ndim(t) - 1, *range(np.ndim(t) - 1))
-    for _ in range(np.ndim(t)):
-        t = (t @ proj).transpose(last_first)
+    into every slot of a component array.  Both may carry the same leading
+    point axes: the slots of t are its axes after proj's leading ones."""
+    t = np.asarray(t)
+    lead = np.ndim(proj) - 2
+    rank = t.ndim - lead
+    # project the last slot, as one matmul per point, and rotate it to the front, rank times
+    last_first = (*range(lead), t.ndim - 1, *range(lead, t.ndim - 1))
+    for _ in range(rank):
+        shape = t.shape
+        t = (t.reshape(shape[:lead] + (-1, shape[-1])) @ proj).reshape(shape).transpose(last_first)
     return t
 
 
@@ -82,7 +95,8 @@ class MetricMatrix:
 
 
 def kulkarni_nomizu(a, b) -> np.ndarray:
-    """Kulkarni-Nomizu product of two symmetric (0,2) tensors.
+    """Kulkarni-Nomizu product of two symmetric (0,2) tensors, over any
+    leading point axes they share.
 
     (a ^ b)(X,Y,Z,U) = a(Y,Z) b(X,U) - a(X,Z) b(Y,U)
                      + b(Y,Z) a(X,U) - b(X,Z) a(Y,U)
@@ -91,11 +105,9 @@ def kulkarni_nomizu(a, b) -> np.ndarray:
     """
     A = np.asarray(a, dtype=float)
     B = np.asarray(b, dtype=float)
-    if A.shape != B.shape or A.ndim != 2:
+    if A.shape != B.shape or A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise DimMismatch(f"operands have shapes {A.shape} and {B.shape}")
-    return (
-        np.einsum("jk,il->ijkl", A, B)
-        - np.einsum("ik,jl->ijkl", A, B)
-        + np.einsum("jk,il->ijkl", B, A)
-        - np.einsum("ik,jl->ijkl", B, A)
-    )
+    # x[j,k] y[i,l] at [i,j,k,l], as a broadcast product
+    outer = lambda x, y: x[..., None, :, :, None] * y[..., :, None, None, :]
+    t = outer(A, B) + outer(B, A)
+    return t - np.swapaxes(t, -4, -3)

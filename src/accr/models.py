@@ -1,6 +1,8 @@
-"""Pointwise manifold models.
+"""Manifold models, evaluated over blocks of points.
 
-Every model answers two questions at a point p:
+Every model answers two questions at the points p, an array of shape
+(..., dim) whose leading axes range over a block of points (one point is a
+block with no leading axes), each answer carrying the same leading axes:
 
 * ``metric_at(p)``        frame components g_ij
 * ``commutators_at(p)``   coefficients c^k_ij with [e_i, e_j] = c^k_ij e_k
@@ -14,15 +16,15 @@ metric and the coframe), rank-one product extensions over a holomorphic
 complex Riemannian base, and the complex cone, which gives first jets only.
 The group and chart models also give ``frame_derivative(p, fn)``, e_i of
 any field fn (zeros on a group, finite differences on a chart), which only
-checks the jets and differentiates fields given as callables of the point
+checks the jets and differentiates fields given as callables of the points
 (structure fields, transformation parameters).
 An extension base is a coordinate chart of dimension 2n in holomorphic
 coordinates w = u + i v, so its complex structure is always multiplication
 by i, the standard J of ``frame_algebra.standard_j``.
-``ConeModel(f)``, the cone over the point of the base PointFields f,
+``ConeModel(f)``, the cone over the points of the base PointFields f,
 carries both cone tensors: its metric and, through ``j_at`` and
 ``j_derivs_at``, its complex structure J; ``conformal.TransformedModel(f,
-t)``, the transformed metric over that point, is built the same way.
+t)``, the transformed metric over those points, is built the same way.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .errors import (
     RNotNegative,
     SingularCoframe,
 )
-from .frame_algebra import SYM_TOL, MetricMatrix, standard_j
+from .frame_algebra import SYM_TOL, MetricMatrix, max_abs, standard_j
 from .structure import PointFields, standard_structure, worst
 
 DEFAULT_FD_STEP = 1e-3
@@ -53,30 +55,31 @@ _STENCIL_WEIGHTS = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
 
 
 def coordinate_derivatives(fn, x, step=DEFAULT_FD_STEP):
-    """Partial derivatives of an array-valued fn along each coordinate of x.
+    """Partial derivatives of an array-valued fn along each coordinate of the
+    points x, shape (..., dim), fn taking points of any leading shape.
 
-    Returns an array of shape (len(x), *fn(x).shape).  The 4 * len(x)
-    stencil points are built as one array and fn's values stacked into one
-    array; the weighted sum runs in stencil order, then divides by step.
+    Returns an array of shape (..., dim, *shape) for fn(x) of shape
+    (..., *shape).  The 4 * dim stencil points of every point of x are built
+    as one array, shape (4, dim, ..., dim), and fn takes those of each
+    stencil offset in one call; the weighted sum runs in stencil order, then
+    divides by step.
     """
     x = np.asarray(x, dtype=float)
-    dim = len(x)
+    lead, dim = x.shape[:-1], x.shape[-1]
     if dim == 0:
         # zero-dimensional point set (homogeneous model)
         probe = np.asarray(fn(x), dtype=float)
-        return np.zeros((0,) + probe.shape)
-    pts = np.empty((4, dim, dim))       # pts[k, mu]: x moved by offset k along x^mu
-    pts[...] = x
-    mus = np.arange(dim)
-    pts[:, mus, mus] += np.array(_STENCIL_OFFSETS)[:, None] * step
-    vals = np.array([np.asarray(fn(q), dtype=float) for q in pts.reshape(4 * dim, dim)])
-    vals = vals.reshape((4, dim) + vals.shape[1:])
+        return np.zeros(lead + (0,) + probe.shape[len(lead):])
+    # pts[k, mu]: x moved by offset k along x^mu
+    moves = (np.array(_STENCIL_OFFSETS)[:, None, None] * step) * np.eye(dim)
+    pts = x + moves.reshape((4, dim) + (1,) * len(lead) + (dim,))
+    val = lambda k: np.asarray(fn(pts[k]), dtype=float)
     w = _STENCIL_WEIGHTS
-    acc = w[0] * vals[0] + w[1] * vals[1]
-    acc = acc + w[2] * vals[2]
-    acc = acc + w[3] * vals[3]
+    acc = w[0] * val(0) + w[1] * val(1)
+    acc = acc + w[2] * val(2)
+    acc = acc + w[3] * val(3)
     acc /= step
-    return acc
+    return np.moveaxis(acc, 0, len(lead))
 
 
 def _primes(count):
@@ -132,7 +135,8 @@ class ManifoldModel:
         raise NotImplementedError
 
     def frame_derivative(self, p, fn) -> np.ndarray:
-        """e_i applied to the field fn, shape (dim, *fn(p).shape)."""
+        """e_i applied to the field fn at the points p, shape (..., dim,
+        *shape) for fn(p) of shape (..., *shape)."""
         raise NotImplementedError
 
     def metric_derivs_at(self, p) -> np.ndarray:
@@ -152,8 +156,9 @@ class ManifoldModel:
 
 
 def trig_jet(omega, t, k):
-    """The k-th t-derivatives (k <= 2) of (cos omega t, sin omega t)."""
-    c, s = math.cos(omega * t), math.sin(omega * t)
+    """The k-th t-derivatives (k <= 2) of (cos omega t, sin omega t), at
+    every entry of t."""
+    c, s = np.cos(omega * t), np.sin(omega * t)
     scale = omega ** k
     return tuple(scale * x for x in ((c, s), (-s, c), (-c, -s))[k])
 
@@ -174,22 +179,23 @@ class LieGroupModel(ManifoldModel):
         self.dim = metric.dim
 
     def metric_at(self, p):
-        return self.metric.components
+        return np.broadcast_to(self.metric.components, np.shape(p)[:-1] + (self.dim,) * 2)
 
     def commutators_at(self, p):
-        return self.c
+        return np.broadcast_to(self.c, np.shape(p)[:-1] + (self.dim,) * 3)
 
     def frame_derivative(self, p, fn):
-        return np.zeros((self.dim,) + np.asarray(fn(p)).shape)
+        lead = np.shape(p)[:-1]
+        return np.zeros(lead + (self.dim,) + np.shape(fn(p))[len(lead):])
 
     def metric_derivs_at(self, p):
-        return np.zeros((self.dim,) * 3)
+        return np.zeros(np.shape(p)[:-1] + (self.dim,) * 3)
 
     def metric_derivs2_at(self, p):
-        return np.zeros((self.dim,) * 4)
+        return np.zeros(np.shape(p)[:-1] + (self.dim,) * 4)
 
     def commutator_derivs_at(self, p):
-        return np.zeros((self.dim,) * 4)
+        return np.zeros(np.shape(p)[:-1] + (self.dim,) * 4)
 
     def jacobi_residual(self) -> float:
         c = self.c
@@ -220,9 +226,14 @@ def lie_group_model(n, structure_constants, metric) -> LieGroupModel:
 
 def _brackets(dtheta, A):
     """c^k_ij of the frame dual to a coframe, from its coordinate derivatives
-    dtheta[..., mu, k, nu] = d_mu theta[k, nu] over any leading axes:
+    dtheta[..., mu, k, nu] = d_mu theta[k, nu] and the frame A[..., mu, i]
+    at the same points, dtheta having any further axes after the points':
     d e^k (E_i, E_j) = (d_mu theta[k,nu] - d_nu theta[k,mu]) A[mu,i] A[nu,j] = -c^k_ij."""
-    ext = np.einsum("...mkn,mi,nj->...kij", dtheta, A, A)
+    d = A.shape[-1]
+    A = A.reshape(A.shape[:-2] + (1,) * (dtheta.ndim - A.ndim - 1) + A.shape[-2:])
+    t = dtheta @ A[..., None, :, :]                # t[..., mu, k, j]
+    ext = (np.swapaxes(A, -1, -2) @ t.reshape(t.shape[:-3] + (d, d * d))).reshape(t.shape)
+    ext = np.swapaxes(ext, -3, -2)                    # ext[..., k, i, j]
     return np.swapaxes(ext, -1, -2) - ext
 
 
@@ -235,7 +246,10 @@ class ChartModel(ManifoldModel):
     working frame is its dual and the commutators are recovered from
     d e^k (E_i, E_j) = -c^k_ij.
 
-    The jets are required, so that curvature has one closed-form path: the
+    Every function takes points of shape (..., dim) and returns its values
+    over the same leading axes (a constant may ignore them: it is
+    broadcast).  The jets are required, so that curvature has one
+    closed-form path: the
     frame derivatives of the metric, metric_derivs_fn (D[i,j,k] = e_i(g_jk))
     and metric_derivs2_fn (D2[a,i,j,k] = e_a(e_i(g_jk))), and, with a
     coframe, its coordinate derivatives coframe_derivs_fn (d_mu theta[k,nu]
@@ -258,61 +272,74 @@ class ChartModel(ManifoldModel):
         self.coframe_derivs2_fn = coframe_derivs2_fn
         self.ranges = ranges if ranges is not None else [(-1.0, 1.0)] * dim
 
+    def _at(self, fn, p, rank):
+        """fn's values at the points p, shape (..., dim, .., dim) with rank
+        dims; a constant fn is broadcast over the points."""
+        val, shape = np.asarray(fn(p), dtype=float), p.shape[:-1] + (self.dim,) * rank
+        return val if val.shape == shape else np.broadcast_to(val, shape)
+
     def frame_matrix(self, p):
-        """A[mu, i] with e_i = A[mu, i] d/dx^mu."""
+        """A[..., mu, i] with e_i = A[mu, i] d/dx^mu at the points p."""
+        p = np.asarray(p, dtype=float)
         if self.coframe_fn is None:
-            return np.eye(self.dim)
-        theta = np.asarray(self.coframe_fn(p), dtype=float)
-        if abs(np.linalg.det(theta)) < 1e-10:
-            raise SingularCoframe(f"coframe singular at {p}")
+            return np.broadcast_to(np.eye(self.dim), p.shape[:-1] + (self.dim,) * 2)
+        theta = self._at(self.coframe_fn, p, 2)
+        singular = np.abs(np.linalg.det(theta)) < 1e-10
+        if np.any(singular):
+            raise SingularCoframe(f"coframe singular at {p[tuple(np.argwhere(singular)[0])]}")
         return np.linalg.inv(theta)
 
     def metric_at(self, p):
-        return np.asarray(self.metric_fn(np.asarray(p, dtype=float)), dtype=float)
+        return self._at(self.metric_fn, np.asarray(p, dtype=float), 2)
 
     def _dtheta(self, p):
-        return np.asarray(self.coframe_derivs_fn(p), dtype=float)
+        return self._at(self.coframe_derivs_fn, np.asarray(p, dtype=float), 3)
 
     def commutators_at(self, p):
-        d = self.dim
-        if self.coframe_fn is None:
-            return np.zeros((d, d, d))
         p = np.asarray(p, dtype=float)
+        if self.coframe_fn is None:
+            return np.zeros(p.shape[:-1] + (self.dim,) * 3)
         return _brackets(self._dtheta(p), self.frame_matrix(p))
 
     def commutator_derivs_at(self, p):
         """e_a(c^k_ij) from the coframe jets.  With B_s = (d_s theta) A,
         d_s A = -A B_s, so d_s c[k,i,j] = brackets(d_s dtheta)[k,i,j]
         - c[k,m,j] B_s[m,i] - c[k,i,m] B_s[m,j], and e_a = A[s,a] d_s."""
-        d = self.dim
-        if self.coframe_fn is None:
-            return np.zeros((d,) * 4)
         p = np.asarray(p, dtype=float)
+        d, lead = self.dim, p.shape[:-1]
+        if self.coframe_fn is None:
+            return np.zeros(lead + (d,) * 4)
         A = self.frame_matrix(p)
         dtheta = self._dtheta(p)
         c = _brackets(dtheta, A)
-        B = np.einsum("smn,ni->smi", dtheta, A)
-        ds_c = (_brackets(np.asarray(self.coframe_derivs2_fn(p), dtype=float), A)
-                - np.einsum("kmj,smi->skij", c, B) - np.einsum("kim,smj->skij", c, B))
-        return np.einsum("sa,skij->akij", A, ds_c)
+        B = dtheta @ A[..., None, :, :]                  # B[..., s, m, i]
+        c_k = c[..., None, :, :, :]                         # c[..., None, k, m, j]
+        ds_c = (_brackets(self._at(self.coframe_derivs2_fn, p, 4), A)
+                - np.swapaxes(B, -1, -2)[..., None, :, :] @ c_k
+                - c_k @ B[..., None, :, :])
+        out = np.swapaxes(A, -1, -2) @ ds_c.reshape(lead + (d, d ** 3))
+        return out.reshape(lead + (d,) * 4)
 
     def frame_derivative(self, p, fn):
         p = np.asarray(p, dtype=float)
-        A = self.frame_matrix(p)
         dcoord = coordinate_derivatives(fn, p, self.fd_step)
-        return np.einsum("mi,m...->i...", A, dcoord)
+        if self.coframe_fn is None:
+            return dcoord                                   # the coordinate frame
+        flat = dcoord.reshape(p.shape[:-1] + (self.dim, -1))
+        return (np.swapaxes(self.frame_matrix(p), -1, -2) @ flat).reshape(dcoord.shape)
 
     def metric_derivs_at(self, p):
-        return np.asarray(self.metric_derivs_fn(np.asarray(p, dtype=float)))
+        return self._at(self.metric_derivs_fn, np.asarray(p, dtype=float), 3)
 
     def metric_derivs2_at(self, p):
-        return np.asarray(self.metric_derivs2_fn(np.asarray(p, dtype=float)))
+        return self._at(self.metric_derivs2_fn, np.asarray(p, dtype=float), 4)
 
     def jet_residuals(self, p) -> dict:
         """Each jet of the chart against the finite differences of the
-        next-lower order at fd_step, relative to max(1, |jet|): dg against g
-        and d^2 g against dg in the frame and, with a coframe, d theta against
-        theta and d^2 theta against d theta in the coordinates."""
+        next-lower order at fd_step, relative to max(1, |jet|), at each of
+        the points p: dg against g and d^2 g against dg in the frame and, with
+        a coframe, d theta against theta and d^2 theta against d theta in the
+        coordinates."""
         p = np.asarray(p, dtype=float)
         pairs = {"metric": (self.metric_derivs_at(p), self.frame_derivative(p, self.metric_at)),
                  "metric2": (self.metric_derivs2_at(p),
@@ -320,9 +347,10 @@ class ChartModel(ManifoldModel):
         if self.coframe_fn is not None:
             pairs["coframe"] = (self._dtheta(p),
                                 coordinate_derivatives(self.coframe_fn, p, self.fd_step))
-            pairs["coframe2"] = (self.coframe_derivs2_fn(p),
+            pairs["coframe2"] = (self._at(self.coframe_derivs2_fn, p, 4),
                                  coordinate_derivatives(self._dtheta, p, self.fd_step))
-        return {key: np.max(np.abs(jet - fd)) / max(1.0, np.max(np.abs(jet)))
+        rank = lambda jet: jet.ndim - (p.ndim - 1)
+        return {key: max_abs(jet - fd, rank(jet)) / np.maximum(1.0, max_abs(jet, rank(jet)))
                 for key, (jet, fd) in pairs.items()}
 
     def sample_points(self, count, seed):
@@ -332,7 +360,9 @@ class ChartModel(ManifoldModel):
 def chart_model(dim, metric_fields, frame=None, ranges=None, *, metric_derivs, metric_derivs2,
                 coframe_derivs=None, coframe_derivs2=None) -> ChartModel:
     """Chart model from a metric component function, an optional coframe and
-    the analytic jets of both (see ChartModel)."""
+    the analytic jets of both (see ChartModel).  Each function takes points
+    of shape (..., dim), a block of points, and returns its values over the
+    same leading axes; a constant may ignore them."""
     return ChartModel(dim, metric_fields, coframe_fn=frame, ranges=ranges,
                       metric_derivs_fn=metric_derivs, metric_derivs2_fn=metric_derivs2,
                       coframe_derivs_fn=coframe_derivs, coframe_derivs2_fn=coframe_derivs2)
@@ -355,19 +385,27 @@ def holomorphic_base(n, hc, dhc, ranges, d2hc) -> ChartModel:
     and d2hc(w)[m, l] = d^2 hC / d w^m d w^l, on the box ``ranges`` of the
     real coordinates (u, v), w = u + i v: the coordinate chart of h = Re hC,
     whose complex structure is multiplication by i, the standard J.  The jets
-    of h follow from the Cauchy-Riemann rule d/du^m = d/dw^m, d/dv^m = i d/dw^m."""
+    of h follow from the Cauchy-Riemann rule d/du^m = d/dw^m, d/dv^m = i d/dw^m.
+    The three functions take w of shape (..., n), a block of points, and
+    return their values over its leading axes, (..., n, n), (..., n, n, n)
+    and (..., n, n, n, n); a constant may ignore them."""
+
+    def at(fn, x, rank):
+        w = x[..., :n] + 1j * x[..., n:]
+        val, shape = np.asarray(fn(w)), w.shape[:-1] + (n,) * rank
+        return val if val.shape == shape else np.broadcast_to(val, shape)
 
     def metric_fn(x):
-        return _real_block(hc(x[:n] + 1j * x[n:]))
+        return _real_block(at(hc, x, 2))
 
     def metric_derivs_fn(x):
-        dm = dhc(x[:n] + 1j * x[n:])
-        return _real_block(np.concatenate([dm, 1j * dm]))
+        dm = at(dhc, x, 3)
+        return _real_block(np.concatenate([dm, 1j * dm], axis=-3))
 
     def metric_derivs2_fn(x):
-        d2 = d2hc(x[:n] + 1j * x[n:])
-        du = np.concatenate([d2, 1j * d2], axis=1)       # d/du^m (d/du^l, d/dv^l)
-        return _real_block(np.concatenate([du, 1j * du]))
+        d2 = at(d2hc, x, 4)
+        du = np.concatenate([d2, 1j * d2], axis=-3)      # d/du^m (d/du^l, d/dv^l)
+        return _real_block(np.concatenate([du, 1j * du], axis=-4))
 
     return chart_model(2 * n, metric_fn, ranges=ranges, metric_derivs=metric_derivs_fn,
                        metric_derivs2=metric_derivs2_fn)
@@ -392,36 +430,41 @@ class ProductExtensionModel(ChartModel):
                          metric_derivs2_fn=self._metric_derivs2)
 
     def _leaf(self, t, k, hs):
-        """The k-th t-derivative of cos(2t) H - sin(2t) H J over the leading
-        axes of hs, the stacked H."""
-        c, s = trig_jet(2.0, t, k)
-        return c * hs - s * (hs @ standard_j(self.base.dim // 2))
+        """The k-th t-derivative of cos(2t) H - sin(2t) H J at the points'
+        t, over the further axes of hs, the stacked H there."""
+        c, s = (x.reshape(t.shape + (1,) * (hs.ndim - t.ndim)) for x in trig_jet(2.0, t, k))
+        out = hs @ standard_j(self.base.dim // 2)
+        out *= -s
+        out += c * hs
+        return out
 
     def _metric(self, p):
-        g = np.zeros((self.dim, self.dim))
-        g[0, 0] = 1.0
-        g[1:, 1:] = self._leaf(p[0], 0, self.base.metric_at(p[1:]))
+        g = np.zeros(p.shape[:-1] + (self.dim,) * 2)
+        g[..., 0, 0] = 1.0
+        g[..., 1:, 1:] = self._leaf(p[..., 0], 0, self.base.metric_at(p[..., 1:]))
         return g
 
     def _metric_derivs(self, p):
-        t, bp = p[0], p[1:]
-        D = np.zeros((self.dim,) * 3)
-        D[0, 1:, 1:] = self._leaf(t, 1, self.base.metric_at(bp))
-        D[1:, 1:, 1:] = self._leaf(t, 0, self.base.metric_derivs_at(bp))
+        t, bp = p[..., 0], p[..., 1:]
+        D = np.zeros(p.shape[:-1] + (self.dim,) * 3)
+        D[..., 0, 1:, 1:] = self._leaf(t, 1, self.base.metric_at(bp))
+        D[..., 1:, 1:, 1:] = self._leaf(t, 0, self.base.metric_derivs_at(bp))
         return D
 
     def _metric_derivs2(self, p):
-        t, bp = p[0], p[1:]
-        D2 = np.zeros((self.dim,) * 4)
-        D2[0, 0, 1:, 1:] = self._leaf(t, 2, self.base.metric_at(bp))
-        D2[0, 1:, 1:, 1:] = D2[1:, 0, 1:, 1:] = self._leaf(t, 1, self.base.metric_derivs_at(bp))
-        D2[1:, 1:, 1:, 1:] = self._leaf(t, 0, self.base.metric_derivs2_at(bp))
+        t, bp = p[..., 0], p[..., 1:]
+        D2 = np.zeros(p.shape[:-1] + (self.dim,) * 4)
+        D2[..., 0, 0, 1:, 1:] = self._leaf(t, 2, self.base.metric_at(bp))
+        D2[..., 0, 1:, 1:, 1:] = D2[..., 1:, 0, 1:, 1:] = \
+            self._leaf(t, 1, self.base.metric_derivs_at(bp))
+        D2[..., 1:, 1:, 1:, 1:] = self._leaf(t, 0, self.base.metric_derivs2_at(bp))
         return D2
 
 
 def extension_leaf_curvature(t, r_h) -> np.ndarray:
     """(0,4) curvature of the horizontal leaf at t of the extension, from the
-    base curvature r_h in the base's coordinate frame:
+    base curvature r_h in the base's coordinate frame, over the leading axes
+    of t and r_h:
 
         R_t(X,Y,Z,U) = cos 2t R_h(X,Y,Z,U) - sin 2t R_h(X,Y,Z,JU),
 
@@ -430,7 +473,8 @@ def extension_leaf_curvature(t, r_h) -> np.ndarray:
     connection.
     """
     j = standard_j(r_h.shape[-1] // 2)
-    return np.cos(2 * t) * r_h - np.sin(2 * t) * np.einsum("ijkm,ml->ijkl", r_h, j)
+    t = np.asarray(t, dtype=float)[..., None, None, None, None]
+    return np.cos(2 * t) * r_h - np.sin(2 * t) * (r_h @ j)
 
 
 def product_extension(base: ChartModel):
@@ -468,11 +512,12 @@ def product_extension(base: ChartModel):
 
 
 class ConeModel(ManifoldModel):
-    """Complex cone over one point of an almost contact complex Riemannian
+    """Complex cone over the points of an almost contact complex Riemannian
     manifold, built from f, the PointFields of the base structure there.
 
-    Like a group model it holds one base point: its points are (r,) with
-    r < 0, and its frame is (base frame, d/dr).  The metric is
+    Like a group model it holds its base points: its points are (r,) with
+    r < 0, one per base point of f (of shape (..., 1) for f's points of shape
+    (..., dim)), and its frame is (base frame, d/dr).  The metric is
 
         r^2 (g - eta x eta) + eta x eta - dr^2 / r^2,
 
@@ -491,53 +536,59 @@ class ConeModel(ManifoldModel):
 
     @staticmethod
     def _r(p):
-        r = float(p[0])
-        if r >= 0:
-            raise RNotNegative(f"cone requires r < 0, got {r}")
-        return r
+        """r at the points p, shaped to multiply a (d, d) block at each."""
+        r = np.asarray(p, dtype=float)[..., 0]
+        if np.any(r >= 0):
+            raise RNotNegative(f"cone requires r < 0, got {r[r >= 0].flat[0]}")
+        return r[..., None, None]
+
+    def _zeros(self, r, rank):
+        lead = np.broadcast_shapes(r.shape[:-2], self.f.p.shape[:-1])
+        return np.zeros(lead + (self.dim,) * rank)
 
     def metric_at(self, p):
         r, f, d = self._r(p), self.f, self.f.dim
-        G = np.zeros((d + 1, d + 1))
-        ee = np.outer(f.eta, f.eta)
-        G[:d, :d] = r * r * (f.g - ee) + ee
-        G[d, d] = -1.0 / (r * r)
+        G = self._zeros(r, 2)
+        ee = f.eta[..., :, None] * f.eta[..., None, :]
+        G[..., :d, :d] = r * r * (f.g - ee) + ee
+        G[..., d, d] = -1.0 / (r * r)[..., 0, 0]
         return G
 
     def commutators_at(self, p):
         d = self.f.dim
-        c = np.zeros((d + 1,) * 3)
-        c[:d, :d, :d] = self.f.c
+        c = self._zeros(self._r(p), 3)
+        c[..., :d, :d, :d] = self.f.c
         return c
 
     def metric_derivs_at(self, p):
         r, f, d = self._r(p), self.f, self.f.dim
-        ee = np.outer(f.eta, f.eta)
-        dee = np.einsum("ij,k->ijk", f.deta, f.eta) + np.einsum("j,ik->ijk", f.eta, f.deta)
-        D = np.zeros((d + 1, d + 1, d + 1))
-        D[:d, :d, :d] = r * r * (f.dg - dee) + dee
-        D[d, :d, :d] = 2 * r * (f.g - ee)
-        D[d, d, d] = 2.0 / r**3
+        ee = f.eta[..., :, None] * f.eta[..., None, :]
+        dee = f.deta[..., None] * f.eta[..., None, None, :] \
+            + f.eta[..., None, :, None] * f.deta[..., :, None, :]
+        D = self._zeros(r, 3)
+        D[..., :d, :d, :d] = (r * r)[..., None] * (f.dg - dee) + dee
+        D[..., d, :d, :d] = 2 * r * (f.g - ee)
+        D[..., d, d, d] = 2.0 / r[..., 0, 0] ** 3
         return D
 
     def j_at(self, p):
-        """The cone complex structure J[k, j] at p."""
+        """The cone complex structure J[..., k, j] at the points p."""
         r, f, d = self._r(p), self.f, self.f.dim
-        J = np.zeros((d + 1, d + 1))
-        J[:d, :d] = f.phi
-        J[d, :d] = r * f.eta
-        J[:d, d] = -f.xi / r
+        J = self._zeros(r, 2)
+        J[..., :d, :d] = f.phi
+        J[..., d, :d] = r[..., 0] * f.eta
+        J[..., :d, d] = -f.xi / r[..., 0]
         return J
 
     def j_derivs_at(self, p):
-        """D[i, k, j] = e_i(J[k, j]), analytic in r."""
+        """D[..., i, k, j] = e_i(J[k, j]), analytic in r."""
         r, f, d = self._r(p), self.f, self.f.dim
-        D = np.zeros((d + 1, d + 1, d + 1))
-        D[:d, :d, :d] = f.dphi
-        D[:d, d, :d] = r * f.deta
-        D[:d, :d, d] = -f.dxi / r
-        D[d, d, :d] = f.eta
-        D[d, :d, d] = f.xi / (r * r)
+        D = self._zeros(r, 3)
+        D[..., :d, :d, :d] = f.dphi
+        D[..., :d, d, :d] = r * f.deta
+        D[..., :d, :d, d] = -f.dxi / r
+        D[..., d, d, :d] = f.eta
+        D[..., d, :d, d] = f.xi / (r * r)[..., 0]
         return D
 
     @staticmethod

@@ -21,7 +21,7 @@ from functools import cached_property, reduce
 import numpy as np
 
 from .connection import CurvatureBundle, covariant_derivative, levi_civita, riemann
-from .frame_algebra import standard_j
+from .frame_algebra import max_abs, standard_j
 
 __all__ = [
     "AccrStructure",
@@ -37,18 +37,16 @@ __all__ = [
 ]
 
 
-def _larger(a, b):
-    return a if (a >= b or a != a) else b    # a NaN on either side wins
+def worst(values):
+    """Largest of the values, elementwise over arrays of per-point values;
+    NaN wherever any of them is NaN."""
+    return reduce(np.maximum, values)
 
 
-def worst(values) -> float:
-    """Largest of the values; NaN if any of them is NaN."""
-    return reduce(_larger, map(float, values))
-
-
-def max_over_points(points, residuals_at) -> dict:
-    """{key: max over the points of residuals_at(p)[key]}, aggregating a
-    dict of residuals key by key.  The one aggregation over sample points in
+def max_over_points(blocks, residuals_at) -> dict:
+    """{key: max over the blocks of residuals_at(block)[key]}, aggregating a
+    dict of residuals key by key; each value is a number or an array of one
+    value per point of the block.  The one aggregation over sample points in
     the package: NaN and inf propagate, so a residual that could not be
     computed never reads as small."""
     out: dict = {}
@@ -58,24 +56,29 @@ def max_over_points(points, residuals_at) -> dict:
             if isinstance(val, dict):
                 merge(into.setdefault(key, {}), val)
             else:
-                into[key] = float(val) if key not in into else _larger(into[key], float(val))
+                val = float(np.max(val))
+                into[key] = val if key not in into else float(np.maximum(into[key], val))
 
-    for p in points:
-        merge(out, residuals_at(p))
+    for block in blocks:
+        merge(out, residuals_at(block))
     return out
 
 
 def field_at(field, p):
-    """A field of the point, a constant or a callable of p, read at p."""
-    return field(p) if callable(field) else field
+    """A field of the point, a constant or a callable of p, read at the
+    points p, shape (..., dim): a callable takes them all at once, and a
+    constant is broadcast over their leading axes."""
+    if callable(field):
+        return field(p)
+    return np.broadcast_to(field, np.shape(p)[:-1] + np.shape(field))
 
 
 def field_derivs_at(field, model, p):
-    """Frame derivatives e_i(field) at p, shape (dim, *shape); exact zeros
-    for a constant."""
+    """Frame derivatives e_i(field) at the points p, shape (..., dim,
+    *shape); exact zeros for a constant."""
     if callable(field):
         return model.frame_derivative(p, lambda q: np.asarray(field(q), dtype=float))
-    return np.zeros((model.dim,) + np.shape(field))
+    return np.zeros(np.shape(p)[:-1] + (model.dim,) + np.shape(field))
 
 
 @dataclass
@@ -83,8 +86,10 @@ class AccrStructure:
     """(phi, xi, eta) attached to a model carrying g.
 
     Fields may be constant float arrays (the usual case: adapted frames make
-    all structure components constant) or callables of the point returning
-    them, read through field_at and field_derivs_at.
+    all structure components constant) or callables of the points returning
+    them, read through field_at and field_derivs_at.  A callable takes
+    points of shape (..., dim) and returns its values over the same leading
+    axes, (..., d, d) for phi and (..., d) for xi and eta.
     """
 
     model: object
@@ -107,14 +112,37 @@ def standard_structure(model, n) -> AccrStructure:
     return AccrStructure(model=model, n=n, phi=phi, xi=e0, eta=e0)
 
 
+def _outer(a, b):
+    """a (x) b over the leading axes of both."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def _vec(m, v):
+    """m v, a matrix on a vector, over the leading axes of both."""
+    return np.einsum("...ij,...j->...i", m, v)
+
+
 class PointFields:
-    """Lazy cache of everything the identity checks need at one point: the
-    one input of every residual function, so each tensor is computed once."""
+    """Lazy cache of everything the identity checks need at a block of
+    points p, shape (..., dim), one point being a block with no leading
+    axes: the one input of every residual function, so each tensor is
+    computed once.  Every array carries p's leading axes, and a residual
+    function gives its values at each point."""
 
     def __init__(self, structure: AccrStructure, p):
         self.s = structure
         self.p = np.asarray(p, dtype=float)
         self.dim = structure.dim
+
+    def take(self, rows):
+        """The PointFields at the points rows (indices along the one leading
+        axis of p; a point with none counts as a block of one), holding the
+        arrays computed here at those rows."""
+        pick = lambda x: (x if self.p.ndim > 1 else x[None])[rows]
+        out = PointFields(self.s, pick(self.p))
+        out.__dict__.update({key: pick(val) for key, val in vars(self).items()
+                             if isinstance(val, np.ndarray) and key != "p"})
+        return out
 
     @cached_property
     def g(self):
@@ -166,12 +194,12 @@ class PointFields:
 
     @cached_property
     def gtilde(self):
-        return self.g @ self.phi + np.outer(self.eta, self.eta)
+        return self.g @ self.phi + _outer(self.eta, self.eta)
 
     @cached_property
     def proj(self):
         """Horizontal projector P = Id - eta (x) xi acting on vectors."""
-        return np.eye(self.dim) - np.outer(self.xi, self.eta)
+        return np.eye(self.dim) - _outer(self.xi, self.eta)
 
     @cached_property
     def nabla_phi(self):
@@ -181,83 +209,83 @@ class PointFields:
     @cached_property
     def F(self):
         """F[i, j, l] = g((nabla_i phi) e_j, e_l)."""
-        return np.einsum("ikj,kl->ijl", self.nabla_phi, self.g)
+        return np.swapaxes(self.nabla_phi, -1, -2) @ self.g[..., None, :, :]
 
     @cached_property
     def theta(self):
         """theta(z): full g-trace of F over the first two slots minus the
         xi-xi contribution (equals the horizontal orthonormal-frame sum)."""
-        full = np.einsum("ab,abk->k", self.ginv, self.F)
-        return full - np.einsum("a,b,abk->k", self.xi, self.xi, self.F)
+        full = np.einsum("...ab,...abk->...k", self.ginv, self.F)
+        return full - np.einsum("...a,...b,...abk->...k", self.xi, self.xi, self.F)
 
     @cached_property
     def theta_star(self):
-        return np.einsum("ab,cb,ack->k", self.ginv, self.phi, self.F)
+        return np.einsum("...ab,...cb,...ack->...k", self.ginv, self.phi, self.F)
 
     @cached_property
     def nabla_eta(self):
-        return self.deta - np.einsum("k,ijk->ij", self.eta, self.gamma)
+        return self.deta - np.einsum("...k,...ijk->...ij", self.eta, self.gamma)
 
     @cached_property
     def nabla_xi(self):
-        return self.dxi + np.einsum("imk,m->ik", self.gamma, self.xi)
+        return self.dxi + np.einsum("...imk,...m->...ik", self.gamma, self.xi)
 
     @cached_property
     def d_eta(self):
-        de = self.deta - self.deta.T
-        return de - np.einsum("m,mij->ij", self.eta, self.c)
+        de = self.deta - np.swapaxes(self.deta, -1, -2)
+        return de - np.einsum("...m,...mij->...ij", self.eta, self.c)
 
     @cached_property
     def lie_xi_g(self):
         """(L_xi g)(x, y) = g(nabla_x xi, y) + g(x, nabla_y xi)."""
-        a = np.einsum("ik,kj->ij", self.nabla_xi, self.g)
-        return a + a.T
+        a = self.nabla_xi @ self.g
+        return a + np.swapaxes(a, -1, -2)
 
     @cached_property
     def nijenhuis_bracket(self):
-        """Route A: N from brackets, Nhat from symmetric brackets."""
-        phi, dphi, c, g = self.phi, self.dphi, self.c, self.g
+        """Route A: N from brackets, Nhat from symmetric brackets, as matmuls
+        over the points: at [k, i, j], the e_k components of the brackets of
+        e_i and e_j."""
+        phi, dphi, c, g, d = self.phi, self.dphi, self.c, self.g, self.dim
+        phi_t = np.swapaxes(phi, -1, -2)[..., None, :, :]
+        phi_r = phi[..., None, :, :]
+        # left(m, t)[k, i, j] = m[k, a] t[a, i, j]
+        left = lambda m, t: (m @ t.reshape(t.shape[:-3] + (d, d * d))).reshape(t.shape)
         phi2 = phi @ phi
-        S = self.gamma + np.einsum("ijk->jik", self.gamma)
+        S = self.gamma + np.swapaxes(self.gamma, -3, -2)
+        s_k = np.moveaxis(S, -1, -3)                     # s_k[k, a, b] = S[a, b, k]
+        d_ji = np.moveaxis(dphi, -3, -1)                 # dphi[j, m, i] at [m, i, j]
+        d_ij = np.swapaxes(dphi, -3, -2)                 # dphi[i, m, j] at [m, i, j]
+        u = np.swapaxes(left(np.swapaxes(phi, -1, -2), dphi), -3, -2)   # phi[a, i] dphi[a, k, j]
 
-        br_pp = (
-            np.einsum("ai,bj,kab->kij", phi, phi, c)
-            + np.einsum("ai,akj->kij", phi, dphi)
-            - np.einsum("bj,bki->kij", phi, dphi)
-        )
-        phi2_br = np.einsum("mij,km->kij", c, phi2)
-        phi_br_l = np.einsum("km,ai,maj->kij", phi, phi, c) - np.einsum("km,jmi->kij", phi, dphi)
-        phi_br_r = np.einsum("km,bj,mib->kij", phi, phi, c) + np.einsum("km,imj->kij", phi, dphi)
-        n_up = br_pp + phi2_br - phi_br_l - phi_br_r + np.einsum("ij,k->kij", self.d_eta, self.xi)
+        br_pp = phi_t @ c @ phi_r + u - np.swapaxes(u, -1, -2)
+        n_up = br_pp + left(phi2, c) - left(phi, phi_t @ c - d_ji) - left(phi, c @ phi_r + d_ij) \
+            + self.d_eta[..., None, :, :] * self.xi[..., :, None, None]
 
-        sym_pp = (
-            np.einsum("ai,bj,abk->kij", phi, phi, S)
-            + np.einsum("ai,akj->kij", phi, dphi)
-            + np.einsum("bj,bki->kij", phi, dphi)
-        )
-        phi2_sym = np.einsum("ijm,km->kij", S, phi2)
-        phi_sym_l = np.einsum("km,ai,ajm->kij", phi, phi, S) + np.einsum("km,jmi->kij", phi, dphi)
-        phi_sym_r = np.einsum("km,bj,ibm->kij", phi, phi, S) + np.einsum("km,imj->kij", phi, dphi)
-        nhat_up = sym_pp + phi2_sym - phi_sym_l - phi_sym_r \
-            + np.einsum("ij,k->kij", self.lie_xi_g, self.xi)
+        sym_pp = phi_t @ s_k @ phi_r + u + np.swapaxes(u, -1, -2)
+        nhat_up = sym_pp + left(phi2, s_k) - left(phi, phi_t @ s_k + d_ji) \
+            - left(phi, s_k @ phi_r + d_ij) \
+            + self.lie_xi_g[..., None, :, :] * self.xi[..., :, None, None]
 
-        lower = lambda t: np.einsum("kij,kl->ijl", t, g)
+        lower = lambda t: np.moveaxis(t, -3, -1) @ g[..., None, :, :]
         return lower(n_up), lower(nhat_up)
 
     @cached_property
     def nijenhuis_from_F(self):
         """Route B: both tensors from the structure tensor F."""
         F, phi, eta, xi = self.F, self.phi, self.eta, self.xi
-        f_phi_first = np.einsum("ai,ajk->ijk", phi, F)
-        f_phi_last = np.einsum("ija,ak->ijk", F, phi)
-        f_xi = np.einsum("iab,aj,b->ij", F, phi, xi)
+        f_phi_first = np.einsum("...ai,...ajk->...ijk", phi, F)
+        f_phi_last = F @ phi[..., None, :, :]
+        f_xi = np.einsum("...iab,...aj,...b->...ij", F, phi, xi)
 
-        sym1 = f_phi_first + np.einsum("jik->ijk", f_phi_first)
-        asym1 = f_phi_first - np.einsum("jik->ijk", f_phi_first)
-        sym3 = f_phi_last + np.einsum("jik->ijk", f_phi_last)
-        asym3 = f_phi_last - np.einsum("jik->ijk", f_phi_last)
-        n = asym1 - asym3 + np.einsum("k,ij->ijk", eta, f_xi - f_xi.T)
-        nhat = sym1 - sym3 + np.einsum("k,ij->ijk", eta, f_xi + f_xi.T)
+        swap = lambda t: np.swapaxes(t, -3, -2)
+        sym1 = f_phi_first + swap(f_phi_first)
+        asym1 = f_phi_first - swap(f_phi_first)
+        sym3 = f_phi_last + swap(f_phi_last)
+        asym3 = f_phi_last - swap(f_phi_last)
+        f_xi_t = np.swapaxes(f_xi, -1, -2)
+        n = asym1 - asym3 + (f_xi - f_xi_t)[..., None] * eta[..., None, None, :]
+        nhat = sym1 - sym3 + (f_xi + f_xi_t)[..., None] * eta[..., None, None, :]
         return n, nhat
 
     @cached_property
@@ -269,28 +297,28 @@ class PointFields:
 
 
 def validate_structure(f: PointFields) -> dict:
-    """Residuals of every structure axiom at f.p.  Reports, never raises."""
+    """Residuals of every structure axiom at each point of f.  Reports,
+    never raises."""
     phi, xi, eta, g = f.phi, f.xi, f.eta, f.g
     phi2 = phi @ phi
-    compat = np.einsum("ai,bj,ab->ij", phi, phi, g) + g - np.outer(eta, eta)
+    compat = np.swapaxes(phi, -1, -2) @ g @ phi + g - _outer(eta, eta)
     out = {
-        "phi_xi": float(np.max(np.abs(phi @ xi))),
-        "phi_squared": float(np.max(np.abs(phi2 + np.eye(f.dim) - np.outer(xi, eta)))),
-        "eta_phi": float(np.max(np.abs(eta @ phi))),
-        "eta_xi": float(abs(eta @ xi - 1.0)),
-        "metric_compat": float(np.max(np.abs(compat))),
-        "gtilde_symmetry": float(np.max(np.abs(f.gtilde - f.gtilde.T))),
+        "phi_xi": max_abs(_vec(phi, xi), 1),
+        "phi_squared": max_abs(phi2 + np.eye(f.dim) - _outer(xi, eta), 2),
+        "eta_phi": max_abs(_vec(np.swapaxes(phi, -1, -2), eta), 1),
+        "eta_xi": np.abs(np.einsum("...i,...i->...", eta, xi) - 1.0),
+        "metric_compat": max_abs(compat, 2),
+        "gtilde_symmetry": max_abs(f.gtilde - np.swapaxes(f.gtilde, -1, -2), 2),
     }
-    ok_g = np.linalg.eigvalsh(g)
-    ok_gt = np.linalg.eigvalsh(f.gtilde)
     want = (f.s.n + 1, f.s.n)
-    sig = lambda ev: (int(np.sum(ev > 0)), int(np.sum(ev < 0)))
-    out["signature_g"] = 0.0 if sig(ok_g) == want else 1.0
-    out["signature_gtilde"] = 0.0 if sig(ok_gt) == want else 1.0
+    for key, m in (("signature_g", g), ("signature_gtilde", f.gtilde)):
+        ev = np.linalg.eigvalsh(m)
+        same = (np.sum(ev > 0, axis=-1) == want[0]) & (np.sum(ev < 0, axis=-1) == want[1])
+        out[key] = np.where(same, 0.0, 1.0)
     return out
 
 
-def theorem_3_4_residual(f: PointFields) -> float:
+def theorem_3_4_residual(f: PointFields):
     """Reconstruction of F from the two Nijenhuis tensors:
 
     F(x,y,z) = -1/4 [N(phi x,y,z) + N(phi x,z,y)
@@ -299,54 +327,53 @@ def theorem_3_4_residual(f: PointFields) -> float:
                              + eta(z) Nhat(xi,xi,phi y)]
 
     evaluated with the bracket-route tensors, so both sides are
-    independent computations.
+    independent computations; the max at each point.
     """
     n, nhat = f.nijenhuis_bracket
     phi, eta, xi = f.phi, f.eta, f.xi
-    n_phi = np.einsum("ai,ajk->ijk", phi, n)
-    nhat_phi = np.einsum("ai,ajk->ijk", phi, nhat)
-    sym = lambda t: t + np.einsum("ikj->ijk", t)
-    n_xi_phi = np.einsum("a,ajb,bk->jk", xi, n, phi)
-    nhat_xi_phi = np.einsum("a,ajb,bk->jk", xi, nhat, phi)
-    nhat_xi_xi_phi = np.einsum("a,b,abc,cj->j", xi, xi, nhat, phi)
-    rhs = -0.25 * (sym(n_phi) + sym(nhat_phi)) + 0.5 * np.einsum(
-        "i,jk->ijk",
-        eta,
-        n_xi_phi + nhat_xi_phi + np.einsum("k,j->jk", eta, nhat_xi_xi_phi),
-    )
-    return float(np.max(np.abs(f.F - rhs)))
+    n_phi = np.einsum("...ai,...ajk->...ijk", phi, n)
+    nhat_phi = np.einsum("...ai,...ajk->...ijk", phi, nhat)
+    sym = lambda t: t + np.swapaxes(t, -1, -2)
+    n_xi_phi = np.einsum("...a,...ajb,...bk->...jk", xi, n, phi)
+    nhat_xi_phi = np.einsum("...a,...ajb,...bk->...jk", xi, nhat, phi)
+    nhat_xi_xi_phi = np.einsum("...a,...b,...abc,...cj->...j", xi, xi, nhat, phi)
+    inner = n_xi_phi + nhat_xi_phi + _outer(nhat_xi_xi_phi, eta)
+    rhs = -0.25 * (sym(n_phi) + sym(nhat_phi)) \
+        + 0.5 * eta[..., :, None, None] * inner[..., None, :, :]
+    return max_abs(f.F - rhs, 3)
 
 
 def structure_property_residuals(f: PointFields) -> dict:
-    """General identities satisfied on every accR manifold."""
+    """General identities satisfied on every accR manifold, each the max at
+    each point."""
     F, phi, eta, xi = f.F, f.phi, f.eta, f.xi
     phi2 = phi @ phi
 
-    f_sym = np.max(np.abs(F - np.einsum("ikj->ijk", F)))
-    f_phiphi = np.einsum("iab,aj,bk->ijk", F, phi, phi)
-    f_xi_mid = np.einsum("iak,a->ik", F, xi)
-    f_xi_last = np.einsum("ija,a->ij", F, xi)
-    fprop = F - f_phiphi - np.einsum("j,ik->ijk", eta, f_xi_mid) \
-        - np.einsum("k,ij->ijk", eta, f_xi_last)
+    f_sym = F - np.swapaxes(F, -1, -2)
+    f_phiphi = np.swapaxes(phi, -1, -2)[..., None, :, :] @ F @ phi[..., None, :, :]
+    f_xi_mid = np.einsum("...iak,...a->...ik", F, xi)
+    f_xi_last = np.einsum("...ija,...a->...ij", F, xi)
+    fprop = F - f_phiphi - eta[..., None, :, None] * f_xi_mid[..., :, None, :] \
+        - eta[..., None, None, :] * f_xi_last[..., :, :, None]
 
-    theta_rel = np.einsum("a,ak->k", f.theta_star, phi) \
-        + np.einsum("a,ak->k", f.theta, phi2)
+    theta_rel = _vec(np.swapaxes(phi, -1, -2), f.theta_star) \
+        + _vec(np.swapaxes(phi2, -1, -2), f.theta)
 
-    nabla_eta_vs_f = f.nabla_eta - np.einsum("iab,aj,b->ij", F, phi, xi)
-    nabla_eta_vs_xi = f.nabla_eta - np.einsum("ik,kj->ij", f.nabla_xi, f.g)
+    nabla_eta_vs_f = f.nabla_eta - np.einsum("...iab,...aj,...b->...ij", F, phi, xi)
+    nabla_eta_vs_xi = f.nabla_eta - f.nabla_xi @ f.g
 
     n_bracket, nhat = f.nijenhuis_bracket
     n_from_f, nhat_from_f = f.nijenhuis_from_F
-    fff = np.einsum("a,b,abk->k", xi, xi, F) \
-        - 0.5 * np.einsum("a,b,abc,ck->k", xi, xi, nhat, phi)
+    fff = np.einsum("...a,...b,...abk->...k", xi, xi, F) \
+        - 0.5 * np.einsum("...a,...b,...abc,...ck->...k", xi, xi, nhat, phi)
 
     return {
-        "f_last_two_symmetry": float(f_sym),
-        "f_phi_phi_relation": float(np.max(np.abs(fprop))),
-        "theta_star_phi_relation": float(np.max(np.abs(theta_rel))),
-        "nabla_eta_from_f": float(np.max(np.abs(nabla_eta_vs_f))),
-        "nabla_eta_from_xi": float(np.max(np.abs(nabla_eta_vs_xi))),
-        "f_xixi_vs_nhat": float(np.max(np.abs(fff))),
-        "nijenhuis_route_gap_n": float(np.max(np.abs(n_bracket - n_from_f))),
-        "nijenhuis_route_gap_nhat": float(np.max(np.abs(nhat - nhat_from_f))),
+        "f_last_two_symmetry": max_abs(f_sym, 3),
+        "f_phi_phi_relation": max_abs(fprop, 3),
+        "theta_star_phi_relation": max_abs(theta_rel, 1),
+        "nabla_eta_from_f": max_abs(nabla_eta_vs_f, 2),
+        "nabla_eta_from_xi": max_abs(nabla_eta_vs_xi, 2),
+        "f_xixi_vs_nhat": max_abs(fff, 1),
+        "nijenhuis_route_gap_n": max_abs(n_bracket - n_from_f, 3),
+        "nijenhuis_route_gap_nhat": max_abs(nhat - nhat_from_f, 3),
     }

@@ -5,14 +5,17 @@ tolerance.  FAMILIES declares how the checks under each id prefix are
 computed and on which models.  Each check is reported as a row {check_id,
 statement, max_residual, fd_error_estimate, tolerance, expected, verdict},
 the residual being its maximum over the model's deterministic sample
-points.  Every family is one function of the pass's one list of
-PointFields: most are each(fn), the max_over_points of a one-point residual
-function over the list; the cone maximises sasaki.cone_residuals_at over its
-cone points and the derivatives family the jets over a prefix of the list,
-while crossrep and the eta fit give rows of the model as a whole.  Every row
+points.  The pass splits the sample into consecutive blocks of at most
+max(1, BLOCK_ELEMENTS // dim**4) points and holds one PointFields per block
+(point_fields), and every family is one function of that list, so families
+run over blocks of points: most are each(fn), the max_over_points of a
+residual function, which gives its values at each point of a block, over
+the list; the cone maximises sasaki.cone_residuals_at over its cone points
+and the derivatives family the jets over a prefix of the sample, while
+crossrep and the eta fit give rows of the model as a whole.  Every row
 is judged except the eta fit's (info), whose output is the classification in
 its note.
-Every model gives its jets in closed form and riemann takes a point's
+Every model gives its jets in closed form and riemann takes a block's
 curvature from them, so curvature has no finite-difference error; on chart
 models the derivatives family compares each analytic jet with finite
 differences of the next-lower order, relative to max(1, |jet|), at the
@@ -21,9 +24,9 @@ and these stencils are most of a chart's model evaluations).  Designed
 failures (the parallel model for the Sasaki family, the w != 0 homothety
 for conformal preservation) are expected to fail, so a healthy run reports
 them as xfail and exits 0.
-sample gives a model's sample points, flatten a family's rows and judge a
-row's verdict, for this pass and for the transform and cone commands alike,
-and error_text a model's error entry.
+sample gives a model's sample points, point_fields their blocks, flatten a
+family's rows and judge a row's verdict, for this pass and for the
+transform and cone commands alike, and error_text a model's error entry.
 """
 
 from __future__ import annotations
@@ -51,6 +54,11 @@ from .structure import (
 SCHEMA_VERSION = "1"
 TOL_EXACT = 1e-9      # every judged row, unless its check sets a tighter tol
 JET_POINTS = 4        # the derivatives rows check the jets on this prefix of the sample
+# The most point-dim^4 entries in one block: a block holds about fifteen
+# arrays of dim^4 entries per point (curvature and its jets), so this bounds
+# a pass's memory; the example3_hsphere_ext blocks (dim 7) are 6 points, a
+# model of dim 11 or more is sampled one point at a time.
+BLOCK_ELEMENTS = 2 ** 14
 
 # expected outcome of a check (Check.expect)
 PASS = "pass"
@@ -211,8 +219,8 @@ class Family:
 
 def each(fn):
     """The residuals of a per-point family: the max_over_points of the
-    one-point residual function fn(cm, f), a value or a dict, over the
-    pass's fields."""
+    residual function fn(cm, f), a value or a dict of the values at each
+    point of the block f, over the pass's fields."""
     return lambda cm, fields, count, seed: max_over_points(
         fields, lambda f: {"out": fn(cm, f)})["out"]
 
@@ -252,6 +260,14 @@ def _crossrep(cm, fields, count, seed):
     return {k: v for k, v in cross.items() if not k.startswith("sasaki_")}
 
 
+def _derivatives(cm, fields, count, seed):
+    """The jets at the first JET_POINTS sample points, in the pass's blocks."""
+    rows = [f.p.reshape(-1, f.p.shape[-1]) for f in fields]
+    starts = np.cumsum([0, *map(len, rows)])
+    return max_over_points([r[:JET_POINTS - s] for r, s in zip(rows, starts) if s < JET_POINTS],
+                           cm.model.jet_residuals)
+
+
 FAMILIES = (
     Family("structure", each(lambda cm, f: validate_structure(f))),
     Family("identity", each(lambda cm, f: {
@@ -275,9 +291,7 @@ FAMILIES = (
            applies=lambda cm: cm.coframe_fn is not None and cm.lie_partner is not None),
     Family("conformal", each(_conformal), applies=lambda cm: cm.sasaki_expected),
     Family("conformal.eta_fit", _eta_fit, applies=lambda cm: cm.sasaki_expected),
-    Family("derivatives", lambda cm, fields, count, seed: max_over_points(
-               fields[:JET_POINTS], lambda f: cm.model.jet_residuals(f.p)),
-           applies=lambda cm: isinstance(cm.model, ChartModel)),
+    Family("derivatives", _derivatives, applies=lambda cm: isinstance(cm.model, ChartModel)),
 )
 
 # the family that computes each check: the one with the longest prefix of its id
@@ -311,12 +325,20 @@ def families_for(cm, only=None) -> list:
     return [fam for fam in FAMILIES if fam.prefix in wanted and fam.applies(cm)]
 
 
+def point_fields(cm, points) -> list:
+    """The PointFields of cm's structure at points, a list of points, in
+    consecutive blocks of at most max(1, BLOCK_ELEMENTS // dim**4) points."""
+    size = max(1, BLOCK_ELEMENTS // cm.model.dim ** 4)
+    return [PointFields(cm.structure, np.stack(points[k:k + size]))
+            for k in range(0, len(points), size)]
+
+
 def _gather_residuals(cm, cfg: VerifyConfig):
     """One full pass over the sample points of families_for(cm, cfg.only),
-    every family reading the one list of PointFields at the model's sample
-    points: ({check_id: residual}, notes)."""
+    every family reading the one list of PointFields over consecutive blocks
+    of the model's sample points: ({check_id: residual}, notes)."""
     points, count, seed = sample(cm, cfg)
-    fields = [PointFields(cm.structure, p) for p in points]
+    fields = point_fields(cm, points)
     res, notes = {}, {}
     for fam in families_for(cm, cfg.only):
         flatten(fam.prefix, fam.residuals(cm, fields, count, seed), res, notes)

@@ -22,6 +22,8 @@ from accr.connection import levi_civita, riemann
 from accr.corpus import builtin, default_corpus, example3_hsphere_ext
 from accr.errors import NonConstantParams, NotSasakiLike
 from accr.models import ChartModel, LieGroupModel
+from accr import models
+from accr import sasaki as sas
 from accr.sasaki import check_defining_conditions, require_sasaki_like
 from accr.structure import AccrStructure, PointFields, max_over_points, validate_structure
 from accr.verify import BREAKING, HOMOTHETY, run_all
@@ -77,7 +79,7 @@ class TestApplyCct:
         # v = 0.1 t is not constant, w is: xi_bar and eta_bar stay constants,
         # so their frame derivatives are exact zeros, not finite differences
         cm = request.getfixturevalue(name)
-        t = TransformParams(u=0.3, v=lambda p: 0.1 * p[0], w=0.0)
+        t = TransformParams(u=0.3, v=lambda p: 0.1 * p[..., 0], w=0.0)
         for f in sample_fields(cm, 3, 7):
             fb = apply_cct(f, t)
             assert not (callable(fb.s.xi) or callable(fb.s.eta))
@@ -91,8 +93,9 @@ class TestApplyCct:
 
 JET_CASES = [("example1_chart", {}), ("example2_chart", {"lam": 3.0}),
              ("example3_hsphere_ext", {})]
-MIXED = TransformParams(u=lambda p: 0.2 * math.sin(p.sum()), v=lambda p: 0.1 * p[0] * p[-1],
-                        w=lambda p: 0.1 * math.cos(p[1]))
+MIXED = TransformParams(u=lambda p: 0.2 * np.sin(p.sum(-1)),
+                        v=lambda p: 0.1 * p[..., 0] * p[..., -1],
+                        w=lambda p: 0.1 * np.cos(p[..., 1]))
 
 
 def assert_jet_matches_stencil(s, t, points):
@@ -107,8 +110,8 @@ def assert_jet_matches_stencil(s, t, points):
 
 class TestClosedFormJet:
     @pytest.mark.parametrize("name, params", JET_CASES)
-    @pytest.mark.parametrize("t", [TransformParams(v=lambda p: 0.1 * p[0]),
-                                   TransformParams(w=lambda p: 0.1 * p[0]), MIXED],
+    @pytest.mark.parametrize("t", [TransformParams(v=lambda p: 0.1 * p[..., 0]),
+                                   TransformParams(w=lambda p: 0.1 * p[..., 0]), MIXED],
                              ids=["v", "w", "mixed"])
     def test_matches_the_stencil(self, name, params, t):
         cm = builtin(name, **params)
@@ -119,8 +122,9 @@ class TestClosedFormJet:
         # the dphi and deta terms: phi and eta move with the point (g_bar and
         # its jet need no accR structure)
         phi, eta = ex1_chart.structure.phi, ex1_chart.structure.eta
-        s = AccrStructure(ex1_chart.model, 1, phi=lambda p: phi * (1.0 + 0.3 * math.sin(p[0])),
-                          xi=eta, eta=lambda p: eta + 0.2 * p[1] * p[2])
+        s = AccrStructure(ex1_chart.model, 1,
+                          phi=lambda p: phi * (1.0 + 0.3 * np.sin(p[..., 0]))[..., None, None],
+                          xi=eta, eta=lambda p: eta + (0.2 * p[..., 1] * p[..., 2])[..., None])
         assert_jet_matches_stencil(s, t, ex1_chart.model.sample_points(6, 7))
 
     @pytest.mark.parametrize("name, params", JET_CASES)
@@ -159,13 +163,14 @@ class TestPreservation:
         pts = ex1_chart.model.sample_points(4, 1)
         # constant-zero candidates supplied as genuine functions: the
         # differentials run through finite differences and must vanish
-        t = TransformParams(u=lambda p: 0.0, v=lambda p: 0.0, w=0.0)
+        t = TransformParams(u=lambda p: np.zeros(p.shape[:-1]), v=lambda p: np.zeros(p.shape[:-1]),
+                            w=0.0)
         res = preservation(ex1_chart.structure, t, pts)
         assert max(res.values()) < 1e-6
 
     def test_callable_v_of_t_breaks(self, ex1_chart):
         pts = ex1_chart.model.sample_points(4, 1)
-        t = TransformParams(u=0.0, v=lambda p: 0.1 * p[0], w=0.0)
+        t = TransformParams(u=0.0, v=lambda p: 0.1 * p[..., 0], w=0.0)
         res = preservation(ex1_chart.structure, t, pts)
         assert res["du_phi_plus_dv"] == pytest.approx(0.1, abs=1e-6)
 
@@ -198,7 +203,7 @@ class TestHomotheticConnection:
         assert homothetic_laws(f, fb, t)["connection_formula"] < 1e-12
 
     def test_nonconstant_rejected(self, ex1_chart):
-        t = TransformParams(u=lambda p: p[0], v=0.0, w=0.0)
+        t = TransformParams(u=lambda p: p[..., 0], v=0.0, w=0.0)
         f, fb = pair(ex1_chart.structure, t, np.zeros(3))
         with pytest.raises(NonConstantParams):
             homothetic_laws(f, fb, t)
@@ -207,7 +212,7 @@ class TestHomotheticConnection:
         # the second jets of g_bar are closed-form for constants only
         f = PointFields(ex1_chart.structure, ex1_chart.model.sample_points(1, 3)[0])
         with pytest.raises(NonConstantParams):
-            apply_cct(f, TransformParams(v=lambda p: 0.1 * p[0])).curvature
+            apply_cct(f, TransformParams(v=lambda p: 0.1 * p[..., 0])).curvature
 
 
 class TestHomotheticCurvature:
@@ -319,9 +324,10 @@ class TestEtaEinsteinFit:
 
 
 class TestSolveCounts:
-    """Each connection is solved once per point and its curvature computed
-    once: Koszul solves of the base and of the transformed metric, and
-    riemann calls, counted on every module that holds levi_civita or riemann."""
+    """Each connection is solved once per block of points and its curvature
+    computed once: Koszul solves of the base and of the transformed metric,
+    and riemann calls, counted on every module that holds levi_civita or
+    riemann."""
 
     @staticmethod
     def counters(monkeypatch):
@@ -385,8 +391,16 @@ class TestSolveCounts:
         (["cone", "-m", "example1"], 8),
     ])
     def test_cone_solves_each_base_point_once(self, argv, cone_points, monkeypatch, capsys):
-        # one solve per cone point, and one for the group's single base point
-        assert self.solves(monkeypatch, argv) == (cone_points + 1, 0)
+        # one solve for the group's single base point, and one for all the
+        # cone points over it, as one block
+        counts = self.counters(monkeypatch)
+        blocks = []
+        solve = sas.levi_civita
+        monkeypatch.setattr(sas, "levi_civita",
+                            lambda model, p: blocks.append(np.shape(p)) or solve(model, p))
+        assert main(argv) == 0
+        assert tuple(counts[:2]) == (2, 0)
+        assert blocks == [(cone_points, 1)]
 
     @pytest.mark.parametrize("argv", [
         ["verify", "-m", "example1", "--only", "cone"],
@@ -431,4 +445,23 @@ class TestSolveCounts:
         the pass already holds or recomputes their curvature goes over them."""
         counts = self.counters(monkeypatch)
         run_all(default_corpus())
-        assert counts[0] + counts[1] <= 247 and counts[2] <= 195 and counts[3] <= 129
+        assert counts[0] + counts[1] <= 45 and counts[2] <= 36 and counts[3] <= 21
+
+    @pytest.mark.parametrize("name, blocks", [
+        ("example1_chart", [(1, 3), (19, 3)]),
+        ("example3_hsphere_ext", [(1, 7), (6, 7), (6, 7), (6, 7), (1, 7)]),
+    ])
+    def test_linear_t_takes_one_stencil_per_block(self, name, blocks, monkeypatch, capsys):
+        # the stencil of v, once for each block of the sample (the first
+        # point, whose pair the laws read, then the rest): preservation reads
+        # du, dv and dw from the transformed model, which took them
+        stencil, points = models.coordinate_derivatives, []
+
+        def counted(fn, x, step=models.DEFAULT_FD_STEP):
+            points.append(np.shape(x))
+            return stencil(fn, x, step)
+
+        monkeypatch.setattr(models, "coordinate_derivatives", counted)
+        assert main(["transform", "-m", name, "--params", "v=linear_t:0.1,w=0"]) == 0
+        # product_extension checks a base on four single points, not on blocks
+        assert [shape for shape in points if len(shape) == 2] == blocks

@@ -107,7 +107,7 @@ class TestStackedStencil:
         assert np.array_equal(got, loop_coordinate_derivatives(fn, np.zeros(0), 1e-3))
 
     def test_one_dimensional_point(self):
-        fn = lambda q: np.array([np.sin(q[0]), q[0] ** 3])
+        fn = lambda q: np.stack([np.sin(q[..., 0]), q[..., 0] ** 3], axis=-1)
         x = np.array([0.37])
         assert np.array_equal(coordinate_derivatives(fn, x, 1e-3),
                               loop_coordinate_derivatives(fn, x, 1e-3))

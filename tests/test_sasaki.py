@@ -235,7 +235,7 @@ class TestConeHolomorphicity:
         def perturbed(self, p):
             D = derivs(self, p)
             d = self.dim - 1
-            D[d, :d, :d] *= 1.01
+            D[..., d, :d, :d] *= 1.01
             return D
 
         monkeypatch.setattr(ConeModel, "metric_derivs_at", perturbed)

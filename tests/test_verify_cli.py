@@ -116,16 +116,17 @@ class TestRunAll:
             "error: --only 'derivatives' applies to none of the models\n"
 
     @pytest.mark.parametrize("only", ["gauss.residual", "gauss.second_fundamental_form"])
-    def test_gauss_builds_one_point_fields_per_point(self, ex3, only, monkeypatch):
+    def test_gauss_builds_one_point_fields_per_block(self, ex3, only, monkeypatch):
+        # 20 points of dimension 7 in blocks of BLOCK_ELEMENTS // 7**4 = 6 points
         from accr.structure import PointFields
 
         built = []
         init = PointFields.__init__
         monkeypatch.setattr(PointFields, "__init__",
-                            lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+                            lambda self, s, p: built.append(len(p)) or init(self, s, p))
         cfg = VerifyConfig(points=20, only=only)
         assert run_model_checks(ex3, cfg)["checks"]
-        assert len(built) == 20
+        assert built == [6, 6, 6, 2]
 
     def test_broken_model_captured_not_raised(self):
         # a degenerate metric aborts that model's checks but not the batch
@@ -372,7 +373,8 @@ class TestCli:
         monkeypatch.setattr(PointFields, "__init__",
                             lambda self, *a, **k: built.append(1) or init(self, *a, **k))
         assert main(["transform", "-m", str(spec), "--params", "u=0.3,v=0.2,w=0"]) == 0
-        assert len(built) == 6     # a base and a transformed field per point
+        # a base and a transformed field per block: the first point, then the other two
+        assert len(built) == 4
         out = tmp_path / "cone.json"
         assert main(["cone", "-m", str(spec), "--json", str(out)]) == 0
         assert len(json.loads(out.read_text())["models"][0]["per_point"]) == 3
