@@ -26,10 +26,14 @@ that the dw and d eta_bar terms show; ``verify``, ``cone`` and the
 ``linear_t`` transform of the extension at ``--points 13`` (``UNEVEN``),
 whose sample splits into blocks of 6, 6 and 1 points, and ``verify`` of
 ``example1_chart`` at n = 8 (``WIDE_CHART``), dimension 17, whose blocks
-are single points, so that the block boundaries show; and for each model spec in
+are single points, so that the block boundaries show; for each model spec in
 ``docs/examples``, at its own sample, ``verify``, ``cone`` and ``transform``
-with the three parameter sets.  A command differs when its JSON report, its
-stdout or its exit code differs.  Every differing command is
+with the three parameter sets; and ``verify`` of the two model specs in
+``SPECS``, which the script writes to its temporary directory so that both
+sides read them at the same absolute path: one the schema rejects (exit 2,
+the message naming a nested property) and a Lie group whose non-ASCII name
+the report and stdout must escape or print alike.  A command differs when
+its JSON report, its stdout, its stderr or its exit code differs.  Every differing command is
 printed, and for a pair of verify reports also the sorted check ids whose
 rows differ, each differing row's max_residual, tolerance and verdict on
 both sides, and both summaries; the exit code is 1 if any differs, else 0.
@@ -60,10 +64,18 @@ MOVING = ("example1_chart", "example3_hsphere_ext")
 WIDE = (("example1", "n=4"), ("flat_parallel", "n=4"))
 UNEVEN = ("example3_hsphere_ext", "13")
 WIDE_CHART = ("example1_chart", "3", "n=8")
+SPECS = {
+    "invalid.json": {"kind": "lie_group", "n": 1, "structure_constants": [
+        {"i": 0, "j": 1, "k": 2, "value": "one"}]},
+    "non_ascii.json": {"kind": "lie_group", "name": "λ-group", "n": 1, "structure_constants": [
+        {"i": 0, "j": 1, "k": 2, "value": 1.0}, {"i": 0, "j": 2, "k": 1, "value": -1.0}],
+        "sample_points": {"count": 3, "seed": 5}},
+}
 
 
-def commands() -> list:
-    """The accr argument lists run on both sides."""
+def commands(spec_dir: Path) -> list:
+    """The accr argument lists run on both sides; the SPECS are written to
+    spec_dir."""
     out = [["verify"]]
     for name in BUILTINS:
         seeded = ["-m", name, "--seed", "7"]
@@ -95,18 +107,21 @@ def commands() -> list:
         ref = ["-m", f"docs/examples/{spec.name}"]
         out.extend([["verify", *ref], ["cone", *ref]])
         out.extend(["transform", *ref, "--params", t] for t in TRANSFORMS)
+    for name, spec in SPECS.items():
+        (spec_dir / name).write_text(json.dumps(spec))
+        out.append(["verify", "-m", str(spec_dir / name)])
     return out
 
 
 def run(tree: Path, argv, report: Path) -> tuple:
-    """(JSON report, stdout, exit code) of one accr command in tree."""
+    """(JSON report, stdout, stderr, exit code) of one accr command in tree."""
     env = {k: v for k, v in os.environ.items() if k != "ACCR_SEED"}
     env.update(PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     proc = subprocess.run([sys.executable, "-m", "accr.cli", *argv, "--json", str(report)],
                           cwd=tree, env=env, capture_output=True)
     text = report.read_bytes() if report.exists() else None
-    return text, proc.stdout, proc.returncode
+    return text, proc.stdout, proc.stderr, proc.returncode
 
 
 def row_moves(parent: bytes, change: bytes) -> list:
@@ -144,12 +159,12 @@ def main(argv=None) -> int:
         tmp = Path(tmp)
         trees = {"parent": unpack(args.parent, tmp / "parent"),
                  "change": unpack(args.change, tmp / "change") if args.change else ROOT}
-        cmds = commands()
+        cmds = commands(tmp)
         for k, cmd in enumerate(cmds):
             parent, change = (run(trees[side], cmd, tmp / f"{side}-{k}.json")
                               for side in ("parent", "change"))
-            parts = [what for what, a, b in zip(("report", "stdout", "exit code"), parent, change)
-                     if a != b]
+            parts = [what for what, a, b in zip(("report", "stdout", "stderr", "exit code"),
+                                                 parent, change) if a != b]
             if parts:
                 differ += 1
                 print(f"differs ({', '.join(parts)}): accr {' '.join(cmd)}", flush=True)

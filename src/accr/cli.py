@@ -11,12 +11,14 @@ Subcommands:
 Exit codes: 0 all checks pass (designed failures count as pass), 1 any
 unexpected failure or model error, 2 usage or input errors.  The
 environment variable ACCR_SEED, a non-negative integer, overrides the
-default sample seed.
+default sample seed; it is read at every call, and the parser for each
+value is built once per process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -227,6 +229,11 @@ def cmd_cone(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _parser(os.environ.get("ACCR_SEED", "42"))
+
+
+@functools.lru_cache
+def _parser(seed: str) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="accr",
         description="Verification toolkit for almost contact complex Riemannian manifolds",
@@ -239,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--params", action="append",
                        help="comma separated key=value model/transform parameters")
         p.add_argument("--points", type=int, default=20, help="sample point count")
-        p.add_argument("--seed", type=int, default=os.environ.get("ACCR_SEED", "42"),
+        p.add_argument("--seed", type=int, default=seed,
                        help="non-negative sample seed (env ACCR_SEED)")
         p.add_argument("--tol", type=float, default=None, help="override all tolerances")
         p.add_argument("--fd-step", type=float, default=1e-3, dest="fd_step",

@@ -101,24 +101,24 @@ def halton_points(ranges, count, seed):
     permutation, one per place while base**-place > 2**-54, all drawn from
     one ``np.random.default_rng(seed)``.  The same points as
     ``scipy.stats.qmc.Halton(d, scramble=True, seed=seed).random(count)``.
+    Each base draws its permutations in one ``rng.permuted`` call and sums the
+    terms of its int64 digits in place order, as a digit-by-digit loop does.
     """
     if count <= 0:
         return []
     lo = np.array([r[0] for r in ranges], dtype=float)
     hi = np.array([r[1] for r in ranges], dtype=float)
     rng = np.random.default_rng(seed)
-    u = np.zeros((len(ranges), count))
-    for row, base in zip(u, _primes(len(ranges))):
-        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
-        for perm in perms:
-            rng.shuffle(perm)
-        quotient = np.arange(count)
-        scale = 1.0 / base
-        for perm in perms:
-            row += perm[quotient % base] * scale
-            quotient //= base
-            scale /= base
-    return [lo + ui * (hi - lo) for ui in u.T]
+    u = np.zeros((count, len(ranges)))
+    for col, base in enumerate(_primes(len(ranges))):
+        places = math.ceil(54 / math.log2(base)) - 1
+        perms = rng.permuted(np.broadcast_to(np.arange(base), (places, base)), axis=1)
+        place = np.arange(places, dtype=np.int64)[:, None]
+        digits = np.arange(count) // base**place % base
+        # divided by base once per place, so each scale rounds as in the digit loop
+        scales = np.divide.accumulate(np.r_[1.0 / base, np.full(places - 1, float(base))])
+        u[:, col] = np.cumsum(perms[place, digits] * scales[:, None], axis=0)[-1]
+    return list(lo + u * (hi - lo))
 
 
 class ManifoldModel:

@@ -3,11 +3,13 @@
 Two spec kinds are accepted: a reference to a builtin corpus member with
 parameters, or a fully described left-invariant model given by structure
 constants.  The JSON schema ships in docs/modelspec.schema.json and is
-enforced with jsonschema before construction.
+enforced with jsonschema before construction; the schema itself is checked
+against its metaschema once per process, at the first spec load.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -98,8 +100,19 @@ def _square(value, what, d):
     return m
 
 
+@functools.cache
+def _validator():
+    """The MODELSPEC_SCHEMA validator, its schema checked on first use;
+    model_from_spec raises what jsonschema.validate would."""
+    cls = jsonschema.validators.validator_for(MODELSPEC_SCHEMA)
+    cls.check_schema(MODELSPEC_SCHEMA)
+    return cls(MODELSPEC_SCHEMA)
+
+
 def model_from_spec(spec: dict) -> CorpusModel:
-    jsonschema.validate(spec, MODELSPEC_SCHEMA)
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(spec))
+    if error is not None:
+        raise error
     if spec["kind"] == "builtin":
         cm = builtin(spec["builtin"], **spec.get("params", {}))
         cm.sample_override = spec.get("sample_points")

@@ -31,8 +31,8 @@ transform and cone commands alike, and error_text a model's error entry.
 
 from __future__ import annotations
 
-import json
 import math
+from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass
 
 import numpy as np
@@ -421,24 +421,43 @@ def run_all(models, cfg: VerifyConfig | None = None) -> dict:
     }
 
 
-def _clean(obj):
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        x = float(obj)
-        return x if math.isfinite(x) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
 def report_to_json(report) -> str:
-    """Canonical serialization: sorted keys, shortest round-trip floats.
-
-    Identical runs (same seed, same config) produce byte-identical output.
+    """Canonical serialization in one pass, byte for byte json.dumps(report,
+    indent=2, sort_keys=True) + "\n" over dicts, lists, tuples, str, bool,
+    int, float, None and numpy bool, integer and floating, with NaN and +-inf
+    written as null.  Identical runs (same seed, same config) produce
+    byte-identical output.
     """
-    return json.dumps(_clean(report), indent=2, sort_keys=True) + "\n"
+    out = []
+    put = out.append
+
+    def write(obj, nl):
+        if isinstance(obj, str):
+            put(_quote(obj))
+        elif isinstance(obj, (float, np.floating)):
+            x = float(obj)
+            put(float.__repr__(x) if math.isfinite(x) else "null")
+        elif obj is None or isinstance(obj, (bool, np.bool_)):
+            put("null" if obj is None else "true" if obj else "false")
+        elif isinstance(obj, (int, np.integer)):
+            put(int.__repr__(int(obj)))
+        elif isinstance(obj, dict):
+            inner, sep = nl + "  ", "{"
+            for key in sorted(obj):
+                put(f"{sep}{inner}{_quote(key)}: ")
+                write(obj[key], inner)
+                sep = ","
+            put(f"{nl}}}" if obj else "{}")
+        elif isinstance(obj, (list, tuple)):
+            inner, sep = nl + "  ", "["
+            for item in obj:
+                put(sep + inner)
+                write(item, inner)
+                sep = ","
+            put(f"{nl}]" if obj else "[]")
+        else:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+    write(report, "\n")
+    put("\n")
+    return "".join(out)

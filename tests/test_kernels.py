@@ -1,11 +1,12 @@
 """The vectorised chart kernels against the loop code they replaced.
 
-The stacked stencil, the slice-assigned h-sphere chart and the single base
-evaluation of the product extension do the same floating-point operations
-on each element as the loops kept here as references, so the results must
-be equal bit for bit, not merely close.
+The stacked stencil, the slice-assigned h-sphere chart, the single base
+evaluation of the product extension and the array-built Halton sample do
+the same floating-point operations on each element as the loops kept here
+as references, so the results must be equal bit for bit, not merely close.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -21,6 +22,8 @@ from accr.frame_algebra import standard_j
 from accr.models import (
     _STENCIL_OFFSETS,
     _STENCIL_WEIGHTS,
+    ConeModel,
+    _primes,
     coordinate_derivatives,
     halton_points,
     product_extension,
@@ -146,15 +149,56 @@ class TestProductExtension:
             assert np.array_equal(model.metric_derivs_at(p), D)
 
 
+def loop_halton_points(ranges, count, seed):
+    """Reference: one shuffle per permutation and one update per digit place."""
+    if count <= 0:
+        return []
+    lo = np.array([r[0] for r in ranges], dtype=float)
+    hi = np.array([r[1] for r in ranges], dtype=float)
+    rng = np.random.default_rng(seed)
+    u = np.zeros((len(ranges), count))
+    for row, base in zip(u, _primes(len(ranges))):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        quotient = np.arange(count)
+        scale = 1.0 / base
+        for perm in perms:
+            row += perm[quotient % base] * scale
+            quotient //= base
+            scale /= base
+    return [lo + ui * (hi - lo) for ui in u.T]
+
+
 class TestHalton:
-    @pytest.mark.parametrize("d", [1, 2, 3, 5, 6, 7])
+    # 9: the widest group model (n = 4); 17: example1_chart at n = 8; 33:
+    # MAX_N, whose last base is 137.  Base 2 takes 53 digit places, the last
+    # worth 2**52, so the digits are taken in int64.
+    DIMS = [1, 2, 3, 5, 6, 7, 9, 17, 33]
+    COUNTS = (1, 4, 19, 20, 137, 1000)
+    SEEDS = (0, 7, 42, 43, 2024)
+
+    @pytest.mark.parametrize("d", DIMS)
     def test_matches_scipy(self, d):
         qmc = pytest.importorskip("scipy.stats.qmc")
-        for seed in (0, 7, 42, 43, 2024):
-            for count in (1, 4, 19, 20):
+        for seed in self.SEEDS:
+            for count in self.COUNTS:
                 ref = qmc.Halton(d=d, scramble=True, seed=seed).random(count)
                 assert np.array_equal(np.array(halton_points([(0.0, 1.0)] * d, count, seed)),
                                       ref)
+
+    @pytest.mark.parametrize("d", DIMS)
+    def test_matches_digit_loop(self, d):
+        ranges = [(-0.9, 0.9), (2.0, 3.0), (-2.0, -0.5)] * d
+        for seed in self.SEEDS:
+            for count in self.COUNTS:
+                assert np.array_equal(np.array(halton_points(ranges[:d], count, seed)),
+                                      np.array(loop_halton_points(ranges[:d], count, seed)))
+
+    def test_cone_radii_match_digit_loop(self):
+        for seed in (0, 1, 3, 7, 42):
+            rest = loop_halton_points([(-2.0, -0.5)], 7, seed + 1)
+            assert ConeModel.radii(8, seed) == [-1.0, *(float(x[0]) for x in rest)]
 
     def test_box_and_empty(self):
         pts = halton_points([(-0.9, 0.9), (2.0, 3.0)], 50, 1)

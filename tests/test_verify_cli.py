@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from accr.cli import main
-from accr.corpus import CorpusModel, example1, example1_chart, example3_hsphere_ext, flat_parallel
+from accr.corpus import (
+    MAX_N,
+    CorpusModel,
+    example1,
+    example1_chart,
+    example3_hsphere_ext,
+    flat_parallel,
+)
 from accr.errors import DegenerateMetric
 from accr.models import chart_model
 from accr.modelspec import MODELSPEC_SCHEMA, load_model_spec, model_from_spec
@@ -167,6 +174,44 @@ class TestModelSpec:
             model_from_spec({"kind": "lie_group", "n": 1})
         with pytest.raises(jsonschema.ValidationError):
             model_from_spec({"kind": "wrong"})
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "wrong"},
+        {"kind": "lie_group", "structure_constants": []},
+        {"kind": "builtin", "builtin": "example1", "bogus": 1},
+        {"kind": "lie_group", "n": MAX_N + 1, "structure_constants": []},
+        {"kind": "builtin", "builtin": "example1", "sample_points": {"count": 0}},
+    ], ids=["kind", "missing_n", "extra_property", "n_range", "sample_points"])
+    def test_rejects_as_jsonschema_validate(self, spec):
+        with pytest.raises(jsonschema.ValidationError) as expected:
+            jsonschema.validate(spec, MODELSPEC_SCHEMA)
+        with pytest.raises(jsonschema.ValidationError) as raised:
+            model_from_spec(spec)
+        assert (raised.value.message, raised.value.path, raised.value.schema_path) == (
+            expected.value.message, expected.value.path, expected.value.schema_path)
+
+    def test_schema_checked_at_first_load_only(self, monkeypatch):
+        import accr.modelspec as modelspec
+
+        cls = jsonschema.validators.validator_for(MODELSPEC_SCHEMA)
+        check, calls = cls.check_schema, []
+        monkeypatch.setattr(cls, "check_schema",
+                            classmethod(lambda _, schema: calls.append(schema) or check(schema)))
+        modelspec._validator.cache_clear()
+        assert main(["verify", "-m", "example1", "--points", "1", "--only", "sasaki"]) == 0
+        assert calls == []      # a builtin loads no spec
+        model_from_spec(self.lie_spec())
+        model_from_spec({"kind": "builtin", "builtin": "example2"})
+        with pytest.raises(jsonschema.ValidationError):
+            model_from_spec({"kind": "wrong"})
+        assert calls == [MODELSPEC_SCHEMA]
+
+    @pytest.mark.parametrize("name", ["modelspec.schema.json", "report.schema.json"])
+    def test_shipped_schemas_pass_their_draft(self, name):
+        schema = json.loads((DOCS / name).read_text())
+        cls = jsonschema.validators.validator_for(schema, default=None)
+        assert cls is jsonschema.Draft7Validator
+        cls.check_schema(schema)
 
     def test_shipped_schema_matches_embedded(self):
         shipped = json.loads((DOCS / "modelspec.schema.json").read_text())
@@ -473,6 +518,14 @@ class TestCli:
 
         args = build_parser().parse_args(["verify"])
         assert args.seed == 123
+
+    def test_seed_env_read_at_each_call(self, monkeypatch, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        for env in ("5", "123", "5"):
+            monkeypatch.setenv("ACCR_SEED", env)
+            assert main(["verify", "-m", "example1", "--points", "1", "--only", "sasaki",
+                         "--json", str(out)]) == 0
+            assert json.loads(out.read_text())["environment"]["seed"] == int(env)
 
     @pytest.mark.parametrize("env, argv, code", [
         ("abc", ["verify", "-m", "example1"], 2),
