@@ -30,13 +30,14 @@ are single points, so that the block boundaries show; for each model spec in
 ``docs/examples``, at its own sample, ``verify``, ``cone`` and ``transform``
 with the three parameter sets; and ``verify`` of the two model specs in
 ``SPECS``, which the script writes to its temporary directory so that both
-sides read them at the same absolute path: one the schema rejects (exit 2,
-the message naming a nested property) and a Lie group whose non-ASCII name
+sides read them at the same absolute path: one the schema rejects at a
+nested property (exit 2) and a Lie group whose non-ASCII name
 the report and stdout must escape or print alike.  A command differs when
-its JSON report, its stdout, its stderr or its exit code differs.  Every differing command is
-printed, and for a pair of verify reports also the sorted check ids whose
-rows differ, each differing row's max_residual, tolerance and verdict on
-both sides, and both summaries; the exit code is 1 if any differs, else 0.
+its JSON report, its stdout, its stderr or its exit code differs.  Every
+differing command is printed, and for a pair of verify reports also the
+sorted check ids whose rows differ, each differing row's max_residual,
+tolerance and verdict on both sides, and both summaries; the exit code is 1
+if any differs, else 0.
 """
 
 from __future__ import annotations
