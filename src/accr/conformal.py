@@ -226,21 +226,30 @@ def adapted_frame(f: PointFields) -> np.ndarray:
     """Columns (xi, b_1..b_n, phi b_1..phi b_n): a g-orthonormal adapted
     frame at each of f's points.  On ker eta, B(x, y) = g(x, y) + i g(x,
     phi y) is complex bilinear for i acting as -phi, and complex
-    Gram-Schmidt for B on the horizontal parts of e_1..e_n gives B(b_i, b_j)
-    = delta_ij, that is g(b_i, b_j) = delta_ij and g(b_i, phi b_j) = 0.  On a
-    frame that is already adapted and orthonormal every step is exact: the
-    identity."""
-    g, phi = f.g, f.phi
+    Gram-Schmidt for B gives B(b_i, b_j) = delta_ij, that is g(b_i, b_j) =
+    delta_ij and g(b_i, phi b_j) = 0.  B has isotropic vectors (B(c, c) = 0,
+    c != 0), so each step pivots: its candidates are the horizontal parts of
+    every e_a and of every e_a + e_b, less their parts along the b's found so
+    far, and it takes the first with the largest |B(c, c)| against |c|^2
+    before that projection.  On a frame that is already adapted and
+    orthonormal that is e_1..e_n and every step is exact: the identity."""
+    g, phi = f.g[..., None, :, :], f.phi[..., None, :, :]
     dot = lambda x, y: np.einsum("...i,...i->...", x, y)
     form = lambda x, y: dot(_covec(x, g), y) + 1j * dot(_covec(x, g), _vec(phi, y))
     times = lambda z, x: z.real[..., None] * x - z.imag[..., None] * _vec(phi, x)
+    rows = np.swapaxes(f.proj, -1, -2)
+    a, b = np.triu_indices(f.dim, 1)
+    pool = np.concatenate([rows, rows[..., a, :] + rows[..., b, :]], axis=-2)
+    size = dot(pool, pool)
+    size = np.where(size > 0.0, size, np.inf)
     bs = []
-    for i in range(1, f.s.n + 1):
-        b = f.proj[..., :, i]
-        for c in bs:
-            b = b - times(form(b, c), c)
-        bs.append(times(1.0 / np.sqrt(form(b, b)), b))
-    return np.stack([f.xi, *bs, *(_vec(phi, b) for b in bs)], axis=-1)
+    for _ in range(f.s.n):
+        pick = np.argmax(np.abs(form(pool, pool)) / size, axis=-1)
+        c = np.take_along_axis(pool, pick[..., None, None], axis=-2)
+        c = times(1.0 / np.sqrt(form(c, c)), c)
+        pool = pool - times(form(pool, c), c)
+        bs.append(c[..., 0, :])
+    return np.stack([f.xi, *bs, *(_vec(f.phi, c) for c in bs)], axis=-1)
 
 
 def homothetic_laws(f: PointFields, fb: PointFields, t: TransformParams) -> dict:

@@ -317,3 +317,12 @@ class TestFrameCovariance:
         P[1:, 1:] += 0.4 * N
         assume(np.linalg.cond(P) <= 25)
         assert framed_verdicts(name, params, P) == standard_verdicts(name, params)
+
+    def test_a_frame_whose_first_vectors_are_isotropic(self):
+        # e'_1 = 0.6 (e_1 - e_2 - e_3 - e_4) has B(e'_1, e'_1) = 0, so the
+        # adapted frame of the homothetic checks has to pivot past it
+        params = (("n", 2),)
+        P = np.eye(5)
+        P[1:, 1:] += 0.4 * np.full((4, 4), -1.5)
+        P[1, 1] += 0.2
+        assert framed_verdicts("example1", params, P) == standard_verdicts("example1", params)
