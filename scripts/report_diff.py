@@ -12,7 +12,11 @@ builtin ``verify --points 6``, ``cone`` and ``transform`` with the
 benchmark's three parameter sets, all at ``--seed 7``; ``verify --points 6``
 of the chart examples and the h-sphere extension at parameters other than
 their defaults (``PARAMS``), which rebuild their bases from other complex
-data, and ``cone`` of that extension; ``cone`` and ``verify --only cone`` of
+data, and ``cone`` of that extension; ``verify --points 6`` of two
+Sasaki-like builtins at parameters where the ``derivatives.*`` rows exceed
+their tolerance through the truncation of the finite-difference stencil,
+not through a wrong jet (``STIFF``: they exit 1), so that a change to that
+comparison shows its drift; ``cone`` and ``verify --only cone`` of
 two group models at n = 4 (``WIDE``), cone dimension 10, the widest the
 benchmark's group sweep runs; ``verify --points 6 --only`` of a per-model
 family on three models (``ONLY``), where no per-point family runs;
@@ -57,6 +61,7 @@ BUILTINS = ("example1", "example1_chart", "example2", "example2_chart",
 TRANSFORMS = ("u=0.3,v=0.2,w=0", "u=0,v=0,w=0.6931471805599453", "v=linear_t:0.1,w=0")
 PARAMS = (("example1_chart", "n=2"), ("example2_chart", "lam=3"),
           ("example3_hsphere_ext", "n=2,a=3,b=4"))
+STIFF = (("example2_chart", "lam=20"), ("example3_hsphere_ext", "n=2,a=0.1,b=0"))
 ONLY = (("example2_chart", "cone"), ("example1_chart", "crossrep"),
         ("example3_hsphere_ext", "conformal.eta_fit"))
 SHORT = ("example1_chart", "example3_hsphere_ext")
@@ -86,6 +91,8 @@ def commands(spec_dir: Path) -> list:
     out.extend(["verify", "-m", name, "--seed", "7", "--points", "6", "--params", params]
                for name, params in PARAMS)
     out.append(["cone", "-m", PARAMS[2][0], "--seed", "7", "--params", PARAMS[2][1]])
+    out.extend(["verify", "-m", name, "--seed", "7", "--points", "6", "--params", params]
+               for name, params in STIFF)
     for name, params in WIDE:
         wide = ["-m", name, "--seed", "7", "--params", params]
         out.extend([["cone", *wide], ["verify", *wide, "--only", "cone"]])

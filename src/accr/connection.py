@@ -35,23 +35,28 @@ __all__ = [
 
 @dataclass
 class ConnectionCoefficients:
-    """gamma[..., i, j, k] is the e_k-coefficient of nabla_{e_i} e_j, over
-    the leading point axes of the solve."""
+    """One solve over the leading point axes of p: the jets read there, g,
+    dg[i,j,k] = e_i(g_jk) and c, the inverse ginv of g, and gamma[..., i, j,
+    k], the e_k-coefficient of nabla_{e_i} e_j."""
 
+    g: np.ndarray
+    ginv: np.ndarray
+    dg: np.ndarray
+    c: np.ndarray
     gamma: np.ndarray
 
-    def torsion_residual(self, c):
+    def torsion_residual(self):
         """nabla torsion-free: gamma[i,j,:] - gamma[j,i,:] = c^:_ij, the max
         at each point."""
         t = self.gamma - np.swapaxes(self.gamma, -3, -2)
-        return max_abs(t - np.einsum("...kij->...ijk", np.asarray(c)), 3)
+        return max_abs(t - np.einsum("...kij->...ijk", self.c), 3)
 
-    def metric_compat_residual(self, g, dg):
+    def metric_compat_residual(self):
         """e_i(g_jk) - g(nabla_i e_j, e_k) - g(e_j, nabla_i e_k), the max at
         each point."""
-        low = self.gamma @ g[..., None, :, :]
-        low_t = self.gamma @ np.swapaxes(g, -1, -2)[..., None, :, :]
-        return max_abs(dg - low - np.swapaxes(low_t, -1, -2), 3)
+        low = self.gamma @ self.g[..., None, :, :]
+        low_t = self.gamma @ np.swapaxes(self.g, -1, -2)[..., None, :, :]
+        return max_abs(self.dg - low - np.swapaxes(low_t, -1, -2), 3)
 
 
 def _koszul_rhs(dg, cg):
@@ -72,7 +77,8 @@ def _lowered(c, g):
 
 def levi_civita(model, p) -> ConnectionCoefficients:
     """Solve the Koszul formula for the connection coefficients at the
-    points p, shape (..., dim): one solve for all of them."""
+    points p, shape (..., dim): one solve for all of them, from one read of
+    the model's g, dg and c there."""
     g = model.metric_at(p)
     dg = model.metric_derivs_at(p)
     c = model.commutators_at(p)
@@ -84,8 +90,8 @@ def levi_civita(model, p) -> ConnectionCoefficients:
                                f"|det| = {det[tuple(k)]:.3e}")
     ginv = np.linalg.inv(g)
     rhs = _koszul_rhs(dg, _lowered(c, g))
-    return ConnectionCoefficients(
-        gamma=0.5 * (rhs @ np.swapaxes(ginv, -1, -2)[..., None, :, :]))
+    gamma = 0.5 * (rhs @ np.swapaxes(ginv, -1, -2)[..., None, :, :])
+    return ConnectionCoefficients(g=g, ginv=ginv, dg=dg, c=c, gamma=gamma)
 
 
 @dataclass
@@ -118,10 +124,10 @@ class CurvatureBundle:
         }
 
 
-def riemann(g, ginv, dg, c, d2g, dc, gamma, phi) -> CurvatureBundle:
-    """Full curvature at the points of the jets' leading axes: the metric g,
-    its inverse, dg[i,j,k] = e_i(g_jk), the commutators c, d2g[a,i,j,k] =
-    e_a(e_i(g_jk)), dc[a,k,i,j] = e_a(c^k_ij), the connection gamma and phi.
+def riemann(conn, d2g, dc, phi) -> CurvatureBundle:
+    """Full curvature at the points of the jets' leading axes: the solve
+    conn (g, its inverse, dg, c and the connection gamma), d2g[a,i,j,k] =
+    e_a(e_i(g_jk)), dc[a,k,i,j] = e_a(c^k_ij) and phi.
 
     The frame derivatives of the connection, dgamma[a] = e_a(Gamma), are
     closed-form: differentiating g Gamma = rhs / 2 along e_a gives
@@ -131,6 +137,7 @@ def riemann(g, ginv, dg, c, d2g, dc, gamma, phi) -> CurvatureBundle:
     Every four-index contraction is a matmul with the point axes leading,
     and the d^4 arrays are updated in place, so that few are held at once.
     """
+    g, ginv, dg, c, gamma = conn.g, conn.ginv, conn.dg, conn.c, conn.gamma
     d = g.shape[-1]
     lead = g.shape[:-2]
     as_a = lambda t: t[..., None, :, :, :]     # broadcast along the derivative axis a
@@ -165,13 +172,13 @@ def covariant_derivative(gamma, a, da) -> np.ndarray:
         - a[..., None, :, :] @ np.swapaxes(gamma, -1, -2)
 
 
-def holomorphy_residual(chart, p):
-    """max |(nabla^h J)| at each of the points p on a candidate holomorphic
-    base: a coordinate chart of dimension 2n with the standard J, whose
-    frame derivatives vanish."""
-    d = chart.dim
+def holomorphy_residual(conn):
+    """max |(nabla^h J)| at each point of the solve conn on a candidate
+    holomorphic base: a coordinate chart of dimension 2n with the standard
+    J, whose frame derivatives vanish."""
+    d = conn.g.shape[-1]
     J = standard_j(d // 2)
-    nj = covariant_derivative(levi_civita(chart, p).gamma, J, np.zeros((d, d, d)))
+    nj = covariant_derivative(conn.gamma, J, np.zeros((d, d, d)))
     return max_abs(nj, 3)
 
 

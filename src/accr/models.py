@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .connection import holomorphy_residual
+from .connection import holomorphy_residual, levi_civita
 from .errors import (
     BadParams,
     BadSignature,
@@ -485,10 +485,10 @@ def product_extension(base: ChartModel):
     Returns (model, structure) with the adapted structure: eta = dt,
     xi = d/dt, phi restricted to the horizontal distribution equal to J.
     Raises BaseNotHolomorphic when the chart is odd-dimensional or has a
-    coframe, or when, on 4 samples, h is not symmetric (hC must be), h is
-    not Norden, nabla^h J fails to vanish, or dh differs from the finite
-    differences of h relative to max(1, |dh|): nabla^h J is solved from dh,
-    so it misses a w-bar term.
+    coframe, or when, on 4 samples, each read by one Koszul solve of the
+    base, h is not symmetric (hC must be), h is not Norden, nabla^h J fails
+    to vanish, or dh differs from the finite differences of h relative to
+    max(1, |dh|): nabla^h J is solved from dh, so it misses a w-bar term.
     """
     if base.dim % 2 != 0:
         raise BaseNotHolomorphic("base dimension must be even")
@@ -497,13 +497,13 @@ def product_extension(base: ChartModel):
     n = base.dim // 2
     j = standard_j(n)
     for q in base.sample_points(4, seed=7):
-        h = base.metric_at(q)
+        conn = levi_civita(base, q)
+        h, dh = conn.g, conn.dg
         asym = np.max(np.abs(h - h.T))
         if not asym <= SYM_TOL:
             raise BaseNotHolomorphic(f"metric asymmetry {asym:.3e} at {q}")
-        dh = base.metric_derivs_at(q)
         gap = np.max(np.abs(dh - coordinate_derivatives(base.metric_at, q, base.fd_step)))
-        res = worst((np.max(np.abs(j.T @ h @ j + h)), holomorphy_residual(base, q),
+        res = worst((np.max(np.abs(j.T @ h @ j + h)), holomorphy_residual(conn),
                      gap / max(1.0, np.max(np.abs(dh)))))
         if not res <= 1e-6:
             raise BaseNotHolomorphic(f"holomorphy residual {res:.3e} at {q}")

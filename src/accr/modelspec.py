@@ -3,8 +3,9 @@
 Two spec kinds are accepted: a reference to a builtin corpus member with
 parameters, or a fully described left-invariant model given by structure
 constants.  The JSON schema ships in docs/modelspec.schema.json and is
-enforced with jsonschema before construction; the schema itself is checked
-against its metaschema once per process, at the first spec load.
+enforced with jsonschema before construction; jsonschema is imported and the
+schema itself checked against its metaschema once per process, at the first
+spec load, so a run of builtins alone pays for neither.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import functools
 import json
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from .corpus import MAX_N, CorpusModel, builtin
@@ -104,13 +104,17 @@ def _square(value, what, d):
 def _validator():
     """The MODELSPEC_SCHEMA validator, its schema checked on first use;
     model_from_spec raises what jsonschema.validate would."""
+    import jsonschema
+
     cls = jsonschema.validators.validator_for(MODELSPEC_SCHEMA)
     cls.check_schema(MODELSPEC_SCHEMA)
     return cls(MODELSPEC_SCHEMA)
 
 
 def model_from_spec(spec: dict) -> CorpusModel:
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(spec))
+    from jsonschema.exceptions import best_match
+
+    error = best_match(_validator().iter_errors(spec))
     if error is not None:
         raise error
     if spec["kind"] == "builtin":
@@ -157,5 +161,12 @@ def model_from_spec(spec: dict) -> CorpusModel:
 
 
 def load_model_spec(path) -> CorpusModel:
-    spec = json.loads(Path(path).read_text())
-    return model_from_spec(spec)
+    """The model of the spec file at path; BadParams naming the file, and the
+    JSON path of a schema error, for a file not UTF-8 JSON or not a spec."""
+    from jsonschema import ValidationError
+
+    try:
+        return model_from_spec(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (UnicodeDecodeError, json.JSONDecodeError, ValidationError) as exc:
+        why = f"{exc.json_path}: {exc.message}" if isinstance(exc, ValidationError) else exc
+        raise BadParams(f"invalid model spec {path}: {why}") from None

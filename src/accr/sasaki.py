@@ -228,8 +228,8 @@ def cone_residuals_at(f: PointFields, r) -> dict:
     cone = ConeModel(f)
     d = f.dim
     p = np.asarray(r, dtype=float)[..., None]
-    gamma = levi_civita(cone, p).gamma
-    G = cone.metric_at(p)
+    conn = levi_civita(cone, p)
+    gamma, G = conn.gamma, conn.g
     nj = covariant_derivative(gamma, cone.j_at(p), cone.j_derivs_at(p))
     low = _t(nj) @ G[..., None, :, :]
 

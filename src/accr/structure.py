@@ -20,7 +20,8 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .connection import CurvatureBundle, covariant_derivative, levi_civita, riemann
+from .connection import ConnectionCoefficients, CurvatureBundle, covariant_derivative
+from .connection import levi_civita, riemann
 from .frame_algebra import max_abs, standard_j
 
 __all__ = [
@@ -137,60 +138,34 @@ class PointFields:
     def take(self, rows):
         """The PointFields at the points rows (indices along the one leading
         axis of p; a point with none counts as a block of one), holding the
-        arrays computed here at those rows."""
+        arrays computed here, the solve's among them, at those rows."""
         pick = lambda x: (x if self.p.ndim > 1 else x[None])[rows]
+        carried = lambda val: (ConnectionCoefficients(*map(pick, vars(val).values()))
+                               if isinstance(val, ConnectionCoefficients) else pick(val))
         out = PointFields(self.s, pick(self.p))
-        out.__dict__.update({key: pick(val) for key, val in vars(self).items()
-                             if isinstance(val, np.ndarray) and key != "p"})
+        out.__dict__.update({key: carried(val) for key, val in vars(self).items() if key != "p"
+                             and isinstance(val, (np.ndarray, ConnectionCoefficients))})
         return out
 
     @cached_property
-    def g(self):
-        return self.s.model.metric_at(self.p)
-
-    @cached_property
-    def ginv(self):
-        return np.linalg.inv(self.g)
-
-    @cached_property
-    def dg(self):
-        return self.s.model.metric_derivs_at(self.p)
-
-    @cached_property
-    def c(self):
-        return self.s.model.commutators_at(self.p)
-
-    @cached_property
-    def conn(self):
+    def conn(self) -> ConnectionCoefficients:
+        """The block's Koszul solve, the one reading of its first jets."""
         return levi_civita(self.s.model, self.p)
 
-    @cached_property
-    def gamma(self):
-        return self.conn.gamma
+    # the block's first jets, as its solve read and computed them
+    g = property(lambda self: self.conn.g)
+    ginv = property(lambda self: self.conn.ginv)
+    dg = property(lambda self: self.conn.dg)
+    c = property(lambda self: self.conn.c)
+    gamma = property(lambda self: self.conn.gamma)
 
-    @cached_property
-    def phi(self):
-        return field_at(self.s.phi, self.p)
-
-    @cached_property
-    def dphi(self):
-        return field_derivs_at(self.s.phi, self.s.model, self.p)
-
-    @cached_property
-    def xi(self):
-        return field_at(self.s.xi, self.p)
-
-    @cached_property
-    def dxi(self):
-        return field_derivs_at(self.s.xi, self.s.model, self.p)
-
-    @cached_property
-    def eta(self):
-        return field_at(self.s.eta, self.p)
-
-    @cached_property
-    def deta(self):
-        return field_derivs_at(self.s.eta, self.s.model, self.p)
+    # the structure's fields at the block, and their frame derivatives
+    phi = cached_property(lambda self: field_at(self.s.phi, self.p))
+    dphi = cached_property(lambda self: field_derivs_at(self.s.phi, self.s.model, self.p))
+    xi = cached_property(lambda self: field_at(self.s.xi, self.p))
+    dxi = cached_property(lambda self: field_derivs_at(self.s.xi, self.s.model, self.p))
+    eta = cached_property(lambda self: field_at(self.s.eta, self.p))
+    deta = cached_property(lambda self: field_derivs_at(self.s.eta, self.s.model, self.p))
 
     @cached_property
     def gtilde(self):
@@ -292,8 +267,7 @@ class PointFields:
     def curvature(self) -> CurvatureBundle:
         # the second jets are read for this call, not kept: a pass holds its fields
         m, p = self.s.model, self.p
-        return riemann(self.g, self.ginv, self.dg, self.c, m.metric_derivs2_at(p),
-                       m.commutator_derivs_at(p), self.gamma, self.phi)
+        return riemann(self.conn, m.metric_derivs2_at(p), m.commutator_derivs_at(p), self.phi)
 
 
 def validate_structure(f: PointFields) -> dict:

@@ -41,7 +41,7 @@ from . import conformal as conf
 from . import corpus as corpus_mod
 from . import sasaki as sas
 from .errors import GeometryError, NotSasakiLike
-from .models import ChartModel
+from .models import DEFAULT_FD_STEP, ChartModel
 from .structure import (
     PointFields,
     max_over_points,
@@ -200,7 +200,7 @@ BREAKING = conf.TransformParams(u=0.0, v=0.0, w=math.log(2.0))   # w != 0 breaks
 class VerifyConfig:
     points: int = 20
     seed: int = 42
-    fd_step: float = 1e-3
+    fd_step: float = DEFAULT_FD_STEP
     tol_override: float | None = None
     only: str | None = None
 
@@ -273,8 +273,8 @@ FAMILIES = (
     Family("identity", each(lambda cm, f: {
         **structure_property_residuals(f), "f_reconstruction": theorem_3_4_residual(f)})),
     Family("connection", each(lambda cm, f: {
-        "torsion_free": f.conn.torsion_residual(f.c),
-        "metric_compatibility": f.conn.metric_compat_residual(f.g, f.dg)})),
+        "torsion_free": f.conn.torsion_residual(),
+        "metric_compatibility": f.conn.metric_compat_residual()})),
     Family("curvature", each(lambda cm, f: f.curvature.symmetry_residuals())),
     Family("sasaki.defining", each(lambda cm, f: sas.check_defining_conditions(f))),
     Family("sasaki.nabla_phi", each(lambda cm, f: sas.check_nabla_phi(f))),

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -142,6 +145,12 @@ class TestRunAll:
         assert not report["summary"]["ok"]
         assert report["models"][1]["checks"]  # second model still ran
 
+    def test_only_structure_reads_the_solve(self):
+        # the structure rows read g from the block's Koszul solve, so a
+        # degenerate metric is the model's error entry, as in the full battery
+        model = run_all([degenerate_chart()], small_cfg(only="structure"))["models"][0]
+        assert model["error"].startswith("metric degenerate at ") and model["checks"] == []
+
 
 class TestModelSpec:
     def lie_spec(self):
@@ -222,6 +231,29 @@ class TestModelSpec:
         path.write_text(json.dumps(self.lie_spec()))
         cm = load_model_spec(path)
         assert cm.model.dim == 3
+
+    @pytest.mark.parametrize("text, message", [
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+        (b'{"kind": ', "Expecting value: line 1 column 10 (char 9)"),
+        (json.dumps({"kind": "lie_group", "n": 1, "structure_constants": [
+            {"i": 0, "j": 1, "k": 2, "value": "one"}]}).encode(),
+         "$.structure_constants[0].value: 'one' is not of type 'number'"),
+    ], ids=["not_utf8", "not_json", "schema"])
+    def test_bad_spec_file_is_one_line(self, text, message, tmp_path, capsys):
+        # the file, and for a schema error the JSON path, in one stderr line
+        path = tmp_path / "spec.json"
+        path.write_bytes(text)
+        assert main(["verify", "-m", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid model spec {path}: {message}")
+        assert err.count("\n") == 1, err
+
+    def test_builtins_alone_import_no_jsonschema(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        probe = "import sys, accr.cli; print('jsonschema' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+        assert out == "False\n"
 
     def test_explicit_matrices(self):
         spec = self.lie_spec()
