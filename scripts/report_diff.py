@@ -27,8 +27,9 @@ and the ``linear_t`` transform of a coframe chart and of the extension at
 shows; ``transform --params w=linear_t:0.1`` of the same two (``MOVING``),
 the only commands whose xi_bar and eta_bar are callables of the point, so
 that the dw and d eta_bar terms show; ``verify``, ``cone`` and the
-``linear_t`` transform of the extension at ``--points 13`` (``UNEVEN``),
-whose sample splits into blocks of 6, 6 and 1 points, and ``verify`` of
+``linear_t`` transform of the extension at ``--points 30`` (``UNEVEN``),
+whose sample splits into blocks of 13, 13 and 4 points (the transform's
+into 1, 13, 13 and 3), and ``verify`` of
 ``example1_chart`` at n = 8 (``WIDE_CHART``), dimension 17, whose blocks
 are single points, so that the block boundaries show; for each model spec in
 ``docs/examples``, at its own sample, ``verify``, ``cone`` and ``transform``
@@ -68,7 +69,7 @@ SHORT = ("example1_chart", "example3_hsphere_ext")
 STEPPED = ("example1_chart", "example3_hsphere_ext")
 MOVING = ("example1_chart", "example3_hsphere_ext")
 WIDE = (("example1", "n=4"), ("flat_parallel", "n=4"))
-UNEVEN = ("example3_hsphere_ext", "13")
+UNEVEN = ("example3_hsphere_ext", "30")
 WIDE_CHART = ("example1_chart", "3", "n=8")
 SPECS = {
     "invalid.json": {"kind": "lie_group", "n": 1, "structure_constants": [

@@ -280,20 +280,27 @@ def homothetic_laws(f: PointFields, fb: PointFields, t: TransformParams) -> dict
     phi, eta, xi = f.phi, f.eta, f.xi
     gpp = np.swapaxes(phi, -1, -2) @ f.g @ phi
     gp = f.g @ phi
-    at2, at4 = (lambda x: x[..., None, None]), (lambda x: x[..., None, None, None, None])
+    at2 = lambda x: x[..., None, None]
     coef_a = _exp(2 * (u - w)) * _sin(2 * v)
     coef_b = 1.0 - _exp(2 * (u - w)) * _cos(2 * v)
     delta = (at2(coef_a) * gpp - at2(coef_b) * gp)[..., None] * xi[..., None, None, :]
+    connection = max_abs(f.gamma + delta - fb.gamma, 3)
+    del delta
     bundle, bundle_bar = f.curvature, fb.curvature
 
-    # the four-index terms as broadcast products: m[j,k] eta[i] xi[l] and
-    # m[j,k] phi[l,i] at [i,j,k,l], each term s - s^T(ij)
-    on_eta_xi = lambda m: (eta[..., :, None, None, None] * m[..., None, :, :, None]
-                           * xi[..., None, None, None, :])
-    on_phi = lambda m: m[..., None, :, :, None] * np.swapaxes(phi, -1, -2)[..., :, None, None, :]
-    term = lambda s: s - np.swapaxes(s, -4, -3)
-    r_up_formula = bundle.r_up + at4(coef_a) * term(on_eta_xi(gp) - on_phi(gpp))
-    r_up_formula += at4(coef_b) * term(on_eta_xi(gpp) + on_phi(gp))
+    # the (1,3) curvature shift is s - s^T(ij) with, at [i,j,k,l],
+    #   s = coef_a (gp[j,k] eta[i] xi[l] - gpp[j,k] phi[l,i])
+    #     + coef_b (gpp[j,k] eta[i] xi[l] + gp[j,k] phi[l,i])
+    #     = m1[j,k] eta[i] xi[l] + m2[j,k] phi[l,i],
+    # each term a broadcast product, taken with its (i, j) swap from r_up_bar - r_up
+    m1 = at2(coef_a) * gp + at2(coef_b) * gpp
+    m2 = at2(coef_b) * gp - at2(coef_a) * gpp
+    shift_gap = bundle_bar.r_up - bundle.r_up
+    for m, il in ((m1, eta[..., :, None] * xi[..., None, :]), (m2, np.swapaxes(phi, -1, -2))):
+        s = m[..., None, :, :, None] * il[..., :, None, None, :]
+        shift_gap -= s
+        shift_gap += np.swapaxes(s, -4, -3)
+        del s
 
     e2u = _exp(-2 * u)
     c2v, s2v = _cos(2 * v), _sin(2 * v)
@@ -317,8 +324,8 @@ def homothetic_laws(f: PointFields, fb: PointFields, t: TransformParams) -> dict
     phib[..., :, 0] = 0.0
 
     return {
-        "connection_formula": max_abs(f.gamma + delta - fb.gamma, 3),
-        "curvature_formula": max_abs(r_up_formula - bundle_bar.r_up, 4),
+        "connection_formula": connection,
+        "curvature_formula": max_abs(shift_gap, 4),
         "ricci_invariance": max_abs(bundle_bar.ric - bundle.ric, 2),
         "scal_formula": np.abs(scal_formula - bundle_bar.scal),
         "scal_star_formula": np.abs(scal_star_formula - bundle_bar.scal_star),

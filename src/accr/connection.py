@@ -14,11 +14,12 @@ solvable-group example.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DegenerateMetric, DegenerateParameters
-from .frame_algebra import kulkarni_nomizu, max_abs, standard_j
+from .frame_algebra import max_abs, standard_j
 
 __all__ = [
     "ConnectionCoefficients",
@@ -103,13 +104,20 @@ class CurvatureBundle:
     ric[j,k]     = g^{il} r[i,j,k,l]
     scal         = g^{jk} ric[j,k]
     scal_star    = g^{ab} ric(e_a, phi e_b)
+
+    Only r_up is held: r is lowered with g at each read, a new array that
+    its reader may overwrite, so a block keeps one dim^4 array of curvature.
     """
 
     r_up: np.ndarray
-    r: np.ndarray
+    g: np.ndarray
     ric: np.ndarray
     scal: np.ndarray
     scal_star: np.ndarray
+
+    @property
+    def r(self) -> np.ndarray:
+        return self.r_up @ self.g[..., None, None, :, :]
 
     def symmetry_residuals(self) -> dict:
         """Each symmetry's max at each point."""
@@ -124,10 +132,12 @@ class CurvatureBundle:
         }
 
 
-def riemann(conn, d2g, dc, phi) -> CurvatureBundle:
-    """Full curvature at the points of the jets' leading axes: the solve
-    conn (g, its inverse, dg, c and the connection gamma), d2g[a,i,j,k] =
-    e_a(e_i(g_jk)), dc[a,k,i,j] = e_a(c^k_ij) and phi.
+def riemann(model, p, conn, phi) -> CurvatureBundle:
+    """Full curvature at the points p of model, shape (..., dim), from the
+    solve conn there (g, its inverse, dg, c and the connection gamma), the
+    model's second jets d2g[a,i,j,k] = e_a(e_i(g_jk)) and dc[a,k,i,j] =
+    e_a(c^k_ij), read here and dropped once folded into the Koszul
+    right-hand side, and phi.
 
     The frame derivatives of the connection, dgamma[a] = e_a(Gamma), are
     closed-form: differentiating g Gamma = rhs / 2 along e_a gives
@@ -135,17 +145,25 @@ def riemann(conn, d2g, dc, phi) -> CurvatureBundle:
     (e_a g^-1) rhs / 2 + g^-1 e_a(rhs) / 2 with e_a g^-1 = -g^-1 (e_a g) g^-1,
     where e_a(rhs) is the Koszul right-hand side of the second jets.
     Every four-index contraction is a matmul with the point axes leading,
-    and the d^4 arrays are updated in place, so that few are held at once.
+    and the d^4 arrays are updated in place and dropped once read, so that
+    at most three are held at once.  The jets are never written into: a
+    model may give them as read-only broadcasts.
     """
     g, ginv, dg, c, gamma = conn.g, conn.ginv, conn.dg, conn.c, conn.gamma
     d = g.shape[-1]
     lead = g.shape[:-2]
     as_a = lambda t: t[..., None, :, :, :]     # broadcast along the derivative axis a
     dg_a = dg[..., None, :, :]                 # dg[a, None, m, k]
+    d2g = model.metric_derivs2_at(p)
     # e_a(c^m_ij g_mk), then g^-1 (e_a(rhs) / 2 - (e_a g) Gamma)
-    dcg = np.moveaxis(dc, -3, -1) @ as_a(g[..., None, :, :])
+    dcg = np.moveaxis(model.commutator_derivs_at(p), -3, -1) @ as_a(g[..., None, :, :])
     dcg += as_a(np.moveaxis(c, -3, -1)) @ dg_a
-    half = _koszul_rhs(d2g, dcg)
+    # _koszul_rhs(d2g, dcg), its s = d2g - dcg taking dcg's place
+    half = d2g + dcg
+    np.subtract(d2g, dcg, out=dcg)
+    del d2g
+    half += np.einsum("...jki->...ijk", dcg)
+    half -= np.einsum("...kij->...ijk", dcg)
     del dcg
     half *= 0.5
     half -= as_a(gamma) @ dg_a
@@ -157,11 +175,12 @@ def riemann(conn, d2g, dc, phi) -> CurvatureBundle:
     del s
     r_up -= (np.moveaxis(c, -3, -1).reshape(lead + (d * d, d))
              @ gamma.reshape(lead + (d, d * d))).reshape(lead + (d,) * 4)
-    r = r_up @ as_a(g[..., None, :, :])
+    r = r_up @ as_a(g[..., None, :, :])        # r, for its trace only
     ric = (r @ ginv[..., :, None, :, None])[..., 0].sum(-3)       # g^{il} r[i, j, k, l]
+    del r
     scal = (ginv * ric).sum((-2, -1))
     scal_star = (ginv * (ric @ phi)).sum((-2, -1))
-    return CurvatureBundle(r_up=r_up, r=r, ric=ric, scal=scal, scal_star=scal_star)
+    return CurvatureBundle(r_up=r_up, g=g, ric=ric, scal=scal, scal_star=scal_star)
 
 
 def covariant_derivative(gamma, a, da) -> np.ndarray:
@@ -195,20 +214,47 @@ class HSphereCurvature:
 
         h'(z - z0, z - z0) = a,   htilde'(z - z0, z - z0) = b
 
-    of flat complex Riemannian space:
+    of flat complex Riemannian space, with components in any frame where
+    (h, htilde) are the restricted flat-space metrics at the point (over
+    any leading point axes of both):
 
         R = [a (pi1 - pi2) - b pi3] / (a^2 + b^2)
         pi1 = h ^ h / 2, pi2 = htilde ^ htilde / 2, pi3 = -h ^ htilde
         Ric = 2 (n - 1) (a h + b htilde) / (a^2 + b^2)
         Scal = 4 n (n - 1) a / (a^2 + b^2)
+
+    R, the one four-index piece, is made at its first read, so that a
+    reader of Ric alone does not pay for it.
     """
 
     n: int
     a: float
     b: float
-    r: np.ndarray
-    ric: np.ndarray
-    scal: float
+    h: np.ndarray
+    htilde: np.ndarray
+
+    @property
+    def ric(self) -> np.ndarray:
+        return 2.0 * (self.n - 1) * (self.a * self.h + self.b * self.htilde) / self._den
+
+    @property
+    def scal(self) -> float:
+        return 4.0 * self.n * (self.n - 1) * self.a / self._den
+
+    @property
+    def _den(self) -> float:
+        return self.a * self.a + self.b * self.b
+
+    @cached_property
+    def r(self) -> np.ndarray:
+        """The Kulkarni-Nomizu products expanded: R = s - s^T(ij) with
+        s[i,j,k,l] = A[j,k] h[i,l] + B[j,k] htilde[i,l], A = (a h + b htilde)
+        / (a^2 + b^2) and B = (b h - a htilde) / (a^2 + b^2)."""
+        a, b, h, ht = self.a / self._den, self.b / self._den, self.h, self.htilde
+        on = lambda m, x: m[..., None, :, :, None] * x[..., :, None, None, :]
+        s = on(a * h + b * ht, h)
+        s += on(b * h - a * ht, ht)
+        return s - np.swapaxes(s, -4, -3)
 
 
 def hsphere_curvature(n, a, b, h=None, htilde=None) -> HSphereCurvature:
@@ -218,11 +264,4 @@ def hsphere_curvature(n, a, b, h=None, htilde=None) -> HSphereCurvature:
         raise DegenerateParameters("(a, b) = (0, 0) is excluded")
     if h is None or htilde is None:
         h, htilde = standard_norden_pair(n)
-    pi1 = 0.5 * kulkarni_nomizu(h, h)
-    pi2 = 0.5 * kulkarni_nomizu(htilde, htilde)
-    pi3 = -kulkarni_nomizu(h, htilde)
-    den = a * a + b * b
-    r = (a * (pi1 - pi2) - b * pi3) / den
-    ric = 2.0 * (n - 1) * (a * h + b * htilde) / den
-    scal = 4.0 * n * (n - 1) * a / den
-    return HSphereCurvature(n=n, a=a, b=b, r=r, ric=ric, scal=scal)
+    return HSphereCurvature(n=n, a=a, b=b, h=np.asarray(h), htilde=np.asarray(htilde))

@@ -330,8 +330,8 @@ BUILTINS = {
 
 # Largest n accepted from outside: curvature arrays grow as (2n + 1)^4.  At
 # n = 16 a block is a single point, and with one BLAS thread the RSS of one
-# process peaks at 141 MB for `verify --params n=16 --points 2` of
-# example1_chart, 142 MB for example3_hsphere_ext, and 275 MB for
+# process peaks at 117 MB for `verify --params n=16 --points 2` of
+# example1_chart, 115 MB for example3_hsphere_ext, and 181 MB for
 # `verify -m example1_chart --params n=16 --points 8`, whose pass holds the
 # fields of all 8 points.
 MAX_N = 16

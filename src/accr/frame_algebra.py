@@ -43,9 +43,10 @@ def standard_j(n: int) -> np.ndarray:
 
 def max_abs(t, rank):
     """max |t| over its last rank axes: the residual of a tensor of that rank
-    at each point of its leading axes.  NaN and inf propagate."""
-    t = np.abs(t)
-    return t.reshape(t.shape[:t.ndim - rank] + (-1,)).max(-1)
+    at each point of its leading axes.  NaN and inf propagate.  The axes
+    are reduced where they lie, so a strided t (a transposed view) is not
+    copied."""
+    return np.abs(t).max(axis=tuple(range(-rank, 0)))
 
 
 def project_all(t, proj) -> np.ndarray:

@@ -188,14 +188,15 @@ class LieGroupModel(ManifoldModel):
         lead = np.shape(p)[:-1]
         return np.zeros(lead + (self.dim,) + np.shape(fn(p))[len(lead):])
 
+    # the zero jets, as read-only broadcasts
     def metric_derivs_at(self, p):
-        return np.zeros(np.shape(p)[:-1] + (self.dim,) * 3)
+        return np.broadcast_to(0.0, np.shape(p)[:-1] + (self.dim,) * 3)
 
     def metric_derivs2_at(self, p):
-        return np.zeros(np.shape(p)[:-1] + (self.dim,) * 4)
+        return np.broadcast_to(0.0, np.shape(p)[:-1] + (self.dim,) * 4)
 
     def commutator_derivs_at(self, p):
-        return np.zeros(np.shape(p)[:-1] + (self.dim,) * 4)
+        return np.broadcast_to(0.0, np.shape(p)[:-1] + (self.dim,) * 4)
 
     def jacobi_residual(self) -> float:
         c = self.c
@@ -298,7 +299,7 @@ class ChartModel(ManifoldModel):
     def commutators_at(self, p):
         p = np.asarray(p, dtype=float)
         if self.coframe_fn is None:
-            return np.zeros(p.shape[:-1] + (self.dim,) * 3)
+            return np.broadcast_to(0.0, p.shape[:-1] + (self.dim,) * 3)
         return _brackets(self._dtheta(p), self.frame_matrix(p))
 
     def commutator_derivs_at(self, p):
@@ -308,7 +309,7 @@ class ChartModel(ManifoldModel):
         p = np.asarray(p, dtype=float)
         d, lead = self.dim, p.shape[:-1]
         if self.coframe_fn is None:
-            return np.zeros(lead + (d,) * 4)
+            return np.broadcast_to(0.0, lead + (d,) * 4)
         A = self.frame_matrix(p)
         dtheta = self._dtheta(p)
         c = _brackets(dtheta, A)
@@ -474,7 +475,9 @@ def extension_leaf_curvature(t, r_h) -> np.ndarray:
     """
     j = standard_j(r_h.shape[-1] // 2)
     t = np.asarray(t, dtype=float)[..., None, None, None, None]
-    return np.cos(2 * t) * r_h - np.sin(2 * t) * (r_h @ j)
+    out = (r_h @ j) * -np.sin(2 * t)
+    out += np.cos(2 * t) * r_h
+    return out
 
 
 def product_extension(base: ChartModel):

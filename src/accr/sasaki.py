@@ -135,21 +135,28 @@ def curvature_identity_residuals(f: PointFields, base_ric=None) -> dict:
     """
     n = f.s.n
     cur = f.curvature
-    r, r_up, ric = cur.r, cur.r_up, cur.ric
+    r_up, ric = cur.r_up, cur.ric
     g, phi, eta, xi, proj = f.g, f.phi, f.eta, f.xi, f.proj
     at = lambda t: t[..., None, None, :, :]     # a (d, d) tensor against the last two slots
-
     gphi = g @ phi
+
+    # R(x,y,phi z,u) - R(x,y,z,phi u) at [i,j,k,l] is phi^T r - r phi in (k, l), with
+    # r = r_up g: (phi^T r_up) g - r_up (g phi), so that r itself is not made
+    lhs = at(_t(phi)) @ r_up
+    lhs = lhs @ at(g)
+    buf = r_up @ at(gphi)
+    lhs -= buf
+    # minus a2[j,k] gphi[i,l] + a2[j,l] gphi[i,k] and their (i, j) swaps, each
+    # a view of the one product in buf
     a2 = g - 2.0 * eta[..., :, None] * eta[..., None, :]
-    # a2[j,k] gphi[i,l] + a2[j,l] gphi[i,k]: the sum s[i,j,k,l], and rhs = s - s^T(ij)
-    rhs = a2[..., None, :, :, None] * gphi[..., :, None, None, :]
-    rhs += _t(rhs)
-    rhs -= np.swapaxes(rhs, -4, -3)
-    # R(x,y,phi z,u) - R(x,y,z,phi u) at [i,j,k,l]: (r^T(kl) phi)^T(kl) - r phi
-    lhs = _t(_t(r) @ at(phi))
-    lhs -= r @ at(phi)
-    lhs -= rhs
+    np.multiply(a2[..., None, :, :, None], gphi[..., :, None, None, :], out=buf)
+    lhs -= buf
+    lhs -= _t(buf)
+    lhs += np.swapaxes(buf, -4, -3)
+    lhs += np.swapaxes(_t(buf), -4, -3)
+    del buf
     curf = max_abs(lhs, 4)
+    del lhs
 
     eye = np.eye(f.dim)
     r_xy_xi = np.einsum("...ijkl,...k->...ijl", r_up, xi)
@@ -163,7 +170,7 @@ def curvature_identity_residuals(f: PointFields, base_ric=None) -> dict:
     ric_xi_xi = np.abs(np.einsum("...a,...b,...ab->...", xi, xi, ric) - 2.0 * n)
     ric_y_xi = max_abs(np.einsum("...ab,...b->...a", ric, xi) - 2.0 * n * eta, 1)
 
-    r_xi_slot = np.einsum("...ijkl,...k->...ijl", r, xi)
+    r_xi_slot = r_xy_xi @ g[..., None, :, :]
     exp2 = eta[..., None, :, None] * g[..., :, None, :] \
         - eta[..., :, None, None] * g[..., None, :, :]
     r_xyxiz = max_abs(r_xi_slot - exp2, 3)
@@ -202,13 +209,17 @@ def gauss_residual(f: PointFields, base_r=None):
     points (zeros when omitted, i.e. a flat leaf); the max at each point.
     """
     require_sasaki_like(f)
-    r = f.curvature.r
+    t = f.curvature.r       # a new array at each read: the difference is formed in it
+    if base_r is not None:
+        t -= base_r
+        del base_r
     gphi = f.g @ f.phi
-    # gphi[i,k] gphi[j,l] - gphi[j,k] gphi[i,l] = s - s^T(ij)
+    # minus gphi[i,k] gphi[j,l] - gphi[j,k] gphi[i,l] = s - s^T(ij)
     s = gphi[..., :, None, :, None] * gphi[..., None, :, None, :]
-    rhs = s - np.swapaxes(s, -4, -3)
-    rh = 0.0 if base_r is None else np.asarray(base_r)
-    return max_abs(project_all(r - rh - rhs, f.proj), 4)
+    t -= s
+    t += np.swapaxes(s, -4, -3)
+    del s
+    return max_abs(project_all(t, f.proj), 4)
 
 
 def second_fundamental_form_residual(f: PointFields):

@@ -76,10 +76,10 @@ def field_at(field, p):
 
 def field_derivs_at(field, model, p):
     """Frame derivatives e_i(field) at the points p, shape (..., dim,
-    *shape); exact zeros for a constant."""
+    *shape); for a constant, exact zeros as a read-only broadcast."""
     if callable(field):
         return model.frame_derivative(p, lambda q: np.asarray(field(q), dtype=float))
-    return np.zeros(np.shape(p)[:-1] + (model.dim,) + np.shape(field))
+    return np.broadcast_to(0.0, np.shape(p)[:-1] + (model.dim,) + np.shape(field))
 
 
 @dataclass
@@ -176,9 +176,10 @@ class PointFields:
         """Horizontal projector P = Id - eta (x) xi acting on vectors."""
         return np.eye(self.dim) - _outer(self.xi, self.eta)
 
-    @cached_property
+    @property
     def nabla_phi(self):
-        """nphi[i, k, j]: e_k coefficient of (nabla_i phi) e_j."""
+        """nphi[i, k, j]: e_k coefficient of (nabla_i phi) e_j; read by F
+        alone, so not kept."""
         return covariant_derivative(self.gamma, self.phi, self.dphi)
 
     @cached_property
@@ -245,9 +246,10 @@ class PointFields:
         lower = lambda t: np.moveaxis(t, -3, -1) @ g[..., None, :, :]
         return lower(n_up), lower(nhat_up)
 
-    @cached_property
+    @property
     def nijenhuis_from_F(self):
-        """Route B: both tensors from the structure tensor F."""
+        """Route B: both tensors from the structure tensor F; read once per
+        block, so not kept."""
         F, phi, eta, xi = self.F, self.phi, self.eta, self.xi
         f_phi_first = np.einsum("...ai,...ajk->...ijk", phi, F)
         f_phi_last = F @ phi[..., None, :, :]
@@ -265,9 +267,8 @@ class PointFields:
 
     @cached_property
     def curvature(self) -> CurvatureBundle:
-        # the second jets are read for this call, not kept: a pass holds its fields
-        m, p = self.s.model, self.p
-        return riemann(self.conn, m.metric_derivs2_at(p), m.commutator_derivs_at(p), self.phi)
+        # riemann reads the second jets and does not keep them: a pass holds its fields
+        return riemann(self.s.model, self.p, self.conn, self.phi)
 
 
 def validate_structure(f: PointFields) -> dict:

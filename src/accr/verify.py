@@ -54,11 +54,15 @@ from .structure import (
 SCHEMA_VERSION = "1"
 TOL_EXACT = 1e-9      # every judged row, unless its check sets a tighter tol
 JET_POINTS = 4        # the derivatives rows check the jets on this prefix of the sample
-# The most point-dim^4 entries in one block: a block holds about fifteen
-# arrays of dim^4 entries per point (curvature and its jets), so this bounds
-# a pass's memory; the example3_hsphere_ext blocks (dim 7) are 6 points, a
-# model of dim 11 or more is sampled one point at a time.
-BLOCK_ELEMENTS = 2 ** 14
+# The most point-dim^4 entries in one block.  A block keeps one array of
+# dim^4 entries per point for the whole pass (its curvature r_up), and a
+# family holds about four more while it runs (riemann, the Gauss comparison,
+# the homothetic laws), so this bounds a pass's memory: the
+# example3_hsphere_ext blocks (dim 7) are 13 points, its default sample of 20
+# is two blocks, and a model of dim 12 or more is sampled one point at a
+# time.  2**16, one block of 20, read 2.6 to 3.4 % more peak RSS on the
+# default corpus.
+BLOCK_ELEMENTS = 2 ** 15
 
 # expected outcome of a check (Check.expect)
 PASS = "pass"

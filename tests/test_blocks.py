@@ -4,19 +4,32 @@ A PointFields over K points, shape (K, dim), must hold at each point what
 the PointFields of that point alone holds, every residual function must
 give at each point its value there, a family's value on the block is the
 max of its values at the points, and a value that could not be computed at
-one point of a block still makes its row an error.
+one point of a block still makes its row an error.  A block only reads a
+model's jets, and one block of the default extension sample stays within
+its memory.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from accr.cli import main
 from accr.conformal import apply_cct, preservation_at
 from accr.connection import levi_civita
-from accr.corpus import builtin
-from accr.models import ConeModel
+from accr.corpus import builtin, default_corpus, example3_hsphere_ext
+from accr.models import ChartModel, ConeModel, LieGroupModel
 from accr.sasaki import cone_residuals_at
 from accr.structure import PointFields
-from accr.verify import HOMOTHETY, VerifyConfig, families_for, flatten, run_model_checks
+from accr.verify import (
+    HOMOTHETY,
+    VerifyConfig,
+    families_for,
+    flatten,
+    report_to_json,
+    run_all,
+    run_model_checks,
+)
 
 K = 5
 CHARTS = ("example1_chart", "example2_chart", "example3_hsphere_ext")
@@ -139,3 +152,53 @@ def test_nan_at_one_point_of_a_block_is_an_error(name, monkeypatch):
     with np.errstate(all="ignore"):
         assert [verdict(check_id) for check_id in NAN_ROWS] == ["error"] * len(NAN_ROWS)
         assert verdict("structure.phi_xi") == "pass"
+
+
+JETS = ("metric_at", "metric_derivs_at", "metric_derivs2_at", "commutators_at",
+        "commutator_derivs_at")
+
+
+def test_jets_are_only_read(monkeypatch, capsys):
+    # riemann, the transformed model's second jets and the homothetic laws
+    # take a model's jets, which a chart may give as read-only broadcasts:
+    # with every jet read-only, nothing changes and no entry is an error
+    transforms = [["transform", "-m", name, "--params", params] for name in CHARTS
+                  for params in ("u=0.3,v=0.2,w=0", "v=linear_t:0.1,w=0")]
+
+    def run():
+        out = [report_to_json(run_all(default_corpus()))]
+        for argv in transforms:
+            out.append((main(argv), capsys.readouterr().out))
+        return out
+
+    before = run()
+    for cls in (ChartModel, LieGroupModel):
+        for name in JETS:
+            def read_only(model, p, method=getattr(cls, name)):
+                out = np.array(method(model, p))
+                out.flags.writeable = False
+                return out
+
+            monkeypatch.setattr(cls, name, read_only)
+    after = run()
+    assert [code for code, _ in after[1:]] == [0] * len(transforms)
+    assert after == before
+
+
+# The tracemalloc peak of one default example3_hsphere_ext pass, 20 points of
+# dimension 7 in blocks of 13 and 7: 1.763 MB.  In blocks of 6, before
+# riemann, the Gauss comparison, the phi-commutation and the homothetic laws
+# shed their dim^4 temporaries, it was 2.271 MB.
+EXTENSION_PASS_PEAK = 1_770_000
+
+
+def test_one_default_extension_pass_stays_within_its_memory():
+    run_model_checks(example3_hsphere_ext(), VerifyConfig())     # the caches of a first pass
+    cm = example3_hsphere_ext()
+    tracemalloc.start()
+    try:
+        run_model_checks(cm, VerifyConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= EXTENSION_PASS_PEAK

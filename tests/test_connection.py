@@ -5,7 +5,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from accr.connection import hsphere_curvature, levi_civita, standard_norden_pair
+from accr.connection import (
+    HSphereCurvature,
+    hsphere_curvature,
+    levi_civita,
+    standard_norden_pair,
+)
 from accr.corpus import (
     builtin,
     example2,
@@ -198,6 +203,19 @@ class TestHSphereCurvature:
         r = cf.r
         assert np.max(np.abs(r + np.einsum("jikl->ijkl", r))) < 1e-12
         assert np.max(np.abs(r - np.einsum("klij->ijkl", r))) < 1e-12
+
+    def test_ricci_alone_builds_no_curvature(self, ex3, monkeypatch):
+        # R, three Kulkarni-Nomizu products per block, is made only when read
+        cf = hsphere_curvature(3, 2.0, -1.0)
+        assert cf.ric.shape == (6, 6) and cf.scal == pytest.approx(9.6)
+        assert "r" not in vars(cf)
+
+        def boom(self):
+            raise AssertionError("the leaf Ricci read the leaf curvature")
+
+        monkeypatch.setattr(HSphereCurvature, "r", property(boom))
+        points = np.stack(ex3.model.sample_points(4, 3))
+        assert ex3.base_ric_at(points).shape == (4, 7, 7)
 
     def test_degenerate_parameters(self):
         with pytest.raises(DegenerateParameters):

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accr.errors import BadParams, DegenerateMetric, DimMismatch
-from accr.frame_algebra import MetricMatrix, kulkarni_nomizu, project_all, standard_signature
+from accr.frame_algebra import (
+    MetricMatrix,
+    kulkarni_nomizu,
+    max_abs,
+    project_all,
+    standard_signature,
+)
 from accr.structure import PointFields
 from tests.conftest import ORIGIN
 
@@ -142,6 +148,32 @@ class TestProjectAll:
         t[(0,) * rank] = bad
         with np.errstate(invalid="ignore"):
             assert not np.isfinite(np.max(np.abs(project_all(t, proj))))
+
+
+class TestMaxAbs:
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_matches_abs(self, rank):
+        # |t|'s max over the last rank axes, also on a transposed view
+        rng = np.random.default_rng(rank)
+        t = rng.uniform(-1.0, 1.0, (4,) + (3,) * rank)
+        ref = np.abs(t).reshape(4, -1).max(-1)
+        assert np.array_equal(max_abs(t, rank), ref)
+        assert np.array_equal(max_abs(np.swapaxes(t, 1, -1), rank), ref)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_zero_tensor_reads_positive_zero(self, sign):
+        # the report would print a -0.0 as "-0.0": zeros of either sign read +0.0
+        out = max_abs(sign * np.zeros((2, 3, 3, 3, 3)), 4)
+        assert np.array_equal(out, [0.0, 0.0]) and not np.any(np.signbit(out))
+        assert not np.signbit(max_abs(sign * np.zeros((3, 3)), 2))
+
+    @pytest.mark.parametrize("bad, expect", [(np.nan, np.nan), (np.inf, np.inf),
+                                             (-np.inf, np.inf)])
+    def test_non_finite_propagates(self, bad, expect):
+        t = np.zeros((3, 3, 3, 3, 3))
+        t[1, 2, 0, 1, 2] = bad
+        out = max_abs(t, 4)
+        assert np.array_equal(out, [0.0, expect, 0.0], equal_nan=True)
 
 
 class TestSignatureTrace:

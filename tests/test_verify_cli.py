@@ -127,7 +127,7 @@ class TestRunAll:
 
     @pytest.mark.parametrize("only", ["gauss.residual", "gauss.second_fundamental_form"])
     def test_gauss_builds_one_point_fields_per_block(self, ex3, only, monkeypatch):
-        # 20 points of dimension 7 in blocks of BLOCK_ELEMENTS // 7**4 = 6 points
+        # 20 points of dimension 7 in blocks of BLOCK_ELEMENTS // 7**4 = 13 points
         from accr.structure import PointFields
 
         built = []
@@ -136,7 +136,7 @@ class TestRunAll:
                             lambda self, s, p: built.append(len(p)) or init(self, s, p))
         cfg = VerifyConfig(points=20, only=only)
         assert run_model_checks(ex3, cfg)["checks"]
-        assert built == [6, 6, 6, 2]
+        assert built == [13, 7]
 
     def test_broken_model_captured_not_raised(self):
         # a degenerate metric aborts that model's checks but not the batch
