@@ -23,10 +23,12 @@ family on three models (``ONLY``), where no per-point family runs;
 ``verify --points 2 --only derivatives`` of two charts (``SHORT``), samples
 shorter than the prefix on which the jets are checked; ``verify --points 6``
 and the ``linear_t`` transform of a coframe chart and of the extension at
-``--fd-step 2e-3`` (``STEPPED``), so that a change to where the step lives
-shows; ``transform --params w=linear_t:0.1`` of the same two (``MOVING``),
-the only commands whose xi_bar and eta_bar are callables of the point, so
-that the dw and d eta_bar terms show; ``verify``, ``cone`` and the
+``--fd-step 2e-3`` (``STEPPED``), whose verify moves only its
+``derivatives.*`` rows with the step and whose transform does not move at
+all, so that a change to where the step lives shows; ``transform --params
+w=linear_t:0.1`` of the same two (``MOVING``), the only commands whose
+xi_bar and eta_bar move with the point, so that the dw terms of their jets
+show; ``verify``, ``cone`` and the
 ``linear_t`` transform of the extension at ``--points 30`` (``UNEVEN``),
 whose sample splits into blocks of 13, 13 and 4 points (the transform's
 into 1, 13, 13 and 3), and ``verify`` of
@@ -41,8 +43,9 @@ the report and stdout must escape or print alike.  A command differs when
 its JSON report, its stdout, its stderr or its exit code differs.  Every
 differing command is printed, and for a pair of verify reports also the
 sorted check ids whose rows differ, each differing row's max_residual,
-tolerance and verdict on both sides, and both summaries; the exit code is 1
-if any differs, else 0.
+tolerance and verdict on both sides, and both summaries; for a pair of
+transform or cone reports, each differing JSON leaf, its path and then
+its parent and change values; the exit code is 1 if any differs, else 0.
 """
 
 from __future__ import annotations
@@ -157,6 +160,27 @@ def row_moves(parent: bytes, change: bytes) -> list:
               for side, rep in zip(("parent", "change"), reports))]
 
 
+def leaf_moves(parent: bytes, change: bytes) -> list:
+    """One line per JSON leaf that differs between two reports, or exists on
+    one side only: its path, then its parent -> change value."""
+    absent = object()
+
+    def leaves(node, path):
+        if isinstance(node, dict):
+            items = node.items()
+        elif isinstance(node, list):
+            items = enumerate(node)
+        else:
+            return {path: node}
+        return {key: val for k, v in items for key, val in leaves(v, f"{path}/{k}").items()}
+
+    sides = [leaves(json.loads(text), "") for text in (parent, change)]
+    show = lambda x: "absent" if x is absent else repr(x)
+    return [f"    {path}: {show(sides[0].get(path, absent))} -> {show(sides[1].get(path, absent))}"
+            for path in sorted(sides[0].keys() | sides[1].keys())
+            if sides[0].get(path, absent) != sides[1].get(path, absent)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
@@ -177,8 +201,9 @@ def main(argv=None) -> int:
             if parts:
                 differ += 1
                 print(f"differs ({', '.join(parts)}): accr {' '.join(cmd)}", flush=True)
-                if cmd[0] == "verify" and parent[0] and change[0]:
-                    print("\n".join(row_moves(parent[0], change[0])), flush=True)
+                if parent[0] and change[0]:
+                    moves = row_moves if cmd[0] == "verify" else leaf_moves
+                    print("\n".join(moves(parent[0], change[0])), flush=True)
     print(f"{differ} of {len(cmds)} commands differ")
     return 1 if differ else 0
 

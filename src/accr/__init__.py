@@ -29,6 +29,7 @@ from .sasaki import (
 )
 from .structure import (
     AccrStructure,
+    Field,
     PointFields,
     standard_structure,
     theorem_3_4_residual,

@@ -32,7 +32,7 @@ from . import sasaki as sas
 from .errors import BadParams, GeometryError
 from .models import DEFAULT_FD_STEP
 from .modelspec import load_model_spec
-from .structure import max_over_points, worst
+from .structure import Field, max_over_points, worst
 from .verify import (
     CHECKS,
     FAILING,
@@ -140,11 +140,12 @@ def cmd_verify(args) -> int:
 
 
 def _named_family(key, value):
-    """Transform parameter key: a constant, or one of the scalar-field families
-    "zero" and "linear_t:<coef>" (coef times the first coordinate).  A
-    constant or coef that is not a finite number is BadParams."""
+    """Transform parameter key: a constant, or one of the scalar Fields "zero"
+    and "linear_t:<coef>" (coef x^0, whose jet is coef e_i(x^0), the frame
+    matrix's row 0).  A constant or coef that is not finite is BadParams."""
     if value == "zero":
-        return lambda p: np.zeros(np.shape(p)[:-1])
+        return Field(lambda p: np.zeros(np.shape(p)[:-1]),
+                     lambda model, p: np.zeros(np.shape(p)[:-1] + (model.dim,)))
     family, _, text = str(value).rpartition(":")
     try:
         coef = float(text) if family in ("", "linear_t") else math.nan
@@ -152,7 +153,8 @@ def _named_family(key, value):
         coef = math.nan
     if not math.isfinite(coef):
         raise BadParams(f"transform parameter {key}={value!r} is not a finite number")
-    return (lambda p: coef * p[..., 0]) if family else coef
+    return Field(lambda p: coef * p[..., 0],
+                 lambda model, p: coef * model.frame_matrix(p)[..., 0, :]) if family else coef
 
 
 def _per_model(args, cfg, params, fill, **header) -> int:
@@ -163,7 +165,6 @@ def _per_model(args, cfg, params, fill, **header) -> int:
     out = {"schema_version": "1", **header, "models": []}
     ok = True
     for cm in _resolve_models(args.model, params):
-        cm.model.fd_step = cfg.fd_step
         entry = {"name": cm.name, "params": dict(cm.params)}
         try:
             ok = fill(cm, entry) and ok

@@ -29,7 +29,8 @@ from .errors import NonConstantParams
 from .frame_algebra import max_abs, standard_signature
 from .models import ManifoldModel
 from .sasaki import require_sasaki_like
-from .structure import AccrStructure, PointFields, field_at, field_derivs_at, max_over_points
+from .structure import AccrStructure, Field, PointFields, field_at, field_derivs_at
+from .structure import max_over_points
 
 __all__ = [
     "TransformParams",
@@ -56,9 +57,9 @@ _covec = lambda x, m: np.einsum("...i,...ij->...j", x, m)    # x o m, over the p
 
 @dataclass
 class TransformParams:
-    """Conformal data (u, v, w): constants or scalar fields of the point.  A
-    field takes points of shape (..., dim) and returns its values over their
-    leading axes, shape (...)."""
+    """Conformal data (u, v, w): constants or scalar Fields of the point,
+    whose values at points of shape (..., dim) have shape (...), and their
+    jets, the differentials, shape (..., dim)."""
 
     u: object = 0.0
     v: object = 0.0
@@ -66,18 +67,13 @@ class TransformParams:
 
     @property
     def is_constant(self) -> bool:
-        return not (callable(self.u) or callable(self.v) or callable(self.w))
+        return not any(isinstance(x, Field) for x in (self.u, self.v, self.w))
 
     def at(self, p):
         """(u, v, w) at the points p, each an array over their leading axes."""
         lead = np.shape(p)[:-1]
         return tuple(np.broadcast_to(np.asarray(field_at(x, p), dtype=float), lead)
                      for x in (self.u, self.v, self.w))
-
-    def differentials_at(self, model, p):
-        """(du_i, dv_i, dw_i) frame components at the points p, shape (...,
-        dim); exact zeros for constants."""
-        return tuple(field_derivs_at(x, model, p) for x in (self.u, self.v, self.w))
 
 
 class TransformedModel(ManifoldModel):
@@ -96,8 +92,9 @@ class TransformedModel(ManifoldModel):
 
     @cached_property
     def differentials(self):
-        """(du, dv, dw) at f.p, each of shape (..., dim)."""
-        return self.params.differentials_at(self.f.s.model, self.f.p)
+        """(du, dv, dw) at f.p, each of shape (..., dim): Fields' jets, zeros for constants."""
+        t, f = self.params, self.f
+        return tuple(field_derivs_at(x, f.s.model, f.p) for x in (t.u, t.v, t.w))
 
     @cached_property
     def _coefs(self):
@@ -129,7 +126,7 @@ class TransformedModel(ManifoldModel):
 
     def metric_derivs2_at(self, p):
         s, (a, b, _) = self.f.s, self._coefs[0]
-        if not self.params.is_constant or callable(s.phi) or callable(s.eta):
+        if not self.params.is_constant or isinstance(s.phi, Field) or isinstance(s.eta, Field):
             raise NonConstantParams(
                 "curvature of a transformed model needs constant (u, v, w), phi and eta")
         jet = s.model.metric_derivs2_at(self.f.p)
@@ -145,9 +142,6 @@ class TransformedModel(ManifoldModel):
     def commutator_derivs_at(self, p):
         return self.f.s.model.commutator_derivs_at(self.f.p)
 
-    def frame_derivative(self, p, fn):
-        return self.f.s.model.frame_derivative(p, fn)
-
 
 def apply_cct(f: PointFields, t: TransformParams) -> PointFields:
     """The PointFields at f.p of the contact conformal transformation by t of
@@ -155,20 +149,22 @@ def apply_cct(f: PointFields, t: TransformParams) -> PointFields:
     base's, xi_bar = e^{-w} xi and eta_bar = e^w eta.
 
     Lie-group models only admit constant parameters (anything else would
-    silently break left invariance).  xi_bar and eta_bar are constants
-    whenever w, xi and eta are, so their frame derivatives are exact zeros.
+    silently break left invariance).  xi_bar and eta_bar are Fields that,
+    like the model, answer for f.p at any point; their jets e^{-w} (dxi - dw
+    (x) xi) and e^w (deta + dw (x) eta) read f and the model's dw.
     """
     s = f.s
     if s.model.kind == "lie_group" and not t.is_constant:
         raise NonConstantParams("homogeneous models require constant (u, v, w)")
-    if not (callable(t.w) or callable(s.xi) or callable(s.eta)):
-        xi_bar = math.exp(-float(t.w)) * np.asarray(s.xi, dtype=float)
-        eta_bar = math.exp(float(t.w)) * np.asarray(s.eta, dtype=float)
-    else:
-        xi_bar = lambda p: _exp(-t.at(p)[2])[..., None] * field_at(s.xi, p)
-        eta_bar = lambda p: _exp(t.at(p)[2])[..., None] * field_at(s.eta, p)
-    return PointFields(AccrStructure(model=TransformedModel(f, t), n=s.n, phi=s.phi,
-                                     xi=xi_bar, eta=eta_bar), f.p)
+    model = TransformedModel(f, t)
+    w = t.at(f.p)[2][..., None]
+    e_w, e_minus_w = _exp(w), _exp(-w)
+    dw = lambda: model.differentials[2][..., :, None]
+    xi_bar = Field(lambda p: e_minus_w * f.xi,
+                   lambda m, p: e_minus_w[..., None] * (f.dxi - dw() * f.xi[..., None, :]))
+    eta_bar = Field(lambda p: e_w * f.eta,
+                    lambda m, p: e_w[..., None] * (f.deta + dw() * f.eta[..., None, :]))
+    return PointFields(AccrStructure(model=model, n=s.n, phi=s.phi, xi=xi_bar, eta=eta_bar), f.p)
 
 
 def preservation_at(f: PointFields, fb: PointFields, t: TransformParams) -> dict:

@@ -14,10 +14,9 @@ homogeneous Lie-group models (constant data, zero jets), chart models
 (coordinate frame or a moving coframe, built from the analytic jets of the
 metric and the coframe), rank-one product extensions over a holomorphic
 complex Riemannian base, and the complex cone, which gives first jets only.
-The group and chart models also give ``frame_derivative(p, fn)``, e_i of
-any field fn (zeros on a group, finite differences on a chart), which only
-checks the jets and differentiates fields given as callables of the points
-(structure fields, transformation parameters).
+Fields that move with the point bring their jets too (``structure.Field``),
+so the stencil is only a reference: of a chart's ``jet_residuals`` (through
+``frame_derivative(p, fn, step)``) and of ``product_extension``'s check.
 An extension base is a coordinate chart of dimension 2n in holomorphic
 coordinates w = u + i v, so its complex structure is always multiplication
 by i, the standard J of ``frame_algebra.standard_j``.
@@ -47,9 +46,10 @@ from .structure import PointFields, standard_structure, worst
 
 DEFAULT_FD_STEP = 1e-3
 
-# 5-point central stencil, 4th order, so that at the default step its
-# truncation error stays below the 1e-9 at which the derivatives rows compare
-# the analytic jets with it.
+# 5-point central stencil, 4th order: its truncation error h^4 |fn^(5)| / 30
+# stays below the derivatives rows' 1e-9 on the default corpus at the default
+# step, not at every legal parameter (example2_chart lam=20 and
+# example3_hsphere_ext n=2,a=0.1,b=0 exceed it; ROADMAP item 2).
 _STENCIL_OFFSETS = (-2.0, -1.0, 1.0, 2.0)
 _STENCIL_WEIGHTS = (1.0 / 12.0, -8.0 / 12.0, 8.0 / 12.0, -1.0 / 12.0)
 
@@ -75,9 +75,7 @@ def coordinate_derivatives(fn, x, step=DEFAULT_FD_STEP):
     pts = x + moves.reshape((4, dim) + (1,) * len(lead) + (dim,))
     val = lambda k: np.asarray(fn(pts[k]), dtype=float)
     w = _STENCIL_WEIGHTS
-    acc = w[0] * val(0) + w[1] * val(1)
-    acc = acc + w[2] * val(2)
-    acc = acc + w[3] * val(3)
+    acc = w[0] * val(0) + w[1] * val(1) + w[2] * val(2) + w[3] * val(3)
     acc /= step
     return np.moveaxis(acc, 0, len(lead))
 
@@ -126,17 +124,12 @@ class ManifoldModel:
 
     dim: int
     kind: str
-    fd_step: float = DEFAULT_FD_STEP
+    fd_step = DEFAULT_FD_STEP    # read by perfbench/tracing.py alone; no run sets it
 
     def metric_at(self, p) -> np.ndarray:
         raise NotImplementedError
 
     def commutators_at(self, p) -> np.ndarray:
-        raise NotImplementedError
-
-    def frame_derivative(self, p, fn) -> np.ndarray:
-        """e_i applied to the field fn at the points p, shape (..., dim,
-        *shape) for fn(p) of shape (..., *shape)."""
         raise NotImplementedError
 
     def metric_derivs_at(self, p) -> np.ndarray:
@@ -183,10 +176,6 @@ class LieGroupModel(ManifoldModel):
 
     def commutators_at(self, p):
         return np.broadcast_to(self.c, np.shape(p)[:-1] + (self.dim,) * 3)
-
-    def frame_derivative(self, p, fn):
-        lead = np.shape(p)[:-1]
-        return np.zeros(lead + (self.dim,) + np.shape(fn(p))[len(lead):])
 
     # the zero jets, as read-only broadcasts
     def metric_derivs_at(self, p):
@@ -321,9 +310,11 @@ class ChartModel(ManifoldModel):
         out = np.swapaxes(A, -1, -2) @ ds_c.reshape(lead + (d, d ** 3))
         return out.reshape(lead + (d,) * 4)
 
-    def frame_derivative(self, p, fn):
+    def frame_derivative(self, p, fn, step=DEFAULT_FD_STEP):
+        """e_i(fn) at the points p by the stencil at step, shape (..., dim,
+        *shape) for fn(p) of shape (..., *shape): jet_residuals' reference."""
         p = np.asarray(p, dtype=float)
-        dcoord = coordinate_derivatives(fn, p, self.fd_step)
+        dcoord = coordinate_derivatives(fn, p, step)
         if self.coframe_fn is None:
             return dcoord                                   # the coordinate frame
         flat = dcoord.reshape(p.shape[:-1] + (self.dim, -1))
@@ -335,21 +326,20 @@ class ChartModel(ManifoldModel):
     def metric_derivs2_at(self, p):
         return self._at(self.metric_derivs2_fn, np.asarray(p, dtype=float), 4)
 
-    def jet_residuals(self, p) -> dict:
+    def jet_residuals(self, p, step=DEFAULT_FD_STEP) -> dict:
         """Each jet of the chart against the finite differences of the
-        next-lower order at fd_step, relative to max(1, |jet|), at each of
-        the points p: dg against g and d^2 g against dg in the frame and, with
-        a coframe, d theta against theta and d^2 theta against d theta in the
+        next-lower order at step, relative to max(1, |jet|), at each of the
+        points p: dg against g and d^2 g against dg in the frame and, with a
+        coframe, d theta against theta and d^2 theta against d theta in the
         coordinates."""
         p = np.asarray(p, dtype=float)
-        pairs = {"metric": (self.metric_derivs_at(p), self.frame_derivative(p, self.metric_at)),
-                 "metric2": (self.metric_derivs2_at(p),
-                             self.frame_derivative(p, self.metric_derivs_at))}
+        in_frame = lambda fn: self.frame_derivative(p, fn, step)
+        pairs = {"metric": (self.metric_derivs_at(p), in_frame(self.metric_at)),
+                 "metric2": (self.metric_derivs2_at(p), in_frame(self.metric_derivs_at))}
         if self.coframe_fn is not None:
-            pairs["coframe"] = (self._dtheta(p),
-                                coordinate_derivatives(self.coframe_fn, p, self.fd_step))
+            pairs["coframe"] = (self._dtheta(p), coordinate_derivatives(self.coframe_fn, p, step))
             pairs["coframe2"] = (self._at(self.coframe_derivs2_fn, p, 4),
-                                 coordinate_derivatives(self._dtheta, p, self.fd_step))
+                                 coordinate_derivatives(self._dtheta, p, step))
         rank = lambda jet: jet.ndim - (p.ndim - 1)
         return {key: max_abs(jet - fd, rank(jet)) / np.maximum(1.0, max_abs(jet, rank(jet)))
                 for key, (jet, fd) in pairs.items()}
@@ -505,7 +495,7 @@ def product_extension(base: ChartModel):
         asym = np.max(np.abs(h - h.T))
         if not asym <= SYM_TOL:
             raise BaseNotHolomorphic(f"metric asymmetry {asym:.3e} at {q}")
-        gap = np.max(np.abs(dh - coordinate_derivatives(base.metric_at, q, base.fd_step)))
+        gap = np.max(np.abs(dh - coordinate_derivatives(base.metric_at, q)))
         res = worst((np.max(np.abs(j.T @ h @ j + h)), holomorphy_residual(conn),
                      gap / max(1.0, np.max(np.abs(dh)))))
         if not res <= 1e-6:

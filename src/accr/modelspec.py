@@ -124,11 +124,15 @@ def model_from_spec(spec: dict) -> CorpusModel:
 
     n = spec["n"]
     d = 2 * n + 1
-    c = np.zeros((d, d, d))
+    c, given = np.zeros((d, d, d)), set()
     for entry in spec["structure_constants"]:
         i, j, k, v = entry["i"], entry["j"], entry["k"], entry["value"]
         if max(i, j, k) >= d:
             raise BadParams(f"index out of range for dimension {d}: {entry}")
+        if i == j or (k, min(i, j), max(i, j)) in given:
+            why = "[e_i, e_i] is zero" if i == j else "c^k_ij or c^k_ji is given twice"
+            raise BadParams(f"structure constant {entry}: {why}")
+        given.add((k, min(i, j), max(i, j)))
         c[k, i, j] += v
         c[k, j, i] -= v
     metric_spec = spec.get("metric", "standard")

@@ -26,6 +26,7 @@ from .frame_algebra import max_abs, standard_j
 
 __all__ = [
     "AccrStructure",
+    "Field",
     "standard_structure",
     "PointFields",
     "field_at",
@@ -65,33 +66,39 @@ def max_over_points(blocks, residuals_at) -> dict:
     return out
 
 
+@dataclass(frozen=True)
+class Field:
+    """A field that moves with the point: value(p) at the points p, shape
+    (..., dim), over their leading axes, and its frame jet jet(model, p),
+    e_i(field) in the frame of model, shape (..., dim, *shape)."""
+
+    value: object
+    jet: object
+
+
 def field_at(field, p):
-    """A field of the point, a constant or a callable of p, read at the
-    points p, shape (..., dim): a callable takes them all at once, and a
-    constant is broadcast over their leading axes."""
-    if callable(field):
-        return field(p)
+    """A field, a constant or a Field, read at the points p, shape (...,
+    dim): a Field takes them all at once, and a constant is broadcast over
+    their leading axes."""
+    if isinstance(field, Field):
+        return field.value(p)
     return np.broadcast_to(field, np.shape(p)[:-1] + np.shape(field))
 
 
 def field_derivs_at(field, model, p):
     """Frame derivatives e_i(field) at the points p, shape (..., dim,
-    *shape); for a constant, exact zeros as a read-only broadcast."""
-    if callable(field):
-        return model.frame_derivative(p, lambda q: np.asarray(field(q), dtype=float))
+    *shape): a Field's jet, or a constant's zeros as a read-only broadcast."""
+    if isinstance(field, Field):
+        return field.jet(model, p)
     return np.broadcast_to(0.0, np.shape(p)[:-1] + (model.dim,) + np.shape(field))
 
 
 @dataclass
 class AccrStructure:
-    """(phi, xi, eta) attached to a model carrying g.
-
-    Fields may be constant float arrays (the usual case: adapted frames make
-    all structure components constant) or callables of the points returning
-    them, read through field_at and field_derivs_at.  A callable takes
-    points of shape (..., dim) and returns its values over the same leading
-    axes, (..., d, d) for phi and (..., d) for xi and eta.
-    """
+    """(phi, xi, eta) attached to a model carrying g, each a constant float
+    array (the usual case: adapted frames make all structure components
+    constant) or a Field, read through field_at and field_derivs_at, whose
+    values at points (..., dim) have shape (..., d, d) or (..., d)."""
 
     model: object
     n: int

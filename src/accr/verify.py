@@ -15,12 +15,11 @@ and the derivatives family the jets over a prefix of the sample, while
 crossrep and the eta fit give rows of the model as a whole.  Every row
 is judged except the eta fit's (info), whose output is the classification in
 its note.
-Every model gives its jets in closed form and riemann takes a block's
-curvature from them, so curvature has no finite-difference error; on chart
-models the derivatives family compares each analytic jet with finite
-differences of the next-lower order, relative to max(1, |jet|), at the
-first JET_POINTS sample points only (a wrong jet is wrong at generic points,
-and these stencils are most of a chart's model evaluations).  Designed
+Every model and moving field gives its jets in closed form, so only the
+derivatives family reads finite differences: on charts it compares each
+jet with the stencil of the next-lower order at cfg.fd_step, relative to
+max(1, |jet|), at the first JET_POINTS sample points only (a wrong jet is
+wrong at generic points).  Designed
 failures (the parallel model for the Sasaki family, the w != 0 homothety
 for conformal preservation) are expected to fail, so a healthy run reports
 them as xfail and exits 0.
@@ -212,9 +211,10 @@ class VerifyConfig:
 @dataclass(frozen=True)
 class Family:
     """The checks under one id prefix: residuals maps (cm, fields, count,
-    seed), fields the pass's PointFields at the model's count sample points
-    of seed, to the model's residuals, most of them each(fn).  Residuals: a
-    value (row "<prefix>"), a (value, note) pair or a dict (rows "<prefix>.<key>")."""
+    seed, step), fields the pass's PointFields at the model's count sample
+    points of seed and step that of the stencils, to the model's residuals,
+    most of them each(fn).  Residuals: a value (row "<prefix>"), a (value,
+    note) pair or a dict (rows "<prefix>.<key>")."""
 
     prefix: str
     residuals: object
@@ -225,7 +225,7 @@ def each(fn):
     """The residuals of a per-point family: the max_over_points of the
     residual function fn(cm, f), a value or a dict of the values at each
     point of the block f, over the pass's fields."""
-    return lambda cm, fields, count, seed: max_over_points(
+    return lambda cm, fields, count, seed, step: max_over_points(
         fields, lambda f: {"out": fn(cm, f)})["out"]
 
 
@@ -244,7 +244,7 @@ def _conformal(cm, f):
     }
 
 
-def _eta_fit(cm, fields, count, seed):
+def _eta_fit(cm, fields, count, seed, step):
     try:
         fit = conf.eta_complex_einstein_check(fields)
     except NotSasakiLike as exc:     # the fit needs a Sasaki-like base: the row reads error
@@ -252,24 +252,25 @@ def _eta_fit(cm, fields, count, seed):
     return {"residual": (fit.residual, f"classification: {fit.classification}")}
 
 
-def _cone(cm, fields, count, seed):
+def _cone(cm, fields, count, seed, step):
     out = sas.cone_holomorphic_residual(fields, min(count, 6), seed)
     del out["per_point"]
     return out
 
 
-def _crossrep(cm, fields, count, seed):
+def _crossrep(cm, fields, count, seed, step):
     partner = corpus_mod.builtin(cm.lie_partner, **cm.params)
     cross = corpus_mod.cross_representation_check(partner, cm, fields)
     return {k: v for k, v in cross.items() if not k.startswith("sasaki_")}
 
 
-def _derivatives(cm, fields, count, seed):
-    """The jets at the first JET_POINTS sample points, in the pass's blocks."""
+def _derivatives(cm, fields, count, seed, step):
+    """The jets against the stencil at step, at the first JET_POINTS sample
+    points, in the pass's blocks."""
     rows = [f.p.reshape(-1, f.p.shape[-1]) for f in fields]
     starts = np.cumsum([0, *map(len, rows)])
     return max_over_points([r[:JET_POINTS - s] for r, s in zip(rows, starts) if s < JET_POINTS],
-                           cm.model.jet_residuals)
+                           lambda p: cm.model.jet_residuals(p, step))
 
 
 FAMILIES = (
@@ -345,7 +346,7 @@ def _gather_residuals(cm, cfg: VerifyConfig):
     fields = point_fields(cm, points)
     res, notes = {}, {}
     for fam in families_for(cm, cfg.only):
-        flatten(fam.prefix, fam.residuals(cm, fields, count, seed), res, notes)
+        flatten(fam.prefix, fam.residuals(cm, fields, count, seed, cfg.fd_step), res, notes)
     return res, notes
 
 
@@ -375,7 +376,6 @@ def _model_header(cm) -> dict:
 
 def run_model_checks(cm, cfg: VerifyConfig) -> dict:
     """All checks for one corpus model, returned as a report dict."""
-    cm.model.fd_step = cfg.fd_step
     residuals, notes = _gather_residuals(cm, cfg)
     rows = []
     for check_id in sorted(residuals):

@@ -9,8 +9,8 @@ from accr.corpus import (
     example3_hsphere_ext,
     flat_parallel,
 )
-from accr.models import coordinate_derivatives
-from accr.structure import PointFields
+from accr.models import DEFAULT_FD_STEP, coordinate_derivatives
+from accr.structure import Field, PointFields
 
 ORIGIN = np.zeros(0)
 
@@ -60,13 +60,26 @@ def sample_fields(cm, count, seed):
     return [PointFields(cm.structure, p) for p in cm.model.sample_points(count, seed)]
 
 
-def stepped_example1_chart(n=1):
+def coordinate(mu, coef=1.0):
+    """The Field coef x^mu of a chart, whose frame jet is coef e_i(x^mu) =
+    coef A[mu, i], A its frame matrix."""
+    return Field(lambda p: coef * p[..., mu], lambda m, p: coef * m.frame_matrix(p)[..., mu, :])
+
+
+def stencil_field(value):
+    """The Field of value on a chart, with the finite differences of value
+    at the default step as its jet: for a field whose closed-form jet takes
+    more than a line."""
+    return Field(value, lambda m, p: m.frame_derivative(p, value))
+
+
+def stepped_example1_chart(n=1, step=DEFAULT_FD_STEP):
     """example1_chart with its coframe jets the finite differences of its
-    coframe at the chart's own fd_step: a zero step makes its brackets, and
-    so every row that reads the connection, NaN."""
+    coframe at step: a zero step makes its brackets, and so every row that
+    reads the connection, NaN."""
     cm = example1_chart(n)
     chart = cm.model
-    diff = lambda fn: (lambda x: coordinate_derivatives(fn, x, chart.fd_step))
+    diff = lambda fn: (lambda x: coordinate_derivatives(fn, x, step))
     chart.coframe_derivs_fn = diff(cm.coframe_fn)
     chart.coframe_derivs2_fn = diff(chart.coframe_derivs_fn)
     return cm

@@ -18,9 +18,9 @@ from accr.cli import main
 from accr.conformal import apply_cct, preservation_at
 from accr.connection import levi_civita
 from accr.corpus import builtin, default_corpus, example3_hsphere_ext
-from accr.models import ChartModel, ConeModel, LieGroupModel
+from accr.models import DEFAULT_FD_STEP, ChartModel, ConeModel, LieGroupModel
 from accr.sasaki import cone_residuals_at
-from accr.structure import PointFields
+from accr.structure import Field, PointFields
 from accr.verify import (
     HOMOTHETY,
     VerifyConfig,
@@ -30,6 +30,7 @@ from accr.verify import (
     run_all,
     run_model_checks,
 )
+from tests.conftest import coordinate
 
 K = 5
 CHARTS = ("example1_chart", "example2_chart", "example3_hsphere_ext")
@@ -86,7 +87,7 @@ def test_block_arrays_agree_with_each_point(kind, name):
 def family_rows(cm, fields, count):
     res, notes = {}, {}
     for fam in families_for(cm):
-        flatten(fam.prefix, fam.residuals(cm, fields, count, 11), res, notes)
+        flatten(fam.prefix, fam.residuals(cm, fields, count, 11, DEFAULT_FD_STEP), res, notes)
     return res
 
 
@@ -108,7 +109,9 @@ def test_residuals_at_each_point_of_a_block():
     # gives each of them where it is
     cm = builtin("example1_chart")
     block, points = block_and_points(cm)
-    t = type(HOMOTHETY)(v=lambda p: 0.3 * np.sin(p[..., 0]), w=lambda p: 0.1 * p[..., 1])
+    v = Field(lambda p: 0.3 * np.sin(p[..., 0]),
+              lambda m, p: 0.3 * np.cos(p[..., 0])[..., None] * m.frame_matrix(p)[..., 0, :])
+    t = type(HOMOTHETY)(v=v, w=coordinate(1, 0.1))
     at_block = preservation_at(block, apply_cct(block, t), t)
     at_points = [preservation_at(f, apply_cct(f, t), t) for f in points]
     assert_at_each_point(at_block, at_points)

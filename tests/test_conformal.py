@@ -25,9 +25,10 @@ from accr.models import ChartModel, LieGroupModel
 from accr import models
 from accr import sasaki as sas
 from accr.sasaki import check_defining_conditions, require_sasaki_like
-from accr.structure import AccrStructure, PointFields, max_over_points, validate_structure
+from accr.structure import AccrStructure, Field, PointFields, max_over_points
+from accr.structure import validate_structure
 from accr.verify import BREAKING, HOMOTHETY, run_all
-from tests.conftest import ORIGIN, sample_fields
+from tests.conftest import ORIGIN, coordinate, sample_fields, stencil_field
 
 
 def pairs(s, t, points):
@@ -76,26 +77,31 @@ class TestApplyCct:
 
     @pytest.mark.parametrize("name", ["ex1_chart", "ex3"])
     def test_constant_w_keeps_xi_and_eta_constant(self, name, request):
-        # v = 0.1 t is not constant, w is: xi_bar and eta_bar stay constants,
+        # v = 0.1 t is not constant, w is: xi_bar and eta_bar stay constant,
         # so their frame derivatives are exact zeros, not finite differences
         cm = request.getfixturevalue(name)
-        t = TransformParams(u=0.3, v=lambda p: 0.1 * p[..., 0], w=0.0)
+        t = TransformParams(u=0.3, v=coordinate(0, 0.1), w=0.0)
         for f in sample_fields(cm, 3, 7):
             fb = apply_cct(f, t)
-            assert not (callable(fb.s.xi) or callable(fb.s.eta))
             assert np.max(np.abs(fb.deta)) == 0.0 and np.max(np.abs(fb.dxi)) == 0.0
 
     def test_nonconstant_rejected_on_group(self, ex1):
         with pytest.raises(NonConstantParams):
             apply_cct(PointFields(ex1.structure, ORIGIN),
-                      TransformParams(u=lambda p: p.sum(), v=0.0, w=0.0))
+                      TransformParams(u=coordinate(0), v=0.0, w=0.0))
 
 
 JET_CASES = [("example1_chart", {}), ("example2_chart", {"lam": 3.0}),
              ("example3_hsphere_ext", {})]
-MIXED = TransformParams(u=lambda p: 0.2 * np.sin(p.sum(-1)),
-                        v=lambda p: 0.1 * p[..., 0] * p[..., -1],
-                        w=lambda p: 0.1 * np.cos(p[..., 1]))
+# e_i = A[mu, i] d/dx^mu, A the chart's frame matrix, so e_i(x^mu) = A[mu, i]
+MIXED = TransformParams(
+    u=Field(lambda p: 0.2 * np.sin(p.sum(-1)),
+            lambda m, p: 0.2 * np.cos(p.sum(-1))[..., None] * m.frame_matrix(p).sum(-2)),
+    v=Field(lambda p: 0.1 * p[..., 0] * p[..., -1],
+            lambda m, p: 0.1 * (p[..., -1:] * m.frame_matrix(p)[..., 0, :]
+                                + p[..., :1] * m.frame_matrix(p)[..., -1, :])),
+    w=Field(lambda p: 0.1 * np.cos(p[..., 1]),
+            lambda m, p: -0.1 * np.sin(p[..., 1])[..., None] * m.frame_matrix(p)[..., 1, :]))
 
 
 def assert_jet_matches_stencil(s, t, points):
@@ -110,8 +116,8 @@ def assert_jet_matches_stencil(s, t, points):
 
 class TestClosedFormJet:
     @pytest.mark.parametrize("name, params", JET_CASES)
-    @pytest.mark.parametrize("t", [TransformParams(v=lambda p: 0.1 * p[..., 0]),
-                                   TransformParams(w=lambda p: 0.1 * p[..., 0]), MIXED],
+    @pytest.mark.parametrize("t", [TransformParams(v=coordinate(0, 0.1)),
+                                   TransformParams(w=coordinate(0, 0.1)), MIXED],
                              ids=["v", "w", "mixed"])
     def test_matches_the_stencil(self, name, params, t):
         cm = builtin(name, **params)
@@ -122,10 +128,29 @@ class TestClosedFormJet:
         # the dphi and deta terms: phi and eta move with the point (g_bar and
         # its jet need no accR structure)
         phi, eta = ex1_chart.structure.phi, ex1_chart.structure.eta
-        s = AccrStructure(ex1_chart.model, 1,
-                          phi=lambda p: phi * (1.0 + 0.3 * np.sin(p[..., 0]))[..., None, None],
-                          xi=eta, eta=lambda p: eta + (0.2 * p[..., 1] * p[..., 2])[..., None])
+        moving_phi = Field(lambda p: phi * (1.0 + 0.3 * np.sin(p[..., 0]))[..., None, None],
+                           lambda m, p: phi * (0.3 * np.cos(p[..., 0])[..., None, None, None]
+                                               * m.frame_matrix(p)[..., 0, :, None, None]))
+        moving_eta = stencil_field(lambda p: eta + (0.2 * p[..., 1] * p[..., 2])[..., None])
+        s = AccrStructure(ex1_chart.model, 1, phi=moving_phi, xi=eta, eta=moving_eta)
         assert_jet_matches_stencil(s, t, ex1_chart.model.sample_points(6, 7))
+
+    @pytest.mark.parametrize("name, params", JET_CASES)
+    @pytest.mark.parametrize("t", [TransformParams(w=coordinate(0, 0.1)), MIXED],
+                             ids=["w", "mixed"])
+    def test_xi_bar_and_eta_bar_jets_match_the_stencil(self, name, params, t):
+        # e^{-w} (dxi - dw (x) xi) and e^w (deta + dw (x) eta) against the
+        # stencil of xi_bar and eta_bar over the transforms at neighbouring points
+        cm = builtin(name, **params)
+        s = cm.structure
+        for p in cm.model.sample_points(6, 7):
+            fb = apply_cct(PointFields(s, p), t)
+            for key in ("xi", "eta"):
+                jet = getattr(fb, "d" + key)
+                fd = s.model.frame_derivative(
+                    p, lambda q: getattr(apply_cct(PointFields(s, q), t), key))
+                assert np.max(np.abs(jet)) > 1e-3
+                assert np.max(np.abs(jet - fd)) / max(1.0, np.max(np.abs(jet))) <= 1e-9, key
 
     @pytest.mark.parametrize("name, params", JET_CASES)
     @pytest.mark.parametrize("t", [HOMOTHETY, BREAKING], ids=["homothety", "breaking"])
@@ -161,16 +186,16 @@ class TestPreservation:
 
     def test_callable_params_on_chart(self, ex1_chart):
         pts = ex1_chart.model.sample_points(4, 1)
-        # constant-zero candidates supplied as genuine functions: the
-        # differentials run through finite differences and must vanish
-        t = TransformParams(u=lambda p: np.zeros(p.shape[:-1]), v=lambda p: np.zeros(p.shape[:-1]),
-                            w=0.0)
+        # constant-zero candidates supplied as Fields whose jets are finite
+        # differences: the differentials must vanish
+        zero = lambda p: np.zeros(p.shape[:-1])
+        t = TransformParams(u=stencil_field(zero), v=stencil_field(zero), w=0.0)
         res = preservation(ex1_chart.structure, t, pts)
         assert max(res.values()) < 1e-6
 
     def test_callable_v_of_t_breaks(self, ex1_chart):
         pts = ex1_chart.model.sample_points(4, 1)
-        t = TransformParams(u=0.0, v=lambda p: 0.1 * p[..., 0], w=0.0)
+        t = TransformParams(u=0.0, v=coordinate(0, 0.1), w=0.0)
         res = preservation(ex1_chart.structure, t, pts)
         assert res["du_phi_plus_dv"] == pytest.approx(0.1, abs=1e-6)
 
@@ -203,7 +228,7 @@ class TestHomotheticConnection:
         assert homothetic_laws(f, fb, t)["connection_formula"] < 1e-12
 
     def test_nonconstant_rejected(self, ex1_chart):
-        t = TransformParams(u=lambda p: p[..., 0], v=0.0, w=0.0)
+        t = TransformParams(u=coordinate(0), v=0.0, w=0.0)
         f, fb = pair(ex1_chart.structure, t, np.zeros(3))
         with pytest.raises(NonConstantParams):
             homothetic_laws(f, fb, t)
@@ -212,7 +237,7 @@ class TestHomotheticConnection:
         # the second jets of g_bar are closed-form for constants only
         f = PointFields(ex1_chart.structure, ex1_chart.model.sample_points(1, 3)[0])
         with pytest.raises(NonConstantParams):
-            apply_cct(f, TransformParams(v=lambda p: 0.1 * p[..., 0])).curvature
+            apply_cct(f, TransformParams(v=coordinate(0, 0.1))).curvature
 
 
 class TestHomotheticCurvature:
@@ -447,14 +472,14 @@ class TestSolveCounts:
         run_all(default_corpus())
         assert counts[0] + counts[1] <= 39 and counts[2] <= 30 and counts[3] <= 17
 
-    @pytest.mark.parametrize("name, blocks", [
-        ("example1_chart", [(1, 3), (19, 3)]),
-        ("example3_hsphere_ext", [(1, 7), (13, 7), (6, 7)]),
+    @pytest.mark.parametrize("name, construction", [
+        ("example1_chart", []),
+        # product_extension checks its base on four single points (dim 6)
+        ("example3_hsphere_ext", [(6,)] * 4),
     ])
-    def test_linear_t_takes_one_stencil_per_block(self, name, blocks, monkeypatch, capsys):
-        # the stencil of v, once for each block of the sample (the first
-        # point, whose pair the laws read, then the rest): preservation reads
-        # du, dv and dw from the transformed model, which took them
+    def test_linear_t_takes_no_stencil(self, name, construction, monkeypatch, capsys):
+        # v = 0.1 t brings its jet, so the transformed model takes du, dv and
+        # dw, and xi_bar and eta_bar their jets, without a stencil
         stencil, points = models.coordinate_derivatives, []
 
         def counted(fn, x, step=models.DEFAULT_FD_STEP):
@@ -463,5 +488,4 @@ class TestSolveCounts:
 
         monkeypatch.setattr(models, "coordinate_derivatives", counted)
         assert main(["transform", "-m", name, "--params", "v=linear_t:0.1,w=0"]) == 0
-        # product_extension checks a base on four single points, not on blocks
-        assert [shape for shape in points if len(shape) == 2] == blocks
+        assert points == construction

@@ -21,6 +21,7 @@ from accr.errors import (
 )
 from accr.frame_algebra import standard_j
 from accr.models import (
+    ChartModel,
     chart_model,
     ConeModel,
     coordinate_derivatives,
@@ -31,7 +32,7 @@ from accr.models import (
 )
 from accr.structure import AccrStructure, PointFields
 from accr.verify import VerifyConfig, run_model_checks
-from tests.conftest import ORIGIN, sample_fields
+from tests.conftest import ORIGIN, coordinate, sample_fields
 
 # complex symmetric S_k with S_k[i, j] = LINEAR[k, i, j]: the coefficients of
 # a holomorphic metric I + sum_k w^k S_k on C^2
@@ -117,10 +118,6 @@ class TestLieGroupModel:
         with pytest.raises(BadSignature):
             lie_group_model(1, np.zeros((3, 3, 3)), np.eye(3))
 
-    def test_invariant_fields_have_zero_derivative(self, ex1):
-        d = ex1.model.frame_derivative(ORIGIN, lambda p: np.eye(3))
-        assert np.max(np.abs(d)) == 0.0
-
 
 class TestChartModel:
     def test_flat_chart(self):
@@ -190,7 +187,7 @@ class TestChartModel:
         calls = []
         derive = cm.model.frame_derivative
         monkeypatch.setattr(cm.model, "frame_derivative",
-                            lambda p, fn: calls.append(p) or derive(p, fn))
+                            lambda p, fn, step: calls.append(p) or derive(p, fn, step))
         assert run_model_checks(cm, VerifyConfig(points=points, only="derivatives"))["checks"]
         assert [p.shape for p in calls] == [(min(points, 4), 3)] * 2
 
@@ -309,13 +306,18 @@ def cones(cm, count, seed):
     return [(ConeModel(f), np.array([r])) for f, r in ConeModel.cone_points(fields, count, seed)]
 
 
-def cone_frame_derivative(cone, p, fn):
-    """e_i(fn(cone, p)) by finite differences at the base model's step: the
-    base model's frame_derivative of fn on the cones over neighbouring base
-    points, and coordinate_derivatives along r."""
-    s, bp = cone.f.s, cone.f.p
-    along_base = s.model.frame_derivative(bp, lambda q: fn(ConeModel(PointFields(s, q)), p))
-    along_r = coordinate_derivatives(lambda q: fn(cone, q), p, s.model.fd_step)
+def cone_frame_derivative(cone, p, fn, s=None, t=None):
+    """e_i(fn(cone, p)) by finite differences at the default step: the base
+    chart's frame_derivative of fn on the cones over neighbouring base points
+    (zeros over a group, whose fields do not move), and
+    coordinate_derivatives along r.  The cone is over the structure s, by
+    default the cone's, transformed by t if given."""
+    s, bp = s or cone.f.s, cone.f.p
+    fields_at = (lambda q: apply_cct(PointFields(s, q), t)) if t else (lambda q: PointFields(s, q))
+    on_cone = lambda q: fn(ConeModel(fields_at(q)), p)
+    along_base = (s.model.frame_derivative(bp, on_cone) if isinstance(s.model, ChartModel)
+                  else np.zeros((s.model.dim, *np.shape(fn(cone, p)))))
+    along_r = coordinate_derivatives(lambda q: fn(cone, q), p)
     return np.concatenate([along_base, along_r])
 
 
@@ -371,14 +373,16 @@ class TestConeModel:
 
     def test_analytic_j_derivatives_over_moving_structure(self):
         # w depends on t, so eta and xi of the transformed structure move
-        # and the base rows of the J derivatives are not zero
-        t = TransformParams(w=lambda p: 0.2 * p[..., 0])
-        fields = [apply_cct(f, t) for f in sample_fields(example1_chart(1), 4, 5)]
+        # and the base rows of the J derivatives are not zero; the reference
+        # transforms the base PointFields at each neighbouring point
+        cm, t = example1_chart(1), TransformParams(w=coordinate(0, 0.2))
+        fields = [apply_cct(f, t) for f in sample_fields(cm, 4, 5)]
         for f, r in ConeModel.cone_points(fields, 4, 5):
             cone, p = ConeModel(f), np.array([r])
             dj = cone.j_derivs_at(p)
             assert np.max(np.abs(dj[:-1])) > 0.1
-            assert np.max(np.abs(dj - cone_frame_derivative(cone, p, ConeModel.j_at))) < 1e-9
+            fd = cone_frame_derivative(cone, p, ConeModel.j_at, cm.structure, t)
+            assert np.max(np.abs(dj - fd)) < 1e-9
 
     def test_sample_includes_r_minus_one(self, ex1):
         pts = [p for _, p in cones(ex1, 6, 42)]

@@ -268,9 +268,9 @@ class TestReportCoherence:
         assert not route_holds(flat, "sasaki.defining", 1e-6, points=1)
 
     def test_report_fails_closed_on_nan(self):
-        cm = stepped_example1_chart(n=1)
+        cm = stepped_example1_chart(n=1, step=0.0)
         with np.errstate(all="ignore"):      # a zero step gives NaN finite differences
-            verdicts = {r["verdict"] for r in rows(cm, "sasaki", points=2, seed=3, fd_step=0.0)}
+            verdicts = {r["verdict"] for r in rows(cm, "sasaki", points=2, seed=3)}
         assert verdicts == {"error"}
 
 

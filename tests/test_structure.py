@@ -13,7 +13,7 @@ from accr.structure import (
     validate_structure,
     worst,
 )
-from tests.conftest import ORIGIN
+from tests.conftest import ORIGIN, stencil_field
 
 
 def coordinate_frame_realization(n=1):
@@ -37,7 +37,7 @@ def coordinate_frame_realization(n=1):
     xi[0] = 1.0
     eta = np.zeros(d)
     eta[0] = 1.0
-    return AccrStructure(model=model, n=n, phi=phi, xi=xi, eta=eta)
+    return AccrStructure(model=model, n=n, phi=stencil_field(phi), xi=xi, eta=eta)
 
 
 class TestValidateStructure:

@@ -90,12 +90,32 @@ class TestRunAll:
         moved = {k for k in rows[0] if rows[0][k] != rows[1][k]}
         assert moved == {"derivatives.metric", "derivatives.metric2"}
 
+    def test_step_is_not_kept_on_the_model(self):
+        # the step is an argument of the derivatives family, not a setting a
+        # run leaves on the model for later calls
+        cm, fresh = example1_chart(n=1), example1_chart(n=1)
+        before = dict(vars(cm.model))
+        assert run_all([cm], VerifyConfig(points=2, fd_step=2e-3))["summary"]["ok"]
+        assert vars(cm.model) == before
+        p = cm.model.sample_points(1, 3)[0]
+        assert cm.model.jet_residuals(p) == fresh.model.jet_residuals(p)
+
+    def test_step_does_not_move_a_transform(self, tmp_path, capsys):
+        # linear_t brings its jet, so no transform row reads the stencil
+        out = []
+        for step in ("1e-3", "2e-3"):
+            path = tmp_path / f"{step}.json"
+            assert main(["transform", "-m", "example3_hsphere_ext", "--params",
+                         "v=linear_t:0.1,w=0", "--fd-step", step, "--json", str(path)]) == 0
+            out.append((path.read_bytes(), capsys.readouterr()))
+        assert out[0] == out[1]
+
     def test_non_finite_residual_is_error(self):
         # a zero finite-difference step makes the chart's coframe jets NaN
-        cfg = VerifyConfig(points=3, fd_step=0.0, only="sasaki.defining")
+        cfg = VerifyConfig(points=3, only="sasaki.defining")
         with np.errstate(all="ignore"):
-            rep = run_model_checks(stepped_example1_chart(1), cfg)
-            report = run_all([stepped_example1_chart(1)], cfg)
+            rep = run_model_checks(stepped_example1_chart(1, step=0.0), cfg)
+            report = run_all([stepped_example1_chart(1, step=0.0)], cfg)
         assert rep["checks"]
         assert {r["verdict"] for r in rep["checks"]} == {"error"}
         assert report["summary"]["error"] == len(rep["checks"])
@@ -505,6 +525,9 @@ class TestCli:
         (["verify", "-m", "example1", "-m", "flat_parallel", "--only", "crossrep"], 2),
         (["verify", "-m", "example1", "-m", "example1_chart", "--only", "derivatives",
           "--points", "2"], 0),
+        # a spec gives each bracket c^k_ij once, and none with i == j
+        (["verify", "-m", "SPEC:bracket_twice"], 2),
+        (["verify", "-m", "SPEC:bracket_of_itself"], 2),
     ])
     def test_bad_input(self, argv, code, tmp_path, capsys):
         specs = {
@@ -526,6 +549,13 @@ class TestCli:
             "n_too_large": {"kind": "lie_group", "n": 17, "structure_constants": []},
             "negative_seed": {"kind": "lie_group", "n": 1, "structure_constants": [],
                               "sample_points": {"count": 3, "seed": -2}},
+            # c^2_01 given in both orders
+            "bracket_twice": {"kind": "lie_group", "n": 1, "structure_constants": [
+                {"i": 0, "j": 1, "k": 2, "value": 1}, {"i": 1, "j": 0, "k": 2, "value": -1}]},
+            # docs/examples/custom_lie_group.json with [e1, e1] = 5 e0 added
+            "bracket_of_itself": {"kind": "lie_group", "n": 1, "structure_constants": [
+                {"i": 0, "j": 1, "k": 2, "value": 1.0}, {"i": 0, "j": 2, "k": 1, "value": -1.0},
+                {"i": 1, "j": 1, "k": 0, "value": 5}]},
         }
         for name, spec in specs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(spec))
