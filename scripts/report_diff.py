@@ -46,6 +46,8 @@ sorted check ids whose rows differ, each differing row's max_residual,
 tolerance and verdict on both sides, and both summaries; for a pair of
 transform or cone reports, each differing JSON leaf, its path and then
 its parent and change values; the exit code is 1 if any differs, else 0.
+The output ends with both sides' ``wc -l src/accr/*.py`` totals, e.g.
+``src/accr: 3485 -> 3460 lines``.
 """
 
 from __future__ import annotations
@@ -181,6 +183,11 @@ def leaf_moves(parent: bytes, change: bytes) -> list:
             if sides[0].get(path, absent) != sides[1].get(path, absent)]
 
 
+def source_lines(tree: Path) -> int:
+    """The total of ``wc -l src/accr/*.py`` in tree: the newlines of those files."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "accr").glob("*.py"))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
@@ -204,7 +211,8 @@ def main(argv=None) -> int:
                 if parent[0] and change[0]:
                     moves = row_moves if cmd[0] == "verify" else leaf_moves
                     print("\n".join(moves(parent[0], change[0])), flush=True)
-    print(f"{differ} of {len(cmds)} commands differ")
+        print(f"{differ} of {len(cmds)} commands differ")
+        print(f"src/accr: {source_lines(trees['parent'])} -> {source_lines(trees['change'])} lines")
     return 1 if differ else 0
 
 

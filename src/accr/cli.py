@@ -189,11 +189,11 @@ def cmd_transform(args) -> int:
         sas.require_sasaki_like(fields[0])
         pairs = [(f, conf.apply_cct(f, t)) for f in fields]
         entry.update(max_over_points(pairs, lambda fs: {
-            "preservation": conf.preservation_at(*fs, t),
+            "preservation": conf.preservation_at(*fs),
             "transformed_defining": sas.check_defining_conditions(fs[1])}))
         computed = [*entry["preservation"].values(), *entry["transformed_defining"].values()]
         if t.is_constant:
-            laws = conf.homothetic_laws(*pairs[0], t)
+            laws = conf.homothetic_laws(*pairs[0])
             entry["laws"] = {key: float(val[0]) for key, val in laws.items()}
             entry["connection_formula_residual"] = entry["laws"].pop("connection_formula")
             computed += [*entry["laws"].values(), entry["connection_formula_residual"]]

@@ -14,7 +14,8 @@ of the connection, curvature, Ricci and scalar curvatures against direct
 recomputation on the transformed metric.  The transformed structure lives
 over a block of points: apply_cct(f, t) gives its PointFields at f.p from f,
 the base's PointFields there, and the functions here take the two side by
-side and give their values at each point.
+side, (f, fb), read the transform's (u, v, w) from fb's model and give
+their values at each point.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 
 from .errors import NonConstantParams
 from .frame_algebra import max_abs, standard_signature
-from .models import ManifoldModel
 from .sasaki import require_sasaki_like
 from .structure import AccrStructure, Field, PointFields, field_at, field_derivs_at
 from .structure import max_over_points
@@ -76,19 +76,23 @@ class TransformParams:
                      for x in (self.u, self.v, self.w))
 
 
-class TransformedModel(ManifoldModel):
+class TransformedModel:
     """The base model over the points of f, the base structure's PointFields,
     with its metric replaced by g_bar = a g + b g phi + c eta (x) eta, a =
     e^{2u} cos 2v, b = e^{2u} sin 2v and c = e^{2w} - a, from f's g, phi and
     eta; its frame and brackets (f.c) are the base's.  Like ConeModel it
-    answers for f.p at any point.  dg_bar is the product rule over f's dg,
-    dphi and deta and the differentials of (u, v, w), taken once.  d^2 g_bar
-    = a d^2 g + b d^2 g phi reads the base model's at f.p for that call only,
-    and needs constant (u, v, w), phi and eta (else NonConstantParams).
+    answers for f.p at any point.  It reads (u, v, w) and their differentials
+    at f.p once (uvw, differentials), for apply_cct, preservation_at and
+    homothetic_laws too; dg_bar is the product rule over f's dg, dphi and
+    deta and those differentials.  d^2 g_bar = a d^2 g + b d^2 g phi reads the
+    base model's at f.p for that call only, and needs constant (u, v, w),
+    phi and eta (else NonConstantParams).
     """
 
     def __init__(self, f: PointFields, params: TransformParams):
         self.f, self.params, self.dim, self.kind = f, params, f.dim, f.s.model.kind
+
+    uvw = cached_property(lambda self: self.params.at(self.f.p))   # each of shape (...)
 
     @cached_property
     def differentials(self):
@@ -99,7 +103,7 @@ class TransformedModel(ManifoldModel):
     @cached_property
     def _coefs(self):
         """((a, b, c), (da, db, dc)) at f.p, a, b and c of shape (...)."""
-        u, v, w = self.params.at(self.f.p)
+        u, v, w = self.uvw
         du, dv, dw = self.differentials
         e2u, e2w = _exp(2 * u), _exp(2 * w)
         a, b = e2u * _cos(2 * v), e2u * _sin(2 * v)
@@ -110,19 +114,15 @@ class TransformedModel(ManifoldModel):
     def metric_at(self, p):
         f, (a, b, c) = self.f, self._coefs[0]
         at = lambda x: x[..., None, None]
-        ee = f.eta[..., :, None] * f.eta[..., None, :]
-        return at(a) * f.g + at(b) * (f.g @ f.phi) + at(c) * ee
+        return at(a) * f.g + at(b) * f.gphi + at(c) * f.ee
 
     def metric_derivs_at(self, p):
         f, ((a, b, c), (da, db, dc)) = self.f, self._coefs
         at = lambda x: x[..., None, None, None]
         outer = lambda x, m: x[..., :, None, None] * m[..., None, :, :]
-        dee = f.deta[..., None] * f.eta[..., None, None, :]
-        ee = f.eta[..., :, None] * f.eta[..., None, :]
         return (at(a) * f.dg + at(b) * (f.dg @ f.phi[..., None, :, :]
                                         + f.g[..., None, :, :] @ f.dphi)
-                + at(c) * (dee + np.swapaxes(dee, -1, -2))
-                + outer(da, f.g) + outer(db, f.g @ f.phi) + outer(dc, ee))
+                + at(c) * f.dee + outer(da, f.g) + outer(db, f.gphi) + outer(dc, f.ee))
 
     def metric_derivs2_at(self, p):
         s, (a, b, _) = self.f.s, self._coefs[0]
@@ -151,13 +151,13 @@ def apply_cct(f: PointFields, t: TransformParams) -> PointFields:
     Lie-group models only admit constant parameters (anything else would
     silently break left invariance).  xi_bar and eta_bar are Fields that,
     like the model, answer for f.p at any point; their jets e^{-w} (dxi - dw
-    (x) xi) and e^w (deta + dw (x) eta) read f and the model's dw.
+    (x) xi) and e^w (deta + dw (x) eta) read f and the model's w and dw.
     """
     s = f.s
     if s.model.kind == "lie_group" and not t.is_constant:
         raise NonConstantParams("homogeneous models require constant (u, v, w)")
     model = TransformedModel(f, t)
-    w = t.at(f.p)[2][..., None]
+    w = model.uvw[2][..., None]
     e_w, e_minus_w = _exp(w), _exp(-w)
     dw = lambda: model.differentials[2][..., :, None]
     xi_bar = Field(lambda p: e_minus_w * f.xi,
@@ -167,7 +167,7 @@ def apply_cct(f: PointFields, t: TransformParams) -> PointFields:
     return PointFields(AccrStructure(model=model, n=s.n, phi=s.phi, xi=xi_bar, eta=eta_bar), f.p)
 
 
-def preservation_at(f: PointFields, fb: PointFields, t: TransformParams) -> dict:
+def preservation_at(f: PointFields, fb: PointFields) -> dict:
     """Residuals at each of f's points of the Sasaki-like preservation
     conditions
 
@@ -185,31 +185,26 @@ def preservation_at(f: PointFields, fb: PointFields, t: TransformParams) -> dict
                                 - sin 2v [eta(z) g(x, phi y)
                                           + eta(y) g(x, phi z)] }.
 
-    du, dv and dw are the differentials that fb's TransformedModel took.
+    (u, v, w) and (du, dv, dw) are those that fb's TransformedModel read.
     """
-    u, v, w = t.at(f.p)
-    du, dv, dw = fb.s.model.differentials
+    (u, v, w), (du, dv, dw) = fb.s.model.uvw, fb.s.model.differentials
     phi, eta = f.phi, f.eta
     col = lambda x: x[..., None]
     ew = _exp(w)
-    cond1 = _covec(dw, phi)
     cond2 = du - _covec(dv, phi)
-    cond3 = _covec(du, phi) + dv - col(1.0 - ew) * eta
     c2v, s2v = _cos(2 * v), _sin(2 * v)
-    ew1 = col(ew - 1.0)
-    a_form = col(c2v) * (ew1 * eta + _covec(du, phi) + dv) + col(s2v) * (du - _covec(dv, phi))
-    b_form = col(s2v) * (ew1 * eta + _covec(du, phi) + dv) - col(c2v) * (du - _covec(dv, phi))
+    shifted = col(ew - 1.0) * eta + _covec(du, phi) + dv
+    a_form = col(c2v) * shifted + col(s2v) * cond2
+    b_form = col(s2v) * shifted - col(c2v) * cond2
 
-    gpp = np.swapaxes(phi, -1, -2) @ f.g @ phi
-    gp = f.g @ phi
     shaped = lambda m: m[..., None] * eta[..., None, None, :] \
         + m[..., :, None, :] * eta[..., None, :, None]
     at = lambda x: x[..., None, None, None]
-    target = at(_exp(w + 2 * u)) * (at(c2v) * shaped(gpp) - at(s2v) * shaped(gp))
+    target = at(_exp(w + 2 * u)) * (at(c2v) * shaped(f.gpp) - at(s2v) * shaped(f.gphi))
     return {
-        "dw_phi": max_abs(cond1, 1),
+        "dw_phi": max_abs(_covec(dw, phi), 1),
         "du_minus_dv_phi": max_abs(cond2, 1),
-        "du_phi_plus_dv": max_abs(cond3, 1),
+        "du_phi_plus_dv": max_abs(_covec(du, phi) + dv - col(1.0 - ew) * eta, 1),
         "du_xi": np.abs(np.einsum("...i,...i->...", du, f.xi)),
         "dv_xi": np.abs(np.einsum("...i,...i->...", dv, f.xi) - (1.0 - ew)),
         "one_form_a": max_abs(a_form, 1),
@@ -248,10 +243,11 @@ def adapted_frame(f: PointFields) -> np.ndarray:
     return np.stack([f.xi, *bs, *(_vec(f.phi, c) for c in bs)], axis=-1)
 
 
-def homothetic_laws(f: PointFields, fb: PointFields, t: TransformParams) -> dict:
+def homothetic_laws(f: PointFields, fb: PointFields) -> dict:
     """Transformation laws of a homothetic transformation (constant u, v, w)
     of a Sasaki-like structure at each of f's points, checked against g_bar,
-    its connection and its curvature as fb holds them:
+    its connection and its curvature as fb = apply_cct(f, t) holds them,
+    with the (u, v, w) that fb's TransformedModel read:
       * the connection shift ("connection_formula")
           nabla_bar_x y = nabla_x y + e^{2(u-w)} sin 2v g(phi x, phi y) xi
                           - (1 - e^{2(u-w)} cos 2v) g(x, phi y) xi
@@ -270,12 +266,11 @@ def homothetic_laws(f: PointFields, fb: PointFields, t: TransformParams) -> dict
         for g_bar, (xi, e_i, phi e_i) the adapted_frame of g at f.p, and the
         trace of Ric in that basis.
     """
-    if not t.is_constant:
+    if not fb.s.model.params.is_constant:
         raise NonConstantParams("closed-form transformation laws need constant (u, v, w)")
-    u, v, w = t.at(f.p)
+    u, v, w = fb.s.model.uvw
     phi, eta, xi = f.phi, f.eta, f.xi
-    gpp = np.swapaxes(phi, -1, -2) @ f.g @ phi
-    gp = f.g @ phi
+    gpp, gp = f.gpp, f.gphi
     at2 = lambda x: x[..., None, None]
     coef_a = _exp(2 * (u - w)) * _sin(2 * v)
     coef_b = 1.0 - _exp(2 * (u - w)) * _cos(2 * v)
@@ -362,11 +357,8 @@ def eta_complex_einstein_check(fields, tol=1e-8) -> EinsteinFit:
     """
     n = fields[0].s.n
     require_sasaki_like(fields[0], points=1)
-    ees = [f.eta[..., :, None] * f.eta[..., None, :] for f in fields]
-    design = np.vstack([np.stack([(f.g - ee).ravel(), (f.g @ f.phi).ravel()], axis=1)
-                        for f, ee in zip(fields, ees)])
-    target = np.concatenate([(f.curvature.ric - 2.0 * n * ee).ravel()
-                             for f, ee in zip(fields, ees)])
+    design = np.vstack([np.stack([(f.g - f.ee).ravel(), f.gphi.ravel()], axis=1) for f in fields])
+    target = np.concatenate([(f.curvature.ric - 2.0 * n * f.ee).ravel() for f in fields])
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     alpha, beta = float(coef[0]), float(coef[1])
     residual = float(np.max(np.abs(design @ coef - target)))

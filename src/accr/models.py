@@ -24,6 +24,9 @@ by i, the standard J of ``frame_algebra.standard_j``.
 carries both cone tensors: its metric and, through ``j_at`` and
 ``j_derivs_at``, its complex structure J; ``conformal.TransformedModel(f,
 t)``, the transformed metric over those points, is built the same way.
+``LieGroupModel`` and ``ChartModel``, the classes a corpus model's ``model``
+can be, carry ``fd_step``, the default step, which no run sets: the
+benchmark's tracer (``perfbench/tracing.py``) reads it from each it traces.
 """
 
 from __future__ import annotations
@@ -119,35 +122,6 @@ def halton_points(ranges, count, seed):
     return list(lo + u * (hi - lo))
 
 
-class ManifoldModel:
-    """Common interface; concrete kinds override the pointwise providers."""
-
-    dim: int
-    kind: str
-    fd_step = DEFAULT_FD_STEP    # read by perfbench/tracing.py alone; no run sets it
-
-    def metric_at(self, p) -> np.ndarray:
-        raise NotImplementedError
-
-    def commutators_at(self, p) -> np.ndarray:
-        raise NotImplementedError
-
-    def metric_derivs_at(self, p) -> np.ndarray:
-        """D[i,j,k] = e_i(g_jk), in closed form."""
-        raise NotImplementedError
-
-    def metric_derivs2_at(self, p) -> np.ndarray:
-        """D2[a,i,j,k] = e_a(e_i(g_jk)), in closed form."""
-        raise NotImplementedError
-
-    def commutator_derivs_at(self, p) -> np.ndarray:
-        """dc[a,k,i,j] = e_a(c^k_ij), in closed form."""
-        raise NotImplementedError
-
-    def sample_points(self, count, seed):
-        raise NotImplementedError
-
-
 def trig_jet(omega, t, k):
     """The k-th t-derivatives (k <= 2) of (cos omega t, sin omega t), at
     every entry of t."""
@@ -156,10 +130,11 @@ def trig_jet(omega, t, k):
     return tuple(scale * x for x in ((c, s), (-s, c), (-c, -s))[k])
 
 
-class LieGroupModel(ManifoldModel):
+class LieGroupModel:
     """Left-invariant data: constant metric and structure constants."""
 
     kind = "lie_group"
+    fd_step = DEFAULT_FD_STEP    # read by perfbench/tracing.py alone; no run sets it
 
     def __init__(self, structure_constants, metric: MetricMatrix):
         c = np.asarray(structure_constants, dtype=float)
@@ -227,7 +202,7 @@ def _brackets(dtheta, A):
     return np.swapaxes(ext, -1, -2) - ext
 
 
-class ChartModel(ManifoldModel):
+class ChartModel:
     """Coordinate patch model.
 
     Without a coframe the working frame is the coordinate frame (all
@@ -248,6 +223,7 @@ class ChartModel(ManifoldModel):
     """
 
     kind = "chart"
+    fd_step = DEFAULT_FD_STEP    # read by perfbench/tracing.py alone; no run sets it
 
     def __init__(self, dim, metric_fn, coframe_fn=None, ranges=None, *, metric_derivs_fn,
                  metric_derivs2_fn, coframe_derivs_fn=None, coframe_derivs2_fn=None):
@@ -504,7 +480,7 @@ def product_extension(base: ChartModel):
     return model, standard_structure(model, n)
 
 
-class ConeModel(ManifoldModel):
+class ConeModel:
     """Complex cone over the points of an almost contact complex Riemannian
     manifold, built from f, the PointFields of the base structure there.
 
@@ -542,8 +518,7 @@ class ConeModel(ManifoldModel):
     def metric_at(self, p):
         r, f, d = self._r(p), self.f, self.f.dim
         G = self._zeros(r, 2)
-        ee = f.eta[..., :, None] * f.eta[..., None, :]
-        G[..., :d, :d] = r * r * (f.g - ee) + ee
+        G[..., :d, :d] = r * r * (f.g - f.ee) + f.ee
         G[..., d, d] = -1.0 / (r * r)[..., 0, 0]
         return G
 
@@ -555,12 +530,10 @@ class ConeModel(ManifoldModel):
 
     def metric_derivs_at(self, p):
         r, f, d = self._r(p), self.f, self.f.dim
-        ee = f.eta[..., :, None] * f.eta[..., None, :]
-        dee = f.deta[..., None] * f.eta[..., None, None, :] \
-            + f.eta[..., None, :, None] * f.deta[..., :, None, :]
+        dee = f.dee
         D = self._zeros(r, 3)
         D[..., :d, :d, :d] = (r * r)[..., None] * (f.dg - dee) + dee
-        D[..., d, :d, :d] = 2 * r * (f.g - ee)
+        D[..., d, :d, :d] = 2 * r * (f.g - f.ee)
         D[..., d, d, d] = 2.0 / r[..., 0, 0] ** 3
         return D
 

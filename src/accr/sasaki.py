@@ -48,26 +48,24 @@ def _t(m):
 def check_defining_conditions(f: PointFields) -> dict:
     """Residuals of the four defining conditions on projected arguments,
     each the max at each point of f."""
-    F, xi, proj, g = f.F, f.xi, f.proj, f.g
+    F, xi, proj = f.F, f.xi, f.proj
     fhhh = project_all(F, proj)
     f_xi_first = np.einsum("...a,...ajk->...jk", xi, F)
     f_xi_xi = np.einsum("...a,...b,...abk->...k", xi, xi, F)
-    gp = _t(proj) @ g @ proj
     fh = np.einsum("...ija,...a->...ij", F, xi)
     return {
         "f_horizontal": max_abs(fhhh, 3),
         "f_xi_first_slot": max_abs(project_all(f_xi_first, proj), 2),
         "f_xi_xi": max_abs(project_all(f_xi_xi, proj), 1),
-        "f_equals_minus_g": max_abs(project_all(fh, proj) + gp, 2),
+        "f_equals_minus_g": max_abs(project_all(fh, proj) + f.g_h, 2),
     }
 
 
 def check_nabla_phi(f: PointFields):
     """Residual of F(x,y,z) = g(phi x, phi y) eta(z) + g(phi x, phi z) eta(y),
     the max at each point."""
-    gpp = _t(f.phi) @ f.g @ f.phi
-    rhs = gpp[..., None] * f.eta[..., None, None, :] \
-        + gpp[..., :, None, :] * f.eta[..., None, :, None]
+    gpp, eta = f.gpp, f.eta
+    rhs = gpp[..., None] * eta[..., None, None, :] + gpp[..., :, None, :] * eta[..., None, :, None]
     return max_abs(f.F - rhs, 3)
 
 
@@ -75,8 +73,7 @@ def check_nijenhuis_form(f: PointFields) -> dict:
     """N = 0 and Nhat = -4 (gtilde - eta x eta) (x) xi, bracket route, each
     the max at each point."""
     n, nhat = f.nijenhuis_bracket
-    shape = (f.gtilde - f.eta[..., :, None] * f.eta[..., None, :])[..., None] \
-        * f.eta[..., None, None, :]
+    shape = (f.gtilde - f.ee)[..., None] * f.eta[..., None, None, :]
     return {
         "n_zero": max_abs(n, 3),
         "nhat_form": max_abs(nhat + 4.0 * shape, 3),
@@ -138,7 +135,7 @@ def curvature_identity_residuals(f: PointFields, base_ric=None) -> dict:
     r_up, ric = cur.r_up, cur.ric
     g, phi, eta, xi, proj = f.g, f.phi, f.eta, f.xi, f.proj
     at = lambda t: t[..., None, None, :, :]     # a (d, d) tensor against the last two slots
-    gphi = g @ phi
+    gphi = f.gphi
 
     # R(x,y,phi z,u) - R(x,y,z,phi u) at [i,j,k,l] is phi^T r - r phi in (k, l), with
     # r = r_up g: (phi^T r_up) g - r_up (g phi), so that r itself is not made
@@ -148,7 +145,7 @@ def curvature_identity_residuals(f: PointFields, base_ric=None) -> dict:
     lhs -= buf
     # minus a2[j,k] gphi[i,l] + a2[j,l] gphi[i,k] and their (i, j) swaps, each
     # a view of the one product in buf
-    a2 = g - 2.0 * eta[..., :, None] * eta[..., None, :]
+    a2 = g - 2.0 * f.ee
     np.multiply(a2[..., None, :, :, None], gphi[..., :, None, None, :], out=buf)
     lhs -= buf
     lhs -= _t(buf)
@@ -213,7 +210,7 @@ def gauss_residual(f: PointFields, base_r=None):
     if base_r is not None:
         t -= base_r
         del base_r
-    gphi = f.g @ f.phi
+    gphi = f.gphi
     # minus gphi[i,k] gphi[j,l] - gphi[j,k] gphi[i,l] = s - s^T(ij)
     s = gphi[..., :, None, :, None] * gphi[..., None, :, None, :]
     t -= s
@@ -248,7 +245,7 @@ def cone_residuals_at(f: PointFields, r) -> dict:
     proj, xi = f.proj, f.xi
     nab = gamma @ G[..., None, :, :]
     nab_b = f.gamma @ f.g[..., None, :, :]
-    gp = _t(proj) @ f.g @ proj
+    gp = f.g_h
     r = np.asarray(r, dtype=float)[..., None, None]
     r2 = r * r
     on_xi = lambda t: np.einsum("...abl,...l->...ab", t, xi)

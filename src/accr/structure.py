@@ -174,9 +174,21 @@ class PointFields:
     eta = cached_property(lambda self: field_at(self.s.eta, self.p))
     deta = cached_property(lambda self: field_derivs_at(self.s.eta, self.s.model, self.p))
 
+    # the g-phi-eta products, formed at each read: kept, they would raise a pass's peak memory
+    ee = property(lambda self: _outer(self.eta, self.eta))
+    gphi = property(lambda self: self.g @ self.phi)
+    gpp = property(lambda self: np.swapaxes(self.phi, -1, -2) @ self.g @ self.phi)
+    g_h = property(lambda self: np.swapaxes(self.proj, -1, -2) @ self.g @ self.proj)  # P^T g P
+
+    @property
+    def dee(self):
+        """e_i(eta (x) eta) at [i, j, k]: deta[i, j] eta[k] + eta[j] deta[i, k]."""
+        d = self.deta[..., None] * self.eta[..., None, None, :]
+        return d + np.swapaxes(d, -1, -2)
+
     @cached_property
     def gtilde(self):
-        return self.g @ self.phi + _outer(self.eta, self.eta)
+        return self.gphi + self.ee
 
     @cached_property
     def proj(self):
@@ -283,7 +295,7 @@ def validate_structure(f: PointFields) -> dict:
     never raises."""
     phi, xi, eta, g = f.phi, f.xi, f.eta, f.g
     phi2 = phi @ phi
-    compat = np.swapaxes(phi, -1, -2) @ g @ phi + g - _outer(eta, eta)
+    compat = f.gpp + g - f.ee
     out = {
         "phi_xi": max_abs(_vec(phi, xi), 1),
         "phi_squared": max_abs(phi2 + np.eye(f.dim) - _outer(xi, eta), 2),

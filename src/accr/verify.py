@@ -3,18 +3,18 @@
 CHECKS declares each check id once: its statement, expected outcome and
 tolerance.  FAMILIES declares how the checks under each id prefix are
 computed and on which models.  Each check is reported as a row {check_id,
-statement, max_residual, fd_error_estimate, tolerance, expected, verdict},
-the residual being its maximum over the model's deterministic sample
-points.  The pass splits the sample into consecutive blocks of at most
-max(1, BLOCK_ELEMENTS // dim**4) points and holds one PointFields per block
-(point_fields), and every family is one function of that list, so families
-run over blocks of points: most are each(fn), the max_over_points of a
-residual function, which gives its values at each point of a block, over
-the list; the cone maximises sasaki.cone_residuals_at over its cone points
-and the derivatives family the jets over a prefix of the sample, while
-crossrep and the eta fit give rows of the model as a whole.  Every row
-is judged except the eta fit's (info), whose output is the classification in
-its note.
+statement, max_residual, fd_error_estimate, tolerance, expected, verdict,
+note}, the residual being its maximum over the model's deterministic sample
+points and the note a text or null.  The pass splits the sample into
+consecutive blocks of at most max(1, BLOCK_ELEMENTS // dim**4) points and
+holds one PointFields per block (point_fields), and every family is one
+function of that list, so families run over blocks of points: most are
+each(fn), the max_over_points of a residual function, which gives its
+values at each point of a block, over the list; the cone maximises
+sasaki.cone_residuals_at over its cone points and the derivatives family
+the jets over a prefix of the sample, while crossrep and the eta fit give
+rows of the model as a whole.  Every row is judged except the eta fit's
+(info), whose output is the classification in its note.
 Every model and moving field gives its jets in closed form, so only the
 derivatives family reads finite differences: on charts it compares each
 jet with the stencil of the next-lower order at cfg.fd_step, relative to
@@ -233,10 +233,10 @@ def _conformal(cm, f):
     """Preservation under HOMOTHETY, its designed breaking under BREAKING and
     the homothetic laws, read from preservation's fields."""
     fb = conf.apply_cct(f, HOMOTHETY)
-    laws = conf.homothetic_laws(f, fb, HOMOTHETY)
-    broken = conf.preservation_at(f, conf.apply_cct(f, BREAKING), BREAKING)
+    laws = conf.homothetic_laws(f, fb)
+    broken = conf.preservation_at(f, conf.apply_cct(f, BREAKING))
     return {
-        "preserve": {**conf.preservation_at(f, fb, HOMOTHETY),
+        "preserve": {**conf.preservation_at(f, fb),
                      "transformed_defining": worst(sas.check_defining_conditions(fb).values()),
                      "transformed_axioms": worst(validate_structure(fb).values())},
         "break": {k: v for k, v in broken.items() if k in ("du_phi_plus_dv", "f_bar_direct")},
@@ -425,43 +425,44 @@ def run_all(models, cfg: VerifyConfig | None = None) -> dict:
     }
 
 
+def _write(obj, nl, put):
+    """Write obj through put as report_to_json does, nested lines indented past nl."""
+    if isinstance(obj, str):
+        put(_quote(obj))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        put(float.__repr__(x) if math.isfinite(x) else "null")
+    elif obj is None or isinstance(obj, (bool, np.bool_)):
+        put("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        put(int.__repr__(int(obj)))
+    elif isinstance(obj, dict):
+        inner, sep = nl + "  ", "{"
+        for key in sorted(obj):
+            put(f"{sep}{inner}{_quote(key)}: ")
+            _write(obj[key], inner, put)
+            sep = ","
+        put(f"{nl}}}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = nl + "  ", "["
+        for item in obj:
+            put(sep + inner)
+            _write(item, inner, put)
+            sep = ","
+        put(f"{nl}]" if obj else "[]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def report_to_json(report) -> str:
     """Canonical serialization in one pass, byte for byte json.dumps(report,
     indent=2, sort_keys=True) + "\n" over dicts, lists, tuples, str, bool,
     int, float, None and numpy bool, integer and floating, with NaN and +-inf
     written as null.  Identical runs (same seed, same config) produce
-    byte-identical output.
+    byte-identical output.  _write is not nested: a recursive closure is a
+    reference cycle, which keeps every piece of the text until a collection.
     """
     out = []
-    put = out.append
-
-    def write(obj, nl):
-        if isinstance(obj, str):
-            put(_quote(obj))
-        elif isinstance(obj, (float, np.floating)):
-            x = float(obj)
-            put(float.__repr__(x) if math.isfinite(x) else "null")
-        elif obj is None or isinstance(obj, (bool, np.bool_)):
-            put("null" if obj is None else "true" if obj else "false")
-        elif isinstance(obj, (int, np.integer)):
-            put(int.__repr__(int(obj)))
-        elif isinstance(obj, dict):
-            inner, sep = nl + "  ", "{"
-            for key in sorted(obj):
-                put(f"{sep}{inner}{_quote(key)}: ")
-                write(obj[key], inner)
-                sep = ","
-            put(f"{nl}}}" if obj else "{}")
-        elif isinstance(obj, (list, tuple)):
-            inner, sep = nl + "  ", "["
-            for item in obj:
-                put(sep + inner)
-                write(item, inner)
-                sep = ","
-            put(f"{nl}]" if obj else "[]")
-        else:
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-    write(report, "\n")
-    put("\n")
+    _write(report, "\n", out.append)
+    out.append("\n")
     return "".join(out)

@@ -152,11 +152,11 @@ def test_criterion_7_conformal_suite():
         t = TransformParams(u, v, 0.0)
         fb = apply_cct(f, t)
         worst_verdict = max(worst_verdict, max(check_defining_conditions(fb).values()))
-        res = homothetic_laws(f, fb, t)
+        res = homothetic_laws(f, fb)
         worst_ric = max(worst_ric, res["ricci_invariance"])
         worst_conn_law = max(worst_conn_law, res["connection_formula"])
     w_log2 = TransformParams(0.0, 0.0, math.log(2.0))
-    broken = preservation_at(f, apply_cct(f, w_log2), w_log2)
+    broken = preservation_at(f, apply_cct(f, w_log2))
     third = broken["du_phi_plus_dv"]
     ok = (worst_verdict < 1e-9 and worst_ric < 1e-8 and worst_conn_law < 1e-8
           and abs(third - 1.0) < 1e-12)

@@ -112,8 +112,8 @@ def test_residuals_at_each_point_of_a_block():
     v = Field(lambda p: 0.3 * np.sin(p[..., 0]),
               lambda m, p: 0.3 * np.cos(p[..., 0])[..., None] * m.frame_matrix(p)[..., 0, :])
     t = type(HOMOTHETY)(v=v, w=coordinate(1, 0.1))
-    at_block = preservation_at(block, apply_cct(block, t), t)
-    at_points = [preservation_at(f, apply_cct(f, t), t) for f in points]
+    at_block = preservation_at(block, apply_cct(block, t))
+    at_points = [preservation_at(f, apply_cct(f, t)) for f in points]
     assert_at_each_point(at_block, at_points)
     assert np.ptp(at_block["du_phi_plus_dv"]) > 1e-3
     assert_at_each_point(cone_residuals_at(block, RADII),

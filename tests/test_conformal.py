@@ -45,7 +45,7 @@ def pair(s, t, p=ORIGIN):
 
 
 def preservation(s, t, points):
-    return max_over_points(pairs(s, t, points), lambda fs: preservation_at(*fs, t))
+    return max_over_points(pairs(s, t, points), lambda fs: preservation_at(*fs))
 
 
 class TestApplyCct:
@@ -209,14 +209,14 @@ class TestHomotheticConnection:
         t = TransformParams()
         f, fb = pair(ex1.structure, t)
         assert np.max(np.abs(fb.gamma - f.gamma)) == 0.0
-        assert homothetic_laws(f, fb, t)["connection_formula"] < 1e-14
+        assert homothetic_laws(f, fb)["connection_formula"] < 1e-14
 
     def test_sixth_turn_shift_value(self, ex1):
         t = TransformParams(0.0, math.pi / 6, 0.0)
         f, fb = pair(ex1.structure, t)
         # shift of nabla_{e1} e1 is sin(pi/3) g(phi e1, phi e1) xi = -sqrt(3)/2 xi
         assert (fb.gamma - f.gamma)[1, 1, 0] == pytest.approx(-math.sqrt(3.0) / 2.0)
-        assert homothetic_laws(f, fb, t)["connection_formula"] < 1e-12
+        assert homothetic_laws(f, fb)["connection_formula"] < 1e-12
 
     def test_w_log2_shift_matches_koszul(self, ex1):
         # pure w-rescaling: sin 2v = 0 but g_bar = g + (e^{2w}-1) eta x eta
@@ -225,13 +225,13 @@ class TestHomotheticConnection:
         t = TransformParams(0.0, 0.0, math.log(2.0))
         f, fb = pair(ex1.structure, t)
         assert (fb.gamma - f.gamma)[1, 2, 0] == pytest.approx(0.75)  # g(e1, phi e2) = -1
-        assert homothetic_laws(f, fb, t)["connection_formula"] < 1e-12
+        assert homothetic_laws(f, fb)["connection_formula"] < 1e-12
 
     def test_nonconstant_rejected(self, ex1_chart):
         t = TransformParams(u=coordinate(0), v=0.0, w=0.0)
         f, fb = pair(ex1_chart.structure, t, np.zeros(3))
         with pytest.raises(NonConstantParams):
-            homothetic_laws(f, fb, t)
+            homothetic_laws(f, fb)
 
     def test_curvature_needs_constant_parameters(self, ex1_chart):
         # the second jets of g_bar are closed-form for constants only
@@ -243,7 +243,7 @@ class TestHomotheticConnection:
 class TestHomotheticCurvature:
     def test_laws_on_example1(self, ex1):
         t = TransformParams(0.3, 0.2, 0.0)
-        res = homothetic_laws(*pair(ex1.structure, t), t)
+        res = homothetic_laws(*pair(ex1.structure, t))
         for key in ("curvature_formula", "ricci_invariance", "scal_formula",
                     "scal_star_formula", "rotated_basis_orthonormal",
                     "scal_from_basis", "scal_star_from_basis"):
@@ -258,7 +258,7 @@ class TestHomotheticCurvature:
         # rotated from the adapted frame that Gram-Schmidt builds at each point
         pts = ex3.model.sample_points(6, 7)
         res = max_over_points(pairs(ex3.structure, t, pts),
-                              lambda fs: homothetic_laws(*fs, t))
+                              lambda fs: homothetic_laws(*fs))
         assert res["rotated_basis_orthonormal"] <= 1e-12
         assert res["scal_from_basis"] <= 1e-9
         assert res["scal_star_from_basis"] <= 1e-9
@@ -278,7 +278,7 @@ class TestHomotheticCurvature:
 
     def test_ricci_invariance_with_w(self, ex2):
         t = TransformParams(0.3, 0.2, 0.1)
-        res = homothetic_laws(*pair(ex2.structure, t), t)
+        res = homothetic_laws(*pair(ex2.structure, t))
         assert res["ricci_invariance"] < 1e-8
         assert res["curvature_formula"] < 1e-10
 
@@ -403,6 +403,20 @@ class TestSolveCounts:
     ])
     def test_first_pair_serves_every_law(self, argv, base, transformed, monkeypatch, capsys):
         assert self.solves(monkeypatch, argv) == (base, transformed)
+
+    @pytest.mark.parametrize("argv", [
+        # HOMOTHETY and BREAKING at the group's one point
+        ["verify", "-m", "example1", "--only", "conformal"],
+        # the transform's first point alone, then the other 19 as one block
+        ["transform", "-m", "example1_chart", "--params", "u=0.3,v=0.2,w=0"],
+    ])
+    def test_uvw_read_once_per_transformed_block(self, argv, monkeypatch, capsys):
+        # apply_cct, g_bar, preservation and the laws all read (u, v, w) from
+        # the transformed model, which reads them once
+        calls, at = [], TransformParams.at
+        monkeypatch.setattr(TransformParams, "at", lambda t, p: calls.append(p) or at(t, p))
+        assert main(argv) == 0
+        assert len(calls) == 2
 
     def test_conformal_families(self, monkeypatch, capsys):
         # the pass's base solve, which the eta fit reads; one transformed

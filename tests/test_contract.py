@@ -42,6 +42,23 @@ def test_tracer_installs_runs_and_restores(tmp_path, monkeypatch, capsys):
     assert "corpus.base_curvature" in used
 
 
+def test_tracer_runs_a_group_model(tmp_path, monkeypatch, capsys):
+    """The tracer reads fd_step from every corpus model it runs, so a group
+    model, the benchmark's group sweep, must carry it as a chart does."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = main(["verify", "-m", "example1", "--json", str(tmp_path / "report.json")])
+    finally:
+        tracer.uninstall()
+    spans, _ = tracer.take()
+    assert code == 0
+    used = {tracer.names[k] for k in np.frombuffer(spans, dtype=np.int64).reshape(-1, 4)[:, 0]}
+    assert "verify._gather_residuals" in used
+
+
 def test_tracer_finds_its_name_keyed_metrics(monkeypatch):
     """summarise finds these three by function or class name: a rename or a
     move would read 0 without a word.  verify.error_estimate_s times a
