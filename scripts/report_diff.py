@@ -33,7 +33,10 @@ show; ``verify``, ``cone`` and the
 whose sample splits into blocks of 13, 13 and 4 points (the transform's
 into 1, 13, 13 and 3), and ``verify`` of
 ``example1_chart`` at n = 8 (``WIDE_CHART``), dimension 17, whose blocks
-are single points, so that the block boundaries show; for each model spec in
+are single points, so that the block boundaries show; the two commands of
+``OVERFLOW``, a transform and a verify whose residuals overflow (exit 1),
+so that their error entry and error rows show, and any numpy warning
+printed beside them on stderr; for each model spec in
 ``docs/examples``, at its own sample, ``verify``, ``cone`` and ``transform``
 with the three parameter sets; and ``verify`` of the two model specs in
 ``SPECS``, which the script writes to its temporary directory so that both
@@ -76,6 +79,9 @@ MOVING = ("example1_chart", "example3_hsphere_ext")
 WIDE = (("example1", "n=4"), ("flat_parallel", "n=4"))
 UNEVEN = ("example3_hsphere_ext", "30")
 WIDE_CHART = ("example1_chart", "3", "n=8")
+OVERFLOW = (("transform", "-m", "example1_chart", "--points", "2",
+             "--params", "v=linear_t:1e308"),
+            ("verify", "-m", "example2", "--params", "lam=1e200"))
 SPECS = {
     "invalid.json": {"kind": "lie_group", "n": 1, "structure_constants": [
         {"i": 0, "j": 1, "k": 2, "value": "one"}]},
@@ -117,6 +123,7 @@ def commands(spec_dir: Path) -> list:
                 ["transform", *uneven, "--params", TRANSFORMS[2]]])
     out.append(["verify", "-m", WIDE_CHART[0], "--seed", "7", "--points", WIDE_CHART[1],
                 "--params", WIDE_CHART[2]])
+    out.extend(list(cmd) for cmd in OVERFLOW)
     for spec in sorted((ROOT / "docs" / "examples").glob("*.json")):
         ref = ["-m", f"docs/examples/{spec.name}"]
         out.extend([["verify", *ref], ["cone", *ref]])

@@ -78,8 +78,8 @@ def _resolve_models(names, params):
 
 
 def _config_from(args) -> VerifyConfig:
-    if args.points < 1:
-        raise BadParams(f"--points must be at least 1, got {args.points}")
+    if not 1 <= args.points <= corpus_mod.MAX_POINTS:
+        raise BadParams(f"--points must be from 1 to {corpus_mod.MAX_POINTS}, got {args.points}")
     if args.seed < 0:
         raise BadParams(f"--seed must be non-negative, got {args.seed}")
     if not (math.isfinite(args.fd_step) and args.fd_step > 0):
@@ -167,7 +167,8 @@ def _per_model(args, cfg, params, fill, **header) -> int:
     for cm in _resolve_models(args.model, params):
         entry = {"name": cm.name, "params": dict(cm.params)}
         try:
-            ok = fill(cm, entry) and ok
+            with np.errstate(all="ignore"):     # a non-finite residual is an error, not a warning
+                ok = fill(cm, entry) and ok
         except MODEL_ERRORS as exc:
             entry["error"] = error_text(exc)
             ok = False

@@ -34,8 +34,8 @@ from .models import (
     ChartModel,
     ProductExtensionModel,
     chart_model,
-    extension_leaf_curvature,
     holomorphic_base,
+    leaf_rotation,
     lie_group_model,
     product_extension,
     trig_jet,
@@ -298,14 +298,13 @@ def example3_hsphere_ext(n=3, a=1.0, b=0.0) -> CorpusModel:
 
     j = standard_j(n)
 
-    def base_ric_at(p):
+    def curvature(p):
+        """The h-sphere's curvature at the base points of the points p."""
         h = base.metric_at(p[..., 1:])
-        return embed(hsphere_curvature(n, a, b, h=h, htilde=h @ j).ric, 2)
+        return hsphere_curvature(n, a, b, h=h, htilde=h @ j)
 
-    def base_r_at(p):
-        h = base.metric_at(p[..., 1:])
-        r_h = hsphere_curvature(n, a, b, h=h, htilde=h @ j).r
-        return embed(extension_leaf_curvature(p[..., 0], r_h), 4)
+    base_ric_at = lambda p: embed(curvature(p).ric, 2)
+    base_r_at = lambda p: embed(leaf_rotation(curvature(p).r, p[..., 0]), 4)
 
     notes = []
     if n <= 2:
@@ -328,13 +327,15 @@ BUILTINS = {
 }
 
 
-# Largest n accepted from outside: curvature arrays grow as (2n + 1)^4.  At
-# n = 16 a block is a single point, and with one BLAS thread the RSS of one
-# process peaks at 117 MB for `verify --params n=16 --points 2` of
-# example1_chart, 115 MB for example3_hsphere_ext, and 181 MB for
-# `verify -m example1_chart --params n=16 --points 8`, whose pass holds the
-# fields of all 8 points.
+# The largest n and sample point count accepted from outside.  Curvature
+# arrays grow as (2n + 1)^4: at n = 16 a block is a single point, and with
+# one BLAS thread the RSS of one process peaks at 117 MB for `verify --params
+# n=16 --points 2` of example1_chart, 115 MB for example3_hsphere_ext, and
+# 181 MB for `verify -m example1_chart --params n=16 --points 8`, whose pass
+# holds the fields of all 8 points.  At its default n, `verify -m
+# example3_hsphere_ext --points 1000` peaks at 76 MB and takes 1.1 s.
 MAX_N = 16
+MAX_POINTS = 1000
 
 
 def _constructor(name):

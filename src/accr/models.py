@@ -12,14 +12,15 @@ e_i(g_jk) (``metric_derivs_at``), e_a e_i(g_jk) (``metric_derivs2_at``) and
 e_a(c^k_ij) (``commutator_derivs_at``).  Four concrete kinds are provided:
 homogeneous Lie-group models (constant data, zero jets), chart models
 (coordinate frame or a moving coframe, built from the analytic jets of the
-metric and the coframe), rank-one product extensions over a holomorphic
+metric and the coframe), the S^1-solvable extension over a holomorphic
 complex Riemannian base, and the complex cone, which gives first jets only.
 Fields that move with the point bring their jets too (``structure.Field``),
 so the stencil is only a reference: of a chart's ``jet_residuals`` (through
 ``frame_derivative(p, fn, step)``) and of ``product_extension``'s check.
 An extension base is a coordinate chart of dimension 2n in holomorphic
 coordinates w = u + i v, so its complex structure is always multiplication
-by i, the standard J of ``frame_algebra.standard_j``.
+by i, the standard J of ``frame_algebra.standard_j``, and each leaf of the
+extension, its metric, t-jets and curvature, is one ``leaf_rotation``.
 ``ConeModel(f)``, the cone over the points of the base PointFields f,
 carries both cone tensors: its metric and, through ``j_at`` and
 ``j_derivs_at``, its complex structure J; ``conformal.TransformedModel(f,
@@ -357,20 +358,19 @@ def holomorphic_base(n, hc, dhc, ranges, d2hc) -> ChartModel:
     return their values over its leading axes, (..., n, n), (..., n, n, n)
     and (..., n, n, n, n); a constant may ignore them."""
 
-    def at(fn, x, rank):
-        w = x[..., :n] + 1j * x[..., n:]
-        val, shape = np.asarray(fn(w)), w.shape[:-1] + (n,) * rank
-        return val if val.shape == shape else np.broadcast_to(val, shape)
+    def at(fn, x):
+        # a constant keeps its shape: ChartModel._at broadcasts the real block
+        return np.asarray(fn(x[..., :n] + 1j * x[..., n:]))
 
     def metric_fn(x):
-        return _real_block(at(hc, x, 2))
+        return _real_block(at(hc, x))
 
     def metric_derivs_fn(x):
-        dm = at(dhc, x, 3)
+        dm = at(dhc, x)
         return _real_block(np.concatenate([dm, 1j * dm], axis=-3))
 
     def metric_derivs2_fn(x):
-        d2 = at(d2hc, x, 4)
+        d2 = at(d2hc, x)
         du = np.concatenate([d2, 1j * d2], axis=-3)      # d/du^m (d/du^l, d/dv^l)
         return _real_block(np.concatenate([du, 1j * du], axis=-4))
 
@@ -378,72 +378,65 @@ def holomorphic_base(n, hc, dhc, ranges, d2hc) -> ChartModel:
                        metric_derivs2=metric_derivs2_fn)
 
 
+def leaf_rotation(x, t, k=0) -> np.ndarray:
+    """The k-th t-derivative (k <= 2) of cos 2t X - sin 2t XJ at the entries
+    of t, over the trailing axes of X, with J the standard J on X's last
+    axis: the leaf at t of the S^1-solvable extension.  Of the base metric h
+    it gives the leaf metric cos 2t h - sin 2t htilde (htilde = hJ) and its
+    t-jets; of the base curvature R_h, at k = 0, the leaf curvature
+
+        R_t(X,Y,Z,U) = cos 2t R_h(X,Y,Z,U) - sin 2t R_h(X,Y,Z,JU),
+
+    as the leaf metric is the real part of a complex-constant multiple of
+    the holomorphic metric, which keeps its connection."""
+    t = np.asarray(t, dtype=float)
+    c, s = (y.reshape(t.shape + (1,) * (x.ndim - t.ndim)) for y in trig_jet(2.0, t, k))
+    out = x @ standard_j(x.shape[-1] // 2)
+    out *= -s
+    out += c * x
+    return out
+
+
 class ProductExtensionModel(ChartModel):
     """M = R_t x N with g = dt^2 + cos(2t) h - sin(2t) htilde, htilde = h J.
 
     The base is a coordinate chart of dimension 2n carrying h, with the
     standard J.  Coordinates are (t, base coordinates); the working frame is
-    the coordinate frame.  The jets of the metric are analytic in t and take
-    the base chart's jets along the base.
+    the coordinate frame.  Its metric and jets, leaf_rotations of the base
+    chart's, are its own methods, so the model is in no reference cycle.
     """
 
     kind = "product_extension"
 
     def __init__(self, base: ChartModel):
         self.base = base
-        ranges = [(-1.2, 1.2)] + list(base.ranges)
-        super().__init__(base.dim + 1, self._metric, ranges=ranges,
-                         metric_derivs_fn=self._metric_derivs,
-                         metric_derivs2_fn=self._metric_derivs2)
+        super().__init__(base.dim + 1, None, ranges=[(-1.2, 1.2)] + list(base.ranges),
+                         metric_derivs_fn=None, metric_derivs2_fn=None)
 
-    def _leaf(self, t, k, hs):
-        """The k-th t-derivative of cos(2t) H - sin(2t) H J at the points'
-        t, over the further axes of hs, the stacked H there."""
-        c, s = (x.reshape(t.shape + (1,) * (hs.ndim - t.ndim)) for x in trig_jet(2.0, t, k))
-        out = hs @ standard_j(self.base.dim // 2)
-        out *= -s
-        out += c * hs
-        return out
-
-    def _metric(self, p):
+    def metric_at(self, p):
+        p = np.asarray(p, dtype=float)
         g = np.zeros(p.shape[:-1] + (self.dim,) * 2)
         g[..., 0, 0] = 1.0
-        g[..., 1:, 1:] = self._leaf(p[..., 0], 0, self.base.metric_at(p[..., 1:]))
+        g[..., 1:, 1:] = leaf_rotation(self.base.metric_at(p[..., 1:]), p[..., 0])
         return g
 
-    def _metric_derivs(self, p):
+    def metric_derivs_at(self, p):
+        p = np.asarray(p, dtype=float)
         t, bp = p[..., 0], p[..., 1:]
         D = np.zeros(p.shape[:-1] + (self.dim,) * 3)
-        D[..., 0, 1:, 1:] = self._leaf(t, 1, self.base.metric_at(bp))
-        D[..., 1:, 1:, 1:] = self._leaf(t, 0, self.base.metric_derivs_at(bp))
+        D[..., 0, 1:, 1:] = leaf_rotation(self.base.metric_at(bp), t, 1)
+        D[..., 1:, 1:, 1:] = leaf_rotation(self.base.metric_derivs_at(bp), t)
         return D
 
-    def _metric_derivs2(self, p):
+    def metric_derivs2_at(self, p):
+        p = np.asarray(p, dtype=float)
         t, bp = p[..., 0], p[..., 1:]
         D2 = np.zeros(p.shape[:-1] + (self.dim,) * 4)
-        D2[..., 0, 0, 1:, 1:] = self._leaf(t, 2, self.base.metric_at(bp))
+        D2[..., 0, 0, 1:, 1:] = leaf_rotation(self.base.metric_at(bp), t, 2)
         D2[..., 0, 1:, 1:, 1:] = D2[..., 1:, 0, 1:, 1:] = \
-            self._leaf(t, 1, self.base.metric_derivs_at(bp))
-        D2[..., 1:, 1:, 1:, 1:] = self._leaf(t, 0, self.base.metric_derivs2_at(bp))
+            leaf_rotation(self.base.metric_derivs_at(bp), t, 1)
+        D2[..., 1:, 1:, 1:, 1:] = leaf_rotation(self.base.metric_derivs2_at(bp), t)
         return D2
-
-
-def extension_leaf_curvature(t, r_h) -> np.ndarray:
-    """(0,4) curvature of the horizontal leaf at t of the extension, from the
-    base curvature r_h in the base's coordinate frame, over the leading axes
-    of t and r_h:
-
-        R_t(X,Y,Z,U) = cos 2t R_h(X,Y,Z,U) - sin 2t R_h(X,Y,Z,JU),
-
-    because the leaf metric cos 2t h - sin 2t htilde is the real part of a
-    complex-constant multiple of the holomorphic metric, which keeps its
-    connection.
-    """
-    j = standard_j(r_h.shape[-1] // 2)
-    t = np.asarray(t, dtype=float)[..., None, None, None, None]
-    out = (r_h @ j) * -np.sin(2 * t)
-    out += np.cos(2 * t) * r_h
-    return out
 
 
 def product_extension(base: ChartModel):

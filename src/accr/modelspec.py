@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import MAX_N, CorpusModel, builtin
+from .corpus import MAX_N, MAX_POINTS, CorpusModel, builtin
 from .errors import BadParams
 from .frame_algebra import MetricMatrix, standard_signature
 from .models import lie_group_model
@@ -25,7 +25,7 @@ from .structure import AccrStructure, standard_structure
 _SAMPLE_POINTS = {
     "type": "object",
     "properties": {
-        "count": {"type": "integer", "minimum": 1},
+        "count": {"type": "integer", "minimum": 1, "maximum": MAX_POINTS},
         "seed": {"type": "integer", "minimum": 0},
     },
     "additionalProperties": False,

@@ -45,6 +45,16 @@ def worst(values):
     return reduce(np.maximum, values)
 
 
+def _merge(into, new):
+    """Fold the nested residual dict new into into, key by key, by max."""
+    for key, val in new.items():
+        if isinstance(val, dict):
+            _merge(into.setdefault(key, {}), val)
+        else:
+            val = float(np.max(val))
+            into[key] = val if key not in into else float(np.maximum(into[key], val))
+
+
 def max_over_points(blocks, residuals_at) -> dict:
     """{key: max over the blocks of residuals_at(block)[key]}, aggregating a
     dict of residuals key by key; each value is a number or an array of one
@@ -52,17 +62,8 @@ def max_over_points(blocks, residuals_at) -> dict:
     the package: NaN and inf propagate, so a residual that could not be
     computed never reads as small."""
     out: dict = {}
-
-    def merge(into, new):
-        for key, val in new.items():
-            if isinstance(val, dict):
-                merge(into.setdefault(key, {}), val)
-            else:
-                val = float(np.max(val))
-                into[key] = val if key not in into else float(np.maximum(into[key], val))
-
     for block in blocks:
-        merge(out, residuals_at(block))
+        _merge(out, residuals_at(block))
     return out
 
 

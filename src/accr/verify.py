@@ -401,7 +401,8 @@ def run_all(models, cfg: VerifyConfig | None = None) -> dict:
     reports = []
     for cm in models:
         try:
-            reports.append(run_model_checks(cm, cfg))
+            with np.errstate(all="ignore"):     # a non-finite residual is an error, not a warning
+                reports.append(run_model_checks(cm, cfg))
         except MODEL_ERRORS as exc:
             text = error_text(exc)
             reports.append({**_model_header(cm), "notes": [f"error: {text}"],

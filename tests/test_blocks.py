@@ -142,14 +142,14 @@ NAN_ROWS = ("connection.torsion_free", "identity.f_reconstruction", "curvature.f
 def test_nan_at_one_point_of_a_block_is_an_error(name, monkeypatch):
     # dg is NaN at the second sample point, inside the sample's one block
     cm = builtin(name)
-    derivs, second = cm.model.metric_derivs_fn, cm.model.sample_points(K, 42)[1]
+    derivs, second = cm.model.metric_derivs_at, cm.model.sample_points(K, 42)[1]
 
     def one_nan(x):
-        out = np.array(np.broadcast_to(derivs(x), x.shape[:-1] + (cm.model.dim,) * 3))
+        out = np.array(derivs(x))
         out[np.all(x == second, axis=-1)] = np.nan
         return out
 
-    monkeypatch.setattr(cm.model, "metric_derivs_fn", one_nan)
+    monkeypatch.setattr(cm.model, "metric_derivs_at", one_nan)
     verdict = lambda only: {r["check_id"]: r["verdict"] for r in run_model_checks(
         cm, VerifyConfig(points=K, only=only))["checks"]}[only]
     with np.errstate(all="ignore"):

@@ -20,7 +20,7 @@ from accr.corpus import (
 )
 from accr.errors import DegenerateParameters, NotSasakiLike
 from accr.frame_algebra import kulkarni_nomizu, standard_j
-from accr.models import extension_leaf_curvature
+from accr.models import leaf_rotation
 from accr.sasaki import gauss_residual, second_fundamental_form_residual
 from accr.structure import PointFields
 from tests.conftest import ORIGIN
@@ -256,7 +256,7 @@ class TestExtensionLeafCurvature:
     def test_rrr_at_t_zero_reduces_to_base(self):
         h, ht = standard_norden_pair(3)
         base = hsphere_curvature(3, 1.0, 0.0, h=h, htilde=ht).r
-        rh = extension_leaf_curvature(0.0, base)
+        rh = leaf_rotation(base, 0.0)
         assert np.max(np.abs(rh - base)) < 1e-14
 
     @pytest.mark.parametrize("n, a, b", [(1, -0.3, 1.2), (2, 0.7, 0.4), (3, 1.0, 0.0),
@@ -268,7 +268,7 @@ class TestExtensionLeafCurvature:
                                 map(base.metric_at, base.sample_points(3, 5))]
         for t in np.linspace(-1.2, 1.2, 13):
             for h, ht in frames:
-                rule = extension_leaf_curvature(t, hsphere_curvature(n, a, b, h=h, htilde=ht).r)
+                rule = leaf_rotation(hsphere_curvature(n, a, b, h=h, htilde=ht).r, t)
                 ref = hsphere_leaf_reference(t, n, a, b, h, ht)
                 assert np.max(np.abs(rule - ref)) < 1e-15
 

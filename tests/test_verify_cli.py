@@ -1,8 +1,10 @@
+import gc
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -421,6 +423,19 @@ class TestCli:
         assert model["error"] == "OverflowError: (34, 'Numerical result out of range')"
         assert model["checks"] == []
 
+    @pytest.mark.parametrize("argv", [
+        ["transform", "-m", "example1_chart", "--points", "2", "--params", "v=linear_t:1e308"],
+        ["verify", "-m", "example2", "--params", "lam=1e200"],
+    ])
+    def test_non_finite_residual_prints_no_warning(self, argv, tmp_path, capsys):
+        # the error entry or rows say what could not be computed; numpy's
+        # overflow warnings on stderr beside them said it again
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--json", str(tmp_path / "out.json")]) == 1
+        assert [str(w.message) for w in caught] == []
+        assert capsys.readouterr().err == ""
+
     def test_cone_model_error_captured(self, tmp_path, capsys, monkeypatch):
         # a GeometryError in the second model is its error entry; the other
         # two models keep theirs and the run exits 1
@@ -527,7 +542,10 @@ class TestCli:
           "--points", "2"], 0),
         # a spec gives each bracket c^k_ij once, and none with i == j
         (["verify", "-m", "SPEC:bracket_twice"], 2),
-        (["verify", "-m", "SPEC:bracket_of_itself"], 2),
+        (["verify", "-m", "SPEC:bracket_of_itself"], 2),        # the sample is bounded above, before any point is drawn
+        (["verify", "-m", "example1_chart", "--points", "10000000000000"], 2),
+        (["cone", "-m", "example1_chart", "--points", "1001"], 2),
+        (["verify", "-m", "SPEC:too_many_points"], 2),
     ])
     def test_bad_input(self, argv, code, tmp_path, capsys):
         specs = {
@@ -549,6 +567,8 @@ class TestCli:
             "n_too_large": {"kind": "lie_group", "n": 17, "structure_constants": []},
             "negative_seed": {"kind": "lie_group", "n": 1, "structure_constants": [],
                               "sample_points": {"count": 3, "seed": -2}},
+            "too_many_points": {"kind": "builtin", "builtin": "example1_chart",
+                                "sample_points": {"count": 10000000000000}},
             # c^2_01 given in both orders
             "bracket_twice": {"kind": "lie_group", "n": 1, "structure_constants": [
                 {"i": 0, "j": 1, "k": 2, "value": 1}, {"i": 1, "j": 0, "k": 2, "value": -1}]},
@@ -599,3 +619,23 @@ class TestCli:
         monkeypatch.setenv("ACCR_SEED", env)
         assert main(argv) == code
         assert "Traceback" not in capsys.readouterr().err
+
+
+def test_commands_leave_no_reference_cycles(capsys):
+    # garbage in a reference cycle waits for the cycle collector, so the
+    # collector's timing moves a command's peak RSS
+    # warm-up: building the cached parser leaves argparse's own cycles
+    main(["verify", "-m", "example1", "--points", "1"])
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for argv in (["verify"],
+                     ["transform", "-m", "example3_hsphere_ext", "--params", "u=0.3,v=0.2,w=0"],
+                     ["cone", "-m", "example3_hsphere_ext"]):
+            assert main(argv) == 0
+        gc.collect()
+        assert [type(obj).__name__ for obj in gc.garbage] == []
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
