@@ -38,11 +38,14 @@ are single points, so that the block boundaries show; the two commands of
 so that their error entry and error rows show, and any numpy warning
 printed beside them on stderr; for each model spec in
 ``docs/examples``, at its own sample, ``verify``, ``cone`` and ``transform``
-with the three parameter sets; and ``verify`` of the two model specs in
+with the three parameter sets; and ``verify`` of the five model specs in
 ``SPECS``, which the script writes to its temporary directory so that both
 sides read them at the same absolute path: one the schema rejects at a
-nested property (exit 2) and a Lie group whose non-ASCII name
-the report and stdout must escape or print alike.  A command differs when
+nested property (exit 2), a Lie group whose non-ASCII name
+the report and stdout must escape or print alike, that group with n
+written ``1.0`` (valid under draft 7, so it must run as n = 1), with n
+written ``true`` (not an integer, exit 2), and with a NaN entry in phi
+(exit 2).  A command differs when
 its JSON report, its stdout, its stderr or its exit code differs.  Every
 differing command is printed, and for a pair of verify reports also the
 sorted check ids whose rows differ, each differing row's max_residual,
@@ -82,12 +85,17 @@ WIDE_CHART = ("example1_chart", "3", "n=8")
 OVERFLOW = (("transform", "-m", "example1_chart", "--points", "2",
              "--params", "v=linear_t:1e308"),
             ("verify", "-m", "example2", "--params", "lam=1e200"))
+SOLVABLE = [{"i": 0, "j": 1, "k": 2, "value": 1.0}, {"i": 0, "j": 2, "k": 1, "value": -1.0}]
 SPECS = {
     "invalid.json": {"kind": "lie_group", "n": 1, "structure_constants": [
         {"i": 0, "j": 1, "k": 2, "value": "one"}]},
-    "non_ascii.json": {"kind": "lie_group", "name": "λ-group", "n": 1, "structure_constants": [
-        {"i": 0, "j": 1, "k": 2, "value": 1.0}, {"i": 0, "j": 2, "k": 1, "value": -1.0}],
-        "sample_points": {"count": 3, "seed": 5}},
+    "non_ascii.json": {"kind": "lie_group", "name": "λ-group", "n": 1,
+                       "structure_constants": SOLVABLE, "sample_points": {"count": 3, "seed": 5}},
+    "n_float.json": {"kind": "lie_group", "n": 1.0, "structure_constants": SOLVABLE,
+                     "sample_points": {"count": 3, "seed": 5}},
+    "n_bool.json": {"kind": "lie_group", "n": True, "structure_constants": SOLVABLE},
+    "nan_phi.json": {"kind": "lie_group", "n": 1, "structure_constants": SOLVABLE,
+                     "phi": [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, float("nan"), 0.0]]},
 }
 
 

@@ -3,15 +3,17 @@
 Two spec kinds are accepted: a reference to a builtin corpus member with
 parameters, or a fully described left-invariant model given by structure
 constants.  The JSON schema ships in docs/modelspec.schema.json and is
-enforced with jsonschema before construction; jsonschema is imported and the
-schema itself checked against its metaschema once per process, at the first
-spec load, so a run of builtins alone pays for neither.
+enforced before construction.  A spec passes through _vouches, which reads
+the schema dict under draft 7 through the few keywords it uses; only a spec
+it does not vouch for imports jsonschema, whose verdict and error are final.
+So a run of builtins, or of valid specs, never imports jsonschema.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -100,10 +102,60 @@ def _square(value, what, d):
     return m
 
 
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "number": numbers.Number}
+
+
+def _is_type(x, name: str) -> bool:
+    """Whether x has the draft-7 type name: a bool is no number, and a float
+    with no fractional part is an integer."""
+    if isinstance(x, bool):
+        return name == "boolean"
+    if name == "integer":
+        return isinstance(x, int) or isinstance(x, float) and x.is_integer()
+    return isinstance(x, _TYPES[name])
+
+
+# the draft-7 keywords _vouches decides, then the annotations it skips
+KEYWORDS = frozenset({"type", "const", "oneOf", "properties", "required", "additionalProperties",
+                      "items", "minimum", "maximum", "$schema", "title", "description"})
+
+
+def _vouches(schema, x) -> bool:
+    """Whether x is valid against schema under draft 7, for a schema written
+    in KEYWORDS (any other keyword is not vouched for) whose constants are
+    strings, which == compares as draft 7 does."""
+    if isinstance(schema, bool):
+        return schema
+    obj = isinstance(x, dict)
+    for key, sub in schema.items():
+        if key == "type":
+            ok = _is_type(x, sub)
+        elif key == "const":
+            ok = x == sub
+        elif key == "oneOf":
+            ok = sum(_vouches(branch, x) for branch in sub) == 1
+        elif key == "properties":
+            ok = not obj or all(_vouches(s, x[k]) for k, s in sub.items() if k in x)
+        elif key == "required":
+            ok = not obj or all(k in x for k in sub)
+        elif key == "additionalProperties":
+            named = schema.get("properties", {})
+            ok = not obj or all(_vouches(sub, x[k]) for k in x if k not in named)
+        elif key == "items":
+            ok = not isinstance(x, list) or all(_vouches(sub, y) for y in x)
+        elif key in ("minimum", "maximum"):
+            ok = not _is_type(x, "number") or not (x < sub if key == "minimum" else x > sub)
+        else:
+            ok = key in KEYWORDS    # an annotation
+        if not ok:
+            return False
+    return True
+
+
 @functools.cache
 def _validator():
-    """The MODELSPEC_SCHEMA validator, its schema checked on first use;
-    model_from_spec raises what jsonschema.validate would."""
+    """The MODELSPEC_SCHEMA validator, its schema checked on first use, for
+    the specs _vouches does not vouch for: jsonschema is imported then only."""
     import jsonschema
 
     cls = jsonschema.validators.validator_for(MODELSPEC_SCHEMA)
@@ -111,22 +163,42 @@ def _validator():
     return cls(MODELSPEC_SCHEMA)
 
 
-def model_from_spec(spec: dict) -> CorpusModel:
+def _schema_error(spec):
+    """None for a spec valid against MODELSPEC_SCHEMA, else the error
+    jsonschema.validate would raise."""
+    if _vouches(MODELSPEC_SCHEMA, spec):
+        return None
     from jsonschema.exceptions import best_match
 
-    error = best_match(_validator().iter_errors(spec))
+    return best_match(_validator().iter_errors(spec))
+
+
+def _sample(spec):
+    """The spec's sample_points, its count and seed read as ints, or None."""
+    points = spec.get("sample_points")
+    return None if points is None else {key: int(val) for key, val in points.items()}
+
+
+def model_from_spec(spec: dict) -> CorpusModel:
+    error = _schema_error(spec)
     if error is not None:
         raise error
+    return _build(spec)
+
+
+def _build(spec: dict) -> CorpusModel:
+    """The model of a spec valid against MODELSPEC_SCHEMA; every integer
+    field is read through int(), as draft 7 counts 1.0 an integer."""
     if spec["kind"] == "builtin":
         cm = builtin(spec["builtin"], **spec.get("params", {}))
-        cm.sample_override = spec.get("sample_points")
+        cm.sample_override = _sample(spec)
         return cm
 
-    n = spec["n"]
+    n = int(spec["n"])
     d = 2 * n + 1
     c, given = np.zeros((d, d, d)), set()
     for entry in spec["structure_constants"]:
-        i, j, k, v = entry["i"], entry["j"], entry["k"], entry["value"]
+        (i, j, k), v = (int(entry[key]) for key in "ijk"), entry["value"]
         if max(i, j, k) >= d:
             raise BadParams(f"index out of range for dimension {d}: {entry}")
         if i == j or (k, min(i, j), max(i, j)) in given:
@@ -147,7 +219,9 @@ def model_from_spec(spec: dict) -> CorpusModel:
     phi_spec = spec.get("phi", "standard")
     phi = (standard_structure(model, n).phi if phi_spec == "standard"
            else _square(phi_spec, "phi", d))
-    xi_index = spec.get("xi_index", 0)
+    if not np.all(np.isfinite(phi)):
+        raise BadParams("phi components must be finite")
+    xi_index = int(spec.get("xi_index", 0))
     if xi_index >= d:
         raise BadParams(f"xi_index {xi_index} out of range for dimension {d}")
     xi = np.zeros(d)
@@ -160,17 +234,18 @@ def model_from_spec(spec: dict) -> CorpusModel:
         structure=structure,
         params={"n": n},
         sasaki_expected=spec.get("sasaki_expected", True),
-        sample_override=spec.get("sample_points"),
+        sample_override=_sample(spec),
     )
 
 
 def load_model_spec(path) -> CorpusModel:
     """The model of the spec file at path; BadParams naming the file, and the
     JSON path of a schema error, for a file not UTF-8 JSON or not a spec."""
-    from jsonschema import ValidationError
-
     try:
-        return model_from_spec(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (UnicodeDecodeError, json.JSONDecodeError, ValidationError) as exc:
-        why = f"{exc.json_path}: {exc.message}" if isinstance(exc, ValidationError) else exc
-        raise BadParams(f"invalid model spec {path}: {why}") from None
+        spec = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise BadParams(f"invalid model spec {path}: {exc}") from None
+    error = _schema_error(spec)
+    if error is not None:
+        raise BadParams(f"invalid model spec {path}: {error.json_path}: {error.message}")
+    return _build(spec)

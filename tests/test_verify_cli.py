@@ -10,10 +10,15 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import accr.modelspec as modelspec
 
 from accr.cli import main
 from accr.corpus import (
     MAX_N,
+    MAX_POINTS,
     CorpusModel,
     example1,
     example1_chart,
@@ -22,7 +27,7 @@ from accr.corpus import (
 )
 from accr.errors import DegenerateMetric
 from accr.models import chart_model
-from accr.modelspec import MODELSPEC_SCHEMA, load_model_spec, model_from_spec
+from accr.modelspec import KEYWORDS, MODELSPEC_SCHEMA, load_model_spec, model_from_spec
 from accr.structure import standard_structure
 from accr.verify import VerifyConfig, report_to_json, run_all, run_model_checks
 from tests.conftest import stepped_example1_chart
@@ -174,6 +179,27 @@ class TestRunAll:
         assert model["error"].startswith("metric degenerate at ") and model["checks"] == []
 
 
+WORDS = st.text(max_size=4)
+SAMPLE = st.fixed_dictionaries({}, optional={"count": st.integers(1, MAX_POINTS),
+                                             "seed": st.integers(0, 2**40)})
+MATRIX = st.just("standard") | st.lists(st.lists(st.floats(-2, 2), max_size=3), max_size=3)
+INDEX = st.integers(0, 8)
+VALID_SPECS = st.fixed_dictionaries(
+    {"kind": st.just("builtin"), "builtin": WORDS},
+    optional={"schema_version": WORDS, "name": WORDS, "sample_points": SAMPLE,
+              "params": st.dictionaries(WORDS, st.floats(-2, 2), max_size=2)},
+) | st.fixed_dictionaries(
+    {"kind": st.just("lie_group"), "n": st.integers(1, MAX_N),
+     "structure_constants": st.lists(st.fixed_dictionaries(
+         {"i": INDEX, "j": INDEX, "k": INDEX, "value": st.floats(-2, 2)}), max_size=3)},
+    optional={"schema_version": WORDS, "name": WORDS, "metric": MATRIX, "phi": MATRIX,
+              "xi_index": INDEX, "sasaki_expected": st.booleans(), "sample_points": SAMPLE},
+)
+# a mutation's new value: wrong types, NaN, and n, count and seed at and past their bounds
+REPLACEMENTS = [True, 1.5, 2.0, "1", "standard", "builtin", "lie_group", float("nan"),
+                float("inf"), None, [], {}, -1, 0, 1, MAX_N, MAX_N + 1, MAX_POINTS, MAX_POINTS + 1]
+
+
 class TestModelSpec:
     def lie_spec(self):
         return {
@@ -222,8 +248,6 @@ class TestModelSpec:
             expected.value.message, expected.value.path, expected.value.schema_path)
 
     def test_schema_checked_at_first_load_only(self, monkeypatch):
-        import accr.modelspec as modelspec
-
         cls = jsonschema.validators.validator_for(MODELSPEC_SCHEMA)
         check, calls = cls.check_schema, []
         monkeypatch.setattr(cls, "check_schema",
@@ -233,6 +257,7 @@ class TestModelSpec:
         assert calls == []      # a builtin loads no spec
         model_from_spec(self.lie_spec())
         model_from_spec({"kind": "builtin", "builtin": "example2"})
+        assert calls == []      # nor does a valid spec
         with pytest.raises(jsonschema.ValidationError):
             model_from_spec({"kind": "wrong"})
         assert calls == [MODELSPEC_SCHEMA]
@@ -272,10 +297,17 @@ class TestModelSpec:
 
     def test_builtins_alone_import_no_jsonschema(self):
         src = Path(__file__).resolve().parents[1] / "src"
-        probe = "import sys, accr.cli; print('jsonschema' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
-        assert out == "False\n"
+
+        def stdout(probe):
+            return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                                  env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+
+        assert stdout("import sys, accr.cli; print('jsonschema' in sys.modules)") == "False\n"
+        # nor does verifying a valid spec: only a spec the checker rejects imports it
+        spec = ["verify", "-m", str(DOCS / "examples" / "custom_lie_group.json"), "--only", "sasaki"]
+        out = stdout(f"import sys; from accr.cli import main; code = main({spec!r}); "
+                     "print('jsonschema' in sys.modules, code)")
+        assert out.endswith("\nFalse 0\n"), out
 
     def test_explicit_matrices(self):
         spec = self.lie_spec()
@@ -284,6 +316,62 @@ class TestModelSpec:
         cm = model_from_spec(spec)
         report = run_all([cm], small_cfg())
         assert report["summary"]["ok"]
+
+    @pytest.mark.parametrize("kind, path, value", [
+        ("lie_group", ["n"], 1.0),
+        ("lie_group", ["structure_constants", 0, "i"], 0.0),
+        ("lie_group", ["structure_constants", 0, "j"], 1.0),
+        ("lie_group", ["structure_constants", 0, "k"], 2.0),
+        ("lie_group", ["xi_index"], 0.0),
+        ("lie_group", ["sample_points", "count"], 2.0),
+        ("lie_group", ["sample_points", "seed"], 5.0),
+        ("builtin", ["sample_points", "count"], 2.0),
+    ], ids=["n", "i", "j", "k", "xi_index", "count", "seed", "builtin_count"])
+    def test_whole_float_runs_as_its_int_twin(self, kind, path, value, tmp_path, capsys):
+        # draft 7 counts 1.0 an integer, so such a spec is valid and runs as its twin
+        spec = self.lie_spec() if kind == "lie_group" else {"kind": "builtin", "builtin": "example1"}
+        spec["sample_points"] = {"count": 2, "seed": 5}
+        runs = []
+        for twin in (int(value), value):
+            node = spec
+            for key in path[:-1]:
+                node = node[key]
+            node[path[-1]] = twin
+            (tmp_path / "spec.json").write_text(json.dumps(spec))
+            code = main(["verify", "-m", str(tmp_path / "spec.json"),
+                         "--json", str(tmp_path / "report.json")])
+            runs.append((code, (tmp_path / "report.json").read_bytes(), capsys.readouterr().out))
+        assert runs[0][0] == 0
+        assert runs[1] == runs[0]
+
+    def test_schema_uses_only_the_checkers_keywords(self):
+        def walk(schema):
+            assert schema.keys() <= KEYWORDS, schema.keys() - KEYWORDS
+            assert isinstance(schema.get("const", ""), str)
+            for sub in schema.get("oneOf", []) + list(schema.get("properties", {}).values()):
+                walk(sub)
+            for key in ("items", "additionalProperties"):
+                if isinstance(schema.get(key), dict):
+                    walk(schema[key])
+
+        walk(MODELSPEC_SCHEMA)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_checker_vouches_as_draft7_decides(self, data):
+        # valid specs of both kinds, then one mutation of each: the checker
+        # vouches for the valid spec, and for the mutant exactly when draft 7 admits it
+        validator = jsonschema.Draft7Validator(MODELSPEC_SCHEMA)
+        spec = data.draw(VALID_SPECS)
+        assert modelspec._vouches(MODELSPEC_SCHEMA, spec) and validator.is_valid(spec)
+        nodes = [spec, *spec.get("structure_constants", []), *filter(None, [spec.get("sample_points")])]
+        node = data.draw(st.sampled_from(nodes))
+        key = data.draw(st.sampled_from(sorted(node) + ["bogus"]))
+        if key == "bogus" or data.draw(st.booleans()):
+            node[key] = data.draw(st.sampled_from(REPLACEMENTS))
+        else:
+            del node[key]
+        assert modelspec._vouches(MODELSPEC_SCHEMA, spec) == validator.is_valid(spec)
 
 
 class TestCli:
@@ -542,10 +630,13 @@ class TestCli:
           "--points", "2"], 0),
         # a spec gives each bracket c^k_ij once, and none with i == j
         (["verify", "-m", "SPEC:bracket_twice"], 2),
-        (["verify", "-m", "SPEC:bracket_of_itself"], 2),        # the sample is bounded above, before any point is drawn
+        (["verify", "-m", "SPEC:bracket_of_itself"], 2),
+        # the sample is bounded above, before any point is drawn
         (["verify", "-m", "example1_chart", "--points", "10000000000000"], 2),
         (["cone", "-m", "example1_chart", "--points", "1001"], 2),
         (["verify", "-m", "SPEC:too_many_points"], 2),
+        # a spec phi is finite, as a spec metric is
+        (["verify", "-m", "SPEC:nan_phi"], 2),
     ])
     def test_bad_input(self, argv, code, tmp_path, capsys):
         specs = {
@@ -576,6 +667,8 @@ class TestCli:
             "bracket_of_itself": {"kind": "lie_group", "n": 1, "structure_constants": [
                 {"i": 0, "j": 1, "k": 2, "value": 1.0}, {"i": 0, "j": 2, "k": 1, "value": -1.0},
                 {"i": 1, "j": 1, "k": 0, "value": 5}]},
+            "nan_phi": {"kind": "lie_group", "n": 1, "structure_constants": [],
+                        "phi": [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, float("nan"), 0.0]]},
         }
         for name, spec in specs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(spec))
