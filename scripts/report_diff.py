@@ -38,14 +38,15 @@ are single points, so that the block boundaries show; the two commands of
 so that their error entry and error rows show, and any numpy warning
 printed beside them on stderr; for each model spec in
 ``docs/examples``, at its own sample, ``verify``, ``cone`` and ``transform``
-with the three parameter sets; and ``verify`` of the five model specs in
+with the three parameter sets; and ``verify`` of the seven model specs in
 ``SPECS``, which the script writes to its temporary directory so that both
 sides read them at the same absolute path: one the schema rejects at a
 nested property (exit 2), a Lie group whose non-ASCII name
 the report and stdout must escape or print alike, that group with n
 written ``1.0`` (valid under draft 7, so it must run as n = 1), with n
-written ``true`` (not an integer, exit 2), and with a NaN entry in phi
-(exit 2).  A command differs when
+written ``true`` (not an integer, exit 2), with a NaN entry in phi
+(exit 2), and with its standard metric written in strings and its
+standard phi with booleans for 0 and 1 (no numbers, exit 2).  A command differs when
 its JSON report, its stdout, its stderr or its exit code differs.  Every
 differing command is printed, and for a pair of verify reports also the
 sorted check ids whose rows differ, each differing row's max_residual,
@@ -96,6 +97,10 @@ SPECS = {
     "n_bool.json": {"kind": "lie_group", "n": True, "structure_constants": SOLVABLE},
     "nan_phi.json": {"kind": "lie_group", "n": 1, "structure_constants": SOLVABLE,
                      "phi": [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, float("nan"), 0.0]]},
+    "str_metric.json": {"kind": "lie_group", "n": 1, "structure_constants": SOLVABLE,
+                        "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]},
+    "bool_phi.json": {"kind": "lie_group", "n": 1, "structure_constants": SOLVABLE,
+                      "phi": [[False, False, False], [False, False, -1], [False, True, False]]},
 }
 
 

@@ -22,6 +22,7 @@ import functools
 import math
 import os
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,12 +38,13 @@ from .verify import (
     CHECKS,
     FAILING,
     MODEL_ERRORS,
+    SCHEMA_VERSION,
     VerifyConfig,
+    blocks,
     error_text,
     families_for,
     flatten,
     judge,
-    point_fields,
     report_to_json,
     run_all,
     sample,
@@ -162,7 +164,7 @@ def _per_model(args, cfg, params, fill, **header) -> int:
     {"name", "params", ...} per model that fill(cm, entry) completes.  A
     model whose fill raises one of MODEL_ERRORS gets an "error"; that, or a
     fill that returns False, makes the exit code 1."""
-    out = {"schema_version": "1", **header, "models": []}
+    out = {"schema_version": SCHEMA_VERSION, **header, "models": []}
     ok = True
     for cm in _resolve_models(args.model, params):
         entry = {"name": cm.name, "params": dict(cm.params)}
@@ -186,15 +188,16 @@ def cmd_transform(args) -> int:
     def fill(cm, entry):
         # the first point alone, whose pair the laws read, then the rest in blocks
         points = sample(cm, cfg)[0]
-        fields = point_fields(cm, points[:1]) + point_fields(cm, points[1:])
-        sas.require_sasaki_like(fields[0])
-        pairs = [(f, conf.apply_cct(f, t)) for f in fields]
-        entry.update(max_over_points(pairs, lambda fs: {
+        f0 = next(blocks(cm, points[:1]))[1]
+        sas.require_sasaki_like(f0)
+        first = (f0, conf.apply_cct(f0, t))
+        rest = ((f, conf.apply_cct(f, t)) for _, f in blocks(cm, points[1:]))
+        entry.update(max_over_points(chain([first], rest), lambda fs: {
             "preservation": conf.preservation_at(*fs),
             "transformed_defining": sas.check_defining_conditions(fs[1])}))
         computed = [*entry["preservation"].values(), *entry["transformed_defining"].values()]
         if t.is_constant:
-            laws = conf.homothetic_laws(*pairs[0])
+            laws = conf.homothetic_laws(*first)
             entry["laws"] = {key: float(val[0]) for key, val in laws.items()}
             entry["connection_formula_residual"] = entry["laws"].pop("connection_formula")
             computed += [*entry["laws"].values(), entry["connection_formula_residual"]]
@@ -212,9 +215,12 @@ def cmd_cone(args) -> int:
     cfg = _config_from(args)
 
     def fill(cm, entry):
-        points, count, seed = sample(cm, cfg)
-        count = min(count, 8)
-        out = sas.cone_holomorphic_residual(point_fields(cm, points[:count]), count, seed)
+        points, run = sample(cm, cfg)
+        count = min(run.count, 8)
+        points = points[:count]
+        # cone point j is over sample point j, or a group's one, so per_point comes in order
+        out = max_over_points(blocks(cm, points), lambda block: sas.cone_holomorphic_residual(
+            block[1], count, run.seed, block[0], len(points)))
         per_point, rows = out.pop("per_point"), {}
         flatten("cone", out, rows, {})
         # the closed-form lines hold on every model, Sasaki-like or not

@@ -28,9 +28,8 @@ import numpy as np
 
 from .errors import NonConstantParams
 from .frame_algebra import max_abs, standard_signature
-from .sasaki import require_sasaki_like
-from .structure import AccrStructure, Field, PointFields, field_at, field_derivs_at
-from .structure import max_over_points
+from .sasaki import check_defining_conditions, require_sasaki_like
+from .structure import AccrStructure, Field, PointFields, field_at, field_derivs_at, worst
 
 __all__ = [
     "TransformParams",
@@ -39,6 +38,7 @@ __all__ = [
     "adapted_frame",
     "homothetic_laws",
     "EinsteinFit",
+    "einstein_rows",
     "eta_complex_einstein_check",
 ]
 
@@ -347,18 +347,27 @@ class EinsteinFit:
     einstein_residual: float | None
 
 
-def eta_complex_einstein_check(fields, tol=1e-8) -> EinsteinFit:
-    """Classify the Ricci tensor of a Sasaki-like structure from the
-    PointFields of consecutive blocks of its sample points, whose rows the
-    fit stacks in point order; the first point must be Sasaki-like.
+def einstein_rows(f: PointFields):
+    """The worst defining residual at each point of the block f, then the
+    rows of the eta fit there in point order, one per entry of each point's
+    (d, d) tensors: the design rows (g - eta (x) eta, g phi) and the target
+    rows Ric - 2n eta (x) eta."""
+    return (worst(check_defining_conditions(f).values()),
+            np.stack([(f.g - f.ee).ravel(), f.gphi.ravel()], axis=1),
+            (f.curvature.ric - 2.0 * f.s.n * f.ee).ravel())
+
+
+def eta_complex_einstein_check(defining, design, target, n, tol=1e-8) -> EinsteinFit:
+    """Classify the Ricci tensor of a Sasaki-like structure of dimension
+    2n + 1 from the einstein_rows of the blocks of its sample points, stacked
+    in point order and fitted once; the first point must be Sasaki-like.
 
     classification: "einstein" ((c,d) = (1,0)), "eta_einstein" (d = 0),
-    "eta_complex_einstein", or "none" when no constants fit.
+    "eta_complex_einstein", or "none" when no constants fit.  The Einstein
+    residual of the homothety to_einstein is target - 2n design [c, -d] /
+    (c^2 + d^2), Ric - 2n g_bar from the same rows.
     """
-    n = fields[0].s.n
-    require_sasaki_like(fields[0], points=1)
-    design = np.vstack([np.stack([(f.g - f.ee).ravel(), f.gphi.ravel()], axis=1) for f in fields])
-    target = np.concatenate([(f.curvature.ric - 2.0 * n * f.ee).ravel() for f in fields])
+    require_sasaki_like(defining, points=1)
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     alpha, beta = float(coef[0]), float(coef[1])
     residual = float(np.max(np.abs(design @ coef - target)))
@@ -384,9 +393,8 @@ def eta_complex_einstein_check(fields, tol=1e-8) -> EinsteinFit:
     if cls != "none" and c is not None:
         cd2 = c * c + d * d
         to_einstein = {"u": -0.25 * math.log(cd2), "v": -0.5 * math.atan2(d, c), "w": 0.0}
-        t = TransformParams(**to_einstein)
-        einstein_residual = max_over_points(fields, lambda f: {"ric": max_abs(
-            f.curvature.ric - 2.0 * n * TransformedModel(f, t).metric_at(f.p), 2)})["ric"]
+        einstein_residual = float(np.max(np.abs(
+            target - 2.0 * n * (design @ np.array([c, -d]) / cd2))))
 
     return EinsteinFit(alpha=alpha, beta=beta, residual=residual, c=c, d=d,
                        classification=cls, to_einstein=to_einstein,

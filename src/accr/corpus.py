@@ -41,7 +41,7 @@ from .models import (
     trig_jet,
 )
 from .sasaki import check_defining_conditions
-from .structure import AccrStructure, PointFields, max_over_points, standard_structure, worst
+from .structure import AccrStructure, PointFields, standard_structure, worst
 
 
 @dataclass
@@ -328,12 +328,11 @@ BUILTINS = {
 
 
 # The largest n and sample point count accepted from outside.  Curvature
-# arrays grow as (2n + 1)^4: at n = 16 a block is a single point, and with
-# one BLAS thread the RSS of one process peaks at 117 MB for `verify --params
-# n=16 --points 2` of example1_chart, 115 MB for example3_hsphere_ext, and
-# 181 MB for `verify -m example1_chart --params n=16 --points 8`, whose pass
-# holds the fields of all 8 points.  At its default n, `verify -m
-# example3_hsphere_ext --points 1000` peaks at 76 MB and takes 1.1 s.
+# arrays grow as (2n + 1)^4, but a pass holds one block (a single point from
+# n = 6 on), so MAX_POINTS bounds the time of a run, not its memory: with one
+# BLAS thread, `verify -m example1_chart --params n=16` peaks at 106 MB RSS at
+# 2, 8 and 32 points alike and takes 0.25 s a point (about 4 min at 1000), and
+# `verify -m example3_hsphere_ext --points 1000` peaks at 42 MB in 1.0 s.
 MAX_N = 16
 MAX_POINTS = 1000
 
@@ -373,16 +372,17 @@ def default_corpus() -> list:
     ]
 
 
-def cross_representation_check(lie: CorpusModel, chart: CorpusModel, fields) -> dict:
+def cross_representation_check(lie: CorpusModel, chart: CorpusModel, f, start=0) -> dict:
     """Compare a group model against its coordinate realization at the
-    chart's sample points, whose PointFields, in consecutive blocks, are
-    fields.
+    points of f, a block of the chart's PointFields whose first point is its
+    sample point start.
 
     (i) the brackets of the chart frame, from the analytic derivatives of
-    its coframe, must reproduce the group structure constants, (ii) the
+    its coframe, must reproduce the group structure constants, and (ii) the
     metric assembled as sum_k eps_k (e^k)^2 must match the closed-form
-    coordinate metric, and (iii) the Sasaki-like verdicts, the chart's at
-    its first five points, must agree.
+    coordinate metric, each the max over f's points; (iii) the Sasaki-like
+    verdicts must agree, the chart's read at those of f's points that are
+    among the sample's first five (true when there are none).
     """
     if chart.lie_partner != lie.name:
         raise ParamMismatch(f"{chart.name} is not the chart form of {lie.name}")
@@ -392,21 +392,14 @@ def cross_representation_check(lie: CorpusModel, chart: CorpusModel, fields) -> 
 
     lie_f = PointFields(lie.structure, np.zeros(0))
     eps = standard_signature(lie.structure.n)
-
-    def at(f):
-        th = np.asarray(chart.coframe_fn(f.p), dtype=float)
-        assembled = np.swapaxes(th, -1, -2) @ (eps[:, None] * th)
-        return {
-            "structure_equations": max_abs(f.c - lie_f.c, 3),
-            "metric_assembly": max_abs(assembled - chart.coord_metric_fn(f.p), 2),
-        }
-
-    out = max_over_points(fields, at)
-    defining = lambda f: np.ravel(worst(check_defining_conditions(f).values()))
+    th = np.asarray(chart.coframe_fn(f.p), dtype=float)
+    assembled = np.swapaxes(th, -1, -2) @ (eps[:, None] * th)
+    defining = lambda g: np.ravel(worst(check_defining_conditions(g).values()))
     v_lie = float(defining(lie_f)[0]) < 1e-9
-    v_chart = float(np.max(np.concatenate([defining(f) for f in fields])[:5])) < 1e-6
+    v_chart = start >= 5 or float(np.max(defining(f)[:5 - start])) < 1e-6
     return {
-        **out,
+        "structure_equations": float(np.max(max_abs(f.c - lie_f.c, 3))),
+        "metric_assembly": float(np.max(max_abs(assembled - chart.coord_metric_fn(f.p), 2))),
         "verdict_agreement": 0.0 if v_lie == v_chart else 1.0,
         "sasaki_lie": v_lie,
         "sasaki_chart": v_chart,

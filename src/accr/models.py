@@ -555,8 +555,3 @@ class ConeModel:
         """r of the first count sample points: -1, then a Halton sample of [-2, -0.5]."""
         rest = halton_points([(-2.0, -0.5)], count - 1, seed + 1)
         return [-1.0, *(float(x[0]) for x in rest)][:count]
-
-    @classmethod
-    def cone_points(cls, base, count, seed):
-        """(base[k % len(base)], r) of cone point k < count, r = radii(count, seed)[k]."""
-        return [(base[k % len(base)], r) for k, r in enumerate(cls.radii(count, seed))]

@@ -92,14 +92,13 @@ MODELSPEC_SCHEMA = {
 
 
 def _square(value, what, d):
-    """value as a d x d float matrix; BadParams for any other shape."""
-    try:
-        m = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        m = None
-    if m is None or m.shape != (d, d):
+    """value, d lists of d numbers (a bool is none, as in _is_type), as a d x
+    d float matrix; BadParams for anything else."""
+    if not (isinstance(value, list) and len(value) == d and all(
+            isinstance(row, list) and len(row) == d and all(_is_type(x, "number") for x in row)
+            for row in value)):
         raise BadParams(f"{what} must be a {d}x{d} matrix of numbers")
-    return m
+    return np.asarray(value, dtype=float)
 
 
 _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "number": numbers.Number}

@@ -13,7 +13,8 @@ Gauss comparison that follow.  Every residual function reads the
 PointFields of a block of points and gives its values at each point;
 cone_residuals_at solves ConeModel(f), the cone over f's points, at its
 points (r,), and cone_holomorphic_residual maximises those over the cone
-points, as the cone rows of verify and the cone command report them.
+points over a block of the sample, as the cone rows of verify and the cone
+command fold them over the sample's blocks.
 """
 
 from __future__ import annotations
@@ -185,12 +186,14 @@ def curvature_identity_residuals(f: PointFields, base_ric=None) -> dict:
     return out
 
 
-def require_sasaki_like(f: PointFields, points=None):
+def require_sasaki_like(f, points=None):
     """Raise NotSasakiLike unless the defining conditions hold to 1e-4 at
-    the first points points of f (all of them by default), the
-    precondition of the Gauss comparison and of the conformal laws; the
-    message gives the first point's residual that does not."""
-    defect = np.ravel(worst(check_defining_conditions(f).values()))[:points]
+    the first points points of f (all of them by default), a PointFields or
+    the worst of its defining residuals at each point, the precondition of
+    the Gauss comparison and of the conformal laws; the message gives the
+    first point's residual that does not."""
+    defect = np.ravel(worst(check_defining_conditions(f).values())
+                      if isinstance(f, PointFields) else f)[:points]
     bad = defect[~(defect <= 1e-4)]
     if bad.size:
         raise NotSasakiLike(f"defining residual {bad[0]:.3e} exceeds {1e-4}")
@@ -280,23 +283,19 @@ def cone_residuals_at(f: PointFields, r) -> dict:
     }
 
 
-def cone_holomorphic_residual(fields, count, seed) -> dict:
-    """The max_over_points of cone_residuals_at over count cone points: point
-    k at radius ConeModel.radii(count, seed)[k] over the (k % N)-th of the N
-    points that fields, the PointFields of consecutive blocks of the
-    structure's sample points, hold, the cone points over one block solved
-    as one block (a block of one point broadcast against their radii); and
-    "per_point", the list of each cone point's {"r", "residual"}, its
-    "holomorphic" residual."""
-    starts = np.cumsum([0, *(len(f.p) if f.p.ndim > 1 else 1 for f in fields)])
-    base, radii = zip(*ConeModel.cone_points(range(starts[-1]), count, seed))
-    base, holomorphic, blocks = np.array(base), np.empty(len(radii)), []
-    for f, lo, hi in zip(fields, starts, starts[1:]):
-        ks = np.flatnonzero((base >= lo) & (base < hi))
-        if ks.size:
-            one = f.p.shape[:-1] == (1,)
-            res = cone_residuals_at(f if one else f.take(base[ks] - lo), np.take(radii, ks))
-            holomorphic[ks] = res["holomorphic"]
-            blocks.append(res)
-    return {**max_over_points(blocks, lambda res: res),
-            "per_point": [{"r": r, "residual": float(h)} for r, h in zip(radii, holomorphic)]}
+def cone_holomorphic_residual(f: PointFields, count, seed, start=0, size=None) -> dict:
+    """The max_over_points of cone_residuals_at over the cone points over the
+    block f, which holds the points start, start + 1, ... of a sample of size
+    points (by default f's): of count cone points, point j lies at radius
+    ConeModel.radii(count, seed)[j] over sample point j % size, and those
+    over f are solved as one block (a block of one point broadcast against
+    their radii); and "per_point", the list of each of those cone points'
+    {"r", "residual"}, its "holomorphic" residual, in the order of j."""
+    rows = np.arange(count) % (size or len(f.p)) - start     # each cone point's row of f
+    ks = np.flatnonzero((rows >= 0) & (rows < len(f.p)))
+    if not ks.size:
+        return {"per_point": []}
+    radii = np.take(ConeModel.radii(count, seed), ks).tolist()
+    res = cone_residuals_at(f if len(f.p) == 1 else f.take(rows[ks]), radii)
+    per_point = [{"r": r, "residual": float(h)} for r, h in zip(radii, res["holomorphic"])]
+    return max_over_points([res, {"per_point": per_point}], lambda res: res)

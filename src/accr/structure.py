@@ -46,10 +46,12 @@ def worst(values):
 
 
 def _merge(into, new):
-    """Fold the nested residual dict new into into, key by key, by max."""
+    """Fold the nested residual dict new into into, key by key: by max, a list by concatenation."""
     for key, val in new.items():
         if isinstance(val, dict):
             _merge(into.setdefault(key, {}), val)
+        elif isinstance(val, list):
+            into.setdefault(key, []).extend(val)
         else:
             val = float(np.max(val))
             into[key] = val if key not in into else float(np.maximum(into[key], val))
@@ -58,9 +60,10 @@ def _merge(into, new):
 def max_over_points(blocks, residuals_at) -> dict:
     """{key: max over the blocks of residuals_at(block)[key]}, aggregating a
     dict of residuals key by key; each value is a number or an array of one
-    value per point of the block.  The one aggregation over sample points in
-    the package: NaN and inf propagate, so a residual that could not be
-    computed never reads as small."""
+    value per point of the block, or a list, the block's parts of a value
+    that is not a max, kept in block order.  The one aggregation over sample
+    points in the package: NaN and inf propagate, so a residual that could
+    not be computed never reads as small."""
     out: dict = {}
     for block in blocks:
         _merge(out, residuals_at(block))
@@ -144,13 +147,12 @@ class PointFields:
         self.dim = structure.dim
 
     def take(self, rows):
-        """The PointFields at the points rows (indices along the one leading
-        axis of p; a point with none counts as a block of one), holding the
-        arrays computed here, the solve's among them, at those rows."""
-        pick = lambda x: (x if self.p.ndim > 1 else x[None])[rows]
-        carried = lambda val: (ConnectionCoefficients(*map(pick, vars(val).values()))
-                               if isinstance(val, ConnectionCoefficients) else pick(val))
-        out = PointFields(self.s, pick(self.p))
+        """The PointFields at the points rows (indices along p's leading
+        axis), holding the arrays computed here, the solve's among them, at
+        those rows."""
+        carried = lambda val: (ConnectionCoefficients(*(x[rows] for x in vars(val).values()))
+                               if isinstance(val, ConnectionCoefficients) else val[rows])
+        out = PointFields(self.s, self.p[rows])
         out.__dict__.update({key: carried(val) for key, val in vars(self).items() if key != "p"
                              and isinstance(val, (np.ndarray, ConnectionCoefficients))})
         return out

@@ -4,26 +4,26 @@ CHECKS declares each check id once: its statement, expected outcome and
 tolerance.  FAMILIES declares how the checks under each id prefix are
 computed and on which models.  Each check is reported as a row {check_id,
 statement, max_residual, fd_error_estimate, tolerance, expected, verdict,
-note}, the residual being its maximum over the model's deterministic sample
-points and the note a text or null.  The pass splits the sample into
-consecutive blocks of at most max(1, BLOCK_ELEMENTS // dim**4) points and
-holds one PointFields per block (point_fields), and every family is one
-function of that list, so families run over blocks of points: most are
-each(fn), the max_over_points of a residual function, which gives its
-values at each point of a block, over the list; the cone maximises
-sasaki.cone_residuals_at over its cone points and the derivatives family
-the jets over a prefix of the sample, while crossrep and the eta fit give
-rows of the model as a whole.  Every row is judged except the eta fit's
-(info), whose output is the classification in its note.
+note}, the residual being its maximum over the model's deterministic
+sample points and the note a text or null.  A pass is one fold: blocks
+makes the PointFields of the sample's consecutive blocks of at most max(1,
+BLOCK_ELEMENTS // dim**4) points one at a time, and every family reads a
+block before the next is made, so a pass holds one block whatever its
+sample.  Most families are a residual function, which gives its values at
+each point of a block, folded by max; the cone maximises
+sasaki.cone_residuals_at over the cone points over a block and the
+derivatives family the jets over a prefix of the sample, while crossrep
+and the eta fit keep a part of each block and give rows of the model as a
+whole.  Every row is judged except the eta fit's (info), whose output is
+the classification in its note.
 Every model and moving field gives its jets in closed form, so only the
 derivatives family reads finite differences: on charts it compares each
 jet with the stencil of the next-lower order at cfg.fd_step, relative to
 max(1, |jet|), at the first JET_POINTS sample points only (a wrong jet is
-wrong at generic points).  Designed
-failures (the parallel model for the Sasaki family, the w != 0 homothety
-for conformal preservation) are expected to fail, so a healthy run reports
-them as xfail and exits 0.
-sample gives a model's sample points, point_fields their blocks, flatten a
+wrong at generic points).  Designed failures (the parallel model for the
+Sasaki family, the w != 0 homothety for conformal preservation) are
+expected to fail, so a healthy run reports them as xfail and exits 0.
+sample gives a model's sample points, blocks their blocks, flatten a
 family's rows and judge a row's verdict, for this pass and for the
 transform and cone commands alike, and error_text a model's error entry.
 """
@@ -31,6 +31,7 @@ transform and cone commands alike, and error_text a model's error entry.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass
 
@@ -54,7 +55,7 @@ SCHEMA_VERSION = "1"
 TOL_EXACT = 1e-9      # every judged row, unless its check sets a tighter tol
 JET_POINTS = 4        # the derivatives rows check the jets on this prefix of the sample
 # The most point-dim^4 entries in one block.  A block keeps one array of
-# dim^4 entries per point for the whole pass (its curvature r_up), and a
+# dim^4 entries per point while it is read (its curvature r_up), and a
 # family holds about four more while it runs (riemann, the Gauss comparison,
 # the homothetic laws), so this bounds a pass's memory: the
 # example3_hsphere_ext blocks (dim 7) are 13 points, its default sample of 20
@@ -210,26 +211,21 @@ class VerifyConfig:
 
 @dataclass(frozen=True)
 class Family:
-    """The checks under one id prefix: residuals maps (cm, fields, count,
-    seed, step), fields the pass's PointFields at the model's count sample
-    points of seed and step that of the stencils, to the model's residuals,
-    most of them each(fn).  Residuals: a value (row "<prefix>"), a (value,
-    note) pair or a dict (rows "<prefix>.<key>")."""
+    """The checks under one id prefix, a fold over the pass's blocks:
+    at(cm, f, k, run) reads the block f, whose first point is point k of the
+    sample run (as sample gives it).  Its residuals, a value (row "<prefix>")
+    or a dict (rows "<prefix>.<key>") of numbers, arrays of one per point or
+    lists of parts, are folded by max_over_points, and rows(cm, out) gives
+    the family's residuals, (value, note) pairs allowed, from the fold's
+    out, by default out itself."""
 
     prefix: str
-    residuals: object
+    at: object
     applies: object = lambda cm: True
+    rows: object = lambda cm, out: out
 
 
-def each(fn):
-    """The residuals of a per-point family: the max_over_points of the
-    residual function fn(cm, f), a value or a dict of the values at each
-    point of the block f, over the pass's fields."""
-    return lambda cm, fields, count, seed, step: max_over_points(
-        fields, lambda f: {"out": fn(cm, f)})["out"]
-
-
-def _conformal(cm, f):
+def _conformal(cm, f, *_):
     """Preservation under HOMOTHETY, its designed breaking under BREAKING and
     the homothetic laws, read from preservation's fields."""
     fb = conf.apply_cct(f, HOMOTHETY)
@@ -244,59 +240,53 @@ def _conformal(cm, f):
     }
 
 
-def _eta_fit(cm, fields, count, seed, step):
+def _eta_fit(cm, parts):
     try:
-        fit = conf.eta_complex_einstein_check(fields)
+        fit = conf.eta_complex_einstein_check(*map(np.concatenate, zip(*parts)), cm.structure.n)
     except NotSasakiLike as exc:     # the fit needs a Sasaki-like base: the row reads error
         return {"residual": (math.nan, f"not Sasaki-like: {exc}")}
     return {"residual": (fit.residual, f"classification: {fit.classification}")}
 
 
-def _cone(cm, fields, count, seed, step):
-    out = sas.cone_holomorphic_residual(fields, min(count, 6), seed)
-    del out["per_point"]
-    return out
-
-
-def _crossrep(cm, fields, count, seed, step):
-    partner = corpus_mod.builtin(cm.lie_partner, **cm.params)
-    cross = corpus_mod.cross_representation_check(partner, cm, fields)
-    return {k: v for k, v in cross.items() if not k.startswith("sasaki_")}
-
-
-def _derivatives(cm, fields, count, seed, step):
-    """The jets against the stencil at step, at the first JET_POINTS sample
-    points, in the pass's blocks."""
-    rows = [f.p.reshape(-1, f.p.shape[-1]) for f in fields]
-    starts = np.cumsum([0, *map(len, rows)])
-    return max_over_points([r[:JET_POINTS - s] for r, s in zip(rows, starts) if s < JET_POINTS],
-                           lambda p: cm.model.jet_residuals(p, step))
+def _crossrep(cm, parts):
+    """The gaps' max over the blocks; the group's verdict against the chart's
+    at the sample's first five points, read in the blocks that hold them."""
+    gaps = ("structure_equations", "metric_assembly")
+    out = max_over_points(parts, lambda part: {key: part[key] for key in gaps})
+    chart = all(part["sasaki_chart"] for part in parts)
+    return {**out, "verdict_agreement": 0.0 if parts[0]["sasaki_lie"] == chart else 1.0}
 
 
 FAMILIES = (
-    Family("structure", each(lambda cm, f: validate_structure(f))),
-    Family("identity", each(lambda cm, f: {
-        **structure_property_residuals(f), "f_reconstruction": theorem_3_4_residual(f)})),
-    Family("connection", each(lambda cm, f: {
+    Family("structure", lambda cm, f, *_: validate_structure(f)),
+    Family("identity", lambda cm, f, *_: {
+        **structure_property_residuals(f), "f_reconstruction": theorem_3_4_residual(f)}),
+    Family("connection", lambda cm, f, *_: {
         "torsion_free": f.conn.torsion_residual(),
-        "metric_compatibility": f.conn.metric_compat_residual()})),
-    Family("curvature", each(lambda cm, f: f.curvature.symmetry_residuals())),
-    Family("sasaki.defining", each(lambda cm, f: sas.check_defining_conditions(f))),
-    Family("sasaki.nabla_phi", each(lambda cm, f: sas.check_nabla_phi(f))),
-    Family("sasaki.nijenhuis", each(lambda cm, f: sas.check_nijenhuis_form(f))),
-    Family("sasaki.corollary", each(lambda cm, f: sas.check_corollary(f))),
-    Family("sasaki.curvature", each(lambda cm, f: sas.curvature_identity_residuals(
-        f, base_ric=cm.base_ric_at(f.p) if cm.base_ric_at else None))),
-    Family("gauss.residual", each(lambda cm, f: sas.gauss_residual(f, cm.base_r_at(f.p))),
+        "metric_compatibility": f.conn.metric_compat_residual()}),
+    Family("curvature", lambda cm, f, *_: f.curvature.symmetry_residuals()),
+    Family("sasaki.defining", lambda cm, f, *_: sas.check_defining_conditions(f)),
+    Family("sasaki.nabla_phi", lambda cm, f, *_: sas.check_nabla_phi(f)),
+    Family("sasaki.nijenhuis", lambda cm, f, *_: sas.check_nijenhuis_form(f)),
+    Family("sasaki.corollary", lambda cm, f, *_: sas.check_corollary(f)),
+    Family("sasaki.curvature", lambda cm, f, *_: sas.curvature_identity_residuals(
+        f, base_ric=cm.base_ric_at(f.p) if cm.base_ric_at else None)),
+    Family("gauss.residual", lambda cm, f, *_: sas.gauss_residual(f, cm.base_r_at(f.p)),
            applies=lambda cm: cm.sasaki_expected and cm.base_r_at is not None),
     Family("gauss.second_fundamental_form",
-           each(lambda cm, f: sas.second_fundamental_form_residual(f))),
-    Family("cone", _cone),
-    Family("crossrep", _crossrep,
+           lambda cm, f, *_: sas.second_fundamental_form_residual(f)),
+    Family("cone", lambda cm, f, k, run: {key: val for key, val in sas.cone_holomorphic_residual(
+        f, min(run.count, 6), run.seed, k, run.size).items() if key != "per_point"}),
+    Family("crossrep", lambda cm, f, k, run: [corpus_mod.cross_representation_check(
+        corpus_mod.builtin(cm.lie_partner, **cm.params), cm, f, k)], rows=_crossrep,
            applies=lambda cm: cm.coframe_fn is not None and cm.lie_partner is not None),
-    Family("conformal", each(_conformal), applies=lambda cm: cm.sasaki_expected),
-    Family("conformal.eta_fit", _eta_fit, applies=lambda cm: cm.sasaki_expected),
-    Family("derivatives", _derivatives, applies=lambda cm: isinstance(cm.model, ChartModel)),
+    Family("conformal", _conformal, applies=lambda cm: cm.sasaki_expected),
+    Family("conformal.eta_fit", lambda cm, f, *_: [conf.einstein_rows(f)], rows=_eta_fit,
+           applies=lambda cm: cm.sasaki_expected),
+    # the jets against the stencil at the block's points among the first JET_POINTS
+    Family("derivatives", lambda cm, f, k, run: cm.model.jet_residuals(
+        f.p[:JET_POINTS - k], run.step) if k < JET_POINTS else {},
+           applies=lambda cm: isinstance(cm.model, ChartModel)),
 )
 
 # the family that computes each check: the one with the longest prefix of its id
@@ -317,11 +307,14 @@ def flatten(check_id, out, res, notes):
 
 
 def sample(cm, cfg: VerifyConfig):
-    """(points, count, seed) of the model's sample: cfg's count and seed,
-    unless the model's spec overrides them (its sample_points)."""
+    """(points, run) of the model's sample, run what a family reads of its
+    pass besides the block: its count and seed, cfg's unless the model's spec
+    overrides them (its sample_points), its size, the number of its points
+    (one on a group), and cfg's step."""
     override = cm.sample_override or {}
     count, seed = override.get("count", cfg.points), override.get("seed", cfg.seed)
-    return cm.model.sample_points(count, seed), count, seed
+    points = cm.model.sample_points(count, seed)
+    return points, SimpleNamespace(count=count, seed=seed, size=len(points), step=cfg.fd_step)
 
 
 def families_for(cm, only=None) -> list:
@@ -330,23 +323,26 @@ def families_for(cm, only=None) -> list:
     return [fam for fam in FAMILIES if fam.prefix in wanted and fam.applies(cm)]
 
 
-def point_fields(cm, points) -> list:
-    """The PointFields of cm's structure at points, a list of points, in
-    consecutive blocks of at most max(1, BLOCK_ELEMENTS // dim**4) points."""
+def blocks(cm, points):
+    """(k, f) over consecutive blocks of at most max(1, BLOCK_ELEMENTS //
+    dim**4) points, f the PointFields of cm's structure at the block from
+    points[k], each made when the one before has been read."""
     size = max(1, BLOCK_ELEMENTS // cm.model.dim ** 4)
-    return [PointFields(cm.structure, np.stack(points[k:k + size]))
-            for k in range(0, len(points), size)]
+    for k in range(0, len(points), size):
+        yield k, PointFields(cm.structure, np.stack(points[k:k + size]))
 
 
 def _gather_residuals(cm, cfg: VerifyConfig):
-    """One full pass over the sample points of families_for(cm, cfg.only),
-    every family reading the one list of PointFields over consecutive blocks
-    of the model's sample points: ({check_id: residual}, notes)."""
-    points, count, seed = sample(cm, cfg)
-    fields = point_fields(cm, points)
+    """One pass over the sample points of families_for(cm, cfg.only), every
+    family reading each block before the next is made and folding its
+    residuals over the blocks: ({check_id: residual}, notes)."""
+    points, run = sample(cm, cfg)
+    families = families_for(cm, cfg.only)
+    out = max_over_points(blocks(cm, points), lambda block: {
+        fam.prefix: fam.at(cm, block[1], block[0], run) for fam in families})
     res, notes = {}, {}
-    for fam in families_for(cm, cfg.only):
-        flatten(fam.prefix, fam.residuals(cm, fields, count, seed, cfg.fd_step), res, notes)
+    for fam in families:
+        flatten(fam.prefix, fam.rows(cm, out[fam.prefix]), res, notes)
     return res, notes
 
 

@@ -60,6 +60,12 @@ def sample_fields(cm, count, seed):
     return [PointFields(cm.structure, p) for p in cm.model.sample_points(count, seed)]
 
 
+def sample_block(cm, count, seed):
+    """The PointFields of cm's structure at its first count sample points, as
+    one block (a group's sample is one point)."""
+    return PointFields(cm.structure, np.stack(cm.model.sample_points(count, seed)))
+
+
 def coordinate(mu, coef=1.0):
     """The Field coef x^mu of a chart, whose frame jet is coef e_i(x^mu) =
     coef A[mu, i], A its frame matrix."""

@@ -111,15 +111,15 @@ def test_criterion_4_curvature_identities():
                   f"R(xi,X)xi=-X {worst_rxi:.2e} (tol 1e-8)")
 
 
-def sample_fields(cm, count=20, seed=42):
-    return [PointFields(cm.structure, p) for p in cm.model.sample_points(count, seed)]
+def sample_block(cm, count=20, seed=42):
+    return PointFields(cm.structure, np.stack(cm.model.sample_points(count, seed)))
 
 
 def test_criterion_5_cone_holomorphicity():
     worst = 0.0
     for cm in (example1(1), example1(2), example2(1.0, 0.0), example2(3.0, -2.0)):
-        worst = max(worst, cone_holomorphic_residual(sample_fields(cm, 6), 6, 42)["holomorphic"])
-    flat_res = cone_holomorphic_residual(sample_fields(flat_parallel(1), 6), 6, 42)["holomorphic"]
+        worst = max(worst, cone_holomorphic_residual(sample_block(cm, 6), 6, 42)["holomorphic"])
+    flat_res = cone_holomorphic_residual(sample_block(flat_parallel(1), 6), 6, 42)["holomorphic"]
     ok = worst < 1e-6 and flat_res > 0.1
     report(5, ok, f"cone nabla J residual {worst:.2e} on examples 1-2 (tol 1e-6); "
                   f"parallel model residual {flat_res:.2e} (> 0.1 required)")
@@ -172,7 +172,7 @@ def test_criterion_8_cross_representation():
     verdicts_ok = True
     for lie, chart in ((example1(1), example1_chart(1)),
                        (example2(1.0, 0.0), example2_chart(1.0))):
-        res = cross_representation_check(lie, chart, sample_fields(chart))
+        res = cross_representation_check(lie, chart, sample_block(chart))
         worst_struct = max(worst_struct, res["structure_equations"])
         worst_metric = max(worst_metric, res["metric_assembly"])
         verdicts_ok = verdicts_ok and res["verdict_agreement"] == 0.0

@@ -5,8 +5,8 @@ the PointFields of that point alone holds, every residual function must
 give at each point its value there, a family's value on the block is the
 max of its values at the points, and a value that could not be computed at
 one point of a block still makes its row an error.  A block only reads a
-model's jets, and one block of the default extension sample stays within
-its memory.
+model's jets, one block of the default extension sample stays within its
+memory, and a pass holds one block at a time whatever its sample.
 """
 
 import tracemalloc
@@ -14,18 +14,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from accr import verify
 from accr.cli import main
 from accr.conformal import apply_cct, preservation_at
 from accr.connection import levi_civita
 from accr.corpus import builtin, default_corpus, example3_hsphere_ext
-from accr.models import DEFAULT_FD_STEP, ChartModel, ConeModel, LieGroupModel
+from accr.models import ChartModel, ConeModel, LieGroupModel
 from accr.sasaki import cone_residuals_at
 from accr.structure import Field, PointFields
 from accr.verify import (
     HOMOTHETY,
     VerifyConfig,
-    families_for,
-    flatten,
     report_to_json,
     run_all,
     run_model_checks,
@@ -84,20 +83,20 @@ def test_block_arrays_agree_with_each_point(kind, name):
             assert np.max(np.abs(block[k] - single)) <= 1e-13 * scale, (key, k)
 
 
-def family_rows(cm, fields, count):
-    res, notes = {}, {}
-    for fam in families_for(cm):
-        flatten(fam.prefix, fam.residuals(cm, fields, count, 11, DEFAULT_FD_STEP), res, notes)
-    return res
+def family_rows(cm, elements, monkeypatch):
+    """The rows of every family over the K sample points of seed 11, in
+    blocks of max(1, elements // dim**4) points."""
+    monkeypatch.setattr(verify, "BLOCK_ELEMENTS", elements)
+    return verify._gather_residuals(cm, VerifyConfig(points=K, seed=11))[0]
 
 
 @pytest.mark.parametrize("name", CHARTS)
-def test_family_on_a_block_is_the_max_over_its_points(name):
+def test_family_on_a_block_is_the_max_over_its_points(name, monkeypatch):
     # every family, the cone, crossrep and the eta fit included, over one
     # block and over the points one at a time
     cm = builtin(name)
-    block, points = block_and_points(cm)
-    on_block, on_points = family_rows(cm, [block], K), family_rows(cm, points, K)
+    on_block = family_rows(cm, K * cm.model.dim ** 4, monkeypatch)
+    on_points = family_rows(cm, 1, monkeypatch)
     assert on_block.keys() == on_points.keys()
     for key, value in on_points.items():
         assert abs(on_block[key] - value) <= 1e-13 * max(1.0, abs(value)), key
@@ -189,10 +188,11 @@ def test_jets_are_only_read(monkeypatch, capsys):
 
 
 # The tracemalloc peak of one default example3_hsphere_ext pass, 20 points of
-# dimension 7 in blocks of 13 and 7: 1.763 MB.  In blocks of 6, before
-# riemann, the Gauss comparison, the phi-commutation and the homothetic laws
-# shed their dim^4 temporaries, it was 2.271 MB.
-EXTENSION_PASS_PEAK = 1_770_000
+# dimension 7 in blocks of 13 and 7, one block alive at a time: 1.506 MB.
+# Holding both blocks for the whole pass it was 1.763 MB, and in blocks of 6,
+# before riemann, the Gauss comparison, the phi-commutation and the
+# homothetic laws shed their dim^4 temporaries, 2.271 MB.
+EXTENSION_PASS_PEAK = 1_520_000
 
 
 def test_one_default_extension_pass_stays_within_its_memory():
@@ -205,3 +205,20 @@ def test_one_default_extension_pass_stays_within_its_memory():
     finally:
         tracemalloc.stop()
     assert peak <= EXTENSION_PASS_PEAK
+
+
+def test_a_pass_holds_one_block_whatever_its_sample():
+    # the extension's pass at 60 points (blocks of 13, 13, 13, 13 and 8) peaks
+    # at most one block's curvature, 13 points of 7**4 doubles, above its
+    # pass at 20 points (13 and 7): a pass drops each block before the next
+    run_model_checks(example3_hsphere_ext(), VerifyConfig())     # the caches of a first pass
+    peaks = []
+    for points in (20, 60):
+        cm = example3_hsphere_ext()
+        tracemalloc.start()
+        try:
+            run_model_checks(cm, VerifyConfig(points=points))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 13 * 7 ** 4 * 8

@@ -14,6 +14,7 @@ from accr.conformal import (
     TransformParams,
     adapted_frame,
     apply_cct,
+    einstein_rows,
     eta_complex_einstein_check,
     homothetic_laws,
     preservation_at,
@@ -28,7 +29,7 @@ from accr.sasaki import check_defining_conditions, require_sasaki_like
 from accr.structure import AccrStructure, Field, PointFields, max_over_points
 from accr.structure import validate_structure
 from accr.verify import BREAKING, HOMOTHETY, run_all
-from tests.conftest import ORIGIN, coordinate, sample_fields, stencil_field
+from tests.conftest import ORIGIN, coordinate, sample_block, sample_fields, stencil_field
 
 
 def pairs(s, t, points):
@@ -284,8 +285,13 @@ class TestHomotheticCurvature:
 
 
 class TestEtaEinsteinFit:
+    @staticmethod
+    def fit(f, tol=1e-8):
+        """The eta fit of the rows of the block f."""
+        return eta_complex_einstein_check(*einstein_rows(f), f.s.n, tol=tol)
+
     def test_example1_degenerate_fit(self, ex1):
-        fit = eta_complex_einstein_check(sample_fields(ex1, 2, 1))
+        fit = self.fit(sample_block(ex1, 2, 1))
         # Ric = 2n eta x eta: alpha = beta = 0 fits exactly, d = 0 direction
         assert fit.residual < 1e-10
         assert abs(fit.alpha) < 1e-10 and abs(fit.beta) < 1e-10
@@ -304,7 +310,7 @@ class TestEtaEinsteinFit:
 
     def test_einstein_slice_classified(self):
         cm, pts = self._einstein_slice()
-        fit = eta_complex_einstein_check([PointFields(cm.structure, p) for p in pts], tol=1e-6)
+        fit = self.fit(PointFields(cm.structure, np.stack(pts)), tol=1e-6)
         assert fit.classification == "einstein"
         assert fit.c == pytest.approx(1.0, abs=1e-8)
         assert fit.d == pytest.approx(0.0, abs=1e-8)
@@ -317,14 +323,18 @@ class TestEtaEinsteinFit:
             v=0.5 * math.atan2(d0, c0),
             w=0.0,
         )
-        fit = eta_complex_einstein_check(
-            [apply_cct(PointFields(cm.structure, p), params) for p in pts], tol=1e-6)
+        f = apply_cct(PointFields(cm.structure, np.stack(pts)), params)
+        fit = self.fit(f, tol=1e-6)
         assert fit.classification == "eta_complex_einstein"
         assert fit.c == pytest.approx(c0, abs=1e-6)
         assert fit.d == pytest.approx(d0, abs=1e-6)
         assert fit.to_einstein["u"] == pytest.approx(-params.u, abs=1e-8)
         assert fit.to_einstein["v"] == pytest.approx(-params.v, abs=1e-8)
         assert fit.einstein_residual < 1e-6
+        # read from the fit's rows, it is Ric - 2n g_bar of the homothety to_einstein
+        g_bar = TransformedModel(f, TransformParams(**fit.to_einstein)).metric_at(f.p)
+        ref = float(np.max(np.abs(f.curvature.ric - 2 * f.s.n * g_bar)))
+        assert abs(fit.einstein_residual - ref) <= 1e-12 * ref
 
     def test_einstein_iff_leaf_einstein(self):
         """The structure is pointwise Einstein exactly where the leaf metric
@@ -345,7 +355,7 @@ class TestEtaEinsteinFit:
 
     def test_requires_sasaki(self, flat):
         with pytest.raises(NotSasakiLike):
-            eta_complex_einstein_check([PointFields(flat.structure, ORIGIN)])
+            self.fit(PointFields(flat.structure, ORIGIN))
 
 
 class TestSolveCounts:

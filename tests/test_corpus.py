@@ -11,7 +11,7 @@ from accr.corpus import (
     hsphere_base,
 )
 from accr.errors import BadParams, ParamMismatch, UnknownBuiltin
-from tests.conftest import ORIGIN, sample_fields
+from tests.conftest import ORIGIN, sample_block
 
 
 class TestBuiltins:
@@ -51,25 +51,25 @@ class TestBuiltins:
 
 class TestCrossRepresentation:
     def test_example1(self, ex1, ex1_chart):
-        res = cross_representation_check(ex1, ex1_chart, sample_fields(ex1_chart, 20, 42))
+        res = cross_representation_check(ex1, ex1_chart, sample_block(ex1_chart, 20, 42))
         assert res["structure_equations"] < 1e-7
         assert res["metric_assembly"] < 1e-10
         assert res["verdict_agreement"] == 0.0
         assert res["sasaki_lie"] and res["sasaki_chart"]
 
     def test_example2(self, ex2, ex2_chart):
-        res = cross_representation_check(ex2, ex2_chart, sample_fields(ex2_chart, 20, 42))
+        res = cross_representation_check(ex2, ex2_chart, sample_block(ex2_chart, 20, 42))
         assert res["structure_equations"] < 1e-7
         assert res["metric_assembly"] < 1e-10
         assert res["verdict_agreement"] == 0.0
 
     def test_param_mismatch(self, ex1, ex2_chart):
         with pytest.raises(ParamMismatch):
-            cross_representation_check(ex1, ex2_chart, sample_fields(ex2_chart, 1, 42))
+            cross_representation_check(ex1, ex2_chart, sample_block(ex2_chart, 1, 42))
         lie = example2(lam=2.0, mu=0.0)
         chart = example2_chart(lam=1.0)
         with pytest.raises(ParamMismatch):
-            cross_representation_check(lie, chart, sample_fields(chart, 1, 42))
+            cross_representation_check(lie, chart, sample_block(chart, 1, 42))
 
     def test_structure_equation_values_at_origin(self, ex1_chart):
         # d e^1 at t = 0 equals dt wedge dx^2 componentwise: the chart

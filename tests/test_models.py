@@ -299,11 +299,17 @@ class TestProductExtension:
             product_extension(chart)
 
 
+def cone_points(fields, count, seed):
+    """(fields[k % len(fields)], r) of cone point k < count, r = ConeModel.radii(count,
+    seed)[k], as the cone family places them."""
+    return [(fields[k % len(fields)], r) for k, r in enumerate(ConeModel.radii(count, seed))]
+
+
 def cones(cm, count, seed):
     """(ConeModel(f), (r,)) at the count cone points of cm's sample, as the
     cone family places them."""
     fields = sample_fields(cm, count, seed)
-    return [(ConeModel(f), np.array([r])) for f, r in ConeModel.cone_points(fields, count, seed)]
+    return [(ConeModel(f), np.array([r])) for f, r in cone_points(fields, count, seed)]
 
 
 def cone_frame_derivative(cone, p, fn, s=None, t=None):
@@ -377,7 +383,7 @@ class TestConeModel:
         # transforms the base PointFields at each neighbouring point
         cm, t = example1_chart(1), TransformParams(w=coordinate(0, 0.2))
         fields = [apply_cct(f, t) for f in sample_fields(cm, 4, 5)]
-        for f, r in ConeModel.cone_points(fields, 4, 5):
+        for f, r in cone_points(fields, 4, 5):
             cone, p = ConeModel(f), np.array([r])
             dj = cone.j_derivs_at(p)
             assert np.max(np.abs(dj[:-1])) > 0.1

@@ -24,7 +24,7 @@ from accr.sasaki import (
 from accr.structure import PointFields
 from accr.modelspec import model_from_spec
 from accr.verify import FAILING, VerifyConfig, run_model_checks
-from tests.conftest import ORIGIN, stepped_example1_chart, sample_fields
+from tests.conftest import ORIGIN, sample_block, sample_fields, stepped_example1_chart
 
 ROUTES = ("sasaki.defining", "sasaki.nabla_phi", "sasaki.nijenhuis")
 
@@ -166,7 +166,7 @@ class TestCurvatureIdentities:
 
 def cone_check(cm, count=6, seed=42):
     """The cone check over cm's first count sample points."""
-    return cone_holomorphic_residual(sample_fields(cm, count, seed), count, seed)
+    return cone_holomorphic_residual(sample_block(cm, count, seed), count, seed)
 
 
 class TestConeHolomorphicity:
@@ -193,7 +193,7 @@ class TestConeHolomorphicity:
         # cone point k lies over sample point k % len(fields)
         cm = request.getfixturevalue(name)
         fields = sample_fields(cm, 4, 42)
-        check = cone_holomorphic_residual(fields, 6, 42)
+        check = cone_holomorphic_residual(sample_block(cm, 4, 42), 6, 42)
         radii = ConeModel.radii(6, 42)
         at = [cone_residuals_at(fields[k % len(fields)], r) for k, r in enumerate(radii)]
         assert check["holomorphic"] == max(res["holomorphic"] for res in at)

@@ -637,6 +637,9 @@ class TestCli:
         (["verify", "-m", "SPEC:too_many_points"], 2),
         # a spec phi is finite, as a spec metric is
         (["verify", "-m", "SPEC:nan_phi"], 2),
+        # a spec metric and phi are numbers: no strings, no booleans
+        (["verify", "-m", "SPEC:str_metric"], 2),
+        (["verify", "-m", "SPEC:bool_phi"], 2),
     ])
     def test_bad_input(self, argv, code, tmp_path, capsys):
         specs = {
@@ -669,6 +672,11 @@ class TestCli:
                 {"i": 1, "j": 1, "k": 0, "value": 5}]},
             "nan_phi": {"kind": "lie_group", "n": 1, "structure_constants": [],
                         "phi": [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, float("nan"), 0.0]]},
+            # the standard metric and phi, written with strings and with booleans
+            "str_metric": {"kind": "lie_group", "n": 1, "structure_constants": [],
+                           "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]},
+            "bool_phi": {"kind": "lie_group", "n": 1, "structure_constants": [],
+                         "phi": [[False, False, False], [False, False, -1], [False, True, False]]},
         }
         for name, spec in specs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(spec))
