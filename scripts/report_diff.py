@@ -46,7 +46,12 @@ the report and stdout must escape or print alike, that group with n
 written ``1.0`` (valid under draft 7, so it must run as n = 1), with n
 written ``true`` (not an integer, exit 2), with a NaN entry in phi
 (exit 2), and with its standard metric written in strings and its
-standard phi with booleans for 0 and 1 (no numbers, exit 2).  A command differs when
+standard phi with booleans for 0 and 1 (no numbers, exit 2); ``verify --only crossrep`` of ``example1_chart`` at
+n = 6 (``CROSSREP_WIDE``), dimension 13, whose 8 sample points are eight
+one-point blocks, so that crossrep reads past the fifth sample point and
+across block boundaries; and ``verify`` of ``docs/examples/builtin_ref.json``
+with a ``--params`` that no builtin named with ``-m`` takes
+(``UNREACHED``, exit 2).  A command differs when
 its JSON report, its stdout, its stderr or its exit code differs.  Every
 differing command is printed, and for a pair of verify reports also the
 sorted check ids whose rows differ, each differing row's max_residual,
@@ -83,6 +88,8 @@ MOVING = ("example1_chart", "example3_hsphere_ext")
 WIDE = (("example1", "n=4"), ("flat_parallel", "n=4"))
 UNEVEN = ("example3_hsphere_ext", "30")
 WIDE_CHART = ("example1_chart", "3", "n=8")
+CROSSREP_WIDE = ("example1_chart", "8", "n=6")
+UNREACHED = ("docs/examples/builtin_ref.json", "lam=7")
 OVERFLOW = (("transform", "-m", "example1_chart", "--points", "2",
              "--params", "v=linear_t:1e308"),
             ("verify", "-m", "example2", "--params", "lam=1e200"))
@@ -144,6 +151,9 @@ def commands(spec_dir: Path) -> list:
     for name, spec in SPECS.items():
         (spec_dir / name).write_text(json.dumps(spec))
         out.append(["verify", "-m", str(spec_dir / name)])
+    out.append(["verify", "-m", CROSSREP_WIDE[0], "--seed", "7", "--points", CROSSREP_WIDE[1],
+                "--params", CROSSREP_WIDE[2], "--only", "crossrep"])
+    out.append(["verify", "-m", UNREACHED[0], "--params", UNREACHED[1]])
     return out
 
 

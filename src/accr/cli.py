@@ -72,11 +72,15 @@ def _parse_params(items) -> dict:
 
 def _resolve_models(names, params):
     """The default corpus, or each named spec file or builtin; every builtin
-    takes all of params, and a key it does not take is BadParams."""
+    takes all of params, and a key it does not take, or params that no
+    named builtin takes, is BadParams."""
+    is_spec = lambda name: name.endswith(".json") or "/" in name
+    if params and all(map(is_spec, names or [])):
+        raise BadParams(f"no builtin is named with -m to take --params {', '.join(params)}")
     if not names:
         return corpus_mod.default_corpus()
-    return [load_model_spec(Path(name)) if name.endswith(".json") or "/" in name
-            else corpus_mod.builtin(name, **params) for name in names]
+    return [load_model_spec(Path(name)) if is_spec(name) else corpus_mod.builtin(name, **params)
+            for name in names]
 
 
 def _config_from(args) -> VerifyConfig:

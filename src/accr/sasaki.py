@@ -25,7 +25,7 @@ from .connection import covariant_derivative, levi_civita
 from .errors import NotSasakiLike
 from .frame_algebra import max_abs, project_all
 from .models import ConeModel
-from .structure import PointFields, max_over_points, worst
+from .structure import PointFields, worst
 
 __all__ = [
     "check_defining_conditions",
@@ -284,13 +284,13 @@ def cone_residuals_at(f: PointFields, r) -> dict:
 
 
 def cone_holomorphic_residual(f: PointFields, count, seed, start=0, size=None) -> dict:
-    """The max_over_points of cone_residuals_at over the cone points over the
-    block f, which holds the points start, start + 1, ... of a sample of size
-    points (by default f's): of count cone points, point j lies at radius
+    """cone_residuals_at at each cone point over the block f, which holds the
+    points start, start + 1, ... of a sample of size points (by default
+    f's): of count cone points, point j lies at radius
     ConeModel.radii(count, seed)[j] over sample point j % size, and those
     over f are solved as one block (a block of one point broadcast against
-    their radii); and "per_point", the list of each of those cone points'
-    {"r", "residual"}, its "holomorphic" residual, in the order of j."""
+    their radii), in the order of j; and "per_point", the list of their
+    {"r", "residual"}, residual the "holomorphic" value."""
     rows = np.arange(count) % (size or len(f.p)) - start     # each cone point's row of f
     ks = np.flatnonzero((rows >= 0) & (rows < len(f.p)))
     if not ks.size:
@@ -298,4 +298,4 @@ def cone_holomorphic_residual(f: PointFields, count, seed, start=0, size=None) -
     radii = np.take(ConeModel.radii(count, seed), ks).tolist()
     res = cone_residuals_at(f if len(f.p) == 1 else f.take(rows[ks]), radii)
     per_point = [{"r": r, "residual": float(h)} for r, h in zip(radii, res["holomorphic"])]
-    return max_over_points([res, {"per_point": per_point}], lambda res: res)
+    return {**res, "per_point": per_point}

@@ -9,13 +9,13 @@ sample points and the note a text or null.  A pass is one fold: blocks
 makes the PointFields of the sample's consecutive blocks of at most max(1,
 BLOCK_ELEMENTS // dim**4) points one at a time, and every family reads a
 block before the next is made, so a pass holds one block whatever its
-sample.  Most families are a residual function, which gives its values at
-each point of a block, folded by max; the cone maximises
-sasaki.cone_residuals_at over the cone points over a block and the
-derivatives family the jets over a prefix of the sample, while crossrep
-and the eta fit keep a part of each block and give rows of the model as a
-whole.  Every row is judged except the eta fit's (info), whose output is
-the classification in its note.
+sample.  Every family but the eta fit gives its values at each point of a
+block (the cone's at each cone point over it, the derivatives family's at
+its points among a prefix of the sample), so the pass's fold by max is the
+only reduction over points.  The eta fit, the one family using
+Family.rows, the list branch of structure._merge and the (value, note)
+branch of flatten, keeps a part of each block for an info row (not
+judged) of the model as a whole, the classification in its note.
 Every model and moving field gives its jets in closed form, so only the
 derivatives family reads finite differences: on charts it compares each
 jet with the stencil of the next-lower order at cfg.fd_step, relative to
@@ -214,10 +214,10 @@ class Family:
     """The checks under one id prefix, a fold over the pass's blocks:
     at(cm, f, k, run) reads the block f, whose first point is point k of the
     sample run (as sample gives it).  Its residuals, a value (row "<prefix>")
-    or a dict (rows "<prefix>.<key>") of numbers, arrays of one per point or
-    lists of parts, are folded by max_over_points, and rows(cm, out) gives
-    the family's residuals, (value, note) pairs allowed, from the fold's
-    out, by default out itself."""
+    or a dict (rows "<prefix>.<key>") of arrays of one value per point, are
+    folded by max_over_points, and its rows are the fold's out; the eta fit
+    alone gives lists of parts, and rows(cm, out), which makes its (value,
+    note) row from them."""
 
     prefix: str
     at: object
@@ -248,15 +248,6 @@ def _eta_fit(cm, parts):
     return {"residual": (fit.residual, f"classification: {fit.classification}")}
 
 
-def _crossrep(cm, parts):
-    """The gaps' max over the blocks; the group's verdict against the chart's
-    at the sample's first five points, read in the blocks that hold them."""
-    gaps = ("structure_equations", "metric_assembly")
-    out = max_over_points(parts, lambda part: {key: part[key] for key in gaps})
-    chart = all(part["sasaki_chart"] for part in parts)
-    return {**out, "verdict_agreement": 0.0 if parts[0]["sasaki_lie"] == chart else 1.0}
-
-
 FAMILIES = (
     Family("structure", lambda cm, f, *_: validate_structure(f)),
     Family("identity", lambda cm, f, *_: {
@@ -277,8 +268,8 @@ FAMILIES = (
            lambda cm, f, *_: sas.second_fundamental_form_residual(f)),
     Family("cone", lambda cm, f, k, run: {key: val for key, val in sas.cone_holomorphic_residual(
         f, min(run.count, 6), run.seed, k, run.size).items() if key != "per_point"}),
-    Family("crossrep", lambda cm, f, k, run: [corpus_mod.cross_representation_check(
-        corpus_mod.builtin(cm.lie_partner, **cm.params), cm, f, k)], rows=_crossrep,
+    Family("crossrep", lambda cm, f, *_: corpus_mod.cross_representation_check(
+        corpus_mod.builtin(cm.lie_partner, **cm.params), cm, f),
            applies=lambda cm: cm.coframe_fn is not None and cm.lie_partner is not None),
     Family("conformal", _conformal, applies=lambda cm: cm.sasaki_expected),
     Family("conformal.eta_fit", lambda cm, f, *_: [conf.einstein_rows(f)], rows=_eta_fit,

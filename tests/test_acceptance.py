@@ -118,8 +118,10 @@ def sample_block(cm, count=20, seed=42):
 def test_criterion_5_cone_holomorphicity():
     worst = 0.0
     for cm in (example1(1), example1(2), example2(1.0, 0.0), example2(3.0, -2.0)):
-        worst = max(worst, cone_holomorphic_residual(sample_block(cm, 6), 6, 42)["holomorphic"])
-    flat_res = cone_holomorphic_residual(sample_block(flat_parallel(1), 6), 6, 42)["holomorphic"]
+        worst = max(worst, np.max(
+            cone_holomorphic_residual(sample_block(cm, 6), 6, 42)["holomorphic"]))
+    flat_res = np.max(
+        cone_holomorphic_residual(sample_block(flat_parallel(1), 6), 6, 42)["holomorphic"])
     ok = worst < 1e-6 and flat_res > 0.1
     report(5, ok, f"cone nabla J residual {worst:.2e} on examples 1-2 (tol 1e-6); "
                   f"parallel model residual {flat_res:.2e} (> 0.1 required)")
@@ -173,9 +175,9 @@ def test_criterion_8_cross_representation():
     for lie, chart in ((example1(1), example1_chart(1)),
                        (example2(1.0, 0.0), example2_chart(1.0))):
         res = cross_representation_check(lie, chart, sample_block(chart))
-        worst_struct = max(worst_struct, res["structure_equations"])
-        worst_metric = max(worst_metric, res["metric_assembly"])
-        verdicts_ok = verdicts_ok and res["verdict_agreement"] == 0.0
+        worst_struct = max(worst_struct, np.max(res["structure_equations"]))
+        worst_metric = max(worst_metric, np.max(res["metric_assembly"]))
+        verdicts_ok = verdicts_ok and np.max(res["verdict_agreement"]) == 0.0
     ok = worst_struct < 1e-7 and worst_metric < 1e-10 and verdicts_ok
     report(8, ok, f"structure equations {worst_struct:.2e} (tol 1e-7), metric "
                   f"values {worst_metric:.2e} (tol 1e-10), verdicts agree: {verdicts_ok}")

@@ -20,8 +20,8 @@ from accr.conformal import apply_cct, preservation_at
 from accr.connection import levi_civita
 from accr.corpus import builtin, default_corpus, example3_hsphere_ext
 from accr.models import ChartModel, ConeModel, LieGroupModel
-from accr.sasaki import cone_residuals_at
-from accr.structure import Field, PointFields
+from accr.sasaki import cone_holomorphic_residual, cone_residuals_at
+from accr.structure import Field, PointFields, max_over_points
 from accr.verify import (
     HOMOTHETY,
     VerifyConfig,
@@ -90,16 +90,43 @@ def family_rows(cm, elements, monkeypatch):
     return verify._gather_residuals(cm, VerifyConfig(points=K, seed=11))[0]
 
 
-@pytest.mark.parametrize("name", CHARTS)
+def cone_rows(cm):
+    """The cone rows of the pass over the K sample points of seed 11, from
+    the cone's values at each cone point over each of its blocks: a block's
+    arrays hold one entry per cone point j over it, in the order of j."""
+    points, run = verify.sample(cm, VerifyConfig(points=K, seed=11))
+    count = min(run.count, 6)
+    radii, parts, solved = ConeModel.radii(count, run.seed), [], 0
+    for k, f in verify.blocks(cm, points):
+        part = cone_holomorphic_residual(f, count, run.seed, k, run.size)
+        over = [j for j in range(count) if k <= j % run.size < k + len(f.p)]
+        assert [pt["r"] for pt in part.pop("per_point")] == [radii[j] for j in over]
+        for val in [part["holomorphic"], *part["line"].values(), *part["dj_xi"].values()]:
+            assert np.shape(val) == (len(over),)
+        parts.append(part)
+        solved += len(over)
+    assert solved == count     # a group's one-point block holds them all
+    rows = {}
+    verify.flatten("cone", max_over_points(parts, lambda part: part), rows, {})
+    return rows
+
+
+@pytest.mark.parametrize("name", CHARTS + ("example1",))
 def test_family_on_a_block_is_the_max_over_its_points(name, monkeypatch):
     # every family, the cone, crossrep and the eta fit included, over one
-    # block and over the points one at a time
+    # block and over the points one at a time; the cone's rows are the max
+    # of its values at each cone point over the blocks
     cm = builtin(name)
     on_block = family_rows(cm, K * cm.model.dim ** 4, monkeypatch)
+    cone_on_block = cone_rows(cm)
     on_points = family_rows(cm, 1, monkeypatch)
+    cone_on_points = cone_rows(cm)
     assert on_block.keys() == on_points.keys()
     for key, value in on_points.items():
         assert abs(on_block[key] - value) <= 1e-13 * max(1.0, abs(value)), key
+    assert cone_on_block == {key: val for key, val in on_block.items() if key.startswith("cone")}
+    assert cone_on_points == {key: val for key, val in on_points.items()
+                              if key.startswith("cone")}
 
 
 def test_residuals_at_each_point_of_a_block():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,8 @@ from accr.corpus import (
     hsphere_base,
 )
 from accr.errors import BadParams, ParamMismatch, UnknownBuiltin
+from accr.sasaki import check_defining_conditions
+from accr.structure import Field, PointFields, worst
 from tests.conftest import ORIGIN, sample_block
 
 
@@ -51,17 +55,34 @@ class TestBuiltins:
 
 class TestCrossRepresentation:
     def test_example1(self, ex1, ex1_chart):
-        res = cross_representation_check(ex1, ex1_chart, sample_block(ex1_chart, 20, 42))
-        assert res["structure_equations"] < 1e-7
-        assert res["metric_assembly"] < 1e-10
-        assert res["verdict_agreement"] == 0.0
-        assert res["sasaki_lie"] and res["sasaki_chart"]
+        f = sample_block(ex1_chart, 20, 42)
+        res = cross_representation_check(ex1, ex1_chart, f)
+        assert np.max(res["structure_equations"]) < 1e-7
+        assert np.max(res["metric_assembly"]) < 1e-10
+        assert np.max(res["verdict_agreement"]) == 0.0
+        # both Sasaki-like, at the thresholds the verdicts read
+        assert worst(check_defining_conditions(PointFields(ex1.structure, ORIGIN)).values()) < 1e-9
+        assert np.max(worst(check_defining_conditions(f).values())) < 1e-6
 
     def test_example2(self, ex2, ex2_chart):
         res = cross_representation_check(ex2, ex2_chart, sample_block(ex2_chart, 20, 42))
-        assert res["structure_equations"] < 1e-7
-        assert res["metric_assembly"] < 1e-10
-        assert res["verdict_agreement"] == 0.0
+        assert np.max(res["structure_equations"]) < 1e-7
+        assert np.max(res["metric_assembly"]) < 1e-10
+        assert np.max(res["verdict_agreement"]) == 0.0
+
+    def test_verdicts_at_every_sample_point(self, ex1, ex1_chart):
+        # phi flips sign at the sixth sample point alone: the axioms still
+        # hold there, but F(X, Y, xi) = +g(X, Y), so the chart is Sasaki-like
+        # at the first five points and not at the sixth
+        points = ex1_chart.model.sample_points(6, 42)
+        phi = ex1_chart.structure.phi
+        flipped = Field(
+            lambda p: np.where(np.all(p == points[5], axis=-1)[..., None, None], -phi, phi),
+            lambda m, p: np.zeros(np.shape(p)[:-1] + (m.dim, *phi.shape)))
+        f = PointFields(replace(ex1_chart.structure, phi=flipped), np.stack(points))
+        res = cross_representation_check(ex1, ex1_chart, f)
+        assert res["verdict_agreement"].tolist() == [0.0] * 5 + [1.0]
+        assert np.max(res["structure_equations"]) < 1e-7
 
     def test_param_mismatch(self, ex1, ex2_chart):
         with pytest.raises(ParamMismatch):

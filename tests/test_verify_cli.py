@@ -640,6 +640,9 @@ class TestCli:
         # a spec metric and phi are numbers: no strings, no booleans
         (["verify", "-m", "SPEC:str_metric"], 2),
         (["verify", "-m", "SPEC:bool_phi"], 2),
+        # --params must reach a builtin named with -m: not the default corpus, nor a spec
+        (["verify", "--params", "n=2", "--points", "1", "--only", "structure.eta_xi"], 2),
+        (["verify", "-m", "SPEC:builtin_ref", "--params", "lam=7"], 2),
     ])
     def test_bad_input(self, argv, code, tmp_path, capsys):
         specs = {
@@ -677,6 +680,9 @@ class TestCli:
                            "metric": [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "-1"]]},
             "bool_phi": {"kind": "lie_group", "n": 1, "structure_constants": [],
                          "phi": [[False, False, False], [False, False, -1], [False, True, False]]},
+            # docs/examples/builtin_ref.json, a valid spec at its own parameters
+            "builtin_ref": {"kind": "builtin", "builtin": "example2",
+                            "params": {"lam": 3.0, "mu": -2.0}},
         }
         for name, spec in specs.items():
             (tmp_path / f"{name}.json").write_text(json.dumps(spec))
