@@ -15,7 +15,9 @@ recomputation on the transformed metric.  The transformed structure lives
 over a block of points: apply_cct(f, t) gives its PointFields at f.p from f,
 the base's PointFields there, and the functions here take the two side by
 side, (f, fb), read the transform's (u, v, w) from fb's model and give
-their values at each point.
+their values at each point.  Constant parameters given as 1-D arrays put P
+transforms on one leading parameter axis of fb, solved by one Koszul solve,
+and preservation_at gives the values of each.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NonConstantParams
-from .frame_algebra import max_abs, standard_signature
+from .frame_algebra import first_slot, last_slot, max_abs, standard_signature
 from .sasaki import check_defining_conditions, require_sasaki_like
 from .structure import AccrStructure, Field, PointFields, field_at, field_derivs_at, worst
 
@@ -51,15 +53,16 @@ def _elementwise(fn):
 
 
 _exp, _cos, _sin = map(_elementwise, (math.exp, math.cos, math.sin))
-_vec = lambda m, x: np.einsum("...ij,...j->...i", m, x)      # m x, over the points
-_covec = lambda x, m: np.einsum("...i,...ij->...j", x, m)    # x o m, over the points
 
 
 @dataclass
 class TransformParams:
     """Conformal data (u, v, w): constants or scalar Fields of the point,
     whose values at points of shape (..., dim) have shape (...), and their
-    jets, the differentials, shape (..., dim)."""
+    jets, the differentials, shape (..., dim).  Constants may be 1-D arrays
+    of P parameter sets: their values are then of shape (P, ...), their
+    differentials zeros of shape (..., dim), and TransformedModel, apply_cct
+    and preservation_at broadcast over that leading parameter axis."""
 
     u: object = 0.0
     v: object = 0.0
@@ -70,10 +73,13 @@ class TransformParams:
         return not any(isinstance(x, Field) for x in (self.u, self.v, self.w))
 
     def at(self, p):
-        """(u, v, w) at the points p, each an array over their leading axes."""
+        """(u, v, w) at the points p, over the parameter axis, if any, then p's."""
         lead = np.shape(p)[:-1]
-        return tuple(np.broadcast_to(np.asarray(field_at(x, p), dtype=float), lead)
-                     for x in (self.u, self.v, self.w))
+        value = lambda x: field_at(x, p) if isinstance(x, Field) else \
+            np.reshape(x, np.shape(x) + (1,) * len(lead))      # a parameter axis leads
+        vals = [value(x) for x in (self.u, self.v, self.w)]
+        shape = np.broadcast_shapes(lead, *map(np.shape, vals))
+        return tuple(np.broadcast_to(np.asarray(x, dtype=float), shape) for x in vals)
 
 
 class TransformedModel:
@@ -98,7 +104,8 @@ class TransformedModel:
     def differentials(self):
         """(du, dv, dw) at f.p, each of shape (..., dim): Fields' jets, zeros for constants."""
         t, f = self.params, self.f
-        return tuple(field_derivs_at(x, f.s.model, f.p) for x in (t.u, t.v, t.w))
+        return tuple(field_derivs_at(x if isinstance(x, Field) else 0.0, f.s.model, f.p)
+                     for x in (t.u, t.v, t.w))
 
     @cached_property
     def _coefs(self):
@@ -185,15 +192,16 @@ def preservation_at(f: PointFields, fb: PointFields) -> dict:
                                 - sin 2v [eta(z) g(x, phi y)
                                           + eta(y) g(x, phi z)] }.
 
-    (u, v, w) and (du, dv, dw) are those that fb's TransformedModel read.
+    (u, v, w) and (du, dv, dw) are those that fb's TransformedModel read,
+    and every value has the shape of u: one per point of each parameter set.
     """
     (u, v, w), (du, dv, dw) = fb.s.model.uvw, fb.s.model.differentials
     phi, eta = f.phi, f.eta
     col = lambda x: x[..., None]
     ew = _exp(w)
-    cond2 = du - _covec(dv, phi)
+    cond2 = du - first_slot(dv, phi)
     c2v, s2v = _cos(2 * v), _sin(2 * v)
-    shifted = col(ew - 1.0) * eta + _covec(du, phi) + dv
+    shifted = col(ew - 1.0) * eta + first_slot(du, phi) + dv
     a_form = col(c2v) * shifted + col(s2v) * cond2
     b_form = col(s2v) * shifted - col(c2v) * cond2
 
@@ -201,16 +209,17 @@ def preservation_at(f: PointFields, fb: PointFields) -> dict:
         + m[..., :, None, :] * eta[..., None, :, None]
     at = lambda x: x[..., None, None, None]
     target = at(_exp(w + 2 * u)) * (at(c2v) * shaped(f.gpp) - at(s2v) * shaped(f.gphi))
-    return {
-        "dw_phi": max_abs(_covec(dw, phi), 1),
+    out = {
+        "dw_phi": max_abs(first_slot(dw, phi), 1),
         "du_minus_dv_phi": max_abs(cond2, 1),
-        "du_phi_plus_dv": max_abs(_covec(du, phi) + dv - col(1.0 - ew) * eta, 1),
-        "du_xi": np.abs(np.einsum("...i,...i->...", du, f.xi)),
-        "dv_xi": np.abs(np.einsum("...i,...i->...", dv, f.xi) - (1.0 - ew)),
+        "du_phi_plus_dv": max_abs(first_slot(du, phi) + dv - col(1.0 - ew) * eta, 1),
+        "du_xi": np.abs(last_slot(du, f.xi)),
+        "dv_xi": np.abs(last_slot(dv, f.xi) - (1.0 - ew)),
         "one_form_a": max_abs(a_form, 1),
         "one_form_b": max_abs(b_form, 1),
         "f_bar_direct": max_abs(fb.F - target, 3),
     }
+    return {key: np.broadcast_to(val, np.shape(u)) for key, val in out.items()}
 
 
 def adapted_frame(f: PointFields) -> np.ndarray:
@@ -224,14 +233,13 @@ def adapted_frame(f: PointFields) -> np.ndarray:
     far, and it takes the first with the largest |B(c, c)| against |c|^2
     before that projection.  On a frame that is already adapted and
     orthonormal that is e_1..e_n and every step is exact: the identity."""
-    g, phi = f.g[..., None, :, :], f.phi[..., None, :, :]
-    dot = lambda x, y: np.einsum("...i,...i->...", x, y)
-    form = lambda x, y: dot(_covec(x, g), y) + 1j * dot(_covec(x, g), _vec(phi, y))
-    times = lambda z, x: z.real[..., None] * x - z.imag[..., None] * _vec(phi, x)
+    g, gphi, phi_t = f.g, f.gphi, np.swapaxes(f.phi, -1, -2)
+    form = lambda x, y: ((x @ g) * y).sum(-1) + 1j * ((x @ gphi) * y).sum(-1)
+    times = lambda z, x: z.real[..., None] * x - z.imag[..., None] * (x @ phi_t)
     rows = np.swapaxes(f.proj, -1, -2)
     a, b = np.triu_indices(f.dim, 1)
     pool = np.concatenate([rows, rows[..., a, :] + rows[..., b, :]], axis=-2)
-    size = dot(pool, pool)
+    size = (pool * pool).sum(-1)
     size = np.where(size > 0.0, size, np.inf)
     bs = []
     for _ in range(f.s.n):
@@ -240,7 +248,7 @@ def adapted_frame(f: PointFields) -> np.ndarray:
         c = times(1.0 / np.sqrt(form(c, c)), c)
         pool = pool - times(form(pool, c), c)
         bs.append(c[..., 0, :])
-    return np.stack([f.xi, *bs, *(_vec(f.phi, c) for c in bs)], axis=-1)
+    return np.stack([f.xi, *bs, *(last_slot(f.phi, c) for c in bs)], axis=-1)
 
 
 def homothetic_laws(f: PointFields, fb: PointFields) -> dict:
@@ -295,7 +303,7 @@ def homothetic_laws(f: PointFields, fb: PointFields) -> dict:
 
     e2u = _exp(-2 * u)
     c2v, s2v = _cos(2 * v), _sin(2 * v)
-    ric_xx = np.einsum("...a,...b,...ab->...", xi, xi, bundle.ric)
+    ric_xx = last_slot(last_slot(bundle.ric, xi), xi)
     scal_formula = e2u * c2v * bundle.scal - e2u * s2v * bundle.scal_star \
         + (_exp(-2 * w) - e2u * c2v) * ric_xx
     scal_star_formula = e2u * s2v * bundle.scal + e2u * c2v * bundle.scal_star \
@@ -304,13 +312,14 @@ def homothetic_laws(f: PointFields, fb: PointFields) -> dict:
     n = f.s.n
     frame = adapted_frame(f)
     col = lambda x: x[..., None]
-    rotated = [col(_exp(-u)) * (col(_cos(v)) * e - col(_sin(v)) * _vec(phi, e))
+    rotated = [col(_exp(-u)) * (col(_cos(v)) * e - col(_sin(v)) * last_slot(phi, e))
                for e in (frame[..., :, i] for i in range(1, n + 1))]
-    basis = np.stack([col(_exp(-w)) * xi, *rotated, *(_vec(phi, b) for b in rotated)], axis=-1)
+    basis = np.stack([col(_exp(-w)) * xi, *rotated, *(last_slot(phi, b) for b in rotated)],
+                     axis=-1)
     eps = standard_signature(n)
     basis_t = np.swapaxes(basis, -1, -2)
     ortho = max_abs(basis_t @ fb.g @ basis - np.diag(eps), 2)
-    trace = lambda m: np.einsum("a,...aa->...", eps, basis_t @ bundle_bar.ric @ m)
+    trace = lambda m: np.diagonal(basis_t @ bundle_bar.ric @ m, 0, -2, -1) @ eps
     phib = phi @ basis
     phib[..., :, 0] = 0.0
 

@@ -4,8 +4,10 @@ Everything in this package works with components taken in a frame
 (orthonormal or not), stored as plain numpy arrays, with any leading axes
 ranging over a block of points.  This module holds the
 small building blocks: the standard signature and complex structure,
-metric matrices with cached inverses, projection into every slot and the
-Kulkarni-Nomizu product.
+metric matrices with cached inverses, a vector into the first or the last
+slot of a tensor, projection into every slot and the Kulkarni-Nomizu
+product.  Every contraction of the package is a chain of matmuls with the
+point axes leading, not an einsum, which loops naively over every index.
 """
 
 from __future__ import annotations
@@ -47,6 +49,20 @@ def max_abs(t, rank):
     are reduced where they lie, so a strided t (a transposed view) is not
     copied."""
     return np.abs(t).max(axis=tuple(range(-rank, 0)))
+
+
+def first_slot(v, t) -> np.ndarray:
+    """v^a t[a, ...], the vector v into the first slot of t over the leading
+    point axes of v, which t shares or broadcasts against: one matmul."""
+    out = v[..., None, :] @ t.reshape(t.shape[:np.ndim(v)] + (-1,))
+    return out.reshape(out.shape[:-2] + t.shape[np.ndim(v):])
+
+
+def last_slot(t, v) -> np.ndarray:
+    """t[..., a] v^a, the vector v into the last slot of t over the leading
+    point axes of v, which t shares or broadcasts against: one matmul."""
+    out = t.reshape(t.shape[:np.ndim(v) - 1] + (-1, t.shape[-1])) @ v[..., :, None]
+    return out.reshape(out.shape[:-2] + t.shape[np.ndim(v) - 1:-1])
 
 
 def project_all(t, proj) -> np.ndarray:

@@ -164,13 +164,11 @@ class LieGroupModel:
         return np.broadcast_to(0.0, np.shape(p)[:-1] + (self.dim,) * 4)
 
     def jacobi_residual(self) -> float:
-        c = self.c
-        cyc = (
-            np.einsum("mil,ljk->mijk", c, c)
-            + np.einsum("mjl,lki->mijk", c, c)
-            + np.einsum("mkl,lij->mijk", c, c)
-        )
-        return float(np.max(np.abs(cyc)))
+        """max |c^m_il c^l_jk + c^m_jl c^l_ki + c^m_kl c^l_ij|, the one product
+        cc[m, a, b, e] = c^m_al c^l_be at [m, i, j, k], [m, j, k, i], [m, k, i, j]."""
+        c, d = self.c, self.dim
+        cc = (c @ c.reshape(d, d * d)).reshape((d,) * 4)
+        return float(np.max(np.abs(cc + cc.transpose(0, 3, 1, 2) + cc.transpose(0, 2, 3, 1))))
 
     def sample_points(self, count, seed):
         # homogeneous: every point carries identical data
@@ -447,9 +445,10 @@ def product_extension(base: ChartModel):
     Returns (model, structure) with the adapted structure: eta = dt,
     xi = d/dt, phi restricted to the horizontal distribution equal to J.
     Raises BaseNotHolomorphic when the chart is odd-dimensional or has a
-    coframe, or when, on 4 samples, each read by one Koszul solve of the
-    base, h is not symmetric (hC must be), h is not Norden, nabla^h J fails
-    to vanish, or dh differs from the finite differences of h relative to
+    coframe, or when, at the first of 4 samples where it fails (all read by
+    one Koszul solve of the base and one stencil, as one block), h is not
+    symmetric (hC must be), or else h is not Norden, nabla^h J fails to
+    vanish, or dh differs from the finite differences of h relative to
     max(1, |dh|): nabla^h J is solved from dh, so it misses a w-bar term.
     """
     if base.dim % 2 != 0:
@@ -458,17 +457,18 @@ def product_extension(base: ChartModel):
         raise BaseNotHolomorphic("base must use a coordinate frame")
     n = base.dim // 2
     j = standard_j(n)
-    for q in base.sample_points(4, seed=7):
-        conn = levi_civita(base, q)
-        h, dh = conn.g, conn.dg
-        asym = np.max(np.abs(h - h.T))
-        if not asym <= SYM_TOL:
-            raise BaseNotHolomorphic(f"metric asymmetry {asym:.3e} at {q}")
-        gap = np.max(np.abs(dh - coordinate_derivatives(base.metric_at, q)))
-        res = worst((np.max(np.abs(j.T @ h @ j + h)), holomorphy_residual(conn),
-                     gap / max(1.0, np.max(np.abs(dh)))))
-        if not res <= 1e-6:
-            raise BaseNotHolomorphic(f"holomorphy residual {res:.3e} at {q}")
+    qs = np.stack(base.sample_points(4, seed=7))
+    conn = levi_civita(base, qs)
+    h, dh = conn.g, conn.dg
+    asym = max_abs(h - np.swapaxes(h, -1, -2), 2)
+    gap = max_abs(dh - coordinate_derivatives(base.metric_at, qs), 3)
+    res = worst((max_abs(j.T @ h @ j + h, 2), holomorphy_residual(conn),
+                 gap / np.maximum(1.0, max_abs(dh, 3))))
+    for q, asym_q, res_q in zip(qs, asym, res):
+        if not asym_q <= SYM_TOL:
+            raise BaseNotHolomorphic(f"metric asymmetry {asym_q:.3e} at {q}")
+        if not res_q <= 1e-6:
+            raise BaseNotHolomorphic(f"holomorphy residual {res_q:.3e} at {q}")
     model = ProductExtensionModel(base)
     return model, standard_structure(model, n)
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .connection import covariant_derivative, levi_civita
 from .errors import NotSasakiLike
-from .frame_algebra import max_abs, project_all
+from .frame_algebra import first_slot, last_slot, max_abs, project_all
 from .models import ConeModel
 from .structure import PointFields, worst
 
@@ -47,19 +47,9 @@ def _t(m):
 
 
 def check_defining_conditions(f: PointFields) -> dict:
-    """Residuals of the four defining conditions on projected arguments,
-    each the max at each point of f."""
-    F, xi, proj = f.F, f.xi, f.proj
-    fhhh = project_all(F, proj)
-    f_xi_first = np.einsum("...a,...ajk->...jk", xi, F)
-    f_xi_xi = np.einsum("...a,...b,...abk->...k", xi, xi, F)
-    fh = np.einsum("...ija,...a->...ij", F, xi)
-    return {
-        "f_horizontal": max_abs(fhhh, 3),
-        "f_xi_first_slot": max_abs(project_all(f_xi_first, proj), 2),
-        "f_xi_xi": max_abs(project_all(f_xi_xi, proj), 1),
-        "f_equals_minus_g": max_abs(project_all(fh, proj) + f.g_h, 2),
-    }
+    """Residuals of the four defining conditions on projected arguments, each
+    the max at each point of f, which keeps them (PointFields.defining)."""
+    return dict(f.defining)
 
 
 def check_nabla_phi(f: PointFields):
@@ -78,7 +68,7 @@ def check_nijenhuis_form(f: PointFields) -> dict:
     return {
         "n_zero": max_abs(n, 3),
         "nhat_form": max_abs(nhat + 4.0 * shape, 3),
-        "nhat_xi_slot": max_abs(np.einsum("...a,...ajk->...jk", f.xi, nhat), 2),
+        "nhat_xi_slot": max_abs(first_slot(f.xi, nhat), 2),
     }
 
 
@@ -87,21 +77,17 @@ def check_corollary(f: PointFields) -> dict:
     [X, xi] horizontal, and nabla_xi X = -phi X - [X, xi]; each the max at
     each point."""
     n = f.s.n
-    nabla_xi_xi = np.einsum("...i,...ik->...k", f.xi, f.nabla_xi)
+    nabla_xi_xi = first_slot(f.xi, f.nabla_xi)
 
     # brackets of projected frame fields with xi, including derivative terms
     W = f.proj
     DW = -f.dxi[..., None] * f.eta[..., None, None, :] \
         - f.xi[..., None, :, None] * f.deta[..., :, None, :]
-    bracket = (
-        np.einsum("...aj,...b,...kab->...jk", W, f.xi, f.c)
-        + np.einsum("...aj,...ak->...jk", W, f.dxi)
-        - np.einsum("...b,...bkj->...jk", f.xi, DW)
-    )
-    nabla_xi_X = np.einsum("...i,...ikj->...kj", f.xi, DW) \
-        + np.einsum("...i,...iak,...aj->...kj", f.xi, f.gamma, W)
+    xi_dw = first_slot(f.xi, DW)                        # xi^b DW[b, k, j] at [k, j]
+    bracket = _t(last_slot(f.c, f.xi) @ W) + _t(W) @ f.dxi - _t(xi_dw)
+    nabla_xi_X = xi_dw + _t(first_slot(f.xi, f.gamma)) @ W
     phi_X = f.phi @ W
-    vertical_residual = np.einsum("...k,...jk->...j", f.eta, bracket)
+    vertical_residual = last_slot(bracket, f.eta)
     transport = _t(nabla_xi_X) + _t(phi_X) + bracket
 
     return {
@@ -157,16 +143,17 @@ def curvature_identity_residuals(f: PointFields, base_ric=None) -> dict:
     del lhs
 
     eye = np.eye(f.dim)
-    r_xy_xi = np.einsum("...ijkl,...k->...ijl", r_up, xi)
+    r_xy_xi = (xi[..., None, None, None, :] @ r_up)[..., 0, :]
     expected = eta[..., None, :, None] * eye[:, None, :] \
         - eta[..., :, None, None] * eye[None, :, :]
     cur_xi = max_abs(r_xy_xi - expected, 3)
 
-    t = np.einsum("...i,...k,...ijkl->...jl", xi, xi, r_up)
+    t = first_slot(xi, r_xy_xi)
     r_xi_x_xi = max_abs(_t(proj) @ t + _t(proj), 2)
 
-    ric_xi_xi = np.abs(np.einsum("...a,...b,...ab->...", xi, xi, ric) - 2.0 * n)
-    ric_y_xi = max_abs(np.einsum("...ab,...b->...a", ric, xi) - 2.0 * n * eta, 1)
+    ric_xi = last_slot(ric, xi)
+    ric_xi_xi = np.abs(last_slot(ric_xi, xi) - 2.0 * n)
+    ric_y_xi = max_abs(ric_xi - 2.0 * n * eta, 1)
 
     r_xi_slot = r_xy_xi @ g[..., None, :, :]
     exp2 = eta[..., None, :, None] * g[..., :, None, :] \
@@ -251,22 +238,21 @@ def cone_residuals_at(f: PointFields, r) -> dict:
     gp = f.g_h
     r = np.asarray(r, dtype=float)[..., None, None]
     r2 = r * r
-    on_xi = lambda t: np.einsum("...abl,...l->...ab", t, xi)
 
     hor3 = project_all(nab[..., :d, :d, :d], proj) - r2[..., None] * project_all(nab_b, proj)
     l2 = project_all(nab[..., :d, :d, d], proj) + r * gp
     l7 = project_all(nab[..., :d, d, :d], proj) - r * gp
     l8 = project_all(nab[..., d, :d, :d], proj) - r * gp
-    l3 = project_all(on_xi(nab[..., :d, :d, :d]) - r2 * on_xi(nab_b)
+    l3 = project_all(last_slot(nab[..., :d, :d, :d], xi) - r2 * last_slot(nab_b, xi)
                      - 0.5 * (r2 - 1.0) * f.d_eta, proj)
-    nxz_cone = (np.einsum("...j,...ijm->...im", xi, gamma[..., :d, :d, :]) @ G)[..., :d]
-    nxz_base = np.einsum("...j,...ijm->...im", xi, f.gamma) @ f.g
+    nxz_cone = ((xi[..., None, None, :] @ gamma[..., :d, :d, :])[..., 0, :] @ G)[..., :d]
+    nxz_base = (xi[..., None, None, :] @ f.gamma)[..., 0, :] @ f.g
     l4 = project_all(nxz_cone - r2 * nxz_base + 0.5 * (r2 - 1.0) * f.d_eta, proj)
 
     # on horizontal X, Z:
     #   g_cone((nabla_X J) xi, Z) = -r^2 { g(nabla_X xi, phi Z) - g(X, Z) }
     #                               + (r^2 - 1)/2 d eta(X, phi Z)
-    direct = (_t(proj) @ on_xi(nj[..., :d, :, :d]) @ G)[..., :d] @ proj
+    direct = (_t(proj) @ last_slot(nj[..., :d, :, :d], xi) @ G)[..., :d] @ proj
     closed = -r2 * (f.nabla_xi @ f.g @ f.phi - f.g) + 0.5 * (r2 - 1.0) * (f.d_eta @ f.phi)
     closed = project_all(closed, proj)
     return {

@@ -22,7 +22,7 @@ import numpy as np
 
 from .connection import ConnectionCoefficients, CurvatureBundle, covariant_derivative
 from .connection import levi_civita, riemann
-from .frame_algebra import max_abs, standard_j
+from .frame_algebra import first_slot, last_slot, max_abs, project_all, standard_j
 
 __all__ = [
     "AccrStructure",
@@ -131,7 +131,13 @@ def _outer(a, b):
 
 def _vec(m, v):
     """m v, a matrix on a vector, over the leading axes of both."""
-    return np.einsum("...ij,...j->...i", m, v)
+    return (m @ v[..., None])[..., 0]
+
+
+def _left(m, t):
+    """m[k, a] t[a, i, j] at [k, i, j], over the leading axes of both."""
+    out = m @ t.reshape(t.shape[:-2] + (-1,))
+    return out.reshape(out.shape[:-1] + t.shape[-2:])
 
 
 class PointFields:
@@ -210,28 +216,44 @@ class PointFields:
         return np.swapaxes(self.nabla_phi, -1, -2) @ self.g[..., None, :, :]
 
     @cached_property
+    def defining(self) -> dict:
+        """sasaki.check_defining_conditions, kept: its rows, the Gauss
+        precondition, the eta fit and crossrep's verdict all read them."""
+        F, xi, proj = self.F, self.xi, self.proj
+        f_xi_first = first_slot(xi, F)
+        return {
+            "f_horizontal": max_abs(project_all(F, proj), 3),
+            "f_xi_first_slot": max_abs(project_all(f_xi_first, proj), 2),
+            "f_xi_xi": max_abs(project_all(first_slot(xi, f_xi_first), proj), 1),
+            "f_equals_minus_g": max_abs(project_all(last_slot(F, xi), proj) + self.g_h, 2),
+        }
+
+    @cached_property
     def theta(self):
         """theta(z): full g-trace of F over the first two slots minus the
         xi-xi contribution (equals the horizontal orthonormal-frame sum)."""
-        full = np.einsum("...ab,...abk->...k", self.ginv, self.F)
-        return full - np.einsum("...a,...b,...abk->...k", self.xi, self.xi, self.F)
+        F_ab = self.F.reshape(self.F.shape[:-3] + (-1, self.dim))     # F[(a, b), k]
+        full = first_slot(self.ginv.reshape(F_ab.shape[:-1]), F_ab)
+        return full - first_slot(self.xi, first_slot(self.xi, self.F))
 
     @cached_property
     def theta_star(self):
-        return np.einsum("...ab,...cb,...ack->...k", self.ginv, self.phi, self.F)
+        F_ab = self.F.reshape(self.F.shape[:-3] + (-1, self.dim))
+        m = self.ginv @ np.swapaxes(self.phi, -1, -2)                 # ginv[a, b] phi[c, b]
+        return first_slot(m.reshape(F_ab.shape[:-1]), F_ab)
 
     @cached_property
     def nabla_eta(self):
-        return self.deta - np.einsum("...k,...ijk->...ij", self.eta, self.gamma)
+        return self.deta - last_slot(self.gamma, self.eta)
 
     @cached_property
     def nabla_xi(self):
-        return self.dxi + np.einsum("...imk,...m->...ik", self.gamma, self.xi)
+        return self.dxi + (self.xi[..., None, None, :] @ self.gamma)[..., 0, :]
 
     @cached_property
     def d_eta(self):
         de = self.deta - np.swapaxes(self.deta, -1, -2)
-        return de - np.einsum("...m,...mij->...ij", self.eta, self.c)
+        return de - first_slot(self.eta, self.c)
 
     @cached_property
     def lie_xi_g(self):
@@ -244,25 +266,24 @@ class PointFields:
         """Route A: N from brackets, Nhat from symmetric brackets, as matmuls
         over the points: at [k, i, j], the e_k components of the brackets of
         e_i and e_j."""
-        phi, dphi, c, g, d = self.phi, self.dphi, self.c, self.g, self.dim
+        phi, dphi, c, g = self.phi, self.dphi, self.c, self.g
         phi_t = np.swapaxes(phi, -1, -2)[..., None, :, :]
         phi_r = phi[..., None, :, :]
-        # left(m, t)[k, i, j] = m[k, a] t[a, i, j]
-        left = lambda m, t: (m @ t.reshape(t.shape[:-3] + (d, d * d))).reshape(t.shape)
         phi2 = phi @ phi
         S = self.gamma + np.swapaxes(self.gamma, -3, -2)
         s_k = np.moveaxis(S, -1, -3)                     # s_k[k, a, b] = S[a, b, k]
         d_ji = np.moveaxis(dphi, -3, -1)                 # dphi[j, m, i] at [m, i, j]
         d_ij = np.swapaxes(dphi, -3, -2)                 # dphi[i, m, j] at [m, i, j]
-        u = np.swapaxes(left(np.swapaxes(phi, -1, -2), dphi), -3, -2)   # phi[a, i] dphi[a, k, j]
+        u = np.swapaxes(_left(np.swapaxes(phi, -1, -2), dphi), -3, -2)   # phi[a, i] dphi[a, k, j]
 
         br_pp = phi_t @ c @ phi_r + u - np.swapaxes(u, -1, -2)
-        n_up = br_pp + left(phi2, c) - left(phi, phi_t @ c - d_ji) - left(phi, c @ phi_r + d_ij) \
+        n_up = br_pp + _left(phi2, c) - _left(phi, phi_t @ c - d_ji) \
+            - _left(phi, c @ phi_r + d_ij) \
             + self.d_eta[..., None, :, :] * self.xi[..., :, None, None]
 
         sym_pp = phi_t @ s_k @ phi_r + u + np.swapaxes(u, -1, -2)
-        nhat_up = sym_pp + left(phi2, s_k) - left(phi, phi_t @ s_k + d_ji) \
-            - left(phi, s_k @ phi_r + d_ij) \
+        nhat_up = sym_pp + _left(phi2, s_k) - _left(phi, phi_t @ s_k + d_ji) \
+            - _left(phi, s_k @ phi_r + d_ij) \
             + self.lie_xi_g[..., None, :, :] * self.xi[..., :, None, None]
 
         lower = lambda t: np.moveaxis(t, -3, -1) @ g[..., None, :, :]
@@ -273,9 +294,9 @@ class PointFields:
         """Route B: both tensors from the structure tensor F; read once per
         block, so not kept."""
         F, phi, eta, xi = self.F, self.phi, self.eta, self.xi
-        f_phi_first = np.einsum("...ai,...ajk->...ijk", phi, F)
+        f_phi_first = _left(np.swapaxes(phi, -1, -2), F)
         f_phi_last = F @ phi[..., None, :, :]
-        f_xi = np.einsum("...iab,...aj,...b->...ij", F, phi, xi)
+        f_xi = last_slot(F, xi) @ phi
 
         swap = lambda t: np.swapaxes(t, -3, -2)
         sym1 = f_phi_first + swap(f_phi_first)
@@ -303,7 +324,7 @@ def validate_structure(f: PointFields) -> dict:
         "phi_xi": max_abs(_vec(phi, xi), 1),
         "phi_squared": max_abs(phi2 + np.eye(f.dim) - _outer(xi, eta), 2),
         "eta_phi": max_abs(_vec(np.swapaxes(phi, -1, -2), eta), 1),
-        "eta_xi": np.abs(np.einsum("...i,...i->...", eta, xi) - 1.0),
+        "eta_xi": np.abs(last_slot(eta, xi) - 1.0),
         "metric_compat": max_abs(compat, 2),
         "gtilde_symmetry": max_abs(f.gtilde - np.swapaxes(f.gtilde, -1, -2), 2),
     }
@@ -328,12 +349,12 @@ def theorem_3_4_residual(f: PointFields):
     """
     n, nhat = f.nijenhuis_bracket
     phi, eta, xi = f.phi, f.eta, f.xi
-    n_phi = np.einsum("...ai,...ajk->...ijk", phi, n)
-    nhat_phi = np.einsum("...ai,...ajk->...ijk", phi, nhat)
+    n_phi, nhat_phi = (_left(np.swapaxes(phi, -1, -2), t) for t in (n, nhat))
     sym = lambda t: t + np.swapaxes(t, -1, -2)
-    n_xi_phi = np.einsum("...a,...ajb,...bk->...jk", xi, n, phi)
-    nhat_xi_phi = np.einsum("...a,...ajb,...bk->...jk", xi, nhat, phi)
-    nhat_xi_xi_phi = np.einsum("...a,...b,...abc,...cj->...j", xi, xi, nhat, phi)
+    nhat_xi = first_slot(xi, nhat)
+    n_xi_phi = first_slot(xi, n) @ phi
+    nhat_xi_phi = nhat_xi @ phi
+    nhat_xi_xi_phi = first_slot(first_slot(xi, nhat_xi), phi)
     inner = n_xi_phi + nhat_xi_phi + _outer(nhat_xi_xi_phi, eta)
     rhs = -0.25 * (sym(n_phi) + sym(nhat_phi)) \
         + 0.5 * eta[..., :, None, None] * inner[..., None, :, :]
@@ -348,21 +369,21 @@ def structure_property_residuals(f: PointFields) -> dict:
 
     f_sym = F - np.swapaxes(F, -1, -2)
     f_phiphi = np.swapaxes(phi, -1, -2)[..., None, :, :] @ F @ phi[..., None, :, :]
-    f_xi_mid = np.einsum("...iak,...a->...ik", F, xi)
-    f_xi_last = np.einsum("...ija,...a->...ij", F, xi)
+    f_xi_mid = (xi[..., None, None, :] @ F)[..., 0, :]
+    f_xi_last = last_slot(F, xi)
     fprop = F - f_phiphi - eta[..., None, :, None] * f_xi_mid[..., :, None, :] \
         - eta[..., None, None, :] * f_xi_last[..., :, :, None]
 
     theta_rel = _vec(np.swapaxes(phi, -1, -2), f.theta_star) \
         + _vec(np.swapaxes(phi2, -1, -2), f.theta)
 
-    nabla_eta_vs_f = f.nabla_eta - np.einsum("...iab,...aj,...b->...ij", F, phi, xi)
+    nabla_eta_vs_f = f.nabla_eta - f_xi_last @ phi
     nabla_eta_vs_xi = f.nabla_eta - f.nabla_xi @ f.g
 
     n_bracket, nhat = f.nijenhuis_bracket
     n_from_f, nhat_from_f = f.nijenhuis_from_F
-    fff = np.einsum("...a,...b,...abk->...k", xi, xi, F) \
-        - 0.5 * np.einsum("...a,...b,...abc,...ck->...k", xi, xi, nhat, phi)
+    fff = first_slot(xi, first_slot(xi, F)) \
+        - 0.5 * first_slot(first_slot(xi, first_slot(xi, nhat)), phi)
 
     return {
         "f_last_two_symmetry": max_abs(f_sym, 3),

@@ -33,13 +33,14 @@ from __future__ import annotations
 import math
 from types import SimpleNamespace
 from json.encoder import encode_basestring_ascii as _quote
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
 from . import conformal as conf
 from . import corpus as corpus_mod
 from . import sasaki as sas
+from .connection import ConnectionCoefficients
 from .errors import GeometryError, NotSasakiLike
 from .models import DEFAULT_FD_STEP, ChartModel
 from .structure import (
@@ -227,17 +228,22 @@ class Family:
 
 def _conformal(cm, f, *_):
     """Preservation under HOMOTHETY, its designed breaking under BREAKING and
-    the homothetic laws, read from preservation's fields."""
-    fb = conf.apply_cct(f, HOMOTHETY)
-    laws = conf.homothetic_laws(f, fb)
-    broken = conf.preservation_at(f, conf.apply_cct(f, BREAKING))
-    return {
-        "preserve": {**conf.preservation_at(f, fb),
-                     "transformed_defining": worst(sas.check_defining_conditions(fb).values()),
-                     "transformed_axioms": worst(validate_structure(fb).values())},
-        "break": {k: v for k, v in broken.items() if k in ("du_phi_plus_dv", "f_bar_direct")},
-        "homothetic": {k: v for k, v in laws.items() if not k.endswith("_bar")},
-    }
+    the homothetic laws: both transforms are one, with one Koszul solve, over
+    the parameter axis [HOMOTHETY, BREAKING], and the laws read a copy of the
+    homothety's solve, so the stack is dropped before they make curvature."""
+    fb = conf.apply_cct(f, conf.TransformParams(*np.array([astuple(HOMOTHETY),
+                                                           astuple(BREAKING)]).T))
+    kept = conf.preservation_at(f, fb)
+    out = {"preserve": {**{k: v[0] for k, v in kept.items()},
+                        "transformed_defining": worst(fb.defining.values())[0],
+                        "transformed_axioms": worst(validate_structure(fb).values())[0]},
+           "break": {k: kept[k][1] for k in ("du_phi_plus_dv", "f_bar_direct")}}
+    fh = conf.apply_cct(f, HOMOTHETY)
+    fh.conn = ConnectionCoefficients(**{k: x if k == "c" else x[0].copy()   # c is the base's
+                                        for k, x in vars(fb.conn).items()})
+    del fb, kept
+    laws = conf.homothetic_laws(f, fh)
+    return {**out, "homothetic": {k: v for k, v in laws.items() if not k.endswith("_bar")}}
 
 
 def _eta_fit(cm, parts):

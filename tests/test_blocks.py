@@ -6,9 +6,12 @@ give at each point its value there, a family's value on the block is the
 max of its values at the points, and a value that could not be computed at
 one point of a block still makes its row an error.  A block only reads a
 model's jets, one block of the default extension sample stays within its
-memory, and a pass holds one block at a time whatever its sample.
+memory, a pass holds one block at a time whatever its sample, and each
+block computes its defining residuals once, for every family that reads
+them.
 """
 
+import functools
 import tracemalloc
 
 import numpy as np
@@ -249,3 +252,28 @@ def test_a_pass_holds_one_block_whatever_its_sample():
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] <= 13 * 7 ** 4 * 8
+
+
+def test_defining_residuals_computed_once_per_block(monkeypatch):
+    # the sasaki.defining rows, the Gauss precondition (ex3), the eta fit and
+    # crossrep's chart verdict (example1_chart) all read the block's one
+    # computation, and the stacked transform its own
+    runs = []
+    compute = PointFields.__dict__["defining"].func
+
+    def counted(self):
+        runs.append(self)
+        return compute(self)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(PointFields, "defining")
+    monkeypatch.setattr(PointFields, "defining", prop)
+    made = []
+    init = PointFields.__init__
+    monkeypatch.setattr(PointFields, "__init__",
+                        lambda self, *args: made.append(self) or init(self, *args))
+    run_all([builtin("example1_chart"), example3_hsphere_ext()])
+    assert len(runs) == len({id(f) for f in runs})
+    # three base blocks (one of the chart, two of the extension) and their
+    # three stacked transforms; crossrep's group partner is one more
+    assert len(runs) == 7 and len(made) >= len(runs)

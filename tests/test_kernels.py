@@ -4,8 +4,11 @@ The stacked stencil, the slice-assigned h-sphere chart, the single base
 evaluation of the product extension and the array-built Halton sample do
 the same floating-point operations on each element as the loops kept here
 as references, so the results must be equal bit for bit, not merely close.
+The contractions of a vector into a slot are matmuls, which sum in another
+order than np.einsum, their reference here, so they agree to rounding.
 """
 
+import ast
 import math
 import os
 import subprocess
@@ -18,7 +21,7 @@ import pytest
 import accr
 from accr.connection import levi_civita
 from accr.corpus import hsphere_base
-from accr.frame_algebra import standard_j
+from accr.frame_algebra import first_slot, last_slot, standard_j
 from accr.models import (
     _STENCIL_OFFSETS,
     _STENCIL_WEIGHTS,
@@ -229,3 +232,50 @@ class TestImportPath:
                          "from accr.cli import main; sys.exit(main(['list']))")
         assert proc.returncode == 0, proc.stderr
         assert "example3_hsphere_ext" in proc.stdout
+
+
+class TestContractions:
+    """first_slot and last_slot against np.einsum on random blocks."""
+
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 5)])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_match_einsum(self, lead, rank):
+        rng = np.random.default_rng(rank)
+        t = rng.standard_normal(lead + (6,) * rank)
+        v = rng.standard_normal(lead + (6,))
+        slots = "abcd"[:rank]
+        want_first = np.einsum(f"...a,...{slots}->...{slots[1:]}", v, t)
+        want_last = np.einsum(f"...{slots},...{slots[-1]}->...{slots[:-1]}", t, v)
+        np.testing.assert_allclose(first_slot(v, t), want_first, rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(last_slot(t, v), want_last, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 5)])
+    def test_read_only_broadcast_inputs(self, lead):
+        # a constant field at a block is a read-only broadcast, and a block may
+        # broadcast against a single point: the leading axes of v
+        rng = np.random.default_rng(7)
+        v = np.broadcast_to(rng.standard_normal(6), lead + (6,))
+        t = rng.standard_normal(lead + (6, 6, 6))
+        assert not v.flags.writeable
+        np.testing.assert_allclose(first_slot(v, t), np.einsum("...a,...abc->...bc", v, t),
+                                   rtol=1e-13, atol=1e-13)
+        np.testing.assert_allclose(last_slot(t, v), np.einsum("...abc,...c->...ab", t, v),
+                                   rtol=1e-13, atol=1e-13)
+        zeros = np.broadcast_to(0.0, lead + (6, 6, 6))
+        assert not np.any(first_slot(v, zeros)) and not np.any(last_slot(zeros, v))
+        one = rng.standard_normal((1,) * len(lead) + (6, 6))
+        np.testing.assert_allclose(last_slot(one, v), np.einsum("...ab,...b->...a", one, v),
+                                   rtol=1e-13, atol=1e-13)
+
+
+def test_no_multi_operand_einsum():
+    """Every contraction in src/accr is a matmul chain: an np.einsum of two
+    or more operands takes no contraction path and loops over every index.
+    A single-operand einsum is an axis permutation, a view, and may stay."""
+    found = []
+    for path in sorted(Path(accr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "einsum" and len(node.args) >= 3):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"multi-operand np.einsum at {', '.join(found)}"
