@@ -31,7 +31,7 @@ from . import conformal as conf
 from . import corpus as corpus_mod
 from . import sasaki as sas
 from .errors import BadParams, GeometryError
-from .models import DEFAULT_FD_STEP
+from .models import DEFAULT_FD_STEP, ConeModel
 from .modelspec import load_model_spec
 from .structure import Field, max_over_points, worst
 from .verify import (
@@ -112,21 +112,25 @@ def _write_json(report, args) -> str:
 
 
 def _emit(report, args) -> int:
-    _write_json(report, args)
+    """Write the report to --json, if given, and print its text table in one write."""
+    if args.json:
+        _write_json(report, args)
+    lines = []
     for model in report["models"]:
-        print(f"== {model['name']} {model['params']}")
+        lines.append(f"== {model['name']} {model['params']}")
         if "error" in model:
-            print(f"   ERROR: {model['error']}")
+            lines.append(f"   ERROR: {model['error']}")
             continue
         for row in model["checks"]:
             tol = row["tolerance"]
             tol_s = f"{tol:.1e}" if tol is not None else "   -   "
-            print(f"  [{row['verdict']:>5}] {row['check_id']:<44} "
-                  f"residual={row['max_residual']:.3e} tol={tol_s}")
+            lines.append(f"  [{row['verdict']:>5}] {row['check_id']:<44} "
+                         f"residual={row['max_residual']:.3e} tol={tol_s}")
     summary = report["summary"]
-    print(f"summary: {summary['pass']} pass, {summary['fail']} fail, "
-          f"{summary['xfail']} xfail, {summary['xpass']} xpass, {summary['info']} info, "
-          f"{summary['error']} error")
+    lines.append(f"summary: {summary['pass']} pass, {summary['fail']} fail, "
+                 f"{summary['xfail']} xfail, {summary['xpass']} xpass, {summary['info']} info, "
+                 f"{summary['error']} error\n")
+    sys.stdout.write("\n".join(lines))
     return 0 if summary["ok"] else 1
 
 
@@ -222,10 +226,17 @@ def cmd_cone(args) -> int:
         points, run = sample(cm, cfg)
         count = min(run.count, 8)
         points = points[:count]
-        # cone point j is over sample point j, or a group's one, so per_point comes in order
-        out = max_over_points(blocks(cm, points), lambda block: sas.cone_holomorphic_residual(
-            block[1], count, run.seed, block[0], len(points)))
-        per_point, rows = out.pop("per_point"), {}
+
+        def at(block):
+            res = sas.cone_holomorphic_residual(block[1], count, run.seed, block[0], len(points))
+            return {**res, "per_point": np.ravel(res["holomorphic"]).tolist()}
+
+        # cone point j is over sample point j, or a group's one, so the blocks' parts
+        # of "per_point" come in the order of the radii
+        out = max_over_points(blocks(cm, points), at)
+        per_point = [{"r": r, "residual": h} for r, h in zip(ConeModel.radii(count, run.seed),
+                                                              out.pop("per_point"))]
+        rows = {}
         flatten("cone", out, rows, {})
         # the closed-form lines hold on every model, Sasaki-like or not
         verdicts = {check_id: judge(check_id, value, cm, cfg)[2]

@@ -17,20 +17,23 @@ the base's PointFields there, and the functions here take the two side by
 side, (f, fb), read the transform's (u, v, w) from fb's model and give
 their values at each point.  Constant parameters given as 1-D arrays put P
 transforms on one leading parameter axis of fb, solved by one Koszul solve,
-and preservation_at gives the values of each.
+and preservation_at gives the values of each.  On a one-point block the cost
+is the number of numpy calls, not the arithmetic, so exp, cos and sin run
+once per site over their stacked arguments and a value is broadcast only
+where its shape differs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import NonConstantParams
 from .frame_algebra import first_slot, last_slot, max_abs, standard_signature
-from .sasaki import check_defining_conditions, require_sasaki_like
+from .sasaki import check_defining_conditions, require_sasaki_like, sasaki_like_shape
 from .structure import AccrStructure, Field, PointFields, field_at, field_derivs_at, worst
 
 __all__ = [
@@ -46,10 +49,14 @@ __all__ = [
 
 
 def _elementwise(fn):
-    """The scalar math function fn at every entry of an array: its values,
-    and the OverflowError or ValueError it raises where it cannot give one."""
-    ufunc = np.frompyfunc(fn, 1, 1)
-    return lambda x: np.asarray(ufunc(x), dtype=float)
+    """The scalar math function fn at every entry of its arguments, arrays of
+    one shape, in one call: its values stacked in the order of the
+    arguments, and the OverflowError or ValueError it raises where it cannot
+    give one."""
+    def at(*xs):
+        x = np.array(xs, dtype=float)
+        return np.array([fn(t) for t in x.ravel().tolist()], dtype=float).reshape(x.shape)
+    return at
 
 
 _exp, _cos, _sin = map(_elementwise, (math.exp, math.cos, math.sin))
@@ -73,13 +80,15 @@ class TransformParams:
         return not any(isinstance(x, Field) for x in (self.u, self.v, self.w))
 
     def at(self, p):
-        """(u, v, w) at the points p, over the parameter axis, if any, then p's."""
+        """(u, v, w) at the points p, over the parameter axis, if any, then
+        p's; only a value of another shape is broadcast."""
         lead = np.shape(p)[:-1]
-        value = lambda x: field_at(x, p) if isinstance(x, Field) else \
-            np.reshape(x, np.shape(x) + (1,) * len(lead))      # a parameter axis leads
+        value = lambda x: np.asarray(field_at(x, p) if isinstance(x, Field) else
+                                     np.reshape(x, np.shape(x) + (1,) * len(lead)),
+                                     dtype=float)                # a parameter axis leads
         vals = [value(x) for x in (self.u, self.v, self.w)]
-        shape = np.broadcast_shapes(lead, *map(np.shape, vals))
-        return tuple(np.broadcast_to(np.asarray(x, dtype=float), shape) for x in vals)
+        shape = np.broadcast_shapes(lead, *(x.shape for x in vals))
+        return tuple(x if x.shape == shape else np.broadcast_to(x, shape) for x in vals)
 
 
 class TransformedModel:
@@ -102,9 +111,11 @@ class TransformedModel:
 
     @cached_property
     def differentials(self):
-        """(du, dv, dw) at f.p, each of shape (..., dim): Fields' jets, zeros for constants."""
+        """(du, dv, dw) at f.p, each of shape (..., dim): Fields' jets, and
+        for the constants one read-only broadcast of zeros."""
         t, f = self.params, self.f
-        return tuple(field_derivs_at(x if isinstance(x, Field) else 0.0, f.s.model, f.p)
+        zero = field_derivs_at(0.0, f.s.model, f.p)
+        return tuple(field_derivs_at(x, f.s.model, f.p) if isinstance(x, Field) else zero
                      for x in (t.u, t.v, t.w))
 
     @cached_property
@@ -112,8 +123,9 @@ class TransformedModel:
         """((a, b, c), (da, db, dc)) at f.p, a, b and c of shape (...)."""
         u, v, w = self.uvw
         du, dv, dw = self.differentials
-        e2u, e2w = _exp(2 * u), _exp(2 * w)
-        a, b = e2u * _cos(2 * v), e2u * _sin(2 * v)
+        e2u, e2w = _exp(2 * u, 2 * w)
+        (c2v,), (s2v,) = _cos(2 * v), _sin(2 * v)
+        a, b = e2u * c2v, e2u * s2v
         col = lambda x: x[..., None]
         da = 2 * (col(a) * du - col(b) * dv)
         return (a, b, e2w - a), (da, 2 * (col(b) * du + col(a) * dv), 2 * col(e2w) * dw - da)
@@ -153,7 +165,8 @@ class TransformedModel:
 def apply_cct(f: PointFields, t: TransformParams) -> PointFields:
     """The PointFields at f.p of the contact conformal transformation by t of
     the structure f holds: its model is TransformedModel(f, t), phi is the
-    base's, xi_bar = e^{-w} xi and eta_bar = e^w eta.
+    base's (and so are its values and jet at f.p, f's own), xi_bar = e^{-w}
+    xi and eta_bar = e^w eta.
 
     Lie-group models only admit constant parameters (anything else would
     silently break left invariance).  xi_bar and eta_bar are Fields that,
@@ -165,13 +178,15 @@ def apply_cct(f: PointFields, t: TransformParams) -> PointFields:
         raise NonConstantParams("homogeneous models require constant (u, v, w)")
     model = TransformedModel(f, t)
     w = model.uvw[2][..., None]
-    e_w, e_minus_w = _exp(w), _exp(-w)
+    e_w, e_minus_w = _exp(w, -w)
     dw = lambda: model.differentials[2][..., :, None]
     xi_bar = Field(lambda p: e_minus_w * f.xi,
                    lambda m, p: e_minus_w[..., None] * (f.dxi - dw() * f.xi[..., None, :]))
     eta_bar = Field(lambda p: e_w * f.eta,
                     lambda m, p: e_w[..., None] * (f.deta + dw() * f.eta[..., None, :]))
-    return PointFields(AccrStructure(model=model, n=s.n, phi=s.phi, xi=xi_bar, eta=eta_bar), f.p)
+    out = PointFields(AccrStructure(model=model, n=s.n, phi=s.phi, xi=xi_bar, eta=eta_bar), f.p)
+    out.phi, out.dphi = f.phi, f.dphi      # phi and its frame jet are the base's
+    return out
 
 
 def preservation_at(f: PointFields, fb: PointFields) -> dict:
@@ -198,17 +213,16 @@ def preservation_at(f: PointFields, fb: PointFields) -> dict:
     (u, v, w), (du, dv, dw) = fb.s.model.uvw, fb.s.model.differentials
     phi, eta = f.phi, f.eta
     col = lambda x: x[..., None]
-    ew = _exp(w)
+    ew, ew2u = _exp(w, w + 2 * u)
     cond2 = du - first_slot(dv, phi)
-    c2v, s2v = _cos(2 * v), _sin(2 * v)
+    (c2v,), (s2v,) = _cos(2 * v), _sin(2 * v)
     shifted = col(ew - 1.0) * eta + first_slot(du, phi) + dv
     a_form = col(c2v) * shifted + col(s2v) * cond2
     b_form = col(s2v) * shifted - col(c2v) * cond2
 
-    shaped = lambda m: m[..., None] * eta[..., None, None, :] \
-        + m[..., :, None, :] * eta[..., None, :, None]
     at = lambda x: x[..., None, None, None]
-    target = at(_exp(w + 2 * u)) * (at(c2v) * shaped(f.gpp) - at(s2v) * shaped(f.gphi))
+    target = at(ew2u) * (at(c2v) * sasaki_like_shape(f.gpp, eta)
+                         - at(s2v) * sasaki_like_shape(f.gphi, eta))
     out = {
         "dw_phi": max_abs(first_slot(dw, phi), 1),
         "du_minus_dv_phi": max_abs(cond2, 1),
@@ -219,7 +233,18 @@ def preservation_at(f: PointFields, fb: PointFields) -> dict:
         "one_form_b": max_abs(b_form, 1),
         "f_bar_direct": max_abs(fb.F - target, 3),
     }
-    return {key: np.broadcast_to(val, np.shape(u)) for key, val in out.items()}
+    shape = np.shape(u)
+    return {key: val if np.shape(val) == shape else np.broadcast_to(val, shape)
+            for key, val in out.items()}
+
+
+@lru_cache
+def _pairs(d):
+    """The index pairs a < b of range(d), np.triu_indices(d, 1), made once per d."""
+    pairs = np.triu_indices(d, 1)
+    for x in pairs:
+        x.flags.writeable = False
+    return pairs
 
 
 def adapted_frame(f: PointFields) -> np.ndarray:
@@ -237,14 +262,16 @@ def adapted_frame(f: PointFields) -> np.ndarray:
     form = lambda x, y: ((x @ g) * y).sum(-1) + 1j * ((x @ gphi) * y).sum(-1)
     times = lambda z, x: z.real[..., None] * x - z.imag[..., None] * (x @ phi_t)
     rows = np.swapaxes(f.proj, -1, -2)
-    a, b = np.triu_indices(f.dim, 1)
+    a, b = _pairs(f.dim)
     pool = np.concatenate([rows, rows[..., a, :] + rows[..., b, :]], axis=-2)
     size = (pool * pool).sum(-1)
     size = np.where(size > 0.0, size, np.inf)
+    lead, flat = pool.shape[:-2], np.arange(math.prod(pool.shape[:-2]))
     bs = []
     for _ in range(f.s.n):
         pick = np.argmax(np.abs(form(pool, pool)) / size, axis=-1)
-        c = np.take_along_axis(pool, pick[..., None, None], axis=-2)
+        # the picked row of the pool at each point, of shape (..., 1, dim)
+        c = pool.reshape((-1,) + pool.shape[-2:])[flat, pick.ravel()].reshape(lead + (1, f.dim))
         c = times(1.0 / np.sqrt(form(c, c)), c)
         pool = pool - times(form(pool, c), c)
         bs.append(c[..., 0, :])
@@ -277,11 +304,13 @@ def homothetic_laws(f: PointFields, fb: PointFields) -> dict:
     if not fb.s.model.params.is_constant:
         raise NonConstantParams("closed-form transformation laws need constant (u, v, w)")
     u, v, w = fb.s.model.uvw
+    e2uw, em2u, em2w, emu, emw = _exp(2 * (u - w), -2 * u, -2 * w, -u, -w)
+    (c2v, cv), (s2v, sv) = _cos(2 * v, v), _sin(2 * v, v)
     phi, eta, xi = f.phi, f.eta, f.xi
     gpp, gp = f.gpp, f.gphi
     at2 = lambda x: x[..., None, None]
-    coef_a = _exp(2 * (u - w)) * _sin(2 * v)
-    coef_b = 1.0 - _exp(2 * (u - w)) * _cos(2 * v)
+    coef_a = e2uw * s2v
+    coef_b = 1.0 - e2uw * c2v
     delta = (at2(coef_a) * gpp - at2(coef_b) * gp)[..., None] * xi[..., None, None, :]
     connection = max_abs(f.gamma + delta - fb.gamma, 3)
     del delta
@@ -301,21 +330,16 @@ def homothetic_laws(f: PointFields, fb: PointFields) -> dict:
         shift_gap += np.swapaxes(s, -4, -3)
         del s
 
-    e2u = _exp(-2 * u)
-    c2v, s2v = _cos(2 * v), _sin(2 * v)
     ric_xx = last_slot(last_slot(bundle.ric, xi), xi)
-    scal_formula = e2u * c2v * bundle.scal - e2u * s2v * bundle.scal_star \
-        + (_exp(-2 * w) - e2u * c2v) * ric_xx
-    scal_star_formula = e2u * s2v * bundle.scal + e2u * c2v * bundle.scal_star \
-        - e2u * s2v * ric_xx
+    scal_formula = em2u * c2v * bundle.scal - em2u * s2v * bundle.scal_star \
+        + (em2w - em2u * c2v) * ric_xx
+    scal_star_formula = em2u * s2v * bundle.scal + em2u * c2v * bundle.scal_star \
+        - em2u * s2v * ric_xx
 
     n = f.s.n
-    frame = adapted_frame(f)
-    col = lambda x: x[..., None]
-    rotated = [col(_exp(-u)) * (col(_cos(v)) * e - col(_sin(v)) * last_slot(phi, e))
-               for e in (frame[..., :, i] for i in range(1, n + 1))]
-    basis = np.stack([col(_exp(-w)) * xi, *rotated, *(last_slot(phi, b) for b in rotated)],
-                     axis=-1)
+    h = adapted_frame(f)[..., :, 1:n + 1]              # its columns e_1..e_n
+    rotated = at2(emu) * (at2(cv) * h - at2(sv) * (phi @ h))
+    basis = np.concatenate([(emw[..., None] * xi)[..., None], rotated, phi @ rotated], axis=-1)
     eps = standard_signature(n)
     basis_t = np.swapaxes(basis, -1, -2)
     ortho = max_abs(basis_t @ fb.g @ basis - np.diag(eps), 2)

@@ -86,9 +86,9 @@ def levi_civita(model, p) -> ConnectionCoefficients:
     det = np.abs(np.linalg.det(g))
     bad = det <= 1e-12
     if np.any(bad):
-        k = np.argwhere(bad)[0]
-        raise DegenerateMetric(f"metric degenerate at {np.asarray(p)[tuple(k)]}: "
-                               f"|det| = {det[tuple(k)]:.3e}")
+        k = tuple(np.argwhere(bad)[0])
+        at = k[len(k) - (np.ndim(p) - 1):]     # the point's index: a parameter axis may lead g's
+        raise DegenerateMetric(f"metric degenerate at {np.asarray(p)[at]}: |det| = {det[k]:.3e}")
     ginv = np.linalg.inv(g)
     rhs = _koszul_rhs(dg, _lowered(c, g))
     gamma = 0.5 * (rhs @ np.swapaxes(ginv, -1, -2)[..., None, :, :])

@@ -33,6 +33,7 @@ benchmark's tracer (``perfbench/tracing.py``) reads it from each it traces.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -552,6 +553,12 @@ class ConeModel:
 
     @staticmethod
     def radii(count, seed):
-        """r of the first count sample points: -1, then a Halton sample of [-2, -0.5]."""
-        rest = halton_points([(-2.0, -0.5)], count - 1, seed + 1)
-        return [-1.0, *(float(x[0]) for x in rest)][:count]
+        """r of the first count sample points: -1, then a Halton sample of
+        [-2, -0.5], drawn once per (count, seed)."""
+        return list(_cone_radii(count, seed))
+
+
+@lru_cache
+def _cone_radii(count, seed):
+    rest = halton_points([(-2.0, -0.5)], count - 1, seed + 1)
+    return (-1.0, *(float(x[0]) for x in rest))[:count]

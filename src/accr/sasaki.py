@@ -12,9 +12,9 @@ evaluated here as residuals, along with the curvature identities and the
 Gauss comparison that follow.  Every residual function reads the
 PointFields of a block of points and gives its values at each point;
 cone_residuals_at solves ConeModel(f), the cone over f's points, at its
-points (r,), and cone_holomorphic_residual maximises those over the cone
-points over a block of the sample, as the cone rows of verify and the cone
-command fold them over the sample's blocks.
+points (r,), and cone_holomorphic_residual gives those at the cone points
+over a block of the sample, which the cone rows of verify and the cone
+command fold over the sample's blocks.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .structure import PointFields, worst
 
 __all__ = [
     "check_defining_conditions",
+    "sasaki_like_shape",
     "check_nabla_phi",
     "check_nijenhuis_form",
     "check_corollary",
@@ -52,12 +53,16 @@ def check_defining_conditions(f: PointFields) -> dict:
     return dict(f.defining)
 
 
+def sasaki_like_shape(m, eta):
+    """m(x, y) eta(z) + m(x, z) eta(y) at [x, y, z], over the leading axes
+    of both: F on a Sasaki-like structure at m = g(phi ., phi .)."""
+    return m[..., None] * eta[..., None, None, :] + m[..., :, None, :] * eta[..., None, :, None]
+
+
 def check_nabla_phi(f: PointFields):
     """Residual of F(x,y,z) = g(phi x, phi y) eta(z) + g(phi x, phi z) eta(y),
     the max at each point."""
-    gpp, eta = f.gpp, f.eta
-    rhs = gpp[..., None] * eta[..., None, None, :] + gpp[..., :, None, :] * eta[..., None, :, None]
-    return max_abs(f.F - rhs, 3)
+    return max_abs(f.F - sasaki_like_shape(f.gpp, f.eta), 3)
 
 
 def check_nijenhuis_form(f: PointFields) -> dict:
@@ -231,18 +236,23 @@ def cone_residuals_at(f: PointFields, r) -> dict:
     nj = covariant_derivative(gamma, cone.j_at(p), cone.j_derivs_at(p))
     low = _t(nj) @ G[..., None, :, :]
 
-    # displayed connection components (horizontal projections)
+    # displayed connection components (horizontal projections), the four
+    # slices of the cone's through one projection by diag(P, 1)
     proj, xi = f.proj, f.xi
     nab = gamma @ G[..., None, :, :]
     nab_b = f.gamma @ f.g[..., None, :, :]
     gp = f.g_h
     r = np.asarray(r, dtype=float)[..., None, None]
     r2 = r * r
+    q = np.zeros(proj.shape[:-2] + (d + 1, d + 1))
+    q[..., :d, :d] = proj
+    q[..., d, d] = 1.0
+    nab_h = project_all(nab, q)
 
-    hor3 = project_all(nab[..., :d, :d, :d], proj) - r2[..., None] * project_all(nab_b, proj)
-    l2 = project_all(nab[..., :d, :d, d], proj) + r * gp
-    l7 = project_all(nab[..., :d, d, :d], proj) - r * gp
-    l8 = project_all(nab[..., d, :d, :d], proj) - r * gp
+    hor3 = nab_h[..., :d, :d, :d] - r2[..., None] * project_all(nab_b, proj)
+    l2 = nab_h[..., :d, :d, d] + r * gp
+    l7 = nab_h[..., :d, d, :d] - r * gp
+    l8 = nab_h[..., d, :d, :d] - r * gp
     l3 = project_all(last_slot(nab[..., :d, :d, :d], xi) - r2 * last_slot(nab_b, xi)
                      - 0.5 * (r2 - 1.0) * f.d_eta, proj)
     nxz_cone = ((xi[..., None, None, :] @ gamma[..., :d, :d, :])[..., 0, :] @ G)[..., :d]
@@ -275,13 +285,10 @@ def cone_holomorphic_residual(f: PointFields, count, seed, start=0, size=None) -
     f's): of count cone points, point j lies at radius
     ConeModel.radii(count, seed)[j] over sample point j % size, and those
     over f are solved as one block (a block of one point broadcast against
-    their radii), in the order of j; and "per_point", the list of their
-    {"r", "residual"}, residual the "holomorphic" value."""
+    their radii), every value in the order of j; {} when none is over f."""
     rows = np.arange(count) % (size or len(f.p)) - start     # each cone point's row of f
     ks = np.flatnonzero((rows >= 0) & (rows < len(f.p)))
     if not ks.size:
-        return {"per_point": []}
-    radii = np.take(ConeModel.radii(count, seed), ks).tolist()
-    res = cone_residuals_at(f if len(f.p) == 1 else f.take(rows[ks]), radii)
-    per_point = [{"r": r, "residual": float(h)} for r, h in zip(radii, res["holomorphic"])]
-    return {**res, "per_point": per_point}
+        return {}
+    radii = np.take(ConeModel.radii(count, seed), ks)
+    return cone_residuals_at(f if len(f.p) == 1 else f.take(rows[ks]), radii)

@@ -46,15 +46,18 @@ def worst(values):
 
 
 def _merge(into, new):
-    """Fold the nested residual dict new into into, key by key: by max, a list by concatenation."""
+    """Fold the nested residual dict new into into, key by key: by max, a
+    list by concatenation.  A leaf is reduced by the array's own max and
+    kept as a float; NaN wins over any number, on either side."""
     for key, val in new.items():
         if isinstance(val, dict):
             _merge(into.setdefault(key, {}), val)
         elif isinstance(val, list):
             into.setdefault(key, []).extend(val)
         else:
-            val = float(np.max(val))
-            into[key] = val if key not in into else float(np.maximum(into[key], val))
+            val = float(val.max() if isinstance(val, np.ndarray) else val)
+            old = into.get(key)
+            into[key] = old if old is not None and (old >= val or old != old) else val
 
 
 def max_over_points(blocks, residuals_at) -> dict:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from types import SimpleNamespace
 from json.encoder import encode_basestring_ascii as _quote
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -229,10 +229,11 @@ class Family:
 def _conformal(cm, f, *_):
     """Preservation under HOMOTHETY, its designed breaking under BREAKING and
     the homothetic laws: both transforms are one, with one Koszul solve, over
-    the parameter axis [HOMOTHETY, BREAKING], and the laws read a copy of the
-    homothety's solve, so the stack is dropped before they make curvature."""
-    fb = conf.apply_cct(f, conf.TransformParams(*np.array([astuple(HOMOTHETY),
-                                                           astuple(BREAKING)]).T))
+    the parameter axis [HOMOTHETY, BREAKING] (their constants stacked as 1-D
+    arrays), and the laws read a copy of the homothety's solve, so the stack
+    is dropped before they make curvature."""
+    fb = conf.apply_cct(f, conf.TransformParams(*np.array([(t.u, t.v, t.w)
+                                                           for t in (HOMOTHETY, BREAKING)]).T))
     kept = conf.preservation_at(f, fb)
     out = {"preserve": {**{k: v[0] for k, v in kept.items()},
                         "transformed_defining": worst(fb.defining.values())[0],
@@ -272,8 +273,8 @@ FAMILIES = (
            applies=lambda cm: cm.sasaki_expected and cm.base_r_at is not None),
     Family("gauss.second_fundamental_form",
            lambda cm, f, *_: sas.second_fundamental_form_residual(f)),
-    Family("cone", lambda cm, f, k, run: {key: val for key, val in sas.cone_holomorphic_residual(
-        f, min(run.count, 6), run.seed, k, run.size).items() if key != "per_point"}),
+    Family("cone", lambda cm, f, k, run: sas.cone_holomorphic_residual(
+        f, min(run.count, 6), run.seed, k, run.size)),
     Family("crossrep", lambda cm, f, *_: corpus_mod.cross_representation_check(
         corpus_mod.builtin(cm.lie_partner, **cm.params), cm, f),
            applies=lambda cm: cm.coframe_fn is not None and cm.lie_partner is not None),

@@ -103,7 +103,9 @@ def cone_rows(cm):
     for k, f in verify.blocks(cm, points):
         part = cone_holomorphic_residual(f, count, run.seed, k, run.size)
         over = [j for j in range(count) if k <= j % run.size < k + len(f.p)]
-        assert [pt["r"] for pt in part.pop("per_point")] == [radii[j] for j in over]
+        # the (r, residual) pairs: cone point j's holomorphic value, solved alone at radii[j]
+        assert part["holomorphic"].tolist() == [float(cone_residuals_at(
+            f.take([j % run.size - k]), radii[j:j + 1])["holomorphic"][0]) for j in over]
         for val in [part["holomorphic"], *part["line"].values(), *part["dj_xi"].values()]:
             assert np.shape(val) == (len(over),)
         parts.append(part)

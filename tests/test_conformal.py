@@ -22,7 +22,7 @@ from accr.conformal import (
 )
 from accr.connection import levi_civita, riemann
 from accr.corpus import builtin, default_corpus, example3_hsphere_ext
-from accr.errors import NonConstantParams, NotSasakiLike
+from accr.errors import DegenerateMetric, NonConstantParams, NotSasakiLike
 from accr.models import ChartModel, LieGroupModel
 from accr import models
 from accr import sasaki as sas
@@ -133,6 +133,15 @@ class TestStackedTransform:
                 np.testing.assert_array_equal(getattr(fb, key)[i], getattr(one, key), key)
             for key, val in preservation_at(f, one).items():
                 np.testing.assert_array_equal(stacked[key][i], val, key)
+
+    @pytest.mark.parametrize("name", ["ex1", "ex1_chart"])
+    def test_degenerate_parameter_set_names_its_point(self, name, request):
+        # u = -400 leaves g_bar = eta (x) eta: the parameter axis leads the
+        # metric's, and the message names the point, not an index past p
+        f = sample_block(request.getfixturevalue(name), 3, 7)
+        with pytest.raises(DegenerateMetric) as err:
+            apply_cct(f, TransformParams(u=np.array([0.0, -400.0]))).conn
+        assert f"metric degenerate at {f.p[0]}: |det| = " in str(err.value)
 
 
 

@@ -199,3 +199,18 @@ class TestMaxOverPoints:
             got = max_over_points(range(3), lambda p: {"r": vals[p]})["r"]
             np.testing.assert_equal(got, bad)       # NaN compares equal to NaN here
             np.testing.assert_equal(worst(vals), bad)
+            # numpy scalar leaves
+            got = max_over_points(range(3), lambda p: {"r": np.float64(vals[p])})["r"]
+            np.testing.assert_equal(got, bad)
+        # array leaves, one value per point of a block, the bad one at any entry of any block
+        for block in range(3):
+            for entry in range(4):
+                parts = [np.array([1.0, 2.0, 0.5, 0.25]) + k for k in range(3)]
+                parts[block][entry] = bad
+                got = max_over_points(range(3), lambda k: {"r": parts[k]})["r"]
+                assert isinstance(got, float)
+                np.testing.assert_equal(got, bad)
+                # a read-only broadcast leaf, as a constant's value over a block
+                got = max_over_points(range(3), lambda k: {"r": parts[k] if k == block else
+                                                           np.broadcast_to(3.0, (4,))})["r"]
+                np.testing.assert_equal(got, bad)
