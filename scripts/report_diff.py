@@ -30,8 +30,8 @@ w=linear_t:0.1`` of the same two (``MOVING``), the only commands whose
 xi_bar and eta_bar move with the point, so that the dw terms of their jets
 show; ``verify``, ``cone`` and the
 ``linear_t`` transform of the extension at ``--points 30`` (``UNEVEN``),
-whose sample splits into blocks of 13, 13 and 4 points (the transform's
-into 1, 13, 13 and 3), and ``verify`` of
+whose sample splits into blocks of 13, 13 and 4 points in each of the
+three, and ``verify`` of
 ``example1_chart`` at n = 8 (``WIDE_CHART``), dimension 17, whose blocks
 are single points, so that the block boundaries show; the two commands of
 ``OVERFLOW``, a transform and a verify whose residuals overflow (exit 1),

@@ -8,6 +8,9 @@ Subcommands:
               closed-form connection lines, each row judged as verify
               judges the cone rows
 
+verify, transform and cone are one pass each, verify.fold: cone folds the cone
+family of verify (8 cone points, not 6), transform a family of its own.
+
 Exit codes: 0 all checks pass (designed failures count as pass), 1 any
 unexpected failure or model error, 2 usage or input errors.  The
 environment variable ACCR_SEED, a non-negative integer, overrides the
@@ -22,7 +25,6 @@ import functools
 import math
 import os
 import sys
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -31,23 +33,25 @@ from . import conformal as conf
 from . import corpus as corpus_mod
 from . import sasaki as sas
 from .errors import BadParams, GeometryError
-from .models import DEFAULT_FD_STEP, ConeModel
+from .connection import ConnectionCoefficients
+from .models import DEFAULT_FD_STEP
 from .modelspec import load_model_spec
-from .structure import Field, max_over_points, worst
+from .structure import Field, worst
 from .verify import (
     CHECKS,
     FAILING,
     MODEL_ERRORS,
     SCHEMA_VERSION,
+    Family,
     VerifyConfig,
-    blocks,
+    cone_family,
     error_text,
     families_for,
     flatten,
+    fold,
     judge,
     report_to_json,
     run_all,
-    sample,
 )
 
 
@@ -95,26 +99,14 @@ def _config_from(args) -> VerifyConfig:
     only = getattr(args, "only", None)
     if only and not any(check_id.startswith(only) for check_id in CHECKS):
         raise BadParams(f"--only {only!r} matches no check id")
-    return VerifyConfig(
-        points=args.points,
-        seed=args.seed,
-        fd_step=args.fd_step,
-        tol_override=args.tol,
-        only=only,
-    )
-
-
-def _write_json(report, args) -> str:
-    text = report_to_json(report)
-    if args.json:
-        Path(args.json).write_text(text)
-    return text
+    return VerifyConfig(points=args.points, seed=args.seed, fd_step=args.fd_step,
+                        tol_override=args.tol, only=only)
 
 
 def _emit(report, args) -> int:
     """Write the report to --json, if given, and print its text table in one write."""
     if args.json:
-        _write_json(report, args)
+        Path(args.json).write_text(report_to_json(report))
     lines = []
     for model in report["models"]:
         lines.append(f"== {model['name']} {model['params']}")
@@ -167,23 +159,29 @@ def _named_family(key, value):
                  lambda model, p: coef * model.frame_matrix(p)[..., 0, :]) if family else coef
 
 
-def _per_model(args, cfg, params, fill, **header) -> int:
+def _per_model(args, cfg, params, family, fill, **header) -> int:
     """Print the report {"schema_version", **header, "models"}, one entry
-    {"name", "params", ...} per model that fill(cm, entry) completes.  A
-    model whose fill raises one of MODEL_ERRORS gets an "error"; that, or a
-    fill that returns False, makes the exit code 1."""
+    {"name", "params", ...} per model that fill(cm, entry, out, rows)
+    completes from out, the fold of family over the model's sample, and its
+    rows.  A model whose fold or fill raises one of MODEL_ERRORS gets an
+    "error"; that, or a fill that returns False, makes the exit code 1."""
     out = {"schema_version": SCHEMA_VERSION, **header, "models": []}
     ok = True
     for cm in _resolve_models(args.model, params):
         entry = {"name": cm.name, "params": dict(cm.params)}
         try:
             with np.errstate(all="ignore"):     # a non-finite residual is an error, not a warning
-                ok = fill(cm, entry) and ok
+                res, rows = fold(cm, cfg, [family])[family.prefix], {}
+                flatten(family.prefix, family.rows(cm, res), rows, {})
+                ok = fill(cm, entry, res, rows) and ok
         except MODEL_ERRORS as exc:
             entry["error"] = error_text(exc)
             ok = False
         out["models"].append(entry)
-    print(_write_json(out, args), end="")
+    text = report_to_json(out)
+    if args.json:
+        Path(args.json).write_text(text)
+    print(text, end="")
     return 0 if ok else 1
 
 
@@ -193,61 +191,46 @@ def cmd_transform(args) -> int:
     shown = {k: params.pop(k, 0.0) for k in ("u", "v", "w")}
     t = conf.TransformParams(**{k: _named_family(k, v) for k, v in shown.items()})
 
-    def fill(cm, entry):
-        # the first point alone, whose pair the laws read, then the rest in blocks
-        points = sample(cm, cfg)[0]
-        f0 = next(blocks(cm, points[:1]))[1]
-        sas.require_sasaki_like(f0)
-        first = (f0, conf.apply_cct(f0, t))
-        rest = ((f, conf.apply_cct(f, t)) for _, f in blocks(cm, points[1:]))
-        entry.update(max_over_points(chain([first], rest), lambda fs: {
-            "preservation": conf.preservation_at(*fs),
-            "transformed_defining": sas.check_defining_conditions(fs[1])}))
-        computed = [*entry["preservation"].values(), *entry["transformed_defining"].values()]
-        if t.is_constant:
-            laws = conf.homothetic_laws(*first)
-            entry["laws"] = {key: float(val[0]) for key, val in laws.items()}
-            entry["connection_formula_residual"] = entry["laws"].pop("connection_formula")
-            computed += [*entry["laws"].values(), entry["connection_formula_residual"]]
-        entry["sasaki_preserved"] = judge("conformal.preserve.transformed_defining",
-                                          worst(entry["transformed_defining"].values()),
-                                          cm, cfg)[2] == "pass"
-        if not all(map(math.isfinite, computed)):     # e.g. e^{2u} overflowed
+    def at(cm, f, k, *_):
+        if k == 0:
+            sas.require_sasaki_like(f, 1)
+        fb = conf.apply_cct(f, t)
+        out = {"preservation": conf.preservation_at(f, fb),
+               "transformed_defining": sas.check_defining_conditions(fb)}
+        if k == 0 and t.is_constant:     # the laws at the first point, from the block's solves
+            f0, fh = f, fb
+            if len(f.p) > 1:     # a copy of the first point's, so the block's is dropped
+                fh = conf.apply_cct(f0 := f.take([0]), t)
+                fh.conn = ConnectionCoefficients(*(x[:1].copy() for x in vars(fb.conn).values()))
+            del fb
+            laws = conf.homothetic_laws(f0, fh)
+            out.update(laws=laws, connection_formula_residual=laws.pop("connection_formula"))
+        return out
+
+    def fill(cm, entry, out, rows):
+        entry.update(out, sasaki_preserved=judge(
+            "conformal.preserve.transformed_defining",
+            worst(out["transformed_defining"].values()), cm, cfg)[2] == "pass")
+        if not all(map(math.isfinite, rows.values())):     # e.g. e^{2u} overflowed
             raise GeometryError("a residual could not be computed (not finite)")
         return True
 
-    return _per_model(args, cfg, params, fill, transform=shown)
+    return _per_model(args, cfg, params, Family("transform", at), fill, transform=shown)
 
 
 def cmd_cone(args) -> int:
     cfg = _config_from(args)
 
-    def fill(cm, entry):
-        points, run = sample(cm, cfg)
-        count = min(run.count, 8)
-        points = points[:count]
-
-        def at(block):
-            res = sas.cone_holomorphic_residual(block[1], count, run.seed, block[0], len(points))
-            return {**res, "per_point": np.ravel(res["holomorphic"]).tolist()}
-
-        # cone point j is over sample point j, or a group's one, so the blocks' parts
-        # of "per_point" come in the order of the radii
-        out = max_over_points(blocks(cm, points), at)
-        per_point = [{"r": r, "residual": h} for r, h in zip(ConeModel.radii(count, run.seed),
-                                                              out.pop("per_point"))]
-        rows = {}
-        flatten("cone", out, rows, {})
+    def fill(cm, entry, out, rows):
         # the closed-form lines hold on every model, Sasaki-like or not
-        verdicts = {check_id: judge(check_id, value, cm, cfg)[2]
-                    for check_id, value in rows.items()}
-        entry.update(residual=out["holomorphic"], per_point=per_point,
+        verdicts = {key: judge(key, value, cm, cfg)[2] for key, value in rows.items()}
+        entry.update(residual=out["holomorphic"], per_point=out["per_point"],
                      connection_lines=out["line"], dj_xi_line=out["dj_xi"],
                      holomorphic=verdicts["cone.holomorphic"] in ("pass", "xpass"),
                      expected_holomorphic=cm.sasaki_expected)
         return not FAILING & set(verdicts.values())
 
-    return _per_model(args, cfg, _parse_params(args.params), fill)
+    return _per_model(args, cfg, _parse_params(args.params), cone_family(8), fill)
 
 
 def build_parser() -> argparse.ArgumentParser:

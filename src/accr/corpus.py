@@ -372,21 +372,22 @@ def default_corpus() -> list:
     ]
 
 
-def cross_representation_check(lie: CorpusModel, chart: CorpusModel, f) -> dict:
+def cross_representation_check(lie: CorpusModel, chart: CorpusModel, f, lie_f=None) -> dict:
     """Compare a group model against its coordinate realization at each
     point of f, a block of the chart's PointFields: (i) the brackets of the
     chart frame, from the analytic derivatives of its coframe, against the
     group structure constants, (ii) the metric assembled as sum_k eps_k
     (e^k)^2 against the closed-form coordinate metric, and (iii) 1.0 where
     the chart's Sasaki-like verdict (its worst defining residual < 1e-6,
-    false on NaN) differs from the group's (< 1e-9), else 0.0."""
+    false on NaN) differs from the group's (< 1e-9), else 0.0.  lie_f, the
+    group's PointFields at its one point, is made here unless given."""
     if chart.lie_partner != lie.name:
         raise ParamMismatch(f"{chart.name} is not the chart form of {lie.name}")
     for key in set(lie.params) & set(chart.params):
         if lie.params[key] != chart.params[key]:
             raise ParamMismatch(f"parameter {key}: {lie.params[key]} != {chart.params[key]}")
 
-    lie_f = PointFields(lie.structure, np.zeros(0))
+    lie_f = lie_f or PointFields(lie.structure, np.zeros(0))
     eps = standard_signature(lie.structure.n)
     th = np.asarray(chart.coframe_fn(f.p), dtype=float)
     assembled = np.swapaxes(th, -1, -2) @ (eps[:, None] * th)

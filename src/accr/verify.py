@@ -5,17 +5,17 @@ tolerance.  FAMILIES declares how the checks under each id prefix are
 computed and on which models.  Each check is reported as a row {check_id,
 statement, max_residual, fd_error_estimate, tolerance, expected, verdict,
 note}, the residual being its maximum over the model's deterministic
-sample points and the note a text or null.  A pass is one fold: blocks
-makes the PointFields of the sample's consecutive blocks of at most max(1,
-BLOCK_ELEMENTS // dim**4) points one at a time, and every family reads a
-block before the next is made, so a pass holds one block whatever its
-sample.  Every family but the eta fit gives its values at each point of a
-block (the cone's at each cone point over it, the derivatives family's at
-its points among a prefix of the sample), so the pass's fold by max is the
-only reduction over points.  The eta fit, the one family using
-Family.rows, the list branch of structure._merge and the (value, note)
-branch of flatten, keeps a part of each block for an info row (not
-judged) of the model as a whole, the classification in its note.
+sample points and the note a text or null.  fold is the one pass of verify
+and of the transform and cone commands alike: it makes the PointFields of
+the sample's consecutive blocks of at most max(1, BLOCK_ELEMENTS // dim**4)
+points one at a time, and every family it runs reads a block (and a part
+made once per pass, if it has one: crossrep's group partner) before the
+next is made, so a pass holds one block whatever its sample.  A family
+gives its values at each point of a block (the cone's at each cone point
+over it, the derivatives family's at its points among a prefix of the
+sample), so the fold by max is the only reduction over points; the eta fit
+alone keeps lists of parts of each block, for an info row (not judged) of
+the model as a whole, the classification in its note.
 Every model and moving field gives its jets in closed form, so only the
 derivatives family reads finite differences: on charts it compares each
 jet with the stencil of the next-lower order at cfg.fd_step, relative to
@@ -23,14 +23,14 @@ max(1, |jet|), at the first JET_POINTS sample points only (a wrong jet is
 wrong at generic points).  Designed failures (the parallel model for the
 Sasaki family, the w != 0 homothety for conformal preservation) are
 expected to fail, so a healthy run reports them as xfail and exits 0.
-sample gives a model's sample points, blocks their blocks, flatten a
-family's rows and judge a row's verdict, for this pass and for the
-transform and cone commands alike, and error_text a model's error entry.
+flatten gives a family's rows and judge a row's verdict, for verify and the
+two commands alike, and error_text a model's error entry.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from types import SimpleNamespace
 from json.encoder import encode_basestring_ascii as _quote
 from dataclasses import dataclass
@@ -42,7 +42,7 @@ from . import corpus as corpus_mod
 from . import sasaki as sas
 from .connection import ConnectionCoefficients
 from .errors import GeometryError, NotSasakiLike
-from .models import DEFAULT_FD_STEP, ChartModel
+from .models import DEFAULT_FD_STEP, ChartModel, ConeModel
 from .structure import (
     PointFields,
     max_over_points,
@@ -213,38 +213,58 @@ class VerifyConfig:
 @dataclass(frozen=True)
 class Family:
     """The checks under one id prefix, a fold over the pass's blocks:
-    at(cm, f, k, run) reads the block f, whose first point is point k of the
-    sample run (as sample gives it).  Its residuals, a value (row "<prefix>")
-    or a dict (rows "<prefix>.<key>") of arrays of one value per point, are
-    folded by max_over_points, and its rows are the fold's out; the eta fit
-    alone gives lists of parts, and rows(cm, out), which makes its (value,
-    note) row from them."""
+    at(cm, f, k, run, part) reads the block f, whose first point is point k
+    of the sample run (as fold gives it), and part, start(cm, run), made
+    once per pass.  Its residuals, a value (row "<prefix>") or a dict (rows
+    "<prefix>.<key>") of arrays of one value per point, are folded by
+    max_over_points, and its rows are rows(cm, out) of the fold's out."""
 
     prefix: str
     at: object
     applies: object = lambda cm: True
     rows: object = lambda cm, out: out
+    start: object = lambda cm, run: None
 
 
 def _conformal(cm, f, *_):
     """Preservation under HOMOTHETY, its designed breaking under BREAKING and
     the homothetic laws: both transforms are one, with one Koszul solve, over
     the parameter axis [HOMOTHETY, BREAKING] (their constants stacked as 1-D
-    arrays), and the laws read a copy of the homothety's solve, so the stack
-    is dropped before they make curvature."""
+    arrays), and the homothety's rows read a copy of its part of that solve,
+    so the stack is dropped before the laws make curvature."""
     fb = conf.apply_cct(f, conf.TransformParams(*np.array([(t.u, t.v, t.w)
                                                            for t in (HOMOTHETY, BREAKING)]).T))
     kept = conf.preservation_at(f, fb)
-    out = {"preserve": {**{k: v[0] for k, v in kept.items()},
-                        "transformed_defining": worst(fb.defining.values())[0],
-                        "transformed_axioms": worst(validate_structure(fb).values())[0]},
-           "break": {k: kept[k][1] for k in ("du_phi_plus_dv", "f_bar_direct")}}
     fh = conf.apply_cct(f, HOMOTHETY)
     fh.conn = ConnectionCoefficients(**{k: x if k == "c" else x[0].copy()   # c is the base's
                                         for k, x in vars(fb.conn).items()})
-    del fb, kept
+    del fb
     laws = conf.homothetic_laws(f, fh)
-    return {**out, "homothetic": {k: v for k, v in laws.items() if not k.endswith("_bar")}}
+    return {"preserve": {**{k: v[0] for k, v in kept.items()},
+                         "transformed_defining": worst(fh.defining.values()),
+                         "transformed_axioms": worst(validate_structure(fh).values())},
+            "break": {k: kept[k][1] for k in ("du_phi_plus_dv", "f_bar_direct")},
+            "homothetic": {k: v for k, v in laws.items() if not k.endswith("_bar")}}
+
+
+def cone_family(limit) -> Family:
+    """The cone family over min(count, limit) cone points, and "per_point",
+    {"r", "residual"} of cone.holomorphic at each, which its rows leave out:
+    cone point j lies over sample point j, or a group's one, so those over
+    the block from point k are k, k + 1, ..."""
+    def at(cm, f, k, run, _):
+        count = min(run.count, limit)
+        res = sas.cone_holomorphic_residual(f, count, run.seed, k, run.size)
+        pairs = zip(ConeModel.radii(count, run.seed)[k:], np.ravel(res.get("holomorphic", [])))
+        return {**res, "per_point": [{"r": r, "residual": float(h)} for r, h in pairs]}
+
+    return Family("cone", at, rows=lambda cm, out: {
+        key: val for key, val in out.items() if key != "per_point"})
+
+
+def _partner(cm, run):     # crossrep's part of a pass: the group cm realizes, at its one point
+    lie = corpus_mod.builtin(cm.lie_partner, **cm.params)
+    return lie, PointFields(lie.structure, np.zeros(0))
 
 
 def _eta_fit(cm, parts):
@@ -273,16 +293,15 @@ FAMILIES = (
            applies=lambda cm: cm.sasaki_expected and cm.base_r_at is not None),
     Family("gauss.second_fundamental_form",
            lambda cm, f, *_: sas.second_fundamental_form_residual(f)),
-    Family("cone", lambda cm, f, k, run: sas.cone_holomorphic_residual(
-        f, min(run.count, 6), run.seed, k, run.size)),
-    Family("crossrep", lambda cm, f, *_: corpus_mod.cross_representation_check(
-        corpus_mod.builtin(cm.lie_partner, **cm.params), cm, f),
+    cone_family(6),
+    Family("crossrep", lambda cm, f, k, run, partner: corpus_mod.cross_representation_check(
+        partner[0], cm, f, partner[1]), start=_partner,
            applies=lambda cm: cm.coframe_fn is not None and cm.lie_partner is not None),
     Family("conformal", _conformal, applies=lambda cm: cm.sasaki_expected),
     Family("conformal.eta_fit", lambda cm, f, *_: [conf.einstein_rows(f)], rows=_eta_fit,
            applies=lambda cm: cm.sasaki_expected),
     # the jets against the stencil at the block's points among the first JET_POINTS
-    Family("derivatives", lambda cm, f, k, run: cm.model.jet_residuals(
+    Family("derivatives", lambda cm, f, k, run, _: cm.model.jet_residuals(
         f.p[:JET_POINTS - k], run.step) if k < JET_POINTS else {},
            applies=lambda cm: isinstance(cm.model, ChartModel)),
 )
@@ -304,40 +323,38 @@ def flatten(check_id, out, res, notes):
         res[check_id] = float(out)
 
 
-def sample(cm, cfg: VerifyConfig):
-    """(points, run) of the model's sample, run what a family reads of its
-    pass besides the block: its count and seed, cfg's unless the model's spec
-    overrides them (its sample_points), its size, the number of its points
-    (one on a group), and cfg's step."""
-    override = cm.sample_override or {}
-    count, seed = override.get("count", cfg.points), override.get("seed", cfg.seed)
-    points = cm.model.sample_points(count, seed)
-    return points, SimpleNamespace(count=count, seed=seed, size=len(points), step=cfg.fd_step)
-
-
 def families_for(cm, only=None) -> list:
     """The families that apply to the model and own a check id starting with only."""
     wanted = {_OWNER[check_id] for check_id in CHECKS if check_id.startswith(only or "")}
     return [fam for fam in FAMILIES if fam.prefix in wanted and fam.applies(cm)]
 
 
-def blocks(cm, points):
-    """(k, f) over consecutive blocks of at most max(1, BLOCK_ELEMENTS //
-    dim**4) points, f the PointFields of cm's structure at the block from
-    points[k], each made when the one before has been read."""
+def fold(cm, cfg: VerifyConfig, families) -> dict:
+    """One pass over cm's sample: {prefix: each family's residuals folded
+    over the blocks}.  The sample's count and seed are cfg's unless the
+    model's spec overrides them (its sample_points); run holds them, the
+    sample's size (one point on a group) and cfg's step.  The block from
+    point k holds the next max(1, BLOCK_ELEMENTS // dim**4) points, and its
+    PointFields are made when every family has read the block before."""
+    override = cm.sample_override or {}
+    count, seed = override.get("count", cfg.points), override.get("seed", cfg.seed)
+    points = cm.model.sample_points(count, seed)
+    run = SimpleNamespace(count=count, seed=seed, size=len(points), step=cfg.fd_step)
+    parts = [(fam.prefix, fam.at, fam.start(cm, run)) for fam in families]
     size = max(1, BLOCK_ELEMENTS // cm.model.dim ** 4)
-    for k in range(0, len(points), size):
-        yield k, PointFields(cm.structure, np.stack(points[k:k + size]))
+
+    def block(k):
+        f = PointFields(cm.structure, np.stack(points[k:k + size]))
+        return {prefix: at(cm, f, k, run, part) for prefix, at, part in parts}
+
+    return max_over_points(range(0, len(points), size), block)
 
 
 def _gather_residuals(cm, cfg: VerifyConfig):
-    """One pass over the sample points of families_for(cm, cfg.only), every
-    family reading each block before the next is made and folding its
-    residuals over the blocks: ({check_id: residual}, notes)."""
-    points, run = sample(cm, cfg)
+    """The rows of the fold of families_for(cm, cfg.only): ({check_id:
+    residual}, notes)."""
     families = families_for(cm, cfg.only)
-    out = max_over_points(blocks(cm, points), lambda block: {
-        fam.prefix: fam.at(cm, block[1], block[0], run) for fam in families})
+    out = fold(cm, cfg, families)
     res, notes = {}, {}
     for fam in families:
         flatten(fam.prefix, fam.rows(cm, out[fam.prefix]), res, notes)
@@ -401,10 +418,8 @@ def run_all(models, cfg: VerifyConfig | None = None) -> dict:
             text = error_text(exc)
             reports.append({**_model_header(cm), "notes": [f"error: {text}"],
                             "checks": [], "error": text})
-    counts = {"pass": 0, "fail": 0, "xfail": 0, "xpass": 0, "info": 0, "error": 0}
-    for rep in reports:
-        for row in rep["checks"]:
-            counts[row["verdict"]] += 1
+    counts = dict.fromkeys(("pass", "fail", "xfail", "xpass", "info", "error"), 0)
+    counts.update(Counter(row["verdict"] for rep in reports for row in rep["checks"]))
     ok = not (any(counts[v] for v in FAILING) or any("error" in rep for rep in reports))
     return {
         "schema_version": SCHEMA_VERSION,

@@ -24,7 +24,7 @@ from accr.connection import levi_civita
 from accr.corpus import builtin, default_corpus, example3_hsphere_ext
 from accr.models import ChartModel, ConeModel, LieGroupModel
 from accr.sasaki import cone_holomorphic_residual, cone_residuals_at
-from accr.structure import Field, PointFields, max_over_points
+from accr.structure import Field, PointFields
 from accr.verify import (
     HOMOTHETY,
     VerifyConfig,
@@ -97,10 +97,11 @@ def cone_rows(cm):
     """The cone rows of the pass over the K sample points of seed 11, from
     the cone's values at each cone point over each of its blocks: a block's
     arrays hold one entry per cone point j over it, in the order of j."""
-    points, run = verify.sample(cm, VerifyConfig(points=K, seed=11))
-    count = min(run.count, 6)
-    radii, parts, solved = ConeModel.radii(count, run.seed), [], 0
-    for k, f in verify.blocks(cm, points):
+    solved = []
+
+    def at(cm, f, k, run, _):
+        count = min(run.count, 6)
+        radii = ConeModel.radii(count, run.seed)
         part = cone_holomorphic_residual(f, count, run.seed, k, run.size)
         over = [j for j in range(count) if k <= j % run.size < k + len(f.p)]
         # the (r, residual) pairs: cone point j's holomorphic value, solved alone at radii[j]
@@ -108,11 +109,13 @@ def cone_rows(cm):
             f.take([j % run.size - k]), radii[j:j + 1])["holomorphic"][0]) for j in over]
         for val in [part["holomorphic"], *part["line"].values(), *part["dj_xi"].values()]:
             assert np.shape(val) == (len(over),)
-        parts.append(part)
-        solved += len(over)
-    assert solved == count     # a group's one-point block holds them all
+        solved.extend(over)
+        return part
+
+    out = verify.fold(cm, VerifyConfig(points=K, seed=11), [verify.Family("cone", at)])
+    assert len(solved) == min(K, 6)     # a group's one-point block holds them all
     rows = {}
-    verify.flatten("cone", max_over_points(parts, lambda part: part), rows, {})
+    verify.flatten("cone", out["cone"], rows, {})
     return rows
 
 

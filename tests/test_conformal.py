@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import accr
+from accr import corpus
 from accr.cli import main
 from accr.conformal import (
     TransformedModel,
@@ -440,6 +441,11 @@ class TestSolveCounts:
         # the eta fit alone: the pass's base solve, and the per-point conformal
         # family, which solves HOMOTHETY and BREAKING, does not run
         (["verify", "-m", "example1", "--only", "conformal.eta_fit"], 1, 0),
+        # the chart's 20 points are one block, whose solves the laws at its
+        # first point read too
+        (["transform", "-m", "example1_chart", "--params", "u=0.3,v=0.2,w=0"], 1, 1),
+        # blocks of 13 and 7 (dim 7), and the base's construction check
+        (["transform", "-m", "example3_hsphere_ext", "--params", "u=0.3,v=0.2,w=0"], 3, 2),
     ])
     def test_first_pair_serves_every_law(self, argv, base, transformed, monkeypatch, capsys):
         assert self.solves(monkeypatch, argv) == (base, transformed)
@@ -447,7 +453,7 @@ class TestSolveCounts:
     @pytest.mark.parametrize("argv", [
         # HOMOTHETY and BREAKING at the group's one point
         ["verify", "-m", "example1", "--only", "conformal"],
-        # the transform's first point alone, then the other 19 as one block
+        # the transform's one block of 20 points, then the laws' first point
         ["transform", "-m", "example1_chart", "--params", "u=0.3,v=0.2,w=0"],
     ])
     def test_uvw_read_once_per_transformed_block(self, argv, monkeypatch, capsys):
@@ -517,6 +523,19 @@ class TestSolveCounts:
             monkeypatch.setattr(cls, name, counted)
         assert main(argv) == 0
         return reads
+
+    def test_crossrep_builds_its_partner_once(self, monkeypatch, capsys):
+        # dimension 13: the 8 sample points are 8 one-point blocks, and the
+        # group partner and its one-point PointFields and solve are made once
+        # per pass, not once per block
+        counts = self.counters(monkeypatch)
+        built, builtin_ = [], corpus.builtin
+        monkeypatch.setattr(corpus, "builtin",
+                            lambda name, **params: built.append(name) or builtin_(name, **params))
+        assert main(["verify", "-m", "example1_chart", "--params", "n=6", "--points", "8",
+                     "--seed", "7", "--only", "crossrep"]) == 0
+        assert built == ["example1_chart", "example1"]
+        assert counts[:3] == [9, 0, 9]
 
     def test_default_corpus_budget(self, monkeypatch):
         """The counts of one pass over the default corpus do not depend on the

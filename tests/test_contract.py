@@ -6,6 +6,7 @@ import pkgutil
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import accr
 from accr import verify
@@ -57,6 +58,31 @@ def test_tracer_runs_a_group_model(tmp_path, monkeypatch, capsys):
     assert code == 0
     used = {tracer.names[k] for k in np.frombuffer(spans, dtype=np.int64).reshape(-1, 4)[:, 0]}
     assert "verify._gather_residuals" in used
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "-m", "example1_chart", "--params", "u=0.3,v=0.2,w=0"],
+    ["cone", "-m", "example1_chart"],
+])
+def test_tracer_runs_transform_and_cone(argv, tmp_path, monkeypatch, capsys):
+    """The benchmark traces both commands too: each folds its family through
+    verify.fold, whose tracer binding cli reads, and not through the traced
+    verify._gather_residuals."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        code = main([*argv, "--json", str(tmp_path / "report.json")])
+    finally:
+        tracer.uninstall()
+    spans, counts = tracer.take()
+    assert code == 0
+    metrics = tracing.summarise(tracer.names, spans, counts, points_base=20)
+    if argv[0] == "cone":
+        assert metrics["sasaki.cone_s"][0] > 0
+    else:     # one transformed solve: the block's, which the laws read too
+        assert metrics["conformal.koszul_solves"][0] == 1
 
 
 def test_tracer_finds_its_name_keyed_metrics(monkeypatch):

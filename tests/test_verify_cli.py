@@ -460,6 +460,9 @@ class TestCli:
         # the named family "zero": a callable parameter field, constant 0
         pytest.param(["-m", "example1_chart", "--params", "v=zero,w=0", "--points", "4"],
                      id="example1_chart-zero"),
+        # 20 points in blocks of 13 and 7: the laws read the first block's solves
+        pytest.param(["-m", "example3_hsphere_ext", "--params", "u=0.3,v=0.2,w=0", "--seed", "7"],
+                     id="example3_hsphere_ext"),
     ])
     def test_transform_subcommand(self, tmp_path, capsys, argv):
         out = tmp_path / "tr.json"
@@ -467,6 +470,12 @@ class TestCli:
         assert code == 0
         payload = json.loads(out.read_text())
         assert payload["models"][0]["sasaki_preserved"] is True
+        # the homothetic laws are those of the first sample point: a sample
+        # of that point alone gives them bit for bit
+        first = tmp_path / "first.json"
+        assert main(["transform", *argv, "--points", "1", "--json", str(first)]) == 0
+        laws = lambda model: (model.get("laws"), model.get("connection_formula_residual"))
+        assert laws(json.loads(first.read_text())["models"][0]) == laws(payload["models"][0])
 
     def test_transform_passes_model_params(self, tmp_path, capsys):
         out = tmp_path / "tr.json"
@@ -573,7 +582,7 @@ class TestCli:
         monkeypatch.setattr(PointFields, "__init__",
                             lambda self, *a, **k: built.append(1) or init(self, *a, **k))
         assert main(["transform", "-m", str(spec), "--params", "u=0.3,v=0.2,w=0"]) == 0
-        # a base and a transformed field per block: the first point, then the other two
+        # the one block's base and transformed fields, and the laws' pair at its first point
         assert len(built) == 4
         out = tmp_path / "cone.json"
         assert main(["cone", "-m", str(spec), "--json", str(out)]) == 0
